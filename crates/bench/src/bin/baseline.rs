@@ -651,9 +651,9 @@ fn run_fleet_case(name: &str, make: impl Fn() -> FleetCase, reps: usize) -> Flee
         base_build_s: s.base_build.as_secs_f64(),
         library_polygons: s.library_polygons,
         workers: s.scheduler.workers,
-        steals: s.scheduler.steals,
-        steal_attempts: s.scheduler.steal_attempts,
-        stolen_jobs: s.scheduler.stolen_jobs,
+        steals: s.sched.steals,
+        steal_attempts: s.sched.steal_attempts,
+        stolen_jobs: s.sched.stolen_jobs,
         busy_s: s.scheduler.total_busy().as_secs_f64(),
     };
     println!(
@@ -1678,13 +1678,12 @@ fn main() {
         }
     });
 
-    // The one honesty note for every fleet/session/cache/sched row below:
-    // this container has one CPU.
+    // Parallel rows depend on the host: say what it offers instead of
+    // assuming a CPU count.
     println!(
-        "(1-CPU container: one worker, steal counters ≈ 0, shrink side pair inactive — \
-         shared-vs-unshared deltas isolate library-index amortization, and preemption counts \
-         come from packet-boundary tier switches, not parallel contention; re-measure \
-         scheduler scaling on multicore)\n"
+        "(host parallelism: {} — with one worker, steal counters read 0 and the shrink side \
+         pair is inactive)\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     println!("== group matching (naive vs incremental vs batched vs rtree vs parallel) ==");
     let mut rows: Vec<CaseRow> = Vec::new();

@@ -550,46 +550,6 @@ pub fn plan_board_units(board: &Board) -> Vec<(f64, Vec<UnitInput>)> {
         .collect()
 }
 
-/// One planned unit of a board, tagged with its position in the board's
-/// `(group, unit)` plan — the flat per-unit packet shape the fleet
-/// scheduler dispatches (`fleet::sched` schedules *units*, not groups, so
-/// a board whose damage landed in one group still spreads across
-/// workers).
-#[derive(Debug, Clone)]
-pub struct PlannedUnit {
-    /// Board-local group index.
-    pub group: usize,
-    /// Unit index within the group.
-    pub unit: usize,
-    /// The group's resolved target (every unit of a group shares it).
-    pub target: f64,
-    /// The snapshotted unit.
-    pub input: UnitInput,
-}
-
-/// [`plan_board_units`], flattened to per-unit packets: the group targets
-/// (one per group, in declaration order — empty-unit groups keep their
-/// slot) plus every unit tagged with its `(group, unit)` coordinates in
-/// `(group, unit)` order. Same planning pass, same snapshots; only the
-/// shape differs.
-pub fn plan_unit_packets(board: &Board) -> (Vec<f64>, Vec<PlannedUnit>) {
-    let planned = plan_board_units(board);
-    let mut targets = Vec::with_capacity(planned.len());
-    let mut flat = Vec::new();
-    for (group, (target, units)) in planned.into_iter().enumerate() {
-        targets.push(target);
-        for (unit, input) in units.into_iter().enumerate() {
-            flat.push(PlannedUnit {
-                group,
-                unit,
-                target,
-                input,
-            });
-        }
-    }
-    (targets, flat)
-}
-
 /// [`match_all_groups`] against a shared obstacle-library world (see
 /// [`match_board_group_shared`]).
 pub fn match_all_groups_shared(

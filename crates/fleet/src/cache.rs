@@ -447,21 +447,35 @@ pub fn group_key(group: &meander_layout::MatchGroup, index: usize, target: f64) 
     h.finish()
 }
 
+/// The [`CacheKey`] of group `g` of `board` — planned with `target` and
+/// `units` — under the content identity `(library_root,
+/// board_local_hash)`: the one derivation fleets, warm-up, sessions, and
+/// [`board_keys`] share, so they all hit each other's entries.
+pub(crate) fn key_for(
+    (library_root, board_local_hash): (u64, u64),
+    board: &meander_layout::Board,
+    g: usize,
+    target: f64,
+    units: &[UnitInput],
+    extend: &ExtendConfig,
+) -> CacheKey {
+    CacheKey {
+        library_root,
+        rules_hash: rules_key(units, extend),
+        board_local_hash,
+        group_hash: group_key(&board.groups()[g], g, target),
+    }
+}
+
 /// The cache keys of every group of `lb`, in group order — what the
 /// engine derives per job, exposed for benches and tests that need to
 /// probe specific entries.
 pub fn board_keys(lb: &LibraryBoard, extend: &ExtendConfig) -> Vec<CacheKey> {
-    let root = library_root(lb.library());
-    let local = hash_board_local(lb.board());
+    let ident = (library_root(lb.library()), hash_board_local(lb.board()));
     meander_core::plan_board_units(lb.board())
         .into_iter()
         .enumerate()
-        .map(|(g, (target, units))| CacheKey {
-            library_root: root,
-            rules_hash: rules_key(&units, extend),
-            board_local_hash: local,
-            group_hash: group_key(&lb.board().groups()[g], g, target),
-        })
+        .map(|(g, (target, units))| key_for(ident, lb.board(), g, target, &units, extend))
         .collect()
 }
 

@@ -6,10 +6,10 @@
 //! [`crate::FleetConfig::cancel`], and fires it at any time. The engine
 //! polls it at two granularities:
 //!
-//! * **pop boundaries** — before a worker claims its next `(board, group)`
-//!   job (see [`crate::steal::steal_try_map`]'s stop predicate);
-//! * **unit boundaries** — between the traces/pairs of a job already in
-//!   flight.
+//! * **pop boundaries** — when a worker claims its next unit packet (the
+//!   stop predicate of [`crate::sched::run_packets`]);
+//! * **unit boundaries** — just before a claimed packet starts routing
+//!   its unit.
 //!
 //! So a fired token stops the fleet within one *unit's* worth of work per
 //! worker — not one job's, and certainly not the whole fleet's. Boards

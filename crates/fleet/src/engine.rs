@@ -2,6 +2,15 @@
 //! packets, route them on the priority-bucketed scheduler under panic
 //! isolation and deadlines, write back per board atomically.
 //!
+//! ## One pipeline
+//!
+//! [`route_fleet`], [`warm_fleet_cache`], and [`crate::FleetSession`] are
+//! thin clients of the crate's one plan → execute → resolve pipeline
+//! (`pipeline.rs`): a fleet is a fresh plan of every valid board at
+//! [`Tier::Batch`], warm-up is the plan filtered to distinct missing
+//! cache keys at [`Tier::Speculative`] with no write-back, and a session
+//! feeds only its dirty units in at [`Tier::Interactive`].
+//!
 //! ## Packet model
 //!
 //! The unit of scheduling is one **matching unit** (a trace or a
@@ -13,9 +22,6 @@
 //! [`meander_core::run_unit_shared`] the single-board driver uses; the
 //! `(board, group)` **job** survives as write-back metadata (a group's
 //! packets reassemble in unit order before [`meander_core::apply_outputs`]).
-//! Fleets submit their packets at [`crate::sched::Tier::Batch`]; the
-//! speculative warm-up producer ([`warm_fleet_cache`]) submits at
-//! [`crate::sched::Tier::Speculative`].
 //!
 //! ## Failure domains
 //!
@@ -28,10 +34,10 @@
 //!    board once ([`meander_layout::validate_board`]); failures become
 //!    [`BoardOutcome::Rejected`] with provenance, and the board is never
 //!    planned — malformed input cannot reach the router.
-//! 2. **Panic isolation.** Each job runs under `catch_unwind`
-//!    ([`crate::steal::steal_try_map`]); a panicking job yields
+//! 2. **Panic isolation.** Each packet runs under `catch_unwind`
+//!    ([`crate::sched::run_packets`]); a panicking packet yields
 //!    [`BoardOutcome::Failed`] for its board, the worker survives, and
-//!    every other job's result is untouched.
+//!    every other packet's result is untouched.
 //! 3. **Deadlines and cancellation.** A shared [`CancelToken`], a fleet
 //!    [`FleetConfig::deadline`], and a per-board busy
 //!    [`FleetConfig::board_budget`] are polled at pop boundaries and
@@ -45,12 +51,12 @@
 //!
 //! Boards reference an immutable [`meander_layout::ObstacleLibrary`]. With
 //! [`FleetConfig::share_library`] the engine builds one
-//! [`WorldBase`] per distinct library — the library's polygons inflated
-//! and edge-indexed **once** — and every trace of every board overlays its
-//! per-trace remainder on it, instead of re-indexing the library's
-//! geometry per trace. With it off, each board materializes `library ++
-//! local` obstacles and routes exactly like a standalone board (the
-//! baseline the bench compares against).
+//! [`meander_core::WorldBase`] per distinct library — the library's
+//! polygons inflated and edge-indexed **once** — and every trace of every
+//! board overlays its per-trace remainder on it, instead of re-indexing
+//! the library's geometry per trace. With it off, each board materializes
+//! `library ++ local` obstacles and routes exactly like a standalone board
+//! (the baseline the bench compares against).
 //!
 //! ## Determinism
 //!
@@ -59,8 +65,9 @@
 //! [`meander_core::match_all_groups`] sequentially:
 //!
 //! * jobs snapshot their inputs up front and are pure functions of them
-//!   (no job reads another's write-back — sound under the model invariant
-//!   that a trace belongs to at most one group);
+//!   (no job reads another's write-back — sound because a trace belongs
+//!   to at most one group, which validation enforces:
+//!   [`meander_layout::ValidationError::OverlappingGroups`]);
 //! * the scheduler only moves *where* a job runs; results land in
 //!   input-order slots and write back in `(board, group, unit)` order;
 //! * the shared-library world answers every spatial query identically to
@@ -78,26 +85,22 @@
 //! Wall-clock fields ([`GroupReport::runtime`], [`FleetStats`] timings)
 //! are measurements, not outputs — they are excluded from the identity.
 
-use crate::cache::{self, CacheKey, CachedGroup, CachedUnit, ResultCache};
+use crate::cache::{CacheKey, CachedGroup, ResultCache};
 use crate::cancel::CancelToken;
 #[cfg(feature = "fault")]
 use crate::fault::FaultPlan;
-use crate::outcome::{BoardOutcome, JobError, LatencyHistogram};
-use crate::sched::{run_packets, SchedCounters, Scheduler, Tier};
-use crate::steal::{JobStatus, StealCounters};
-use meander_core::context::{obstacle_inflation, world_cell};
-use meander_core::{
-    apply_outputs, gather_obstacles, plan_unit_packets, run_unit_shared, run_unit_shared_recorded,
-    CellTouches, DesignRules, ExtendConfig, GroupReport, IndexKind, PlannedUnit, UnitInput,
-    UnitOutput, WorldBase,
+use crate::outcome::{BoardOutcome, LatencyHistogram};
+use crate::pipeline::{
+    execute, is_failed, library_slots, resolve, validate_fresh, write_group, BaseCache, Plan,
 };
-use meander_geom::Polygon;
+use crate::sched::{SchedCounters, Scheduler, Tier, WorkerCounters};
+use meander_core::{ExtendConfig, GroupReport};
 use meander_layout::hash::{hash_board_local, library_root};
-use meander_layout::{
-    validate_board, validate_library, LibraryBoard, ObstacleLibrary, ValidationError,
-};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use meander_layout::LibraryBoard;
+#[cfg(feature = "fault")]
+use meander_layout::ValidationError;
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A fleet of boards, each referencing a shared obstacle library.
@@ -286,9 +289,9 @@ pub struct FleetStats {
     /// Time spent in the up-front validation scan (zero when
     /// [`FleetConfig::validate`] is off).
     pub validation_wall: Duration,
-    /// Time spent building the shared [`WorldBase`]s (zero when
-    /// `share_library` is off) — the cost that is paid once instead of
-    /// per trace.
+    /// Time spent building the shared [`meander_core::WorldBase`]s (zero
+    /// when `share_library` is off) — the cost that is paid once instead
+    /// of per trace.
     pub base_build: Duration,
     /// Wall clock of the scheduled phase (planning + routing + write-back
     /// excluded: this is the pool's span).
@@ -297,17 +300,33 @@ pub struct FleetStats {
     /// completion, cached replays included; halted packets are not
     /// recorded).
     pub latency: LatencyHistogram,
-    /// Worker-level counters of this run (workers, steals, per-worker
-    /// busy/panics).
-    pub scheduler: StealCounters,
+    /// Worker-level counters of this run (workers, per-worker
+    /// executed/busy/panics, skips).
+    pub scheduler: WorkerCounters,
     /// Bucket and monitor counters over this run's window: per-bucket
     /// packets executed and peak occupancy, park/unpark, preemptions
     /// ([`crate::sched`]). With a private pool this is the run's exact
     /// accounting; on a shared [`FleetConfig::sched`] concurrent tiers'
-    /// packets land in whichever run's window they completed. All
-    /// cross-worker counters (steals, preemptions) read zero on a 1-CPU
-    /// host.
+    /// packets land in whichever run's window they completed.
+    /// Cross-worker counters (steals, preemptions) read zero when one
+    /// worker serves the run.
     pub sched: SchedCounters,
+}
+
+impl FleetStats {
+    /// Sets the per-outcome board counters (and `boards`) from the run's
+    /// full outcome vector.
+    pub(crate) fn tally(&mut self, outcomes: &[BoardOutcome]) {
+        let count = |pred: fn(&BoardOutcome) -> bool| outcomes.iter().filter(|o| pred(o)).count();
+        self.boards = outcomes.len();
+        self.routed = count(BoardOutcome::is_routed);
+        self.rejected = count(|o| matches!(o, BoardOutcome::Rejected(_)));
+        self.failed = count(|o| matches!(o, BoardOutcome::Failed(_)));
+        self.cancelled = count(|o| matches!(o, BoardOutcome::Cancelled));
+        self.deadline_exceeded = count(|o| matches!(o, BoardOutcome::DeadlineExceeded));
+        self.degraded = count(|o| matches!(o, BoardOutcome::Degraded { .. }));
+        self.shed = count(|o| matches!(o, BoardOutcome::Shed(_)));
+    }
 }
 
 /// One fleet run's results: per-board outcomes and group reports (board
@@ -384,279 +403,6 @@ impl FleetReport {
     }
 }
 
-/// Per-`(library, rules-derived lattice)` [`WorldBase`] cache.
-///
-/// Keyed on a caller-chosen library identity `K` (the engine uses the
-/// `Arc` pointer, the serving session its stable library slot) plus the
-/// bit patterns of the two floats [`WorldBase::compatible`] checks — the
-/// lattice cell and obstacle inflation derived from a rule set. Rule sets
-/// that derive the same floats share one base; a rules edit lands on a new
-/// key and builds (once) on demand.
-pub(crate) struct BaseCache<K> {
-    entries: Vec<((K, u64, u64), Arc<WorldBase>)>,
-    build_time: Duration,
-}
-
-impl<K: PartialEq + Copy> BaseCache<K> {
-    pub(crate) fn new() -> Self {
-        BaseCache {
-            entries: Vec::new(),
-            build_time: Duration::ZERO,
-        }
-    }
-
-    fn key(lib: K, rules: &DesignRules) -> (K, u64, u64) {
-        (
-            lib,
-            world_cell(rules).to_bits(),
-            obstacle_inflation(rules).to_bits(),
-        )
-    }
-
-    /// The cached base compatible with `rules`, if one was built.
-    pub(crate) fn lookup(&self, lib: K, rules: &DesignRules) -> Option<Arc<WorldBase>> {
-        let key = Self::key(lib, rules);
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, b)| Arc::clone(b))
-    }
-
-    /// Cached or freshly built base for `(lib, rules)`.
-    pub(crate) fn get_or_build(
-        &mut self,
-        lib: K,
-        rules: &DesignRules,
-        library: &ObstacleLibrary,
-        kind: IndexKind,
-    ) -> Arc<WorldBase> {
-        let key = Self::key(lib, rules);
-        if let Some((_, b)) = self.entries.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(b);
-        }
-        let t0 = Instant::now();
-        let base = Arc::new(WorldBase::build(&library.polygons(), rules, kind));
-        self.build_time += t0.elapsed();
-        self.entries.push((key, Arc::clone(&base)));
-        base
-    }
-
-    /// Drops every entry of library `lib` — its polygon content changed.
-    pub(crate) fn invalidate(&mut self, lib: K) {
-        self.entries.retain(|((k, _, _), _)| *k != lib);
-    }
-
-    /// Total time spent building bases.
-    pub(crate) fn build_time(&self) -> Duration {
-        self.build_time
-    }
-}
-
-/// One planned group: write-back metadata. Not scheduled itself — its
-/// units are ([`UnitJob`]); its index in the flat group list doubles as
-/// the fault plan's `job_index` (same numbering as the previous
-/// per-group jobs, so recorded plans stay valid).
-struct GroupJob {
-    board: usize,
-    /// Board-local group index (outcome provenance).
-    group: usize,
-    target: f64,
-    unit_count: usize,
-    /// Content-addressed identity of this group (`Some` iff a cache is
-    /// attached): what its packets consult before routing.
-    key: Option<CacheKey>,
-}
-
-/// One scheduled packet: a single unit, snapshotted.
-struct UnitJob {
-    board: usize,
-    /// Index into the flat group-job list.
-    gj: usize,
-    /// Unit index within its group.
-    unit: usize,
-    input: UnitInput,
-    /// Shared base selected from the `(library, rules)` cache by this
-    /// unit's own rules (`None` when sharing is off).
-    base: Option<Arc<WorldBase>>,
-    /// The obstacle polygons `run_unit_shared` sees: board-local only in
-    /// shared mode, `library ++ local` when materialized.
-    obstacles: Arc<Vec<Polygon>>,
-    /// Global input-order unit index (fault panic-at-unit keys on it,
-    /// making injections invariant across scheduling).
-    #[cfg_attr(not(feature = "fault"), allow(dead_code))]
-    global_unit: u64,
-}
-
-/// Why a job (or the run) stopped early.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Halt {
-    Cancelled,
-    Deadline,
-}
-
-/// Shared run-control state polled at pop and unit boundaries.
-struct RunControl {
-    cancel: Option<CancelToken>,
-    deadline: Option<Instant>,
-    board_budget: Option<Duration>,
-    /// Busy nanoseconds charged per board (indexed by submission order).
-    board_spent: Vec<AtomicU64>,
-}
-
-impl RunControl {
-    /// Cancel/deadline check — the pop-boundary predicate.
-    fn global_halt(&self) -> Option<Halt> {
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Some(Halt::Cancelled);
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Some(Halt::Deadline);
-        }
-        None
-    }
-
-    /// Full check including the board's busy budget — the unit-boundary
-    /// predicate.
-    fn board_halt(&self, board: usize) -> Option<Halt> {
-        self.global_halt().or_else(|| match self.board_budget {
-            Some(budget)
-                if Duration::from_nanos(self.board_spent[board].load(Ordering::Relaxed))
-                    >= budget =>
-            {
-                Some(Halt::Deadline)
-            }
-            _ => None,
-        })
-    }
-
-    fn charge(&self, board: usize, busy: Duration) {
-        let nanos = busy.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.board_spent[board].fetch_add(nanos, Ordering::Relaxed);
-    }
-}
-
-/// What one unit packet resolved to.
-enum UnitRes {
-    /// The unit's board halted (token, deadline, or busy budget) before
-    /// this unit ran.
-    Halted(Halt),
-    /// The unit completed — routed fresh or replayed from the cache.
-    Done { out: UnitOutput, elapsed: Duration },
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Packet bodies run under catch_unwind, so a poisoned accumulator can
-    // only mean a panic inside this module's own bookkeeping; recover.
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Everything a unit packet needs beyond its own snapshot, shared across
-/// the run (packets are `'static`, so this is `Arc`ed rather than
-/// borrowed).
-struct RunState {
-    extend: ExtendConfig,
-    control: RunControl,
-    cache: Option<Arc<ResultCache>>,
-    groups: Vec<GroupJob>,
-    /// Per group: fresh-routed unit results accumulating toward an
-    /// in-run insert — when every slot fills (no unit was cached, halted,
-    /// or panicked), the group inserts. Empty vecs when no cache.
-    accum: Vec<Mutex<Vec<Option<CachedUnit>>>>,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    #[cfg(feature = "fault")]
-    fault: FaultPlan,
-}
-
-impl RunState {
-    /// The packet body shared by batch fleets and the warm-up producer:
-    /// fault delay on the group's first unit, cache consult, injected
-    /// panic, route-with-recording, in-run group insert. `write_back`
-    /// distinguishes a real fleet (board halts honored, busy charged)
-    /// from a speculative warm-up (no board to halt or charge).
-    fn run_unit(&self, job: &UnitJob, write_back: bool) -> UnitRes {
-        let t0 = Instant::now();
-        #[cfg(feature = "fault")]
-        if job.unit == 0 {
-            if let Some(delay) = self.fault.delay_jobs.get(&(job.gj as u64)) {
-                std::thread::sleep(*delay);
-            }
-        }
-        let gjm = &self.groups[job.gj];
-        // Cache consultation first (mirrors the per-group engine): a hit
-        // replays the stored bytes — exactly what routing would produce
-        // (determinism; module docs of `crate::cache`).
-        if let (Some(cache), Some(key)) = (self.cache.as_deref(), gjm.key.as_ref()) {
-            if let Some(cached) = cache.lookup(key) {
-                if let Some(u) = cached.units().get(job.unit) {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return UnitRes::Done {
-                        out: u.to_output(),
-                        elapsed: t0.elapsed(),
-                    };
-                }
-            }
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        if write_back {
-            // Unit boundary: the finer-grained budget check. A fired
-            // token or blown budget stops this board's remaining units;
-            // other boards are unaffected.
-            if let Some(h) = self.control.board_halt(job.board) {
-                return UnitRes::Halted(h);
-            }
-        }
-        #[cfg(feature = "fault")]
-        if self.fault.panics_unit(job.global_unit) {
-            panic!(
-                "injected fault: panic at unit {} (board {}, group {}, attempt {})",
-                job.global_unit, job.board, gjm.group, self.fault.attempt
-            );
-        }
-        let out = if gjm.key.is_some() {
-            let mut touches = CellTouches::new();
-            let out = run_unit_shared_recorded(
-                &job.input,
-                &job.obstacles,
-                job.base.as_ref(),
-                &self.extend,
-                &mut touches,
-            );
-            // In-run group insert: only a group whose *every* unit routed
-            // fresh inserts (a panicking or halted unit never fills its
-            // slot — no poisoned entries, structurally; a mixed group's
-            // cached units mean the entry already exists).
-            if let (Some(cache), Some(key)) = (self.cache.as_deref(), gjm.key) {
-                let full = {
-                    let mut acc = lock(&self.accum[job.gj]);
-                    acc[job.unit] = Some(CachedUnit::new(&out, touches));
-                    if acc.iter().all(Option::is_some) {
-                        Some(acc.iter_mut().flat_map(Option::take).collect::<Vec<_>>())
-                    } else {
-                        None
-                    }
-                };
-                if let Some(units) = full {
-                    cache.insert(key, CachedGroup::new(units));
-                }
-            }
-            out
-        } else {
-            run_unit_shared(&job.input, &job.obstacles, job.base.as_ref(), &self.extend)
-        };
-        if write_back {
-            self.control.charge(job.board, out.busy());
-        }
-        UnitRes::Done {
-            out,
-            elapsed: t0.elapsed(),
-        }
-    }
-}
-
 /// Routes every group of every valid board of `set`, in place.
 ///
 /// Every board comes back with a [`BoardOutcome`]; routed boards' results
@@ -665,387 +411,68 @@ impl RunState {
 /// every worker count and both `share_library` states (see the
 /// [module docs](self) for the argument; property-tested in
 /// `tests/determinism.rs` and, under faults, `tests/chaos.rs`).
+///
+/// This is the pipeline's fresh plan of every valid board, executed at
+/// [`Tier::Batch`] and written back in place.
 pub fn route_fleet(set: &mut BoardSet, config: &FleetConfig) -> FleetReport {
     let started = Instant::now();
-    let n_boards = set.boards.len();
-    let workers = config
-        .workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1);
-
-    // ---- Distinct libraries (by Arc identity). --------------------------
-    type LibKey = *const meander_layout::ObstacleLibrary;
-    let mut distinct: Vec<(LibKey, usize)> = Vec::new(); // (library, first board)
-    for (b, lb) in set.boards.iter().enumerate() {
-        let key = Arc::as_ptr(lb.library());
-        if !distinct.iter().any(|(k, _)| *k == key) {
-            distinct.push((key, b));
-        }
-    }
-    let libraries = distinct.len();
-    let library_polygons: usize = distinct
-        .iter()
-        .map(|&(_, b)| set.boards[b].library().len())
-        .sum();
-
-    // ---- Validation gate: reject malformed input before it is planned. --
-    // Each distinct library is scanned once (boards sharing it inherit
-    // the verdict); each board is scanned once. Rejected boards are never
-    // planned, never donate rules to a shared base, and keep their input
-    // geometry byte for byte.
-    let mut rejected: Vec<Option<ValidationError>> = vec![None; n_boards];
-    let mut validation_wall = Duration::ZERO;
+    let n = set.boards.len();
+    let (libraries, lib_of) = library_slots(&set.boards);
+    // Rejected boards are never planned, never donate rules to a shared
+    // base, and keep their input geometry byte for byte.
+    #[cfg_attr(not(feature = "fault"), allow(unused_mut))]
+    let (mut rejected, validation_wall) = validate_fresh(config, &libraries, &lib_of, &set.boards);
+    #[cfg(feature = "fault")]
     if config.validate {
-        let t0 = Instant::now();
-        let lib_verdicts: Vec<(LibKey, Option<ValidationError>)> = distinct
-            .iter()
-            .map(|&(key, b)| (key, validate_library(set.boards[b].library()).err()))
-            .collect();
-        for (b, lb) in set.boards.iter().enumerate() {
-            let key = Arc::as_ptr(lb.library());
-            let lib_err = lib_verdicts
-                .iter()
-                .find(|(k, _)| *k == key)
-                .and_then(|(_, e)| e.clone());
-            rejected[b] = lib_err.or_else(|| validate_board(lb.board()).err());
-        }
-        #[cfg(feature = "fault")]
         for &b in &config.fault.trip_boards {
-            if b < n_boards && rejected[b].is_none() {
+            if b < n && rejected[b].is_none() {
                 rejected[b] = Some(ValidationError::Injected {
                     reason: format!("fault plan tripped validation of board {b}"),
                 });
             }
         }
-        validation_wall = t0.elapsed();
     }
-
-    // ---- Shared worlds: one WorldBase per (library, rules lattice). -----
-    // The cache keys on the floats `WorldBase::compatible` checks — the
-    // obstacle inflation and lattice cell each trace's rules derive — so a
-    // mixed-rules fleet (or a fleet that just took a `SetRules` edit)
-    // still shares: every rule set present on a valid board gets exactly
-    // one base per library, and each unit below selects the base its own
-    // rules are compatible with. Before this keying, off-rules units fell
-    // back to unamortized materialization (ROADMAP scenario item (a)).
-    let mut bases: BaseCache<LibKey> = BaseCache::new();
-    if config.share_library {
-        for (b, lb) in set.boards.iter().enumerate() {
-            if rejected[b].is_some() {
-                continue;
-            }
-            let key = Arc::as_ptr(lb.library());
-            for (_, t) in lb.board().traces() {
-                bases.get_or_build(key, t.rules(), lb.library(), config.extend.index);
-            }
-        }
-    }
-    let base_build = bases.build_time();
-
-    // ---- Content identities, only when a cache is attached. -------------
-    // One Merkle root per distinct library, one local digest per valid
-    // board; with duplicates in the set the digests coincide and their
-    // jobs share cache entries. The hashes cost one pass over the
-    // geometry; an uncached fleet skips them entirely.
-    let lib_roots: Vec<(LibKey, u64)> = if config.cache.is_some() {
-        distinct
-            .iter()
-            .map(|&(key, b)| (key, library_root(set.boards[b].library())))
-            .collect()
-    } else {
-        Vec::new()
+    // Content identities only when a cache is attached: one Merkle root
+    // per distinct library, one local digest per valid board. Duplicate
+    // boards' digests coincide, so their groups share cache entries.
+    let roots: Vec<u64> = match config.cache {
+        Some(_) => libraries.iter().map(|l| library_root(l)).collect(),
+        None => Vec::new(),
     };
-    let board_hash: Vec<u64> = if config.cache.is_some() {
-        set.boards
-            .iter()
-            .enumerate()
-            .map(|(b, lb)| {
-                if rejected[b].is_some() {
-                    0
-                } else {
-                    hash_board_local(lb.board())
-                }
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // ---- Flatten boards × groups × units into packets (snapshot
-    // everything). Groups survive as write-back metadata.
-    let mut group_jobs: Vec<GroupJob> = Vec::new();
-    let mut unit_jobs: Vec<UnitJob> = Vec::new();
-    let mut units_total = 0usize;
-    let mut groups_per_board: Vec<usize> = Vec::with_capacity(n_boards);
+    let mut bases = BaseCache::default();
+    let mut plan = Plan::new(config, started, &libraries, &mut bases, n);
     for (b, lb) in set.boards.iter().enumerate() {
-        if rejected[b].is_some() {
-            groups_per_board.push(0);
-            continue;
-        }
-        let obstacles: Arc<Vec<Polygon>> = if config.share_library {
-            Arc::new(gather_obstacles(lb.board()))
-        } else {
-            let mut all = lb.library().polygons();
-            all.extend(gather_obstacles(lb.board()));
-            Arc::new(all)
-        };
-        let lib_key = Arc::as_ptr(lb.library());
-        let (targets, flat) = plan_unit_packets(lb.board());
-        groups_per_board.push(targets.len());
-        let mut by_group: Vec<Vec<PlannedUnit>> = (0..targets.len()).map(|_| Vec::new()).collect();
-        for p in flat {
-            by_group[p.group].push(p);
-        }
-        for (group, (units, &target)) in by_group.into_iter().zip(&targets).enumerate() {
-            let key = config.cache.is_some().then(|| {
-                let inputs: Vec<UnitInput> = units.iter().map(|p| p.input.clone()).collect();
-                CacheKey {
-                    library_root: lib_roots
-                        .iter()
-                        .find(|(k, _)| *k == lib_key)
-                        .map(|(_, r)| *r)
-                        .unwrap_or(0),
-                    rules_hash: cache::rules_key(&inputs, &config.extend),
-                    board_local_hash: board_hash[b],
-                    group_hash: cache::group_key(&lb.board().groups()[group], group, target),
-                }
-            });
-            let gj = group_jobs.len();
-            group_jobs.push(GroupJob {
-                board: b,
-                group,
-                target,
-                unit_count: units.len(),
-                key,
-            });
-            for p in units {
-                // Per-unit base selection: the cache covers every rule
-                // set a valid board's traces carry, so in shared mode the
-                // lookup always hits (pairs route their merged median
-                // under *virtualized* rules and fall back to
-                // materialization inside the engine — same as before,
-                // bit-identical).
-                let base = if config.share_library {
-                    let base = bases.lookup(lib_key, p.input.rules());
-                    debug_assert!(base.is_some(), "base cache covers all valid rules");
-                    base
-                } else {
-                    None
-                };
-                unit_jobs.push(UnitJob {
-                    board: b,
-                    gj,
-                    unit: p.unit,
-                    input: p.input,
-                    base,
-                    obstacles: Arc::clone(&obstacles),
-                    global_unit: units_total as u64,
-                });
-                units_total += 1;
-            }
+        if rejected[b].is_none() {
+            let ident =
+                (config.cache.is_some()).then(|| (roots[lib_of[b]], hash_board_local(lb.board())));
+            plan.board(b, lib_of[b], lb.board(), ident, |_, _| true);
         }
     }
-    let n_jobs = group_jobs.len();
-
-    // ---- Zero-unit groups: no packets to schedule; mirror the previous
-    // per-group engine's cache flow on the calling thread.
-    let mut planning_hits = 0u64;
-    let mut planning_misses = 0u64;
-    if let Some(cache) = config.cache.as_deref() {
-        for gj in &group_jobs {
-            if gj.unit_count > 0 {
-                continue;
-            }
-            let Some(key) = gj.key else { continue };
-            if cache.lookup(&key).is_some() {
-                planning_hits += 1;
-            } else {
-                planning_misses += 1;
-                cache.insert(key, CachedGroup::new(Vec::new()));
-            }
-        }
-    }
-
-    // ---- Route as Batch packets on the bucketed scheduler. --------------
-    let state = Arc::new(RunState {
-        extend: config.extend.clone(),
-        control: RunControl {
-            cancel: config.cancel.clone(),
-            deadline: config.deadline.map(|d| started + d),
-            board_budget: config.board_budget,
-            board_spent: (0..n_boards).map(|_| AtomicU64::new(0)).collect(),
-        },
-        cache: config.cache.clone(),
-        accum: group_jobs
-            .iter()
-            .map(|gj| {
-                Mutex::new(if gj.key.is_some() {
-                    vec![None; gj.unit_count]
-                } else {
-                    Vec::new()
-                })
-            })
-            .collect(),
-        groups: group_jobs,
-        cache_hits: AtomicU64::new(planning_hits),
-        cache_misses: AtomicU64::new(planning_misses),
-        #[cfg(feature = "fault")]
-        fault: config.fault.clone(),
+    let run = execute(plan, Tier::Batch);
+    let mut reports: Vec<Vec<GroupReport>> = vec![Vec::new(); n];
+    let boards = &mut set.boards;
+    let resolved = resolve(run, |gj, done| {
+        let outputs = done.into_iter().map(|(_, out, _)| out).collect();
+        let board = boards[gj.board].board_mut();
+        reports[gj.board].push(write_group(board, gj.target, outputs));
     });
-    let unit_jobs = Arc::new(unit_jobs);
-    let stop: Arc<dyn Fn() -> bool + Send + Sync> = {
-        let s = Arc::clone(&state);
-        Arc::new(move || s.control.global_halt().is_some())
-    };
-    let body = {
-        let s = Arc::clone(&state);
-        Arc::new(move |job: &UnitJob| s.run_unit(job, true))
-    };
-    let t0 = Instant::now();
-    let (statuses, scheduler, sched_delta) = run_packets(
-        config.sched.as_ref(),
-        Tier::Batch,
-        workers,
-        Arc::clone(&unit_jobs),
-        Some(stop),
-        body,
-    );
-    let route_wall = t0.elapsed();
-
-    // ---- Resolve per-board outcomes (Panicked > Halted > Routed). -------
-    // A skipped packet was never claimed: whether that's "cancelled" or
-    // "deadline" is a property of the run, read off the token.
-    let skip_halt = if state
-        .control
-        .cancel
-        .as_ref()
-        .is_some_and(CancelToken::is_cancelled)
-    {
-        Halt::Cancelled
-    } else {
-        Halt::Deadline
-    };
-    let mut panic_of: Vec<Option<JobError>> = vec![None; n_boards];
-    let mut halt_of: Vec<Option<Halt>> = vec![None; n_boards];
-    let mut units_run = 0usize;
-    let mut latency = LatencyHistogram::default();
-    for (job, status) in unit_jobs.iter().zip(&statuses) {
-        match status {
-            JobStatus::Done(UnitRes::Done { elapsed, .. }) => {
-                units_run += 1;
-                latency.record(*elapsed);
-            }
-            JobStatus::Done(UnitRes::Halted(h)) => {
-                halt_of[job.board].get_or_insert(*h);
-            }
-            JobStatus::Panicked(p) => {
-                panic_of[job.board].get_or_insert(JobError::Panicked {
-                    group: state.groups[job.gj].group,
-                    unit: Some(job.unit as u64),
-                    message: p.message(),
-                });
-            }
-            JobStatus::Skipped => {
-                halt_of[job.board].get_or_insert(skip_halt);
-            }
-        }
-    }
-    let outcomes: Vec<BoardOutcome> = (0..n_boards)
-        .map(|b| {
-            if let Some(err) = rejected[b].clone() {
-                BoardOutcome::Rejected(err)
-            } else if let Some(err) = panic_of[b].take() {
-                BoardOutcome::Failed(err)
-            } else if let Some(h) = halt_of[b] {
-                match h {
-                    Halt::Cancelled => BoardOutcome::Cancelled,
-                    Halt::Deadline => BoardOutcome::DeadlineExceeded,
-                }
-            } else {
-                BoardOutcome::Routed
-            }
+    let outcomes: Vec<BoardOutcome> = rejected
+        .into_iter()
+        .zip(resolved.lost)
+        .map(|(rejected, lost)| match rejected {
+            Some(err) => BoardOutcome::Rejected(err),
+            None => lost.unwrap_or(BoardOutcome::Routed),
         })
         .collect();
-
-    // ---- Atomic write-back: only fully-routed boards, in (board, group,
-    // unit) order. A board that lost any packet keeps its input geometry.
-    // Packets reassemble into their group's output vector first (the flat
-    // list is (board, group, unit)-ordered, so pushes arrive in unit
-    // order).
-    let mut group_outputs: Vec<Vec<UnitOutput>> = state
-        .groups
-        .iter()
-        .map(|gj| Vec::with_capacity(gj.unit_count))
-        .collect();
-    for (job, status) in unit_jobs.iter().zip(statuses) {
-        if !outcomes[job.board].is_routed() {
-            continue;
-        }
-        let JobStatus::Done(UnitRes::Done { out, .. }) = status else {
-            unreachable!("a routed board has only completed packets");
-        };
-        group_outputs[job.gj].push(out);
-    }
-    let mut reports: Vec<Vec<GroupReport>> = groups_per_board
-        .iter()
-        .map(|&g| Vec::with_capacity(g))
-        .collect();
-    for (gj, outputs) in state.groups.iter().zip(group_outputs) {
-        if !outcomes[gj.board].is_routed() {
-            continue;
-        }
-        let board = set.boards[gj.board].board_mut();
-        let (traces, busy) = apply_outputs(board, outputs);
-        reports[gj.board].push(GroupReport {
-            target: gj.target,
-            traces,
-            runtime: busy,
-        });
-    }
-
-    let board_busy: Vec<Duration> = state
-        .control
-        .board_spent
-        .iter()
-        .map(|a| Duration::from_nanos(a.load(Ordering::Relaxed)))
-        .collect();
-    let count = |pred: fn(&BoardOutcome) -> bool| outcomes.iter().filter(|o| pred(o)).count();
+    let mut stats = FleetStats {
+        validation_wall,
+        ..resolved.stats
+    };
+    stats.tally(&outcomes);
     FleetReport {
         reports,
-        stats: FleetStats {
-            boards: n_boards,
-            jobs: n_jobs,
-            units: units_total,
-            units_run,
-            libraries,
-            library_polygons,
-            routed: count(BoardOutcome::is_routed),
-            rejected: count(|o| matches!(o, BoardOutcome::Rejected(_))),
-            failed: count(|o| matches!(o, BoardOutcome::Failed(_))),
-            cancelled: count(|o| matches!(o, BoardOutcome::Cancelled)),
-            deadline_exceeded: count(|o| matches!(o, BoardOutcome::DeadlineExceeded)),
-            degraded: 0,
-            shed: 0,
-            retries: 0,
-            units_dirty: 0,
-            units_skipped: 0,
-            cells_dirty: 0,
-            cache_hits: state.cache_hits.load(Ordering::Relaxed),
-            cache_misses: state.cache_misses.load(Ordering::Relaxed),
-            boards_replanned: 0,
-            board_busy,
-            validation_wall,
-            base_build,
-            route_wall,
-            latency,
-            scheduler,
-            sched: sched_delta,
-        },
         outcomes,
+        stats,
     }
 }
 
@@ -1074,7 +501,7 @@ pub struct WarmupReport {
     /// Wall clock of the pass.
     pub elapsed: Duration,
     /// Worker-level counters of the pass.
-    pub scheduler: StealCounters,
+    pub scheduler: WorkerCounters,
     /// Bucket counters over the pass's window (its packets run at
     /// [`Tier::Speculative`]).
     pub sched: SchedCounters,
@@ -1105,198 +532,57 @@ pub fn warm_fleet_cache(
     cache: &Arc<ResultCache>,
 ) -> WarmupReport {
     let started = Instant::now();
-    let n_boards = set.boards.len();
-    let workers = config
-        .workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1);
-
-    type LibKey = *const meander_layout::ObstacleLibrary;
-    let mut distinct_libs: Vec<(LibKey, usize)> = Vec::new();
+    let (libraries, lib_of) = library_slots(&set.boards);
+    let (invalid, _) = validate_fresh(config, &libraries, &lib_of, &set.boards);
+    let roots: Vec<u64> = libraries.iter().map(|l| library_root(l)).collect();
+    // The pass fills `cache`, whatever the config attaches.
+    let config = FleetConfig {
+        cache: Some(Arc::clone(cache)),
+        ..config.clone()
+    };
+    let mut bases = BaseCache::default();
+    let mut plan = Plan::new(&config, started, &libraries, &mut bases, set.len());
+    let mut seen: HashSet<CacheKey> = HashSet::new();
+    let (mut groups, mut already_cached, mut warmed_empty) = (0usize, 0usize, 0usize);
     for (b, lb) in set.boards.iter().enumerate() {
-        let key = Arc::as_ptr(lb.library());
-        if !distinct_libs.iter().any(|(k, _)| *k == key) {
-            distinct_libs.push((key, b));
-        }
-    }
-    let mut invalid = vec![false; n_boards];
-    if config.validate {
-        let lib_verdicts: Vec<(LibKey, bool)> = distinct_libs
-            .iter()
-            .map(|&(key, b)| (key, validate_library(set.boards[b].library()).is_err()))
-            .collect();
-        for (b, lb) in set.boards.iter().enumerate() {
-            let key = Arc::as_ptr(lb.library());
-            invalid[b] = lib_verdicts
-                .iter()
-                .find(|(k, _)| *k == key)
-                .is_some_and(|(_, bad)| *bad)
-                || validate_board(lb.board()).is_err();
-        }
-    }
-    let lib_roots: Vec<(LibKey, u64)> = distinct_libs
-        .iter()
-        .map(|&(key, b)| (key, library_root(set.boards[b].library())))
-        .collect();
-
-    // ---- Enumerate distinct missing keys; plan one representative each.
-    let mut bases: BaseCache<LibKey> = BaseCache::new();
-    let mut seen: std::collections::HashSet<CacheKey> = std::collections::HashSet::new();
-    let mut group_jobs: Vec<GroupJob> = Vec::new();
-    let mut unit_jobs: Vec<UnitJob> = Vec::new();
-    let mut groups = 0usize;
-    let mut already_cached = 0usize;
-    let mut warmed_empty = 0usize;
-    for (b, lb) in set.boards.iter().enumerate() {
-        if invalid[b] {
+        if invalid[b].is_some() {
             continue;
         }
-        let lib_key = Arc::as_ptr(lb.library());
-        let library_root = lib_roots
-            .iter()
-            .find(|(k, _)| *k == lib_key)
-            .map(|(_, r)| *r)
-            .unwrap_or(0);
-        let board_local_hash = hash_board_local(lb.board());
-        let obstacles: Arc<Vec<Polygon>> = if config.share_library {
-            Arc::new(gather_obstacles(lb.board()))
-        } else {
-            let mut all = lb.library().polygons();
-            all.extend(gather_obstacles(lb.board()));
-            Arc::new(all)
-        };
-        let (targets, flat) = plan_unit_packets(lb.board());
-        groups += targets.len();
-        let mut by_group: Vec<Vec<PlannedUnit>> = (0..targets.len()).map(|_| Vec::new()).collect();
-        for p in flat {
-            by_group[p.group].push(p);
-        }
-        for (group, (units, &target)) in by_group.into_iter().zip(&targets).enumerate() {
-            let inputs: Vec<UnitInput> = units.iter().map(|p| p.input.clone()).collect();
-            let key = CacheKey {
-                library_root,
-                rules_hash: cache::rules_key(&inputs, &config.extend),
-                board_local_hash,
-                group_hash: cache::group_key(&lb.board().groups()[group], group, target),
-            };
+        let ident = (roots[lib_of[b]], hash_board_local(lb.board()));
+        // One representative per distinct missing key; an empty group
+        // needs no routing and inserts right here.
+        plan.board(b, lib_of[b], lb.board(), Some(ident), |key, units| {
+            groups += 1;
+            let Some(key) = key else { return false };
             if !seen.insert(key) {
-                continue; // a twin's representative already queued
+                return false;
             }
             if cache.contains(&key) {
                 already_cached += 1;
-                continue;
+                return false;
             }
-            if units.is_empty() {
-                if cache.insert(key, CachedGroup::new(Vec::new())) {
-                    warmed_empty += 1;
-                }
-                continue;
+            if units == 0 {
+                warmed_empty += usize::from(cache.insert(key, CachedGroup::new(Vec::new())));
+                return false;
             }
-            if config.share_library {
-                for u in &inputs {
-                    bases.get_or_build(lib_key, u.rules(), lb.library(), config.extend.index);
-                }
-            }
-            let gj = group_jobs.len();
-            group_jobs.push(GroupJob {
-                board: b,
-                group,
-                target,
-                unit_count: units.len(),
-                key: Some(key),
-            });
-            for p in units {
-                let base = if config.share_library {
-                    bases.lookup(lib_key, p.input.rules())
-                } else {
-                    None
-                };
-                unit_jobs.push(UnitJob {
-                    board: b,
-                    gj,
-                    unit: p.unit,
-                    input: p.input,
-                    base,
-                    obstacles: Arc::clone(&obstacles),
-                    global_unit: unit_jobs.len() as u64,
-                });
-            }
-        }
+            true
+        });
     }
-
-    // ---- Route representatives as Speculative packets. ------------------
-    let state = Arc::new(RunState {
-        extend: config.extend.clone(),
-        control: RunControl {
-            cancel: config.cancel.clone(),
-            deadline: config.deadline.map(|d| started + d),
-            board_budget: None,
-            board_spent: Vec::new(),
-        },
-        cache: Some(Arc::clone(cache)),
-        accum: group_jobs
-            .iter()
-            .map(|gj| Mutex::new(vec![None; gj.unit_count]))
-            .collect(),
-        groups: group_jobs,
-        cache_hits: AtomicU64::new(0),
-        cache_misses: AtomicU64::new(0),
-        #[cfg(feature = "fault")]
-        fault: config.fault.clone(),
-    });
-    let unit_jobs = Arc::new(unit_jobs);
-    let stop: Arc<dyn Fn() -> bool + Send + Sync> = {
-        let s = Arc::clone(&state);
-        Arc::new(move || s.control.global_halt().is_some())
-    };
-    let body = {
-        let s = Arc::clone(&state);
-        Arc::new(move |job: &UnitJob| s.run_unit(job, false))
-    };
-    let (statuses, scheduler, sched_delta) = run_packets(
-        config.sched.as_ref(),
-        Tier::Speculative,
-        workers,
-        Arc::clone(&unit_jobs),
-        Some(stop),
-        body,
-    );
-
-    // ---- Resolve per-group fates from the packet statuses. --------------
-    let n_groups = state.groups.len();
-    let mut group_panicked = vec![false; n_groups];
-    let mut group_skipped = vec![false; n_groups];
-    for (job, status) in unit_jobs.iter().zip(&statuses) {
-        match status {
-            JobStatus::Done(_) => {}
-            JobStatus::Panicked(_) => group_panicked[job.gj] = true,
-            JobStatus::Skipped => group_skipped[job.gj] = true,
-        }
-    }
-    let failed = group_panicked.iter().filter(|&&p| p).count();
-    let skipped = group_skipped
-        .iter()
-        .zip(&group_panicked)
-        .filter(|(&s, &p)| s && !p)
-        .count();
-    let warmed = warmed_empty + (n_groups - failed - skipped);
-
+    let resolved = resolve(execute(plan, Tier::Speculative), |_, _| {});
+    let failed = resolved.groups.iter().filter(|g| is_failed(g)).count();
+    let skipped = resolved.groups.iter().flatten().count() - failed;
     WarmupReport {
-        boards: n_boards,
-        invalid: invalid.iter().filter(|&&i| i).count(),
+        boards: set.len(),
+        invalid: invalid.iter().flatten().count(),
         groups,
         distinct: seen.len(),
         already_cached,
-        warmed,
+        warmed: warmed_empty + resolved.groups.len() - failed - skipped,
         failed,
         skipped,
         elapsed: started.elapsed(),
-        scheduler,
-        sched: sched_delta,
+        scheduler: resolved.stats.scheduler,
+        sched: resolved.stats.sched,
     }
 }
 
@@ -1306,6 +592,7 @@ mod tests {
     use meander_core::match_all_groups;
     use meander_geom::Point;
     use meander_layout::gen::fleet_boards_small;
+    use meander_layout::ValidationError;
 
     fn serial_extend() -> ExtendConfig {
         ExtendConfig {
@@ -1463,6 +750,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A trace in two groups breaks the snapshot-then-write-back argument
+    /// (the later group's write-back would overwrite the earlier group's
+    /// match), so such boards are rejected rather than silently routed
+    /// differently from sequential `match_all_groups`.
+    #[test]
+    fn overlapping_groups_are_rejected() {
+        let fleet = fleet_boards_small(4, 7, 11);
+        let mut boards = fleet.boards.clone();
+        for lb in &mut boards {
+            let shared = lb.board().groups()[0].members()[..2].to_vec();
+            lb.board_mut()
+                .add_group(meander_layout::MatchGroup::new("overlap", shared));
+        }
+        let mut set = BoardSet::new(boards);
+        let report = route_fleet(&mut set, &FleetConfig::default());
+        for (b, o) in report.outcomes.iter().enumerate() {
+            assert!(
+                matches!(
+                    o,
+                    BoardOutcome::Rejected(ValidationError::OverlappingGroups { .. })
+                ),
+                "board {b}: {o:?}"
+            );
+            for (id, t) in fleet.boards[b].board().traces() {
+                let now = set.boards()[b].board().trace(id).unwrap();
+                assert_eq!(t.centerline(), now.centerline(), "board {b} untouched");
+            }
+        }
+        assert_eq!(report.stats.rejected, 4);
+        assert_eq!(report.stats.units, 0);
     }
 
     /// A pre-fired token cancels every board before any routing happens.

@@ -14,11 +14,13 @@
 //!   trace of every board overlays only its per-trace remainder
 //!   ([`meander_index::OverlayIndex`]) — the index construction the
 //!   single-board flow repeats per trace is amortized across the fleet.
-//! * **Priority-bucketed scheduling.** Per-unit work packets spread over
-//!   per-worker deques with steal-half rebalancing inside typed priority
-//!   buckets ([`sched::Scheduler`]: `Interactive` > `Batch` >
-//!   `Speculative` with strict opening conditions), generalizing the
-//!   single atomic-cursor `par_map`.
+//! * **One pipeline, one pool.** Batch fleets ([`route_fleet`]), cache
+//!   warm-up ([`warm_fleet_cache`]), and serving re-routes
+//!   ([`FleetSession`]) share one plan → execute → resolve pipeline. Its
+//!   per-unit work packets run on one worker pool: per-worker deques with
+//!   steal-half rebalancing inside typed priority buckets
+//!   ([`sched::Scheduler`]: `Interactive` > `Batch` > `Speculative` with
+//!   strict opening conditions).
 //! * **Deterministic write-back.** Results land in input-order slots and
 //!   write back in `(board, group, unit)` order, so fleet output is
 //!   **bit-identical** to routing each board's materialized twin
@@ -31,7 +33,7 @@
 //!
 //! * **Validation** — malformed boards are rejected up front with a typed
 //!   [`meander_layout::ValidationError`] ([`BoardOutcome::Rejected`]);
-//! * **Panics** — each job runs under `catch_unwind`; a crash becomes
+//! * **Panics** — each packet runs under `catch_unwind`; a crash becomes
 //!   [`BoardOutcome::Failed`] and the pool survives;
 //! * **Deadlines / cancellation** — a [`CancelToken`], a fleet deadline,
 //!   and per-board budgets are polled at pop and unit boundaries;
@@ -80,11 +82,11 @@ pub mod engine;
 #[cfg(feature = "fault")]
 pub mod fault;
 pub mod outcome;
+mod pipeline;
 pub mod repro;
 pub mod resilience;
 pub mod sched;
 pub mod session;
-pub mod steal;
 
 pub use cache::{
     board_keys, engine_identity, CacheKey, CacheStats, CachedGroup, CachedUnit, ResultCache,
@@ -104,6 +106,5 @@ pub use resilience::{
     route_fleet_resilient, AdmissionPolicy, AttemptJournal, AttemptRecord, Quarantine,
     QuarantineEntry, ResilientReport, RetryPolicy,
 };
-pub use sched::{run_packets, SchedCounters, Scheduler, Tier};
+pub use sched::{run_packets, JobPanic, JobStatus, SchedCounters, Scheduler, Tier, WorkerCounters};
 pub use session::FleetSession;
-pub use steal::{steal_try_map, JobPanic, JobStatus, StealCounters};

@@ -490,15 +490,7 @@ pub fn route_fleet_resilient(
     }
 
     // ---- Final stats: recount from the merged outcome vector. -----------
-    let count = |pred: fn(&BoardOutcome) -> bool| outcomes.iter().filter(|o| pred(o)).count();
-    stats.boards = n;
-    stats.routed = count(BoardOutcome::is_routed);
-    stats.rejected = count(|o| matches!(o, BoardOutcome::Rejected(_)));
-    stats.failed = count(|o| matches!(o, BoardOutcome::Failed(_)));
-    stats.cancelled = count(|o| matches!(o, BoardOutcome::Cancelled));
-    stats.deadline_exceeded = count(|o| matches!(o, BoardOutcome::DeadlineExceeded));
-    stats.degraded = count(|o| matches!(o, BoardOutcome::Degraded { .. }));
-    stats.shed = count(|o| matches!(o, BoardOutcome::Shed(_)));
+    stats.tally(&outcomes);
     stats.retries = retries;
     stats.board_busy = board_busy;
 

@@ -1,21 +1,26 @@
-//! Phase-bucketed, priority-aware work-packet scheduler: typed tiers with
-//! opening conditions, per-worker deques with steal-half rebalancing, and
-//! a worker monitor with parked/active accounting.
+//! The one worker pool: phase-bucketed, priority-aware work packets with
+//! typed tiers and opening conditions, per-worker deques with steal-half
+//! rebalancing, a worker monitor with parked/active accounting, and
+//! per-packet panic isolation.
 //!
 //! ## Why buckets
 //!
-//! The flat steal pool ([`crate::steal::steal_try_map`]) treats every job
-//! alike: an interactive serving re-route submitted while a 1000-board
-//! batch fleet is draining queues behind it and waits out the whole
-//! backlog. This scheduler layers **priority buckets** over the same
-//! per-worker deque + steal-half machinery (mmtk-core's
-//! `work_bucket`/`worker`/`worker_monitor` is the exemplar shape):
+//! A flat pool treats every packet alike: an interactive serving re-route
+//! submitted while a 1000-board batch fleet is draining queues behind it
+//! and waits out the whole backlog. This scheduler layers **priority
+//! buckets** over per-worker deques with steal-half rebalancing
+//! (mmtk-core's `work_bucket`/`worker`/`worker_monitor` is the exemplar
+//! shape):
 //!
 //! * [`Tier::Interactive`] — serving re-routes ([`crate::FleetSession`]);
 //! * [`Tier::Batch`] — fleet routing ([`crate::route_fleet`] and the
 //!   resilience layer's retry sub-fleets);
 //! * [`Tier::Speculative`] — cache warm-up ([`crate::warm_fleet_cache`]),
 //!   work that is pure opportunity and must never delay real requests.
+//!
+//! All three reach the pool through the fleet's one plan → execute →
+//! resolve pipeline, whose `execute` step is the only caller of
+//! [`run_packets`].
 //!
 //! **Opening condition:** a bucket is claimable only when every higher
 //! tier is *drained* — no packets queued **or in flight** — or has
@@ -32,22 +37,31 @@
 //! spinning; submissions and bucket drains bump a monitor epoch and wake
 //! them. [`SchedCounters`] exposes the accounting — parks, unparks,
 //! per-bucket packets executed and peak occupancy, steal traffic — so
-//! steal behavior is finally observable ([`Scheduler::counters`]; note
-//! all cross-worker counters read zero on a 1-CPU host where one worker
-//! drains everything it seeded).
+//! steal behavior is observable ([`Scheduler::counters`]; cross-worker
+//! counters read zero when one worker drains everything it seeded).
+//!
+//! ## Failure domains
+//!
+//! A packet is a failure domain. Every packet runs under
+//! [`std::panic::catch_unwind`]: a panicking packet yields
+//! [`JobStatus::Panicked`] in its own slot, the worker survives and keeps
+//! draining, and every other packet's result is untouched. Panics are
+//! counted per worker in [`WorkerCounters::panics`]. The optional `stop`
+//! predicate is polled when each packet is claimed, so a cancelled or
+//! over-deadline run stops burning CPU within one packet's granularity;
+//! packets claimed after the trip report [`JobStatus::Skipped`].
 //!
 //! ## Why scheduling policy cannot change output
 //!
-//! The contract is inherited from `steal.rs` unchanged: packets snapshot
-//! their inputs, each packet's result lands in the slot of its input
-//! index, and callers consume slots in input order. Buckets, parking,
-//! yields, steals, and preemption decide only *who runs what when* —
-//! never what a packet computes or where its result lands. Fleet output
-//! therefore stays bit-identical to sequential for every bucket config,
-//! worker count, and preemption schedule (property-tested in
+//! Packets snapshot their inputs, each packet's result lands in the slot
+//! of its input index, and callers consume slots in input order. Buckets,
+//! parking, yields, steals, and preemption decide only *who runs what
+//! when* — never what a packet computes or where its result lands. Fleet
+//! output therefore stays bit-identical to sequential for every bucket
+//! config, worker count, and preemption schedule (property-tested in
 //! `tests/sched.rs`).
 
-use crate::steal::{JobPanic, JobStatus, StealCounters};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,6 +71,99 @@ use std::time::{Duration, Instant};
 
 /// Number of priority buckets.
 pub const TIERS: usize = 3;
+
+/// Worker-level counters of one packet run: who executed what, for how
+/// long, and which packets panicked or were skipped. Steal traffic is
+/// pool-wide and lives in [`SchedCounters`].
+#[derive(Debug, Clone, Default)]
+pub struct WorkerCounters {
+    /// Workers that served the run (1 for the inline serial loop).
+    pub workers: usize,
+    /// Packets executed per worker (index = worker id); panicking
+    /// packets count as executed.
+    pub executed: Vec<u64>,
+    /// Busy time (inside packet bodies) per worker.
+    pub busy: Vec<Duration>,
+    /// Panics caught per worker (index = worker id). The worker survives
+    /// each one; the sum equals the number of `JobStatus::Panicked` slots.
+    pub panics: Vec<u64>,
+    /// Packets never run because the stop predicate tripped.
+    pub skipped: u64,
+}
+
+impl WorkerCounters {
+    /// Total busy time across workers.
+    pub fn total_busy(&self) -> Duration {
+        self.busy.iter().sum()
+    }
+
+    /// Total executed packets (scheduled packets minus skipped ones).
+    pub fn total_executed(&self) -> u64 {
+        self.executed.iter().sum()
+    }
+
+    /// Total panics caught across workers.
+    pub fn total_panics(&self) -> u64 {
+        self.panics.iter().sum()
+    }
+}
+
+/// The payload of a packet that panicked, preserved for re-raising or
+/// reporting.
+pub struct JobPanic {
+    payload: Box<dyn Any + Send>,
+}
+
+impl JobPanic {
+    /// Best-effort human-readable panic message (`&str` / `String`
+    /// payloads; the usual `panic!` shapes).
+    pub fn message(&self) -> String {
+        if let Some(s) = self.payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = self.payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    }
+
+    /// The original payload, for [`std::panic::resume_unwind`].
+    pub fn into_payload(self) -> Box<dyn Any + Send> {
+        self.payload
+    }
+}
+
+impl fmt::Debug for JobPanic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "JobPanic({:?})", self.message())
+    }
+}
+
+/// Per-packet outcome of a [`run_packets`] run.
+#[derive(Debug)]
+pub enum JobStatus<R> {
+    /// The packet ran to completion.
+    Done(R),
+    /// The packet panicked; the worker caught it and moved on.
+    Panicked(JobPanic),
+    /// The packet never ran — the stop predicate tripped first.
+    Skipped,
+}
+
+impl<R> JobStatus<R> {
+    /// `true` for [`JobStatus::Done`].
+    pub fn is_done(&self) -> bool {
+        matches!(self, JobStatus::Done(_))
+    }
+
+    /// The result, if the packet completed.
+    pub fn done(self) -> Option<R> {
+        match self {
+            JobStatus::Done(r) => Some(r),
+            _ => None,
+        }
+    }
+}
 
 /// Priority bucket of a work packet. Lower discriminant = higher
 /// priority; see the [module docs](self) for the opening condition.
@@ -207,20 +314,9 @@ impl Inner {
             return;
         }
         let now = self.pending[t].fetch_add(n, Ordering::SeqCst) + n;
-        let mut peak = self.peak[t].load(Ordering::Relaxed);
-        while now > peak {
-            match self.peak[t].compare_exchange_weak(
-                peak,
-                now,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => peak = seen,
-            }
-        }
-        // Round-robin seeding, same as the flat pool: packet i starts on
-        // worker i % workers.
+        self.peak[t].fetch_max(now, Ordering::Relaxed);
+        // Round-robin seeding: packet i starts on worker i % workers, so a
+        // run spreads across the pool before any stealing.
         for (i, p) in packets.into_iter().enumerate() {
             lock(&self.queues[t][i % self.workers]).push_back(p);
         }
@@ -364,7 +460,8 @@ impl<R> RunShared<R> {
             busy_nanos: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             panics: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             skipped: AtomicU64::new(0),
-            done: Mutex::new(false),
+            // An empty run is finished before it starts.
+            done: Mutex::new(n == 0),
             cv: Condvar::new(),
         }
     }
@@ -479,8 +576,7 @@ impl Scheduler {
     /// order, the run's worker-level counters, and the scheduler counter
     /// movement over the run's window.
     ///
-    /// Same isolation contract as [`crate::steal::steal_try_map`]: a
-    /// panicking packet yields [`JobStatus::Panicked`] in its own slot
+    /// A panicking packet yields [`JobStatus::Panicked`] in its own slot
     /// and the pool survives; `stop` is polled when each packet is
     /// claimed — tripped packets resolve [`JobStatus::Skipped`] without
     /// running `f`.
@@ -490,7 +586,7 @@ impl Scheduler {
         items: Arc<Vec<T>>,
         stop: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
         f: Arc<F>,
-    ) -> (Vec<JobStatus<R>>, StealCounters, SchedCounters)
+    ) -> (Vec<JobStatus<R>>, WorkerCounters, SchedCounters)
     where
         T: Send + Sync + 'static,
         R: Send + 'static,
@@ -498,19 +594,6 @@ impl Scheduler {
     {
         let n = items.len();
         let workers = self.inner.workers;
-        if n == 0 {
-            return (
-                Vec::new(),
-                StealCounters {
-                    workers,
-                    executed: vec![0; workers],
-                    busy: vec![Duration::ZERO; workers],
-                    panics: vec![0; workers],
-                    ..Default::default()
-                },
-                SchedCounters::default(),
-            );
-        }
         let before = self.inner.counters();
         let state: Arc<RunShared<R>> = Arc::new(RunShared::new(n, workers));
         let packets: Vec<Packet> = (0..n)
@@ -539,7 +622,7 @@ impl Scheduler {
                             Ok(r) => JobStatus::Done(r),
                             Err(payload) => {
                                 state.panics[w].fetch_add(1, Ordering::Relaxed);
-                                JobStatus::Panicked(JobPanic::from_payload(payload))
+                                JobStatus::Panicked(JobPanic { payload })
                             }
                         }
                     };
@@ -551,48 +634,24 @@ impl Scheduler {
         state.wait();
         let delta = self.inner.counters().delta_since(&before);
 
-        let executed: Vec<u64> = state
-            .executed
+        let load =
+            |v: &[AtomicU64]| -> Vec<u64> { v.iter().map(|a| a.load(Ordering::Relaxed)).collect() };
+        // Drained in place: a packet's Arc clone can outlive its
+        // FinishGuard by an instant.
+        let statuses: Vec<JobStatus<R>> = state
+            .slots
             .iter()
-            .map(|a| a.load(Ordering::Relaxed))
+            .map(|s| lock(s).take().unwrap_or(JobStatus::Skipped))
             .collect();
-        let busy: Vec<Duration> = state
-            .busy_nanos
-            .iter()
-            .map(|a| Duration::from_nanos(a.load(Ordering::Relaxed)))
-            .collect();
-        let panics: Vec<u64> = state
-            .panics
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        let skipped = state.skipped.load(Ordering::Relaxed);
-        let statuses: Vec<JobStatus<R>> = match Arc::try_unwrap(state) {
-            Ok(state) => state
-                .slots
-                .into_iter()
-                .map(|s| match s.into_inner() {
-                    Ok(Some(status)) => status,
-                    _ => JobStatus::Skipped,
-                })
-                .collect(),
-            // A packet's Arc clone can outlive its FinishGuard by an
-            // instant; fall back to draining the slots in place.
-            Err(state) => state
-                .slots
-                .iter()
-                .map(|s| lock(s).take().unwrap_or(JobStatus::Skipped))
-                .collect(),
-        };
-        let counters = StealCounters {
+        let counters = WorkerCounters {
             workers,
-            steals: delta.steals,
-            stolen_jobs: delta.stolen_jobs,
-            steal_attempts: delta.steal_attempts,
-            executed,
-            busy,
-            panics,
-            skipped,
+            executed: load(&state.executed),
+            busy: load(&state.busy_nanos)
+                .into_iter()
+                .map(Duration::from_nanos)
+                .collect(),
+            panics: load(&state.panics),
+            skipped: state.skipped.load(Ordering::Relaxed),
         };
         (statuses, counters, delta)
     }
@@ -611,8 +670,8 @@ impl Drop for Scheduler {
 /// Routes a packet run to `sched` when attached, an ephemeral
 /// [`Scheduler`] when parallelism is wanted, or an inline serial loop
 /// (same isolation, same stop semantics, no threads) for 1 worker or ≤ 1
-/// item — the consumer-facing entry `route_fleet`, the serving session,
-/// and the warm-up producer all share.
+/// item. The fleet pipeline's `execute` step is its one production
+/// caller, for batch fleets, serving re-routes, and warm-up alike.
 pub fn run_packets<T, R, F>(
     sched: Option<&Arc<Scheduler>>,
     tier: Tier,
@@ -620,7 +679,7 @@ pub fn run_packets<T, R, F>(
     items: Arc<Vec<T>>,
     stop: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
     f: Arc<F>,
-) -> (Vec<JobStatus<R>>, StealCounters, SchedCounters)
+) -> (Vec<JobStatus<R>>, WorkerCounters, SchedCounters)
 where
     T: Send + Sync + 'static,
     R: Send + 'static,
@@ -645,7 +704,7 @@ where
                 Ok(r) => out.push(JobStatus::Done(r)),
                 Err(payload) => {
                     panics += 1;
-                    out.push(JobStatus::Panicked(JobPanic::from_payload(payload)));
+                    out.push(JobStatus::Panicked(JobPanic { payload }));
                 }
             }
         }
@@ -653,13 +712,12 @@ where
             .iter()
             .filter(|s| matches!(s, JobStatus::Skipped))
             .count() as u64;
-        let counters = StealCounters {
+        let counters = WorkerCounters {
             workers: 1,
             executed: vec![executed],
             busy: vec![t0.elapsed()],
             panics: vec![panics],
             skipped,
-            ..Default::default()
         };
         let mut sched_counters = SchedCounters::default();
         sched_counters.packets[tier.index()] = executed;
@@ -733,6 +791,21 @@ mod tests {
         assert_eq!(got, items.iter().map(|&x| x + 1).collect::<Vec<_>>());
         assert_eq!(counters.workers, 1);
         assert_eq!(delta.packets[Tier::Interactive.index()], 64);
+        // Zero and one packet take the inline loop whatever the workers.
+        for n in [0u64, 1] {
+            let items: Arc<Vec<u64>> = Arc::new((41..41 + n).collect());
+            let (out, c, _) = run_packets(
+                None,
+                Tier::Batch,
+                4,
+                items,
+                None,
+                Arc::new(|&x: &u64| x + 1),
+            );
+            let got: Vec<u64> = out.into_iter().map(|s| s.done().unwrap()).collect();
+            assert_eq!(got, (42..42 + n).collect::<Vec<_>>());
+            assert_eq!((c.workers, c.total_executed()), (1, n));
+        }
     }
 
     /// Once any interactive packet is claimed, every remaining interactive
@@ -877,13 +950,21 @@ mod tests {
         );
     }
 
+    /// A panicking packet is its own failure domain on both paths — a
+    /// persistent pool and the inline one-worker loop (the path a
+    /// single-worker fleet or session takes): the healthy packets complete
+    /// with correct values, the panic lands in its own slot with its
+    /// message, and the per-worker counters account for exactly one catch.
     #[test]
     fn panicking_packet_is_isolated() {
-        let sched = Arc::new(Scheduler::new(2));
-        for _ in 0..2 {
+        let pool = Arc::new(Scheduler::new(2));
+        // The pool runs twice: it must survive the first run's panic.
+        for sched in [Some(&pool), Some(&pool), None] {
             let items: Arc<Vec<u32>> = Arc::new((0..16).collect());
-            let (statuses, counters, _) = sched.run(
+            let (statuses, counters, _) = run_packets(
+                sched,
                 Tier::Batch,
+                1,
                 items,
                 None,
                 Arc::new(|&x: &u32| {
@@ -891,6 +972,7 @@ mod tests {
                     x * 10
                 }),
             );
+            assert_eq!(statuses.len(), 16);
             for (i, s) in statuses.iter().enumerate() {
                 match s {
                     JobStatus::Done(v) => assert_eq!(*v, i as u32 * 10),
@@ -902,20 +984,47 @@ mod tests {
                 }
             }
             assert_eq!(counters.total_panics(), 1);
-            assert_eq!(counters.total_executed(), 16);
+            assert_eq!(counters.total_executed(), 16, "panicked packet still ran");
+            assert_eq!(counters.panics.len(), counters.workers);
         }
     }
 
+    /// A tripped stop predicate skips every unclaimed packet, on a pool
+    /// and inline; inline, a predicate that trips after the first claim
+    /// lets exactly that packet run.
     #[test]
     fn stop_predicate_skips_packets() {
-        let sched = Arc::new(Scheduler::new(2));
+        let pool = Arc::new(Scheduler::new(2));
+        for sched in [Some(&pool), None] {
+            let items: Arc<Vec<u32>> = Arc::new((0..32).collect());
+            let stop: Arc<dyn Fn() -> bool + Send + Sync> = Arc::new(|| true);
+            let (statuses, counters, _) = run_packets(
+                sched,
+                Tier::Batch,
+                1,
+                items,
+                Some(stop),
+                Arc::new(|&x: &u32| x),
+            );
+            assert!(statuses.iter().all(|s| matches!(s, JobStatus::Skipped)));
+            assert_eq!(counters.skipped, 32);
+            assert_eq!(counters.total_executed(), 0);
+        }
+        let fired = Arc::new(AtomicBool::new(false));
+        let stop: Arc<dyn Fn() -> bool + Send + Sync> =
+            Arc::new(move || fired.swap(true, Ordering::Relaxed));
         let items: Arc<Vec<u32>> = Arc::new((0..32).collect());
-        let stop: Arc<dyn Fn() -> bool + Send + Sync> = Arc::new(|| true);
-        let (statuses, counters, _) =
-            sched.run(Tier::Batch, items, Some(stop), Arc::new(|&x: &u32| x));
-        assert!(statuses.iter().all(|s| matches!(s, JobStatus::Skipped)));
-        assert_eq!(counters.skipped, 32);
-        assert_eq!(counters.total_executed(), 0);
+        let (statuses, counters, _) = run_packets(
+            None,
+            Tier::Batch,
+            1,
+            items,
+            Some(stop),
+            Arc::new(|&x: &u32| x),
+        );
+        assert_eq!(statuses.iter().filter(|s| s.is_done()).count(), 1);
+        assert!(statuses[0].is_done(), "the first claim ran");
+        assert_eq!(counters.skipped, 31);
     }
 
     #[test]
@@ -944,11 +1053,41 @@ mod tests {
         let items: Arc<Vec<u64>> = Arc::new((0..500).collect());
         let (out, c, delta) = sched.run(Tier::Batch, items, None, Arc::new(|&x: &u64| x));
         assert_eq!(out.len(), 500);
-        assert!(c.steal_attempts >= c.steals);
-        assert!(c.stolen_jobs >= c.steals);
+        // Every steal moved at least one packet; attempts ≥ steals.
+        assert!(delta.steal_attempts >= delta.steals);
+        assert!(delta.stolen_jobs >= delta.steals);
         assert_eq!(c.total_executed(), 500);
+        assert_eq!(c.executed.len(), c.workers);
+        assert_eq!(c.busy.len(), c.workers);
         assert_eq!(delta.total_packets(), 500);
         assert!(delta.peak_pending[Tier::Batch.index()] <= 500);
+    }
+
+    /// Front-loaded heavy packets on an ephemeral pool with more workers
+    /// than packets: the pool is capped at the packet count, and every
+    /// packet runs exactly once, in input order.
+    #[test]
+    fn uneven_packets_on_an_oversized_pool_all_run() {
+        let items: Arc<Vec<u64>> =
+            Arc::new((0..3).map(|i| if i == 0 { 200_000 } else { 50 }).collect());
+        let (out, c, _) = run_packets(
+            None,
+            Tier::Batch,
+            16,
+            Arc::clone(&items),
+            None,
+            Arc::new(|&spin: &u64| {
+                let mut acc = 0u64;
+                for k in 0..spin {
+                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+                }
+                (spin, acc)
+            }),
+        );
+        let got: Vec<u64> = out.into_iter().map(|s| s.done().unwrap().0).collect();
+        assert_eq!(got, *items);
+        assert!(c.workers <= 3, "{c:?}");
+        assert_eq!(c.total_executed(), 3);
     }
 
     #[test]

@@ -63,20 +63,19 @@
 
 use crate::cache::{self, CacheKey, CachedGroup, CachedUnit};
 use crate::edit::{add_damage, DamageReport};
-use crate::engine::{BaseCache, BoardSet, FleetConfig, FleetReport, FleetStats};
-use crate::outcome::{BoardOutcome, JobError, LatencyHistogram};
-use crate::sched::{run_packets, SchedCounters, Tier};
-use crate::steal::{JobStatus, StealCounters};
+use crate::engine::{BoardSet, FleetConfig, FleetReport, FleetStats};
+#[cfg(feature = "fault")]
+use crate::fault::FaultPlan;
+use crate::outcome::BoardOutcome;
+use crate::pipeline::{execute, library_slots, resolve, write_group, BaseCache, Plan, Verdicts};
+use crate::sched::Tier;
 use meander_core::{
-    apply_outputs, gather_obstacles, plan_board_units, run_unit_shared_recorded, CellTouches,
-    DirtyCells, ExtendConfig, GroupReport, StratumKey, UnitInput, UnitOutput, WorldBase,
+    plan_board_units, CellTouches, DirtyCells, ExtendConfig, GroupReport, StratumKey, UnitInput,
+    UnitOutput,
 };
 use meander_geom::Polygon;
 use meander_layout::hash::{hash_board_local, LibraryCommitment};
-use meander_layout::{
-    validate_board, validate_library, Board, Edit, EditScope, LibraryBoard, Obstacle,
-    ObstacleLibrary, ValidationError,
-};
+use meander_layout::{Board, Edit, EditScope, LibraryBoard, Obstacle, ObstacleLibrary};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -88,39 +87,6 @@ struct GroupPlan {
     units: Vec<UnitInput>,
     outputs: Vec<Option<UnitOutput>>,
     touches: Vec<CellTouches>,
-}
-
-/// The result-cache identity of a planned group — the session-side twin
-/// of the batch engine's per-job key derivation (same components, same
-/// digests, so fleets and sessions sharing one cache hit each other's
-/// entries).
-fn plan_cache_key(
-    board: &Board,
-    g: usize,
-    gp: &GroupPlan,
-    extend: &ExtendConfig,
-    library_root: u64,
-    board_local_hash: u64,
-) -> CacheKey {
-    CacheKey {
-        library_root,
-        rules_hash: cache::rules_key(&gp.units, extend),
-        board_local_hash,
-        group_hash: cache::group_key(&board.groups()[g], g, gp.target),
-    }
-}
-
-/// One scheduled re-route: a single dirty unit, snapshotted. Finer-grained
-/// than the batch engine's `(board, group)` jobs — a serving re-route
-/// typically runs a handful of units, so per-unit scheduling keeps every
-/// worker busy even when one board absorbed all the damage.
-struct ReJob {
-    board: usize,
-    group: usize,
-    unit: usize,
-    input: UnitInput,
-    base: Option<Arc<WorldBase>>,
-    obstacles: Arc<Vec<Polygon>>,
 }
 
 /// A long-lived serving handle over a routed [`BoardSet`].
@@ -148,18 +114,15 @@ pub struct FleetSession {
     /// Boards that must replan and re-route wholesale (rules / board
     /// replacement edits, or a prior failure being retried).
     structural: Vec<bool>,
-    /// Cached validation verdicts plus staleness markers — recomputed only
-    /// for edited scopes, so an untouched fleet pays no rescan.
-    lib_stale: Vec<bool>,
-    board_stale: Vec<bool>,
-    lib_verdict: Vec<Option<ValidationError>>,
-    board_verdict: Vec<Option<ValidationError>>,
+    /// Cached validation verdicts, recomputed only for edited scopes, so
+    /// an untouched fleet pays no rescan.
+    verdicts: Verdicts,
     /// Union of every retained unit's touched strata: the lattices damage
     /// must be quantized on. Empty ⇒ damage degrades to `mark_all`.
     strata: Vec<StratumKey>,
     /// Per-`(library slot, rules lattice)` shared bases, kept warm across
     /// re-routes; invalidated when a library's content changes.
-    bases: BaseCache<usize>,
+    bases: BaseCache,
     /// Per-slot Merkle commitments over library content, built on the
     /// first cache-enabled re-route and maintained incrementally: a moved
     /// obstacle recomputes only its authentication path
@@ -192,19 +155,7 @@ impl FleetSession {
     /// [`FleetSession::report`].
     pub fn new(set: BoardSet, config: &FleetConfig) -> FleetSession {
         let n = set.len();
-        let mut libraries: Vec<Arc<ObstacleLibrary>> = Vec::new();
-        let mut lib_of = Vec::with_capacity(n);
-        for lb in set.boards() {
-            let key = Arc::as_ptr(lb.library());
-            let slot = libraries
-                .iter()
-                .position(|l| Arc::as_ptr(l) == key)
-                .unwrap_or_else(|| {
-                    libraries.push(Arc::clone(lb.library()));
-                    libraries.len() - 1
-                });
-            lib_of.push(slot);
-        }
+        let (libraries, lib_of) = library_slots(set.boards());
         let pristine: Vec<Board> = set.boards().iter().map(|lb| lb.board().clone()).collect();
         let nl = libraries.len();
         let mut session = FleetSession {
@@ -216,12 +167,9 @@ impl FleetSession {
             lib_dirty: vec![DirtyCells::new(); nl],
             board_dirty: vec![DirtyCells::new(); n],
             structural: vec![true; n],
-            lib_stale: vec![true; nl],
-            board_stale: vec![true; n],
-            lib_verdict: vec![None; nl],
-            board_verdict: vec![None; n],
+            verdicts: Verdicts::stale(nl, n),
             strata: Vec::new(),
-            bases: BaseCache::new(),
+            bases: BaseCache::default(),
             commitments: (0..nl).map(|_| None).collect(),
             served_roots: Vec::new(),
             served_board_hash: Vec::new(),
@@ -438,11 +386,11 @@ impl FleetSession {
             }
         }
         self.bases.invalidate(slot);
-        self.lib_stale[slot] = true;
+        self.verdicts.invalidate_library(slot);
     }
 
     fn board_damage(&mut self, b: usize, polys: &[&Polygon], affected: usize) -> DamageReport {
-        self.board_stale[b] = true;
+        self.verdicts.invalidate_board(b);
         let grew = add_damage(&mut self.board_dirty[b], &self.strata, polys);
         DamageReport {
             boards_affected: affected,
@@ -462,7 +410,7 @@ impl FleetSession {
 
     fn mark_structural(&mut self, b: usize) -> DamageReport {
         self.structural[b] = true;
-        self.board_stale[b] = true;
+        self.verdicts.invalidate_board(b);
         self.hash_stale[b] = true;
         DamageReport {
             boards_affected: 1,
@@ -474,36 +422,16 @@ impl FleetSession {
     // ---- The re-route. ---------------------------------------------------
 
     fn reroute_inner(&mut self, config: &FleetConfig) -> FleetReport {
+        let started = Instant::now();
         let n = self.pristine.len();
-        let workers = config
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|w| w.get())
-                    .unwrap_or(1)
-            })
-            .max(1);
 
-        // Refresh validation verdicts for edited scopes only. Verdicts are
-        // deterministic in content, so cached ones equal what the batch
-        // engine's full pre-flight scan would recompute.
-        let mut validation_wall = Duration::ZERO;
-        if config.validate {
-            let t0 = Instant::now();
-            for slot in 0..self.libraries.len() {
-                if self.lib_stale[slot] {
-                    self.lib_verdict[slot] = validate_library(&self.libraries[slot]).err();
-                    self.lib_stale[slot] = false;
-                }
-            }
-            for b in 0..n {
-                if self.board_stale[b] {
-                    self.board_verdict[b] = validate_board(&self.pristine[b]).err();
-                    self.board_stale[b] = false;
-                }
-            }
-            validation_wall = t0.elapsed();
-        }
+        // Refresh validation verdicts for edited scopes only.
+        let pristine = &self.pristine;
+        let validation_wall = if config.validate {
+            self.verdicts.refresh(&self.libraries, |b| &pristine[b])
+        } else {
+            Duration::ZERO
+        };
 
         // The damage this re-route consumes (stat, before clearing).
         let cells_dirty = self
@@ -522,7 +450,6 @@ impl FleetSession {
         let result_cache = config.cache.as_deref();
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
-        let mut board_hash: Vec<u64> = Vec::new();
         if let Some(rc) = result_cache {
             for slot in 0..self.libraries.len() {
                 if self.commitments[slot].is_none() {
@@ -544,28 +471,23 @@ impl FleetSession {
                     rc.apply_library_edit(old, new, dirty);
                 }
             }
-            // Scoped rehash: only boards an edit actually touched — the
-            // wholesale `pristine.iter().map(hash_board_local)` this
-            // replaced made every cached re-route O(fleet) even for a
-            // one-board edit.
+            // Scoped rehash: only boards an edit actually touched — a
+            // wholesale rehash would make every cached re-route O(fleet)
+            // even for a one-board edit.
             for b in 0..n {
                 if self.hash_stale[b] {
                     self.local_hash[b] = hash_board_local(&self.pristine[b]);
                     self.hash_stale[b] = false;
                 }
             }
-            board_hash = self.local_hash.clone();
-            if self.served_board_hash.len() == board_hash.len() {
+            if self.served_board_hash.len() == n {
                 for b in 0..n {
-                    let (old, new) = (self.served_board_hash[b], board_hash[b]);
-                    if old == new {
-                        continue;
-                    }
+                    let (old, new) = (self.served_board_hash[b], self.local_hash[b]);
                     // A twin still serving under the old digest keeps the
                     // entries alive — content addressing means they stay
                     // exact for it; the edited board re-routes and
                     // inserts under its new digest.
-                    if board_hash.contains(&old) {
+                    if old == new || self.local_hash.contains(&old) {
                         continue;
                     }
                     if self.structural[b] {
@@ -578,7 +500,7 @@ impl FleetSession {
                 }
             }
             self.served_roots = new_roots;
-            self.served_board_hash = board_hash.clone();
+            self.served_board_hash.clone_from(&self.local_hash);
         } else {
             // Without the cache in hand this re-route's transitions go
             // unobserved; forget the served identities rather than re-key
@@ -593,24 +515,19 @@ impl FleetSession {
         // rebuilt even when every group came out of the cache and no unit
         // is dirty.
         let mut replanned: Vec<bool> = vec![false; n];
-        for b in 0..n {
-            let verdict = if config.validate {
-                self.lib_verdict[self.lib_of[b]]
-                    .clone()
-                    .or_else(|| self.board_verdict[b].clone())
-            } else {
-                None
-            };
-            if let Some(err) = verdict {
+        for (b, replanned_b) in replanned.iter_mut().enumerate() {
+            let slot = self.lib_of[b];
+            if let Some(err) = config
+                .validate
+                .then(|| self.verdicts.get(slot, b))
+                .flatten()
+            {
                 // Rejected: geometry reverts to pristine (exactly what the
                 // batch engine leaves untouched), retained state dropped.
                 // Empty plans mark the board for a full replan if a later
                 // edit makes it valid again.
                 if !matches!(self.outcomes[b], BoardOutcome::Rejected(_)) {
-                    self.routed.boards_mut()[b] = LibraryBoard::new(
-                        Arc::clone(&self.libraries[self.lib_of[b]]),
-                        self.pristine[b].clone(),
-                    );
+                    self.revert(b);
                 }
                 self.plans[b].clear();
                 self.cached_reports[b].clear();
@@ -619,7 +536,7 @@ impl FleetSession {
                 continue;
             }
             if self.structural[b] || self.plans[b].is_empty() {
-                replanned[b] = true;
+                *replanned_b = true;
                 let mut plans_b: Vec<GroupPlan> = plan_board_units(&self.pristine[b])
                     .into_iter()
                     .map(|(target, units)| GroupPlan {
@@ -634,15 +551,7 @@ impl FleetSession {
                 // determinism), a miss re-routes below.
                 for (g, gp) in plans_b.iter_mut().enumerate() {
                     let cached = result_cache.and_then(|rc| {
-                        let key = plan_cache_key(
-                            &self.pristine[b],
-                            g,
-                            gp,
-                            &config.extend,
-                            self.served_roots[self.lib_of[b]],
-                            board_hash[b],
-                        );
-                        rc.lookup(&key)
+                        rc.lookup(&self.cache_key(b, g, gp, &config.extend))
                             .filter(|c| c.units().len() == gp.units.len())
                     });
                     match cached {
@@ -665,7 +574,6 @@ impl FleetSession {
                 }
                 self.plans[b] = plans_b;
             } else {
-                let slot = self.lib_of[b];
                 for (g, gp) in self.plans[b].iter().enumerate() {
                     for u in 0..gp.units.len() {
                         if gp.outputs[u].is_none()
@@ -684,166 +592,75 @@ impl FleetSession {
             .flat_map(|groups| groups.iter().map(|gp| gp.units.len()))
             .sum();
 
-        // ---- Shared bases for the dirty units (cache kept warm). --------
-        let base_before = self.bases.build_time();
-        if config.share_library {
-            for &(b, g, u) in &dirty_units {
-                let slot = self.lib_of[b];
-                self.bases.get_or_build(
-                    slot,
-                    self.plans[b][g].units[u].rules(),
-                    &self.libraries[slot],
-                    config.extend.index,
-                );
-            }
-        }
-        let base_build = self.bases.build_time() - base_before;
-
-        // ---- Snapshot the dirty units into per-unit jobs. ----------------
-        let mut board_obstacles: Vec<Option<Arc<Vec<Polygon>>>> = vec![None; n];
-        let mut jobs: Vec<ReJob> = Vec::with_capacity(dirty_units.len());
-        for &(b, g, u) in &dirty_units {
-            let slot = self.lib_of[b];
-            let obstacles = board_obstacles[b]
-                .get_or_insert_with(|| {
-                    // Snapshot from the *pristine* board — the batch engine
-                    // gathers from its (un-routed) input exactly the same.
-                    Arc::new(if config.share_library {
-                        gather_obstacles(&self.pristine[b])
-                    } else {
-                        let mut all = self.libraries[slot].polygons();
-                        all.extend(gather_obstacles(&self.pristine[b]));
-                        all
-                    })
-                })
-                .clone();
-            let input = self.plans[b][g].units[u].clone();
-            let base = if config.share_library {
-                self.bases.lookup(slot, input.rules())
-            } else {
-                None
-            };
-            jobs.push(ReJob {
-                board: b,
-                group: g,
-                unit: u,
-                input,
-                base,
-                obstacles,
-            });
-        }
-
         // ---- Route the dirty units as Interactive packets. ---------------
         // Highest bucket: on a shared scheduler a serving re-route's
         // packets preempt any in-flight batch fleet at packet boundaries.
-        let jobs = Arc::new(jobs);
-        let t0 = Instant::now();
-        let (statuses, scheduler, sched_delta) = if jobs.is_empty() {
-            (
-                Vec::new(),
-                StealCounters::default(),
-                SchedCounters::default(),
-            )
-        } else {
-            let extend = config.extend.clone();
-            run_packets(
-                config.sched.as_ref(),
-                Tier::Interactive,
-                workers,
-                Arc::clone(&jobs),
-                None,
-                Arc::new(move |job: &ReJob| {
-                    let t_job = Instant::now();
-                    let mut touches = CellTouches::new();
-                    let out = run_unit_shared_recorded(
-                        &job.input,
-                        &job.obstacles,
-                        job.base.as_ref(),
-                        &extend,
-                        &mut touches,
-                    );
-                    (out, touches, t_job.elapsed())
-                }),
-            )
+        // The run carries no deadline, budget, token, or fault plan: a
+        // serving re-route is bounded by its damage. Obstacles snapshot
+        // from the *pristine* board, as the batch engine gathers from its
+        // un-routed input.
+        let serving = FleetConfig {
+            deadline: None,
+            board_budget: None,
+            cancel: None,
+            #[cfg(feature = "fault")]
+            fault: FaultPlan::default(),
+            ..config.clone()
         };
-        let route_wall = t0.elapsed();
-
-        // ---- Harvest: outputs + touches back into the plans. -------------
-        let mut failed: Vec<Option<JobError>> = vec![None; n];
-        let mut units_run = 0usize;
-        let mut latency = LatencyHistogram::default();
-        let mut board_busy: Vec<Duration> = vec![Duration::ZERO; n];
-        for (job, status) in jobs.iter().zip(statuses) {
-            match status {
-                JobStatus::Done((out, touches, elapsed)) => {
-                    units_run += 1;
-                    latency.record(elapsed);
-                    board_busy[job.board] += out.busy();
-                    let gp = &mut self.plans[job.board][job.group];
-                    gp.outputs[job.unit] = Some(out);
-                    gp.touches[job.unit] = touches;
-                }
-                JobStatus::Panicked(p) => {
-                    failed[job.board].get_or_insert(JobError::Panicked {
-                        group: job.group,
-                        unit: Some(job.unit as u64),
-                        message: p.message(),
-                    });
-                }
-                // No stop predicate is passed, so nothing is ever skipped.
-                JobStatus::Skipped => unreachable!("session re-routes run without a stop signal"),
+        let mut plan = Plan::new(&serving, started, &self.libraries, &mut self.bases, n);
+        let mut open = None;
+        for &(b, g, u) in &dirty_units {
+            let gp = &self.plans[b][g];
+            if open != Some((b, g)) {
+                plan.group(b, g, gp.target, gp.units.len(), None);
+                open = Some((b, g));
             }
+            plan.unit(self.lib_of[b], &self.pristine[b], u, gp.units[u].clone());
         }
+        let plans = &mut self.plans;
+        let mut resolved = resolve(execute(plan, Tier::Interactive), |gj, done| {
+            let gp = &mut plans[gj.board][gj.group];
+            for (u, out, touches) in done {
+                gp.outputs[u] = Some(out);
+                gp.touches[u] = touches;
+            }
+        });
 
         // ---- Per-board write-back (atomic: pristine + all outputs). ------
-        let mut touched: Vec<bool> = vec![false; n];
+        let mut touched = replanned.clone();
         for &(b, _, _) in &dirty_units {
             touched[b] = true;
         }
-        for (t, &r) in touched.iter_mut().zip(&replanned) {
-            *t |= r;
-        }
-        for b in 0..n {
+        for (b, &touched_b) in touched.iter().enumerate() {
             if matches!(self.outcomes[b], BoardOutcome::Rejected(_)) && self.plans[b].is_empty() {
                 continue;
             }
-            if let Some(err) = failed[b].take() {
+            if let Some(lost) = resolved.lost[b].take() {
                 // Failure domain = one board: revert it to pristine, drop
                 // retained state, retry wholesale on the next re-route.
-                self.routed.boards_mut()[b] = LibraryBoard::new(
-                    Arc::clone(&self.libraries[self.lib_of[b]]),
-                    self.pristine[b].clone(),
-                );
+                self.revert(b);
                 self.plans[b].clear();
                 self.cached_reports[b].clear();
-                self.outcomes[b] = BoardOutcome::Failed(err);
+                self.outcomes[b] = lost;
                 self.structural[b] = true;
                 continue;
             }
-            if !touched[b] {
+            if !touched_b {
                 continue; // clean board: routed state and report retained
             }
             let mut board = self.pristine[b].clone();
-            let mut reports_b = Vec::with_capacity(self.plans[b].len());
-            for gp in &self.plans[b] {
-                let outputs: Vec<UnitOutput> = gp
-                    .outputs
-                    .iter()
-                    .map(|o| {
+            self.cached_reports[b] = self.plans[b]
+                .iter()
+                .map(|gp| {
+                    let outputs = gp.outputs.iter().map(|o| {
                         o.clone()
                             .expect("every unit of a non-failed board has output")
-                    })
-                    .collect();
-                let (traces, busy) = apply_outputs(&mut board, outputs);
-                reports_b.push(GroupReport {
-                    target: gp.target,
-                    traces,
-                    runtime: busy,
-                });
-            }
+                    });
+                    write_group(&mut board, gp.target, outputs.collect())
+                })
+                .collect();
             self.routed.boards_mut()[b] =
                 LibraryBoard::new(Arc::clone(&self.libraries[self.lib_of[b]]), board);
-            self.cached_reports[b] = reports_b;
             self.outcomes[b] = BoardOutcome::Routed;
             self.structural[b] = false;
         }
@@ -853,19 +670,12 @@ impl FleetSession {
         // its current identity; twins elsewhere in the fleet (or future
         // fleets sharing the cache) hit it.
         if let Some(rc) = result_cache {
-            for b in 0..n {
-                if !touched[b] || !matches!(self.outcomes[b], BoardOutcome::Routed) {
+            for (b, &touched_b) in touched.iter().enumerate() {
+                if !touched_b || !matches!(self.outcomes[b], BoardOutcome::Routed) {
                     continue;
                 }
                 for (g, gp) in self.plans[b].iter().enumerate() {
-                    let key = plan_cache_key(
-                        &self.pristine[b],
-                        g,
-                        gp,
-                        &config.extend,
-                        self.served_roots[self.lib_of[b]],
-                        board_hash[b],
-                    );
+                    let key = self.cache_key(b, g, gp, &config.extend);
                     if rc.contains(&key) {
                         continue;
                     }
@@ -906,37 +716,36 @@ impl FleetSession {
         }
 
         // ---- Report. -----------------------------------------------------
-        let count =
-            |pred: fn(&BoardOutcome) -> bool| self.outcomes.iter().filter(|o| pred(o)).count();
-        self.last_stats = FleetStats {
-            boards: n,
-            jobs: jobs.len(),
+        let dirty = resolved.stats.units;
+        let mut stats = FleetStats {
+            jobs: dirty,
             units: units_total,
-            units_run,
-            libraries: self.libraries.len(),
-            library_polygons: self.libraries.iter().map(|l| l.len()).sum(),
-            routed: count(BoardOutcome::is_routed),
-            rejected: count(|o| matches!(o, BoardOutcome::Rejected(_))),
-            failed: count(|o| matches!(o, BoardOutcome::Failed(_))),
-            cancelled: 0,
-            deadline_exceeded: 0,
-            degraded: 0,
-            shed: 0,
-            retries: 0,
-            units_dirty: jobs.len(),
-            units_skipped: units_total.saturating_sub(jobs.len()),
+            units_dirty: dirty,
+            units_skipped: units_total.saturating_sub(dirty),
             cells_dirty,
             cache_hits,
             cache_misses,
             boards_replanned: replanned.iter().filter(|&&r| r).count(),
-            board_busy,
             validation_wall,
-            base_build,
-            route_wall,
-            latency,
-            scheduler,
-            sched: sched_delta,
+            ..resolved.stats
         };
+        stats.tally(&self.outcomes);
+        self.last_stats = stats;
         self.report()
+    }
+
+    /// The result-cache identity of group `g` of board `b`, planned as
+    /// `gp`, under the identities the cache currently serves.
+    fn cache_key(&self, b: usize, g: usize, gp: &GroupPlan, extend: &ExtendConfig) -> CacheKey {
+        let ident = (self.served_roots[self.lib_of[b]], self.served_board_hash[b]);
+        cache::key_for(ident, &self.pristine[b], g, gp.target, &gp.units, extend)
+    }
+
+    /// Resets board `b`'s served state to its pristine input.
+    fn revert(&mut self, b: usize) {
+        self.routed.boards_mut()[b] = LibraryBoard::new(
+            Arc::clone(&self.libraries[self.lib_of[b]]),
+            self.pristine[b].clone(),
+        );
     }
 }

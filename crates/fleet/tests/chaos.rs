@@ -347,6 +347,14 @@ fn malformed_mutations_are_rejected_with_provenance() {
             |e| matches!(e, ValidationError::UnknownGroupMember { member: 999, .. }),
         ),
         (
+            "overlapping-groups",
+            |board| {
+                let shared = board.groups()[0].members()[..2].to_vec();
+                board.add_group(MatchGroup::new("overlap", shared));
+            },
+            |e| matches!(e, ValidationError::OverlappingGroups { .. }),
+        ),
+        (
             "nan-gap-rule",
             |board| {
                 let id = board.traces().next().map(|(id, _)| id).expect("trace");

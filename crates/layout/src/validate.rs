@@ -22,6 +22,7 @@ use crate::group::TargetLength;
 use crate::library::{LibraryBoard, ObstacleLibrary};
 use meander_drc::{DesignRules, RulesError};
 use meander_geom::{Point, Polygon};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Which entity of a board (or library) a [`ValidationError`] points at.
@@ -145,6 +146,17 @@ pub enum ValidationError {
         /// The offending separation.
         value: f64,
     },
+    /// A trace belongs to more than one matching group. Groups route from
+    /// snapshots of their members, so the later group's write-back would
+    /// silently overwrite the earlier group's match.
+    OverlappingGroups {
+        /// The shared trace id.
+        trace: u32,
+        /// The first group (declaration order) holding it.
+        first: String,
+        /// The later group that holds it too.
+        second: String,
+    },
     /// A fault-injection trip (fleet `fault` feature): the board was
     /// artificially rejected by a seeded
     /// `FaultPlan` to exercise the rejection path end to end.
@@ -213,6 +225,14 @@ impl fmt::Display for ValidationError {
                     "pair `{pair}`: separation {value} must be finite and positive"
                 )
             }
+            ValidationError::OverlappingGroups {
+                trace,
+                first,
+                second,
+            } => write!(
+                f,
+                "trace {trace} belongs to both group `{first}` and group `{second}`"
+            ),
             ValidationError::Injected { reason } => write!(f, "injected fault: {reason}"),
         }
     }
@@ -264,7 +284,8 @@ fn check_rules(trace: u32, rules: &DesignRules) -> Result<(), ValidationError> {
 
 /// Validates every entity of `board`, returning the first error in a
 /// deterministic walk order (outline, traces, obstacles, areas, groups,
-/// pairs).
+/// pairs). Every trace may belong to at most one group — the invariant
+/// the fleet's bit-identity to sequential routing rests on.
 ///
 /// # Errors
 ///
@@ -330,6 +351,20 @@ pub fn validate_board(board: &Board) -> Result<(), ValidationError> {
                 group: g.name().to_string(),
                 value: g.tolerance(),
             });
+        }
+    }
+    // Trace id → index of the first group holding it.
+    let mut owner: HashMap<u32, usize> = HashMap::new();
+    for (gi, g) in board.groups().iter().enumerate() {
+        for &m in g.members() {
+            let first = *owner.entry(m.0).or_insert(gi);
+            if first != gi {
+                return Err(ValidationError::OverlappingGroups {
+                    trace: m.0,
+                    first: board.groups()[first].name().to_string(),
+                    second: g.name().to_string(),
+                });
+            }
         }
     }
     for p in board.pairs() {
@@ -485,6 +520,12 @@ mod tests {
             validate_board(&b),
             Err(ValidationError::UnknownGroupMember { member: 99, .. })
         ));
+        let mut b = clean_board();
+        b.add_group(MatchGroup::with_target("again", vec![TraceId(0)], 150.0));
+        assert!(matches!(
+            validate_board(&b),
+            Err(ValidationError::OverlappingGroups { trace: 0, .. })
+        ));
     }
 
     #[test]
@@ -556,5 +597,14 @@ mod tests {
             vertices: 4,
         };
         assert!(format!("{e}").contains("area polygon 1 of trace 2"));
+        let e = ValidationError::OverlappingGroups {
+            trace: 0,
+            first: "g".into(),
+            second: "again".into(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "trace 0 belongs to both group `g` and group `again`"
+        );
     }
 }
