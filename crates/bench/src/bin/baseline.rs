@@ -43,13 +43,13 @@
 //!   edge index, per-pop shrink contexts, and DRC scan index are STR
 //!   R-trees (and the batched DRC obstacle pass may take its edge-indexed
 //!   candidate-outer path)
-//! * `parallel`    — indexed engine, parallel driver
+//! * `parallel`    — the shipped default engine (batch kernels, grid
+//!   index), parallel driver
 //!
-//! The fleet rows are measured on this container honestly: at 1 CPU the
-//! scheduler runs on one worker (steal counters ≈ 0) and the shrink
-//! side-context worker pair stays inactive — the shared-vs-unshared delta
-//! isolates the library-index amortization alone. Re-measure on multicore
-//! hardware for scheduler scaling.
+//! The fleet rows depend on the host's parallelism, which the run prints:
+//! the shared-vs-unshared delta isolates the library-index amortization,
+//! while the sequential-vs-batched delta also carries the worker pool's
+//! scaling.
 //!
 //! `--smoke` runs the table1:5 matching + DRC slice plus a 4-board mini
 //! fleet, a duplicate-heavy 4-board fleet routed twice through the result
@@ -67,10 +67,7 @@ use meander_core::pattern::placements_window;
 #[cfg(feature = "fault")]
 use meander_core::plan_board_units;
 use meander_core::{match_board_group, DpStats, ExtendConfig, IndexKind};
-use meander_drc::{
-    check_layout_batched_stats_with, check_layout_brute, check_layout_indexed, CheckInput,
-    TraceGeometry,
-};
+use meander_drc::{check_layout_brute, check_layout_with, CheckInput, TraceGeometry};
 #[cfg(feature = "fault")]
 use meander_fleet::FaultPlan;
 use meander_fleet::{
@@ -88,8 +85,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-// Every measured config pins `index` explicitly so building the bench with
-// the `rtree` feature cannot silently flip a comparison column.
+// Every measured config pins `batch_kernels` and `index` explicitly so a
+// change of the engine defaults cannot silently flip a comparison column.
 fn naive_config() -> ExtendConfig {
     ExtendConfig {
         incremental: false,
@@ -139,6 +136,7 @@ fn rtree_config() -> ExtendConfig {
 
 fn parallel_config() -> ExtendConfig {
     ExtendConfig {
+        batch_kernels: true,
         index: IndexKind::Grid,
         ..ExtendConfig::default()
     }
@@ -323,7 +321,6 @@ fn run_extend_case(name: &str, case_no: usize) -> ExtendRow {
 struct DrcRow {
     name: String,
     brute_s: f64,
-    indexed_s: f64,
     batched_s: f64,
     rtree_s: f64,
     violations: usize,
@@ -362,33 +359,25 @@ fn run_drc_case(name: &str, board: &Board) -> DrcRow {
     let t0 = Instant::now();
     let brute = check_layout_brute(&input);
     let brute_s = t0.elapsed().as_secs_f64();
-    let (indexed_s, indexed) = median_secs(5, || {
-        let t0 = Instant::now();
-        let v = check_layout_indexed(&input);
-        (t0.elapsed().as_secs_f64(), v)
-    });
     let (batched_s, (batched, batch)) = median_secs(5, || {
         let t0 = Instant::now();
-        let v = check_layout_batched_stats_with(&input, IndexKind::Grid);
+        let v = check_layout_with(&input, IndexKind::Grid);
         (t0.elapsed().as_secs_f64(), v)
     });
     let (rtree_s, (rtreed, _)) = median_secs(5, || {
         let t0 = Instant::now();
-        let v = check_layout_batched_stats_with(&input, IndexKind::RTree);
+        let v = check_layout_with(&input, IndexKind::RTree);
         (t0.elapsed().as_secs_f64(), v)
     });
-    assert_eq!(brute, indexed, "{name}: DRC paths must agree exactly");
     assert_eq!(brute, batched, "{name}: batched DRC must agree exactly");
     assert_eq!(brute, rtreed, "{name}: R-tree DRC must agree exactly");
     println!(
-        "{:<18} brute {:>9.4}s  indexed {:>9.4}s  batched {:>9.4}s  rtree {:>9.4}s  (x{:.1} brute, x{:.2} batch, x{:.2} rtree)  {} segments, {} violations",
+        "{:<18} brute {:>9.4}s  batched {:>9.4}s  rtree {:>9.4}s  (x{:.1} brute, x{:.2} rtree)  {} segments, {} violations",
         name,
         brute_s,
-        indexed_s,
         batched_s,
         rtree_s,
-        brute_s / indexed_s.max(1e-12),
-        indexed_s / batched_s.max(1e-12),
+        brute_s / batched_s.max(1e-12),
         batched_s / rtree_s.max(1e-12),
         segments,
         brute.len()
@@ -396,7 +385,6 @@ fn run_drc_case(name: &str, board: &Board) -> DrcRow {
     DrcRow {
         name: name.to_string(),
         brute_s,
-        indexed_s,
         batched_s,
         rtree_s,
         violations: brute.len(),
@@ -1681,8 +1669,7 @@ fn main() {
     // Parallel rows depend on the host: say what it offers instead of
     // assuming a CPU count.
     println!(
-        "(host parallelism: {} — with one worker, steal counters read 0 and the shrink side \
-         pair is inactive)\n",
+        "(host parallelism: {})\n",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     println!("== group matching (naive vs incremental vs batched vs rtree vs parallel) ==");
@@ -1744,7 +1731,7 @@ fn main() {
         }
     }
 
-    println!("\n== DRC scan on matched boards (brute vs indexed vs batched) ==");
+    println!("\n== DRC scan on matched boards (brute vs batched vs rtree) ==");
     let mut drc_rows: Vec<DrcRow> = Vec::new();
     let drc_boards: Vec<(&str, Board)> = if smoke {
         vec![("table1:5", table1_case(5).board)]
@@ -1985,11 +1972,7 @@ fn main() {
         .collect();
     let drc_speedups: Vec<f64> = drc_rows
         .iter()
-        .map(|r| r.brute_s / r.indexed_s.max(1e-12))
-        .collect();
-    let drc_batch: Vec<f64> = drc_rows
-        .iter()
-        .map(|r| r.indexed_s / r.batched_s.max(1e-12))
+        .map(|r| r.brute_s / r.batched_s.max(1e-12))
         .collect();
     let drc_rtree: Vec<f64> = drc_rows
         .iter()
@@ -2021,7 +2004,7 @@ fn main() {
         fmt_gmean(gmean(&fleet_vs_sequential), 2)
     );
     println!(
-        "\ngeomean speedup: matching {} ({} batch, {} rtree), extension {} vs pr1path ({} vs naive, {} batch), drc {} ({} batch, {} rtree)",
+        "\ngeomean speedup: matching {} ({} batch, {} rtree), extension {} vs pr1path ({} vs naive, {} batch), drc {} ({} rtree)",
         fmt_gmean(gmean(&match_speedups), 1),
         fmt_gmean(gmean(&match_batch), 2),
         fmt_gmean(gmean(&match_rtree), 2),
@@ -2029,7 +2012,6 @@ fn main() {
         fmt_gmean(gmean(&ext_vs_naive), 2),
         fmt_gmean(gmean(&ext_batch), 2),
         fmt_gmean(gmean(&drc_speedups), 1),
-        fmt_gmean(gmean(&drc_batch), 2),
         fmt_gmean(gmean(&drc_rtree), 2)
     );
 
@@ -2083,11 +2065,6 @@ fn main() {
         j,
         "  \"geomean_drc_speedup\": {},",
         json_gmean(gmean(&drc_speedups))
-    );
-    let _ = writeln!(
-        j,
-        "  \"geomean_drc_batch_speedup\": {},",
-        json_gmean(gmean(&drc_batch))
     );
     let _ = writeln!(
         j,
@@ -2325,14 +2302,12 @@ fn main() {
     for (i, r) in drc_rows.iter().enumerate() {
         let _ = writeln!(
             j,
-            "    {{\"case\": \"{}\", \"brute_s\": {:.6}, \"indexed_s\": {:.6}, \"batched_s\": {:.6}, \"rtree_s\": {:.6}, \"speedup\": {:.3}, \"speedup_batch\": {:.3}, \"speedup_rtree\": {:.3}, \"segments\": {}, \"violations\": {}, \"batch_calls\": {}, \"batch_candidates_per_call\": {:.2}, \"batch_wasted_lanes\": {}}}{}",
+            "    {{\"case\": \"{}\", \"brute_s\": {:.6}, \"batched_s\": {:.6}, \"rtree_s\": {:.6}, \"speedup\": {:.3}, \"speedup_rtree\": {:.3}, \"segments\": {}, \"violations\": {}, \"batch_calls\": {}, \"batch_candidates_per_call\": {:.2}, \"batch_wasted_lanes\": {}}}{}",
             r.name,
             r.brute_s,
-            r.indexed_s,
             r.batched_s,
             r.rtree_s,
-            r.brute_s / r.indexed_s.max(1e-12),
-            r.indexed_s / r.batched_s.max(1e-12),
+            r.brute_s / r.batched_s.max(1e-12),
             r.batched_s / r.rtree_s.max(1e-12),
             r.segments,
             r.violations,

@@ -50,9 +50,9 @@ pub struct ExtendConfig {
     /// (`meander_geom::batch`): candidates gather once into lane-parallel
     /// buffers instead of per-candidate scalar calls. Output is
     /// bit-identical either way — the kernels replay the scalar float
-    /// stream per lane (property-tested). Defaults to the `batch` cargo
-    /// feature; the scalar path stays the portable default and both are
-    /// covered in CI.
+    /// stream per lane (property-tested). On by default; the scalar path
+    /// stays reachable as the [`EngineFallback::Scalar`] rung and as the
+    /// reference the equivalence suites compare against.
     pub batch_kernels: bool,
     /// Spatial index structure for the incremental engine's world edge
     /// index and the per-pop shrink contexts: the uniform grid, the
@@ -61,16 +61,17 @@ pub struct ExtendConfig {
     /// identical candidate sets, so placements are **bit-identical**
     /// whatever is selected (property-tested); this knob only moves the
     /// cost model, with the R-tree winning on boards that mix plane
-    /// polygons with via fields. Defaults to `RTree` under the `rtree`
-    /// cargo feature, `Grid` otherwise.
+    /// polygons with via fields. Defaults to `Grid`.
     pub index: IndexKind,
-    /// Process independent traces (and groups) of a matching run on worker
-    /// threads. Results are written back in deterministic order, so under
-    /// the model's invariant that a trace belongs to at most one group,
-    /// outputs are identical with the flag on or off. (Boards violating
-    /// that invariant are unsupported: the batched parallel path snapshots
-    /// all groups before matching, while the serial path sees earlier
-    /// groups' write-backs.)
+    /// Fan a board's independent units (traces and diff pairs, across all
+    /// of its groups) out on [`crate::par::par_map`]. Results are written
+    /// back in deterministic order, so outputs are identical with the flag
+    /// on or off — given that a trace belongs to at most one group. Boards
+    /// breaking that invariant are rejected by
+    /// [`meander_layout::validate_board`] as
+    /// [`meander_layout::ValidationError::OverlappingGroups`];
+    /// [`meander_layout::io::load_board`] and the fleet's `route_fleet`
+    /// (unless its `validate` is off) run that check before routing.
     pub parallel: bool,
 }
 
@@ -87,12 +88,8 @@ impl Default for ExtendConfig {
             requeue_min_protect: 2.0,
             incremental: true,
             dp_profile: true,
-            batch_kernels: cfg!(feature = "batch"),
-            index: if cfg!(feature = "rtree") {
-                IndexKind::RTree
-            } else {
-                IndexKind::Grid
-            },
+            batch_kernels: true,
+            index: IndexKind::Grid,
             parallel: true,
         }
     }
@@ -113,8 +110,8 @@ pub enum EngineFallback {
     /// and R-tree candidacy off, everything else untouched.
     Scalar,
     /// [`EngineFallback::Scalar`] plus the uniform height cap
-    /// (`dp_profile` off) and no intra-unit parallelism — the simplest
-    /// incremental engine shape.
+    /// (`dp_profile` off) and the serial driver (`parallel` off) — the
+    /// simplest incremental engine shape.
     Simple,
     /// [`EngineFallback::Simple`] plus the naive rebuild-per-iteration
     /// reference pipeline (`incremental` off) — the slowest, most literal

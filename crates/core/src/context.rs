@@ -206,7 +206,7 @@ pub struct WorldIndex {
 
 impl WorldIndex {
     /// Indexes `area` + `obstacles` with cell size `cell` on the uniform
-    /// grid (the portable default; see [`WorldIndex::build_with`]).
+    /// grid (the default; see [`WorldIndex::build_with`]).
     pub fn build(area: &[Polygon], obstacles: &[Polygon], cell: f64) -> Self {
         WorldIndex::build_with(area, obstacles, cell, IndexKind::Grid)
     }
@@ -448,27 +448,6 @@ impl ShrinkContext {
         seg_len: f64,
         kind: IndexKind,
     ) -> (ShrinkContext, ShrinkContext) {
-        Self::build_sides_with(world, static_ids, other_uras, frame, seg_len, kind, false)
-    }
-
-    /// [`ShrinkContext::build_sides`] with an optional worker pair: the two
-    /// side contexts are independent once the shared transform pass is
-    /// done, so with `pair_workers` the `up` side builds on a scoped thread
-    /// while the `dn` side builds on the caller's. Each side's construction
-    /// is the identical deterministic computation either way, so the
-    /// results are **bit-identical** (covered by the serial-equality test
-    /// below). Engine callers gate this on [`crate::par::multi_core`] —
-    /// on a 1-CPU host the spawn is pure overhead and the flag stays off.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_sides_with(
-        world: &WorldIndex,
-        static_ids: &[u32],
-        other_uras: &[Polygon],
-        frame: &Frame,
-        seg_len: f64,
-        kind: IndexKind,
-        pair_workers: bool,
-    ) -> (ShrinkContext, ShrinkContext) {
         // One transform pass: local "up-side" coordinates; the down side
         // mirrors y afterwards.
         let mut local: Vec<(Vec<Point>, bool)> = Vec::with_capacity(static_ids.len());
@@ -503,16 +482,7 @@ impl ShrinkContext {
             }
             ShrinkContext::assemble(polygons, is_area, area_local, seg_len, kind)
         };
-
-        if pair_workers {
-            std::thread::scope(|s| {
-                let up = s.spawn(|| build_one(1.0));
-                let dn = build_one(-1.0);
-                (up.join().expect("side-context worker"), dn)
-            })
-        } else {
-            (build_one(1.0), build_one(-1.0))
-        }
+        (build_one(1.0), build_one(-1.0))
     }
 
     /// Builds the query structures over side-local polygons.
@@ -672,62 +642,6 @@ mod tests {
         assert!((bb.min.x - 46.0).abs() < 1e-9);
         assert!((bb.max.x - 54.0).abs() < 1e-9);
         assert!((bb.min.y - 0.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn worker_pair_side_contexts_equal_serial() {
-        // `build_sides_with(.., pair_workers: true)` runs the identical
-        // per-side computation on a scoped worker; every derived field must
-        // match the serial build exactly (the engine gates the pair on
-        // `parallel` + core count, so this is the serial-equality guard).
-        let (frame, len) = frame_for(Point::new(3.0, 4.0), Point::new(120.0, 60.0));
-        let area = vec![Polygon::rectangle(
-            Point::new(-20.0, -80.0),
-            Point::new(160.0, 120.0),
-        )];
-        let obstacles: Vec<Polygon> = (0..12)
-            .map(|i| {
-                let x = 10.0 + (i % 6) as f64 * 18.0;
-                let y = -30.0 + (i / 6) as f64 * 70.0;
-                Polygon::regular(Point::new(x, y), 3.0, 8, 0.2)
-            })
-            .collect();
-        let world = WorldIndex::build_with(&area, &obstacles, 8.0, IndexKind::Grid);
-        let ids: Vec<u32> = (0..world.n_polys() as u32).collect();
-        let uras = vec![Polygon::rectangle(
-            Point::new(40.0, 30.0),
-            Point::new(60.0, 38.0),
-        )];
-        let serial = ShrinkContext::build_sides_with(
-            &world,
-            &ids,
-            &uras,
-            &frame,
-            len,
-            IndexKind::Grid,
-            false,
-        );
-        let paired = ShrinkContext::build_sides_with(
-            &world,
-            &ids,
-            &uras,
-            &frame,
-            len,
-            IndexKind::Grid,
-            true,
-        );
-        for (s, p) in [(&serial.0, &paired.0), (&serial.1, &paired.1)] {
-            assert_eq!(s.polygons.len(), p.polygons.len());
-            for (a, b) in s.polygons.iter().zip(&p.polygons) {
-                assert_eq!(a.vertices(), b.vertices());
-            }
-            assert_eq!(s.is_area, p.is_area);
-            assert_eq!(s.node_count, p.node_count);
-            assert_eq!(s.edges, p.edges);
-            assert_eq!(s.edge_owner, p.edge_owner);
-            assert_eq!(s.local_segment, p.local_segment);
-            assert_eq!(s.area_local.len(), p.area_local.len());
-        }
     }
 
     #[test]

@@ -519,10 +519,14 @@ pub fn match_board_group_shared(
 /// Length-matches every group of the board in declaration order, returning
 /// one report per group.
 ///
-/// Groups are independent in this model (a trace **must** belong to at
-/// most one group — the batched path below snapshots every group's inputs
-/// before any write-back, so a trace shared between groups would see
-/// different geometry than the serial path). With
+/// Groups are independent in this model: a trace belongs to at most one
+/// group. The batched path below snapshots every group's inputs before
+/// any write-back, so a trace shared between groups would see different
+/// geometry than the serial path; boards that share one are rejected by
+/// [`meander_layout::validate_board`] as
+/// [`meander_layout::ValidationError::OverlappingGroups`]
+/// ([`meander_layout::io::load_board`] and the fleet's `route_fleet`,
+/// unless its `validate` is off, run that check). With
 /// [`ExtendConfig::parallel`] the units of **all** groups fan out as one
 /// batch, so a board with many small groups parallelizes as well as one
 /// big group; each group's reported runtime is then its summed unit busy
@@ -535,9 +539,11 @@ pub fn match_all_groups(board: &mut Board, config: &ExtendConfig) -> Vec<GroupRe
 /// per group, in declaration order, planned against the board's *current*
 /// trace geometry. This is the batched parallel path's planning step,
 /// exposed so `crates/fleet` can flatten many boards' groups into one
-/// work-stealing job pool. Valid under the model's invariant that a trace
-/// belongs to at most one group (otherwise later groups would need earlier
-/// groups' write-backs in their snapshots).
+/// job pool. Valid under the model's invariant that a trace belongs to at
+/// most one group (otherwise later groups would need earlier groups'
+/// write-backs in their snapshots); [`meander_layout::validate_board`]
+/// enforces it, rejecting a shared trace as
+/// [`meander_layout::ValidationError::OverlappingGroups`].
 pub fn plan_board_units(board: &Board) -> Vec<(f64, Vec<UnitInput>)> {
     (0..board.groups().len())
         .map(|gi| {

@@ -448,27 +448,8 @@ fn extend_trace_incremental_impl(
         );
         let uras = uras_for(&trace, &near_ids, params.g_eff);
 
-        // The two side contexts build on a worker pair when the driver-level
-        // parallel flag is on, the host has cores to spare (a 1-CPU
-        // container would pay the spawn for nothing), *and* the context is
-        // big enough that per-side assembly dwarfs the ~tens-of-µs scoped
-        // spawn/join — small pops (the common case on paper-sized boards)
-        // stay serial so the default config cannot regress them. Either
-        // way the builds are the same deterministic computation, so output
-        // is identical.
-        const PAIR_MIN_POLYS: usize = 96;
-        let pair_workers = config.parallel
-            && static_ids.len() + uras.len() >= PAIR_MIN_POLYS
-            && crate::par::multi_core();
-        let (ctx_up, ctx_dn) = ShrinkContext::build_sides_with(
-            &world,
-            &static_ids,
-            &uras,
-            &frame,
-            len,
-            config.index,
-            pair_workers,
-        );
+        let (ctx_up, ctx_dn) =
+            ShrinkContext::build_sides(&world, &static_ids, &uras, &frame, len, config.index);
 
         let Some((local, kept)) = plan_segment(
             len,

@@ -7,20 +7,7 @@
 //! scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// `true` when the host reports more than one hardware thread — the gate
-/// for intra-pop parallelism (the shrink side-context worker pair), where
-/// spawning on a 1-CPU host would be pure overhead. Cached after the first
-/// call.
-pub fn multi_core() -> bool {
-    static CORES: OnceLock<bool> = OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get() > 1)
-            .unwrap_or(false)
-    })
-}
+use std::sync::Mutex;
 
 /// Maps `f` over `items` on up to `available_parallelism` worker threads,
 /// preserving input order in the output.

@@ -15,18 +15,6 @@ use meander_geom::{Point, Polygon, Polyline, Segment};
 use meander_index::{GridScratch, IndexKind, SegIndex, SegmentGrid, SpatialIndex};
 use std::collections::HashMap;
 
-/// The index structure the un-suffixed entry points build: the grid unless
-/// the `rtree` cargo feature flips the default (mirroring how the `batch`
-/// feature flips the kernel default). The `_with` variants select
-/// explicitly; all combinations report identical violation lists.
-fn default_kind() -> IndexKind {
-    if cfg!(feature = "rtree") {
-        IndexKind::RTree
-    } else {
-        IndexKind::Grid
-    }
-}
-
 /// Geometry of one trace as the checker sees it.
 #[derive(Debug, Clone)]
 pub struct TraceGeometry {
@@ -69,6 +57,11 @@ pub struct CheckInput {
 /// 5. **Routable-area containment** — every vertex inside the union of the
 ///    trace's assigned polygons (when provided).
 ///
+/// The scan is output-sensitive: it runs [`check_layout_with`] on the
+/// uniform grid. It reports **exactly** the same violation list as
+/// [`check_layout_brute`] — same order, same values, same witnesses; the
+/// property suite asserts equality on randomized boards.
+///
 /// ```
 /// use meander_drc::{check_layout, CheckInput, DesignRules, TraceGeometry};
 /// use meander_geom::{Point, Polyline};
@@ -87,19 +80,13 @@ pub struct CheckInput {
 /// assert!(check_layout(&input).is_empty());
 /// ```
 pub fn check_layout(input: &CheckInput) -> Vec<Violation> {
-    // The scalar indexed scan is the portable default; the `batch` feature
-    // flips the default to the SoA-batched kernels. Both paths are always
-    // compiled (and property-tested equal), so neither can rot.
-    if cfg!(feature = "batch") {
-        check_layout_batched(input)
-    } else {
-        check_layout_indexed(input)
-    }
+    check_layout_with(input, IndexKind::Grid).0
 }
 
-/// The original all-pairs scan, kept as the reference implementation: the
-/// indexed checker must report the exact same violation list (see the
-/// property suite), and the perf baseline measures one against the other.
+/// The original all-pairs scan, kept as the reference implementation:
+/// [`check_layout_with`] must report the exact same violation list (see
+/// the property suite), and the perf baseline measures one against the
+/// other.
 pub fn check_layout_brute(input: &CheckInput) -> Vec<Violation> {
     let mut out = Vec::new();
 
@@ -190,37 +177,35 @@ pub fn check_layout_brute(input: &CheckInput) -> Vec<Violation> {
     out
 }
 
-/// Output-sensitive violation scan over a [`SegmentGrid`] of all trace
-/// segments.
+/// [`check_layout`] with the scan index structure selected by `kind`
+/// (grid, STR R-tree, or `Auto`), also returning the batch-kernel work
+/// counters (for the perf baseline's observability section).
 ///
-/// Reports **exactly** the same violation list as [`check_layout_brute`]
-/// (same order, same values, same witnesses) — the property suite asserts
-/// equality on randomized boards — but replaces the `O(T²·S²)` trace–trace
-/// and `O(T·O·S)` trace–obstacle scans with windowed candidate queries:
+/// Replaces the brute-force `O(T²·S²)` trace–trace and `O(T·O·S)`
+/// trace–obstacle scans with windowed candidate queries:
 ///
-/// * every segment is registered once in a uniform world grid keyed by a
-///   global id that ascends in `(trace, segment)` order, so candidate
-///   iteration visits pairs in the same order as the brute-force scan and
+/// * every segment is registered once in a world index keyed by a global
+///   id that ascends in `(trace, segment)` order, so candidate iteration
+///   visits pairs in the same order as the brute-force scan and
 ///   strict-minimum witness selection agrees bit-for-bit;
 /// * an obstacle only tests segments inside its bbox inflated by the
 ///   largest clearance any trace demands;
 /// * a trace segment only tests other-trace segments within the largest
 ///   pair clearance, and the closest-pair search returns its witness
-///   directly instead of re-scanning (`closest_witness` is gone);
+///   directly instead of re-scanning;
 /// * self-intersection uses a per-trace grid, which matters once meandered
 ///   traces carry hundreds of segments.
-pub fn check_layout_indexed(input: &CheckInput) -> Vec<Violation> {
-    check_layout_indexed_with(input, default_kind())
-}
-
-/// [`check_layout_indexed`] with the scan index structure selected by
-/// `kind` (grid, STR R-tree, or `Auto`). Both structures return identical
-/// candidate sets, so the violation list — order, values, witnesses — is
+///
+/// Candidates are materialized into a reused [`SegBatch`] straight from
+/// the index slab and evaluated lane-parallel on the SoA kernels of
+/// [`meander_geom::batch`], in the squared-distance domain with one `sqrt`
+/// at each reduced winner (the lane-exactness contract). Both index
+/// structures return identical candidate sets, so the violation list is
 /// the same for every kind (property-tested); choose by the board's shape
 /// (the R-tree wins when plane-sized obstacles meet dense traces).
 ///
 /// ```
-/// use meander_drc::{check_layout_indexed_with, CheckInput, DesignRules, TraceGeometry};
+/// use meander_drc::{check_layout_with, CheckInput, DesignRules, TraceGeometry};
 /// use meander_geom::{Point, Polygon, Polyline};
 /// use meander_index::IndexKind;
 ///
@@ -237,49 +222,14 @@ pub fn check_layout_indexed(input: &CheckInput) -> Vec<Violation> {
 ///     // clearance is 8 + 4/2 = 10 but the slab sits at distance 5.
 ///     obstacles: vec![Polygon::rectangle(Point::new(-50.0, 5.0), Point::new(150.0, 30.0))],
 /// };
-/// let grid = check_layout_indexed_with(&input, IndexKind::Grid);
-/// let rtree = check_layout_indexed_with(&input, IndexKind::RTree);
+/// let (grid, _) = check_layout_with(&input, IndexKind::Grid);
+/// let (rtree, _) = check_layout_with(&input, IndexKind::RTree);
 /// assert_eq!(grid.len(), 1);
 /// assert_eq!(grid, rtree); // identical list, witnesses included
 /// ```
-pub fn check_layout_indexed_with(input: &CheckInput, kind: IndexKind) -> Vec<Violation> {
+pub fn check_layout_with(input: &CheckInput, kind: IndexKind) -> (Vec<Violation>, BatchStats) {
     let idx = ScanIndex::build(input, kind);
-    let (obs_worst, pair_best) = gather_scalar(input, &idx);
-    emit(input, &idx, &obs_worst, &pair_best)
-}
-
-/// [`check_layout_indexed`] with the clearance passes running on the SoA
-/// batch kernels of [`meander_geom::batch`]: candidates are materialized
-/// into a reused [`SegBatch`] straight from the grid slab and evaluated
-/// lane-parallel in the squared-distance domain, with one `sqrt` at each
-/// reduced winner. Reports **exactly** the same violation list as
-/// [`check_layout_brute`] / [`check_layout_indexed`] (the lane-exactness
-/// contract; see `meander_geom::batch` and the property suite).
-pub fn check_layout_batched(input: &CheckInput) -> Vec<Violation> {
-    check_layout_batched_stats(input).0
-}
-
-/// [`check_layout_batched`] with the scan index structure selected by
-/// `kind` (see [`check_layout_indexed_with`]; output is identical for
-/// every kind).
-pub fn check_layout_batched_with(input: &CheckInput, kind: IndexKind) -> Vec<Violation> {
-    check_layout_batched_stats_with(input, kind).0
-}
-
-/// [`check_layout_batched`] that also reports the batch-kernel work
-/// counters (for the perf baseline's observability section).
-pub fn check_layout_batched_stats(input: &CheckInput) -> (Vec<Violation>, BatchStats) {
-    check_layout_batched_stats_with(input, default_kind())
-}
-
-/// [`check_layout_batched_stats`] with the scan index structure selected
-/// by `kind`.
-pub fn check_layout_batched_stats_with(
-    input: &CheckInput,
-    kind: IndexKind,
-) -> (Vec<Violation>, BatchStats) {
-    let idx = ScanIndex::build(input, kind);
-    let (obs_worst, pair_best, stats) = gather_batched(input, &idx);
+    let (obs_worst, pair_best, stats) = gather(input, &idx);
     (emit(input, &idx, &obs_worst, &pair_best), stats)
 }
 
@@ -364,61 +314,10 @@ impl ScanIndex {
 }
 
 /// Worst sub-threshold clearance per `(trace, obstacle)` and closest
-/// approach per trace pair — the scalar candidate loops.
+/// approach per trace pair (`(d, d²)` ride together there, see [`gather`]),
+/// each with its witness.
 type ObsWorst = HashMap<(usize, usize), (f64, Point)>;
-type PairBest = HashMap<(usize, usize), (f64, Point)>;
-
-fn gather_scalar(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest) {
-    let traces = &input.traces;
-    let mut scratch = GridScratch::new();
-    let mut candidates: Vec<u32> = Vec::new();
-
-    // --- Trace–obstacle pass (grouped per obstacle, emitted per trace). ---
-    let mut obs_worst: ObsWorst = HashMap::new();
-    for (oi, obs) in input.obstacles.iter().enumerate() {
-        let window = obs.bbox().expanded(idx.max_obs_required);
-        idx.grid
-            .query_scratch(&window, &mut scratch, &mut candidates);
-        for &gid in &candidates {
-            let (i, seg) = idx.seg_of(gid);
-            let required = traces[i].rules.centerline_obstacle();
-            let d = obs.distance_to_segment(seg);
-            if d < required - 1e-9 {
-                let e = obs_worst.entry((i, oi)).or_insert((f64::INFINITY, seg.a));
-                if d < e.0 {
-                    *e = (d, seg.midpoint());
-                }
-            }
-        }
-    }
-
-    // --- Trace–trace pass (grouped per pair, emitted per first trace). ----
-    let mut pair_best: PairBest = HashMap::new();
-    for (i, t) in traces.iter().enumerate() {
-        for seg in &idx.segs[i] {
-            let window = seg.bbox().expanded(idx.max_pair_required);
-            idx.grid
-                .query_scratch(&window, &mut scratch, &mut candidates);
-            for &gid in &candidates {
-                let j = idx.trace_of[gid as usize] as usize;
-                if j <= i {
-                    continue;
-                }
-                let u = &traces[j];
-                if t.coupled_with.contains(&u.id) || u.coupled_with.contains(&t.id) {
-                    continue;
-                }
-                let other = &idx.segs[j][gid as usize - idx.offsets[j]];
-                let d = seg.distance_to_segment(other);
-                let e = pair_best.entry((i, j)).or_insert((f64::INFINITY, seg.a));
-                if d < e.0 {
-                    *e = (d, seg.midpoint());
-                }
-            }
-        }
-    }
-    (obs_worst, pair_best)
-}
+type PairBest = HashMap<(usize, usize), (f64, f64, Point)>;
 
 /// Obstacles with at least this many edges *and* at least
 /// [`EDGE_INDEX_MIN_CANDIDATES`] candidate segments in their window take
@@ -432,14 +331,15 @@ const EDGE_INDEX_MIN_CANDIDATES: usize = 16;
 /// The batched clearance passes. Per probe window, one [`SegBatch`] holds
 /// every candidate; distances reduce in the squared domain; witnesses come
 /// from first-occurrence strict argmins, which is exactly the scalar
-/// `d < best` update order. Equality with [`gather_scalar`] is bit-for-bit:
+/// `d < best` update order. Equality with the per-candidate scalar loops
+/// of [`check_layout_brute`] is bit-for-bit:
 ///
 /// * a candidate group's minimum over violating candidates equals its
 ///   global minimum whenever any candidate violates (the threshold test
 ///   moves after the reduction, on the single `sqrt`-ed winner);
 /// * pair updates prefilter in `d²` and confirm with the scalar strict `<`
-///   on the `sqrt`-ed value, so a rounding tie that the scalar scan would
-///   ignore is ignored here too;
+///   on the `sqrt`-ed value, so a rounding tie that the brute-force scan
+///   would ignore is ignored here too;
 /// * polygon containment ("segment swallowed whole") only runs for
 ///   candidates whose start lies within the obstacle bbox inflated by
 ///   [`PREFILTER_SLACK`] — a superset of where it can hold.
@@ -463,7 +363,7 @@ const EDGE_INDEX_MIN_CANDIDATES: usize = 16;
 /// violation needs `d < required ≤ R`. Values at or above `R²` may be
 /// inflated, but the per-trace winner is then `≥ required` on both paths
 /// and nothing is emitted either way.
-fn gather_batched(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest, BatchStats) {
+fn gather(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest, BatchStats) {
     let traces = &input.traces;
     let mut scratch = GridScratch::new();
     let mut candidates: Vec<u32> = Vec::new();
@@ -554,8 +454,8 @@ fn gather_batched(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest, B
         // Candidates arrive in ascending gid order, so each trace's run is
         // contiguous: reduce per run with the scalar `d < best` update rule
         // (`d²` only prefilters, so `sqrt` runs on improvements alone and
-        // rounding ties resolve exactly as the scalar scan resolves them),
-        // then test the per-trace threshold once on the winner.
+        // rounding ties resolve exactly as the brute-force scan resolves
+        // them), then test the per-trace threshold once on the winner.
         let mut k = 0;
         while k < n {
             let i = idx.trace_of[candidates[k] as usize] as usize;
@@ -582,9 +482,9 @@ fn gather_batched(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest, B
 
     // --- Trace–trace pass. ------------------------------------------------
     // `(d, d²)` ride together per pair so the prefilter never misses an
-    // update the scalar scan would make (sqrt is monotone) and never takes
-    // one it would skip (the inner strict `<` re-checks on `d`).
-    let mut pair_best2: HashMap<(usize, usize), (f64, f64, Point)> = HashMap::new();
+    // update the brute-force scan would make (sqrt is monotone) and never
+    // takes one it would skip (the inner strict `<` re-checks on `d`).
+    let mut pair_best: PairBest = HashMap::new();
     let mut eligible: Vec<u32> = Vec::new();
     for (i, t) in traces.iter().enumerate() {
         for seg in &idx.segs[i] {
@@ -592,9 +492,9 @@ fn gather_batched(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest, B
             idx.grid
                 .query_scratch(&window, &mut scratch, &mut candidates);
             // Ownership filters run before any lane is materialized: the
-            // scalar path also skips `j <= i` / coupled candidates before
-            // computing a distance, and dropping them from the batch only
-            // removes lanes whose results would be discarded.
+            // brute-force scan also skips `j <= i` / coupled candidates
+            // before computing a distance, and dropping them from the batch
+            // only removes lanes whose results would be discarded.
             eligible.clear();
             eligible.extend(candidates.iter().copied().filter(|&gid| {
                 let j = idx.trace_of[gid as usize] as usize;
@@ -611,7 +511,7 @@ fn gather_batched(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest, B
             distance_sq_to_segment_batch(seg, &batch, &mut dsq);
             for (k, &gid) in eligible.iter().enumerate() {
                 let j = idx.trace_of[gid as usize] as usize;
-                let e = pair_best2
+                let e = pair_best
                     .entry((i, j))
                     .or_insert((f64::INFINITY, f64::INFINITY, seg.a));
                 if dsq[k] < e.1 {
@@ -623,15 +523,10 @@ fn gather_batched(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest, B
             }
         }
     }
-    let pair_best: PairBest = pair_best2
-        .into_iter()
-        .map(|(key, (d, _, p))| (key, (d, p)))
-        .collect();
     (obs_worst, pair_best, stats)
 }
 
-/// Emission, in the brute-force nesting order (shared by the scalar and
-/// batched gathers).
+/// Emission, in the brute-force nesting order.
 fn emit(
     input: &CheckInput,
     idx: &ScanIndex,
@@ -691,7 +586,7 @@ fn emit(
 
         // 1. Trace–trace.
         for (j, u) in traces.iter().enumerate().skip(i + 1) {
-            let Some(&(raw, near)) = pair_best.get(&(i, j)) else {
+            let Some(&(raw, _, near)) = pair_best.get(&(i, j)) else {
                 continue;
             };
             let gap = t.rules.gap.max(u.rules.gap);
@@ -1006,8 +901,7 @@ mod tests {
         let brute = check_layout_brute(&input);
         assert!(!brute.is_empty(), "the plane must clip several traces");
         for kind in [IndexKind::Grid, IndexKind::RTree, IndexKind::Auto] {
-            assert_eq!(check_layout_batched_with(&input, kind), brute, "{kind:?}");
-            assert_eq!(check_layout_indexed_with(&input, kind), brute, "{kind:?}");
+            assert_eq!(check_layout_with(&input, kind).0, brute, "{kind:?}");
         }
     }
 

@@ -28,8 +28,7 @@
 //! The indexed scans answer their window queries through the
 //! [`meander_index::SpatialIndex`] contract: [`IndexKind`] selects the
 //! uniform grid or the STR-packed R-tree
-//! ([`checker::check_layout_indexed_with`] /
-//! [`checker::check_layout_batched_with`]), and because both structures
+//! ([`checker::check_layout_with`]), and because both structures
 //! return identical candidate sets, the violation list — order, values,
 //! witnesses — is the same for every selection (property-tested against
 //! the brute-force reference).
@@ -41,11 +40,7 @@ pub mod rules;
 pub mod violation;
 pub mod virtual_drc;
 
-pub use checker::{
-    check_layout, check_layout_batched, check_layout_batched_stats,
-    check_layout_batched_stats_with, check_layout_batched_with, check_layout_brute,
-    check_layout_indexed, check_layout_indexed_with, CheckInput, TraceGeometry,
-};
+pub use checker::{check_layout, check_layout_brute, check_layout_with, CheckInput, TraceGeometry};
 pub use dra::DesignRuleArea;
 pub use meander_index::IndexKind;
 pub use resolve::RuleResolver;

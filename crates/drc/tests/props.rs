@@ -1,10 +1,7 @@
 //! Property tests for the DRC layer.
 
 use meander_drc::{check_layout, CheckInput, DesignRules, IndexKind, TraceGeometry};
-use meander_drc::{
-    check_layout_batched, check_layout_batched_with, check_layout_brute, check_layout_indexed,
-    check_layout_indexed_with,
-};
+use meander_drc::{check_layout_brute, check_layout_with};
 use meander_drc::{restore_rules, virtualize_rules};
 use meander_geom::{Point, Polygon, Polyline, Vector};
 use proptest::prelude::*;
@@ -177,16 +174,14 @@ proptest! {
             .collect();
         let input = CheckInput { traces, obstacles };
         let brute = check_layout_brute(&input);
-        prop_assert_eq!(check_layout_indexed(&input), brute.clone());
-        // The SoA-batched kernels must reproduce the exact same list too —
-        // order, values, and witnesses (the lane-exactness contract).
-        prop_assert_eq!(check_layout_batched(&input), brute.clone());
-        // And the STR R-tree scan index must reproduce it as well, scalar
-        // and batched: identical candidate sets make the whole scan
-        // bit-identical whatever structure answers the window queries.
-        prop_assert_eq!(check_layout_indexed_with(&input, IndexKind::RTree), brute.clone());
-        prop_assert_eq!(check_layout_batched_with(&input, IndexKind::RTree), brute.clone());
-        prop_assert_eq!(check_layout_batched_with(&input, IndexKind::Auto), brute);
+        // The SoA-batched kernels must reproduce the exact same list —
+        // order, values, and witnesses (the lane-exactness contract) —
+        // whatever structure answers the window queries: identical
+        // candidate sets make the whole scan bit-identical.
+        prop_assert_eq!(check_layout(&input), brute.clone());
+        for kind in [IndexKind::Grid, IndexKind::RTree, IndexKind::Auto] {
+            prop_assert_eq!(check_layout_with(&input, kind).0, brute.clone());
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!
 //! Knobs that are *proven* bit-identical (batch kernels, index kind, DP
 //! profile, parallelism, sharing) are deliberately excluded from
-//! [`engine_identity`], so feature rows share entries; knobs that change
-//! the output (tolerance, iteration budgets, the non-incremental
+//! [`engine_identity`], so those engine shapes share entries; knobs that
+//! change the output (tolerance, iteration budgets, the non-incremental
 //! fallback engine) are folded in, so a config change can never serve a
 //! stale shape.
 //!
@@ -404,7 +404,7 @@ impl ResultCache {
 /// [`CacheKey::rules_hash`] so a config change can never serve a stale
 /// shape. Knobs proven bit-identical (batch kernels, index kind, DP
 /// profile, `parallel`, library sharing, worker count) are excluded —
-/// feature rows and worker counts share entries by design.
+/// engine shapes and worker counts share entries by design.
 pub fn engine_identity(extend: &ExtendConfig) -> u64 {
     let mut h = ContentHasher::new(0x656e_6769_6e65_0000); // "engine"
     match extend.ldisc {

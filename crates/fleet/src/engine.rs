@@ -149,8 +149,7 @@ impl BoardSet {
 pub struct FleetConfig {
     /// Per-unit engine configuration (index kind, batch kernels, DP
     /// profile, …). The fleet scheduler replaces the driver-level fan-out,
-    /// so [`ExtendConfig::parallel`] only gates the intra-pop side-context
-    /// worker pair here.
+    /// so [`ExtendConfig::parallel`] has no effect here.
     pub extend: ExtendConfig,
     /// Worker count; `None` uses the host's available parallelism.
     pub workers: Option<usize>,

@@ -60,7 +60,7 @@ pub enum DegradeStep {
     /// Scalar kernels + grid index ([`meander_core::EngineFallback::Scalar`]);
     /// still bit-identical.
     Scalar,
-    /// Uniform height cap, no DP profile, no intra-unit parallelism
+    /// Uniform height cap, no DP profile, serial driver
     /// ([`meander_core::EngineFallback::Simple`]); still bit-identical.
     Simple,
     /// The non-incremental reference matcher

@@ -635,6 +635,9 @@ mod tests {
         assert_eq!(retry.dp_profile, base.dp_profile);
         let scalar = DegradeStep::Scalar.apply(&base);
         assert!(!scalar.batch_kernels && scalar.dp_profile);
+        // The shipped engine runs the batch kernels, so the `Scalar` rung
+        // is a real step down from `Retry`, not the same config.
+        assert!(base.batch_kernels && retry.batch_kernels);
         let simple = DegradeStep::Simple.apply(&base);
         assert!(!simple.dp_profile && simple.incremental);
         let reference = DegradeStep::Reference.apply(&base);
