@@ -51,7 +51,7 @@ pub struct ExtendConfig {
     /// buffers instead of per-candidate scalar calls. Output is
     /// bit-identical either way — the kernels replay the scalar float
     /// stream per lane (property-tested). On by default; the scalar path
-    /// stays reachable as the [`EngineFallback::Scalar`] rung and as the
+    /// stays reachable as the fleet retry ladder's `Scalar` rung and as the
     /// reference the equivalence suites compare against.
     pub batch_kernels: bool,
     /// Spatial index structure for the incremental engine's world edge
@@ -95,30 +95,6 @@ impl Default for ExtendConfig {
     }
 }
 
-/// Progressively simpler engine shapes for recovery ladders (the fleet's
-/// retry policy steps through these after a failure).
-///
-/// Every level is a knob combination an equivalence suite already covers:
-/// `Scalar` and `Simple` produce **bit-identical** output to the full
-/// engine (the batch-kernel, index-swap, and DP-profile contracts), and
-/// `Reference` is the non-incremental reference matcher — equivalent
-/// within tolerance rather than bit-identical, which is why a board
-/// recovered there is reported as degraded, never as plainly routed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EngineFallback {
-    /// Portable scalar kernels and the dense grid index: lane batching
-    /// and R-tree candidacy off, everything else untouched.
-    Scalar,
-    /// [`EngineFallback::Scalar`] plus the uniform height cap
-    /// (`dp_profile` off) and the serial driver (`parallel` off) — the
-    /// simplest incremental engine shape.
-    Simple,
-    /// [`EngineFallback::Simple`] plus the naive rebuild-per-iteration
-    /// reference pipeline (`incremental` off) — the slowest, most literal
-    /// path, used as the last rung before quarantine.
-    Reference,
-}
-
 impl ExtendConfig {
     /// Resolves the discretization step for a segment of `seg_len` under
     /// rules `gap`/`protect`: the configured (or derived) step, enlarged if
@@ -129,23 +105,6 @@ impl ExtendConfig {
             .unwrap_or_else(|| (gap.min(protect) / 2.0).max(1e-6));
         let min_for_cap = seg_len / self.max_points_per_segment as f64;
         base.max(min_for_cap)
-    }
-
-    /// This configuration with the knobs of fallback `level` applied: the
-    /// scheduling/effort knobs step down, everything the caller tuned for
-    /// geometry (tolerance, iteration caps, discretization) is preserved.
-    pub fn fallback(&self, level: EngineFallback) -> ExtendConfig {
-        let mut c = self.clone();
-        c.batch_kernels = false;
-        c.index = IndexKind::Grid;
-        if level >= EngineFallback::Simple {
-            c.dp_profile = false;
-            c.parallel = false;
-        }
-        if level >= EngineFallback::Reference {
-            c.incremental = false;
-        }
-        c
     }
 }
 
@@ -178,29 +137,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(c.resolve_ldisc(10.0, 8.0, 8.0), 0.5);
-    }
-
-    #[test]
-    fn fallback_levels_step_down_monotonically() {
-        let base = ExtendConfig {
-            tolerance: 5e-4,
-            max_iterations: 123,
-            ..Default::default()
-        };
-        let scalar = base.fallback(EngineFallback::Scalar);
-        assert!(!scalar.batch_kernels);
-        assert_eq!(scalar.index, IndexKind::Grid);
-        assert_eq!(scalar.incremental, base.incremental);
-        assert_eq!(scalar.dp_profile, base.dp_profile);
-        let simple = base.fallback(EngineFallback::Simple);
-        assert!(!simple.dp_profile && !simple.parallel && !simple.batch_kernels);
-        assert!(simple.incremental);
-        let reference = base.fallback(EngineFallback::Reference);
-        assert!(!reference.incremental && !reference.dp_profile);
-        // Caller-tuned geometry knobs survive every level.
-        for c in [&scalar, &simple, &reference] {
-            assert_eq!(c.tolerance, 5e-4);
-            assert_eq!(c.max_iterations, 123);
-        }
     }
 }

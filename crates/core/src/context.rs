@@ -83,7 +83,7 @@ pub fn world_cell(rules: &DesignRules) -> f64 {
 /// library's polygons inflated into centerline terms, with their edges
 /// spatially indexed — built **once** per `(library, rules)` and reused by
 /// every trace of every board of a fleet, instead of re-indexed inside each
-/// [`WorldIndex::build_with`].
+/// [`WorldIndex::build`].
 ///
 /// The inflation amount and the index lattice are functions of the design
 /// rules ([`obstacle_inflation`], [`world_cell`]); a base only composes
@@ -178,8 +178,8 @@ impl WorldBase {
 /// it only for the polygons that can reach the popped segment's candidate
 /// window, so [`ShrinkContext`] construction becomes output-sensitive.
 ///
-/// In the fleet regime ([`WorldIndex::build_shared`]) the obstacle-library
-/// part of the world comes from a prebuilt [`WorldBase`]: only the
+/// In the fleet regime the obstacle-library part of the world comes from
+/// a prebuilt [`WorldBase`] passed to [`WorldIndex::build`]: only the
 /// per-trace remainder is indexed here, as an [`OverlayIndex`] overlay.
 /// Polygon ids then run: own area polygons, base (library) polygons, own
 /// board-local obstacles — the same order a monolithic board with its
@@ -205,44 +205,29 @@ pub struct WorldIndex {
 }
 
 impl WorldIndex {
-    /// Indexes `area` + `obstacles` with cell size `cell` on the uniform
-    /// grid (the default; see [`WorldIndex::build_with`]).
-    pub fn build(area: &[Polygon], obstacles: &[Polygon], cell: f64) -> Self {
-        WorldIndex::build_with(area, obstacles, cell, IndexKind::Grid)
-    }
-
-    /// [`WorldIndex::build`] with the edge index structure selected by
-    /// `kind`. `Auto` resolves on the edge-extent distribution — plane
+    /// Indexes `area` + `obstacles` (already inflated by the caller) on a
+    /// lattice of cell size `cell`, with the edge index structure selected
+    /// by `kind`. `Auto` resolves on the edge-extent distribution — plane
     /// polygons next to via fields pick the R-tree, paper-sized boards the
     /// grid ([`IndexKind::resolve`]). Query results are identical either
     /// way; only the cost model changes.
-    pub fn build_with(area: &[Polygon], obstacles: &[Polygon], cell: f64, kind: IndexKind) -> Self {
-        Self::assemble(area, obstacles, cell, kind, None)
-    }
-
-    /// Builds the per-trace index *over* a shared [`WorldBase`]: only
-    /// `area` and the board-local `obstacles` (already inflated by the
-    /// caller, like [`WorldIndex::build_with`]'s) are indexed here; the
-    /// library's inflated polygons and their edge index are reused from
-    /// `base`. Queries answer exactly like a monolithic build over
-    /// `area + base + obstacles` (see [`OverlayIndex`]).
-    pub fn build_shared(
-        area: &[Polygon],
-        obstacles: &[Polygon],
-        base: Arc<WorldBase>,
-        kind: IndexKind,
-    ) -> Self {
-        let cell = base.cell;
-        Self::assemble(area, obstacles, cell, kind, Some(base))
-    }
-
-    fn assemble(
+    ///
+    /// With a shared `base`, only `area` and the board-local `obstacles`
+    /// are indexed here; the library's inflated polygons and their edge
+    /// index are reused from `base`, whose lattice `cell` must equal
+    /// ([`WorldBase::compatible`]). Queries answer exactly like a
+    /// monolithic build over `area + base + obstacles` (see
+    /// [`OverlayIndex`]).
+    pub fn build(
         area: &[Polygon],
         obstacles: &[Polygon],
         cell: f64,
         kind: IndexKind,
         base: Option<Arc<WorldBase>>,
     ) -> Self {
+        debug_assert!(base
+            .as_ref()
+            .is_none_or(|b| b.cell.to_bits() == cell.to_bits()));
         let polys: Vec<Polygon> = area.iter().chain(obstacles.iter()).cloned().collect();
         let bboxes: Vec<Rect> = polys.iter().map(|p| p.bbox()).collect();
         let mut edges: Vec<Segment> = Vec::new();
@@ -670,9 +655,9 @@ mod tests {
         assert_eq!(obstacle_inflation(&rules), 0.0);
         let mono: Vec<Polygon> = library.iter().chain(&local).cloned().collect();
         let cell = world_cell(&rules);
-        let monolithic = WorldIndex::build_with(&area, &mono, cell, IndexKind::Grid);
+        let monolithic = WorldIndex::build(&area, &mono, cell, IndexKind::Grid, None);
         let base = Arc::new(WorldBase::build(&library, &rules, IndexKind::Grid));
-        let shared = WorldIndex::build_shared(&area, &local, Arc::clone(&base), IndexKind::Grid);
+        let shared = WorldIndex::build(&area, &local, cell, IndexKind::Grid, Some(base));
         assert_eq!(monolithic.n_polys(), shared.n_polys());
         let mut scratch = GridScratch::new();
         let mut edge_buf = Vec::new();

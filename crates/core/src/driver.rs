@@ -4,18 +4,18 @@
 //! Matching is organized in **units** — a single-ended trace or one
 //! differential pair. Units never read each other's meandered geometry (each
 //! trace extends inside its own routable area against the shared static
-//! obstacles), so a unit is a pure function of its gathered inputs. That
-//! makes the driver embarrassingly parallel: with
-//! [`ExtendConfig::parallel`] the units of a group (and, in
-//! [`match_all_groups`], of *all* groups) fan out over worker threads, and
-//! results are written back in declaration order so the output is identical
-//! to the serial run.
+//! obstacles), so a unit is a pure function of its gathered inputs: one
+//! [`run_unit`] call, optionally against a shared library world and
+//! optionally recording the cells it reads. Both board-level drivers,
+//! [`match_board_group`] and [`match_all_groups`], share one body: plan
+//! the groups' units up front, run them (fanned out on worker threads with
+//! [`ExtendConfig::parallel`], in order without), and write the results
+//! back group by group in declaration order, so the output is identical
+//! either way.
 
 use crate::config::ExtendConfig;
 use crate::context::WorldBase;
-use crate::extend::{
-    extend_trace_shared, extend_trace_shared_recorded, ExtendInput, ExtendOutcome,
-};
+use crate::extend::{extend_trace_with, ExtendInput, ExtendOutcome};
 use crate::par::par_map;
 use meander_drc::virtualize_rules;
 use meander_geom::{Polygon, Polyline};
@@ -48,9 +48,9 @@ pub struct GroupReport {
     pub target: f64,
     /// Per-trace outcomes.
     pub traces: Vec<TraceReport>,
-    /// Wall-clock runtime of the matching. In the batched parallel path of
-    /// [`match_all_groups`] this is the summed busy time of the group's
-    /// units (wall time is shared across groups there).
+    /// Runtime of the matching: wall clock for [`match_board_group`], the
+    /// summed busy time of the group's units for [`match_all_groups`]
+    /// (wall time is shared across groups there).
     pub runtime: Duration,
 }
 
@@ -80,7 +80,7 @@ impl GroupReport {
 /// pair — gathered from the board up front by [`plan_units`]. A unit is a
 /// pure function of its snapshot: running it never reads the board, which
 /// is what lets `crates/fleet` schedule units of *many* boards on one
-/// work-stealing pool and still write back deterministically.
+/// worker pool and still write back deterministically.
 #[derive(Debug, Clone)]
 pub struct UnitInput {
     target: f64,
@@ -277,10 +277,7 @@ fn extend_pure(
         area,
         obstacles,
     };
-    let out = match touches {
-        Some(rec) => extend_trace_shared_recorded(&input, config, base, rec),
-        None => extend_trace_shared(&input, config, base),
-    };
+    let out = extend_trace_with(&input, config, base, touches);
     (
         TraceReport {
             id,
@@ -294,39 +291,15 @@ fn extend_pure(
 }
 
 /// Runs one unit against the board's obstacle set. Pure: no board access.
-pub fn run_unit(unit: &UnitInput, obstacles: &[Polygon], config: &ExtendConfig) -> UnitOutput {
-    run_unit_shared(unit, obstacles, None, config)
-}
-
-/// [`run_unit`] against a shared obstacle-library world: `obstacles` holds
-/// only the board-local polygons, the library comes prebuilt from `base`
-/// ([`WorldBase`]). Output is bit-identical to [`run_unit`] over
-/// `base.raw() ++ obstacles` (see [`extend_trace_shared`]).
-pub fn run_unit_shared(
-    unit: &UnitInput,
-    obstacles: &[Polygon],
-    base: Option<&Arc<WorldBase>>,
-    config: &ExtendConfig,
-) -> UnitOutput {
-    run_unit_shared_impl(unit, obstacles, base, config, None)
-}
-
-/// [`run_unit_shared`], recording the unit's touched lattice cells into
-/// `touches` (see [`extend_trace_shared_recorded`]). A pair unit records its
+///
+/// With a shared obstacle-library world `base` ([`WorldBase`]),
+/// `obstacles` holds only the board-local polygons; output is
+/// bit-identical to a run over `base.raw() ++ obstacles`. With `touches`,
+/// the unit's touched lattice cells are recorded (a pair unit records its
 /// merged extension and both fallback sub-extensions into the same set —
-/// the virtualized rules land on their own stratum. Output is bit-identical
-/// to [`run_unit_shared`].
-pub fn run_unit_shared_recorded(
-    unit: &UnitInput,
-    obstacles: &[Polygon],
-    base: Option<&Arc<WorldBase>>,
-    config: &ExtendConfig,
-    touches: &mut CellTouches,
-) -> UnitOutput {
-    run_unit_shared_impl(unit, obstacles, base, config, Some(touches))
-}
-
-fn run_unit_shared_impl(
+/// the virtualized rules land on their own stratum); output is unchanged.
+/// See [`extend_trace_with`] for both.
+pub fn run_unit(
     unit: &UnitInput,
     obstacles: &[Polygon],
     base: Option<&Arc<WorldBase>>,
@@ -378,10 +351,7 @@ fn run_unit_shared_impl(
                     area,
                     obstacles,
                 };
-                let out = match touches.as_deref_mut() {
-                    Some(rec) => extend_trace_shared_recorded(&input, config, base, rec),
-                    None => extend_trace_shared(&input, config, base),
-                };
+                let out = extend_trace_with(&input, config, base, touches.as_deref_mut());
                 if let Some((new_p, new_n)) = restore_pair(&out.trace, *sep) {
                     let (lp, ln) = (new_p.length(), new_n.length());
                     updates.push((*p, new_p));
@@ -469,7 +439,8 @@ pub fn gather_obstacles(board: &Board) -> Vec<Polygon> {
 /// extension.
 ///
 /// With [`ExtendConfig::parallel`], the group's units run on worker
-/// threads; the result is identical to the serial run.
+/// threads; the result is identical to the serial run. The report's
+/// runtime is the wall-clock time of the whole call.
 ///
 /// # Panics
 ///
@@ -479,121 +450,88 @@ pub fn match_board_group(
     group_idx: usize,
     config: &ExtendConfig,
 ) -> GroupReport {
-    match_board_group_shared(board, group_idx, config, None)
-}
-
-/// [`match_board_group`] against a shared obstacle-library world: the
-/// board's own obstacle list holds only board-local polygons, the library
-/// comes prebuilt from `base`. Bit-identical to [`match_board_group`] on
-/// the board with `base.raw()` prepended to its obstacles.
-pub fn match_board_group_shared(
-    board: &mut Board,
-    group_idx: usize,
-    config: &ExtendConfig,
-    base: Option<&Arc<WorldBase>>,
-) -> GroupReport {
-    let group: MatchGroup = board.groups()[group_idx].clone();
-    let lengths = board.group_lengths(&group);
-    let target = group.resolve_target(&lengths);
     let start = Instant::now();
-
-    let obstacles = gather_obstacles(board);
-    let units = plan_units(board, &group, target);
-    let outputs: Vec<UnitOutput> = if config.parallel && units.len() > 1 {
-        par_map(&units, |u| run_unit_shared(u, &obstacles, base, config))
-    } else {
-        units
-            .iter()
-            .map(|u| run_unit_shared(u, &obstacles, base, config))
-            .collect()
-    };
-    let (reports, _busy) = apply_outputs(board, outputs);
-
-    GroupReport {
-        target,
-        traces: reports,
-        runtime: start.elapsed(),
-    }
+    let planned = vec![plan_group(board, group_idx)];
+    let mut report = route_planned(board, planned, config)
+        .pop()
+        .expect("one report per planned group");
+    report.runtime = start.elapsed();
+    report
 }
 
 /// Length-matches every group of the board in declaration order, returning
-/// one report per group.
+/// one report per group. Each report's runtime is the summed busy time of
+/// its group's units (wall time is shared across groups).
 ///
-/// Groups are independent in this model: a trace belongs to at most one
-/// group. The batched path below snapshots every group's inputs before
-/// any write-back, so a trace shared between groups would see different
-/// geometry than the serial path; boards that share one are rejected by
+/// Every group is planned up front from the board as given, then all
+/// units run as one batch — fanned out on worker threads with
+/// [`ExtendConfig::parallel`], so a board with many small groups
+/// parallelizes as well as one big group — and the results are written
+/// back group by group. That equals matching the groups one after another
+/// with [`match_board_group`] because a trace belongs to at most one
+/// group, so no group's plan reads another group's write-back. Boards that
+/// share a trace between groups are rejected by
 /// [`meander_layout::validate_board`] as
 /// [`meander_layout::ValidationError::OverlappingGroups`]
 /// ([`meander_layout::io::load_board`] and the fleet's `route_fleet`,
-/// unless its `validate` is off, run that check). With
-/// [`ExtendConfig::parallel`] the units of **all** groups fan out as one
-/// batch, so a board with many small groups parallelizes as well as one
-/// big group; each group's reported runtime is then its summed unit busy
-/// time.
+/// unless its `validate` is off, run that check).
 pub fn match_all_groups(board: &mut Board, config: &ExtendConfig) -> Vec<GroupReport> {
-    match_all_groups_shared(board, config, None)
+    let planned = plan_board_units(board);
+    route_planned(board, planned, config)
+}
+
+/// Plans one group: its resolved target and its units.
+fn plan_group(board: &Board, group_idx: usize) -> (f64, Vec<UnitInput>) {
+    let group: MatchGroup = board.groups()[group_idx].clone();
+    let lengths = board.group_lengths(&group);
+    let target = group.resolve_target(&lengths);
+    let units = plan_units(board, &group, target);
+    (target, units)
 }
 
 /// Snapshots every group of `board` up front: one `(target, units)` entry
 /// per group, in declaration order, planned against the board's *current*
-/// trace geometry. This is the batched parallel path's planning step,
-/// exposed so `crates/fleet` can flatten many boards' groups into one
-/// job pool. Valid under the model's invariant that a trace belongs to at
-/// most one group (otherwise later groups would need earlier groups'
-/// write-backs in their snapshots); [`meander_layout::validate_board`]
-/// enforces it, rejecting a shared trace as
-/// [`meander_layout::ValidationError::OverlappingGroups`].
+/// trace geometry. This is [`match_all_groups`]' planning step, exposed so
+/// `crates/fleet` can flatten many boards' groups into one job pool. Valid
+/// under the model's invariant that a trace belongs to at most one group
+/// (otherwise later groups would need earlier groups' write-backs in their
+/// snapshots); [`meander_layout::validate_board`] enforces it, rejecting a
+/// shared trace as [`meander_layout::ValidationError::OverlappingGroups`].
 pub fn plan_board_units(board: &Board) -> Vec<(f64, Vec<UnitInput>)> {
     (0..board.groups().len())
-        .map(|gi| {
-            let group: MatchGroup = board.groups()[gi].clone();
-            let lengths = board.group_lengths(&group);
-            let target = group.resolve_target(&lengths);
-            let units = plan_units(board, &group, target);
-            (target, units)
-        })
+        .map(|gi| plan_group(board, gi))
         .collect()
 }
 
-/// [`match_all_groups`] against a shared obstacle-library world (see
-/// [`match_board_group_shared`]).
-pub fn match_all_groups_shared(
+/// The one board-level body: runs every planned unit against the board's
+/// obstacles, then applies the outputs group by group in plan order.
+fn route_planned(
     board: &mut Board,
+    planned: Vec<(f64, Vec<UnitInput>)>,
     config: &ExtendConfig,
-    base: Option<&Arc<WorldBase>>,
 ) -> Vec<GroupReport> {
-    let n_groups = board.groups().len();
-    if !config.parallel {
-        return (0..n_groups)
-            .map(|gi| match_board_group_shared(board, gi, config, base))
-            .collect();
-    }
-
-    // Gather every group's units up front.
     let obstacles = gather_obstacles(board);
-    let planned = plan_board_units(board);
-    let mut group_units: Vec<(f64, usize)> = Vec::with_capacity(n_groups);
-    let mut flat: Vec<UnitInput> = Vec::new();
+    let mut sizes = Vec::with_capacity(planned.len());
+    let mut flat = Vec::new();
     for (target, mut units) in planned {
-        group_units.push((target, units.len()));
+        sizes.push((target, units.len()));
         flat.append(&mut units);
     }
-
-    let mut outputs: std::collections::VecDeque<UnitOutput> =
-        par_map(&flat, |u| run_unit_shared(u, &obstacles, base, config)).into();
-
-    group_units
+    let run = |u: &UnitInput| run_unit(u, &obstacles, None, config, None);
+    let outputs = if config.parallel {
+        par_map(&flat, run)
+    } else {
+        flat.iter().map(run).collect()
+    };
+    let mut outputs = outputs.into_iter();
+    sizes
         .into_iter()
         .map(|(target, n_units)| {
-            let taken: Vec<UnitOutput> = (0..n_units)
-                .map(|_| outputs.pop_front().expect("one output per unit"))
-                .collect();
-            let (reports, busy) = apply_outputs(board, taken);
+            let (traces, runtime) = apply_outputs(board, outputs.by_ref().take(n_units).collect());
             GroupReport {
                 target,
-                traces: reports,
-                runtime: busy,
+                traces,
+                runtime,
             }
         })
         .collect()
@@ -695,52 +633,55 @@ mod tests {
     #[test]
     fn match_all_groups_covers_every_group() {
         // Two independent single-trace groups on one board.
-        let mut board = meander_layout::Board::new(meander_geom::Rect::new(
-            meander_geom::Point::new(0.0, 0.0),
-            meander_geom::Point::new(300.0, 200.0),
-        ));
-        let rules = meander_drc::DesignRules::default();
-        let a = board.add_trace(meander_layout::Trace::with_rules(
-            "A",
-            meander_geom::Polyline::new(vec![
-                meander_geom::Point::new(0.0, 50.0),
-                meander_geom::Point::new(200.0, 50.0),
-            ]),
-            rules,
-        ));
-        let b = board.add_trace(meander_layout::Trace::with_rules(
-            "B",
-            meander_geom::Polyline::new(vec![
-                meander_geom::Point::new(0.0, 150.0),
-                meander_geom::Point::new(200.0, 150.0),
-            ]),
-            rules,
-        ));
-        board.set_area(
-            a,
-            meander_layout::RoutableArea::from_polygon(meander_geom::Polygon::rectangle(
-                meander_geom::Point::new(-10.0, 0.0),
-                meander_geom::Point::new(210.0, 100.0),
-            )),
-        );
-        board.set_area(
-            b,
-            meander_layout::RoutableArea::from_polygon(meander_geom::Polygon::rectangle(
-                meander_geom::Point::new(-10.0, 100.0),
-                meander_geom::Point::new(210.0, 200.0),
-            )),
-        );
-        board.add_group(meander_layout::MatchGroup::with_target(
-            "ga",
-            vec![a],
-            260.0,
-        ));
-        board.add_group(meander_layout::MatchGroup::with_target(
-            "gb",
-            vec![b],
-            240.0,
-        ));
-
+        let fresh = || {
+            let mut board = meander_layout::Board::new(meander_geom::Rect::new(
+                meander_geom::Point::new(0.0, 0.0),
+                meander_geom::Point::new(300.0, 200.0),
+            ));
+            let rules = meander_drc::DesignRules::default();
+            let a = board.add_trace(meander_layout::Trace::with_rules(
+                "A",
+                meander_geom::Polyline::new(vec![
+                    meander_geom::Point::new(0.0, 50.0),
+                    meander_geom::Point::new(200.0, 50.0),
+                ]),
+                rules,
+            ));
+            let b = board.add_trace(meander_layout::Trace::with_rules(
+                "B",
+                meander_geom::Polyline::new(vec![
+                    meander_geom::Point::new(0.0, 150.0),
+                    meander_geom::Point::new(200.0, 150.0),
+                ]),
+                rules,
+            ));
+            board.set_area(
+                a,
+                meander_layout::RoutableArea::from_polygon(meander_geom::Polygon::rectangle(
+                    meander_geom::Point::new(-10.0, 0.0),
+                    meander_geom::Point::new(210.0, 100.0),
+                )),
+            );
+            board.set_area(
+                b,
+                meander_layout::RoutableArea::from_polygon(meander_geom::Polygon::rectangle(
+                    meander_geom::Point::new(-10.0, 100.0),
+                    meander_geom::Point::new(210.0, 200.0),
+                )),
+            );
+            board.add_group(meander_layout::MatchGroup::with_target(
+                "ga",
+                vec![a],
+                260.0,
+            ));
+            board.add_group(meander_layout::MatchGroup::with_target(
+                "gb",
+                vec![b],
+                240.0,
+            ));
+            board
+        };
+        let mut board = fresh();
         let reports = match_all_groups(&mut board, &ExtendConfig::default());
         assert_eq!(reports.len(), 2);
         assert!((reports[0].target - 260.0).abs() < 1e-9);
@@ -749,6 +690,44 @@ mod tests {
             assert!(r.max_error() < 1e-2, "group err {:.4}", r.max_error());
         }
         assert!(board.check().is_empty());
+
+        // Independent serial-write-back oracle: `match_board_group` group
+        // by group in declaration order, bit-equal with `parallel` on and
+        // off — on this board, a split-group fleet board, and a pair board.
+        let fleet = meander_layout::gen::fleet_boards(8, 7, 11)
+            .boards
+            .iter()
+            .map(|lb| lb.to_board())
+            .find(|b| b.groups().len() > 1)
+            .expect("a split-group fleet board");
+        for parallel in [false, true] {
+            let config = ExtendConfig {
+                parallel,
+                ..Default::default()
+            };
+            for original in [fresh(), fleet.clone(), decoupled_pair(false).board] {
+                let mut all = original.clone();
+                let mut one_by_one = original;
+                let got = match_all_groups(&mut all, &config);
+                let want: Vec<GroupReport> = (0..one_by_one.groups().len())
+                    .map(|gi| match_board_group(&mut one_by_one, gi, &config))
+                    .collect();
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.target.to_bits(), w.target.to_bits());
+                    assert_eq!(g.traces.len(), w.traces.len());
+                    for (a, b) in g.traces.iter().zip(&w.traces) {
+                        assert_eq!(a.id, b.id, "parallel {parallel}");
+                        assert_eq!(a.achieved.to_bits(), b.achieved.to_bits());
+                        assert_eq!(a.patterns, b.patterns, "parallel {parallel}");
+                    }
+                }
+                for (id, t) in all.traces() {
+                    let other = one_by_one.trace(id).unwrap();
+                    assert_eq!(t.centerline(), other.centerline(), "parallel {parallel}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Trace-level extension: the queue-driven Alg. 1.
 //!
-//! Two engines implement the same algorithm:
+//! One public call per trace, [`extend_trace_with`] (or its two-argument
+//! form [`extend_trace`]), dispatches on [`ExtendConfig::incremental`] to
+//! one of two private engines implementing the same algorithm:
 //!
-//! * [`extend_trace_incremental`] (default) builds the world geometry index
+//! * the incremental engine (default) builds the world geometry index
 //!   **once per trace**, re-transforms only the polygons near each popped
 //!   segment's candidate window, tracks segments by stable id, and maintains
 //!   the trace length incrementally — the per-iteration cost is governed by
@@ -12,11 +14,11 @@
 //!   stage-1 clearances, so the segment DP executes only the height queries
 //!   whose result can still matter (the pruning is sound: placements are
 //!   bit-identical with the profile on or off).
-//! * [`extend_trace_rebuild`] re-clones and re-transforms the whole world on
-//!   every queue pop (the original pipeline) and runs the DP with only the
-//!   global `h_init` cap. It is kept as the reference implementation for
-//!   equivalence tests and as the "before" side of the performance
-//!   baseline.
+//! * the rebuild engine (`incremental: false`) re-clones and re-transforms
+//!   the whole world on every queue pop (the original pipeline) and runs
+//!   the DP with only the global `h_init` cap. It is kept as the reference
+//!   implementation for equivalence tests and as the "before" side of the
+//!   performance baseline.
 
 use crate::config::ExtendConfig;
 use crate::context::{ShrinkContext, WorldBase, WorldContext, WorldIndex};
@@ -265,21 +267,21 @@ fn plan_segment(
 /// *trimmed* — re-shrunk at exactly the height that lands the trace on the
 /// target — so errors only remain when space runs out.
 ///
-/// Dispatches on [`ExtendConfig::incremental`].
+/// Same as [`extend_trace_with`] with no shared library world and no
+/// touch recording.
 pub fn extend_trace(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOutcome {
-    if config.incremental {
-        extend_trace_incremental(input, config)
-    } else {
-        extend_trace_rebuild(input, config)
-    }
+    extend_trace_with(input, config, None, None)
 }
 
-/// [`extend_trace`] against a shared, prebuilt obstacle-library world.
+/// [`extend_trace`], optionally against a shared obstacle-library world
+/// and optionally recording the lattice cells it reads. Dispatches on
+/// [`ExtendConfig::incremental`].
 ///
-/// `input.obstacles` holds only the *board-local* obstacles; the library's
-/// polygons (and their edge index) come pre-inflated from `base`, built
-/// once per fleet by [`WorldBase::build`]. Output is **bit-identical** to
-/// [`extend_trace`] over `base.raw() ++ input.obstacles`:
+/// With `base`, `input.obstacles` holds only the *board-local* obstacles;
+/// the library's polygons (and their edge index) come pre-inflated from
+/// `base`, built once per fleet by [`WorldBase::build`]. Output is
+/// **bit-identical** to [`extend_trace`] over `base.raw() ++
+/// input.obstacles`:
 ///
 /// * when `base` is compatible with this trace's rules (same inflation,
 ///   same lattice — [`WorldBase::compatible`]), the incremental engine
@@ -288,85 +290,50 @@ pub fn extend_trace(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOut
 /// * otherwise (different rules, or the rebuild engine) the library is
 ///   materialized in front of the local obstacles and the ordinary path
 ///   runs — same output, no amortization.
-pub fn extend_trace_shared(
+///
+/// With `touches`, every obstacle-candidate query records the lattice cells
+/// it spans — the remembered set the incremental serving loop
+/// (`meander-fleet`'s `FleetSession`) tests edits against. Recording
+/// observes the query windows, never alters them, so output is unchanged.
+/// Windows are recorded **unclamped** (the grid's occupied-bounds clamp is
+/// answer-preserving but its bounds shift under edits) on the
+/// `(world_cell, obstacle_inflation)` stratum of this trace's rules. The
+/// rebuild engine's obstacle influence is not funneled through
+/// [`WorldIndex::candidates`], so it is conservatively recorded as
+/// [`CellTouches::mark_all`]: the unit re-routes on any edit.
+pub fn extend_trace_with(
     input: &ExtendInput<'_>,
     config: &ExtendConfig,
     base: Option<&Arc<WorldBase>>,
+    touches: Option<&mut CellTouches>,
 ) -> ExtendOutcome {
     match base {
-        None => extend_trace(input, config),
         Some(b) if config.incremental && b.compatible(input.rules) => {
-            extend_trace_incremental_impl(input, config, Some(b), None)
+            extend_trace_incremental(input, config, Some(b), touches)
         }
         Some(b) => {
             // Deterministic fallback: the library becomes ordinary leading
             // obstacles (the order a materialized board lists them in).
             let mut obstacles: Vec<Polygon> = b.raw().to_vec();
             obstacles.extend(input.obstacles.iter().cloned());
-            extend_trace(
-                &ExtendInput {
-                    obstacles: &obstacles,
-                    ..*input
-                },
-                config,
-            )
+            let input = ExtendInput {
+                obstacles: &obstacles,
+                ..*input
+            };
+            extend_trace_with(&input, config, None, touches)
         }
-    }
-}
-
-/// [`extend_trace_shared`], recording into `touches` the lattice cells every
-/// obstacle-candidate query spans — the remembered set the incremental
-/// serving loop (`meander-fleet`'s `FleetSession`) tests edits against.
-///
-/// Output is bit-identical to [`extend_trace_shared`]: recording observes
-/// the query windows, never alters them. Windows are recorded **unclamped**
-/// (the grid's occupied-bounds clamp is answer-preserving but its bounds
-/// shift under edits) on the `(world_cell, obstacle_inflation)` stratum of
-/// this trace's rules. Engine shapes whose obstacle influence is not
-/// funneled through [`WorldIndex::candidates`] — the rebuild engine — are
-/// conservatively recorded as [`CellTouches::mark_all`].
-pub fn extend_trace_shared_recorded(
-    input: &ExtendInput<'_>,
-    config: &ExtendConfig,
-    base: Option<&Arc<WorldBase>>,
-    touches: &mut CellTouches,
-) -> ExtendOutcome {
-    if !config.incremental {
-        // The rebuild engine clones the whole world per pop; no single query
-        // funnel to record. Mark everything: the unit re-routes on any edit.
-        touches.mark_all();
-        return extend_trace_shared(input, config, base);
-    }
-    match base {
-        Some(b) if b.compatible(input.rules) => {
-            extend_trace_incremental_impl(input, config, Some(b), Some(touches))
+        None if config.incremental => extend_trace_incremental(input, config, None, touches),
+        None => {
+            if let Some(rec) = touches {
+                rec.mark_all();
+            }
+            extend_trace_rebuild(input, config)
         }
-        Some(b) => {
-            // Incompatible base: materialize the library (same fallback as
-            // the unrecorded path) and record through the monolithic index —
-            // candidate windows are identical either way.
-            let mut obstacles: Vec<Polygon> = b.raw().to_vec();
-            obstacles.extend(input.obstacles.iter().cloned());
-            extend_trace_incremental_impl(
-                &ExtendInput {
-                    obstacles: &obstacles,
-                    ..*input
-                },
-                config,
-                None,
-                Some(touches),
-            )
-        }
-        None => extend_trace_incremental_impl(input, config, None, Some(touches)),
     }
 }
 
 /// The incremental engine (see the module docs).
-pub fn extend_trace_incremental(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOutcome {
-    extend_trace_incremental_impl(input, config, None, None)
-}
-
-fn extend_trace_incremental_impl(
+fn extend_trace_incremental(
     input: &ExtendInput<'_>,
     config: &ExtendConfig,
     base: Option<&Arc<WorldBase>>,
@@ -381,12 +348,13 @@ fn extend_trace_incremental_impl(
     // with a shared base, only the area + board-local remainder is indexed
     // here and the library's index is reused.
     let world_cell = crate::context::world_cell(rules);
-    let world = match base {
-        Some(b) => {
-            WorldIndex::build_shared(input.area, &params.obstacles, Arc::clone(b), config.index)
-        }
-        None => WorldIndex::build_with(input.area, &params.obstacles, world_cell, config.index),
-    };
+    let world = WorldIndex::build(
+        input.area,
+        &params.obstacles,
+        world_cell,
+        config.index,
+        base.cloned(),
+    );
     let mut trace = TraceBuf::from_polyline(input.trace, world_cell);
 
     let mut queue: VecDeque<u32> = (0..trace.segment_records() as u32).collect();
@@ -521,7 +489,7 @@ fn uras_for(trace: &TraceBuf, ids: &[u32], gap: f64) -> Vec<Polygon> {
 }
 
 /// The naive rebuild-per-iteration engine (the "before" reference).
-pub fn extend_trace_rebuild(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOutcome {
+fn extend_trace_rebuild(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOutcome {
     let mut trace = input.trace.clone();
     let rules = input.rules;
     let params = EngineParams::derive(input, config);
@@ -977,6 +945,8 @@ mod tests {
                     parallel: false,
                     ..Default::default()
                 },
+                None,
+                None,
             )
         };
         let grid = run(IndexKind::Grid);
@@ -1030,7 +1000,7 @@ mod tests {
         ] {
             let base = Arc::new(WorldBase::build(&library, &r, kind));
             assert!(base.compatible(&r));
-            let got = extend_trace_shared(
+            let got = extend_trace_with(
                 &ExtendInput {
                     trace: &trace,
                     target: 420.0,
@@ -1043,6 +1013,7 @@ mod tests {
                     ..config.clone()
                 },
                 Some(&base),
+                None,
             );
             assert_eq!(want.achieved.to_bits(), got.achieved.to_bits(), "{kind:?}");
             assert_eq!(want.patterns, got.patterns, "{kind:?}");
@@ -1084,7 +1055,7 @@ mod tests {
             },
             &config,
         );
-        let got = extend_trace_shared(
+        let got = extend_trace_with(
             &ExtendInput {
                 trace: &trace,
                 target: 280.0,
@@ -1094,6 +1065,7 @@ mod tests {
             },
             &config,
             Some(&base),
+            None,
         );
         assert_eq!(want.achieved.to_bits(), got.achieved.to_bits());
         assert_eq!(want.trace.points(), got.trace.points());
@@ -1148,7 +1120,7 @@ mod tests {
                 area,
                 obstacles,
             };
-            let fast = extend_trace_incremental(&input, &ExtendConfig::default());
+            let fast = extend_trace_incremental(&input, &ExtendConfig::default(), None, None);
             let slow = extend_trace_rebuild(&input, &ExtendConfig::default());
             assert_eq!(
                 fast.patterns, slow.patterns,

@@ -78,14 +78,13 @@ pub mod pattern;
 pub mod shrink;
 pub mod tracebuf;
 
-pub use config::{EngineFallback, ExtendConfig};
+pub use config::ExtendConfig;
 pub use context::WorldBase;
 pub use dp::{DpSession, DpStats, HeightBounds, UbProfile};
 pub use driver::{
-    apply_outputs, gather_obstacles, match_all_groups, match_all_groups_shared, match_board_group,
-    match_board_group_shared, miter_group, plan_board_units, plan_units, run_unit, run_unit_shared,
-    run_unit_shared_recorded, GroupReport, TraceReport, UnitInput, UnitOutput,
+    apply_outputs, gather_obstacles, match_all_groups, match_board_group, miter_group,
+    plan_board_units, plan_units, run_unit, GroupReport, TraceReport, UnitInput, UnitOutput,
 };
-pub use extend::{extend_trace, extend_trace_shared, extend_trace_shared_recorded, ExtendOutcome};
+pub use extend::{extend_trace, extend_trace_with, ExtendOutcome};
 pub use meander_drc::DesignRules;
 pub use meander_index::{CellTouches, DirtyCells, IndexKind, StratumKey};

@@ -159,22 +159,6 @@ pub fn max_pattern_height_opts(
     h_min: f64,
     allow_enclose: bool,
 ) -> ShrinkResult {
-    let mut scratch = ShrinkScratch::new();
-    max_pattern_height_opts_scratch(ctx, x0, x1, gap, h_init, h_min, allow_enclose, &mut scratch)
-}
-
-/// [`max_pattern_height_opts`] with a caller-owned scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn max_pattern_height_opts_scratch(
-    ctx: &ShrinkContext,
-    x0: f64,
-    x1: f64,
-    gap: f64,
-    h_init: f64,
-    h_min: f64,
-    allow_enclose: bool,
-    scratch: &mut ShrinkScratch,
-) -> ShrinkResult {
     max_pattern_height_impl(
         ctx,
         x0,
@@ -184,7 +168,7 @@ pub fn max_pattern_height_opts_scratch(
         h_min,
         allow_enclose,
         false,
-        scratch,
+        &mut ShrinkScratch::new(),
     )
 }
 
@@ -441,7 +425,7 @@ fn stage1_side_cap(
 ///
 /// Soundness: a pattern with feet `(j, i)` on side `d` has outer-border
 /// sides at `j·ldisc − gap/2` and `i·ldisc + gap/2`, and
-/// [`max_pattern_height_opts_scratch`] caps `h_ob` by every crossing of
+/// [`max_pattern_height_opts`] caps `h_ob` by every crossing of
 /// those sides before stages 2–3 shrink it further; the profile evaluates
 /// those same crossings, so `height(j, i, d) ≤ min(left[d][j],
 /// right[d][i], h_init)` holds exactly (same floats, same primitives).

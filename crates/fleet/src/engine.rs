@@ -19,7 +19,7 @@
 //! unit per worker, and fine enough that a single skewed board spreads
 //! across the pool. Each packet snapshots its inputs (unit plan, shared
 //! base, obstacle overlay, cache seam) and runs through the same
-//! [`meander_core::run_unit_shared`] the single-board driver uses; the
+//! [`meander_core::run_unit`] the single-board driver uses; the
 //! `(board, group)` **job** survives as write-back metadata (a group's
 //! packets reassemble in unit order before [`meander_core::apply_outputs`]).
 //!

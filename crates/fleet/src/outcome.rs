@@ -51,21 +51,21 @@ impl std::error::Error for JobError {}
 /// shape a failed board is re-run with. Ordered from "same knobs, just
 /// again" down to the reference pipeline — every rung is a knob
 /// combination an equivalence suite already proves safe (see
-/// [`meander_core::EngineFallback`]).
+/// [`DegradeStep::apply`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradeStep {
     /// Re-run with identical knobs. Recovers transient faults; output is
     /// bit-identical to the first attempt's would-be output.
     Retry,
-    /// Scalar kernels + grid index ([`meander_core::EngineFallback::Scalar`]);
-    /// still bit-identical.
+    /// Scalar kernels + grid index (batch-kernel and index-swap
+    /// contracts); still bit-identical.
     Scalar,
-    /// Uniform height cap, no DP profile, serial driver
-    /// ([`meander_core::EngineFallback::Simple`]); still bit-identical.
+    /// [`DegradeStep::Scalar`] plus the uniform height cap, no DP profile
+    /// (DP-profile contract); still bit-identical.
     Simple,
-    /// The non-incremental reference matcher
-    /// ([`meander_core::EngineFallback::Reference`]); equivalent within
-    /// tolerance, not bit-identical — the last rung before quarantine.
+    /// [`DegradeStep::Simple`] plus the non-incremental reference matcher;
+    /// equivalent within tolerance, not bit-identical — the last rung
+    /// before quarantine.
     Reference,
 }
 

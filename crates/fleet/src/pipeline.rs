@@ -30,9 +30,8 @@ use crate::outcome::{BoardOutcome, JobError, LatencyHistogram};
 use crate::sched::{run_packets, JobStatus, SchedCounters, Tier, WorkerCounters};
 use meander_core::context::{obstacle_inflation, world_cell};
 use meander_core::{
-    apply_outputs, gather_obstacles, plan_board_units, run_unit_shared, run_unit_shared_recorded,
-    CellTouches, DesignRules, ExtendConfig, GroupReport, IndexKind, UnitInput, UnitOutput,
-    WorldBase,
+    apply_outputs, gather_obstacles, plan_board_units, run_unit, CellTouches, DesignRules,
+    ExtendConfig, GroupReport, IndexKind, UnitInput, UnitOutput, WorldBase,
 };
 use meander_geom::Polygon;
 use meander_layout::{
@@ -455,17 +454,14 @@ impl RunState {
         // Interactive packets serve a session, which retains every unit's
         // touches to test later damage against.
         let mut touches = CellTouches::default();
-        let out = if gjm.key.is_some() || self.tier == Tier::Interactive {
-            run_unit_shared_recorded(
-                &job.input,
-                &job.obstacles,
-                job.base.as_ref(),
-                &self.extend,
-                &mut touches,
-            )
-        } else {
-            run_unit_shared(&job.input, &job.obstacles, job.base.as_ref(), &self.extend)
-        };
+        let record = gjm.key.is_some() || self.tier == Tier::Interactive;
+        let out = run_unit(
+            &job.input,
+            &job.obstacles,
+            job.base.as_ref(),
+            &self.extend,
+            record.then_some(&mut touches),
+        );
         // In-run group insert: only a group whose *every* unit routed
         // fresh inserts (a panicking or halted unit never fills its slot —
         // no poisoned entries, structurally; a mixed group's cached units

@@ -19,7 +19,7 @@
 //!   time: [`DegradeStep::Retry`] (same knobs — recovers transients),
 //!   then progressively cheaper, long-proven engine shapes
 //!   ([`DegradeStep::Scalar`], [`DegradeStep::Simple`],
-//!   [`DegradeStep::Reference`] — see [`meander_core::EngineFallback`])
+//!   [`DegradeStep::Reference`] — see [`DegradeStep::apply`])
 //!   with a widening per-board budget multiplier. A board recovered at
 //!   rung `s` reports [`BoardOutcome::Degraded`]` { step: s, attempts }`.
 //!   First-attempt routed boards are never re-run — their geometry stays
@@ -70,7 +70,7 @@ use crate::engine::{route_fleet, BoardSet, FleetConfig, FleetReport};
 use crate::fault::FaultPlan;
 use crate::outcome::{BoardOutcome, DegradeStep, JobError, ShedReason};
 use crate::repro::{minimize, MinimizedRepro};
-use meander_core::{plan_board_units, EngineFallback, ExtendConfig, GroupReport};
+use meander_core::{plan_board_units, ExtendConfig, GroupReport, IndexKind};
 use meander_layout::{Board, LibraryBoard, ObstacleLibrary};
 use std::sync::Arc;
 use std::time::Duration;
@@ -83,15 +83,26 @@ type FaultSpan = Option<((u64, u64), (u64, u64))>;
 
 impl DegradeStep {
     /// The engine configuration this rung re-runs with, derived from the
-    /// fleet's own: [`DegradeStep::Retry`] keeps the knobs, the rest map
-    /// onto [`ExtendConfig::fallback`] levels.
+    /// fleet's own. Each rung keeps the knobs the rung above it turned off
+    /// and turns off one more: [`DegradeStep::Scalar`] the batch kernels
+    /// and the R-tree, [`DegradeStep::Simple`] the DP profile,
+    /// [`DegradeStep::Reference`] the incremental engine. Everything the
+    /// caller tuned for geometry (tolerance, iteration caps,
+    /// discretization) is preserved. `parallel` is left alone: the fleet
+    /// runs units directly and ignores it.
     pub fn apply(self, base: &ExtendConfig) -> ExtendConfig {
-        match self {
-            DegradeStep::Retry => base.clone(),
-            DegradeStep::Scalar => base.fallback(EngineFallback::Scalar),
-            DegradeStep::Simple => base.fallback(EngineFallback::Simple),
-            DegradeStep::Reference => base.fallback(EngineFallback::Reference),
+        let mut c = base.clone();
+        if self >= DegradeStep::Scalar {
+            c.batch_kernels = false;
+            c.index = IndexKind::Grid;
         }
+        if self >= DegradeStep::Simple {
+            c.dp_profile = false;
+        }
+        if self >= DegradeStep::Reference {
+            c.incremental = false;
+        }
+        c
     }
 
     /// Multiplier applied to [`FleetConfig::board_budget`] on this rung:
@@ -629,19 +640,32 @@ mod tests {
 
     #[test]
     fn degrade_steps_map_to_fallback_levels() {
-        let base = ExtendConfig::default();
+        let base = ExtendConfig {
+            tolerance: 5e-4,
+            max_iterations: 123,
+            index: IndexKind::RTree,
+            ..Default::default()
+        };
         let retry = DegradeStep::Retry.apply(&base);
         assert_eq!(retry.batch_kernels, base.batch_kernels);
         assert_eq!(retry.dp_profile, base.dp_profile);
+        assert_eq!(retry.index, IndexKind::RTree);
         let scalar = DegradeStep::Scalar.apply(&base);
-        assert!(!scalar.batch_kernels && scalar.dp_profile);
+        assert!(!scalar.batch_kernels && scalar.dp_profile && scalar.incremental);
+        // The index steps down to the grid from the first degraded rung on.
+        assert_eq!(scalar.index, IndexKind::Grid);
         // The shipped engine runs the batch kernels, so the `Scalar` rung
         // is a real step down from `Retry`, not the same config.
-        assert!(base.batch_kernels && retry.batch_kernels);
+        assert!(ExtendConfig::default().batch_kernels && retry.batch_kernels);
         let simple = DegradeStep::Simple.apply(&base);
-        assert!(!simple.dp_profile && simple.incremental);
+        assert!(!simple.dp_profile && simple.incremental && !simple.batch_kernels);
         let reference = DegradeStep::Reference.apply(&base);
-        assert!(!reference.incremental);
+        assert!(!reference.incremental && !reference.dp_profile);
+        // Caller-tuned geometry knobs survive every rung.
+        for c in [&retry, &scalar, &simple, &reference] {
+            assert_eq!(c.tolerance, 5e-4);
+            assert_eq!(c.max_iterations, 123);
+        }
         // Budget multipliers widen monotonically down the ladder.
         let ladder = RetryPolicy::default().ladder;
         let mults: Vec<u32> = ladder.iter().map(|s| s.budget_multiplier()).collect();

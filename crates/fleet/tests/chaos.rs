@@ -365,6 +365,18 @@ fn malformed_mutations_are_rejected_with_provenance() {
             },
             |e| matches!(e, ValidationError::BadRules { .. }),
         ),
+        (
+            "far-vertex",
+            |board| {
+                let id = board.traces().next().map(|(id, _)| id).expect("trace");
+                let trace = board.trace_mut(id).expect("trace");
+                let mut pts = trace.centerline().points().to_vec();
+                let last = pts.len() - 1;
+                pts[last] = Point::new(pts[last].x + 1e8, pts[last].y);
+                trace.set_centerline(Polyline::new(pts));
+            },
+            |e| matches!(e, ValidationError::OutsideOutline { .. }),
+        ),
     ];
 
     for (name, mutate, expect) in cases {

@@ -138,12 +138,12 @@ fn stratum_mut(strata: &mut Vec<Stratum>, key: StratumKey) -> &mut Stratum {
 
 /// The set of lattice cells a unit's candidate queries touched, per stratum.
 ///
-/// Recorded during routing (see `extend_trace_shared_recorded` in
-/// `meander-core`); tested against [`DirtyCells`] to decide whether an edit
-/// can affect the unit. [`CellTouches::mark_all`] is the conservative escape
-/// hatch for engine shapes whose queries are not funneled through the
-/// recordable path (e.g. the full-rebuild fallback engine) — such units are
-/// always considered dirty.
+/// Recorded during routing (see `extend_trace_with` in `meander-core`);
+/// tested against [`DirtyCells`] to decide whether an edit can affect the
+/// unit. [`CellTouches::mark_all`] is the conservative escape hatch for
+/// engine shapes whose queries are not funneled through the recordable
+/// path (e.g. the full-rebuild fallback engine) — such units are always
+/// considered dirty.
 #[derive(Debug, Clone, Default)]
 pub struct CellTouches {
     all: bool,

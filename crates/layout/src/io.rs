@@ -463,4 +463,38 @@ mod tests {
             ))
         ));
     }
+
+    #[test]
+    fn far_vertex_outside_outline_rejected() {
+        // One via vertex pushed to x ≈ 1e8: it parses and is finite, but
+        // indexing it would size a lattice from here to the board and
+        // abort on allocation. Validation must refuse the board instead.
+        let text = save_board(&table1_case(1).board).unwrap();
+        let mut moved = false;
+        let lines: Vec<String> = text
+            .lines()
+            .map(|line| {
+                let mut tokens: Vec<String> = line.split(' ').map(str::to_string).collect();
+                if !moved && line.starts_with("obstacle via") {
+                    let x: f64 = tokens[3].parse().unwrap();
+                    tokens[3] = format!("{}", x * 1e6);
+                    moved = true;
+                }
+                tokens.join(" ")
+            })
+            .collect();
+        assert!(moved, "table1:1 has a via obstacle");
+        match load_board(&lines.join("\n")) {
+            Err(IoError::Invalid(crate::validate::ValidationError::OutsideOutline {
+                entity,
+                index,
+                point,
+            })) => {
+                assert_eq!(entity, crate::validate::Entity::Obstacle(0));
+                assert_eq!(index, 0);
+                assert!(point.x > 1e7, "{point:?}");
+            }
+            other => panic!("expected Invalid(OutsideOutline), got {other:?}"),
+        }
+    }
 }

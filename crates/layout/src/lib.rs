@@ -29,9 +29,10 @@
 //!
 //! Boards arriving from outside the process (files, fleet submissions)
 //! should pass through [`validate::validate_board`] first: it rejects
-//! NaN/infinite coordinates, degenerate polygons, empty or dangling
-//! groups, and malformed rule floats with a typed
-//! [`validate::ValidationError`] instead of a panic inside the router.
+//! NaN/infinite coordinates, degenerate polygons, geometry far outside
+//! the board outline, empty, dangling or overlapping groups, and
+//! malformed rule floats with a typed [`validate::ValidationError`]
+//! instead of a panic (or an allocation abort) inside the router.
 
 // Library-facing ingest must never panic on untrusted input: unwraps are
 // linted against (tests keep their unwraps — a failing test panics by

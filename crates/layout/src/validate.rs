@@ -21,7 +21,7 @@ use crate::board::Board;
 use crate::group::TargetLength;
 use crate::library::{LibraryBoard, ObstacleLibrary};
 use meander_drc::{DesignRules, RulesError};
-use meander_geom::{Point, Polygon};
+use meander_geom::{Point, Polygon, Rect};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -157,6 +157,20 @@ pub enum ValidationError {
         /// The later group that holds it too.
         second: String,
     },
+    /// A trace, obstacle, or routable-area vertex lies outside the board
+    /// outline grown by a rules-derived margin: the widest
+    /// `gap + obstacle + width` band of any trace's rules.
+    /// Index structures size their lattices by the geometry's extent, so
+    /// one far-flung vertex would otherwise make them allocate without
+    /// bound — an abort, not a recoverable panic.
+    OutsideOutline {
+        /// The entity holding the vertex.
+        entity: Entity,
+        /// Point/vertex index within the entity.
+        index: usize,
+        /// The offending point.
+        point: Point,
+    },
     /// A fault-injection trip (fleet `fault` feature): the board was
     /// artificially rejected by a seeded
     /// `FaultPlan` to exercise the rejection path end to end.
@@ -233,6 +247,15 @@ impl fmt::Display for ValidationError {
                 f,
                 "trace {trace} belongs to both group `{first}` and group `{second}`"
             ),
+            ValidationError::OutsideOutline {
+                entity,
+                index,
+                point,
+            } => write!(
+                f,
+                "{entity}: point {index} ({}, {}) lies outside the board outline",
+                point.x, point.y
+            ),
             ValidationError::Injected { reason } => write!(f, "injected fault: {reason}"),
         }
     }
@@ -270,6 +293,32 @@ fn check_polygon(entity: Entity, polygon: &Polygon) -> Result<(), ValidationErro
     Ok(())
 }
 
+/// How far outside the outline board geometry may reach: the widest
+/// clearance band any trace's rules demand (`gap + obstacle + width`), so
+/// an obstacle or area edge that hugs the outline within one band still
+/// passes. Only meaningful once every trace's rules have been checked.
+fn outline_margin(board: &Board) -> f64 {
+    board
+        .traces()
+        .map(|(_, t)| {
+            let r = t.rules();
+            r.gap + r.obstacle + r.width
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Rejects the first of `points` outside `bounds`.
+fn check_inside(entity: Entity, points: &[Point], bounds: &Rect) -> Result<(), ValidationError> {
+    match points.iter().position(|&p| !bounds.contains(p)) {
+        Some(index) => Err(ValidationError::OutsideOutline {
+            entity,
+            index,
+            point: points[index],
+        }),
+        None => Ok(()),
+    }
+}
+
 fn check_rules(trace: u32, rules: &DesignRules) -> Result<(), ValidationError> {
     DesignRules::new(
         rules.gap,
@@ -283,9 +332,12 @@ fn check_rules(trace: u32, rules: &DesignRules) -> Result<(), ValidationError> {
 }
 
 /// Validates every entity of `board`, returning the first error in a
-/// deterministic walk order (outline, traces, obstacles, areas, groups,
-/// pairs). Every trace may belong to at most one group — the invariant
-/// the fleet's bit-identity to sequential routing rests on.
+/// deterministic walk order (outline, traces, obstacles, areas, outline
+/// containment, groups, pairs). Every trace may belong to at most one
+/// group — the invariant the fleet's bit-identity to sequential routing
+/// rests on. When the board has an outline, every trace, obstacle, and
+/// routable-area vertex must lie inside it, grown by the widest
+/// `gap + obstacle + width` band of any trace's rules.
 ///
 /// # Errors
 ///
@@ -321,6 +373,27 @@ pub fn validate_board(board: &Board) -> Result<(), ValidationError> {
                     },
                     poly,
                 )?;
+            }
+        }
+    }
+    if let Some(o) = board.outline() {
+        let bounds = o.expanded(outline_margin(board));
+        for (id, trace) in board.traces() {
+            check_inside(Entity::Trace(id.0), trace.centerline().points(), &bounds)?;
+        }
+        for (i, o) in board.obstacles().iter().enumerate() {
+            check_inside(Entity::Obstacle(i), o.polygon().vertices(), &bounds)?;
+        }
+        for (id, _) in board.traces() {
+            let Some(area) = board.area(id) else {
+                continue;
+            };
+            for (pi, poly) in area.polygons().iter().enumerate() {
+                let entity = Entity::Area {
+                    trace: id.0,
+                    polygon: pi,
+                };
+                check_inside(entity, poly.vertices(), &bounds)?;
             }
         }
     }
@@ -423,7 +496,7 @@ mod tests {
     use crate::obstacle::Obstacle;
     use crate::trace::{Trace, TraceId};
     use crate::DiffPair;
-    use meander_geom::{Polyline, Rect};
+    use meander_geom::Polyline;
 
     fn clean_board() -> Board {
         let mut b = Board::new(Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 50.0)));
@@ -504,6 +577,47 @@ mod tests {
             }
             other => panic!("expected DegeneratePolygon, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn geometry_outside_outline_rejected() {
+        // Within the rules-derived margin passes; beyond it is rejected
+        // with the vertex's provenance.
+        let margin = outline_margin(&clean_board());
+        assert!(margin > 0.0);
+        let mut b = clean_board();
+        b.add_obstacle(Obstacle::keepout(
+            Point::new(100.0, 50.0),
+            Point::new(100.0 + margin * 0.5, 50.0 + margin * 0.5),
+        ));
+        assert_eq!(validate_board(&b), Ok(()));
+        let mut b = clean_board();
+        b.add_obstacle(Obstacle::keepout(
+            Point::new(100.0, 10.0),
+            Point::new(100.0 + margin * 2.0, 20.0),
+        ));
+        match validate_board(&b) {
+            Err(ValidationError::OutsideOutline { entity, point, .. }) => {
+                assert_eq!(entity, Entity::Obstacle(1));
+                assert!(point.x > 100.0 + margin);
+            }
+            other => panic!("expected OutsideOutline, got {other:?}"),
+        }
+        let mut b = clean_board();
+        b.trace_mut(TraceId(0))
+            .unwrap()
+            .set_centerline(Polyline::new(vec![
+                Point::new(0.0, 25.0),
+                Point::new(1e8, 25.0),
+            ]));
+        assert!(matches!(
+            validate_board(&b),
+            Err(ValidationError::OutsideOutline {
+                entity: Entity::Trace(0),
+                index: 1,
+                ..
+            })
+        ));
     }
 
     #[test]
