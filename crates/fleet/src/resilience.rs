@@ -640,32 +640,19 @@ mod tests {
 
     #[test]
     fn degrade_steps_map_to_fallback_levels() {
-        let base = ExtendConfig {
-            tolerance: 5e-4,
-            max_iterations: 123,
-            index: IndexKind::RTree,
-            ..Default::default()
-        };
+        let base = ExtendConfig::default();
         let retry = DegradeStep::Retry.apply(&base);
         assert_eq!(retry.batch_kernels, base.batch_kernels);
         assert_eq!(retry.dp_profile, base.dp_profile);
-        assert_eq!(retry.index, IndexKind::RTree);
         let scalar = DegradeStep::Scalar.apply(&base);
-        assert!(!scalar.batch_kernels && scalar.dp_profile && scalar.incremental);
-        // The index steps down to the grid from the first degraded rung on.
-        assert_eq!(scalar.index, IndexKind::Grid);
+        assert!(!scalar.batch_kernels && scalar.dp_profile);
         // The shipped engine runs the batch kernels, so the `Scalar` rung
         // is a real step down from `Retry`, not the same config.
-        assert!(ExtendConfig::default().batch_kernels && retry.batch_kernels);
+        assert!(base.batch_kernels && retry.batch_kernels);
         let simple = DegradeStep::Simple.apply(&base);
-        assert!(!simple.dp_profile && simple.incremental && !simple.batch_kernels);
+        assert!(!simple.dp_profile && simple.incremental);
         let reference = DegradeStep::Reference.apply(&base);
-        assert!(!reference.incremental && !reference.dp_profile);
-        // Caller-tuned geometry knobs survive every rung.
-        for c in [&retry, &scalar, &simple, &reference] {
-            assert_eq!(c.tolerance, 5e-4);
-            assert_eq!(c.max_iterations, 123);
-        }
+        assert!(!reference.incremental);
         // Budget multipliers widen monotonically down the ladder.
         let ladder = RetryPolicy::default().ladder;
         let mults: Vec<u32> = ladder.iter().map(|s| s.budget_multiplier()).collect();
@@ -678,5 +665,35 @@ mod tests {
         let stepped = step_config(&cfg, DegradeStep::Simple);
         assert_eq!(stepped.board_budget, Some(Duration::from_millis(40)));
         assert!(!stepped.extend.dp_profile);
+    }
+
+    #[test]
+    fn fallback_levels_step_down_monotonically() {
+        let base = ExtendConfig {
+            tolerance: 5e-4,
+            max_iterations: 123,
+            index: IndexKind::RTree,
+            ..Default::default()
+        };
+        let retry = DegradeStep::Retry.apply(&base);
+        assert_eq!(retry.index, IndexKind::RTree);
+        let scalar = DegradeStep::Scalar.apply(&base);
+        assert!(!scalar.batch_kernels);
+        // The index steps down to the grid from the first degraded rung on.
+        assert_eq!(scalar.index, IndexKind::Grid);
+        assert_eq!(scalar.incremental, base.incremental);
+        assert_eq!(scalar.dp_profile, base.dp_profile);
+        let simple = DegradeStep::Simple.apply(&base);
+        assert!(!simple.dp_profile && !simple.batch_kernels);
+        assert_eq!(simple.index, IndexKind::Grid);
+        assert!(simple.incremental);
+        let reference = DegradeStep::Reference.apply(&base);
+        assert!(!reference.incremental && !reference.dp_profile);
+        assert!(!reference.batch_kernels);
+        // Caller-tuned geometry knobs survive every rung.
+        for c in [&retry, &scalar, &simple, &reference] {
+            assert_eq!(c.tolerance, 5e-4);
+            assert_eq!(c.max_iterations, 123);
+        }
     }
 }
