@@ -1,7 +1,24 @@
 //! Uniform grid over segments for local edge queries.
 
 use meander_geom::{Rect, SegBatch, Segment};
-use std::collections::HashMap;
+
+/// End of an id list, and the `head` of an empty cell-table slot.
+const NIL: u32 = u32::MAX;
+
+/// Cell-table length the first insertion allocates.
+const MIN_SLOTS: usize = 16;
+
+/// Home slot of cell `(cx, cy)` in a table of `len` slots (a power of
+/// two): the top bits of a multiplicative mix of both coordinates, so runs
+/// of neighbouring cells spread over the whole table.
+#[inline]
+fn home_slot(cx: i64, cy: i64, len: usize) -> usize {
+    let h = (cx as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(32)
+        ^ cy as u64;
+    (h.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> (64 - len.trailing_zeros())) as usize
+}
 
 /// A uniform hash-grid spatial index over segments.
 ///
@@ -13,6 +30,19 @@ use std::collections::HashMap;
 /// Segments are stored by id (the caller keeps the geometry); each segment
 /// is registered in every cell its bounding box overlaps, and queries return
 /// deduplicated candidate ids whose cells intersect the query rectangle.
+///
+/// ## Storage
+///
+/// The shrink engine builds two of these grids per queue pop, most holding
+/// a few dozen segments, so building one must not allocate per cell. Every
+/// occupied cell owns one slot of an open-addressed table (linear probing,
+/// power-of-two length, at most half full) keyed by a fixed integer mix
+/// of its cell coordinates; the slot holds the head of an intrusive id
+/// list. All lists share one flat `(id, next)` arena, and an insertion
+/// prepends one arena entry per covered cell. Nothing here depends on list
+/// or probe order: queries deduplicate and sort. The mix is fixed, not
+/// keyed, so coordinates crafted to share home slots can lengthen probes,
+/// but never change a result.
 ///
 /// ```
 /// use meander_geom::{Point, Rect, Segment};
@@ -27,20 +57,27 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct SegmentGrid {
     cell: f64,
-    cells: HashMap<(i64, i64), Vec<u32>>,
+    /// Open-addressed cell table of `(cx, cy, head)` slots; `head` indexes
+    /// `arena`, and `NIL` marks an empty slot. Empty until the first
+    /// insertion.
+    table: Vec<(i64, i64, u32)>,
+    /// Occupied slots in `table`.
+    cells: usize,
+    /// Every cell's id list as `(id, next)` links; `next` is an arena
+    /// index or `NIL`.
+    arena: Vec<(u32, u32)>,
     len: usize,
     max_id: u32,
     /// Occupied cell-coordinate bounds `(cx0, cy0, cx1, cy1)`; queries are
     /// clamped to this range. Without the clamp a query rectangle much
     /// larger than the occupied region (the extension engine's candidate
     /// windows are `remaining/2` tall early in a run) walks every *empty*
-    /// cell coordinate it covers — `O(window area / cell²)` hash probes
+    /// cell coordinate it covers — `O(window area / cell²)` table probes
     /// per query for nothing.
     occupied: Option<(i64, i64, i64, i64)>,
     /// Endpoint coordinates per id (`[ax, ay, bx, by]`), so
     /// [`SegmentGrid::query_batch`] can fill SoA buffers straight from the
-    /// slab without the caller's id → geometry re-gather. Rect entries
-    /// store their min → max diagonal.
+    /// slab without the caller's id → geometry re-gather.
     coords: Vec<[f64; 4]>,
 }
 
@@ -110,7 +147,9 @@ impl SegmentGrid {
         );
         SegmentGrid {
             cell: cell_size,
-            cells: HashMap::new(),
+            table: Vec::new(),
+            cells: 0,
+            arena: Vec::new(),
             len: 0,
             max_id: 0,
             occupied: None,
@@ -192,7 +231,7 @@ impl SegmentGrid {
         let (cx1, cy1) = self.cell_of(bb.max.x, bb.max.y);
         for cx in cx0..=cx1 {
             for cy in cy0..=cy1 {
-                self.cells.entry((cx, cy)).or_default().push(id);
+                self.push_id(cx, cy, id);
             }
         }
         self.cover(cx0, cy0, cx1, cy1);
@@ -201,20 +240,70 @@ impl SegmentGrid {
         self.max_id = self.max_id.max(id);
     }
 
-    /// Registers an axis-aligned rectangle under `id` (for callers indexing
-    /// bounding boxes rather than true segments).
-    pub fn insert_rect(&mut self, id: u32, r: &Rect) {
-        let (cx0, cy0) = self.cell_of(r.min.x, r.min.y);
-        let (cx1, cy1) = self.cell_of(r.max.x, r.max.y);
-        for cx in cx0..=cx1 {
-            for cy in cy0..=cy1 {
-                self.cells.entry((cx, cy)).or_default().push(id);
+    /// Prepends `id` to cell `(cx, cy)`'s list, claiming the cell's table
+    /// slot on first use.
+    #[inline]
+    fn push_id(&mut self, cx: i64, cy: i64, id: u32) {
+        if 2 * (self.cells + 1) > self.table.len() {
+            self.grow();
+        }
+        assert!(
+            self.arena.len() < NIL as usize,
+            "grid arena exceeds u32 links"
+        );
+        let link = self.arena.len() as u32;
+        let i = self.slot(cx, cy);
+        let slot = &mut self.table[i];
+        if slot.2 == NIL {
+            *slot = (cx, cy, NIL);
+            self.cells += 1;
+        }
+        self.arena.push((id, slot.2));
+        slot.2 = link;
+    }
+
+    /// Doubles the cell table (allocating it on first use) and re-seats
+    /// every occupied slot.
+    fn grow(&mut self) {
+        let len = (2 * self.table.len()).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.table, vec![(0, 0, NIL); len]);
+        for (cx, cy, head) in old {
+            if head != NIL {
+                let i = self.slot(cx, cy);
+                self.table[i] = (cx, cy, head);
             }
         }
-        self.cover(cx0, cy0, cx1, cy1);
-        self.store_coords(id, [r.min.x, r.min.y, r.max.x, r.max.y]);
-        self.len += 1;
-        self.max_id = self.max_id.max(id);
+    }
+
+    /// The table slot holding cell `(cx, cy)`, or the empty slot where it
+    /// would go. The table must be allocated.
+    #[inline]
+    fn slot(&self, cx: i64, cy: i64) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = home_slot(cx, cy, self.table.len());
+        loop {
+            let (x, y, head) = self.table[i];
+            if head == NIL || (x == cx && y == cy) {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Calls `f` on every list entry of every cell in the clamped range
+    /// `(cx0, cy0, cx1, cy1)`; an id appears once per covered cell.
+    #[inline]
+    fn for_each_entry(&self, (cx0, cy0, cx1, cy1): (i64, i64, i64, i64), mut f: impl FnMut(u32)) {
+        for cx in cx0..=cx1 {
+            for cy in cy0..=cy1 {
+                let mut link = self.table[self.slot(cx, cy)].2;
+                while link != NIL {
+                    let (id, next) = self.arena[link as usize];
+                    f(id);
+                    link = next;
+                }
+            }
+        }
     }
 
     /// Largest id ever inserted (0 when empty).
@@ -246,16 +335,10 @@ impl SegmentGrid {
     /// sorted and deduplicated.
     pub fn query_into(&self, r: &Rect, out: &mut Vec<u32>) {
         out.clear();
-        let Some((cx0, cy0, cx1, cy1)) = self.clamped_range(r) else {
+        let Some(range) = self.clamped_range(r) else {
             return;
         };
-        for cx in cx0..=cx1 {
-            for cy in cy0..=cy1 {
-                if let Some(ids) = self.cells.get(&(cx, cy)) {
-                    out.extend_from_slice(ids);
-                }
-            }
-        }
+        self.for_each_entry(range, |id| out.push(id));
         out.sort_unstable();
         out.dedup();
     }
@@ -266,23 +349,17 @@ impl SegmentGrid {
     /// order as [`SegmentGrid::query`]).
     pub fn query_scratch(&self, r: &Rect, scratch: &mut GridScratch, out: &mut Vec<u32>) {
         out.clear();
-        let Some((cx0, cy0, cx1, cy1)) = self.clamped_range(r) else {
+        let Some(range) = self.clamped_range(r) else {
             return;
         };
         scratch.begin(self.max_id);
-        for cx in cx0..=cx1 {
-            for cy in cy0..=cy1 {
-                if let Some(ids) = self.cells.get(&(cx, cy)) {
-                    for &id in ids {
-                        if scratch.first_visit(id) {
-                            out.push(id);
-                        }
-                    }
-                }
+        self.for_each_entry(range, |id| {
+            if scratch.first_visit(id) {
+                out.push(id);
             }
-        }
-        // Cheap for the near-sorted outputs cell iteration produces, and
-        // keeps the contract aligned with `query`.
+        });
+        // Cell walks emit ids in no particular order; sorting keeps the
+        // contract aligned with `query`.
         out.sort_unstable();
     }
 
@@ -292,10 +369,6 @@ impl SegmentGrid {
     /// under `ids[k]`. This is the entry point for the batched DRC scan and
     /// shrink stage 1 — the caller keeps the ids for ownership lookups but
     /// never re-gathers geometry through them.
-    ///
-    /// Ids registered via [`SegmentGrid::insert_rect`] come out as their
-    /// min → max diagonal; batched distance kernels are only meaningful on
-    /// grids populated through [`SegmentGrid::insert`].
     pub fn query_batch(
         &self,
         r: &Rect,
@@ -479,15 +552,5 @@ mod tests {
         for (k, &id) in ids.iter().enumerate() {
             assert_eq!(batch.get(k), segs[id as usize], "candidate {k}");
         }
-    }
-
-    #[test]
-    fn insert_rect_registers_region() {
-        let mut g = SegmentGrid::new(2.0);
-        g.insert_rect(5, &Rect::new(Point::new(0.0, 0.0), Point::new(6.0, 6.0)));
-        let hit = Rect::new(Point::new(3.0, 3.0), Point::new(4.0, 4.0));
-        assert_eq!(g.query(&hit), vec![5]);
-        let miss = Rect::new(Point::new(30.0, 30.0), Point::new(31.0, 31.0));
-        assert!(g.query(&miss).is_empty());
     }
 }

@@ -14,7 +14,8 @@
 //! 2. *"Sides" shrinking* (Eq. 11), the DRC scan, and the DP profile sweeps
 //!    all ask for **candidate edges/segments near a rectangle**. Two
 //!    structures answer that behind the [`SpatialIndex`] trait:
-//!    [`SegmentGrid`], a uniform hash grid, and [`RTree`], an STR-packed
+//!    [`SegmentGrid`], a uniform hash grid (an open-addressed cell table
+//!    over one flat id arena), and [`RTree`], an STR-packed
 //!    bulk-loaded R-tree for boards whose obstacle sizes are wildly mixed
 //!    (plane polygons next to via fields). Both quantize to the same cell
 //!    lattice and therefore return **identical candidate sets** — swapping

@@ -3,9 +3,9 @@
 //!
 //! ## The `SpatialIndex` contract
 //!
-//! An implementation indexes a set of items (segments or rectangles) by
-//! **id** on a uniform cell lattice of size [`SpatialIndex::cell_size`] and
-//! answers conservative rectangle queries. The contract every consumer
+//! An implementation indexes a set of segments by **id** on a uniform
+//! cell lattice of size [`SpatialIndex::cell_size`] and answers
+//! conservative rectangle queries. The contract every consumer
 //! (world index, DRC scan, shrink stage 1) relies on:
 //!
 //! * **Cell-quantized candidacy.** An id is a candidate for query rectangle
@@ -29,8 +29,7 @@
 //!   materializes the candidates' geometry into a reused SoA
 //!   [`SegBatch`] straight from an internal coordinate slab —
 //!   `batch.get(k)` is the item inserted under `ids[k]` — so lane kernels
-//!   never re-gather geometry through the ids. Items registered as
-//!   rectangles come out as their min → max diagonal.
+//!   never re-gather geometry through the ids.
 //!
 //! Scratch state ([`GridScratch`]) carries the visited-stamp table the grid
 //! deduplicates with *and* the traversal stack the R-tree descends with;
@@ -62,11 +61,13 @@ use meander_geom::{Rect, SegBatch, Segment};
 /// (see the [module docs](self)); the choice is purely a performance
 /// trade:
 ///
-/// * [`IndexKind::Grid`] — the uniform hash grid. Inserting an item
-///   registers it in every cell its bbox overlaps, so one huge item (a
-///   plane polygon's full-width edge) costs `O(extent / cell)` slots and
-///   turns up repeatedly in every query that crosses its row. Best when
-///   item sizes are uniform and a cell holds a handful of items.
+/// * [`IndexKind::Grid`] — the uniform hash grid: an open-addressed cell
+///   table over one flat id arena, so building it allocates nothing per
+///   cell. Inserting an item registers it in every cell its bbox
+///   overlaps, so one huge item (a plane polygon's full-width edge) costs
+///   `O(extent / cell)` arena links and turns up repeatedly in every query
+///   that crosses its row. Best when item sizes are uniform and a cell
+///   holds a handful of items.
 /// * [`IndexKind::RTree`] — the STR-packed R-tree. Every item is stored
 ///   once regardless of extent, so mixed boards (plane slabs next to dense
 ///   vias — the `stress:mixed` regime) stop paying the smear cost; queries
@@ -75,7 +76,8 @@ use meander_geom::{Rect, SegBatch, Segment};
 ///   [`IndexKind::resolve`] for the exact heuristic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexKind {
-    /// Uniform hash grid ([`SegmentGrid`]).
+    /// Uniform hash grid ([`SegmentGrid`]): open-addressed cells over a
+    /// flat id arena.
     #[default]
     Grid,
     /// STR-packed R-tree ([`RTree`]).

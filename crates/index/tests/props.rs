@@ -64,8 +64,132 @@ proptest! {
     }
 }
 
+/// Snaps `v` to the nearest cell boundary `k · cell` when `snap` is set.
+/// Cells are multiples of 1/4 here, so `k · cell` and `(k · cell) / cell`
+/// are exact and the coordinate lands on the boundary itself.
+fn snapped(v: f64, cell: f64, snap: bool) -> f64 {
+    if snap {
+        (v / cell).round() * cell
+    } else {
+        v
+    }
+}
+
+/// The candidate set the grid contract promises, computed by brute force:
+/// the ids (in ascending order) whose bbox cell range meets the query's
+/// cell range clamped to the occupied bounds.
+fn candidate_oracle(cell: f64, segs: &[Segment], r: &Rect) -> Vec<u32> {
+    let q = |v: f64| (v / cell).floor() as i64;
+    let ranges: Vec<(i64, i64, i64, i64)> = segs
+        .iter()
+        .map(|s| {
+            let b = s.bbox();
+            (q(b.min.x), q(b.min.y), q(b.max.x), q(b.max.y))
+        })
+        .collect();
+    let Some(occ) = ranges
+        .iter()
+        .copied()
+        .reduce(|a, b| (a.0.min(b.0), a.1.min(b.1), a.2.max(b.2), a.3.max(b.3)))
+    else {
+        return Vec::new();
+    };
+    let (x0, y0) = (q(r.min.x).max(occ.0), q(r.min.y).max(occ.1));
+    let (x1, y1) = (q(r.max.x).min(occ.2), q(r.max.y).min(occ.3));
+    if x0 > x1 || y0 > y1 {
+        return Vec::new();
+    }
+    (0u32..)
+        .zip(&ranges)
+        .filter(|(_, c)| c.0 <= x1 && x0 <= c.2 && c.1 <= y1 && y0 <= c.3)
+        .map(|(id, _)| id)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Every grid query entry point must return exactly the oracle's
+    // candidate set, including the geometry `query_batch` gathers. Items
+    // go in one at a time with queries in between (the `TraceBuf`
+    // pattern), one shared scratch serves every query, coordinates may be
+    // negative or sit exactly on cell boundaries, and plane-sized segments
+    // smear across many cells.
+    #[test]
+    fn grid_queries_equal_cell_range_oracle(
+        small in proptest::collection::vec((pt(), (-6.0..6.0f64, -6.0..6.0f64), 0..4usize), 0..60),
+        planes in proptest::collection::vec((-90.0..-10.0f64, -50.0..50.0f64, 20.0..200.0f64, 0..2usize), 0..3),
+        queries in proptest::collection::vec((pt(), (0.0..80.0f64, 0.0..80.0f64), 0..2usize), 1..12),
+        cell in 0.5..10.0f64,
+        stride in 1..8usize,
+    ) {
+        let cell = (cell * 4.0).round() / 4.0;
+        let mut segs: Vec<Segment> = small
+            .iter()
+            .map(|&(a, (dx, dy), snap)| {
+                let a = Point::new(snapped(a.x, cell, snap & 1 == 1), snapped(a.y, cell, snap & 1 == 1));
+                let b = Point::new(a.x + dx, a.y + dy);
+                let b = Point::new(snapped(b.x, cell, snap & 2 == 2), snapped(b.y, cell, snap & 2 == 2));
+                Segment::new(a, b)
+            })
+            .collect();
+        // Plane edges, horizontal or vertical, spliced in among the small
+        // items so smeared entries interleave with the rest.
+        for (k, &(x0, y, len, vertical)) in planes.iter().enumerate() {
+            let (a, b) = if vertical == 1 {
+                (Point::new(y, x0), Point::new(y + 0.5, x0 + len))
+            } else {
+                (Point::new(x0, y), Point::new(x0 + len, y + 0.5))
+            };
+            segs.insert((k * 17) % (segs.len() + 1), Segment::new(a, b));
+        }
+        let rects: Vec<Rect> = queries
+            .iter()
+            .map(|&(q0, (w, h), snap)| {
+                let q0 = Point::new(snapped(q0.x, cell, snap == 1), snapped(q0.y, cell, snap == 1));
+                let q1 = Point::new(snapped(q0.x + w, cell, snap == 1), snapped(q0.y + h, cell, snap == 1));
+                Rect::new(q0, q1)
+            })
+            .collect();
+
+        let mut grid = SegmentGrid::new(cell);
+        let mut scratch = GridScratch::new();
+        let mut buf = vec![u32::MAX; 3];
+        let mut ids = Vec::new();
+        for r in &rects {
+            prop_assert!(grid.query(r).is_empty());
+            grid.query_scratch(r, &mut scratch, &mut ids);
+            prop_assert!(ids.is_empty());
+        }
+        let mut batch = meander_geom::SegBatch::new();
+        let mut next_query = 0;
+        for (n, seg) in segs.iter().enumerate() {
+            grid.insert(n as u32, seg);
+            if (n + 1) % stride != 0 && n + 1 != segs.len() {
+                continue;
+            }
+            // Probe after this insertion burst; the last burst probes
+            // every window.
+            let probes = if n + 1 == segs.len() { rects.len() } else { 1 };
+            for _ in 0..probes {
+                let r = &rects[next_query % rects.len()];
+                next_query += 1;
+                let expect = candidate_oracle(cell, &segs[..=n], r);
+                prop_assert_eq!(&grid.query(r), &expect);
+                grid.query_into(r, &mut buf);
+                prop_assert_eq!(&buf, &expect);
+                grid.query_scratch(r, &mut scratch, &mut ids);
+                prop_assert_eq!(&ids, &expect);
+                grid.query_batch(r, &mut scratch, &mut ids, &mut batch);
+                prop_assert_eq!(&ids, &expect);
+                prop_assert_eq!(batch.len(), expect.len());
+                for (k, &id) in ids.iter().enumerate() {
+                    prop_assert_eq!(batch.get(k), segs[id as usize]);
+                }
+            }
+        }
+        prop_assert_eq!(grid.len(), segs.len());
+    }
 
     // Randomized boards mixing via-sized and plane-sized segments: the
     // STR R-tree must return the *exact* candidate set of the grid for
