@@ -82,8 +82,9 @@ pub fn world_cell(rules: &DesignRules) -> f64 {
 /// Prebuilt, shareable world geometry for an obstacle **library**: the
 /// library's polygons inflated into centerline terms, with their edges
 /// spatially indexed — built **once** per `(library, rules)` and reused by
-/// every trace of every board of a fleet, instead of re-indexed inside each
-/// [`WorldIndex::build`].
+/// every trace of every board of a fleet, and by every unit of one board
+/// in the board-level driver (over the board's own obstacles), instead of
+/// re-indexed inside each [`WorldIndex::build`].
 ///
 /// The inflation amount and the index lattice are functions of the design
 /// rules ([`obstacle_inflation`], [`world_cell`]); a base only composes

@@ -8,10 +8,13 @@
 //! [`run_unit`] call, optionally against a shared library world and
 //! optionally recording the cells it reads. Both board-level drivers,
 //! [`match_board_group`] and [`match_all_groups`], share one body: plan
-//! the groups' units up front, run them (fanned out on worker threads with
+//! the groups' units up front, inflate and index the board's obstacles
+//! once per distinct rules lattice into a shared [`WorldBase`], run the
+//! units against those bases (fanned out on worker threads with
 //! [`ExtendConfig::parallel`], in order without), and write the results
 //! back group by group in declaration order, so the output is identical
-//! either way.
+//! either way — and identical to running every unit over the board's
+//! gathered obstacles with no base.
 
 use crate::config::ExtendConfig;
 use crate::context::WorldBase;
@@ -50,7 +53,9 @@ pub struct GroupReport {
     pub traces: Vec<TraceReport>,
     /// Runtime of the matching: wall clock for [`match_board_group`], the
     /// summed busy time of the group's units for [`match_all_groups`]
-    /// (wall time is shared across groups there).
+    /// (wall time is shared across groups there). That sum leaves out
+    /// obstacle inflation and indexing, which run once per board before
+    /// the units.
     pub runtime: Duration,
 }
 
@@ -95,12 +100,22 @@ impl UnitInput {
     }
 
     /// The design rules the unit's traces carry (a pair's *raw* rules —
-    /// the merged extension virtualizes them internally). This is the key
-    /// the fleet's per-`(library, rules)` `WorldBase` cache selects by.
+    /// the merged extension virtualizes them internally).
     #[inline]
     pub fn rules(&self) -> &meander_drc::DesignRules {
         match &self.kind {
             UnitKind::Single { rules, .. } | UnitKind::Pair { rules, .. } => rules,
+        }
+    }
+
+    /// The rules the unit's world is derived under: a single trace's own
+    /// rules, a pair's [`virtualize_rules`] (what its merged extension
+    /// runs under). This is the key a shared [`WorldBase`] is selected by,
+    /// in the one-board driver and in the fleet alike.
+    pub fn world_rules(&self) -> meander_drc::DesignRules {
+        match &self.kind {
+            UnitKind::Single { rules, .. } => *rules,
+            UnitKind::Pair { rules, sep, .. } => virtualize_rules(rules, *sep),
         }
     }
 }
@@ -461,7 +476,8 @@ pub fn match_board_group(
 
 /// Length-matches every group of the board in declaration order, returning
 /// one report per group. Each report's runtime is the summed busy time of
-/// its group's units (wall time is shared across groups).
+/// its group's units (wall time, and the board's one-off obstacle
+/// indexing, are shared across groups).
 ///
 /// Every group is planned up front from the board as given, then all
 /// units run as one batch — fanned out on worker threads with
@@ -505,6 +521,14 @@ pub fn plan_board_units(board: &Board) -> Vec<(f64, Vec<UnitInput>)> {
 
 /// The one board-level body: runs every planned unit against the board's
 /// obstacles, then applies the outputs group by group in plan order.
+///
+/// With the incremental engine, the board's obstacles are inflated and
+/// indexed once per distinct rules lattice ([`UnitInput::world_rules`],
+/// matched by [`WorldBase::compatible`]) before any unit runs, and every
+/// unit routes against its shared [`WorldBase`] with no obstacles of its
+/// own. That equals running each unit over the gathered obstacles, bit for
+/// bit ([`run_unit`]'s base contract). The rebuild engine would
+/// materialize a base anyway, so it keeps the plain obstacle list.
 fn route_planned(
     board: &mut Board,
     planned: Vec<(f64, Vec<UnitInput>)>,
@@ -517,11 +541,30 @@ fn route_planned(
         sizes.push((target, units.len()));
         flat.append(&mut units);
     }
-    let run = |u: &UnitInput| run_unit(u, &obstacles, None, config, None);
+    let mut bases: Vec<Arc<WorldBase>> = Vec::new();
+    let jobs: Vec<(&UnitInput, Option<Arc<WorldBase>>)> = flat
+        .iter()
+        .map(|u| {
+            let base = config.incremental.then(|| {
+                let rules = u.world_rules();
+                if let Some(b) = bases.iter().find(|b| b.compatible(&rules)) {
+                    return Arc::clone(b);
+                }
+                let b = Arc::new(WorldBase::build(&obstacles, &rules, config.index));
+                bases.push(Arc::clone(&b));
+                b
+            });
+            (u, base)
+        })
+        .collect();
+    let run = |(u, base): &(&UnitInput, Option<Arc<WorldBase>>)| match base {
+        Some(b) => run_unit(u, &[], Some(b), config, None),
+        None => run_unit(u, &obstacles, None, config, None),
+    };
     let outputs = if config.parallel {
-        par_map(&flat, run)
+        par_map(&jobs, run)
     } else {
-        flat.iter().map(run).collect()
+        jobs.iter().map(run).collect()
     };
     let mut outputs = outputs.into_iter();
     sizes
@@ -804,6 +847,99 @@ mod tests {
             sharp(&case.board),
             sharp(&unmitered.board)
         );
+    }
+
+    /// Bit-compares `match_all_groups` against the unshared oracle: every
+    /// planned unit run over the board's gathered obstacles with no base,
+    /// applied in plan order.
+    fn assert_matches_unshared_oracle(label: &str, original: &Board, config: &ExtendConfig) {
+        let mut want_board = original.clone();
+        let obstacles = gather_obstacles(&want_board);
+        let want: Vec<GroupReport> = plan_board_units(&want_board)
+            .into_iter()
+            .map(|(target, units)| {
+                let outputs = units
+                    .iter()
+                    .map(|u| run_unit(u, &obstacles, None, config, None))
+                    .collect();
+                let (traces, runtime) = apply_outputs(&mut want_board, outputs);
+                GroupReport {
+                    target,
+                    traces,
+                    runtime,
+                }
+            })
+            .collect();
+        let mut got_board = original.clone();
+        let got = match_all_groups(&mut got_board, config);
+        assert_eq!(got.len(), want.len(), "{label}: group count");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.target.to_bits(), w.target.to_bits(), "{label}: target");
+            assert_eq!(g.traces.len(), w.traces.len(), "{label}: trace count");
+            for (a, b) in g.traces.iter().zip(&w.traces) {
+                assert_eq!(a.id, b.id, "{label}: report order");
+                assert_eq!(a.initial.to_bits(), b.initial.to_bits(), "{label}");
+                assert_eq!(a.achieved.to_bits(), b.achieved.to_bits(), "{label}");
+                assert_eq!(a.patterns, b.patterns, "{label}: {:?}", a.id);
+                assert_eq!(a.via_msdtw, b.via_msdtw, "{label}: {:?}", a.id);
+            }
+        }
+        for (id, t) in want_board.traces() {
+            let routed = got_board.trace(id).expect("routed trace");
+            assert_eq!(t.centerline(), routed.centerline(), "{label}: {id:?}");
+        }
+    }
+
+    #[test]
+    fn shared_board_world_equals_unshared_oracle() {
+        use meander_layout::gen::{stress_board, stress_mixed_board};
+
+        // Two rule sets on one board: the odd corridors get a narrower gap,
+        // which derives a different lattice, so the driver builds two
+        // bases.
+        let mut two_rules = stress_board(4, 4, 3, 5).board;
+        let ids: Vec<TraceId> = two_rules.traces().map(|(id, _)| id).collect();
+        let base_rules = *two_rules.trace(ids[0]).unwrap().rules();
+        let narrow = meander_drc::DesignRules {
+            gap: base_rules.gap * 0.75,
+            ..base_rules
+        };
+        for &id in ids.iter().skip(1).step_by(2) {
+            two_rules.trace_mut(id).unwrap().set_rules(narrow);
+        }
+        let probe = WorldBase::build(&[], &base_rules, meander_index::IndexKind::Grid);
+        assert!(probe.compatible(&base_rules) && !probe.compatible(&narrow));
+
+        let mut no_obstacles = stress_board(3, 3, 2, 9).board;
+        while no_obstacles.remove_obstacle(0).is_some() {}
+        assert!(no_obstacles.obstacles().is_empty());
+
+        let boards = [
+            ("stress", stress_board(4, 4, 3, 1).board),
+            ("stress:mixed", stress_mixed_board(3, 4, 3, 2).board),
+            ("table1:5", table1_case(5).board),
+            ("decoupled_pair(true)", decoupled_pair(true).board),
+            ("no obstacles", no_obstacles),
+            ("two rule sets", two_rules),
+        ];
+        for (name, board) in &boards {
+            for parallel in [false, true] {
+                let config = ExtendConfig {
+                    parallel,
+                    ..Default::default()
+                };
+                assert_matches_unshared_oracle(
+                    &format!("{name}, parallel {parallel}"),
+                    board,
+                    &config,
+                );
+            }
+            let rebuild = ExtendConfig {
+                incremental: false,
+                ..Default::default()
+            };
+            assert_matches_unshared_oracle(&format!("{name}, rebuild engine"), board, &rebuild);
+        }
     }
 
     #[test]

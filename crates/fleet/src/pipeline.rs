@@ -209,8 +209,8 @@ struct UnitJob {
     /// Unit index within its group.
     unit: usize,
     input: UnitInput,
-    /// Shared base selected by this unit's own rules (`None` when sharing
-    /// is off).
+    /// Shared base selected by this unit's [`UnitInput::world_rules`]
+    /// (`None` when sharing is off).
     base: Option<Arc<WorldBase>>,
     /// The obstacle polygons the unit sees: board-local only in shared
     /// mode, `library ++ local` when materialized.
@@ -293,12 +293,14 @@ impl<'a> Plan<'a> {
             })
         });
         let obstacles = Arc::clone(obstacles);
-        // Pairs route their merged median under virtualized rules and fall
-        // back to materialization inside the engine when the base is
-        // incompatible — bit-identical either way.
+        // Keyed on the rules the unit's world derives from, so a pair's
+        // merged median (virtualized rules) finds a compatible base. Only
+        // a degenerate pair's fallback sub-extensions materialize the
+        // library inside the engine — bit-identical either way.
         let base = share.then(|| {
             let kind = self.config.extend.index;
-            self.bases.get_or_build(slot, input.rules(), library, kind)
+            self.bases
+                .get_or_build(slot, &input.world_rules(), library, kind)
         });
         self.units.push(UnitJob {
             board: b,

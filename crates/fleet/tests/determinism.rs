@@ -2,18 +2,20 @@
 //! mode, `route_fleet` must reproduce per-board sequential
 //! `match_all_groups` **bit for bit** — targets, trace reports, and routed
 //! geometry. 64+ randomized fleets (library seed, board seed, fleet size,
-//! worker count, sharing mode all drawn per case) plus the acceptance-size
-//! 16-board fleet.
+//! worker count, sharing mode all drawn per case), the acceptance-size
+//! 16-board fleet, and a fleet of differential-pair boards.
 //!
 //! Wall-clock fields (`GroupReport::runtime`, `FleetStats` timings) are
 //! measurements, not outputs, and are deliberately not compared.
 
 use meander_core::{match_all_groups, ExtendConfig, GroupReport};
 use meander_fleet::{route_fleet, BoardSet, FleetConfig};
-use meander_layout::gen::{fleet_boards_small, FleetCase};
-use meander_layout::Board;
+use meander_layout::gen::{decoupled_pair, fleet_boards_small, table1_case};
+use meander_layout::io::save_board;
+use meander_layout::{Board, LibraryBoard, ObstacleLibrary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn serial_extend() -> ExtendConfig {
     ExtendConfig {
@@ -24,10 +26,10 @@ fn serial_extend() -> ExtendConfig {
 
 /// Routes every board of `fleet` sequentially through `match_all_groups`
 /// on its materialized twin, returning the reference reports + boards.
-fn sequential_reference(fleet: &FleetCase) -> (Vec<Vec<GroupReport>>, Vec<Board>) {
-    let mut reports = Vec::with_capacity(fleet.boards.len());
-    let mut boards = Vec::with_capacity(fleet.boards.len());
-    for lb in &fleet.boards {
+fn sequential_reference(fleet: &[LibraryBoard]) -> (Vec<Vec<GroupReport>>, Vec<Board>) {
+    let mut reports = Vec::with_capacity(fleet.len());
+    let mut boards = Vec::with_capacity(fleet.len());
+    for lb in fleet {
         let mut board = lb.to_board();
         reports.push(match_all_groups(&mut board, &serial_extend()));
         boards.push(board);
@@ -93,7 +95,7 @@ fn randomized_fleets_match_sequential_bitwise() {
         );
 
         let fleet = fleet_boards_small(n_boards, library_seed, per_board_seed);
-        let (want_reports, want_boards) = sequential_reference(&fleet);
+        let (want_reports, want_boards) = sequential_reference(&fleet.boards);
         let mut set = BoardSet::new(fleet.boards.clone());
         let report = route_fleet(
             &mut set,
@@ -119,7 +121,7 @@ fn randomized_fleets_match_sequential_bitwise() {
 fn sixteen_board_fleet_bit_identical() {
     let fleet = fleet_boards_small(16, 2024, 7);
     assert_eq!(fleet.boards.len(), 16);
-    let (want_reports, want_boards) = sequential_reference(&fleet);
+    let (want_reports, want_boards) = sequential_reference(&fleet.boards);
     for (workers, share) in [(4, true), (2, false), (1, true)] {
         let mut set = BoardSet::new(fleet.boards.clone());
         let report = route_fleet(
@@ -195,6 +197,60 @@ fn engine_knobs_and_worker_counts_commute() {
                 &want,
                 &want_boards,
             );
+        }
+    }
+}
+
+/// Differential pairs through the fleet: each pair board's obstacles move
+/// into a library of its own, so a pair's merged median routes against a
+/// shared base keyed on its virtualized rules. Every worker count and
+/// sharing mode must equal `match_all_groups` on the materialized boards,
+/// down to the saved board text.
+#[test]
+fn pair_boards_match_sequential_bitwise() {
+    let boards: Vec<LibraryBoard> = [
+        table1_case(5).board,
+        decoupled_pair(false).board,
+        decoupled_pair(true).board,
+    ]
+    .into_iter()
+    .map(|mut board| {
+        let mut obstacles = Vec::new();
+        while let Some(o) = board.remove_obstacle(0) {
+            obstacles.push(o);
+        }
+        LibraryBoard::new(Arc::new(ObstacleLibrary::new(obstacles)), board)
+    })
+    .collect();
+    assert!(boards.iter().all(|lb| !lb.board().pairs().is_empty()));
+    assert!(boards.iter().any(|lb| !lb.library().is_empty()));
+    let (want_reports, want_boards) = sequential_reference(&boards);
+    assert!(want_reports
+        .iter()
+        .flatten()
+        .flat_map(|g| &g.traces)
+        .any(|t| t.via_msdtw));
+    for workers in [1, 2] {
+        for share in [true, false] {
+            let mut set = BoardSet::new(boards.clone());
+            let report = route_fleet(
+                &mut set,
+                &FleetConfig {
+                    extend: serial_extend(),
+                    workers: Some(workers),
+                    share_library: share,
+                    ..Default::default()
+                },
+            );
+            let label = format!("pair fleet, workers {workers}, share {share}");
+            assert_identical(&label, &set, &report.reports, &want_reports, &want_boards);
+            for (b, (lb, want)) in set.boards().iter().zip(&want_boards).enumerate() {
+                assert_eq!(
+                    save_board(&lb.to_board()).expect("saved"),
+                    save_board(want).expect("saved"),
+                    "{label}: board {b} text"
+                );
+            }
         }
     }
 }
