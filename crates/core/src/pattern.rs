@@ -62,16 +62,6 @@ pub fn splice_meander(
     (seg_index, seg_index + world.len() - 1)
 }
 
-/// The inclusive step-index window `[a, b]` a placement set occupies on its
-/// discretized segment — the invalidation window to hand
-/// [`crate::dp::DpSession::invalidate_window`] after splicing these
-/// placements changes the height field locally. `None` for an empty set.
-pub fn placements_window(placements: &[Placement]) -> Option<(usize, usize)> {
-    let lo = placements.iter().map(|p| p.lo).min()?;
-    let hi = placements.iter().map(|p| p.hi).max()?;
-    Some((lo, hi))
-}
-
 /// The world-space segments a meander created (for re-queueing): every
 /// segment of the spliced run.
 pub fn meander_segments(trace: &Polyline, lo: usize, hi: usize) -> Vec<Segment> {
@@ -158,26 +148,6 @@ mod tests {
             .collect();
         assert_eq!(xs5.len(), 2, "{:?}", pl.points());
         assert!(!pl.is_self_intersecting());
-    }
-
-    #[test]
-    fn placements_window_spans_feet() {
-        assert_eq!(placements_window(&[]), None);
-        let ps = [
-            Placement {
-                lo: 3,
-                hi: 7,
-                dir: 1,
-                height: 2.0,
-            },
-            Placement {
-                lo: 9,
-                hi: 14,
-                dir: -1,
-                height: 3.0,
-            },
-        ];
-        assert_eq!(placements_window(&ps), Some((3, 14)));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   long-lived scheduler with yield toggles) × workers 1–4, bit-compared
 //!   to the sequential reference;
 //! * an interactive serving session preempting a concurrent batch fleet
-//!   on one shared scheduler, at timing-randomized preemption points —
-//!   both outputs bit-identical to their unloaded references;
+//!   on one shared scheduler, at timing-randomized preemption points, with
+//!   a speculative warm-up queued behind both — both outputs bit-identical
+//!   to their unloaded references, the warm-up covering every key;
 //! * a speculative warm-up pass that installs only through exact cache
 //!   keys: a warmed cold run hits on every unit and still matches the
 //!   uncached route bit for bit;
@@ -150,8 +151,9 @@ fn randomized_fleets_bit_identical_across_scheduler_configs() {
 }
 
 /// Interactive re-routes preempt a concurrent batch fleet on one shared
-/// scheduler — at whatever preemption points the thread timing lands on —
-/// and BOTH outputs stay bit-identical to their unloaded references.
+/// scheduler — at whatever preemption points the thread timing lands on,
+/// with a speculative warm-up queued behind both — and BOTH outputs stay
+/// bit-identical to their unloaded references.
 /// Repeated rounds randomize the interleaving; the outputs may never
 /// vary with it.
 #[test]
@@ -162,6 +164,7 @@ fn interactive_preemption_points_do_not_change_output() {
     let batch_fleet = fleet_boards_small(6, 501, 77);
     let (batch_want_reports, batch_want_boards) = sequential_reference(&batch_fleet);
     let serve_case = fleet_boards_small(3, 7, 11);
+    let warm_case = dup_fleet_boards_small(4, 0.5, 19);
 
     for round in 0..4u64 {
         let label = format!("round {round}");
@@ -173,6 +176,12 @@ fn interactive_preemption_points_do_not_change_output() {
         let batch = std::thread::spawn(move || {
             let report = route_fleet(&mut batch_set, &batch_cfg);
             (batch_set, report)
+        });
+        // Speculative tier: a warm-up queued behind both.
+        let warm_cfg = config(2, true, Some(Arc::clone(&sched)));
+        let warm_set = BoardSet::new(warm_case.boards.clone());
+        let warm = std::thread::spawn(move || {
+            warm_fleet_cache(&warm_set, &warm_cfg, &Arc::new(ResultCache::default()))
         });
 
         // Interactive tier: the serving loop edits and re-routes on the
@@ -193,6 +202,9 @@ fn interactive_preemption_points_do_not_change_output() {
         }
 
         let (batch_set, batch_report) = batch.join().expect("batch thread");
+        let warm = warm.join().expect("warm-up thread");
+        assert_eq!(warm.failed + warm.skipped, 0, "{label}: clean warm-up");
+        assert_eq!(warm.already_cached + warm.warmed, warm.distinct, "{label}");
         assert_identical(
             &format!("{label}: batch under interactive load"),
             &batch_set,

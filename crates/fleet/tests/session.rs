@@ -72,7 +72,8 @@ fn assert_bit_identical(session: &FleetSession, cfg: &FleetConfig, ctx: &str) {
 }
 
 /// The 64-prefix matrix: workers 1–4 × share on/off × 8 edit-stream
-/// prefixes, every prefix checked bit-identical to from-scratch.
+/// prefixes, every prefix checked bit-identical to from-scratch, then one
+/// re-route over two accumulated edits per config.
 #[test]
 fn reroute_dirty_matches_from_scratch_across_configs() {
     let mut prefixes = 0usize;
@@ -96,6 +97,16 @@ fn reroute_dirty_matches_from_scratch_across_configs() {
                 assert_bit_identical(&session, &cfg, &ctx);
                 prefixes += 1;
             }
+            // One re-route over two accumulated edits.
+            for edit in edit_stream(&case, seed + 1, 2) {
+                let _ = session.apply_edit(edit);
+            }
+            assert!(session.reroute_dirty(&cfg).all_routed());
+            assert_bit_identical(
+                &session,
+                &cfg,
+                &format!("workers={workers} share={share} batched"),
+            );
         }
     }
     assert!(prefixes >= 64, "the matrix must cover at least 64 prefixes");
