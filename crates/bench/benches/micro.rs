@@ -1,14 +1,8 @@
-//! Micro-benchmarks of the kernels behind the runtime columns, plus the
-//! ablation benches DESIGN.md calls out:
+//! Micro-benchmarks of the kernels behind the runtime columns, plus two
+//! engine ablations:
 //!
 //! * `dp_kernel` — segment DP vs discretization size (uniform cap vs
 //!   per-position upper-bound profile),
-//! * `dp_resolve` — windowed invalidation + resolve vs a from-scratch
-//!   solve on a memoized [`DpSession`]. The closure here is a cheap array
-//!   scan, so this isolates the session's own bookkeeping cost (memo
-//!   upkeep roughly cancels the row reuse); the `dp_resolve` section of
-//!   the `baseline` binary runs the same comparison against real
-//!   URA-shrink queries, where the reuse wins 3–7×,
 //! * `ura_shrink` — one max-height query vs obstacle count (allocating and
 //!   scratch-reusing variants),
 //! * `batch_distance` — `distance_sq_to_segment_batch` vs the scalar
@@ -22,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use meander_core::baseline::FixedTrackOptions;
 use meander_core::context::{ShrinkContext, WorldContext};
-use meander_core::dp::{extend_segment_dp, DpInput, DpSession, HeightBounds, UbProfile};
+use meander_core::dp::{extend_segment_dp, DpInput, HeightBounds, UbProfile};
 use meander_core::extend::ExtendInput;
 use meander_core::shrink::{
     build_ub_profile, build_ub_profile_batched, max_pattern_height, max_pattern_height_scratch,
@@ -79,49 +73,6 @@ fn bench_dp_kernel(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::new("profile", m), &m, |b, _| {
             b.iter(|| extend_segment_dp(&mk(HeightBounds::Profile(&profile))))
-        });
-    }
-    group.finish();
-}
-
-fn bench_dp_resolve(c: &mut Criterion) {
-    let config = ExtendConfig::default();
-    let mut group = c.benchmark_group("dp_resolve");
-    for m in [64usize, 160] {
-        let field = std::cell::RefCell::new(bumpy_field(m));
-        let height = |lo: usize, hi: usize, _: i8| -> f64 {
-            let f = field.borrow();
-            f[lo..=hi].iter().fold(f64::INFINITY, |a, &b| a.min(b))
-        };
-        let input = DpInput {
-            m,
-            ldisc: 1.0,
-            gap_steps: 8,
-            protect_steps: 4,
-            min_width_steps: 8,
-            max_width_steps: 48,
-            height: &height,
-            bounds: HeightBounds::Uniform(f64::INFINITY),
-            config: &config,
-        };
-        // Splice window in the last quarter: the resolve reuses the prefix.
-        let (a, b) = (m * 3 / 4, m * 3 / 4 + 8);
-        group.bench_with_input(BenchmarkId::new("scratch", m), &m, |bch, _| {
-            bch.iter(|| extend_segment_dp(&input))
-        });
-        group.bench_with_input(BenchmarkId::new("resolve", m), &m, |bch, _| {
-            let mut session = DpSession::new(&input, true);
-            let _ = session.solve(&input);
-            bch.iter(|| {
-                {
-                    let mut f = field.borrow_mut();
-                    for x in a..=b.min(m) {
-                        f[x] = if f[x] == 0.0 { 4.0 } else { 0.0 };
-                    }
-                }
-                session.invalidate_window(a, b);
-                session.solve(&input)
-            })
         });
     }
     group.finish();
@@ -392,7 +343,6 @@ fn bench_ablations(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dp_kernel,
-    bench_dp_resolve,
     bench_ura_shrink,
     bench_batch_distance,
     bench_batch_profile,

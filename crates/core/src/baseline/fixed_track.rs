@@ -160,7 +160,6 @@ pub fn extend_trace_fixed(
         trace,
         iterations,
         patterns,
-        stats: Default::default(),
     }
 }
 

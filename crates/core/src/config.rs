@@ -36,15 +36,9 @@ pub struct ExtendConfig {
     /// Use the incremental engine: per-trace world index, windowed context
     /// construction, stable segment ids, and an incrementally maintained
     /// trace length. Off falls back to the naive rebuild-per-iteration
-    /// pipeline (kept as the reference for equivalence tests and the
-    /// before/after benchmark).
+    /// pipeline (kept as the reference for equivalence tests and for the
+    /// `perf_regression` engine comparison).
     pub incremental: bool,
-    /// Use per-position upper-bound profiles in the incremental engine's
-    /// segment DP: a stage-1 clearance sweep computed once per pop lets the
-    /// DP skip height queries whose capped value provably cannot beat the
-    /// incumbent state. Output is bit-identical either way (the bounds are
-    /// sound); off reproduces the PR 1 incremental path for benchmarking.
-    pub dp_profile: bool,
     /// Evaluate the shrink stage-1 side intersections and the DP
     /// upper-bound profile sweep on the SoA batch kernels
     /// (`meander_geom::batch`): candidates gather once into lane-parallel
@@ -87,7 +81,6 @@ impl Default for ExtendConfig {
             requeue: true,
             requeue_min_protect: 2.0,
             incremental: true,
-            dp_profile: true,
             batch_kernels: true,
             index: IndexKind::Grid,
             parallel: true,

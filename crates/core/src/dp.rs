@@ -21,7 +21,7 @@
 //!
 //! Each candidate transition `(j, i, dir)` asks the URA shrinking for the
 //! tallest legal pattern — an `O(log)`-indexed but still expensive geometric
-//! query — so a full pass performs `O(m·w)` of them. Three mechanisms make
+//! query — so a full pass performs `O(m·w)` of them. Two mechanisms make
 //! the pass cost proportional to the *useful* part of that work:
 //!
 //! 1. **Per-position upper bounds** ([`HeightBounds::Profile`], built by
@@ -33,21 +33,11 @@
 //! 2. **Monotone width break**: `dp[·][d]` is non-decreasing, so once even
 //!    `max(dp[j][0], dp[j][1])` plus the row cap cannot reach the incumbent,
 //!    no wider candidate at this `(i, d)` can either — the width loop stops.
-//! 3. **Height-query memoization + prefix checkpointing**
-//!    ([`DpSession`]): executed query results are cached by `(lo, hi, dir)`
-//!    and every computed row is retained, so after
-//!    [`DpSession::invalidate_window`]`(a, b)` (a splice that changed the
-//!    height field only for windows overlapping `[a, b]`) the next
-//!    [`DpSession::solve`] restarts the forward pass from row `a` — the
-//!    checkpoint granularity is one row, so "the last checkpoint ≤ a" is
-//!    exactly `a` — and re-probes only windows the invalidation touched.
 //!
-//! All three are *pruning-only*: [`DpSession::solve`] and
-//! [`extend_segment_dp`] return placements bit-identical to an unpruned
-//! from-scratch pass (property-tested in `tests/props.rs`).
+//! Both are *pruning-only*: [`extend_segment_dp`] returns placements
+//! bit-identical to an unpruned pass (property-tested in `tests/props.rs`).
 
 use crate::config::ExtendConfig;
-use std::collections::HashMap;
 
 /// Direction index: 0 ⇒ −1 (clockwise / below), 1 ⇒ +1 (ccw / above).
 pub type DirIx = usize;
@@ -191,334 +181,167 @@ pub struct DpOutcome {
     pub total_height: f64,
 }
 
-/// Height-query and DP-work counters (the observability the perf baseline
-/// records; see `BENCH_PR2.json`).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DpStats {
-    /// Candidate transitions that needed a height value.
-    pub hq_requested: u64,
-    /// Requests answered by the upper-bound caps without running the
-    /// shrink kernel (cap ≤ 0, or capped value cannot beat the incumbent).
-    pub hq_pruned: u64,
-    /// Requests answered from the `(lo, hi, dir)` memo.
-    pub hq_memo_hits: u64,
-    /// Requests that actually executed the height closure.
-    pub hq_executed: u64,
-    /// DP rows (points × both sides count as one row) evaluated across all
-    /// solves — resolves after a windowed invalidation re-evaluate only the
-    /// suffix, so this measures the prefix reuse.
-    pub points_evaluated: u64,
-    /// Forward passes run (initial solves + resolves).
-    pub solves: u64,
-    /// Batched-kernel work counters (stage-1 / profile sweeps): populated
-    /// by the engine when `ExtendConfig::batch_kernels` is on.
-    pub batch: meander_geom::batch::BatchStats,
-}
-
-impl DpStats {
-    /// Fraction of height requests served without executing the shrink
-    /// kernel — bound-pruned plus memoized. (On the engine's single-solve
-    /// path the memo is off, so this is purely the prune rate; memo hits
-    /// only appear on resolve-after-invalidate callers.) 0 when nothing
-    /// was requested.
-    pub fn skip_rate(&self) -> f64 {
-        if self.hq_requested == 0 {
-            return 0.0;
-        }
-        1.0 - self.hq_executed as f64 / self.hq_requested as f64
+/// Runs the DP over one segment and restores the best pattern set.
+pub fn extend_segment_dp(input: &DpInput<'_>) -> DpOutcome {
+    let m = input.m;
+    if m == 0 {
+        return DpOutcome::default();
     }
+    let mut dp = vec![[0.0f64; 2]; m + 1];
+    let mut rank = vec![[0u8; 2]; m + 1];
+    let mut transit = vec![[PROP; 2]; m + 1];
+    for i in 1..=m {
+        for d in 0..2usize {
+            // Propagation (Eq. 6).
+            dp[i][d] = dp[i - 1][d];
+            transit[i][d] = Transit {
+                from_i: i - 1,
+                from_d: d,
+                w: 0,
+                h: 0.0,
+            };
 
-    /// Accumulates `other` into `self`.
-    pub fn absorb(&mut self, other: &DpStats) {
-        self.hq_requested += other.hq_requested;
-        self.hq_pruned += other.hq_pruned;
-        self.hq_memo_hits += other.hq_memo_hits;
-        self.hq_executed += other.hq_executed;
-        self.points_evaluated += other.points_evaluated;
-        self.solves += other.solves;
-        self.batch.absorb(&other.batch);
-    }
-}
+            // Right-foot legality: at the far node or ≥ d_protect from it.
+            let tail_ok = i == m || (m - i) >= input.protect_steps;
+            if !tail_ok {
+                continue;
+            }
 
-/// An incremental segment DP: retained rows, a height memo, and windowed
-/// invalidation.
-///
-/// The session keeps every computed row (`dp`/`rank`/`transit`) and a memo
-/// of executed height queries keyed `(lo, hi, dir)`. After
-/// [`DpSession::invalidate_window`]`(a, b)` — the caller's promise that the
-/// height field changed **only** for pattern windows overlapping `[a, b]` —
-/// the next [`DpSession::solve`] restarts the forward pass from row `a`,
-/// reusing the untouched prefix verbatim and answering unchanged suffix
-/// probes from the memo. A fresh session (or a full invalidation) degrades
-/// gracefully to the from-scratch pass of [`extend_segment_dp`].
-#[derive(Debug)]
-pub struct DpSession {
-    m: usize,
-    gap_steps: usize,
-    protect_steps: usize,
-    min_width_steps: usize,
-    max_width_steps: usize,
-    dp: Vec<[f64; 2]>,
-    rank: Vec<[u8; 2]>,
-    transit: Vec<[Transit; 2]>,
-    /// First row whose state must be recomputed; `m + 1` when clean.
-    dirty_from: usize,
-    /// `(lo, hi, dir) → height` for executed queries; `None` disables
-    /// memoization (single-solve callers avoid the insert cost).
-    memo: Option<HashMap<(u32, u32, u8), f64>>,
-    stats: DpStats,
-}
+            // Left-foot-independent cap for this row: no candidate ending
+            // at i on side d can yield more.
+            let row_cap = input.bounds.row_cap(i, d);
+            if row_cap <= 0.0 {
+                // No positive-height pattern can end here at all.
+                continue;
+            }
 
-impl DpSession {
-    /// Creates a session for the discretization shape of `input`. With
-    /// `with_memo`, executed height queries are cached for reuse across
-    /// [`DpSession::solve`] calls; single-solve callers should pass `false`.
-    pub fn new(input: &DpInput<'_>, with_memo: bool) -> Self {
-        let n_pts = input.m + 1;
-        DpSession {
-            m: input.m,
-            gap_steps: input.gap_steps,
-            protect_steps: input.protect_steps,
-            min_width_steps: input.min_width_steps,
-            max_width_steps: input.max_width_steps,
-            dp: vec![[0.0; 2]; n_pts.max(1)],
-            rank: vec![[0; 2]; n_pts.max(1)],
-            transit: vec![[PROP; 2]; n_pts.max(1)],
-            dirty_from: 1,
-            memo: with_memo.then(HashMap::new),
-            stats: DpStats::default(),
-        }
-    }
+            let w_hi = input.max_width_steps.min(i);
+            for w in input.min_width_steps..=w_hi {
+                let j = i - w; // left foot
 
-    /// Work counters accumulated over the session's lifetime.
-    #[inline]
-    pub fn stats(&self) -> &DpStats {
-        &self.stats
-    }
+                // Head-stub legality: whatever the transition, the piece of
+                // original segment left of the foot is at least the stub to
+                // the segment start; it must be ≥ d_protect or empty.
+                if j != 0 && j < input.protect_steps {
+                    continue;
+                }
 
-    /// Declares that the height field changed, but only for pattern windows
-    /// `[lo, hi]` overlapping `[a, b]` (inclusive). Rows `< a` and memo
-    /// entries fully outside the window stay valid; the next solve restarts
-    /// from row `a`.
-    pub fn invalidate_window(&mut self, a: usize, b: usize) {
-        self.dirty_from = self.dirty_from.min(a.max(1));
-        if let Some(memo) = &mut self.memo {
-            memo.retain(|&(lo, hi, _), _| (hi as usize) < a || (lo as usize) > b);
-        }
-    }
+                // Monotone width break: every candidate base at this or any
+                // wider width is ≤ max(dp[j][0], dp[j][1]) (dp is
+                // non-decreasing in i), so once even that plus the row cap
+                // cannot beat the incumbent, no wider candidate can.
+                let best_base = dp[j][0].max(dp[j][1]);
+                if best_base + row_cap < dp[i][d] - 1e-12 {
+                    break;
+                }
 
-    /// Runs (or resumes) the forward pass and restores the optimal pattern
-    /// set. `input` must have the same discretization shape the session was
-    /// created with; its closure, bounds, and config may differ only in
-    /// ways consistent with the invalidation contract.
-    pub fn solve(&mut self, input: &DpInput<'_>) -> DpOutcome {
-        debug_assert_eq!(self.m, input.m, "session shape mismatch");
-        debug_assert_eq!(self.gap_steps, input.gap_steps);
-        debug_assert_eq!(self.protect_steps, input.protect_steps);
-        debug_assert_eq!(self.min_width_steps, input.min_width_steps);
-        debug_assert_eq!(self.max_width_steps, input.max_width_steps);
-        if self.m == 0 {
-            return DpOutcome::default();
-        }
-        if self.dirty_from <= self.m {
-            self.forward(input);
-        }
-        self.dirty_from = self.m + 1;
-        self.restore()
-    }
+                // Candidate predecessors per Eq. 8.
+                let mut candidates: [(Option<(usize, DirIx)>, bool); 3] =
+                    [(None, false), (None, false), (None, false)];
+                // p_gap: same side.
+                if j >= input.gap_steps {
+                    candidates[0] = (Some((j - input.gap_steps, d)), false);
+                }
+                // p_protect: opposite side.
+                let od = 1 - d;
+                if j >= input.protect_steps {
+                    candidates[1] = (Some((j - input.protect_steps, od)), false);
+                }
+                // p_local: connected to a pattern foot (extra condition) or
+                // a segment node (j == 0).
+                if j == 0 {
+                    candidates[2] = (Some((0, od)), true);
+                } else if transit[j][od].w != 0 {
+                    // The opposite-side state really ends with a foot at j.
+                    candidates[2] = (Some((j, od)), true);
+                }
 
-    /// The forward pass over rows `dirty_from..=m`.
-    fn forward(&mut self, input: &DpInput<'_>) {
-        let m = self.m;
-        let from = self.dirty_from.max(1);
-        self.stats.solves += 1;
-        self.stats.points_evaluated += (m - from + 1) as u64;
-        for i in from..=m {
-            for d in 0..2usize {
-                // Propagation (Eq. 6).
-                self.dp[i][d] = self.dp[i - 1][d];
-                self.rank[i][d] = 0;
-                self.transit[i][d] = Transit {
-                    from_i: i - 1,
-                    from_d: d,
-                    w: 0,
-                    h: 0.0,
+                let mut best: Option<(f64, usize, DirIx, bool)> = None;
+                for (cand, connected) in candidates {
+                    if let Some((pi, pd)) = cand {
+                        let v = dp[pi][pd];
+                        let better = match best {
+                            None => true,
+                            Some((bv, _, _, bconn)) => {
+                                v > bv + 1e-12
+                                    || ((v - bv).abs() <= 1e-12
+                                        && input.config.connect_priority
+                                        && connected
+                                        && !bconn)
+                            }
+                        };
+                        if better {
+                            best = Some((v, pi, pd, connected));
+                        }
+                    }
+                }
+                let Some((base, pi, pd, connected)) = best else {
+                    continue;
                 };
 
-                // Right-foot legality: at the far node or ≥ d_protect from
-                // it.
-                let tail_ok = i == m || (m - i) >= self.protect_steps;
-                if !tail_ok {
+                // Even a cap-height pattern cannot beat (or tie) the
+                // incumbent — or the cap proves the query returns no useful
+                // height at all: skip the height query.
+                let cand_cap = input.bounds.pair_cap(j, i, d);
+                if cand_cap <= 0.0 || base + cand_cap < dp[i][d] - 1e-12 {
                     continue;
                 }
 
-                // Left-foot-independent cap for this row: no candidate
-                // ending at i on side d can yield more.
-                let row_cap = input.bounds.row_cap(i, d);
-                if row_cap <= 0.0 {
-                    // No positive-height pattern can end here at all.
+                let h = (input.height)(j, i, dir_sign(d));
+                if h <= 0.0 {
                     continue;
                 }
-
-                let w_hi = self.max_width_steps.min(i);
-                for w in self.min_width_steps..=w_hi {
-                    let j = i - w; // left foot
-                                   // Head-stub legality: whatever the transition, the
-                                   // piece of original segment left of the foot is at
-                                   // least the stub to the segment start; it must be
-                                   // ≥ d_protect or empty.
-                    if j != 0 && j < self.protect_steps {
-                        continue;
-                    }
-
-                    // Monotone width break: every candidate base at this or
-                    // any wider width is ≤ max(dp[j][0], dp[j][1]) (dp is
-                    // non-decreasing in i), so once even that plus the row
-                    // cap cannot beat the incumbent, no wider candidate
-                    // can.
-                    let best_base = self.dp[j][0].max(self.dp[j][1]);
-                    if best_base + row_cap < self.dp[i][d] - 1e-12 {
-                        break;
-                    }
-
-                    // Candidate predecessors per Eq. 8.
-                    let mut candidates: [(Option<(usize, DirIx)>, bool); 3] =
-                        [(None, false), (None, false), (None, false)];
-                    // p_gap: same side.
-                    if j >= self.gap_steps {
-                        candidates[0] = (Some((j - self.gap_steps, d)), false);
-                    }
-                    // p_protect: opposite side.
-                    let od = 1 - d;
-                    if j >= self.protect_steps {
-                        candidates[1] = (Some((j - self.protect_steps, od)), false);
-                    }
-                    // p_local: connected to a pattern foot (extra
-                    // condition) or a segment node (j == 0).
-                    if j == 0 {
-                        candidates[2] = (Some((0, od)), true);
-                    } else {
-                        let t = self.transit[j][od];
-                        if t.w != 0 {
-                            // The opposite-side state really ends with a
-                            // foot at j.
-                            candidates[2] = (Some((j, od)), true);
-                        }
-                    }
-
-                    let mut best: Option<(f64, usize, DirIx, bool)> = None;
-                    for (cand, connected) in candidates {
-                        if let Some((pi, pd)) = cand {
-                            let v = self.dp[pi][pd];
-                            let better = match best {
-                                None => true,
-                                Some((bv, _, _, bconn)) => {
-                                    v > bv + 1e-12
-                                        || ((v - bv).abs() <= 1e-12
-                                            && input.config.connect_priority
-                                            && connected
-                                            && !bconn)
-                                }
-                            };
-                            if better {
-                                best = Some((v, pi, pd, connected));
-                            }
-                        }
-                    }
-                    let Some((base, pi, pd, connected)) = best else {
-                        continue;
+                let value = base + h;
+                let new_rank = if connected { 2 } else { 1 };
+                let take = value > dp[i][d] + 1e-12
+                    || ((value - dp[i][d]).abs() <= 1e-12
+                        && input.config.connect_priority
+                        && new_rank > rank[i][d]);
+                if take {
+                    dp[i][d] = value;
+                    rank[i][d] = new_rank;
+                    transit[i][d] = Transit {
+                        from_i: pi,
+                        from_d: pd,
+                        w,
+                        h,
                     };
-
-                    self.stats.hq_requested += 1;
-                    // Even a cap-height pattern cannot beat (or tie) the
-                    // incumbent — or the cap proves the query returns no
-                    // useful height at all: skip the height query.
-                    let cand_cap = input.bounds.pair_cap(j, i, d);
-                    if cand_cap <= 0.0 || base + cand_cap < self.dp[i][d] - 1e-12 {
-                        self.stats.hq_pruned += 1;
-                        continue;
-                    }
-
-                    let key = (j as u32, i as u32, d as u8);
-                    let h = match self.memo.as_ref().and_then(|memo| memo.get(&key)) {
-                        Some(&h) => {
-                            self.stats.hq_memo_hits += 1;
-                            h
-                        }
-                        None => {
-                            self.stats.hq_executed += 1;
-                            let h = (input.height)(j, i, dir_sign(d));
-                            if let Some(memo) = self.memo.as_mut() {
-                                memo.insert(key, h);
-                            }
-                            h
-                        }
-                    };
-                    if h <= 0.0 {
-                        continue;
-                    }
-                    let value = base + h;
-                    let new_rank = if connected { 2 } else { 1 };
-                    let take = value > self.dp[i][d] + 1e-12
-                        || ((value - self.dp[i][d]).abs() <= 1e-12
-                            && input.config.connect_priority
-                            && new_rank > self.rank[i][d]);
-                    if take {
-                        self.dp[i][d] = value;
-                        self.rank[i][d] = new_rank;
-                        self.transit[i][d] = Transit {
-                            from_i: pi,
-                            from_d: pd,
-                            w,
-                            h,
-                        };
-                    }
                 }
             }
         }
     }
-
-    /// Picks the best terminal state and backtracks (Sec. IV-C).
-    fn restore(&self) -> DpOutcome {
-        let m = self.m;
-        let (mut i, mut d) = if self.dp[m][0] >= self.dp[m][1] {
-            (m, 0)
-        } else {
-            (m, 1)
-        };
-        let total = self.dp[i][d];
-        let mut placements = Vec::new();
-        while i > 0 {
-            let t = self.transit[i][d];
-            if t.w != 0 {
-                placements.push(Placement {
-                    lo: i - t.w,
-                    hi: i,
-                    dir: dir_sign(d),
-                    height: t.h,
-                });
-            }
-            // Guard against malformed transit chains.
-            debug_assert!(t.from_i < i || (t.from_i == i && t.from_d != d));
-            if t.from_i == i && t.from_d == d {
-                break;
-            }
-            i = t.from_i;
-            d = t.from_d;
-        }
-        placements.reverse();
-        DpOutcome {
-            placements,
-            total_height: total,
-        }
-    }
+    restore(&dp, &transit)
 }
 
-/// Runs the DP over one segment from scratch and restores the best pattern
-/// set — the stateless reference entry point ([`DpSession`] is the
-/// incremental form; both return bit-identical placements).
-pub fn extend_segment_dp(input: &DpInput<'_>) -> DpOutcome {
-    DpSession::new(input, false).solve(input)
+/// Picks the best terminal state and backtracks (Sec. IV-C).
+fn restore(dp: &[[f64; 2]], transit: &[[Transit; 2]]) -> DpOutcome {
+    let m = dp.len() - 1;
+    let (mut i, mut d) = if dp[m][0] >= dp[m][1] { (m, 0) } else { (m, 1) };
+    let total = dp[i][d];
+    let mut placements = Vec::new();
+    while i > 0 {
+        let t = transit[i][d];
+        if t.w != 0 {
+            placements.push(Placement {
+                lo: i - t.w,
+                hi: i,
+                dir: dir_sign(d),
+                height: t.h,
+            });
+        }
+        // Guard against malformed transit chains.
+        debug_assert!(t.from_i < i || (t.from_i == i && t.from_d != d));
+        if t.from_i == i && t.from_d == d {
+            break;
+        }
+        i = t.from_i;
+        d = t.from_d;
+    }
+    placements.reverse();
+    DpOutcome {
+        placements,
+        total_height: total,
+    }
 }
 
 #[cfg(test)]
@@ -751,7 +574,15 @@ mod tests {
         let config = ExtendConfig::default();
         let m = 60;
         let (up, dn) = rand_heights(7, m);
-        let height = field_height(&up, &dn);
+        let field = field_height(&up, &dn);
+        let calls = std::cell::Cell::new(0u64);
+        let height = |lo: usize, hi: usize, dir: i8| -> f64 {
+            calls.set(calls.get() + 1);
+            field(lo, hi, dir)
+        };
+        let unbounded = extend_segment_dp(&input(m, 4, 2, &height, &config));
+        let unbounded_calls = calls.replace(0);
+
         let profile = UbProfile {
             cap: 12.0,
             left: [dn.clone(), up.clone()],
@@ -759,84 +590,14 @@ mod tests {
         };
         let mut bounded = input(m, 4, 2, &height, &config);
         bounded.bounds = HeightBounds::Profile(&profile);
-        let mut session = DpSession::new(&bounded, false);
-        let _ = session.solve(&bounded);
-        let s = *session.stats();
-        assert_eq!(s.hq_requested, s.hq_pruned + s.hq_executed + s.hq_memo_hits);
-        assert!(s.hq_pruned > 0, "profile should prune something: {s:?}");
-        assert!(s.skip_rate() > 0.0);
-        assert_eq!(s.solves, 1);
-        assert_eq!(s.points_evaluated, m as u64);
-    }
+        let pruned = extend_segment_dp(&bounded);
+        let pruned_calls = calls.get();
 
-    #[test]
-    fn session_resolve_reuses_prefix_and_memo() {
-        let config = ExtendConfig::default();
-        let m = 80;
-        let (up, dn) = rand_heights(3, m);
-        let heights = std::cell::RefCell::new((up, dn));
-        let calls = std::cell::Cell::new(0u64);
-        let height = |lo: usize, hi: usize, dir: i8| -> f64 {
-            calls.set(calls.get() + 1);
-            let fields = heights.borrow();
-            let f = if dir > 0 { &fields.0 } else { &fields.1 };
-            let h = f[lo..=hi].iter().fold(f64::INFINITY, |a, &b| a.min(b));
-            if h < 1.5 {
-                0.0
-            } else {
-                h
-            }
-        };
-        let inp = input(m, 4, 2, &height, &config);
-        let mut session = DpSession::new(&inp, true);
-        let first = session.solve(&inp);
-        let full_points = session.stats().points_evaluated;
-
-        // Mutate the field in a window; only overlapping pattern windows
-        // change.
-        let (a, b) = (50usize, 60usize);
-        {
-            let mut fields = heights.borrow_mut();
-            for x in a..=b {
-                fields.0[x] = 0.0;
-                fields.1[x] = 9.0;
-            }
-        }
-        session.invalidate_window(a, b);
-        let resolved = session.solve(&inp);
-        let scratch = extend_segment_dp(&inp);
-        assert_eq!(
-            resolved.placements, scratch.placements,
-            "resolve after windowed invalidation diverged from scratch"
+        assert!(
+            pruned_calls < unbounded_calls,
+            "profile should skip height queries: {pruned_calls} vs {unbounded_calls}"
         );
-        assert_eq!(resolved.total_height, scratch.total_height);
-        assert_ne!(
-            first.placements, resolved.placements,
-            "mutation should actually change the optimum in this fixture"
-        );
-        // Prefix reuse: the resolve evaluated only rows ≥ a.
-        let s = session.stats();
-        assert_eq!(s.solves, 2);
-        assert_eq!(
-            s.points_evaluated - full_points,
-            (m - a + 1) as u64,
-            "resolve must restart at the invalidation window"
-        );
-        assert!(s.hq_memo_hits > 0, "unchanged suffix probes must hit memo");
-    }
-
-    #[test]
-    fn session_full_invalidation_matches_scratch() {
-        let config = ExtendConfig::default();
-        let m = 40;
-        let (up, dn) = rand_heights(11, m);
-        let height = field_height(&up, &dn);
-        let inp = input(m, 3, 2, &height, &config);
-        let mut session = DpSession::new(&inp, true);
-        let a = session.solve(&inp);
-        session.invalidate_window(0, m);
-        let b = session.solve(&inp);
-        assert_eq!(a.placements, b.placements);
-        assert_eq!(a.total_height, b.total_height);
+        assert_eq!(pruned.placements, unbounded.placements);
+        assert_eq!(pruned.total_height, unbounded.total_height);
     }
 }

@@ -8,21 +8,20 @@
 //!   **once per trace**, re-transforms only the polygons near each popped
 //!   segment's candidate window, tracks segments by stable id, and maintains
 //!   the trace length incrementally — the per-iteration cost is governed by
-//!   local geometry, not by how much meander has accumulated. With
-//!   [`ExtendConfig::dp_profile`] (default on) each pop additionally builds
-//!   a per-position upper-bound profile from the side contexts'
+//!   local geometry, not by how much meander has accumulated. Each pop
+//!   also builds a per-position upper-bound profile from the side contexts'
 //!   stage-1 clearances, so the segment DP executes only the height queries
 //!   whose result can still matter (the pruning is sound: placements are
-//!   bit-identical with the profile on or off).
+//!   bit-identical to a DP under the uniform cap alone).
 //! * the rebuild engine (`incremental: false`) re-clones and re-transforms
 //!   the whole world on every queue pop (the original pipeline) and runs
 //!   the DP with only the global `h_init` cap. It is kept as the reference
-//!   implementation for equivalence tests and as the "before" side of the
-//!   performance baseline.
+//!   implementation for equivalence tests and as the slow side of the
+//!   `perf_regression` engine comparison.
 
 use crate::config::ExtendConfig;
 use crate::context::{ShrinkContext, WorldBase, WorldContext, WorldIndex};
-use crate::dp::{DpInput, DpSession, DpStats, HeightBounds, Placement};
+use crate::dp::{extend_segment_dp, DpInput, HeightBounds, Placement};
 use crate::pattern::{build_local_meander, splice_meander};
 use crate::shrink::{
     build_ub_profile, build_ub_profile_batched, max_pattern_height_batched,
@@ -62,9 +61,6 @@ pub struct ExtendOutcome {
     pub iterations: usize,
     /// Patterns inserted.
     pub patterns: usize,
-    /// Aggregated DP work counters over every pop (height queries, pruned
-    /// queries, rows evaluated — the bench records these per case).
-    pub stats: DpStats,
 }
 
 impl ExtendOutcome {
@@ -152,8 +148,7 @@ impl Disc {
 ///
 /// With `use_profile`, a per-position stage-1 clearance profile is built
 /// first ([`build_ub_profile`]) so the DP can skip height queries whose
-/// capped value cannot matter — same output, fewer shrink-kernel runs. DP
-/// work counters accumulate into `stats`.
+/// capped value cannot matter — same output, fewer shrink-kernel runs.
 #[allow(clippy::too_many_arguments)]
 fn plan_segment(
     len: f64,
@@ -165,7 +160,6 @@ fn plan_segment(
     config: &ExtendConfig,
     scratch: &mut ShrinkScratch,
     use_profile: bool,
-    stats: &mut DpStats,
 ) -> Option<(Polyline, usize)> {
     let h_init = remaining / 2.0;
     // `batch_kernels` swaps the scalar stage-1 / profile sweeps for the SoA
@@ -229,11 +223,7 @@ fn plan_segment(
         },
         config,
     };
-    // Single-solve session: the memo would never hit within one pass, so
-    // it stays off; resolving callers (see `DpSession`) enable it.
-    let mut session = DpSession::new(&dp_input, false);
-    let outcome = session.solve(&dp_input);
-    stats.absorb(session.stats());
+    let outcome = extend_segment_dp(&dp_input);
     if outcome.placements.is_empty() {
         return None;
     }
@@ -360,7 +350,6 @@ fn extend_trace_incremental(
     let mut queue: VecDeque<u32> = (0..trace.segment_records() as u32).collect();
     let mut iterations = 0usize;
     let mut patterns = 0usize;
-    let mut stats = DpStats::default();
 
     // Reused query state.
     let mut static_scratch = GridScratch::new();
@@ -428,8 +417,7 @@ fn extend_trace_incremental(
             &ctx_dn,
             config,
             &mut shrink_scratch,
-            config.dp_profile,
-            &mut stats,
+            true,
         ) else {
             continue;
         };
@@ -450,13 +438,11 @@ fn extend_trace_incremental(
     }
 
     let out = trace.to_polyline();
-    stats.batch.absorb(&shrink_scratch.batch);
     ExtendOutcome {
         achieved: out.length(),
         trace: out,
         iterations,
         patterns,
-        stats,
     }
 }
 
@@ -497,7 +483,6 @@ fn extend_trace_rebuild(input: &ExtendInput<'_>, config: &ExtendConfig) -> Exten
     let mut queue: VecDeque<(Point, Point)> = trace.segments().map(|s| (s.a, s.b)).collect();
     let mut iterations = 0usize;
     let mut patterns = 0usize;
-    let mut stats = DpStats::default();
     let mut shrink_scratch = ShrinkScratch::new();
 
     while trace.length() < input.target - params.tol
@@ -534,8 +519,8 @@ fn extend_trace_rebuild(input: &ExtendInput<'_>, config: &ExtendConfig) -> Exten
         let ctx_up = ShrinkContext::build(&world, &frame, len, 1);
         let ctx_dn = ShrinkContext::build(&world, &frame, len, -1);
 
-        // The rebuild engine stays on the uniform cap — it is the PR 1
-        // reference path the perf baseline measures against.
+        // The rebuild engine stays on the uniform cap: it is the reference
+        // the equivalence suites hold the profile-pruned engine to.
         let Some((local, kept)) = plan_segment(
             len,
             remaining,
@@ -546,7 +531,6 @@ fn extend_trace_rebuild(input: &ExtendInput<'_>, config: &ExtendConfig) -> Exten
             config,
             &mut shrink_scratch,
             false,
-            &mut stats,
         ) else {
             continue;
         };
@@ -565,13 +549,11 @@ fn extend_trace_rebuild(input: &ExtendInput<'_>, config: &ExtendConfig) -> Exten
         }
     }
 
-    stats.batch.absorb(&shrink_scratch.batch);
     ExtendOutcome {
         achieved: trace.length(),
         trace,
         iterations,
         patterns,
-        stats,
     }
 }
 

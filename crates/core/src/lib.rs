@@ -80,7 +80,7 @@ pub mod tracebuf;
 
 pub use config::ExtendConfig;
 pub use context::WorldBase;
-pub use dp::{DpSession, DpStats, HeightBounds, UbProfile};
+pub use dp::{HeightBounds, UbProfile};
 pub use driver::{
     apply_outputs, gather_obstacles, match_all_groups, match_board_group, miter_group,
     plan_board_units, plan_units, run_unit, GroupReport, TraceReport, UnitInput, UnitOutput,

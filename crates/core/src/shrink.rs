@@ -35,10 +35,10 @@
 use crate::context::{ShrinkContext, Y_EPS};
 use crate::dp::UbProfile;
 use meander_geom::batch::{
-    intersect_x_range_batch, vertical_side_min_cap, BatchStats, SegBatch, PREFILTER_SLACK,
-    SHORT_SEG_LEN,
+    intersect_x_range_batch, side_edge_cap_scalar, vertical_side_min_cap, SegBatch,
+    PREFILTER_SLACK, SHORT_SEG_LEN,
 };
-use meander_geom::{segment_intersection, Point, Rect, Segment, SegmentIntersection, EPS};
+use meander_geom::{Point, Rect, Segment, EPS};
 use meander_index::{GridScratch, SpatialIndex};
 
 /// Result of shrinking one candidate pattern.
@@ -82,9 +82,6 @@ pub struct ShrinkScratch {
     colx: Vec<i64>,
     /// Per-position `h_ob` caps of the current profile sweep.
     caps: Vec<f64>,
-    /// Batched-kernel work counters, accumulated across calls (the engine
-    /// folds them into its `DpStats` at the end of a run).
-    pub batch: BatchStats,
 }
 
 impl ShrinkScratch {
@@ -199,64 +196,36 @@ fn max_pattern_height_impl(
     let mut hob = h_init + g2;
 
     // ---- Stage 1: sides (Eq. 11). -------------------------------------
-    if batched {
-        // Two thin column gathers instead of the scalar path's full
-        // pattern-wide query: a side's contributions can only come from
-        // edges the grid registers in that side's column. Extending each
-        // column by EPS toward the pattern interior makes the cell-based
-        // candidate membership agree with the wide query *exactly*, even
-        // for tolerance-positive near-misses straddling a cell boundary
-        // (any non-`None` intersection implies a point within EPS of the
-        // side, so the edge's cells overlap `[x, x ± EPS]`'s cells iff
-        // they overlap the wide rect's); `min` over each column's
-        // candidates is then bit-identical to the scalar loop's.
-        let hob0 = hob;
-        let seg_len = ctx.local_segment.b.x;
-        for (x, col) in [
-            (
-                left,
-                Rect::new(Point::new(left, Y_EPS), Point::new(left + EPS, hob0)),
-            ),
-            (
-                right,
-                Rect::new(Point::new(right - EPS, Y_EPS), Point::new(right, hob0)),
-            ),
-        ] {
+    // One thin column gather per side: a side's contributions can only
+    // come from edges the grid registers in that side's column. Extending
+    // each column by EPS toward the pattern interior makes the cell-based
+    // candidate membership agree *exactly* with a pattern-wide query, even
+    // for tolerance-positive near-misses straddling a cell boundary (any
+    // non-`None` intersection implies a point within EPS of the side, so
+    // the edge's cells overlap `[x, x ± EPS]`'s cells iff they overlap the
+    // wide rect's); `min` over each column's candidates is order-free.
+    let hob0 = hob;
+    for (x, col) in [
+        (
+            left,
+            Rect::new(Point::new(left, Y_EPS), Point::new(left + EPS, hob0)),
+        ),
+        (
+            right,
+            Rect::new(Point::new(right - EPS, Y_EPS), Point::new(right, hob0)),
+        ),
+    ] {
+        hob = hob.min(if batched {
             ctx.grid.query_batch(
                 &col,
                 &mut scratch.grid,
                 &mut scratch.edge_ids,
                 &mut scratch.seg_batch,
             );
-            scratch.batch.record(scratch.seg_batch.len());
-            hob = hob.min(vertical_side_min_cap(
-                x,
-                Y_EPS,
-                hob0,
-                &scratch.seg_batch,
-                seg_len,
-            ));
-        }
-    } else {
-        let probe_rect = Rect::new(Point::new(left, Y_EPS), Point::new(right, hob));
-        let side_l = Segment::new(Point::new(left, Y_EPS), Point::new(left, hob));
-        let side_r = Segment::new(Point::new(right, Y_EPS), Point::new(right, hob));
-        ctx.grid
-            .query_scratch(&probe_rect, &mut scratch.grid, &mut scratch.edge_ids);
-        for &id in &scratch.edge_ids {
-            let e = &ctx.edges[id as usize];
-            for side in [&side_l, &side_r] {
-                match segment_intersection(side, e) {
-                    SegmentIntersection::None => {}
-                    SegmentIntersection::Point(p) => {
-                        hob = hob.min(ctx.dist_seg(p));
-                    }
-                    SegmentIntersection::Overlap(o) => {
-                        hob = hob.min(ctx.dist_seg(o.a)).min(ctx.dist_seg(o.b));
-                    }
-                }
-            }
-        }
+            vertical_side_min_cap(x, Y_EPS, hob0, &scratch.seg_batch, ctx.local_segment.b.x)
+        } else {
+            stage1_side_cap(ctx, x, hob0, &col, &mut scratch.grid, &mut scratch.edge_ids)
+        });
     }
     if hob <= g2 + 1e-12 {
         return none;
@@ -383,33 +352,28 @@ fn max_pattern_height_impl(
     }
 }
 
-/// The stage-1 cap of one vertical outer-border side at local `x`: the
-/// minimum `dist_seg` over its crossings with context edges, starting from
-/// `hob0 = h_init + gap/2` — computed with exactly the intersection calls
-/// stage 1 would make, so it bounds (from above, in `h_ob` terms) every
-/// shrink result whose border has a side at `x`.
+/// The scalar stage-1 cap of the vertical outer-border side
+/// `(x, Y_EPS) → (x, hob0)`: `hob0` lowered to the nearest crossing with
+/// any context edge the grid returns for `gather` ([`side_edge_cap_scalar`]
+/// per candidate). Both scalar stage-1 evaluations run through here — the
+/// probe with its EPS-inward column, the profile with a zero-width one —
+/// so the profile bounds (from above, in `h_ob` terms) every shrink result
+/// whose border has a side at `x`.
 fn stage1_side_cap(
     ctx: &ShrinkContext,
     x: f64,
     hob0: f64,
+    gather: &Rect,
     grid_scratch: &mut GridScratch,
     edge_ids: &mut Vec<u32>,
 ) -> f64 {
     let side = Segment::new(Point::new(x, Y_EPS), Point::new(x, hob0));
-    let column = Rect::new(Point::new(x, Y_EPS), Point::new(x, hob0));
-    ctx.grid.query_scratch(&column, grid_scratch, edge_ids);
+    let seg_len = ctx.local_segment.b.x;
+    ctx.grid.query_scratch(gather, grid_scratch, edge_ids);
     let mut cap = hob0;
     for &id in edge_ids.iter() {
         let e = &ctx.edges[id as usize];
-        match segment_intersection(&side, e) {
-            SegmentIntersection::None => {}
-            SegmentIntersection::Point(p) => {
-                cap = cap.min(ctx.dist_seg(p));
-            }
-            SegmentIntersection::Overlap(o) => {
-                cap = cap.min(ctx.dist_seg(o.a)).min(ctx.dist_seg(o.b));
-            }
-        }
+        cap = cap.min(side_edge_cap_scalar(&side, e, seg_len));
     }
     cap
 }
@@ -455,10 +419,12 @@ pub fn build_ub_profile(
             .map(|p| {
                 let x0 = p as f64 * ldisc;
                 let x = if left_side { x0 - g2 } else { x0 + g2 };
+                let column = Rect::new(Point::new(x, Y_EPS), Point::new(x, hob0));
                 floor(stage1_side_cap(
                     ctx,
                     x,
                     hob0,
+                    &column,
                     &mut scratch.grid,
                     &mut scratch.edge_ids,
                 ))
@@ -529,7 +495,6 @@ pub fn build_ub_profile_batched(
             xs,
             colx,
             caps,
-            batch,
             ..
         } = &mut *scratch;
         xs.clear();
@@ -560,7 +525,6 @@ pub fn build_ub_profile_batched(
                 hi = hi.min(xs.partition_point(|&x| x <= exhi + PREFILTER_SLACK));
             }
             if lo < hi {
-                batch.record(hi - lo);
                 intersect_x_range_batch(&xs[lo..hi], Y_EPS, hob0, e, seg_len, &mut caps[lo..hi]);
             }
         }
@@ -804,7 +768,6 @@ mod tests {
                 );
             }
         }
-        assert!(scratch.batch.calls > 0, "batched sweep must record work");
 
         for ctx in [&ctx_up, &ctx_dn] {
             for j in 0..m {

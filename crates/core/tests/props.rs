@@ -11,7 +11,7 @@
 //!   self-intersects, and never leaves the routable area.
 
 use meander_core::context::{ShrinkContext, WorldContext};
-use meander_core::dp::{extend_segment_dp, DpInput, DpSession, HeightBounds, UbProfile};
+use meander_core::dp::{extend_segment_dp, DpInput, HeightBounds, UbProfile};
 use meander_core::extend::{extend_trace, ExtendInput};
 use meander_core::shrink::{
     build_ub_profile, build_ub_profile_batched, max_pattern_height, max_pattern_height_batched,
@@ -306,73 +306,6 @@ proptest! {
             "profile pruning changed the optimum"
         );
         prop_assert_eq!(reference.total_height, pruned.total_height);
-    }
-
-    #[test]
-    fn session_resolve_is_bit_identical_to_scratch(
-        m in 24usize..120,
-        gap_steps in 2usize..8,
-        protect_steps in 1usize..4,
-        vals in proptest::collection::vec(0.0..14.0f64, 16),
-        patch in proptest::collection::vec(0.0..14.0f64, 16),
-        a_frac in 0.0..1.0f64,
-        b_frac in 0.0..1.0f64,
-    ) {
-        let config = ExtendConfig::default();
-        let fields = std::cell::RefCell::new((tile(&vals, m, 0), tile(&vals, m, 5)));
-        let height = |lo: usize, hi: usize, dir: i8| -> f64 {
-            let f = fields.borrow();
-            let side = if dir > 0 { &f.0 } else { &f.1 };
-            let h = side[lo..=hi].iter().fold(f64::INFINITY, |a, &b| a.min(b));
-            if h < 1.5 { 0.0 } else { h }
-        };
-        let input = DpInput {
-            m,
-            ldisc: 1.0,
-            gap_steps,
-            protect_steps,
-            min_width_steps: gap_steps,
-            max_width_steps: 32,
-            height: &height,
-            bounds: HeightBounds::Uniform(f64::INFINITY),
-            config: &config,
-        };
-        let mut session = DpSession::new(&input, true);
-        let _ = session.solve(&input);
-
-        // Mutate the per-point field inside `[a, b]` only: exactly the
-        // windows overlapping `[a, b]` can change — the invalidation
-        // contract of a splice.
-        let a = ((m as f64 * a_frac) as usize).min(m);
-        let b = (a + (( (m - a) as f64 * b_frac) as usize)).min(m);
-        {
-            let mut f = fields.borrow_mut();
-            for x in a..=b {
-                f.0[x] = patch[x % patch.len()];
-                f.1[x] = patch[(x + 3) % patch.len()];
-            }
-        }
-        session.invalidate_window(a, b);
-        let resolved = session.solve(&input);
-        let scratch = extend_segment_dp(&input);
-        prop_assert_eq!(
-            &resolved.placements,
-            &scratch.placements,
-            "resolve after invalidate_window({}, {}) diverged", a, b
-        );
-        prop_assert_eq!(resolved.total_height, scratch.total_height);
-        // And a second, overlapping mutation on the already-resolved state.
-        {
-            let mut f = fields.borrow_mut();
-            let c = a / 2;
-            for x in c..=((c + 4).min(m)) {
-                f.0[x] = 0.0;
-            }
-            session.invalidate_window(c, (c + 4).min(m));
-        }
-        let resolved2 = session.solve(&input);
-        let scratch2 = extend_segment_dp(&input);
-        prop_assert_eq!(&resolved2.placements, &scratch2.placements);
     }
 }
 

@@ -8,7 +8,7 @@ use crate::rules::DesignRules;
 use crate::violation::Violation;
 use meander_geom::batch::{
     accum_point_to_segs_dsq, accum_seg_to_points_dsq, distance_sq_to_segment_batch,
-    mark_intersections, pt_seg_dsq, BatchStats, SegBatch, PREFILTER_SLACK,
+    mark_intersections, pt_seg_dsq, SegBatch, PREFILTER_SLACK,
 };
 use meander_geom::intersect::segments_intersect;
 use meander_geom::{Point, Polygon, Polyline, Segment};
@@ -80,7 +80,7 @@ pub struct CheckInput {
 /// assert!(check_layout(&input).is_empty());
 /// ```
 pub fn check_layout(input: &CheckInput) -> Vec<Violation> {
-    check_layout_with(input, IndexKind::Grid).0
+    check_layout_with(input, IndexKind::Grid)
 }
 
 /// The original all-pairs scan, kept as the reference implementation:
@@ -222,15 +222,15 @@ pub fn check_layout_brute(input: &CheckInput) -> Vec<Violation> {
 ///     // clearance is 8 + 4/2 = 10 but the slab sits at distance 5.
 ///     obstacles: vec![Polygon::rectangle(Point::new(-50.0, 5.0), Point::new(150.0, 30.0))],
 /// };
-/// let (grid, _) = check_layout_with(&input, IndexKind::Grid);
-/// let (rtree, _) = check_layout_with(&input, IndexKind::RTree);
+/// let grid = check_layout_with(&input, IndexKind::Grid);
+/// let rtree = check_layout_with(&input, IndexKind::RTree);
 /// assert_eq!(grid.len(), 1);
 /// assert_eq!(grid, rtree); // identical list, witnesses included
 /// ```
-pub fn check_layout_with(input: &CheckInput, kind: IndexKind) -> (Vec<Violation>, BatchStats) {
+pub fn check_layout_with(input: &CheckInput, kind: IndexKind) -> Vec<Violation> {
     let idx = ScanIndex::build(input, kind);
-    let (obs_worst, pair_best, stats) = gather(input, &idx);
-    (emit(input, &idx, &obs_worst, &pair_best), stats)
+    let (obs_worst, pair_best) = gather(input, &idx);
+    emit(input, &idx, &obs_worst, &pair_best)
 }
 
 /// Shared scan state: per-trace segment lists, the global segment index
@@ -363,12 +363,11 @@ const EDGE_INDEX_MIN_CANDIDATES: usize = 16;
 /// violation needs `d < required ≤ R`. Values at or above `R²` may be
 /// inflated, but the per-trace winner is then `≥ required` on both paths
 /// and nothing is emitted either way.
-fn gather(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest, BatchStats) {
+fn gather(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest) {
     let traces = &input.traces;
     let mut scratch = GridScratch::new();
     let mut candidates: Vec<u32> = Vec::new();
     let mut batch = SegBatch::new();
-    let mut stats = BatchStats::default();
     let mut dsq: Vec<f64> = Vec::new();
     let mut hit: Vec<bool> = Vec::new();
     let mut edge_scratch = GridScratch::new();
@@ -389,7 +388,6 @@ fn gather(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest, BatchStat
         if candidates.is_empty() {
             continue;
         }
-        stats.record(candidates.len());
         let n = candidates.len();
         dsq.clear();
         dsq.resize(n, f64::INFINITY);
@@ -507,7 +505,6 @@ fn gather(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest, BatchStat
                 continue;
             }
             idx.grid.fill_batch(&eligible, &mut batch);
-            stats.record(eligible.len());
             distance_sq_to_segment_batch(seg, &batch, &mut dsq);
             for (k, &gid) in eligible.iter().enumerate() {
                 let j = idx.trace_of[gid as usize] as usize;
@@ -523,7 +520,7 @@ fn gather(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest, BatchStat
             }
         }
     }
-    (obs_worst, pair_best, stats)
+    (obs_worst, pair_best)
 }
 
 /// Emission, in the brute-force nesting order.
@@ -901,7 +898,7 @@ mod tests {
         let brute = check_layout_brute(&input);
         assert!(!brute.is_empty(), "the plane must clip several traces");
         for kind in [IndexKind::Grid, IndexKind::RTree, IndexKind::Auto] {
-            assert_eq!(check_layout_with(&input, kind).0, brute, "{kind:?}");
+            assert_eq!(check_layout_with(&input, kind), brute, "{kind:?}");
         }
     }
 

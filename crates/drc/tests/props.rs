@@ -180,7 +180,7 @@ proptest! {
         // candidate sets make the whole scan bit-identical.
         prop_assert_eq!(check_layout(&input), brute.clone());
         for kind in [IndexKind::Grid, IndexKind::RTree, IndexKind::Auto] {
-            prop_assert_eq!(check_layout_with(&input, kind).0, brute.clone());
+            prop_assert_eq!(check_layout_with(&input, kind), brute.clone());
         }
     }
 

@@ -4,8 +4,8 @@
 //! ## Why a hit is indistinguishable from a re-route
 //!
 //! The engine is deterministic and bit-identical across every proven
-//! knob (PR 1–8: worker count, sharing mode, batch kernels, index kind,
-//! DP profile). A routed group is therefore a pure function of
+//! knob (worker count, sharing mode, batch kernels, index kind). A routed
+//! group is therefore a pure function of
 //!
 //! * the obstacle library's content ([`CacheKey::library_root`] — a
 //!   Merkle root, [`meander_layout::hash::LibraryCommitment`]),
@@ -22,8 +22,8 @@
 //! property-tested in `tests/cache.rs` (cache-on vs cache-off,
 //! bit-compared across worker counts and sharing modes).
 //!
-//! Knobs that are *proven* bit-identical (batch kernels, index kind, DP
-//! profile, parallelism, sharing) are deliberately excluded from
+//! Knobs that are *proven* bit-identical (batch kernels, index kind,
+//! parallelism, sharing) are deliberately excluded from
 //! [`engine_identity`], so those engine shapes share entries; knobs that
 //! change the output (tolerance, iteration budgets, the non-incremental
 //! fallback engine) are folded in, so a config change can never serve a
@@ -402,8 +402,8 @@ impl ResultCache {
 
 /// Digest of the *output-affecting* engine knobs. Folded into
 /// [`CacheKey::rules_hash`] so a config change can never serve a stale
-/// shape. Knobs proven bit-identical (batch kernels, index kind, DP
-/// profile, `parallel`, library sharing, worker count) are excluded —
+/// shape. Knobs proven bit-identical (batch kernels, index kind,
+/// `parallel`, library sharing, worker count) are excluded —
 /// engine shapes and worker counts share entries by design.
 pub fn engine_identity(extend: &ExtendConfig) -> u64 {
     let mut h = ContentHasher::new(0x656e_6769_6e65_0000); // "engine"

@@ -55,17 +55,15 @@ impl std::error::Error for JobError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradeStep {
     /// Re-run with identical knobs. Recovers transient faults; output is
-    /// bit-identical to the first attempt's would-be output.
+    /// bit-identical to the first attempt's would-be output, hence to
+    /// sequential routing.
     Retry,
     /// Scalar kernels + grid index (batch-kernel and index-swap
-    /// contracts); still bit-identical.
+    /// contracts); still bit-identical to sequential routing.
     Scalar,
-    /// [`DegradeStep::Scalar`] plus the uniform height cap, no DP profile
-    /// (DP-profile contract); still bit-identical.
-    Simple,
-    /// [`DegradeStep::Simple`] plus the non-incremental reference matcher;
-    /// equivalent within tolerance, not bit-identical — the last rung
-    /// before quarantine.
+    /// [`DegradeStep::Scalar`] plus the non-incremental reference matcher
+    /// (uniform height cap, no DP profile); equivalent within tolerance,
+    /// need not be bit-identical — the last rung before quarantine.
     Reference,
 }
 
@@ -75,7 +73,6 @@ impl DegradeStep {
         match self {
             DegradeStep::Retry => "retry",
             DegradeStep::Scalar => "scalar",
-            DegradeStep::Simple => "simple",
             DegradeStep::Reference => "reference",
         }
     }
@@ -327,17 +324,15 @@ mod tests {
     #[test]
     fn degrade_steps_are_ordered_and_named() {
         assert!(DegradeStep::Retry < DegradeStep::Scalar);
-        assert!(DegradeStep::Scalar < DegradeStep::Simple);
-        assert!(DegradeStep::Simple < DegradeStep::Reference);
+        assert!(DegradeStep::Scalar < DegradeStep::Reference);
         let names: Vec<&str> = [
             DegradeStep::Retry,
             DegradeStep::Scalar,
-            DegradeStep::Simple,
             DegradeStep::Reference,
         ]
         .iter()
         .map(|s| s.name())
         .collect();
-        assert_eq!(names, ["retry", "scalar", "simple", "reference"]);
+        assert_eq!(names, ["retry", "scalar", "reference"]);
     }
 }

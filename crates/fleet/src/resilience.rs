@@ -17,13 +17,15 @@
 //! * **Retry ladder** ([`RetryPolicy::ladder`]) — boards whose first
 //!   attempt failed (panic) or blew a deadline re-run one rung at a
 //!   time: [`DegradeStep::Retry`] (same knobs — recovers transients),
-//!   then progressively cheaper, long-proven engine shapes
-//!   ([`DegradeStep::Scalar`], [`DegradeStep::Simple`],
-//!   [`DegradeStep::Reference`] — see [`DegradeStep::apply`])
-//!   with a widening per-board budget multiplier. A board recovered at
-//!   rung `s` reports [`BoardOutcome::Degraded`]` { step: s, attempts }`.
-//!   First-attempt routed boards are never re-run — their geometry stays
-//!   bit-identical to sequential, untouched by any retry.
+//!   then progressively simpler, long-proven engine shapes
+//!   ([`DegradeStep::Scalar`], [`DegradeStep::Reference`] — see
+//!   [`DegradeStep::apply`]) with a widening per-board budget multiplier.
+//!   A board recovered at rung `s` reports
+//!   [`BoardOutcome::Degraded`]` { step: s, attempts }`. First-attempt
+//!   routed boards are never re-run — their geometry stays bit-identical
+//!   to sequential, untouched by any retry. `Retry` and `Scalar`
+//!   recoveries are bit-identical to sequential too; `Reference`
+//!   recoveries need not be.
 //! * **Retry token bucket** ([`AdmissionPolicy::retry_tokens`]) — every
 //!   re-run spends one fleet-wide token, so a fleet of poison boards can
 //!   never multiply its own load unboundedly or starve fresh work; a
@@ -84,20 +86,19 @@ type FaultSpan = Option<((u64, u64), (u64, u64))>;
 impl DegradeStep {
     /// The engine configuration this rung re-runs with, derived from the
     /// fleet's own. Each rung keeps the knobs the rung above it turned off
-    /// and turns off one more: [`DegradeStep::Scalar`] the batch kernels
-    /// and the R-tree, [`DegradeStep::Simple`] the DP profile,
-    /// [`DegradeStep::Reference`] the incremental engine. Everything the
-    /// caller tuned for geometry (tolerance, iteration caps,
-    /// discretization) is preserved. `parallel` is left alone: the fleet
-    /// runs units directly and ignores it.
+    /// and turns off more: [`DegradeStep::Scalar`] the batch kernels and
+    /// the R-tree, [`DegradeStep::Reference`] the incremental engine (and
+    /// with it the DP profile, which only that engine builds). `Retry` and
+    /// `Scalar` recoveries are bit-identical to sequential routing;
+    /// `Reference` recoveries match it within tolerance but need not be
+    /// bit-identical. Everything the caller tuned for geometry (tolerance,
+    /// iteration caps, discretization) is preserved. `parallel` is left
+    /// alone: the fleet runs units directly and ignores it.
     pub fn apply(self, base: &ExtendConfig) -> ExtendConfig {
         let mut c = base.clone();
         if self >= DegradeStep::Scalar {
             c.batch_kernels = false;
             c.index = IndexKind::Grid;
-        }
-        if self >= DegradeStep::Simple {
-            c.dp_profile = false;
         }
         if self >= DegradeStep::Reference {
             c.incremental = false;
@@ -113,7 +114,6 @@ impl DegradeStep {
         match self {
             DegradeStep::Retry => 1,
             DegradeStep::Scalar => 2,
-            DegradeStep::Simple => 4,
             DegradeStep::Reference => 8,
         }
     }
@@ -150,7 +150,8 @@ pub struct RetryPolicy {
     /// The degradation ladder, tried in order after a failed first
     /// attempt; its length bounds retries per board. The default walks
     /// [`DegradeStep::Retry`] → [`DegradeStep::Scalar`] →
-    /// [`DegradeStep::Simple`] → [`DegradeStep::Reference`].
+    /// [`DegradeStep::Reference`]: the first two recover bit-identical to
+    /// sequential routing, the last within tolerance.
     pub ladder: Vec<DegradeStep>,
     /// Overload budgets (admission units + retry tokens).
     pub admission: AdmissionPolicy,
@@ -168,7 +169,6 @@ impl Default for RetryPolicy {
             ladder: vec![
                 DegradeStep::Retry,
                 DegradeStep::Scalar,
-                DegradeStep::Simple,
                 DegradeStep::Reference,
             ],
             admission: AdmissionPolicy::default(),
@@ -643,28 +643,34 @@ mod tests {
         let base = ExtendConfig::default();
         let retry = DegradeStep::Retry.apply(&base);
         assert_eq!(retry.batch_kernels, base.batch_kernels);
-        assert_eq!(retry.dp_profile, base.dp_profile);
+        assert_eq!(retry.incremental, base.incremental);
         let scalar = DegradeStep::Scalar.apply(&base);
-        assert!(!scalar.batch_kernels && scalar.dp_profile);
+        assert!(!scalar.batch_kernels && scalar.incremental);
         // The shipped engine runs the batch kernels, so the `Scalar` rung
         // is a real step down from `Retry`, not the same config.
         assert!(base.batch_kernels && retry.batch_kernels);
-        let simple = DegradeStep::Simple.apply(&base);
-        assert!(!simple.dp_profile && simple.incremental);
         let reference = DegradeStep::Reference.apply(&base);
-        assert!(!reference.incremental);
+        assert!(!reference.incremental && !reference.batch_kernels);
         // Budget multipliers widen monotonically down the ladder.
         let ladder = RetryPolicy::default().ladder;
+        assert_eq!(
+            ladder,
+            [
+                DegradeStep::Retry,
+                DegradeStep::Scalar,
+                DegradeStep::Reference
+            ]
+        );
         let mults: Vec<u32> = ladder.iter().map(|s| s.budget_multiplier()).collect();
-        assert_eq!(mults, vec![1, 2, 4, 8]);
+        assert_eq!(mults, vec![1, 2, 8]);
         // And the widened budget reaches the rung's config.
         let cfg = FleetConfig {
             board_budget: Some(Duration::from_millis(10)),
             ..Default::default()
         };
-        let stepped = step_config(&cfg, DegradeStep::Simple);
-        assert_eq!(stepped.board_budget, Some(Duration::from_millis(40)));
-        assert!(!stepped.extend.dp_profile);
+        let stepped = step_config(&cfg, DegradeStep::Reference);
+        assert_eq!(stepped.board_budget, Some(Duration::from_millis(80)));
+        assert!(!stepped.extend.incremental);
     }
 
     #[test]
@@ -682,16 +688,11 @@ mod tests {
         // The index steps down to the grid from the first degraded rung on.
         assert_eq!(scalar.index, IndexKind::Grid);
         assert_eq!(scalar.incremental, base.incremental);
-        assert_eq!(scalar.dp_profile, base.dp_profile);
-        let simple = DegradeStep::Simple.apply(&base);
-        assert!(!simple.dp_profile && !simple.batch_kernels);
-        assert_eq!(simple.index, IndexKind::Grid);
-        assert!(simple.incremental);
         let reference = DegradeStep::Reference.apply(&base);
-        assert!(!reference.incremental && !reference.dp_profile);
-        assert!(!reference.batch_kernels);
+        assert!(!reference.incremental && !reference.batch_kernels);
+        assert_eq!(reference.index, IndexKind::Grid);
         // Caller-tuned geometry knobs survive every rung.
-        for c in [&retry, &scalar, &simple, &reference] {
+        for c in [&retry, &scalar, &reference] {
             assert_eq!(c.tolerance, 5e-4);
             assert_eq!(c.max_iterations, 123);
         }

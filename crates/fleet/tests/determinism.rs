@@ -157,7 +157,7 @@ fn sixteen_board_fleet_bit_identical() {
 }
 
 /// Worker count must not change results even when the per-unit engine's
-/// own knobs vary (batched kernels, R-tree indexes, DP profile off).
+/// own knobs vary (batched kernels, R-tree indexes, scalar kernels).
 #[test]
 fn engine_knobs_and_worker_counts_commute() {
     let fleet = fleet_boards_small(3, 5, 9);
@@ -174,7 +174,7 @@ fn engine_knobs_and_worker_counts_commute() {
         },
         ExtendConfig {
             parallel: false,
-            dp_profile: false,
+            batch_kernels: false,
             ..Default::default()
         },
     ];

@@ -9,8 +9,8 @@
 //! per partial distance even though only the *minimum* ever matters.
 //!
 //! This module restructures those hot paths around structure-of-arrays
-//! batches ([`SegBatch`], [`PointBatch`]) whose kernels run a fixed-width
-//! lane loop that rustc auto-vectorizes (plain `f64` arithmetic, no nightly
+//! segment batches ([`SegBatch`]) whose kernels run a fixed-width lane
+//! loop that rustc auto-vectorizes (plain `f64` arithmetic, no nightly
 //! `std::simd`, no intrinsics — the scalar fallback *is* the portable
 //! default and the batched code is portable too).
 //!
@@ -53,11 +53,6 @@ use crate::intersect::{segment_intersection, segments_intersect, SegmentIntersec
 use crate::point::Point;
 use crate::segment::Segment;
 
-/// Lane width the SoA buffers pad to. The kernels are written as plain
-/// slice loops, so this is a layout hint for the auto-vectorizer rather
-/// than a hardware contract; 4×`f64` matches one AVX2 register.
-pub const LANES: usize = 4;
-
 /// Bounding-box inflation used by the intersection prefilters, in board
 /// units.
 ///
@@ -76,48 +71,6 @@ pub const PREFILTER_SLACK: f64 = 1e-6;
 /// Segments shorter than this always take the scalar intersection path
 /// (see [`PREFILTER_SLACK`]): `EPS / SHORT_SEG_LEN ≤ PREFILTER_SLACK`.
 pub const SHORT_SEG_LEN: f64 = 1e-3;
-
-/// Work counters for batched kernel call sites (bench observability).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BatchStats {
-    /// Batched kernel invocations.
-    pub calls: u64,
-    /// Real candidates across all calls.
-    pub active_lanes: u64,
-    /// Lane slots after padding each call to a [`LANES`] multiple — the
-    /// difference to `active_lanes` is tail-padding waste.
-    pub padded_lanes: u64,
-}
-
-impl BatchStats {
-    /// Records one kernel call over `n` candidates.
-    #[inline]
-    pub fn record(&mut self, n: usize) {
-        self.calls += 1;
-        self.active_lanes += n as u64;
-        self.padded_lanes += n.div_ceil(LANES) as u64 * LANES as u64;
-    }
-
-    /// Accumulates `other` into `self`.
-    pub fn absorb(&mut self, other: &BatchStats) {
-        self.calls += other.calls;
-        self.active_lanes += other.active_lanes;
-        self.padded_lanes += other.padded_lanes;
-    }
-
-    /// Mean candidates per batched call (0 when nothing ran).
-    pub fn candidates_per_call(&self) -> f64 {
-        if self.calls == 0 {
-            return 0.0;
-        }
-        self.active_lanes as f64 / self.calls as f64
-    }
-
-    /// Lane slots wasted on tail padding.
-    pub fn wasted_lanes(&self) -> u64 {
-        self.padded_lanes - self.active_lanes
-    }
-}
 
 /// Structure-of-arrays segment buffer.
 ///
@@ -217,63 +170,6 @@ impl SegBatch {
     }
 }
 
-/// Structure-of-arrays point buffer (companion to [`SegBatch`]).
-#[derive(Debug, Clone, Default)]
-pub struct PointBatch {
-    px: Vec<f64>,
-    py: Vec<f64>,
-}
-
-impl PointBatch {
-    /// Empty batch.
-    pub fn new() -> Self {
-        PointBatch::default()
-    }
-
-    /// Number of points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.px.len()
-    }
-
-    /// `true` when empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.px.is_empty()
-    }
-
-    /// Clears the batch, keeping allocations.
-    pub fn clear(&mut self) {
-        self.px.clear();
-        self.py.clear();
-    }
-
-    /// Appends one point.
-    #[inline]
-    pub fn push(&mut self, p: Point) {
-        self.px.push(p.x);
-        self.py.push(p.y);
-    }
-
-    /// Reconstructs point `i`.
-    #[inline]
-    pub fn get(&self, i: usize) -> Point {
-        Point::new(self.px[i], self.py[i])
-    }
-
-    /// x lane array.
-    #[inline]
-    pub fn px(&self) -> &[f64] {
-        &self.px
-    }
-
-    /// y lane array.
-    #[inline]
-    pub fn py(&self) -> &[f64] {
-        &self.py
-    }
-}
-
 /// Squared distance from point `(px, py)` to segment `(ax, ay) → (bx, by)`
 /// — the exact operation sequence of [`Segment::distance_to_point`] (via
 /// `project` → `clamp` → `point_at` → `Point::distance`) minus the terminal
@@ -299,20 +195,6 @@ pub fn pt_seg_dsq(px: f64, py: f64, ax: f64, ay: f64, bx: f64, by: f64) -> f64 {
     let ex = cx - px;
     let ey = cy - py;
     ex * ex + ey * ey
-}
-
-/// Squared distances from a fixed probe segment to each point of `pts`:
-/// `out[i].sqrt()` is bit-identical to `probe.distance_to_point(pts[i])`.
-#[allow(clippy::needless_range_loop)] // parallel-slice lane loops
-pub fn distance_sq_to_point_batch(probe: &Segment, pts: &PointBatch, out: &mut Vec<f64>) {
-    let n = pts.len();
-    out.clear();
-    out.resize(n, 0.0);
-    let (px, py, o) = (&pts.px[..n], &pts.py[..n], &mut out[..n]);
-    let (ax, ay, bx, by) = (probe.a.x, probe.a.y, probe.b.x, probe.b.y);
-    for i in 0..n {
-        o[i] = pt_seg_dsq(px[i], py[i], ax, ay, bx, by);
-    }
 }
 
 /// Min-accumulates, per lane, the squared distance from the fixed segment
@@ -480,19 +362,6 @@ pub fn distance_sq_to_segment_batch(probe: &Segment, batch: &SegBatch, out: &mut
     }
 }
 
-/// First-occurrence strict minimum over `dsq`: `(index, value)`, or `None`
-/// when empty. Matches a scalar `if d < best` scan, so witnesses selected
-/// through it agree with the unbatched code.
-pub fn min_argmin(dsq: &[f64]) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &d) in dsq.iter().enumerate() {
-        if best.is_none_or(|(_, b)| d < b) {
-            best = Some((i, d));
-        }
-    }
-    best
-}
-
 /// Distance from `(px, py)` to the baseline segment `(0,0) → (seg_len, 0)`
 /// — the operation sequence of `ShrinkContext::dist_seg` (which is
 /// [`Segment::distance_to_point`] on that exact segment), terminal `sqrt`
@@ -503,11 +372,13 @@ fn dist_to_baseline(px: f64, py: f64, seg_len: f64) -> f64 {
     pt_seg_dsq(px, py, 0.0, 0.0, seg_len, 0.0).sqrt()
 }
 
-/// Scalar contribution of one side × edge intersection, shared by both
-/// vertical-side kernels' fallback lanes: exactly the
-/// `segment_intersection` match of the scalar stage-1 loop.
+/// Scalar contribution of one side × edge intersection: the
+/// distance-to-baseline of the crossing (the nearer end of a collinear
+/// overlap), `f64::INFINITY` when they miss. The one scalar stage-1
+/// evaluation — the shrinker's scalar paths call it per candidate, and
+/// both vertical-side kernels' fallback lanes reuse it.
 #[inline]
-fn side_edge_cap_scalar(side: &Segment, edge: &Segment, seg_len: f64) -> f64 {
+pub fn side_edge_cap_scalar(side: &Segment, edge: &Segment, seg_len: f64) -> f64 {
     match segment_intersection(side, edge) {
         SegmentIntersection::None => f64::INFINITY,
         SegmentIntersection::Point(p) => dist_to_baseline(p.x, p.y, seg_len),
@@ -717,28 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn point_batch_matches_scalar_bitwise() {
-        let mut rng = Lcg(99);
-        let probe = seg(0.0, 0.0, 37.0, 11.0);
-        let degenerate = seg(5.0, 5.0, 5.0, 5.0);
-        let mut pts = PointBatch::new();
-        for _ in 0..300 {
-            pts.push(Point::new(
-                rng.next_f64(-40.0, 80.0),
-                rng.next_f64(-40.0, 40.0),
-            ));
-        }
-        let mut out = Vec::new();
-        for p in [&probe, &degenerate] {
-            distance_sq_to_point_batch(p, &pts, &mut out);
-            for i in 0..pts.len() {
-                let scalar = p.distance_to_point(pts.get(i));
-                assert_eq!(out[i].sqrt().to_bits(), scalar.to_bits(), "lane {i}");
-            }
-        }
-    }
-
-    #[test]
     fn accumulators_match_scalar_min() {
         let mut rng = Lcg(3);
         let batch = random_batch(&mut rng, 48);
@@ -770,13 +619,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn argmin_is_first_occurrence() {
-        assert_eq!(min_argmin(&[]), None);
-        assert_eq!(min_argmin(&[3.0, 1.0, 1.0, 2.0]), Some((1, 1.0)));
-        assert_eq!(min_argmin(&[f64::INFINITY]), Some((0, f64::INFINITY)));
     }
 
     /// Reference: the scalar stage-1 contribution of one side × edge.
@@ -839,22 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_record_and_waste() {
-        let mut s = BatchStats::default();
-        s.record(5);
-        s.record(4);
-        s.record(0);
-        assert_eq!(s.calls, 3);
-        assert_eq!(s.active_lanes, 9);
-        assert_eq!(s.padded_lanes, 12);
-        assert_eq!(s.wasted_lanes(), 3);
-        assert!((s.candidates_per_call() - 3.0).abs() < 1e-12);
-        let mut t = BatchStats::default();
-        t.absorb(&s);
-        assert_eq!(t, s);
-    }
-
-    #[test]
     fn batch_buffers_roundtrip() {
         let mut b = SegBatch::new();
         assert!(b.is_empty());
@@ -863,14 +689,5 @@ mod tests {
         assert_eq!(b.get(0), seg(1.0, 2.0, 3.0, 4.0));
         b.clear();
         assert!(b.is_empty());
-        let mut p = PointBatch::new();
-        assert!(p.is_empty());
-        p.push(Point::new(7.0, 8.0));
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.get(0), Point::new(7.0, 8.0));
-        assert_eq!(p.px(), &[7.0]);
-        assert_eq!(p.py(), &[8.0]);
-        p.clear();
-        assert!(p.is_empty());
     }
 }

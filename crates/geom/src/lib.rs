@@ -57,7 +57,7 @@ pub mod segment;
 pub mod vector;
 
 pub use angle::Angle;
-pub use batch::{BatchStats, PointBatch, SegBatch};
+pub use batch::SegBatch;
 pub use eps::{approx_eq, approx_ge, approx_le, approx_zero, EPS};
 pub use frame::Frame;
 pub use intersect::{segment_intersection, SegmentIntersection};

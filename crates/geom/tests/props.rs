@@ -6,8 +6,8 @@
 //! lengthens a trace.
 
 use meander_geom::batch::{
-    distance_sq_to_point_batch, distance_sq_to_segment_batch, intersect_x_range_batch, min_argmin,
-    vertical_side_min_cap, PointBatch, SegBatch,
+    accum_seg_to_points_dsq, distance_sq_to_segment_batch, intersect_x_range_batch,
+    vertical_side_min_cap, SegBatch,
 };
 use meander_geom::offset::offset_polyline;
 use meander_geom::{
@@ -90,20 +90,21 @@ proptest! {
                 scalar
             );
         }
-        // The strict-min reduction picks the scalar scan's winner.
-        if let Some((win, best)) = min_argmin(&dsq) {
-            let mut sw = 0;
-            let mut sb = f64::INFINITY;
-            for (i, s) in segs.iter().enumerate() {
-                let d = probe.distance_to_segment(s);
-                if d < sb {
-                    sb = d;
-                    sw = i;
-                }
+        // A first-occurrence strict-min reduction in the squared domain
+        // picks the scalar scan's winner.
+        let (mut win, mut best) = (0, f64::INFINITY);
+        let (mut sw, mut sb) = (0, f64::INFINITY);
+        for (i, s) in segs.iter().enumerate() {
+            if dsq[i] < best {
+                (win, best) = (i, dsq[i]);
             }
-            prop_assert_eq!(win, sw);
-            prop_assert_eq!(best.sqrt().to_bits(), sb.to_bits());
+            let d = probe.distance_to_segment(s);
+            if d < sb {
+                (sw, sb) = (i, d);
+            }
         }
+        prop_assert_eq!(win, sw);
+        prop_assert_eq!(best.sqrt().to_bits(), sb.to_bits());
     }
 
     #[test]
@@ -117,12 +118,11 @@ proptest! {
         } else {
             seg
         };
-        let mut pb = PointBatch::new();
-        for &p in &pts {
-            pb.push(p);
-        }
-        let mut dsq = Vec::new();
-        distance_sq_to_point_batch(&probe, &pb, &mut dsq);
+        // From `INFINITY`, one min-accumulation leaves each lane's d².
+        let px: Vec<f64> = pts.iter().map(|p| p.x).collect();
+        let py: Vec<f64> = pts.iter().map(|p| p.y).collect();
+        let mut dsq = vec![f64::INFINITY; pts.len()];
+        accum_seg_to_points_dsq(&probe, &px, &py, &mut dsq);
         for (i, &p) in pts.iter().enumerate() {
             prop_assert_eq!(
                 dsq[i].sqrt().to_bits(),
