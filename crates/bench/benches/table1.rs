@@ -32,7 +32,7 @@ fn bench_table1(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("aidt_like", case_no), &case_no, |b, &n| {
             b.iter_batched(
                 || table1_case(n),
-                |mut case| match_group_aidt(&mut case.board, 0, &config),
+                |mut case| match_group_aidt(&mut case.board, 0),
                 criterion::BatchSize::LargeInput,
             )
         });

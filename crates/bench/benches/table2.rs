@@ -64,7 +64,6 @@ fn bench_table2(c: &mut Criterion) {
                         area: &area,
                         obstacles: &obstacles,
                     },
-                    &config,
                     &FixedTrackOptions::default(),
                 )
             })

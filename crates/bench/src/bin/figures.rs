@@ -99,7 +99,7 @@ fn main() {
             &render_board(&with_board, &style),
         );
 
-        let fixed = extend_trace_fixed(&input, &big, &FixedTrackOptions::default());
+        let fixed = extend_trace_fixed(&input, &FixedTrackOptions::default());
         let mut without_board = case.board.clone();
         without_board
             .trace_mut(case.trace)

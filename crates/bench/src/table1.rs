@@ -52,7 +52,7 @@ pub fn run_table1_case(case_no: usize) -> Table1Row {
 
     // Baseline on a fresh board.
     let mut base_case = table1_case(case_no);
-    let base = match_group_aidt(&mut base_case.board, 0, &config);
+    let base = match_group_aidt(&mut base_case.board, 0);
 
     // Ours on a fresh board.
     let mut ours_case = table1_case(case_no);

@@ -55,7 +55,7 @@ pub fn run_table2_case(case_no: usize) -> Table2Row {
         obstacles: &obstacles,
     };
     let dp = extend_trace(&input, &config);
-    let fixed = extend_trace_fixed(&input, &config, &FixedTrackOptions::default());
+    let fixed = extend_trace_fixed(&input, &FixedTrackOptions::default());
 
     Table2Row {
         case_no,

@@ -16,7 +16,6 @@
 //!   runtime on pair groups comes from.
 
 use crate::baseline::fixed_track::{extend_trace_fixed, FixedTrackOptions};
-use crate::config::ExtendConfig;
 use crate::driver::{GroupReport, TraceReport};
 use crate::extend::ExtendInput;
 use meander_drc::virtualize_rules;
@@ -73,7 +72,7 @@ pub fn parallel_check_merge(
 /// # Panics
 ///
 /// Panics if `group_idx` is out of range.
-pub fn match_group_aidt(board: &mut Board, group_idx: usize, config: &ExtendConfig) -> GroupReport {
+pub fn match_group_aidt(board: &mut Board, group_idx: usize) -> GroupReport {
     let group: MatchGroup = board.groups()[group_idx].clone();
     let lengths = board.group_lengths(&group);
     let target = group.resolve_target(&lengths);
@@ -147,7 +146,6 @@ pub fn match_group_aidt(board: &mut Board, group_idx: usize, config: &ExtendConf
                         area: &area,
                         obstacles: &obstacles,
                     },
-                    config,
                     &opts,
                 );
                 if let Some((new_p, new_n)) = restore_pair(&out.trace, pair.sep()) {
@@ -186,7 +184,6 @@ pub fn match_group_aidt(board: &mut Board, group_idx: usize, config: &ExtendConf
                         area: &area,
                         obstacles: &obstacles,
                     },
-                    config,
                     &opts,
                 );
                 reports.push(TraceReport {
@@ -243,10 +240,14 @@ mod tests {
     #[test]
     fn aidt_matches_worse_than_dp_on_dense_case() {
         let mut aidt_case = table1_case(1);
-        let aidt = match_group_aidt(&mut aidt_case.board, 0, &ExtendConfig::default());
+        let aidt = match_group_aidt(&mut aidt_case.board, 0);
 
         let mut dp_case = table1_case(1);
-        let dp = crate::driver::match_board_group(&mut dp_case.board, 0, &ExtendConfig::default());
+        let dp = crate::driver::match_board_group(
+            &mut dp_case.board,
+            0,
+            &crate::ExtendConfig::default(),
+        );
 
         assert!(
             dp.max_error() <= aidt.max_error() + 1e-9,
@@ -262,7 +263,7 @@ mod tests {
     #[test]
     fn aidt_output_is_drc_clean() {
         let mut case = table1_case(2);
-        let _ = match_group_aidt(&mut case.board, 0, &ExtendConfig::default());
+        let _ = match_group_aidt(&mut case.board, 0);
         let violations = case.board.check();
         assert!(violations.is_empty(), "{violations:?}");
     }

@@ -7,7 +7,7 @@
 //! simply skipped — no foot shifting, no width adaptation. Exactly the
 //! failure modes the paper's Fig. 15 walkthrough describes.
 
-use crate::config::ExtendConfig;
+use crate::config::TOLERANCE;
 use crate::context::{ShrinkContext, WorldContext};
 use crate::extend::{ExtendInput, ExtendOutcome};
 use crate::pattern::{build_local_meander_f64, splice_meander};
@@ -43,14 +43,10 @@ impl Default for FixedTrackOptions {
 /// never move off the fixed pitch, and the final pattern is trimmed to
 /// avoid overshooting — the same convergence contract as
 /// [`crate::extend_trace`] so comparisons are apples-to-apples.
-pub fn extend_trace_fixed(
-    input: &ExtendInput<'_>,
-    config: &ExtendConfig,
-    opts: &FixedTrackOptions,
-) -> ExtendOutcome {
+pub fn extend_trace_fixed(input: &ExtendInput<'_>, opts: &FixedTrackOptions) -> ExtendOutcome {
     let rules = input.rules;
     let mut trace = input.trace.clone();
-    let tol = (input.target * config.tolerance).max(1e-9);
+    let tol = (input.target * TOLERANCE).max(1e-9);
     let h_min = rules.protect.max(1e-9);
     // Same centerline clearance math as the DP engine (see extend.rs).
     let g_eff = rules.gap + rules.width;
@@ -166,6 +162,7 @@ pub fn extend_trace_fixed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExtendConfig;
     use meander_geom::{Point, Polygon, Polyline};
 
     fn rules() -> meander_drc::DesignRules {
@@ -202,7 +199,6 @@ mod tests {
                 area: &a,
                 obstacles: &[],
             },
-            &ExtendConfig::default(),
             &FixedTrackOptions::default(),
         );
         assert!(
@@ -226,7 +222,6 @@ mod tests {
                 area: &a,
                 obstacles: &[],
             },
-            &ExtendConfig::default(),
             &FixedTrackOptions::default(),
         );
         assert!(out.achieved <= 163.0 + 1e-6);
@@ -250,7 +245,6 @@ mod tests {
                 area: &a,
                 obstacles: &obstacles,
             },
-            &ExtendConfig::default(),
             &FixedTrackOptions::default(),
         );
         let dp = crate::extend::extend_trace(
@@ -288,7 +282,6 @@ mod tests {
                 area: &a,
                 obstacles: &obstacles,
             },
-            &ExtendConfig::default(),
             &FixedTrackOptions::default(),
         );
         let violations = meander_drc::check_layout(&meander_drc::CheckInput {
@@ -325,7 +318,6 @@ mod tests {
                     area: &a,
                     obstacles: &obstacles,
                 },
-                &ExtendConfig::default(),
                 &FixedTrackOptions {
                     uniform_amplitude: uniform,
                     ..Default::default()

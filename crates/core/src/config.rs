@@ -2,24 +2,39 @@
 
 use meander_index::IndexKind;
 
+/// Relative length tolerance (the paper's 0.1 %): a trace is done when
+/// `|l_trace − l_target| ≤ TOLERANCE · l_target`.
+pub const TOLERANCE: f64 = 1e-3;
+
+/// Hard cap on discretization points per segment: [`resolve_ldisc`]
+/// enlarges the step on long segments to stay under it, bounding DP cost.
+pub const MAX_POINTS_PER_SEGMENT: usize = 160;
+
+/// Hard cap on pattern width in discretization steps.
+pub const MAX_WIDTH_STEPS: usize = 48;
+
+/// Minimum length of a freshly spliced segment worth re-queueing, as a
+/// multiple of `dprotect`.
+pub const REQUEUE_MIN_PROTECT: f64 = 2.0;
+
+/// Resolves the discretization step for a segment of `seg_len` under rules
+/// `gap`/`protect`: `min(gap, protect) / 2` ("We may slightly increase
+/// `dgap` and `dprotect` or adjust `ldisc` to make the former divisible by
+/// the latter"), enlarged if needed to respect [`MAX_POINTS_PER_SEGMENT`].
+pub fn resolve_ldisc(seg_len: f64, gap: f64, protect: f64) -> f64 {
+    let base = (gap.min(protect) / 2.0).max(1e-6);
+    base.max(seg_len / MAX_POINTS_PER_SEGMENT as f64)
+}
+
 /// Configuration for [`crate::extend::extend_trace`].
 ///
-/// Defaults follow the paper's setup: discretization tied to the design
-/// rules ("We may slightly increase `dgap` and `dprotect` or adjust `ldisc`
-/// to make the former divisible by the latter"), relative tolerance of
-/// 0.1 %, and connected-pattern priority on (Figs. 4–5).
+/// The paper fixes the discretization, tolerance and width cap once (the
+/// constants above); what stays settable here is what a caller varies:
+/// the iteration bound, the ablation switches of Figs. 4–5 and
+/// meander-on-meander, the reference engine, and the engine shapes proven
+/// bit-identical.
 #[derive(Debug, Clone)]
 pub struct ExtendConfig {
-    /// Discretization step; `None` derives `min(dgap, dprotect) / 2`.
-    pub ldisc: Option<f64>,
-    /// Hard cap on discretization points per segment (the step is enlarged
-    /// on long segments to stay under this), bounding DP cost.
-    pub max_points_per_segment: usize,
-    /// Hard cap on pattern width in discretization steps.
-    pub max_width_steps: usize,
-    /// Relative length tolerance: done when
-    /// `|l_trace − l_target| ≤ tol · l_target`.
-    pub tolerance: f64,
     /// Maximum queue pops before giving up (Alg. 1's loop bound).
     pub max_iterations: usize,
     /// Prefer states whose last transition inserted a pattern — and among
@@ -30,9 +45,6 @@ pub struct ExtendConfig {
     /// meandering (meander-on-meander). Off restricts patterns to original
     /// segments.
     pub requeue: bool,
-    /// Minimum segment length worth re-queueing, as a multiple of
-    /// `dprotect`.
-    pub requeue_min_protect: f64,
     /// Use the incremental engine: per-trace world index, windowed context
     /// construction, stable segment ids, and an incrementally maintained
     /// trace length. Off falls back to the naive rebuild-per-iteration
@@ -45,8 +57,8 @@ pub struct ExtendConfig {
     /// buffers instead of per-candidate scalar calls. Output is
     /// bit-identical either way — the kernels replay the scalar float
     /// stream per lane (property-tested). On by default; the scalar path
-    /// stays reachable as the fleet retry ladder's `Scalar` rung and as the
-    /// reference the equivalence suites compare against.
+    /// stays reachable as the reference the equivalence suites compare
+    /// against.
     pub batch_kernels: bool,
     /// Spatial index structure for the incremental engine's world edge
     /// index and the per-pop shrink contexts: the uniform grid, the
@@ -64,40 +76,22 @@ pub struct ExtendConfig {
     /// breaking that invariant are rejected by
     /// [`meander_layout::validate_board`] as
     /// [`meander_layout::ValidationError::OverlappingGroups`];
-    /// [`meander_layout::io::load_board`] and the fleet's `route_fleet`
-    /// (unless its `validate` is off) run that check before routing.
+    /// [`meander_layout::io::load_board`] and the fleet's `route_fleet` run
+    /// that check before routing.
     pub parallel: bool,
 }
 
 impl Default for ExtendConfig {
     fn default() -> Self {
         ExtendConfig {
-            ldisc: None,
-            max_points_per_segment: 160,
-            max_width_steps: 48,
-            tolerance: 1e-3,
             max_iterations: 400,
             connect_priority: true,
             requeue: true,
-            requeue_min_protect: 2.0,
             incremental: true,
             batch_kernels: true,
             index: IndexKind::Grid,
             parallel: true,
         }
-    }
-}
-
-impl ExtendConfig {
-    /// Resolves the discretization step for a segment of `seg_len` under
-    /// rules `gap`/`protect`: the configured (or derived) step, enlarged if
-    /// needed to respect [`ExtendConfig::max_points_per_segment`].
-    pub fn resolve_ldisc(&self, seg_len: f64, gap: f64, protect: f64) -> f64 {
-        let base = self
-            .ldisc
-            .unwrap_or_else(|| (gap.min(protect) / 2.0).max(1e-6));
-        let min_for_cap = seg_len / self.max_points_per_segment as f64;
-        base.max(min_for_cap)
     }
 }
 
@@ -107,28 +101,14 @@ mod tests {
 
     #[test]
     fn default_step_is_half_min_rule() {
-        let c = ExtendConfig::default();
-        assert!((c.resolve_ldisc(10.0, 8.0, 6.0) - 3.0).abs() < 1e-12);
-        assert!((c.resolve_ldisc(10.0, 4.0, 8.0) - 2.0).abs() < 1e-12);
+        assert!((resolve_ldisc(10.0, 8.0, 6.0) - 3.0).abs() < 1e-12);
+        assert!((resolve_ldisc(10.0, 4.0, 8.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn long_segments_coarsen_step() {
-        let c = ExtendConfig {
-            max_points_per_segment: 100,
-            ..Default::default()
-        };
-        // 1000-long segment with base step 1 would need 1000 points.
-        let step = c.resolve_ldisc(1000.0, 2.0, 2.0);
-        assert!((step - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn explicit_step_respected() {
-        let c = ExtendConfig {
-            ldisc: Some(0.5),
-            ..Default::default()
-        };
-        assert_eq!(c.resolve_ldisc(10.0, 8.0, 8.0), 0.5);
+        // A 1600-long segment with base step 1 would need 1600 points.
+        let step = resolve_ldisc(1600.0, 2.0, 2.0);
+        assert!((step - 1600.0 / MAX_POINTS_PER_SEGMENT as f64).abs() < 1e-12);
     }
 }

@@ -489,8 +489,8 @@ pub fn match_board_group(
 /// share a trace between groups are rejected by
 /// [`meander_layout::validate_board`] as
 /// [`meander_layout::ValidationError::OverlappingGroups`]
-/// ([`meander_layout::io::load_board`] and the fleet's `route_fleet`,
-/// unless its `validate` is off, run that check).
+/// ([`meander_layout::io::load_board`] and the fleet's `route_fleet` run
+/// that check).
 pub fn match_all_groups(board: &mut Board, config: &ExtendConfig) -> Vec<GroupReport> {
     let planned = plan_board_units(board);
     route_planned(board, planned, config)

@@ -19,7 +19,7 @@
 //!   implementation for equivalence tests and as the slow side of the
 //!   `perf_regression` engine comparison.
 
-use crate::config::ExtendConfig;
+use crate::config::{resolve_ldisc, ExtendConfig, MAX_WIDTH_STEPS, REQUEUE_MIN_PROTECT, TOLERANCE};
 use crate::context::{ShrinkContext, WorldBase, WorldContext, WorldIndex};
 use crate::dp::{extend_segment_dp, DpInput, HeightBounds, Placement};
 use crate::pattern::{build_local_meander, splice_meander};
@@ -84,9 +84,9 @@ struct EngineParams {
 }
 
 impl EngineParams {
-    fn derive(input: &ExtendInput<'_>, config: &ExtendConfig) -> Self {
+    fn derive(input: &ExtendInput<'_>) -> Self {
         let rules = input.rules;
-        let tol = (input.target * config.tolerance).max(1e-9);
+        let tol = (input.target * TOLERANCE).max(1e-9);
         let h_min = rules.protect.max(1e-9);
         // Effective centerline clearance and obstacle inflation, from the
         // same rule-derived formulas `WorldBase::build` uses — sharing the
@@ -119,14 +119,9 @@ struct Disc {
 
 impl Disc {
     /// `None` when the segment is too short to host any pattern.
-    fn of(
-        len: f64,
-        params: &EngineParams,
-        rules: &DesignRules,
-        config: &ExtendConfig,
-    ) -> Option<Self> {
+    fn of(len: f64, params: &EngineParams, rules: &DesignRules) -> Option<Self> {
         // Discretization: uniform step fitting the segment exactly.
-        let ldisc_raw = config.resolve_ldisc(len, params.g_eff, rules.protect);
+        let ldisc_raw = resolve_ldisc(len, params.g_eff, rules.protect);
         let m = (len / ldisc_raw).floor().max(1.0) as usize;
         let ldisc = len / m as f64;
         let gap_steps = (params.g_eff / ldisc).ceil().max(1.0) as usize;
@@ -213,7 +208,7 @@ fn plan_segment(
         // transitions stay ≥ d_gap apart exactly when widths do
         // (Fig. 1 annotates d_gap between meander legs).
         min_width_steps: disc.gap_steps,
-        max_width_steps: config.max_width_steps,
+        max_width_steps: MAX_WIDTH_STEPS,
         height: &height,
         // No probe can exceed the shrink start height — and with the
         // profile, no probe can exceed its feet's stage-1 clearance caps.
@@ -330,7 +325,7 @@ fn extend_trace_incremental(
     mut touches: Option<&mut CellTouches>,
 ) -> ExtendOutcome {
     let rules = input.rules;
-    let params = EngineParams::derive(input, config);
+    let params = EngineParams::derive(input);
     let g2 = params.g_eff / 2.0;
 
     // Index the static world once per trace (cell size: a few clearance
@@ -380,7 +375,7 @@ fn extend_trace_incremental(
         if remaining < 2.0 * params.h_min {
             break; // no legal pattern can add this little
         }
-        let Some(disc) = Disc::of(len, &params, rules, config) else {
+        let Some(disc) = Disc::of(len, &params, rules) else {
             continue;
         };
 
@@ -427,7 +422,7 @@ fn extend_trace_incremental(
         let new_ids = trace.splice(sid, &world_pts);
 
         if config.requeue {
-            let min_len = config.requeue_min_protect * rules.protect;
+            let min_len = REQUEUE_MIN_PROTECT * rules.protect;
             for &nid in &new_ids {
                 let s = trace.segment(nid).expect("freshly spliced");
                 if s.length() >= min_len {
@@ -478,7 +473,7 @@ fn uras_for(trace: &TraceBuf, ids: &[u32], gap: f64) -> Vec<Polygon> {
 fn extend_trace_rebuild(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOutcome {
     let mut trace = input.trace.clone();
     let rules = input.rules;
-    let params = EngineParams::derive(input, config);
+    let params = EngineParams::derive(input);
 
     let mut queue: VecDeque<(Point, Point)> = trace.segments().map(|s| (s.a, s.b)).collect();
     let mut iterations = 0usize;
@@ -506,7 +501,7 @@ fn extend_trace_rebuild(input: &ExtendInput<'_>, config: &ExtendConfig) -> Exten
         if remaining < 2.0 * params.h_min {
             break; // no legal pattern can add this little
         }
-        let Some(disc) = Disc::of(len, &params, rules, config) else {
+        let Some(disc) = Disc::of(len, &params, rules) else {
             continue;
         };
 
@@ -539,7 +534,7 @@ fn extend_trace_rebuild(input: &ExtendInput<'_>, config: &ExtendConfig) -> Exten
         let (lo, hi) = splice_meander(&mut trace, seg_index, &frame, &local);
 
         if config.requeue {
-            let min_len = config.requeue_min_protect * rules.protect;
+            let min_len = REQUEUE_MIN_PROTECT * rules.protect;
             for i in lo..hi {
                 let s = trace.segment(i);
                 if s.length() >= min_len {

@@ -25,9 +25,9 @@
 //! Knobs that are *proven* bit-identical (batch kernels, index kind,
 //! parallelism, sharing) are deliberately excluded from
 //! [`engine_identity`], so those engine shapes share entries; knobs that
-//! change the output (tolerance, iteration budgets, the non-incremental
-//! fallback engine) are folded in, so a config change can never serve a
-//! stale shape.
+//! change the output (the iteration budget, the ablation switches, the
+//! non-incremental reference engine) are folded in, so a config change
+//! can never serve a stale shape.
 //!
 //! ## Invalidation composes with damage tracking
 //!
@@ -404,24 +404,14 @@ impl ResultCache {
 /// [`CacheKey::rules_hash`] so a config change can never serve a stale
 /// shape. Knobs proven bit-identical (batch kernels, index kind,
 /// `parallel`, library sharing, worker count) are excluded —
-/// engine shapes and worker counts share entries by design.
+/// engine shapes and worker counts share entries by design. The
+/// engine's constants (`meander_core::config`) need no digest: a build
+/// that changes one starts with an empty cache.
 pub fn engine_identity(extend: &ExtendConfig) -> u64 {
     let mut h = ContentHasher::new(0x656e_6769_6e65_0000); // "engine"
-    match extend.ldisc {
-        None => {
-            h.u64(0);
-        }
-        Some(l) => {
-            h.u64(1).f64(l);
-        }
-    }
-    h.u64(extend.max_points_per_segment as u64)
-        .u64(extend.max_width_steps as u64)
-        .f64(extend.tolerance)
-        .u64(extend.max_iterations as u64)
+    h.u64(extend.max_iterations as u64)
         .u64(extend.connect_priority as u64)
         .u64(extend.requeue as u64)
-        .f64(extend.requeue_min_protect)
         .u64(extend.incremental as u64);
     h.finish()
 }
@@ -482,6 +472,7 @@ pub fn board_keys(lb: &LibraryBoard, extend: &ExtendConfig) -> Vec<CacheKey> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meander_core::IndexKind;
 
     fn key(n: u64) -> CacheKey {
         CacheKey {
@@ -607,5 +598,47 @@ mod tests {
         assert!(!cache.contains(&key(1)));
         assert!(cache.contains(&other));
         assert_eq!(cache.stats().invalidated, 1);
+    }
+
+    /// The engine digest moves with every output-affecting knob and with
+    /// none of the knobs proven bit-identical.
+    #[test]
+    fn engine_identity_separates_exactly_the_output_affecting_knobs() {
+        let base = ExtendConfig::default();
+        let id = engine_identity(&base);
+        let affecting = [
+            ExtendConfig {
+                max_iterations: base.max_iterations + 1,
+                ..base.clone()
+            },
+            ExtendConfig {
+                connect_priority: !base.connect_priority,
+                ..base.clone()
+            },
+            ExtendConfig {
+                requeue: !base.requeue,
+                ..base.clone()
+            },
+            ExtendConfig {
+                incremental: !base.incremental,
+                ..base.clone()
+            },
+        ];
+        for c in &affecting {
+            assert_ne!(engine_identity(c), id, "{c:?}");
+        }
+        for index in [IndexKind::Grid, IndexKind::RTree, IndexKind::Auto] {
+            for batch_kernels in [false, true] {
+                for parallel in [false, true] {
+                    let c = ExtendConfig {
+                        index,
+                        batch_kernels,
+                        parallel,
+                        ..base.clone()
+                    };
+                    assert_eq!(engine_identity(&c), id, "{c:?}");
+                }
+            }
+        }
     }
 }

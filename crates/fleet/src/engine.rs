@@ -29,11 +29,10 @@
 //! cost exactly one board. Four mechanisms enforce that, in request
 //! order:
 //!
-//! 1. **Typed validation up front.** With [`FleetConfig::validate`] (on
-//!    by default) every distinct library is validated once and every
-//!    board once ([`meander_layout::validate_board`]); failures become
-//!    [`BoardOutcome::Rejected`] with provenance, and the board is never
-//!    planned — malformed input cannot reach the router.
+//! 1. **Typed validation up front.** Every distinct library is validated
+//!    once and every board once ([`meander_layout::validate_board`]);
+//!    failures become [`BoardOutcome::Rejected`] with provenance, and the
+//!    board is never planned — malformed input cannot reach the router.
 //! 2. **Panic isolation.** Each packet runs under `catch_unwind`
 //!    ([`crate::sched::run_packets`]); a panicking packet yields
 //!    [`BoardOutcome::Failed`] for its board, the worker survives, and
@@ -147,9 +146,9 @@ impl BoardSet {
 /// Tunables of a fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Per-unit engine configuration (index kind, batch kernels, DP
-    /// profile, …). The fleet scheduler replaces the driver-level fan-out,
-    /// so [`ExtendConfig::parallel`] has no effect here.
+    /// Per-unit engine configuration (iteration bound, ablation switches,
+    /// engine shape). The fleet scheduler replaces the driver-level
+    /// fan-out, so [`ExtendConfig::parallel`] has no effect here.
     pub extend: ExtendConfig,
     /// Worker count; `None` uses the host's available parallelism.
     pub workers: Option<usize>,
@@ -159,14 +158,6 @@ pub struct FleetConfig {
     /// boards (`false` — the amortization-off baseline). Output is
     /// bit-identical either way.
     pub share_library: bool,
-    /// Validate every library and board before routing (`true`, the
-    /// default). Invalid boards come back [`BoardOutcome::Rejected`] with
-    /// a typed, provenance-carrying error and are never planned. Turning
-    /// this off skips the pre-flight scan for inputs already known valid
-    /// (e.g. generated by this process); malformed input may then panic
-    /// inside the router — which isolation converts to
-    /// [`BoardOutcome::Failed`], so the process still survives.
-    pub validate: bool,
     /// Whole-fleet wall-clock budget, measured from [`route_fleet`]
     /// entry. Once exceeded, workers stop claiming jobs; boards that lost
     /// work report [`BoardOutcome::DeadlineExceeded`].
@@ -207,7 +198,6 @@ impl Default for FleetConfig {
             extend: ExtendConfig::default(),
             workers: None,
             share_library: true,
-            validate: true,
             deadline: None,
             board_budget: None,
             cancel: None,
@@ -285,8 +275,7 @@ pub struct FleetStats {
     /// submission order) — the per-board slice of the scheduler's busy
     /// total, and the quantity [`FleetConfig::board_budget`] meters.
     pub board_busy: Vec<Duration>,
-    /// Time spent in the up-front validation scan (zero when
-    /// [`FleetConfig::validate`] is off).
+    /// Time spent in the up-front validation scan.
     pub validation_wall: Duration,
     /// Time spent building the shared [`meander_core::WorldBase`]s (zero
     /// when `share_library` is off) — the cost that is paid once instead
@@ -302,11 +291,11 @@ pub struct FleetStats {
     /// Worker-level counters of this run (workers, per-worker
     /// executed/busy/panics, skips).
     pub scheduler: WorkerCounters,
-    /// Bucket and monitor counters over this run's window: per-bucket
-    /// packets executed and peak occupancy, park/unpark, preemptions
-    /// ([`crate::sched`]). With a private pool this is the run's exact
-    /// accounting; on a shared [`FleetConfig::sched`] concurrent tiers'
-    /// packets land in whichever run's window they completed.
+    /// Bucket counters over this run's window: per-bucket packets
+    /// executed, steals, preemptions ([`crate::sched`]). With a private
+    /// pool this is the run's exact accounting; on a shared
+    /// [`FleetConfig::sched`] concurrent tiers' packets land in whichever
+    /// run's window they completed.
     /// Cross-worker counters (steals, preemptions) read zero when one
     /// worker serves the run.
     pub sched: SchedCounters,
@@ -368,8 +357,7 @@ impl FleetReport {
              dirty={} skipped={} cells_dirty={} skip_rate={:.1}% \
              replanned={} wall={:.3?} p99={:.3?} \
              packets_interactive={} packets_batch={} packets_speculative={} \
-             peak_interactive={} peak_batch={} peak_speculative={} \
-             parks={} unparks={} preemptions={} steals={}",
+             preemptions={} steals={}",
             s.boards,
             s.routed,
             s.degraded,
@@ -391,11 +379,6 @@ impl FleetReport {
             s.sched.packets[Tier::Interactive.index()],
             s.sched.packets[Tier::Batch.index()],
             s.sched.packets[Tier::Speculative.index()],
-            s.sched.peak_pending[Tier::Interactive.index()],
-            s.sched.peak_pending[Tier::Batch.index()],
-            s.sched.peak_pending[Tier::Speculative.index()],
-            s.sched.parks,
-            s.sched.unparks,
             s.sched.preemptions,
             s.sched.steals,
         )
@@ -420,15 +403,13 @@ pub fn route_fleet(set: &mut BoardSet, config: &FleetConfig) -> FleetReport {
     // Rejected boards are never planned, never donate rules to a shared
     // base, and keep their input geometry byte for byte.
     #[cfg_attr(not(feature = "fault"), allow(unused_mut))]
-    let (mut rejected, validation_wall) = validate_fresh(config, &libraries, &lib_of, &set.boards);
+    let (mut rejected, validation_wall) = validate_fresh(&libraries, &lib_of, &set.boards);
     #[cfg(feature = "fault")]
-    if config.validate {
-        for &b in &config.fault.trip_boards {
-            if b < n && rejected[b].is_none() {
-                rejected[b] = Some(ValidationError::Injected {
-                    reason: format!("fault plan tripped validation of board {b}"),
-                });
-            }
+    for &b in &config.fault.trip_boards {
+        if b < n && rejected[b].is_none() {
+            rejected[b] = Some(ValidationError::Injected {
+                reason: format!("fault plan tripped validation of board {b}"),
+            });
         }
     }
     // Content identities only when a cache is attached: one Merkle root
@@ -532,7 +513,7 @@ pub fn warm_fleet_cache(
 ) -> WarmupReport {
     let started = Instant::now();
     let (libraries, lib_of) = library_slots(&set.boards);
-    let (invalid, _) = validate_fresh(config, &libraries, &lib_of, &set.boards);
+    let (invalid, _) = validate_fresh(&libraries, &lib_of, &set.boards);
     let roots: Vec<u64> = libraries.iter().map(|l| library_root(l)).collect();
     // The pass fills `cache`, whatever the config attaches.
     let config = FleetConfig {

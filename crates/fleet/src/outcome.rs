@@ -58,12 +58,9 @@ pub enum DegradeStep {
     /// bit-identical to the first attempt's would-be output, hence to
     /// sequential routing.
     Retry,
-    /// Scalar kernels + grid index (batch-kernel and index-swap
-    /// contracts); still bit-identical to sequential routing.
-    Scalar,
-    /// [`DegradeStep::Scalar`] plus the non-incremental reference matcher
-    /// (uniform height cap, no DP profile); equivalent within tolerance,
-    /// need not be bit-identical — the last rung before quarantine.
+    /// The non-incremental reference matcher (uniform height cap, no DP
+    /// profile); equivalent within tolerance, need not be bit-identical —
+    /// the last rung before quarantine.
     Reference,
 }
 
@@ -72,7 +69,6 @@ impl DegradeStep {
     pub fn name(self) -> &'static str {
         match self {
             DegradeStep::Retry => "retry",
-            DegradeStep::Scalar => "scalar",
             DegradeStep::Reference => "reference",
         }
     }
@@ -303,12 +299,12 @@ mod tests {
         assert!(BoardOutcome::Routed.is_routed());
         assert!(!failed.is_routed());
         let degraded = BoardOutcome::Degraded {
-            step: DegradeStep::Scalar,
+            step: DegradeStep::Reference,
             attempts: 3,
         };
         assert_eq!(
             degraded.to_string(),
-            "degraded: recovered at `scalar` on attempt 3"
+            "degraded: recovered at `reference` on attempt 3"
         );
         assert!(degraded.is_recovered() && !degraded.is_routed());
         assert_eq!(
@@ -323,16 +319,11 @@ mod tests {
 
     #[test]
     fn degrade_steps_are_ordered_and_named() {
-        assert!(DegradeStep::Retry < DegradeStep::Scalar);
-        assert!(DegradeStep::Scalar < DegradeStep::Reference);
-        let names: Vec<&str> = [
-            DegradeStep::Retry,
-            DegradeStep::Scalar,
-            DegradeStep::Reference,
-        ]
-        .iter()
-        .map(|s| s.name())
-        .collect();
-        assert_eq!(names, ["retry", "scalar", "reference"]);
+        assert!(DegradeStep::Retry < DegradeStep::Reference);
+        let names: Vec<&str> = [DegradeStep::Retry, DegradeStep::Reference]
+            .iter()
+            .map(|s| s.name())
+            .collect();
+        assert_eq!(names, ["retry", "reference"]);
     }
 }

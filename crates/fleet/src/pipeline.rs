@@ -154,19 +154,14 @@ impl Verdicts {
     }
 }
 
-/// A fresh plan's validation gate: with [`FleetConfig::validate`] every
-/// distinct library is scanned once (boards sharing it inherit the
-/// verdict) and every board once. Returns per-board verdicts (all `None`
-/// with validation off) and the scan's wall time.
+/// A fresh plan's validation gate: every distinct library is scanned once
+/// (boards sharing it inherit the verdict) and every board once. Returns
+/// per-board verdicts and the scan's wall time.
 pub(crate) fn validate_fresh(
-    config: &FleetConfig,
     libraries: &[Arc<ObstacleLibrary>],
     lib_of: &[usize],
     boards: &[LibraryBoard],
 ) -> (Vec<Option<ValidationError>>, Duration) {
-    if !config.validate {
-        return (vec![None; boards.len()], Duration::ZERO);
-    }
     let mut verdicts = Verdicts::stale(libraries.len(), boards.len());
     let wall = verdicts.refresh(libraries, |b| boards[b].board());
     let rejected = (0..boards.len())

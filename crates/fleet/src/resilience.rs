@@ -17,15 +17,13 @@
 //! * **Retry ladder** ([`RetryPolicy::ladder`]) — boards whose first
 //!   attempt failed (panic) or blew a deadline re-run one rung at a
 //!   time: [`DegradeStep::Retry`] (same knobs — recovers transients),
-//!   then progressively simpler, long-proven engine shapes
-//!   ([`DegradeStep::Scalar`], [`DegradeStep::Reference`] — see
-//!   [`DegradeStep::apply`]) with a widening per-board budget multiplier.
+//!   then the long-proven reference engine ([`DegradeStep::Reference`] —
+//!   see [`DegradeStep::apply`]) with a widened per-board budget.
 //!   A board recovered at rung `s` reports
 //!   [`BoardOutcome::Degraded`]` { step: s, attempts }`. First-attempt
 //!   routed boards are never re-run — their geometry stays bit-identical
-//!   to sequential, untouched by any retry. `Retry` and `Scalar`
-//!   recoveries are bit-identical to sequential too; `Reference`
-//!   recoveries need not be.
+//!   to sequential, untouched by any retry. `Retry` recoveries are
+//!   bit-identical to sequential too; `Reference` recoveries need not be.
 //! * **Retry token bucket** ([`AdmissionPolicy::retry_tokens`]) — every
 //!   re-run spends one fleet-wide token, so a fleet of poison boards can
 //!   never multiply its own load unboundedly or starve fresh work; a
@@ -72,7 +70,7 @@ use crate::engine::{route_fleet, BoardSet, FleetConfig, FleetReport};
 use crate::fault::FaultPlan;
 use crate::outcome::{BoardOutcome, DegradeStep, JobError, ShedReason};
 use crate::repro::{minimize, MinimizedRepro};
-use meander_core::{plan_board_units, ExtendConfig, GroupReport, IndexKind};
+use meander_core::{plan_board_units, ExtendConfig, GroupReport};
 use meander_layout::{Board, LibraryBoard, ObstacleLibrary};
 use std::sync::Arc;
 use std::time::Duration;
@@ -85,35 +83,30 @@ type FaultSpan = Option<((u64, u64), (u64, u64))>;
 
 impl DegradeStep {
     /// The engine configuration this rung re-runs with, derived from the
-    /// fleet's own. Each rung keeps the knobs the rung above it turned off
-    /// and turns off more: [`DegradeStep::Scalar`] the batch kernels and
-    /// the R-tree, [`DegradeStep::Reference`] the incremental engine (and
-    /// with it the DP profile, which only that engine builds). `Retry` and
-    /// `Scalar` recoveries are bit-identical to sequential routing;
-    /// `Reference` recoveries match it within tolerance but need not be
-    /// bit-identical. Everything the caller tuned for geometry (tolerance,
-    /// iteration caps, discretization) is preserved. `parallel` is left
-    /// alone: the fleet runs units directly and ignores it.
+    /// fleet's own. [`DegradeStep::Reference`] turns off the incremental
+    /// engine (and with it the DP profile, which only that engine builds);
+    /// batch kernels and index kind stay as they are, because their
+    /// contracts make the output the same either way. `Retry` recoveries
+    /// are bit-identical to sequential routing; `Reference` recoveries
+    /// match it within tolerance but need not be bit-identical. Everything
+    /// else the caller tuned (iteration cap, ablation switches) is
+    /// preserved. `parallel` is left alone: the fleet runs units directly
+    /// and ignores it.
     pub fn apply(self, base: &ExtendConfig) -> ExtendConfig {
         let mut c = base.clone();
-        if self >= DegradeStep::Scalar {
-            c.batch_kernels = false;
-            c.index = IndexKind::Grid;
-        }
-        if self >= DegradeStep::Reference {
+        if self == DegradeStep::Reference {
             c.incremental = false;
         }
         c
     }
 
     /// Multiplier applied to [`FleetConfig::board_budget`] on this rung:
-    /// deeper rungs run simpler-but-slower engine shapes, so a board that
-    /// blew its budget gets proportionally more headroom instead of
+    /// the `Reference` rung runs the slower rebuild engine, so a board
+    /// that blew its budget gets proportionally more headroom instead of
     /// re-failing for the same reason.
     pub fn budget_multiplier(self) -> u32 {
         match self {
             DegradeStep::Retry => 1,
-            DegradeStep::Scalar => 2,
             DegradeStep::Reference => 8,
         }
     }
@@ -149,9 +142,9 @@ impl Default for AdmissionPolicy {
 pub struct RetryPolicy {
     /// The degradation ladder, tried in order after a failed first
     /// attempt; its length bounds retries per board. The default walks
-    /// [`DegradeStep::Retry`] → [`DegradeStep::Scalar`] →
-    /// [`DegradeStep::Reference`]: the first two recover bit-identical to
-    /// sequential routing, the last within tolerance.
+    /// [`DegradeStep::Retry`] → [`DegradeStep::Reference`]: the first
+    /// recovers bit-identical to sequential routing, the second within
+    /// tolerance.
     pub ladder: Vec<DegradeStep>,
     /// Overload budgets (admission units + retry tokens).
     pub admission: AdmissionPolicy,
@@ -166,11 +159,7 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            ladder: vec![
-                DegradeStep::Retry,
-                DegradeStep::Scalar,
-                DegradeStep::Reference,
-            ],
+            ladder: vec![DegradeStep::Retry, DegradeStep::Reference],
             admission: AdmissionPolicy::default(),
             minimize_repros: true,
             max_minimize_probes: 256,
@@ -519,6 +508,7 @@ pub fn route_fleet_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meander_core::IndexKind;
     use meander_layout::gen::fleet_boards_small;
 
     fn serial_config(workers: usize) -> FleetConfig {
@@ -644,25 +634,15 @@ mod tests {
         let retry = DegradeStep::Retry.apply(&base);
         assert_eq!(retry.batch_kernels, base.batch_kernels);
         assert_eq!(retry.incremental, base.incremental);
-        let scalar = DegradeStep::Scalar.apply(&base);
-        assert!(!scalar.batch_kernels && scalar.incremental);
-        // The shipped engine runs the batch kernels, so the `Scalar` rung
-        // is a real step down from `Retry`, not the same config.
-        assert!(base.batch_kernels && retry.batch_kernels);
         let reference = DegradeStep::Reference.apply(&base);
-        assert!(!reference.incremental && !reference.batch_kernels);
-        // Budget multipliers widen monotonically down the ladder.
+        assert!(base.incremental && !reference.incremental);
+        // Batch kernels stay on: their contract makes the output the same.
+        assert!(reference.batch_kernels);
+        // Budget multipliers widen down the ladder.
         let ladder = RetryPolicy::default().ladder;
-        assert_eq!(
-            ladder,
-            [
-                DegradeStep::Retry,
-                DegradeStep::Scalar,
-                DegradeStep::Reference
-            ]
-        );
+        assert_eq!(ladder, [DegradeStep::Retry, DegradeStep::Reference]);
         let mults: Vec<u32> = ladder.iter().map(|s| s.budget_multiplier()).collect();
-        assert_eq!(mults, vec![1, 2, 8]);
+        assert_eq!(mults, vec![1, 8]);
         // And the widened budget reaches the rung's config.
         let cfg = FleetConfig {
             board_budget: Some(Duration::from_millis(10)),
@@ -676,25 +656,19 @@ mod tests {
     #[test]
     fn fallback_levels_step_down_monotonically() {
         let base = ExtendConfig {
-            tolerance: 5e-4,
             max_iterations: 123,
+            connect_priority: false,
             index: IndexKind::RTree,
             ..Default::default()
         };
         let retry = DegradeStep::Retry.apply(&base);
-        assert_eq!(retry.index, IndexKind::RTree);
-        let scalar = DegradeStep::Scalar.apply(&base);
-        assert!(!scalar.batch_kernels);
-        // The index steps down to the grid from the first degraded rung on.
-        assert_eq!(scalar.index, IndexKind::Grid);
-        assert_eq!(scalar.incremental, base.incremental);
         let reference = DegradeStep::Reference.apply(&base);
-        assert!(!reference.incremental && !reference.batch_kernels);
-        assert_eq!(reference.index, IndexKind::Grid);
-        // Caller-tuned geometry knobs survive every rung.
-        for c in [&retry, &scalar, &reference] {
-            assert_eq!(c.tolerance, 5e-4);
+        assert!(retry.incremental && !reference.incremental);
+        // Caller-tuned knobs survive every rung, the index kind included.
+        for c in [&retry, &reference] {
             assert_eq!(c.max_iterations, 123);
+            assert!(!c.connect_priority);
+            assert_eq!(c.index, IndexKind::RTree);
         }
     }
 }

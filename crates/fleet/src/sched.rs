@@ -23,11 +23,10 @@
 //! [`run_packets`].
 //!
 //! **Opening condition:** a bucket is claimable only when every higher
-//! tier is *drained* — no packets queued **or in flight** — or has
-//! explicitly yielded ([`Scheduler::set_yield`]). Workers re-evaluate the
-//! condition at every pop boundary, so an interactive packet arriving
-//! mid-batch preempts the batch after at most one in-flight packet per
-//! worker: that is the **preemption seam**, and
+//! tier is *drained* — no packets queued **or in flight**. Workers
+//! re-evaluate the condition at every pop boundary, so an interactive
+//! packet arriving mid-batch preempts the batch after at most one
+//! in-flight packet per worker: that is the **preemption seam**, and
 //! [`SchedCounters::preemptions`] counts every time a worker jumps from a
 //! lower bucket to a higher one that still left the lower bucket pending.
 //!
@@ -35,8 +34,8 @@
 //!
 //! Workers with nothing claimable **park** on a condvar instead of
 //! spinning; submissions and bucket drains bump a monitor epoch and wake
-//! them. [`SchedCounters`] exposes the accounting — parks, unparks,
-//! per-bucket packets executed and peak occupancy, steal traffic — so
+//! them; [`Scheduler::parked`] reads the gauge. [`SchedCounters`] exposes
+//! the accounting — per-bucket packets executed, steals, preemptions — so
 //! steal behavior is observable ([`Scheduler::counters`]; cross-worker
 //! counters read zero when one worker drains everything it seeded).
 //!
@@ -55,8 +54,8 @@
 //!
 //! Packets snapshot their inputs, each packet's result lands in the slot
 //! of its input index, and callers consume slots in input order. Buckets,
-//! parking, yields, steals, and preemption decide only *who runs what
-//! when* — never what a packet computes or where its result lands. Fleet
+//! parking, steals, and preemption decide only *who runs what when* —
+//! never what a packet computes or where its result lands. Fleet
 //! output therefore stays bit-identical to sequential for every bucket
 //! config, worker count, and preemption schedule (property-tested in
 //! `tests/sched.rs`).
@@ -202,25 +201,15 @@ impl Tier {
 /// lifetime (see [`SchedCounters::delta_since`] for per-run attribution).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
-    /// Packets executed per bucket (`[interactive, batch, speculative]`).
+    /// Packets executed per bucket (`[interactive, batch, speculative]`);
+    /// packets the stop predicate skipped are not counted, panicking
+    /// ones are.
     pub packets: [u64; TIERS],
-    /// Peak bucket occupancy: the largest queued+in-flight packet count
-    /// each bucket ever held (a gauge — kept, not differenced, by
-    /// [`SchedCounters::delta_since`]).
-    pub peak_pending: [u64; TIERS],
-    /// Times a worker parked on the monitor (nothing claimable).
-    pub parks: u64,
-    /// Times a parked worker was woken by a submission or bucket drain.
-    pub unparks: u64,
     /// Times a worker jumped from a lower bucket to a higher one that
     /// left the lower bucket still pending — the preemption seam firing.
     pub preemptions: u64,
     /// Successful steal operations (each may move several packets).
     pub steals: u64,
-    /// Packets moved by steals.
-    pub stolen_jobs: u64,
-    /// Victim probes, including empty-handed ones.
-    pub steal_attempts: u64,
 }
 
 impl SchedCounters {
@@ -229,10 +218,10 @@ impl SchedCounters {
         self.packets.iter().sum()
     }
 
-    /// Counter movement since `before` (monotonic counters differenced,
-    /// peak gauges kept). With a scheduler private to one run this is the
-    /// run's exact accounting; with a shared scheduler, concurrent
-    /// workloads' packets land in whichever run's window they completed.
+    /// Counter movement since `before`. With a scheduler private to one
+    /// run this is the run's exact accounting; with a shared scheduler,
+    /// concurrent workloads' packets land in whichever run's window they
+    /// completed.
     pub fn delta_since(&self, before: &SchedCounters) -> SchedCounters {
         let mut packets = [0u64; TIERS];
         for (t, p) in packets.iter_mut().enumerate() {
@@ -240,13 +229,8 @@ impl SchedCounters {
         }
         SchedCounters {
             packets,
-            peak_pending: self.peak_pending,
-            parks: self.parks.saturating_sub(before.parks),
-            unparks: self.unparks.saturating_sub(before.unparks),
             preemptions: self.preemptions.saturating_sub(before.preemptions),
             steals: self.steals.saturating_sub(before.steals),
-            stolen_jobs: self.stolen_jobs.saturating_sub(before.stolen_jobs),
-            steal_attempts: self.steal_attempts.saturating_sub(before.steal_attempts),
         }
     }
 }
@@ -270,20 +254,12 @@ struct Inner {
     queues: Vec<Vec<Mutex<VecDeque<Packet>>>>,
     /// Queued + in-flight packets per bucket — the drain condition.
     pending: [AtomicUsize; TIERS],
-    /// Buckets that explicitly yield: they stop closing lower buckets
-    /// while their packets are in flight.
-    yielded: [AtomicBool; TIERS],
     shutdown: AtomicBool,
     monitor: Mutex<Monitor>,
     cv: Condvar,
     packets: [AtomicU64; TIERS],
-    peak: [AtomicUsize; TIERS],
-    parks: AtomicU64,
-    unparks: AtomicU64,
     preemptions: AtomicU64,
     steals: AtomicU64,
-    stolen_jobs: AtomicU64,
-    steal_attempts: AtomicU64,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -313,8 +289,7 @@ impl Inner {
         if n == 0 {
             return;
         }
-        let now = self.pending[t].fetch_add(n, Ordering::SeqCst) + n;
-        self.peak[t].fetch_max(now, Ordering::Relaxed);
+        self.pending[t].fetch_add(n, Ordering::SeqCst);
         // Round-robin seeding: packet i starts on worker i % workers, so a
         // run spreads across the pool before any stealing.
         for (i, p) in packets.into_iter().enumerate() {
@@ -338,7 +313,6 @@ impl Inner {
             // stealing the back half of the first non-empty deque.
             for k in 1..self.workers {
                 let v = (w + k) % self.workers;
-                self.steal_attempts.fetch_add(1, Ordering::Relaxed);
                 let grabbed: VecDeque<Packet> = {
                     let mut victim = lock(&self.queues[t][v]);
                     let keep = victim.len() / 2;
@@ -348,8 +322,6 @@ impl Inner {
                     continue;
                 }
                 self.steals.fetch_add(1, Ordering::Relaxed);
-                self.stolen_jobs
-                    .fetch_add(grabbed.len() as u64, Ordering::Relaxed);
                 let mut own = lock(&self.queues[t][w]);
                 own.extend(grabbed);
                 let p = own.pop_front();
@@ -359,11 +331,8 @@ impl Inner {
                 }
             }
             // Bucket t's remaining packets are all in flight elsewhere.
-            // Lower buckets stay closed until it drains — unless it
-            // explicitly yields.
-            if !self.yielded[t].load(Ordering::Relaxed) {
-                return None;
-            }
+            // Lower buckets stay closed until it drains.
+            return None;
         }
         None
     }
@@ -403,7 +372,6 @@ impl Inner {
                     if self.shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    self.parks.fetch_add(1, Ordering::Relaxed);
                     m.parked += 1;
                     while m.epoch == seen && !self.shutdown.load(Ordering::SeqCst) {
                         m = match self.cv.wait(m) {
@@ -412,28 +380,16 @@ impl Inner {
                         };
                     }
                     m.parked -= 1;
-                    self.unparks.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
     }
 
     fn counters(&self) -> SchedCounters {
-        let mut packets = [0u64; TIERS];
-        let mut peak = [0u64; TIERS];
-        for t in 0..TIERS {
-            packets[t] = self.packets[t].load(Ordering::Relaxed);
-            peak[t] = self.peak[t].load(Ordering::Relaxed) as u64;
-        }
         SchedCounters {
-            packets,
-            peak_pending: peak,
-            parks: self.parks.load(Ordering::Relaxed),
-            unparks: self.unparks.load(Ordering::Relaxed),
+            packets: std::array::from_fn(|t| self.packets[t].load(Ordering::Relaxed)),
             preemptions: self.preemptions.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
-            stolen_jobs: self.stolen_jobs.load(Ordering::Relaxed),
-            steal_attempts: self.steal_attempts.load(Ordering::Relaxed),
         }
     }
 }
@@ -518,7 +474,6 @@ impl Scheduler {
                 .map(|_| (0..workers).map(|_| Mutex::new(VecDeque::new())).collect())
                 .collect(),
             pending: Default::default(),
-            yielded: Default::default(),
             shutdown: AtomicBool::new(false),
             monitor: Mutex::new(Monitor {
                 epoch: 0,
@@ -526,13 +481,8 @@ impl Scheduler {
             }),
             cv: Condvar::new(),
             packets: Default::default(),
-            peak: Default::default(),
-            parks: AtomicU64::new(0),
-            unparks: AtomicU64::new(0),
             preemptions: AtomicU64::new(0),
             steals: AtomicU64::new(0),
-            stolen_jobs: AtomicU64::new(0),
-            steal_attempts: AtomicU64::new(0),
         });
         let threads = (0..workers)
             .map(|w| {
@@ -560,15 +510,6 @@ impl Scheduler {
     /// Cumulative bucket/monitor counters.
     pub fn counters(&self) -> SchedCounters {
         self.inner.counters()
-    }
-
-    /// Marks `tier` as yielding: while set, its in-flight packets no
-    /// longer close lower buckets (queued packets still claim their
-    /// bucket's priority). Use when a high tier blocks on something
-    /// external and idle workers should chew lower-tier work meanwhile.
-    pub fn set_yield(&self, tier: Tier, yielded: bool) {
-        self.inner.yielded[tier.index()].store(yielded, Ordering::Relaxed);
-        self.inner.wake_all();
     }
 
     /// Submits one packet per item into `tier` and blocks until every
@@ -604,15 +545,15 @@ impl Scheduler {
                 let stop = stop.clone();
                 let inner = Arc::clone(&self.inner);
                 Box::new(move |w: usize| {
-                    // Declared first ⇒ drops last: the packet is counted
-                    // in packets[t] before the submitter can wake and
-                    // snapshot its counter delta.
+                    // Declared first ⇒ drops last: an executed packet is
+                    // counted in packets[t] before the submitter can wake
+                    // and snapshot its counter delta.
                     let _finish = FinishGuard(Arc::clone(&state));
-                    inner.packets[tier.index()].fetch_add(1, Ordering::Relaxed);
                     let status = if stop.as_ref().is_some_and(|s| s()) {
                         state.skipped.fetch_add(1, Ordering::Relaxed);
                         JobStatus::Skipped
                     } else {
+                        inner.packets[tier.index()].fetch_add(1, Ordering::Relaxed);
                         let t0 = Instant::now();
                         let result = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
                         let nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
@@ -689,6 +630,8 @@ where
         return s.run(tier, items, stop, f);
     }
     let n = items.len();
+    // A measured fast path, not a fork: a one-worker `Scheduler` here cost
+    // ~15% of perfbench `dup-serve` boards/s (2-CPU host, 8 paired runs).
     if workers <= 1 || n <= 1 {
         let t0 = Instant::now();
         let mut out: Vec<JobStatus<R>> = Vec::with_capacity(n);
@@ -721,7 +664,6 @@ where
         };
         let mut sched_counters = SchedCounters::default();
         sched_counters.packets[tier.index()] = executed;
-        sched_counters.peak_pending[tier.index()] = n as u64;
         return (out, counters, sched_counters);
     }
     let s = Scheduler::new(workers.min(n));
@@ -773,7 +715,6 @@ mod tests {
         assert_eq!(counters.total_executed(), 257);
         assert_eq!(delta.packets[Tier::Batch.index()], 257);
         assert_eq!(delta.packets[Tier::Interactive.index()], 0);
-        assert!(delta.peak_pending[Tier::Batch.index()] >= 1);
     }
 
     #[test]
@@ -904,52 +845,6 @@ mod tests {
         );
     }
 
-    /// `set_yield` relaxes exactly that: a yielding interactive bucket
-    /// lets the idle worker run batch work while it sleeps.
-    #[test]
-    fn yielding_bucket_opens_lower_tiers() {
-        let sched = Arc::new(Scheduler::new(2));
-        sched.set_yield(Tier::Interactive, true);
-        let interactive_done = Arc::new(AtomicBool::new(false));
-        let overlapped = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let sched = Arc::clone(&sched);
-            let done = Arc::clone(&interactive_done);
-            std::thread::spawn(move || {
-                let done2 = Arc::clone(&done);
-                let (st, _, _) = sched.run(
-                    Tier::Interactive,
-                    Arc::new(vec![0usize]),
-                    None,
-                    Arc::new(move |_: &usize| {
-                        std::thread::sleep(Duration::from_millis(120));
-                        done2.store(true, Ordering::SeqCst);
-                    }),
-                );
-                assert!(st[0].is_done());
-            })
-        };
-        std::thread::sleep(Duration::from_millis(15));
-        let done = Arc::clone(&interactive_done);
-        let overlapped2 = Arc::clone(&overlapped);
-        let (st, _, _) = sched.run(
-            Tier::Batch,
-            Arc::new(vec![0usize]),
-            None,
-            Arc::new(move |_: &usize| {
-                if !done.load(Ordering::SeqCst) {
-                    overlapped2.store(true, Ordering::SeqCst);
-                }
-            }),
-        );
-        assert!(st[0].is_done());
-        handle.join().unwrap();
-        assert!(
-            overlapped.load(Ordering::SeqCst),
-            "a yielded interactive bucket must not block batch work"
-        );
-    }
-
     /// A panicking packet is its own failure domain on both paths — a
     /// persistent pool and the inline one-worker loop (the path a
     /// single-worker fleet or session takes): the healthy packets complete
@@ -998,7 +893,7 @@ mod tests {
         for sched in [Some(&pool), None] {
             let items: Arc<Vec<u32>> = Arc::new((0..32).collect());
             let stop: Arc<dyn Fn() -> bool + Send + Sync> = Arc::new(|| true);
-            let (statuses, counters, _) = run_packets(
+            let (statuses, counters, delta) = run_packets(
                 sched,
                 Tier::Batch,
                 1,
@@ -1009,12 +904,17 @@ mod tests {
             assert!(statuses.iter().all(|s| matches!(s, JobStatus::Skipped)));
             assert_eq!(counters.skipped, 32);
             assert_eq!(counters.total_executed(), 0);
+            // Skipped packets are not executed packets, on either path.
+            assert_eq!(
+                delta.packets[Tier::Batch.index()],
+                counters.total_executed()
+            );
         }
         let fired = Arc::new(AtomicBool::new(false));
         let stop: Arc<dyn Fn() -> bool + Send + Sync> =
             Arc::new(move || fired.swap(true, Ordering::Relaxed));
         let items: Arc<Vec<u32>> = Arc::new((0..32).collect());
-        let (statuses, counters, _) = run_packets(
+        let (statuses, counters, delta) = run_packets(
             None,
             Tier::Batch,
             1,
@@ -1025,6 +925,10 @@ mod tests {
         assert_eq!(statuses.iter().filter(|s| s.is_done()).count(), 1);
         assert!(statuses[0].is_done(), "the first claim ran");
         assert_eq!(counters.skipped, 31);
+        assert_eq!(
+            delta.packets[Tier::Batch.index()],
+            counters.total_executed()
+        );
     }
 
     #[test]
@@ -1038,13 +942,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(sched.parked(), 3, "idle workers park on the monitor");
-        let c0 = sched.counters();
-        assert!(c0.parks >= 3);
         let items: Arc<Vec<u64>> = Arc::new((0..64).collect());
         let (_, _, delta) = sched.run(Tier::Speculative, items, None, Arc::new(|&x: &u64| x));
+        // Parked workers woke to serve the run.
         assert_eq!(delta.packets[Tier::Speculative.index()], 64);
-        let c1 = sched.counters();
-        assert!(c1.unparks >= 1, "submission woke at least one worker");
     }
 
     #[test]
@@ -1053,14 +954,10 @@ mod tests {
         let items: Arc<Vec<u64>> = Arc::new((0..500).collect());
         let (out, c, delta) = sched.run(Tier::Batch, items, None, Arc::new(|&x: &u64| x));
         assert_eq!(out.len(), 500);
-        // Every steal moved at least one packet; attempts ≥ steals.
-        assert!(delta.steal_attempts >= delta.steals);
-        assert!(delta.stolen_jobs >= delta.steals);
         assert_eq!(c.total_executed(), 500);
         assert_eq!(c.executed.len(), c.workers);
         assert_eq!(c.busy.len(), c.workers);
         assert_eq!(delta.total_packets(), 500);
-        assert!(delta.peak_pending[Tier::Batch.index()] <= 500);
     }
 
     /// Front-loaded heavy packets on an ephemeral pool with more workers

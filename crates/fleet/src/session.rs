@@ -77,7 +77,7 @@ use meander_geom::Polygon;
 use meander_layout::hash::{hash_board_local, LibraryCommitment};
 use meander_layout::{Board, Edit, EditScope, LibraryBoard, Obstacle, ObstacleLibrary};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One matching group's retained routing state: the planned units, their
 /// last outputs, and the cell sets their candidate queries touched.
@@ -427,11 +427,7 @@ impl FleetSession {
 
         // Refresh validation verdicts for edited scopes only.
         let pristine = &self.pristine;
-        let validation_wall = if config.validate {
-            self.verdicts.refresh(&self.libraries, |b| &pristine[b])
-        } else {
-            Duration::ZERO
-        };
+        let validation_wall = self.verdicts.refresh(&self.libraries, |b| &pristine[b]);
 
         // The damage this re-route consumes (stat, before clearing).
         let cells_dirty = self
@@ -517,11 +513,7 @@ impl FleetSession {
         let mut replanned: Vec<bool> = vec![false; n];
         for (b, replanned_b) in replanned.iter_mut().enumerate() {
             let slot = self.lib_of[b];
-            if let Some(err) = config
-                .validate
-                .then(|| self.verdicts.get(slot, b))
-                .flatten()
-            {
+            if let Some(err) = self.verdicts.get(slot, b) {
                 // Rejected: geometry reverts to pristine (exactly what the
                 // batch engine leaves untouched), retained state dropped.
                 // Empty plans mark the board for a full replan if a later

@@ -116,19 +116,13 @@ fn randomized_fleets_match_sequential_bitwise() {
 }
 
 /// The acceptance-size fleet: ≥ 16 boards sharing one library, routed with
-/// library sharing on a multi-worker pool, bit-identical to sequential —
-/// also with the validation gate off.
+/// library sharing on a multi-worker pool, bit-identical to sequential.
 #[test]
 fn sixteen_board_fleet_bit_identical() {
     let fleet = fleet_boards_small(16, 2024, 7);
     assert_eq!(fleet.boards.len(), 16);
     let (want_reports, want_boards) = sequential_reference(&fleet.boards);
-    for (workers, share, validate) in [
-        (4, true, true),
-        (2, false, true),
-        (1, true, true),
-        (2, true, false),
-    ] {
+    for (workers, share) in [(4, true), (2, false), (1, true)] {
         let mut set = BoardSet::new(fleet.boards.clone());
         let report = route_fleet(
             &mut set,
@@ -136,12 +130,10 @@ fn sixteen_board_fleet_bit_identical() {
                 extend: serial_extend(),
                 workers: Some(workers),
                 share_library: share,
-                validate,
                 ..Default::default()
             },
         );
-        let label =
-            format!("16-board fleet, workers {workers}, share {share}, validate {validate}");
+        let label = format!("16-board fleet, workers {workers}, share {share}");
         assert_identical(&label, &set, &report.reports, &want_reports, &want_boards);
         // The shared mode really shares: one library, one base build.
         if share {

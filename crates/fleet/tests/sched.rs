@@ -8,8 +8,8 @@
 //! preemption schedule. These properties make that executable:
 //!
 //! * 64 randomized fleets × pool configs (ephemeral / private / shared
-//!   long-lived scheduler with yield toggles) × workers 1–4, bit-compared
-//!   to the sequential reference;
+//!   long-lived scheduler) × workers 1–4, bit-compared to the sequential
+//!   reference;
 //! * an interactive serving session preempting a concurrent batch fleet
 //!   on one shared scheduler, at timing-randomized preemption points, with
 //!   a speculative warm-up queued behind both — both outputs bit-identical
@@ -109,11 +109,9 @@ fn assert_identical(
 /// configuration all drawn per case — no pool shape may change a bit.
 ///
 /// Pool configurations cycle through: no scheduler attached (the engine's
-/// ephemeral per-run pool), a private [`Scheduler`] sized to the drawn
-/// worker count, and one shared long-lived scheduler reused across cases
-/// with its Batch tier's yield flag toggled per case (a yielded tier
-/// opens lower buckets while its packets are still in flight — a pure
-/// scheduling-order change).
+/// ephemeral per-run pool, or the inline loop for one worker), a private
+/// [`Scheduler`] sized to the drawn worker count, and one shared
+/// long-lived scheduler reused across cases.
 #[test]
 fn randomized_fleets_bit_identical_across_scheduler_configs() {
     let shared = Arc::new(Scheduler::new(3));
@@ -133,10 +131,7 @@ fn randomized_fleets_bit_identical_across_scheduler_configs() {
         let sched = match pool {
             0 => None,
             1 => Some(Arc::new(Scheduler::new(workers))),
-            _ => {
-                shared.set_yield(Tier::Batch, case % 2 == 0);
-                Some(Arc::clone(&shared))
-            }
+            _ => Some(Arc::clone(&shared)),
         };
         let fleet = fleet_boards_small(n_boards, library_seed, per_board_seed);
         let (want_reports, want_boards) = sequential_reference(&fleet);

@@ -68,7 +68,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             for gi in 0..board.groups().len() {
                 let report = if use_baseline {
-                    match_group_aidt(&mut board, gi, &config)
+                    match_group_aidt(&mut board, gi)
                 } else {
                     match_board_group(&mut board, gi, &config)
                 };

@@ -81,7 +81,7 @@ fn all_table1_cases_beat_baseline_on_error() {
         let mut ours_case = table1_case(case_no);
         let ours = match_board_group(&mut ours_case.board, 0, &ExtendConfig::default());
         let mut base_case = table1_case(case_no);
-        let base = match_group_aidt(&mut base_case.board, 0, &ExtendConfig::default());
+        let base = match_group_aidt(&mut base_case.board, 0);
         assert!(
             ours.max_error() <= base.max_error() + 1e-9,
             "case {case_no}: ours {:.4} vs baseline {:.4}",
@@ -120,7 +120,7 @@ fn table2_dp_dominates_at_tight_drc() {
         ..ExtendConfig::default()
     };
     let dp = extend_trace(&input, &config);
-    let fixed = extend_trace_fixed(&input, &config, &FixedTrackOptions::default());
+    let fixed = extend_trace_fixed(&input, &FixedTrackOptions::default());
     assert!(
         dp.achieved > fixed.achieved * 1.3,
         "DP {:.1} vs fixed {:.1}",
