@@ -179,11 +179,12 @@ pub struct FleetConfig {
     /// the `Arc`.
     pub cache: Option<Arc<ResultCache>>,
     /// Shared priority-bucketed scheduler ([`crate::sched`]). When set,
-    /// the fleet's packets run on it at [`Tier::Batch`] (its worker count
-    /// wins over [`FleetConfig::workers`]) and interleave with whatever
-    /// other tiers are in flight — an attached serving session's
-    /// interactive packets preempt at packet boundaries. When `None`, the
-    /// run uses a private pool (or an inline serial loop for one worker);
+    /// the fleet's packets run on it at [`Tier::Batch`] and interleave
+    /// with whatever other tiers are in flight — an attached serving
+    /// session's interactive packets preempt at packet boundaries. Its
+    /// worker count, which counts the calling thread, wins over
+    /// [`FleetConfig::workers`]. When `None`, the run uses a private pool
+    /// of [`FleetConfig::workers`] threads, the calling thread among them;
     /// output is bit-identical either way.
     pub sched: Option<Arc<Scheduler>>,
     /// Scripted faults for chaos testing (`fault` feature only —
@@ -288,16 +289,15 @@ pub struct FleetStats {
     /// completion, cached replays included; halted packets are not
     /// recorded).
     pub latency: LatencyHistogram,
-    /// Worker-level counters of this run (workers, per-worker
-    /// executed/busy/panics, skips).
+    /// Thread-level counters of this run: the serving threads (helpers,
+    /// then the calling thread), their executed/busy/panics, and skips.
     pub scheduler: WorkerCounters,
     /// Bucket counters over this run's window: per-bucket packets
     /// executed, steals, preemptions ([`crate::sched`]). With a private
     /// pool this is the run's exact accounting; on a shared
     /// [`FleetConfig::sched`] concurrent tiers' packets land in whichever
-    /// run's window they completed.
-    /// Cross-worker counters (steals, preemptions) read zero when one
-    /// worker serves the run.
+    /// run's window they completed. Steals (packets a helper ran) read
+    /// zero when the calling thread serves the run alone.
     pub sched: SchedCounters,
 }
 

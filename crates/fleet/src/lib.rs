@@ -17,10 +17,10 @@
 //! * **One pipeline, one pool.** Batch fleets ([`route_fleet`]), cache
 //!   warm-up ([`warm_fleet_cache`]), and serving re-routes
 //!   ([`FleetSession`]) share one plan → execute → resolve pipeline. Its
-//!   per-unit work packets run on one worker pool: per-worker deques with
-//!   steal-half rebalancing inside typed priority buckets
-//!   ([`sched::Scheduler`]: `Interactive` > `Batch` > `Speculative` with
-//!   strict opening conditions).
+//!   per-unit work packets run on one worker pool, where the submitting
+//!   thread runs its own packets and helper threads claim from typed
+//!   priority buckets ([`sched::Scheduler`]: `Interactive` > `Batch` >
+//!   `Speculative` with strict opening conditions).
 //! * **Deterministic write-back.** Results land in input-order slots and
 //!   write back in `(board, group, unit)` order, so fleet output is
 //!   **bit-identical** to routing each board's materialized twin

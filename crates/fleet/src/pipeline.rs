@@ -504,7 +504,7 @@ pub(crate) struct Run {
 }
 
 /// Runs `plan`'s packets at `tier` — on [`FleetConfig::sched`] when
-/// attached, else a private pool or the inline loop — under the config's
+/// attached, else a private pool of the config's workers — under its
 /// cancel token, deadline, and per-board budget. Zero-unit keyed groups
 /// consult (and fill) the cache on the calling thread; a plan with no
 /// packets schedules nothing.

@@ -1,16 +1,15 @@
 //! The one worker pool: phase-bucketed, priority-aware work packets with
-//! typed tiers and opening conditions, per-worker deques with steal-half
-//! rebalancing, a worker monitor with parked/active accounting, and
-//! per-packet panic isolation.
+//! typed tiers and opening conditions, run by the thread that submits
+//! them with help from parked pool threads, a monitor with parked/active
+//! accounting, and per-packet panic isolation.
 //!
 //! ## Why buckets
 //!
 //! A flat pool treats every packet alike: an interactive serving re-route
 //! submitted while a 1000-board batch fleet is draining queues behind it
 //! and waits out the whole backlog. This scheduler layers **priority
-//! buckets** over per-worker deques with steal-half rebalancing
-//! (mmtk-core's `work_bucket`/`worker`/`worker_monitor` is the exemplar
-//! shape):
+//! buckets** over the runs submitted to it (mmtk-core's
+//! `work_bucket`/`worker`/`worker_monitor` is the exemplar shape):
 //!
 //! * [`Tier::Interactive`] — serving re-routes ([`crate::FleetSession`]);
 //! * [`Tier::Batch`] — fleet routing ([`crate::route_fleet`] and the
@@ -22,76 +21,86 @@
 //! resolve pipeline, whose `execute` step is the only caller of
 //! [`run_packets`].
 //!
+//! **Caller runs.** A run is one claim cursor over its packets, pushed
+//! onto its tier's bucket. The thread that calls [`Scheduler::run`]
+//! claims and executes its own run's packets, the way an mmtk coordinator
+//! drains the shared queue it fills, and the pool's `workers − 1` helper
+//! threads claim from the highest open bucket. So `Scheduler::new(1)` is
+//! the caller-only pool: a run costs no thread hand-off, and
+//! [`run_packets`] without an attached scheduler needs no second path.
+//!
 //! **Opening condition:** a bucket is claimable only when every higher
-//! tier is *drained* — no packets queued **or in flight**. Workers
-//! re-evaluate the condition at every pop boundary, so an interactive
-//! packet arriving mid-batch preempts the batch after at most one
-//! in-flight packet per worker: that is the **preemption seam**, and
-//! [`SchedCounters::preemptions`] counts every time a worker jumps from a
-//! lower bucket to a higher one that still left the lower bucket pending.
+//! tier is *drained* — no packets unclaimed **or in flight**. Callers and
+//! helpers re-evaluate the condition at every claim, so an interactive
+//! run arriving mid-batch preempts the batch after at most one in-flight
+//! packet per thread: that is the **preemption seam**.
+//! [`SchedCounters::preemptions`] counts a helper jumping from a lower
+//! bucket to a higher one that left the lower bucket pending, and a
+//! caller parking with unclaimed packets because a higher bucket opened.
 //!
-//! ## Worker monitor
+//! ## Monitor
 //!
-//! Workers with nothing claimable **park** on a condvar instead of
-//! spinning; submissions and bucket drains bump a monitor epoch and wake
-//! them; [`Scheduler::parked`] reads the gauge. [`SchedCounters`] exposes
-//! the accounting — per-bucket packets executed, steals, preemptions — so
-//! steal behavior is observable ([`Scheduler::counters`]; cross-worker
-//! counters read zero when one worker drains everything it seeded).
+//! Helpers with nothing claimable, and callers whose tier is closed or
+//! whose last packets are in flight on helpers, **park** on one condvar
+//! instead of spinning; submissions, bucket drains and run completions
+//! bump a monitor epoch and wake them. [`Scheduler::parked`] reads the
+//! helper gauge. [`SchedCounters`] exposes the accounting — per-bucket
+//! packets executed, steals (packets a helper ran for a caller),
+//! preemptions ([`Scheduler::counters`]).
 //!
 //! ## Failure domains
 //!
 //! A packet is a failure domain. Every packet runs under
 //! [`std::panic::catch_unwind`]: a panicking packet yields
-//! [`JobStatus::Panicked`] in its own slot, the worker survives and keeps
-//! draining, and every other packet's result is untouched. Panics are
-//! counted per worker in [`WorkerCounters::panics`]. The optional `stop`
-//! predicate is polled when each packet is claimed, so a cancelled or
-//! over-deadline run stops burning CPU within one packet's granularity;
-//! packets claimed after the trip report [`JobStatus::Skipped`].
+//! [`JobStatus::Panicked`] in its own slot, the serving thread survives
+//! and keeps claiming, and every other packet's result is untouched.
+//! Panics are counted per thread in [`WorkerCounters::panics`]. The
+//! optional `stop` predicate is polled when each packet is claimed, so a
+//! cancelled or over-deadline run stops burning CPU within one packet's
+//! granularity; packets claimed after the trip report
+//! [`JobStatus::Skipped`].
 //!
 //! ## Why scheduling policy cannot change output
 //!
 //! Packets snapshot their inputs, each packet's result lands in the slot
 //! of its input index, and callers consume slots in input order. Buckets,
-//! parking, steals, and preemption decide only *who runs what when* —
+//! parking, helpers, and preemption decide only *who runs what when* —
 //! never what a packet computes or where its result lands. Fleet
 //! output therefore stays bit-identical to sequential for every bucket
 //! config, worker count, and preemption schedule (property-tested in
 //! `tests/sched.rs`).
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Number of priority buckets.
 pub const TIERS: usize = 3;
 
-/// Worker-level counters of one packet run: who executed what, for how
+/// Thread-level counters of one packet run: who executed what, for how
 /// long, and which packets panicked or were skipped. Steal traffic is
 /// pool-wide and lives in [`SchedCounters`].
 #[derive(Debug, Clone, Default)]
 pub struct WorkerCounters {
-    /// Workers that served the run (1 for the inline serial loop).
+    /// Threads that served the run: the pool's helpers, then the caller.
     pub workers: usize,
-    /// Packets executed per worker (index = worker id); panicking
-    /// packets count as executed.
+    /// Packets executed per serving thread (index = helper id, the caller
+    /// last); panicking packets count as executed.
     pub executed: Vec<u64>,
-    /// Busy time (inside packet bodies) per worker.
+    /// Busy time (inside packet bodies) per serving thread.
     pub busy: Vec<Duration>,
-    /// Panics caught per worker (index = worker id). The worker survives
-    /// each one; the sum equals the number of `JobStatus::Panicked` slots.
+    /// Panics caught per serving thread. The thread survives each one;
+    /// the sum equals the number of `JobStatus::Panicked` slots.
     pub panics: Vec<u64>,
     /// Packets never run because the stop predicate tripped.
     pub skipped: u64,
 }
 
 impl WorkerCounters {
-    /// Total busy time across workers.
+    /// Total busy time across serving threads.
     pub fn total_busy(&self) -> Duration {
         self.busy.iter().sum()
     }
@@ -101,7 +110,7 @@ impl WorkerCounters {
         self.executed.iter().sum()
     }
 
-    /// Total panics caught across workers.
+    /// Total panics caught across serving threads.
     pub fn total_panics(&self) -> u64 {
         self.panics.iter().sum()
     }
@@ -143,7 +152,7 @@ impl fmt::Debug for JobPanic {
 pub enum JobStatus<R> {
     /// The packet ran to completion.
     Done(R),
-    /// The packet panicked; the worker caught it and moved on.
+    /// The packet panicked; the serving thread caught it and moved on.
     Panicked(JobPanic),
     /// The packet never ran — the stop predicate tripped first.
     Skipped,
@@ -205,10 +214,12 @@ pub struct SchedCounters {
     /// packets the stop predicate skipped are not counted, panicking
     /// ones are.
     pub packets: [u64; TIERS],
-    /// Times a worker jumped from a lower bucket to a higher one that
-    /// left the lower bucket still pending — the preemption seam firing.
+    /// Times the preemption seam fired: a helper jumped from a lower
+    /// bucket to a higher one that left the lower bucket still pending,
+    /// or a caller parked with unclaimed packets because a higher bucket
+    /// opened.
     pub preemptions: u64,
-    /// Successful steal operations (each may move several packets).
+    /// Packets a pool helper ran for another thread's run.
     pub steals: u64,
 }
 
@@ -235,24 +246,31 @@ impl SchedCounters {
     }
 }
 
-/// A scheduled packet: type-erased, invoked with the executing worker's
-/// id. The generic slot/counter plumbing lives in the wrapper
-/// [`Scheduler::run`] builds.
-type Packet = Box<dyn FnOnce(usize) + Send>;
+/// A submitted run as the pool sees it: one claim cursor over its
+/// packets. The generic slot/counter plumbing lives in [`RunState`].
+trait Run: Send + Sync {
+    /// Claims the next unclaimed packet's index, if any is left.
+    fn claim(&self) -> Option<usize>;
+    /// Executes claimed packet `i`, accounting it to serving slot `w`.
+    fn exec(&self, i: usize, w: usize, pool: &Inner);
+}
 
+#[derive(Default)]
 struct Monitor {
-    /// Bumped on every submission, bucket drain, and shutdown; parked
-    /// workers wait for it to move.
+    /// Bumped on every submission, bucket drain, run completion, and
+    /// shutdown; parked threads wait for it to move.
     epoch: u64,
-    /// Workers currently parked (active = workers − parked).
+    /// Helpers currently parked (active = helpers − parked).
     parked: usize,
 }
 
+#[derive(Default)]
 struct Inner {
-    workers: usize,
-    /// `queues[tier][worker]`.
-    queues: Vec<Vec<Mutex<VecDeque<Packet>>>>,
-    /// Queued + in-flight packets per bucket — the drain condition.
+    /// Pool helper threads; with a run's caller they make `workers`.
+    helpers: usize,
+    /// Live runs per bucket, in submission order.
+    buckets: [Mutex<Vec<Arc<dyn Run>>>; TIERS],
+    /// Unclaimed + in-flight packets per bucket — the drain condition.
     pending: [AtomicUsize; TIERS],
     shutdown: AtomicBool,
     monitor: Mutex<Monitor>,
@@ -262,126 +280,72 @@ struct Inner {
     steals: AtomicU64,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    // A poisoned queue/monitor mutex can only mean a panic inside this
-    // module's own bookkeeping (packet bodies run under catch_unwind);
-    // recover the state rather than wedging the pool.
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A poisoned bucket/slot/monitor mutex can only mean a panic inside
+    // this module's own bookkeeping (packet bodies run under
+    // catch_unwind); recover the state rather than wedging the pool.
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Inner {
-    /// Bumps the monitor epoch and wakes every parked worker (and any
-    /// parked submitters re-checking their run's completion).
+    fn epoch(&self) -> u64 {
+        lock(&self.monitor).epoch
+    }
+
+    /// Bumps the monitor epoch and wakes every parked thread.
     fn wake_all(&self) {
-        {
-            let mut m = lock(&self.monitor);
-            m.epoch += 1;
-        }
+        lock(&self.monitor).epoch += 1;
         self.cv.notify_all();
     }
 
-    fn submit(&self, tier: Tier, packets: Vec<Packet>) {
-        let t = tier.index();
-        let n = packets.len();
-        if n == 0 {
-            return;
-        }
-        self.pending[t].fetch_add(n, Ordering::SeqCst);
-        // Round-robin seeding: packet i starts on worker i % workers, so a
-        // run spreads across the pool before any stealing.
-        for (i, p) in packets.into_iter().enumerate() {
-            lock(&self.queues[t][i % self.workers]).push_back(p);
-        }
-        self.wake_all();
+    /// The opening condition of bucket `t`: every higher bucket drained.
+    fn open(&self, t: usize) -> bool {
+        self.pending[..t]
+            .iter()
+            .all(|p| p.load(Ordering::SeqCst) == 0)
     }
 
-    /// The pop boundary: scan buckets highest-priority first, honoring
-    /// the opening condition. Returns the claimed packet and its tier, or
+    /// A helper's claim: scan buckets highest-priority first, honoring
+    /// the opening condition. Returns the tier, run and packet index, or
     /// `None` when nothing is claimable (park).
-    fn claim(&self, w: usize) -> Option<(usize, Packet)> {
-        for t in 0..TIERS {
-            if self.pending[t].load(Ordering::SeqCst) == 0 {
-                continue; // drained: the next bucket may open
-            }
-            if let Some(p) = lock(&self.queues[t][w]).pop_front() {
-                return Some((t, p));
-            }
-            // Dry: probe victims round-robin from the right neighbor,
-            // stealing the back half of the first non-empty deque.
-            for k in 1..self.workers {
-                let v = (w + k) % self.workers;
-                let grabbed: VecDeque<Packet> = {
-                    let mut victim = lock(&self.queues[t][v]);
-                    let keep = victim.len() / 2;
-                    victim.split_off(keep)
-                };
-                if grabbed.is_empty() {
-                    continue;
-                }
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                let mut own = lock(&self.queues[t][w]);
-                own.extend(grabbed);
-                let p = own.pop_front();
-                drop(own);
-                if let Some(p) = p {
-                    return Some((t, p));
-                }
-            }
-            // Bucket t's remaining packets are all in flight elsewhere.
-            // Lower buckets stay closed until it drains.
-            return None;
-        }
-        None
+    fn claim(&self) -> Option<(usize, Arc<dyn Run>, usize)> {
+        let t = (0..TIERS).find(|&t| self.pending[t].load(Ordering::SeqCst) > 0)?;
+        // Bucket t may hold only packets in flight elsewhere; lower
+        // buckets stay closed until it drains.
+        lock(&self.buckets[t])
+            .iter()
+            .find_map(|run| run.claim().map(|i| (t, Arc::clone(run), i)))
     }
 
-    fn worker_loop(self: &Arc<Inner>, w: usize) {
+    /// Blocks until the monitor epoch moves past `seen` or the pool shuts
+    /// down; `helper` threads count in the parked gauge.
+    fn park(&self, seen: u64, helper: bool) {
+        let mut m = lock(&self.monitor);
+        m.parked += usize::from(helper);
+        while m.epoch == seen && !self.shutdown.load(Ordering::SeqCst) {
+            m = self.cv.wait(m).unwrap_or_else(PoisonError::into_inner);
+        }
+        m.parked -= usize::from(helper);
+    }
+
+    fn helper_loop(&self, w: usize) {
         let mut last_tier: Option<usize> = None;
-        loop {
-            let seen = lock(&self.monitor).epoch;
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
+        while !self.shutdown.load(Ordering::SeqCst) {
+            let seen = self.epoch();
+            let Some((t, run, i)) = self.claim() else {
+                self.park(seen, true);
+                continue;
+            };
+            if last_tier
+                .is_some_and(|last| t < last && self.pending[last].load(Ordering::SeqCst) > 0)
+            {
+                self.preemptions.fetch_add(1, Ordering::Relaxed);
             }
-            match self.claim(w) {
-                Some((t, packet)) => {
-                    if let Some(last) = last_tier {
-                        if t < last && self.pending[last].load(Ordering::SeqCst) > 0 {
-                            self.preemptions.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    last_tier = Some(t);
-                    // Packet wrappers isolate their own panics into job
-                    // slots (and count themselves in packets[t] before
-                    // releasing their run's completion guard); this catch
-                    // is the belt under the braces so a raw packet can
-                    // never kill the worker either.
-                    let _ = catch_unwind(AssertUnwindSafe(|| packet(w)));
-                    if self.pending[t].fetch_sub(1, Ordering::SeqCst) == 1 {
-                        // Bucket drained: lower buckets open, wake the
-                        // parked workers to claim them.
-                        self.wake_all();
-                    }
-                }
-                None => {
-                    let mut m = lock(&self.monitor);
-                    if m.epoch != seen {
-                        continue; // something arrived between scan and lock
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    m.parked += 1;
-                    while m.epoch == seen && !self.shutdown.load(Ordering::SeqCst) {
-                        m = match self.cv.wait(m) {
-                            Ok(g) => g,
-                            Err(poisoned) => poisoned.into_inner(),
-                        };
-                    }
-                    m.parked -= 1;
-                }
-            }
+            last_tier = Some(t);
+            // Packet bodies isolate their own panics into job slots; this
+            // catch is the belt under the braces so the run's bookkeeping
+            // can never kill a helper either.
+            let _ = catch_unwind(AssertUnwindSafe(|| run.exec(i, w, self)));
         }
     }
 
@@ -394,63 +358,101 @@ impl Inner {
     }
 }
 
-/// Per-run completion and accounting state, shared between the submitter
-/// and the packets it spawned.
-struct RunShared<R> {
-    slots: Vec<Mutex<Option<JobStatus<R>>>>,
+type Stop = Arc<dyn Fn() -> bool + Send + Sync>;
+
+/// A run's items, stop predicate and packet body.
+type Body<T, F> = (Arc<Vec<T>>, Option<Stop>, Arc<F>);
+
+/// One submitted run: its claim cursor, input-order result slots, and
+/// per-thread accounting (helpers first, the caller last).
+struct RunState<T, R, F> {
+    tier: usize,
+    /// The caller's serving slot.
+    caller: usize,
+    /// The caller takes the body back once every packet resolved, so
+    /// nothing it passed outlives [`Scheduler::run`], even while a helper
+    /// still holds the run.
+    body: RwLock<Option<Body<T, F>>>,
+    n: usize,
+    /// Next packet index to claim.
+    next: AtomicUsize,
+    /// Packets not yet resolved.
     remaining: AtomicUsize,
+    slots: Vec<Mutex<Option<JobStatus<R>>>>,
     executed: Vec<AtomicU64>,
     busy_nanos: Vec<AtomicU64>,
     panics: Vec<AtomicU64>,
     skipped: AtomicU64,
-    done: Mutex<bool>,
-    cv: Condvar,
 }
 
-impl<R> RunShared<R> {
-    fn new(n: usize, workers: usize) -> RunShared<R> {
-        RunShared {
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            remaining: AtomicUsize::new(n),
-            executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            busy_nanos: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            panics: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            skipped: AtomicU64::new(0),
-            // An empty run is finished before it starts.
-            done: Mutex::new(n == 0),
-            cv: Condvar::new(),
-        }
+impl<T, R, F> Run for RunState<T, R, F>
+where
+    T: Send + Sync,
+    R: Send,
+    F: Fn(&T) -> R + Send + Sync,
+{
+    fn claim(&self) -> Option<usize> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.n).then_some(i)
     }
 
-    fn wait(&self) {
-        let mut done = lock(&self.done);
-        while !*done {
-            done = match self.cv.wait(done) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
+    fn exec(&self, i: usize, w: usize, pool: &Inner) {
+        // Declared first ⇒ drops last: an executed packet is counted in
+        // packets[t] and its slot filled before the caller can see the
+        // run finish and snapshot its counter delta.
+        let _finish = FinishGuard { run: self, pool };
+        let body = self.body.read().unwrap_or_else(PoisonError::into_inner);
+        let (items, stop, f) = body.as_ref().expect("a claimed packet's run is live");
+        let status = if stop.as_ref().is_some_and(|s| s()) {
+            self.skipped.fetch_add(1, Ordering::Relaxed);
+            JobStatus::Skipped
+        } else {
+            pool.packets[self.tier].fetch_add(1, Ordering::Relaxed);
+            if w != self.caller {
+                pool.steals.fetch_add(1, Ordering::Relaxed);
+            }
+            let t0 = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
+            let nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            self.busy_nanos[w].fetch_add(nanos, Ordering::Relaxed);
+            self.executed[w].fetch_add(1, Ordering::Relaxed);
+            match result {
+                Ok(r) => JobStatus::Done(r),
+                Err(payload) => {
+                    self.panics[w].fetch_add(1, Ordering::Relaxed);
+                    JobStatus::Panicked(JobPanic { payload })
+                }
+            }
+        };
+        *lock(&self.slots[i]) = Some(status);
     }
 }
 
 /// Accounts a claimed packet as finished even if slot assignment unwinds
-/// — without this a crashing packet would leave its submitter waiting
+/// — without this a crashing packet would leave its caller waiting
 /// forever.
-struct FinishGuard<R>(Arc<RunShared<R>>);
+struct FinishGuard<'a, T, R, F> {
+    run: &'a RunState<T, R, F>,
+    pool: &'a Inner,
+}
 
-impl<R> Drop for FinishGuard<R> {
+impl<T, R, F> Drop for FinishGuard<'_, T, R, F> {
     fn drop(&mut self) {
-        if self.0.remaining.fetch_sub(1, Ordering::Release) == 1 {
-            *lock(&self.0.done) = true;
-            self.0.cv.notify_all();
+        // The packet leaves its bucket's pending count before its run can
+        // count as finished, so a returned run never holds a bucket shut.
+        let drained = self.pool.pending[self.run.tier].fetch_sub(1, Ordering::SeqCst) == 1;
+        let finished = self.run.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
+        if drained || finished {
+            // Lower buckets open, or the run's caller may return.
+            self.pool.wake_all();
         }
     }
 }
 
-/// A persistent priority-bucketed worker pool. Create one per serving
-/// process (or let [`run_packets`] spin up an ephemeral one per call),
-/// share it via `Arc`, and submit runs from any thread — concurrent runs
-/// interleave under the bucket opening condition.
+/// A persistent priority-bucketed pool. Create one per serving process
+/// (or let [`run_packets`] make a private one per call), share it via
+/// `Arc`, and submit runs from any thread — concurrent runs interleave
+/// under the bucket opening condition.
 pub struct Scheduler {
     inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -459,50 +461,40 @@ pub struct Scheduler {
 impl fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Scheduler")
-            .field("workers", &self.inner.workers)
+            .field("workers", &self.workers())
             .finish()
     }
 }
 
 impl Scheduler {
-    /// Spawns `workers` (≥ 1) parked worker threads.
+    /// A pool on which `workers` (≥ 1) threads serve each run: the
+    /// calling thread plus `workers − 1` parked helper threads. So
+    /// `Scheduler::new(1)` spawns nothing, and every caller runs its own
+    /// packets.
     pub fn new(workers: usize) -> Scheduler {
-        let workers = workers.max(1);
         let inner = Arc::new(Inner {
-            workers,
-            queues: (0..TIERS)
-                .map(|_| (0..workers).map(|_| Mutex::new(VecDeque::new())).collect())
-                .collect(),
-            pending: Default::default(),
-            shutdown: AtomicBool::new(false),
-            monitor: Mutex::new(Monitor {
-                epoch: 0,
-                parked: 0,
-            }),
-            cv: Condvar::new(),
-            packets: Default::default(),
-            preemptions: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
+            helpers: workers.max(1) - 1,
+            ..Inner::default()
         });
-        let threads = (0..workers)
+        let threads = (0..inner.helpers)
             .map(|w| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("meander-sched-{w}"))
-                    .spawn(move || inner.worker_loop(w))
-                    .expect("spawn scheduler worker")
+                    .spawn(move || inner.helper_loop(w))
+                    .expect("spawn scheduler helper")
             })
             .collect();
         Scheduler { inner, threads }
     }
 
-    /// Worker count.
+    /// Threads that serve each run: the helpers plus the caller.
     pub fn workers(&self) -> usize {
-        self.inner.workers
+        self.inner.helpers + 1
     }
 
-    /// Workers currently parked (a gauge; `workers() - parked` are
-    /// active or scanning).
+    /// Helpers currently parked (a gauge; an idle pool parks
+    /// `workers() − 1`).
     pub fn parked(&self) -> usize {
         lock(&self.inner.monitor).parked
     }
@@ -512,10 +504,11 @@ impl Scheduler {
         self.inner.counters()
     }
 
-    /// Submits one packet per item into `tier` and blocks until every
-    /// packet resolved, returning one [`JobStatus`] per item in input
-    /// order, the run's worker-level counters, and the scheduler counter
-    /// movement over the run's window.
+    /// Submits one packet per item into `tier`, serves the run on the
+    /// calling thread while its tier is open, and returns once every
+    /// packet resolved: one [`JobStatus`] per item in input order, the
+    /// run's thread-level counters, and the scheduler counter movement
+    /// over the run's window.
     ///
     /// A panicking packet yields [`JobStatus::Panicked`] in its own slot
     /// and the pool survives; `stop` is polled when each packet is
@@ -533,66 +526,75 @@ impl Scheduler {
         R: Send + 'static,
         F: Fn(&T) -> R + Send + Sync + 'static,
     {
-        let n = items.len();
-        let workers = self.inner.workers;
+        let (t, n, caller) = (tier.index(), items.len(), self.inner.helpers);
         let before = self.inner.counters();
-        let state: Arc<RunShared<R>> = Arc::new(RunShared::new(n, workers));
-        let packets: Vec<Packet> = (0..n)
-            .map(|i| {
-                let state = Arc::clone(&state);
-                let items = Arc::clone(&items);
-                let f = Arc::clone(&f);
-                let stop = stop.clone();
-                let inner = Arc::clone(&self.inner);
-                Box::new(move |w: usize| {
-                    // Declared first ⇒ drops last: an executed packet is
-                    // counted in packets[t] before the submitter can wake
-                    // and snapshot its counter delta.
-                    let _finish = FinishGuard(Arc::clone(&state));
-                    let status = if stop.as_ref().is_some_and(|s| s()) {
-                        state.skipped.fetch_add(1, Ordering::Relaxed);
-                        JobStatus::Skipped
-                    } else {
-                        inner.packets[tier.index()].fetch_add(1, Ordering::Relaxed);
-                        let t0 = Instant::now();
-                        let result = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
-                        let nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                        state.busy_nanos[w].fetch_add(nanos, Ordering::Relaxed);
-                        state.executed[w].fetch_add(1, Ordering::Relaxed);
-                        match result {
-                            Ok(r) => JobStatus::Done(r),
-                            Err(payload) => {
-                                state.panics[w].fetch_add(1, Ordering::Relaxed);
-                                JobStatus::Panicked(JobPanic { payload })
-                            }
-                        }
-                    };
-                    *lock(&state.slots[i]) = Some(status);
-                }) as Packet
-            })
-            .collect();
-        self.inner.submit(tier, packets);
-        state.wait();
+        let per_thread = || (0..=caller).map(|_| AtomicU64::new(0)).collect();
+        let run = Arc::new(RunState {
+            tier: t,
+            caller,
+            body: RwLock::new(Some((items, stop, f))),
+            n,
+            next: AtomicUsize::new(0),
+            remaining: AtomicUsize::new(n),
+            slots: (0..n).map(|_| Mutex::new(None)).collect(),
+            executed: per_thread(),
+            busy_nanos: per_thread(),
+            panics: per_thread(),
+            skipped: AtomicU64::new(0),
+        });
+        self.inner.pending[t].fetch_add(n, Ordering::SeqCst);
+        lock(&self.inner.buckets[t]).push(Arc::clone(&run) as Arc<dyn Run>);
+        self.inner.wake_all();
+
+        let mut serving = false;
+        loop {
+            let seen = self.inner.epoch();
+            if run.remaining.load(Ordering::Acquire) == 0 {
+                break;
+            }
+            if self.inner.open(t) {
+                if let Some(i) = run.claim() {
+                    serving = true;
+                    run.exec(i, caller, &self.inner);
+                    continue;
+                }
+            } else if serving && run.next.load(Ordering::Relaxed) < n {
+                // A higher bucket opened mid-run: the preemption seam.
+                self.inner.preemptions.fetch_add(1, Ordering::Relaxed);
+                serving = false;
+            }
+            // The tier is closed, or the last packets are in flight on
+            // helpers.
+            self.inner.park(seen, false);
+        }
+        // Unlink the run: with no helpers nothing else ever would, and
+        // the pool would keep every run's items and body alive.
+        lock(&self.inner.buckets[t])
+            .retain(|r| !std::ptr::addr_eq(Arc::as_ptr(r), Arc::as_ptr(&run)));
+        drop(
+            run.body
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take(),
+        );
         let delta = self.inner.counters().delta_since(&before);
 
         let load =
             |v: &[AtomicU64]| -> Vec<u64> { v.iter().map(|a| a.load(Ordering::Relaxed)).collect() };
-        // Drained in place: a packet's Arc clone can outlive its
-        // FinishGuard by an instant.
-        let statuses: Vec<JobStatus<R>> = state
+        let statuses: Vec<JobStatus<R>> = run
             .slots
             .iter()
             .map(|s| lock(s).take().unwrap_or(JobStatus::Skipped))
             .collect();
         let counters = WorkerCounters {
-            workers,
-            executed: load(&state.executed),
-            busy: load(&state.busy_nanos)
+            workers: caller + 1,
+            executed: load(&run.executed),
+            busy: load(&run.busy_nanos)
                 .into_iter()
                 .map(Duration::from_nanos)
                 .collect(),
-            panics: load(&state.panics),
-            skipped: state.skipped.load(Ordering::Relaxed),
+            panics: load(&run.panics),
+            skipped: run.skipped.load(Ordering::Relaxed),
         };
         (statuses, counters, delta)
     }
@@ -608,11 +610,11 @@ impl Drop for Scheduler {
     }
 }
 
-/// Routes a packet run to `sched` when attached, an ephemeral
-/// [`Scheduler`] when parallelism is wanted, or an inline serial loop
-/// (same isolation, same stop semantics, no threads) for 1 worker or ≤ 1
-/// item. The fleet pipeline's `execute` step is its one production
-/// caller, for batch fleets, serving re-routes, and warm-up alike.
+/// Runs a packet run on `sched` when attached, or else on a private pool
+/// of `workers` serving threads capped at the packet count — so one
+/// worker or one packet runs on the calling thread alone. The fleet
+/// pipeline's `execute` step is its one production caller, for batch
+/// fleets, serving re-routes, and warm-up alike.
 pub fn run_packets<T, R, F>(
     sched: Option<&Arc<Scheduler>>,
     tier: Tier,
@@ -626,56 +628,17 @@ where
     R: Send + 'static,
     F: Fn(&T) -> R + Send + Sync + 'static,
 {
-    if let Some(s) = sched {
-        return s.run(tier, items, stop, f);
+    match sched {
+        Some(s) => s.run(tier, items, stop, f),
+        None => Scheduler::new(workers.min(items.len())).run(tier, items, stop, f),
     }
-    let n = items.len();
-    // A measured fast path, not a fork: a one-worker `Scheduler` here cost
-    // ~15% of perfbench `dup-serve` boards/s (2-CPU host, 8 paired runs).
-    if workers <= 1 || n <= 1 {
-        let t0 = Instant::now();
-        let mut out: Vec<JobStatus<R>> = Vec::with_capacity(n);
-        let mut panics = 0u64;
-        let mut executed = 0u64;
-        for item in items.iter() {
-            if stop.as_ref().is_some_and(|s| s()) {
-                out.push(JobStatus::Skipped);
-                continue;
-            }
-            executed += 1;
-            match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                Ok(r) => out.push(JobStatus::Done(r)),
-                Err(payload) => {
-                    panics += 1;
-                    out.push(JobStatus::Panicked(JobPanic { payload }));
-                }
-            }
-        }
-        let skipped = out
-            .iter()
-            .filter(|s| matches!(s, JobStatus::Skipped))
-            .count() as u64;
-        let counters = WorkerCounters {
-            workers: 1,
-            executed: vec![executed],
-            busy: vec![t0.elapsed()],
-            panics: vec![panics],
-            skipped,
-        };
-        let mut sched_counters = SchedCounters::default();
-        sched_counters.packets[tier.index()] = executed;
-        return (out, counters, sched_counters);
-    }
-    let s = Scheduler::new(workers.min(n));
-    s.run(tier, items, stop, f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
-    /// Execution log: (tier, item) pairs in completion order.
+    /// Claim log: (tier, item) pairs in the order packet bodies started.
     type Log = Arc<Mutex<Vec<(Tier, usize)>>>;
 
     fn logging_run(
@@ -692,8 +655,8 @@ mod tests {
             items,
             None,
             Arc::new(move |&i: &usize| {
-                std::thread::sleep(spin);
                 lock(&log).push((tier, i));
+                std::thread::sleep(spin);
                 i
             }),
         );
@@ -730,9 +693,11 @@ mod tests {
         );
         let got: Vec<u64> = out.into_iter().map(|s| s.done().unwrap()).collect();
         assert_eq!(got, items.iter().map(|&x| x + 1).collect::<Vec<_>>());
-        assert_eq!(counters.workers, 1);
+        // The caller-only pool: every packet ran in the caller's slot.
+        assert_eq!(counters.executed, vec![64]);
         assert_eq!(delta.packets[Tier::Interactive.index()], 64);
-        // Zero and one packet take the inline loop whatever the workers.
+        assert_eq!(delta.steals, 0);
+        // Zero and one packet run on the caller alone whatever the workers.
         for n in [0u64, 1] {
             let items: Arc<Vec<u64>> = Arc::new((41..41 + n).collect());
             let (out, c, _) = run_packets(
@@ -749,10 +714,11 @@ mod tests {
         }
     }
 
-    /// Once any interactive packet is claimed, every remaining interactive
-    /// packet is claimed before any batch packet (the scan always visits
-    /// the interactive bucket first) — so with one worker, the interactive
-    /// run is contiguous in the execution log.
+    /// On a caller-only pool each caller runs its own packets. Once the
+    /// interactive caller claims its first packet, the batch caller
+    /// finishes the packet it has in flight and claims nothing more until
+    /// the interactive bucket drains — so no batch packet is *claimed*
+    /// between the first and the last interactive claim.
     #[test]
     fn interactive_preempts_batch_at_packet_boundary() {
         let sched = Arc::new(Scheduler::new(1));
@@ -764,8 +730,9 @@ mod tests {
                 logging_run(&sched, Tier::Batch, 24, Duration::from_millis(4), &log)
             })
         };
-        // Let the batch get going, then demand interactive service.
-        std::thread::sleep(Duration::from_millis(20));
+        // Let the batch get going, then demand interactive service in the
+        // middle of a batch packet.
+        std::thread::sleep(Duration::from_millis(18));
         logging_run(&sched, Tier::Interactive, 6, Duration::from_millis(1), &log);
         batch.join().unwrap();
         let entries = lock(&log).clone();
@@ -780,23 +747,21 @@ mod tests {
             .unwrap();
         assert!(
             first_i > 0,
-            "batch started first (submitted 20ms earlier): {entries:?}"
+            "batch started first (submitted 18ms earlier): {entries:?}"
         );
         assert!(
             entries[first_i..=last_i]
                 .iter()
                 .all(|(t, _)| *t == Tier::Interactive),
-            "no batch packet may interleave an interactive wave: {entries:?}"
+            "no batch packet may be claimed inside an interactive wave: {entries:?}"
         );
         assert!(
             last_i < entries.len() - 1,
             "batch resumed after the wave: {entries:?}"
         );
         let c = sched.counters();
-        assert!(
-            c.preemptions >= 1,
-            "the worker jumped buckets mid-batch: {c:?}"
-        );
+        assert!(c.preemptions >= 1, "the batch caller parked mid-run: {c:?}");
+        assert_eq!(c.steals, 0, "a caller-only pool has no helpers");
     }
 
     /// The opening condition is strict: while an interactive packet is in
@@ -845,11 +810,11 @@ mod tests {
         );
     }
 
-    /// A panicking packet is its own failure domain on both paths — a
-    /// persistent pool and the inline one-worker loop (the path a
-    /// single-worker fleet or session takes): the healthy packets complete
-    /// with correct values, the panic lands in its own slot with its
-    /// message, and the per-worker counters account for exactly one catch.
+    /// A panicking packet is its own failure domain on a persistent pool
+    /// and on the private caller-only pool a single-worker fleet or
+    /// session takes: the healthy packets complete with correct values,
+    /// the panic lands in its own slot with its message, and the
+    /// per-thread counters account for exactly one catch.
     #[test]
     fn panicking_packet_is_isolated() {
         let pool = Arc::new(Scheduler::new(2));
@@ -885,8 +850,8 @@ mod tests {
     }
 
     /// A tripped stop predicate skips every unclaimed packet, on a pool
-    /// and inline; inline, a predicate that trips after the first claim
-    /// lets exactly that packet run.
+    /// and on the caller alone; on the caller alone, a predicate that
+    /// trips after the first claim lets exactly that packet run.
     #[test]
     fn stop_predicate_skips_packets() {
         let pool = Arc::new(Scheduler::new(2));
@@ -931,20 +896,97 @@ mod tests {
         );
     }
 
+    /// A stop predicate that skips every packet leaves no busy time on
+    /// any serving thread: busy is measured inside packet bodies only.
+    #[test]
+    fn skipped_run_reports_no_busy_time() {
+        let pools = [Arc::new(Scheduler::new(1)), Arc::new(Scheduler::new(3))];
+        for sched in [Some(&pools[0]), Some(&pools[1]), None] {
+            let items: Arc<Vec<u32>> = Arc::new((0..32).collect());
+            let stop: Arc<dyn Fn() -> bool + Send + Sync> = Arc::new(|| true);
+            let (_, c, _) = run_packets(
+                sched,
+                Tier::Batch,
+                1,
+                items,
+                Some(stop),
+                Arc::new(|&x: &u32| x),
+            );
+            assert_eq!(c.skipped, 32);
+            assert_eq!(c.total_busy(), Duration::ZERO, "{c:?}");
+        }
+    }
+
+    /// Once `run` returns, the pool holds nothing of the run: no bucket
+    /// lists it, and the caller's `items` and `f` are uniquely owned
+    /// again, also when the stop predicate trips midway.
+    #[test]
+    fn finished_run_leaves_nothing_behind() {
+        for workers in [1, 3] {
+            let sched = Scheduler::new(workers);
+            for trip_at in [None, Some(20)] {
+                let items: Arc<Vec<usize>> = Arc::new((0..64).collect());
+                let claimed = Arc::new(AtomicUsize::new(0));
+                let f = {
+                    let claimed = Arc::clone(&claimed);
+                    Arc::new(move |&x: &usize| {
+                        claimed.fetch_add(1, Ordering::SeqCst);
+                        x
+                    })
+                };
+                let stop: Option<Arc<dyn Fn() -> bool + Send + Sync>> = trip_at.map(|k| {
+                    let claimed = Arc::clone(&claimed);
+                    Arc::new(move || claimed.load(Ordering::SeqCst) >= k) as _
+                });
+                let (out, c, _) = sched.run(Tier::Batch, Arc::clone(&items), stop, Arc::clone(&f));
+                assert_eq!(out.len(), 64);
+                if trip_at.is_some() {
+                    assert!(c.skipped > 0, "workers {workers}: the stop tripped midway");
+                }
+                assert_eq!(Arc::strong_count(&items), 1, "workers {workers}: items");
+                assert_eq!(Arc::strong_count(&f), 1, "workers {workers}: body");
+                assert!(
+                    sched.inner.buckets.iter().all(|b| lock(b).is_empty()),
+                    "workers {workers}: the run is unlinked"
+                );
+            }
+        }
+    }
+
+    /// Helpers help: with two of them and spinning packets, some packets
+    /// run off the caller's thread and count as steals.
+    #[test]
+    fn helpers_steal_from_the_caller() {
+        let sched = Scheduler::new(3);
+        let items: Arc<Vec<u64>> = Arc::new((0..64).collect());
+        let (_, c, delta) = sched.run(
+            Tier::Batch,
+            items,
+            None,
+            Arc::new(|&x: &u64| {
+                std::thread::sleep(Duration::from_micros(500));
+                x
+            }),
+        );
+        assert_eq!(c.workers, 3);
+        assert_eq!(c.total_executed(), 64);
+        assert!(delta.steals > 0, "{delta:?}");
+        assert_eq!(delta.steals, c.executed[..2].iter().sum::<u64>());
+    }
+
     #[test]
     fn workers_park_when_idle() {
         let sched = Arc::new(Scheduler::new(3));
-        // Give the spawned workers a moment to find nothing and park.
+        // Give the two spawned helpers a moment to find nothing and park.
         for _ in 0..100 {
-            if sched.parked() == 3 {
+            if sched.parked() == 2 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(sched.parked(), 3, "idle workers park on the monitor");
+        assert_eq!(sched.parked(), 2, "idle helpers park on the monitor");
         let items: Arc<Vec<u64>> = Arc::new((0..64).collect());
         let (_, _, delta) = sched.run(Tier::Speculative, items, None, Arc::new(|&x: &u64| x));
-        // Parked workers woke to serve the run.
         assert_eq!(delta.packets[Tier::Speculative.index()], 64);
     }
 

@@ -2,14 +2,16 @@
 //! routed bit**.
 //!
 //! The bucketed scheduler (`fleet::sched`) decides only *who computes
-//! what when* — results land in input-order slots and write back in
-//! input order, so output must be bit-identical to per-board sequential
-//! `match_all_groups` for ANY bucket configuration, worker count, and
-//! preemption schedule. These properties make that executable:
+//! what when* — the thread that submits a run executes its packets while
+//! its tier is open, pool helpers claim whatever is open, and results
+//! land in input-order slots and write back in input order. So output
+//! must be bit-identical to per-board sequential `match_all_groups` for
+//! ANY bucket configuration, worker count, and preemption schedule.
+//! These properties make that executable:
 //!
 //! * 64 randomized fleets × pool configs (ephemeral / private / shared
-//!   long-lived scheduler) × workers 1–4, bit-compared to the sequential
-//!   reference;
+//!   long-lived scheduler) × workers 1–4 (the caller alone at 1), bit-compared
+//!   to the sequential reference;
 //! * an interactive serving session preempting a concurrent batch fleet
 //!   on one shared scheduler, at timing-randomized preemption points, with
 //!   a speculative warm-up queued behind both — both outputs bit-identical
@@ -109,7 +111,7 @@ fn assert_identical(
 /// configuration all drawn per case — no pool shape may change a bit.
 ///
 /// Pool configurations cycle through: no scheduler attached (the engine's
-/// ephemeral per-run pool, or the inline loop for one worker), a private
+/// ephemeral per-run pool, the calling thread alone for one worker), a private
 /// [`Scheduler`] sized to the drawn worker count, and one shared
 /// long-lived scheduler reused across cases.
 #[test]
