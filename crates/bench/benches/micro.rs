@@ -11,7 +11,9 @@
 //! * `dtw` — node matching vs node count,
 //! * `simplex` — assignment LP vs grid size,
 //! * `priority_ablation` — connected-pattern priority on/off (Fig. 5),
-//! * `requeue_ablation` — meander-on-meander on/off.
+//! * `requeue_ablation` — meander-on-meander on/off,
+//! * `io_save` / `io_load` — board text out and in for the `cli-boards`
+//!   stress board (`stress_board(12, 30, 200, 1)`, ~750 KB).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use meander_core::baseline::FixedTrackOptions;
@@ -25,6 +27,8 @@ use meander_core::shrink::{
 use meander_core::{extend_trace, ExtendConfig};
 use meander_geom::batch::{distance_sq_to_segment_batch, SegBatch};
 use meander_geom::{Frame, Point, Polygon, Polyline, Segment};
+use meander_layout::gen::stress_board;
+use meander_layout::io::{load_board, save_board};
 use meander_msdtw::dtw_match;
 use meander_region::{solve_lp_for_bench, LpOutcome};
 
@@ -340,6 +344,13 @@ fn bench_ablations(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_io(c: &mut Criterion) {
+    let board = stress_board(12, 30, 200, 1).board;
+    let text = save_board(&board).expect("generated names are valid");
+    c.bench_function("io_save", |b| b.iter(|| save_board(&board)));
+    c.bench_function("io_load", |b| b.iter(|| load_board(&text)));
+}
+
 criterion_group!(
     benches,
     bench_dp_kernel,
@@ -348,6 +359,7 @@ criterion_group!(
     bench_batch_profile,
     bench_dtw,
     bench_simplex,
-    bench_ablations
+    bench_ablations,
+    bench_io
 );
 criterion_main!(benches);

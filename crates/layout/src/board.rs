@@ -6,7 +6,7 @@ use crate::group::MatchGroup;
 use crate::obstacle::Obstacle;
 use crate::trace::{Trace, TraceId};
 use meander_drc::{CheckInput, DesignRuleArea, TraceGeometry, Violation};
-use meander_geom::Rect;
+use meander_geom::{Polygon, Rect};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -40,6 +40,11 @@ impl Board {
     #[inline]
     pub fn outline(&self) -> Option<Rect> {
         self.outline
+    }
+
+    /// Sets the outline, keeping every entity.
+    pub(crate) fn set_outline(&mut self, outline: Rect) {
+        self.outline = Some(outline);
     }
 
     /// Adds a trace, returning its id.
@@ -160,6 +165,12 @@ impl Board {
     /// The routable area assigned to `id`, if any.
     pub fn area(&self, id: TraceId) -> Option<&RoutableArea> {
         self.areas.get(&id)
+    }
+
+    /// Adds one polygon to `id`'s routable area, creating the area if
+    /// the trace has none.
+    pub(crate) fn push_area_polygon(&mut self, id: TraceId, polygon: Polygon) {
+        self.areas.entry(id).or_default().push(polygon);
     }
 
     /// Group lengths: current length of each member of `group`.
