@@ -33,7 +33,7 @@ use std::time::Instant;
 /// midline when *every* segment pair couples — and `None` the moment the
 /// pair is imperfectly coupled, which is exactly the fragility the paper
 /// describes (Sec. V-A).
-pub fn parallel_check_merge(
+pub(crate) fn parallel_check_merge(
     p: &Polyline,
     n: &Polyline,
     sep: f64,

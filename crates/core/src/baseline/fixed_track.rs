@@ -2,7 +2,7 @@
 //!
 //! Patterns sit on *fixed tracks*: feet at a constant pitch from the
 //! segment start, constant pattern width, greedy left-to-right insertion.
-//! Obstacles are never routed around ([`max_pattern_height_opts`] with
+//! Obstacles are never routed around (`max_pattern_height_opts` with
 //! enclosure off); when a slot's height comes back too small the slot is
 //! simply skipped — no foot shifting, no width adaptation. Exactly the
 //! failure modes the paper's Fig. 15 walkthrough describes.

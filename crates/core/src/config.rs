@@ -4,24 +4,24 @@ use meander_index::IndexKind;
 
 /// Relative length tolerance (the paper's 0.1 %): a trace is done when
 /// `|l_trace − l_target| ≤ TOLERANCE · l_target`.
-pub const TOLERANCE: f64 = 1e-3;
+pub(crate) const TOLERANCE: f64 = 1e-3;
 
 /// Hard cap on discretization points per segment: [`resolve_ldisc`]
 /// enlarges the step on long segments to stay under it, bounding DP cost.
-pub const MAX_POINTS_PER_SEGMENT: usize = 160;
+pub(crate) const MAX_POINTS_PER_SEGMENT: usize = 160;
 
 /// Hard cap on pattern width in discretization steps.
-pub const MAX_WIDTH_STEPS: usize = 48;
+pub(crate) const MAX_WIDTH_STEPS: usize = 48;
 
 /// Minimum length of a freshly spliced segment worth re-queueing, as a
 /// multiple of `dprotect`.
-pub const REQUEUE_MIN_PROTECT: f64 = 2.0;
+pub(crate) const REQUEUE_MIN_PROTECT: f64 = 2.0;
 
 /// Resolves the discretization step for a segment of `seg_len` under rules
 /// `gap`/`protect`: `min(gap, protect) / 2` ("We may slightly increase
 /// `dgap` and `dprotect` or adjust `ldisc` to make the former divisible by
 /// the latter"), enlarged if needed to respect [`MAX_POINTS_PER_SEGMENT`].
-pub fn resolve_ldisc(seg_len: f64, gap: f64, protect: f64) -> f64 {
+pub(crate) fn resolve_ldisc(seg_len: f64, gap: f64, protect: f64) -> f64 {
     let base = (gap.min(protect) / 2.0).max(1e-6);
     base.max(seg_len / MAX_POINTS_PER_SEGMENT as f64)
 }
@@ -70,7 +70,7 @@ pub struct ExtendConfig {
     /// polygons with via fields. Defaults to `Grid`.
     pub index: IndexKind,
     /// Fan a board's independent units (traces and diff pairs, across all
-    /// of its groups) out on [`crate::par::par_map`]. Results are written
+    /// of its groups) out on `crate::par::par_map`. Results are written
     /// back in deterministic order, so outputs are identical with the flag
     /// on or off — given that a trace belongs to at most one group. Boards
     /// breaking that invariant are rejected by

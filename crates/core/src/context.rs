@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// (paper: "The area below line AD need not be checked"). Constraints *on*
 /// the line (legs of existing patterns) are kept by clipping at exactly
 /// this height, so their clipped bottom nodes still register.
-pub const Y_EPS: f64 = 1e-7;
+pub(crate) const Y_EPS: f64 = 1e-7;
 
 /// World-space inputs for building a [`ShrinkContext`].
 #[derive(Debug, Clone, Default)]
@@ -26,7 +26,7 @@ pub struct WorldContext {
 impl WorldContext {
     /// Builds the URA rectangles for every segment of `trace` except the
     /// one with index `skip`, with lateral half-width `gap / 2`.
-    pub fn trace_uras(trace: &Polyline, skip: usize, gap: f64) -> Vec<Polygon> {
+    pub(crate) fn trace_uras(trace: &Polyline, skip: usize, gap: f64) -> Vec<Polygon> {
         let mut out = Vec::with_capacity(trace.segment_count().saturating_sub(1));
         for (i, seg) in trace.segments().enumerate() {
             if i == skip {
@@ -45,7 +45,7 @@ impl WorldContext {
 /// along-trace spacing constraints are enforced by the DP transition rules
 /// instead. `None` for degenerate segments. Both engines build their
 /// other-segment constraints through this single definition.
-pub fn segment_ura(seg: &Segment, gap: f64) -> Option<Polygon> {
+pub(crate) fn segment_ura(seg: &Segment, gap: f64) -> Option<Polygon> {
     if seg.is_degenerate() {
         return None;
     }
@@ -60,7 +60,7 @@ pub fn segment_ura(seg: &Segment, gap: f64) -> Option<Polygon> {
 /// Effective clearance between trace *centerlines* (`d_gap` of the URA
 /// construction): edge gap plus one trace width (two half-widths).
 #[inline]
-pub fn effective_gap(rules: &DesignRules) -> f64 {
+pub(crate) fn effective_gap(rules: &DesignRules) -> f64 {
     rules.gap + rules.width
 }
 
@@ -84,12 +84,12 @@ pub fn world_cell(rules: &DesignRules) -> f64 {
 /// spatially indexed — built **once** per `(library, rules)` and reused by
 /// every trace of every board of a fleet, and by every unit of one board
 /// in the board-level driver (over the board's own obstacles), instead of
-/// re-indexed inside each [`WorldIndex::build`].
+/// re-indexed inside each `WorldIndex::build`.
 ///
 /// The inflation amount and the index lattice are functions of the design
 /// rules ([`obstacle_inflation`], [`world_cell`]); a base only composes
 /// with traces whose rules derive the *same* floats
-/// ([`WorldBase::compatible`] — callers fall back to materializing the raw
+/// (`WorldBase::compatible` — callers fall back to materializing the raw
 /// polygons otherwise, trading the amortization for unchanged output). The
 /// per-trace remainder (routable-area borders, board-local obstacles) goes
 /// into an [`OverlayIndex`] layered over this base; by the overlay's
@@ -147,26 +147,20 @@ impl WorldBase {
     /// path to be bit-identical to per-trace indexing. (The index *kind*
     /// is deliberately not compared: candidate sets are structure-
     /// independent.)
-    pub fn compatible(&self, rules: &DesignRules) -> bool {
+    pub(crate) fn compatible(&self, rules: &DesignRules) -> bool {
         obstacle_inflation(rules).to_bits() == self.inflate.to_bits()
             && world_cell(rules).to_bits() == self.cell.to_bits()
     }
 
     /// Number of library polygons.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.polys.len()
-    }
-
-    /// `true` when the library is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.polys.is_empty()
     }
 
     /// The un-inflated library polygons (fallback materialization).
     #[inline]
-    pub fn raw(&self) -> &[Polygon] {
+    pub(crate) fn raw(&self) -> &[Polygon] {
         &self.raw
     }
 }
@@ -187,7 +181,7 @@ impl WorldBase {
 /// library obstacles listed first would produce, so candidate id lists are
 /// identical across the two builds.
 #[derive(Debug)]
-pub struct WorldIndex {
+pub(crate) struct WorldIndex {
     /// Shared library world, if this index was built over one.
     base: Option<Arc<WorldBase>>,
     /// Number of polygon ids occupied by the base (0 without one).
@@ -219,7 +213,7 @@ impl WorldIndex {
     /// ([`WorldBase::compatible`]). Queries answer exactly like a
     /// monolithic build over `area + base + obstacles` (see
     /// [`OverlayIndex`]).
-    pub fn build(
+    pub(crate) fn build(
         area: &[Polygon],
         obstacles: &[Polygon],
         cell: f64,
@@ -258,16 +252,10 @@ impl WorldIndex {
         }
     }
 
-    /// Total number of indexed polygons (own + base).
-    #[inline]
-    pub fn n_polys(&self) -> usize {
-        self.polys.len() + self.n_base
-    }
-
     /// The polygon with combined id `k` (own areas, then base polygons,
     /// then own obstacles).
     #[inline]
-    pub fn poly(&self, k: u32) -> &Polygon {
+    pub(crate) fn poly(&self, k: u32) -> &Polygon {
         let k = k as usize;
         if k < self.n_area {
             &self.polys[k]
@@ -280,7 +268,7 @@ impl WorldIndex {
 
     /// `true` when polygon `k` is a routable-area border.
     #[inline]
-    pub fn is_area(&self, k: u32) -> bool {
+    pub(crate) fn is_area(&self, k: u32) -> bool {
         (k as usize) < self.n_area
     }
 
@@ -292,7 +280,7 @@ impl WorldIndex {
     /// window always has an edge whose bbox overlaps it). A conservative
     /// superset: the shrinking stages run their exact predicates on
     /// whatever is returned.
-    pub fn candidates(
+    pub(crate) fn candidates(
         &self,
         window: &Rect,
         scratch: &mut GridScratch,
@@ -329,7 +317,7 @@ impl WorldIndex {
 /// The per-(segment, direction) obstacle context used by the URA shrinking.
 ///
 /// All polygons are transformed into *pattern-side coordinates*: x along the
-/// extended segment, +y toward the pattern side, clipped to `y ≥` [`Y_EPS`].
+/// extended segment, +y toward the pattern side, clipped to `y ≥` `Y_EPS`.
 /// A merge-sort tree over the clipped polygons' nodes answers Alg. 2's
 /// `P_check` range queries; a uniform grid over their edges accelerates the
 /// "sides" intersections of Eq. 11.
@@ -348,7 +336,7 @@ pub struct ShrinkContext {
     /// borders come first *unclipped* (their below-segment edges cannot
     /// reach the URA anyway, and clipping would fabricate a border edge on
     /// the segment line); obstacles and other-segment URAs follow, clipped
-    /// to `y ≥` [`Y_EPS`] so anything standing on the segment registers
+    /// to `y ≥` `Y_EPS` so anything standing on the segment registers
     /// bottom nodes the range query can see.
     pub polygons: Vec<Polygon>,
     /// `true` for routable-area border polygons (containers, not
@@ -426,7 +414,7 @@ impl ShrinkContext {
     /// coordinates. `kind` selects each context's edge index structure
     /// (results identical either way). Equivalent to two
     /// [`ShrinkContext::build`] calls over the same polygon set.
-    pub fn build_sides(
+    pub(crate) fn build_sides(
         world: &WorldIndex,
         static_ids: &[u32],
         other_uras: &[Polygon],
@@ -513,13 +501,13 @@ impl ShrinkContext {
     /// `d(seg, p)` of the paper: distance from the extended segment to `p`
     /// in pattern-side coordinates.
     #[inline]
-    pub fn dist_seg(&self, p: Point) -> f64 {
+    pub(crate) fn dist_seg(&self, p: Point) -> f64 {
         self.local_segment.distance_to_point(p)
     }
 
     /// `true` when the axis-aligned pattern rectangle (feet `x0..x1`,
     /// height `h`) lies inside a single routable-area polygon.
-    pub fn pattern_in_area(&self, x0: f64, x1: f64, h: f64) -> bool {
+    pub(crate) fn pattern_in_area(&self, x0: f64, x1: f64, h: f64) -> bool {
         if self.area_local.is_empty() {
             return true;
         }
@@ -533,11 +521,6 @@ impl ShrinkContext {
         self.area_local
             .iter()
             .any(|poly| corners.iter().all(|&c| poly.contains(c)))
-    }
-
-    /// Candidate edge ids near a rectangle.
-    pub fn edges_near(&self, r: &Rect) -> Vec<u32> {
-        self.grid.query(r)
     }
 }
 
@@ -659,7 +642,10 @@ mod tests {
         let monolithic = WorldIndex::build(&area, &mono, cell, IndexKind::Grid, None);
         let base = Arc::new(WorldBase::build(&library, &rules, IndexKind::Grid));
         let shared = WorldIndex::build(&area, &local, cell, IndexKind::Grid, Some(base));
-        assert_eq!(monolithic.n_polys(), shared.n_polys());
+        assert_eq!(
+            monolithic.polys.len() + monolithic.n_base,
+            shared.polys.len() + shared.n_base
+        );
         let mut scratch = GridScratch::new();
         let mut edge_buf = Vec::new();
         let (mut a, mut b) = (Vec::new(), Vec::new());

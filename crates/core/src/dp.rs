@@ -40,11 +40,11 @@
 use crate::config::ExtendConfig;
 
 /// Direction index: 0 ⇒ −1 (clockwise / below), 1 ⇒ +1 (ccw / above).
-pub type DirIx = usize;
+pub(crate) type DirIx = usize;
 
 /// Converts a direction index to the geometric sign.
 #[inline]
-pub fn dir_sign(d: DirIx) -> i8 {
+pub(crate) fn dir_sign(d: DirIx) -> i8 {
     if d == 0 {
         -1
     } else {
@@ -83,7 +83,7 @@ const PROP: Transit = Transit {
     h: 0.0,
 };
 
-/// Per-position upper bounds on pattern heights, indexed by [`DirIx`].
+/// Per-position upper bounds on pattern heights, indexed by `DirIx`.
 ///
 /// `left[d][j]` caps the height of any pattern whose **left** foot sits at
 /// point `j` opening toward side `d`; `right[d][i]` caps by the **right**

@@ -82,7 +82,7 @@ impl GroupReport {
 }
 
 /// One unit of matching work — a single-ended trace or one differential
-/// pair — gathered from the board up front by [`plan_units`]. A unit is a
+/// pair — gathered from the board up front by `plan_units`. A unit is a
 /// pure function of its snapshot: running it never reads the board, which
 /// is what lets `crates/fleet` schedule units of *many* boards on one
 /// worker pool and still write back deterministically.
@@ -93,12 +93,6 @@ pub struct UnitInput {
 }
 
 impl UnitInput {
-    /// The group target length this unit extends toward.
-    #[inline]
-    pub fn target(&self) -> f64 {
-        self.target
-    }
-
     /// The design rules the unit's traces carry (a pair's *raw* rules —
     /// the merged extension virtualizes them internally).
     #[inline]
@@ -196,7 +190,7 @@ impl UnitOutput {
 /// validation error — `meander_layout::validate_board` reports them with
 /// provenance — and the planner must stay total even when a caller skips
 /// that gate.
-pub fn plan_units(board: &Board, group: &MatchGroup, target: f64) -> Vec<UnitInput> {
+pub(crate) fn plan_units(board: &Board, group: &MatchGroup, target: f64) -> Vec<UnitInput> {
     let mut units = Vec::new();
     let mut done: HashSet<TraceId> = HashSet::new();
     for &id in group.members() {
@@ -313,7 +307,7 @@ fn extend_pure(
 /// the unit's touched lattice cells are recorded (a pair unit records its
 /// merged extension and both fallback sub-extensions into the same set —
 /// the virtualized rules land on their own stratum); output is unchanged.
-/// See [`extend_trace_with`] for both.
+/// See `extend_trace_with` for both.
 pub fn run_unit(
     unit: &UnitInput,
     obstacles: &[Polygon],
@@ -417,7 +411,7 @@ pub fn run_unit(
 }
 
 /// Applies unit outputs to the board in order, collecting reports and the
-/// summed busy time. Callers must pass outputs in the order [`plan_units`]
+/// summed busy time. Callers must pass outputs in the order `plan_units`
 /// planned them — that ordering is the whole determinism argument.
 pub fn apply_outputs(board: &mut Board, outputs: Vec<UnitOutput>) -> (Vec<TraceReport>, Duration) {
     let mut reports = Vec::new();
@@ -584,9 +578,9 @@ fn route_planned(
 /// (paper Sec. II: "any rotation of a right angle or an acute angle will be
 /// mitered by obtuse angles") and returns the per-trace length change.
 ///
-/// Mitering shortens each chamfered corner by `(2 − √2)·dmiter`
-/// ([`meander_geom::miter::miter_length_loss`]); callers wanting exact
-/// lengths *after* mitering should re-run [`match_board_group`] once more —
+/// Mitering shortens each chamfered corner by `(2 − √2)·dmiter`; callers
+/// wanting exact lengths *after* mitering should re-run
+/// [`match_board_group`] once more —
 /// the driver converges because trimming only ever adds the small residual
 /// back.
 ///

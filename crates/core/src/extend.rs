@@ -1,6 +1,6 @@
 //! Trace-level extension: the queue-driven Alg. 1.
 //!
-//! One public call per trace, [`extend_trace_with`] (or its two-argument
+//! One public call per trace, `extend_trace_with` (or its two-argument
 //! form [`extend_trace`]), dispatches on [`ExtendConfig::incremental`] to
 //! one of two private engines implementing the same algorithm:
 //!
@@ -61,14 +61,6 @@ pub struct ExtendOutcome {
     pub iterations: usize,
     /// Patterns inserted.
     pub patterns: usize,
-}
-
-impl ExtendOutcome {
-    /// Relative matching error `(target − achieved)/target` (paper Eq. 19
-    /// for one trace).
-    pub fn error(&self, target: f64) -> f64 {
-        (target - self.achieved) / target
-    }
 }
 
 /// Rule-derived constants both engines share.
@@ -252,7 +244,7 @@ fn plan_segment(
 /// *trimmed* — re-shrunk at exactly the height that lands the trace on the
 /// target — so errors only remain when space runs out.
 ///
-/// Same as [`extend_trace_with`] with no shared library world and no
+/// Same as `extend_trace_with` with no shared library world and no
 /// touch recording.
 pub fn extend_trace(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOutcome {
     extend_trace_with(input, config, None, None)
@@ -286,7 +278,7 @@ pub fn extend_trace(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOut
 /// rebuild engine's obstacle influence is not funneled through
 /// [`WorldIndex::candidates`], so it is conservatively recorded as
 /// [`CellTouches::mark_all`]: the unit re-routes on any edit.
-pub fn extend_trace_with(
+pub(crate) fn extend_trace_with(
     input: &ExtendInput<'_>,
     config: &ExtendConfig,
     base: Option<&Arc<WorldBase>>,

@@ -17,7 +17,7 @@
 //! segments — and legally routes *around* obstacles when the space allows
 //! (the capability Table II's ablation measures). Chosen patterns are
 //! restored by backtracking ([`dp`]), spliced into the trace
-//! ([`pattern`]), and the new segments re-enter the queue, enabling
+//! (`pattern`), and the new segments re-enter the queue, enabling
 //! meander-on-meander (paper Fig. 5).
 //!
 //! ## Entry points
@@ -73,18 +73,17 @@ pub mod context;
 pub mod dp;
 pub mod driver;
 pub mod extend;
-pub mod par;
-pub mod pattern;
+mod par;
+mod pattern;
 pub mod shrink;
-pub mod tracebuf;
+mod tracebuf;
 
 pub use config::ExtendConfig;
 pub use context::WorldBase;
-pub use dp::{HeightBounds, UbProfile};
 pub use driver::{
     apply_outputs, gather_obstacles, match_all_groups, match_board_group, miter_group,
-    plan_board_units, plan_units, run_unit, GroupReport, TraceReport, UnitInput, UnitOutput,
+    plan_board_units, run_unit, GroupReport, TraceReport, UnitInput, UnitOutput,
 };
-pub use extend::{extend_trace, extend_trace_with, ExtendOutcome};
+pub use extend::extend_trace;
 pub use meander_drc::DesignRules;
 pub use meander_index::{CellTouches, DirtyCells, IndexKind, StratumKey};

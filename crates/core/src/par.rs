@@ -15,7 +15,7 @@ use std::sync::Mutex;
 /// Falls back to a plain serial map for 0 or 1 items (no threads spawned).
 /// `f` may run on any worker; panics in `f` propagate (the scope joins all
 /// workers first).
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+pub(crate) fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

@@ -2,7 +2,7 @@
 //! lines 17–18).
 
 use crate::dp::Placement;
-use meander_geom::{Frame, Point, Polyline, Segment};
+use meander_geom::{Frame, Point, Polyline};
 
 /// Builds the meandered replacement for a segment of length `len` in its
 /// local frame: walks `x = 0 → len` splicing a rectangular detour for every
@@ -11,7 +11,7 @@ use meander_geom::{Frame, Point, Polyline, Segment};
 /// Placements must be sorted by `lo` and non-overlapping (feet may touch —
 /// connected patterns share a foot). Returns the local polyline including
 /// both segment endpoints.
-pub fn build_local_meander(len: f64, ldisc: f64, placements: &[Placement]) -> Polyline {
+pub(crate) fn build_local_meander(len: f64, ldisc: f64, placements: &[Placement]) -> Polyline {
     let feet: Vec<(f64, f64, i8, f64)> = placements
         .iter()
         .map(|p| (p.lo as f64 * ldisc, p.hi as f64 * ldisc, p.dir, p.height))
@@ -21,7 +21,7 @@ pub fn build_local_meander(len: f64, ldisc: f64, placements: &[Placement]) -> Po
 
 /// [`build_local_meander`] with exact (un-discretized) feet coordinates:
 /// `(x0, x1, dir, height)` tuples, sorted by `x0`.
-pub fn build_local_meander_f64(len: f64, placements: &[(f64, f64, i8, f64)]) -> Polyline {
+pub(crate) fn build_local_meander_f64(len: f64, placements: &[(f64, f64, i8, f64)]) -> Polyline {
     let mut pts: Vec<Point> = Vec::with_capacity(2 + placements.len() * 4);
     pts.push(Point::new(0.0, 0.0));
     for &(x0, x1, dir, height) in placements {
@@ -51,7 +51,7 @@ pub fn build_local_meander_f64(len: f64, placements: &[(f64, f64, i8, f64)]) -> 
 ///
 /// Returns the indices (into the updated trace) of the first and last
 /// vertex of the spliced run.
-pub fn splice_meander(
+pub(crate) fn splice_meander(
     trace: &mut Polyline,
     seg_index: usize,
     frame: &Frame,
@@ -60,14 +60,6 @@ pub fn splice_meander(
     let world: Vec<Point> = local.points().iter().map(|&p| frame.to_world(p)).collect();
     trace.splice(seg_index, seg_index + 1, &world);
     (seg_index, seg_index + world.len() - 1)
-}
-
-/// The world-space segments a meander created (for re-queueing): every
-/// segment of the spliced run.
-pub fn meander_segments(trace: &Polyline, lo: usize, hi: usize) -> Vec<Segment> {
-    (lo..hi.min(trace.point_count() - 1))
-        .map(|i| trace.segment(i))
-        .collect()
 }
 
 #[cfg(test)]
@@ -194,9 +186,7 @@ mod tests {
         assert!((trace.length() - (before + 4.0)).abs() < 1e-9);
         // End point unchanged.
         assert!(trace.end().approx_eq(Point::new(20.0, 10.0)));
-        // Re-queue segments cover the spliced run.
-        let segs = meander_segments(&trace, lo, hi);
-        assert_eq!(segs.len(), hi - lo);
+        assert!(hi > lo);
         assert!(!trace.is_self_intersecting());
     }
 }

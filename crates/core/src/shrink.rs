@@ -147,7 +147,7 @@ pub fn max_pattern_height_batched(
 /// `allow_enclose = false` treats every polygon inside the outer border as
 /// an escape (shrink below it) — the "fixed tracks" baselines of Table II
 /// cannot route around obstacles, and this is the knob that models it.
-pub fn max_pattern_height_opts(
+pub(crate) fn max_pattern_height_opts(
     ctx: &ShrinkContext,
     x0: f64,
     x1: f64,
@@ -384,12 +384,12 @@ fn stage1_side_cap(
 /// For every foot index and side the profile stores the stage-1 side cap in
 /// *height* terms (`cap − gap/2`), clamped to `h_init` and floored to 0
 /// when below `h_min` (such a probe returns "no pattern"). Direction
-/// indexing follows [`crate::dp::DirIx`]: entry 0 is the `dn` context
+/// indexing follows `crate::dp::DirIx`: entry 0 is the `dn` context
 /// (geometric −1), entry 1 is `up`.
 ///
 /// Soundness: a pattern with feet `(j, i)` on side `d` has outer-border
 /// sides at `j·ldisc − gap/2` and `i·ldisc + gap/2`, and
-/// [`max_pattern_height_opts`] caps `h_ob` by every crossing of
+/// `max_pattern_height_opts` caps `h_ob` by every crossing of
 /// those sides before stages 2–3 shrink it further; the profile evaluates
 /// those same crossings, so `height(j, i, d) ≤ min(left[d][j],
 /// right[d][i], h_init)` holds exactly (same floats, same primitives).

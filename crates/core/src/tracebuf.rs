@@ -22,7 +22,7 @@ const NIL: u32 = u32::MAX;
 
 /// Linked-slab trace with stable segment ids and an incremental length.
 #[derive(Debug)]
-pub struct TraceBuf {
+pub(crate) struct TraceBuf {
     /// Vertex slab.
     pts: Vec<Point>,
     /// Successor vertex id (`NIL` for the tail).
@@ -42,7 +42,7 @@ pub struct TraceBuf {
 impl TraceBuf {
     /// Builds the buffer from a polyline; segment records are created in
     /// order, so ids `0..segment_count` seed the work queue.
-    pub fn from_polyline(pl: &Polyline, cell: f64) -> Self {
+    pub(crate) fn from_polyline(pl: &Polyline, cell: f64) -> Self {
         let pts: Vec<Point> = pl.points().to_vec();
         let n = pts.len();
         let next: Vec<u32> = (0..n)
@@ -77,18 +77,18 @@ impl TraceBuf {
 
     /// Current arc length (maintained incrementally).
     #[inline]
-    pub fn length(&self) -> f64 {
+    pub(crate) fn length(&self) -> f64 {
         self.length
     }
 
     /// Number of segment records ever created.
     #[inline]
-    pub fn segment_records(&self) -> usize {
+    pub(crate) fn segment_records(&self) -> usize {
         self.seg_start.len()
     }
 
     /// The geometry of segment `sid`, or `None` when the record is dead.
-    pub fn segment(&self, sid: u32) -> Option<Segment> {
+    pub(crate) fn segment(&self, sid: u32) -> Option<Segment> {
         if !*self.seg_alive.get(sid as usize)? {
             return None;
         }
@@ -106,7 +106,7 @@ impl TraceBuf {
     /// # Panics
     ///
     /// Panics if `sid` is dead or the replacement ends don't match.
-    pub fn splice(&mut self, sid: u32, replacement: &[Point]) -> Vec<u32> {
+    pub(crate) fn splice(&mut self, sid: u32, replacement: &[Point]) -> Vec<u32> {
         assert!(self.seg_alive[sid as usize], "splicing a dead segment");
         assert!(
             replacement.len() >= 2,
@@ -155,7 +155,7 @@ impl TraceBuf {
 
     /// Live segment ids whose bbox-registered cells intersect `window`,
     /// excluding `exclude`. A conservative superset in ascending id order.
-    pub fn nearby_segments(
+    pub(crate) fn nearby_segments(
         &self,
         window: &Rect,
         exclude: u32,
@@ -173,7 +173,7 @@ impl TraceBuf {
     }
 
     /// Materializes the current geometry as a [`Polyline`].
-    pub fn to_polyline(&self) -> Polyline {
+    pub(crate) fn to_polyline(&self) -> Polyline {
         let mut pts = Vec::with_capacity(self.pts.len());
         let mut v = self.head;
         while v != NIL {

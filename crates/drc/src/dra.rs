@@ -75,7 +75,7 @@ impl DesignRuleArea {
     }
 
     /// Area in board units².
-    pub fn area(&self) -> f64 {
+    pub(crate) fn area(&self) -> f64 {
         self.region.area()
     }
 }

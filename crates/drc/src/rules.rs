@@ -85,13 +85,6 @@ impl DesignRules {
         })
     }
 
-    /// Center-line clearance required between two traces with widths
-    /// `self.width` and `other_width`: edge gap plus both half-widths.
-    #[inline]
-    pub fn centerline_gap(&self, other_width: f64) -> f64 {
-        self.gap + self.width / 2.0 + other_width / 2.0
-    }
-
     /// Center-line clearance required between this trace and an obstacle
     /// border.
     #[inline]
@@ -101,7 +94,7 @@ impl DesignRules {
 
     /// Component-wise maximum of two rule sets — the conservative resolution
     /// when an entity spans two rule areas.
-    pub fn max(&self, other: &DesignRules) -> DesignRules {
+    pub(crate) fn max(&self, other: &DesignRules) -> DesignRules {
         DesignRules {
             gap: self.gap.max(other.gap),
             obstacle: self.obstacle.max(other.obstacle),
@@ -165,8 +158,6 @@ mod tests {
     #[test]
     fn centerline_clearances() {
         let r = DesignRules::new(8.0, 6.0, 8.0, 2.0, 4.0).unwrap();
-        assert_eq!(r.centerline_gap(4.0), 12.0);
-        assert_eq!(r.centerline_gap(2.0), 11.0);
         assert_eq!(r.centerline_obstacle(), 8.0);
     }
 

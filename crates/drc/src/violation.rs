@@ -60,19 +60,6 @@ pub enum Violation {
     },
 }
 
-impl Violation {
-    /// The id of the primary trace involved.
-    pub fn trace_id(&self) -> u32 {
-        match self {
-            Violation::TraceTraceClearance { a, .. } => *a,
-            Violation::TraceObstacleClearance { trace, .. } => *trace,
-            Violation::ShortSegment { trace, .. } => *trace,
-            Violation::SelfIntersection { trace } => *trace,
-            Violation::OutsideRoutableArea { trace, .. } => *trace,
-        }
-    }
-}
-
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -131,20 +118,5 @@ mod tests {
         assert!(s.contains("trace 3"));
         assert!(s.contains("segment 7"));
         assert!(s.contains("dprotect"));
-        assert_eq!(v.trace_id(), 3);
-    }
-
-    #[test]
-    fn trace_ids_extracted() {
-        let v = Violation::TraceTraceClearance {
-            a: 1,
-            b: 2,
-            actual: 0.5,
-            required: 8.0,
-            near: Point::ORIGIN,
-        };
-        assert_eq!(v.trace_id(), 1);
-        let v = Violation::SelfIntersection { trace: 9 };
-        assert_eq!(v.trace_id(), 9);
     }
 }

@@ -14,7 +14,7 @@
 //!   space, every centerline, every local obstacle, and the group list),
 //! * the group's own content and position ([`CacheKey::group_hash`]),
 //! * the rules its units carry plus the *output-affecting* engine knobs
-//!   ([`CacheKey::rules_hash`], [`engine_identity`]).
+//!   ([`CacheKey::rules_hash`], `engine_identity`).
 //!
 //! Equal keys ⇒ identical router input ⇒ (determinism) identical routed
 //! floats. So serving a cached entry is not an approximation that needs a
@@ -24,7 +24,7 @@
 //!
 //! Knobs that are *proven* bit-identical (batch kernels, index kind,
 //! parallelism, sharing) are deliberately excluded from
-//! [`engine_identity`], so those engine shapes share entries; knobs that
+//! `engine_identity`, so those engine shapes share entries; knobs that
 //! change the output (the iteration budget, the ablation switches, the
 //! non-incremental reference engine) are folded in, so a config change
 //! can never serve a stale shape.
@@ -35,7 +35,7 @@
 //! construction — correctness never depends on eviction. Precision does:
 //! a library edit moves `library_root`, which would orphan every entry
 //! under the old root. Instead of abandoning them,
-//! [`ResultCache::apply_library_edit`] walks the old root's entries with
+//! `ResultCache::apply_library_edit` walks the old root's entries with
 //! the edit's damage (PR 8's [`DirtyCells`]) and the per-entry touched
 //! cells recorded at insert time:
 //!
@@ -48,8 +48,8 @@
 //!   would produce.
 //!
 //! Board-local edits do the same along `board_local_hash`
-//! ([`ResultCache::apply_board_edit`]); structural edits drop the edited
-//! board's keys wholesale ([`ResultCache::drop_board`]). The
+//! (`ResultCache::apply_board_edit`); structural edits drop the edited
+//! board's keys wholesale (`ResultCache::drop_board`). The
 //! invalidation-precision counters ([`CacheStats::invalidated`],
 //! [`CacheStats::rekeyed`]) are what the bench asserts on.
 
@@ -81,7 +81,7 @@ pub struct CacheKey {
 /// the cell set its candidate queries touched (recorded at insert time —
 /// the handle invalidation tests entries with).
 #[derive(Debug, Clone)]
-pub struct CachedUnit {
+pub(crate) struct CachedUnit {
     updates: Vec<(TraceId, Polyline)>,
     reports: Vec<TraceReport>,
     touches: CellTouches,
@@ -89,7 +89,7 @@ pub struct CachedUnit {
 
 impl CachedUnit {
     /// Captures a routed unit's output and recorded touches.
-    pub fn new(out: &UnitOutput, touches: CellTouches) -> CachedUnit {
+    pub(crate) fn new(out: &UnitOutput, touches: CellTouches) -> CachedUnit {
         CachedUnit {
             updates: out.updates().to_vec(),
             reports: out.reports().to_vec(),
@@ -99,19 +99,19 @@ impl CachedUnit {
 
     /// Replays the unit as an output. Busy time is zero: a hit does no
     /// routing work (wall-clock fields are excluded from bit-identity).
-    pub fn to_output(&self) -> UnitOutput {
+    pub(crate) fn to_output(&self) -> UnitOutput {
         UnitOutput::from_parts(Duration::ZERO, self.updates.clone(), self.reports.clone())
     }
 
     /// The touched-cell set recorded when the unit routed.
-    pub fn touches(&self) -> &CellTouches {
+    pub(crate) fn touches(&self) -> &CellTouches {
         &self.touches
     }
 }
 
 /// One cached group: per-unit results in unit order.
 #[derive(Debug, Clone)]
-pub struct CachedGroup {
+pub(crate) struct CachedGroup {
     units: Vec<CachedUnit>,
     /// Approximate heap footprint, charged against the byte budget.
     bytes: usize,
@@ -119,7 +119,7 @@ pub struct CachedGroup {
 
 impl CachedGroup {
     /// Bundles a routed group's units.
-    pub fn new(units: Vec<CachedUnit>) -> CachedGroup {
+    pub(crate) fn new(units: Vec<CachedUnit>) -> CachedGroup {
         let bytes = units
             .iter()
             .map(|u| {
@@ -136,13 +136,8 @@ impl CachedGroup {
     }
 
     /// The cached units, in unit order.
-    pub fn units(&self) -> &[CachedUnit] {
+    pub(crate) fn units(&self) -> &[CachedUnit] {
         &self.units
-    }
-
-    /// Estimated heap bytes this entry holds.
-    pub fn bytes(&self) -> usize {
-        self.bytes
     }
 
     fn touches_intersect(&self, dirty: &DirtyCells) -> bool {
@@ -228,7 +223,7 @@ impl ResultCache {
 
     /// The entry under `key`, counting a hit or miss. The returned handle
     /// shares the stored group (no geometry is cloned).
-    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedGroup>> {
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedGroup>> {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -250,7 +245,7 @@ impl ResultCache {
     /// entries are immutable: an existing entry already holds these
     /// bytes). Evicts least-recently-used entries if the budget
     /// overflows. Returns `true` when the entry was actually inserted.
-    pub fn insert(&self, key: CacheKey, value: CachedGroup) -> bool {
+    pub(crate) fn insert(&self, key: CacheKey, value: CachedGroup) -> bool {
         let mut inner = self.lock();
         if inner.map.contains_key(&key) {
             return false;
@@ -312,7 +307,7 @@ impl ResultCache {
     /// the rest are re-keyed to `new_root` — sound because a unit whose
     /// candidate queries never saw the damaged cells replays
     /// bit-identically against the edited library (module docs).
-    pub fn apply_library_edit(&self, old_root: u64, new_root: u64, damage: &DirtyCells) {
+    pub(crate) fn apply_library_edit(&self, old_root: u64, new_root: u64, damage: &DirtyCells) {
         if old_root == new_root {
             return;
         }
@@ -332,7 +327,7 @@ impl ResultCache {
     /// Callers must only use this for *non-structural* edits (obstacle
     /// churn): structural edits change the planned units themselves and
     /// must go through [`ResultCache::drop_board`].
-    pub fn apply_board_edit(&self, old_hash: u64, new_hash: u64, damage: &DirtyCells) {
+    pub(crate) fn apply_board_edit(&self, old_hash: u64, new_hash: u64, damage: &DirtyCells) {
         if old_hash == new_hash {
             return;
         }
@@ -349,7 +344,7 @@ impl ResultCache {
     /// Drops every entry of board content `board_local_hash` (structural
     /// edit: the board's unit plan itself changed, so no entry under the
     /// old digest can be re-keyed). Counted as invalidated.
-    pub fn drop_board(&self, board_local_hash: u64) {
+    pub(crate) fn drop_board(&self, board_local_hash: u64) {
         let mut inner = self.lock();
         let doomed: Vec<CacheKey> = inner
             .map
@@ -407,7 +402,7 @@ impl ResultCache {
 /// engine shapes and worker counts share entries by design. The
 /// engine's constants (`meander_core::config`) need no digest: a build
 /// that changes one starts with an empty cache.
-pub fn engine_identity(extend: &ExtendConfig) -> u64 {
+pub(crate) fn engine_identity(extend: &ExtendConfig) -> u64 {
     let mut h = ContentHasher::new(0x656e_6769_6e65_0000); // "engine"
     h.u64(extend.max_iterations as u64)
         .u64(extend.connect_priority as u64)
@@ -418,7 +413,7 @@ pub fn engine_identity(extend: &ExtendConfig) -> u64 {
 
 /// [`CacheKey::rules_hash`] for a planned group: the units' rule sets in
 /// unit order, folded with [`engine_identity`].
-pub fn rules_key(units: &[UnitInput], extend: &ExtendConfig) -> u64 {
+pub(crate) fn rules_key(units: &[UnitInput], extend: &ExtendConfig) -> u64 {
     let mut h = ContentHasher::new(0x756e_6974_7275_6c65); // "unitrule"
     h.u64(engine_identity(extend));
     h.len(units.len());
@@ -431,7 +426,7 @@ pub fn rules_key(units: &[UnitInput], extend: &ExtendConfig) -> u64 {
 /// [`CacheKey::group_hash`] for group `index` of a board: the group's
 /// content digest, its board-local position (two content-equal groups at
 /// different indices are distinct jobs), and its resolved target.
-pub fn group_key(group: &meander_layout::MatchGroup, index: usize, target: f64) -> u64 {
+pub(crate) fn group_key(group: &meander_layout::MatchGroup, index: usize, target: f64) -> u64 {
     let mut h = ContentHasher::new(0x6a6f_6267_726f_7570); // "jobgroup"
     h.u64(hash_group(group)).u64(index as u64).f64(target);
     h.finish()
@@ -519,7 +514,7 @@ mod tests {
 
     #[test]
     fn lru_respects_byte_budget() {
-        let one = entry_of_bytes(64).bytes();
+        let one = entry_of_bytes(64).bytes;
         let cache = ResultCache::new(3 * one + one / 2);
         for n in 0..4 {
             cache.insert(key(n), entry_of_bytes(64));

@@ -7,7 +7,7 @@
 //! polls it at two granularities:
 //!
 //! * **pop boundaries** — when a worker claims its next unit packet (the
-//!   stop predicate of [`crate::sched::run_packets`]);
+//!   stop predicate of `crate::sched::run_packets`);
 //! * **unit boundaries** — just before a claimed packet starts routing
 //!   its unit.
 //!
@@ -46,7 +46,7 @@ impl CancelToken {
 
     /// `true` once any clone has fired.
     #[inline]
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.fired.load(Ordering::Acquire)
     }
 }

@@ -29,7 +29,7 @@ pub struct DamageReport {
     /// (`u64::MAX` when the edit degraded the scope to "all dirty").
     /// Zero for structural edits — they bypass cell accounting.
     pub cells_dirty: u64,
-    /// `true` for [`meander_layout::Edit::is_structural`] edits: the
+    /// `true` for structural edits (`SetRules`, `ReplaceBoard`): the
     /// board replans and re-routes wholesale instead of by cell overlap.
     pub structural: bool,
 }

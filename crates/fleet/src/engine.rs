@@ -34,7 +34,7 @@
 //!    failures become [`BoardOutcome::Rejected`] with provenance, and the
 //!    board is never planned — malformed input cannot reach the router.
 //! 2. **Panic isolation.** Each packet runs under `catch_unwind`
-//!    ([`crate::sched::run_packets`]); a panicking packet yields
+//!    (`crate::sched::run_packets`); a panicking packet yields
 //!    [`BoardOutcome::Failed`] for its board, the worker survives, and
 //!    every other packet's result is untouched.
 //! 3. **Deadlines and cancellation.** A shared [`CancelToken`], a fleet
@@ -126,20 +126,14 @@ impl BoardSet {
 
     /// Mutable board access (the engine writes results back here).
     #[inline]
-    pub fn boards_mut(&mut self) -> &mut [LibraryBoard] {
+    pub(crate) fn boards_mut(&mut self) -> &mut [LibraryBoard] {
         &mut self.boards
     }
 
     /// Number of boards.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.boards.len()
-    }
-
-    /// `true` when the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.boards.is_empty()
     }
 }
 
@@ -496,7 +490,7 @@ pub struct WarmupReport {
 /// group's exact [`CacheKey`] (library Merkle root + board digest + group
 /// digest — [`meander_layout::hash`]), deduplicated, minus keys already
 /// cached. One representative group per distinct missing key routes with
-/// touch recording and installs through [`ResultCache::insert`] — the
+/// touch recording and installs through `ResultCache::insert` — the
 /// same exact keys and insert-if-absent path the engine uses, so
 /// correctness is inherited: a warmed entry is bit-identical to what the
 /// fleet would have routed and inserted itself. Boards are **not**

@@ -56,14 +56,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// `true` when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.panic_units.is_empty()
-            && self.transient_units.is_empty()
-            && self.delay_jobs.is_empty()
-            && self.trip_boards.is_empty()
-    }
-
     /// Panic when the unit with global input-order index `unit` is about
     /// to run.
     pub fn panic_at_unit(mut self, unit: u64) -> Self {
@@ -81,7 +73,7 @@ impl FaultPlan {
     /// `true` when this plan would panic unit `unit` on this run (a
     /// persistent fault, or a transient one scripted for
     /// [`FaultPlan::attempt`]).
-    pub fn panics_unit(&self, unit: u64) -> bool {
+    pub(crate) fn panics_unit(&self, unit: u64) -> bool {
         self.panic_units.contains(&unit)
             || self
                 .transient_units
@@ -123,7 +115,7 @@ impl FaultPlan {
     /// validation trip (a tripped board is rejected, never retried) — is
     /// dropped. Pure index arithmetic over the same input-order keys, so
     /// retried runs stay deterministic.
-    pub fn rebased(&self, units: (u64, u64), jobs: (u64, u64), attempt: u32) -> FaultPlan {
+    pub(crate) fn rebased(&self, units: (u64, u64), jobs: (u64, u64), attempt: u32) -> FaultPlan {
         let mut plan = FaultPlan {
             attempt,
             ..FaultPlan::default()
@@ -148,7 +140,7 @@ impl FaultPlan {
 
     /// Force board `board`'s validation to fail with
     /// [`meander_layout::ValidationError::Injected`].
-    pub fn trip_validation(mut self, board: usize) -> Self {
+    pub(crate) fn trip_validation(mut self, board: usize) -> Self {
         self.trip_boards.insert(board);
         self
     }
@@ -191,6 +183,13 @@ fn splitmix64(state: u64) -> u64 {
 mod tests {
     use super::*;
 
+    fn injects_nothing(plan: &FaultPlan) -> bool {
+        plan.panic_units.is_empty()
+            && plan.transient_units.is_empty()
+            && plan.delay_jobs.is_empty()
+            && plan.trip_boards.is_empty()
+    }
+
     #[test]
     fn builders_compose() {
         let plan = FaultPlan::new()
@@ -202,8 +201,8 @@ mod tests {
         assert!(plan.panic_units.contains(&9));
         assert_eq!(plan.delay_jobs.get(&1), Some(&Duration::from_millis(5)));
         assert!(plan.trip_boards.contains(&2));
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::new().is_empty());
+        assert!(!injects_nothing(&plan));
+        assert!(injects_nothing(&FaultPlan::new()));
     }
 
     #[test]
@@ -234,7 +233,7 @@ mod tests {
     #[test]
     fn seeded_handles_empty_shapes() {
         let plan = FaultPlan::seeded(7, 0, 0, 0);
-        assert!(plan.is_empty());
+        assert!(injects_nothing(&plan));
     }
 
     #[test]
@@ -242,7 +241,7 @@ mod tests {
         let plan = FaultPlan::new()
             .panic_at_unit(9)
             .panic_at_unit_on_attempt(4, 0);
-        assert!(!plan.is_empty());
+        assert!(!injects_nothing(&plan));
         // Attempt 0 (the default): both fire.
         assert!(plan.panics_unit(4));
         assert!(plan.panics_unit(9));

@@ -46,7 +46,7 @@
 //! shapes, overload is shed loudly under an admission unit budget and a
 //! fleet-wide retry token bucket ([`AdmissionPolicy`]), every attempt is
 //! journaled, and boards that panic on every rung are quarantined with a
-//! delta-debugged minimal repro ([`repro::minimize`]).
+//! delta-debugged minimal repro (`repro::minimize`).
 //!
 //! The `fault` cargo feature adds a deterministic chaos harness
 //! (`FaultPlan`): seeded panic/delay/rejection
@@ -88,23 +88,13 @@ pub mod resilience;
 pub mod sched;
 pub mod session;
 
-pub use cache::{
-    board_keys, engine_identity, CacheKey, CacheStats, CachedGroup, CachedUnit, ResultCache,
-    DEFAULT_CACHE_BUDGET,
-};
+pub use cache::{board_keys, ResultCache, DEFAULT_CACHE_BUDGET};
 pub use cancel::CancelToken;
-pub use edit::DamageReport;
-pub use engine::{
-    route_fleet, warm_fleet_cache, BoardSet, FleetConfig, FleetReport, FleetStats, WarmupReport,
-};
+pub use engine::{route_fleet, warm_fleet_cache, BoardSet, FleetConfig, FleetReport, FleetStats};
 #[cfg(feature = "fault")]
 pub use fault::FaultPlan;
 pub use meander_layout::{Edit, EditScope};
 pub use outcome::{BoardOutcome, DegradeStep, JobError, LatencyHistogram, ShedReason};
-pub use repro::MinimizedRepro;
-pub use resilience::{
-    route_fleet_resilient, AdmissionPolicy, AttemptJournal, AttemptRecord, Quarantine,
-    QuarantineEntry, ResilientReport, RetryPolicy,
-};
-pub use sched::{run_packets, JobPanic, JobStatus, SchedCounters, Scheduler, Tier, WorkerCounters};
+pub use resilience::{route_fleet_resilient, AdmissionPolicy, RetryPolicy};
+pub use sched::{Scheduler, Tier};
 pub use session::FleetSession;

@@ -51,7 +51,7 @@ impl std::error::Error for JobError {}
 /// shape a failed board is re-run with. Ordered from "same knobs, just
 /// again" down to the reference pipeline — every rung is a knob
 /// combination an equivalence suite already proves safe (see
-/// [`DegradeStep::apply`]).
+/// `DegradeStep::apply`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradeStep {
     /// Re-run with identical knobs. Recovers transient faults; output is
@@ -66,7 +66,7 @@ pub enum DegradeStep {
 
 impl DegradeStep {
     /// Short stable name for logs and bench JSON.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DegradeStep::Retry => "retry",
             DegradeStep::Reference => "reference",
@@ -140,13 +140,6 @@ impl BoardOutcome {
     pub fn is_routed(&self) -> bool {
         matches!(self, BoardOutcome::Routed)
     }
-
-    /// `true` when the board's results were written back —
-    /// [`BoardOutcome::Routed`] or [`BoardOutcome::Degraded`].
-    #[inline]
-    pub fn is_recovered(&self) -> bool {
-        matches!(self, BoardOutcome::Routed | BoardOutcome::Degraded { .. })
-    }
 }
 
 impl fmt::Display for BoardOutcome {
@@ -185,7 +178,7 @@ pub struct LatencyHistogram {
 
 impl LatencyHistogram {
     /// Records one job latency.
-    pub fn record(&mut self, latency: Duration) {
+    pub(crate) fn record(&mut self, latency: Duration) {
         let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
         let idx = if us == 0 {
             0
@@ -197,15 +190,6 @@ impl LatencyHistogram {
         self.total += latency;
         if latency > self.max {
             self.max = latency;
-        }
-    }
-
-    /// Mean latency, or zero when empty.
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
         }
     }
 
@@ -257,10 +241,9 @@ mod tests {
         assert_eq!(h.quantile_upper(0.5), Duration::from_micros(16));
         assert_eq!(h.quantile_upper(0.99), Duration::from_micros(16));
         assert_eq!(h.quantile_upper(1.0), Duration::from_micros(1 << 13));
-        assert!(h.mean() >= Duration::from_micros(10));
+        assert!(h.total / h.count as u32 >= Duration::from_micros(10));
         // Empty histogram answers zero everywhere.
         let empty = LatencyHistogram::default();
-        assert_eq!(empty.mean(), Duration::ZERO);
         assert_eq!(empty.quantile_upper(0.99), Duration::ZERO);
     }
 
@@ -306,7 +289,7 @@ mod tests {
             degraded.to_string(),
             "degraded: recovered at `reference` on attempt 3"
         );
-        assert!(degraded.is_recovered() && !degraded.is_routed());
+        assert!(!degraded.is_routed());
         assert_eq!(
             BoardOutcome::Shed(ShedReason::Admission).to_string(),
             "shed: admission budget"

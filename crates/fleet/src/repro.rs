@@ -5,7 +5,7 @@
 //! is the **smallest** board that still crashes, because a 3-entity repro
 //! gets read and fixed while a 300-entity one gets filed and forgotten.
 //!
-//! [`minimize`] is a classic ddmin-style reducer specialized to
+//! `minimize` is a classic ddmin-style reducer specialized to
 //! [`LibraryBoard`]s. It walks the board's entity classes — library
 //! obstacles, board-local obstacles, differential pairs, matching groups,
 //! traces — and for each tries dropping contiguous chunks, halving the
@@ -39,7 +39,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The smallest still-failing board [`minimize`] found, with its audit
+/// The smallest still-failing board `minimize` found, with its audit
 /// trail.
 #[derive(Debug, Clone)]
 pub struct MinimizedRepro {
@@ -60,7 +60,7 @@ pub struct MinimizedRepro {
 
 /// Total entity count of a board: library obstacles + local obstacles +
 /// traces + groups + pairs. The quantity minimization shrinks.
-pub fn entity_count(lb: &LibraryBoard) -> usize {
+pub(crate) fn entity_count(lb: &LibraryBoard) -> usize {
     lb.library().len()
         + lb.board().obstacles().len()
         + lb.board().trace_count()
@@ -106,7 +106,11 @@ fn class_len(lb: &LibraryBoard, class: Class) -> usize {
 /// `max_probes` closure invocations, so a pathological predicate can't
 /// turn triage into a bisection marathon — the result is then simply the
 /// smallest repro found so far.
-pub fn minimize<F>(board: &LibraryBoard, mut still_fails: F, max_probes: usize) -> MinimizedRepro
+pub(crate) fn minimize<F>(
+    board: &LibraryBoard,
+    mut still_fails: F,
+    max_probes: usize,
+) -> MinimizedRepro
 where
     F: FnMut(&LibraryBoard) -> bool,
 {

@@ -18,7 +18,7 @@
 //!   attempt failed (panic) or blew a deadline re-run one rung at a
 //!   time: [`DegradeStep::Retry`] (same knobs — recovers transients),
 //!   then the long-proven reference engine ([`DegradeStep::Reference`] —
-//!   see [`DegradeStep::apply`]) with a widened per-board budget.
+//!   see `DegradeStep::apply`) with a widened per-board budget.
 //!   A board recovered at rung `s` reports
 //!   [`BoardOutcome::Degraded`]` { step: s, attempts }`. First-attempt
 //!   routed boards are never re-run — their geometry stays bit-identical
@@ -34,7 +34,7 @@
 //!   has to re-run the fleet to find out what was tried.
 //! * **Quarantine** ([`Quarantine`]) — boards that panic across *every*
 //!   rung are reported with their final [`JobError`] and, by default, a
-//!   delta-debugged minimal repro ([`crate::repro::minimize`]) that
+//!   delta-debugged minimal repro (`crate::repro::minimize`) that
 //!   still crashes the probe — serialized via `layout::io` for a bug
 //!   report.
 //!
@@ -92,7 +92,7 @@ impl DegradeStep {
     /// else the caller tuned (iteration cap, ablation switches) is
     /// preserved. `parallel` is left alone: the fleet runs units directly
     /// and ignores it.
-    pub fn apply(self, base: &ExtendConfig) -> ExtendConfig {
+    pub(crate) fn apply(self, base: &ExtendConfig) -> ExtendConfig {
         let mut c = base.clone();
         if self == DegradeStep::Reference {
             c.incremental = false;
@@ -104,7 +104,7 @@ impl DegradeStep {
     /// the `Reference` rung runs the slower rebuild engine, so a board
     /// that blew its budget gets proportionally more headroom instead of
     /// re-failing for the same reason.
-    pub fn budget_multiplier(self) -> u32 {
+    pub(crate) fn budget_multiplier(self) -> u32 {
         match self {
             DegradeStep::Retry => 1,
             DegradeStep::Reference => 8,

@@ -19,15 +19,15 @@
 //!
 //! All three reach the pool through the fleet's one plan → execute →
 //! resolve pipeline, whose `execute` step is the only caller of
-//! [`run_packets`].
+//! `run_packets`.
 //!
 //! **Caller runs.** A run is one claim cursor over its packets, pushed
-//! onto its tier's bucket. The thread that calls [`Scheduler::run`]
+//! onto its tier's bucket. The thread that calls `Scheduler::run`
 //! claims and executes its own run's packets, the way an mmtk coordinator
 //! drains the shared queue it fills, and the pool's `workers − 1` helper
 //! threads claim from the highest open bucket. So `Scheduler::new(1)` is
 //! the caller-only pool: a run costs no thread hand-off, and
-//! [`run_packets`] without an attached scheduler needs no second path.
+//! `run_packets` without an attached scheduler needs no second path.
 //!
 //! **Opening condition:** a bucket is claimable only when every higher
 //! tier is *drained* — no packets unclaimed **or in flight**. Callers and
@@ -43,8 +43,7 @@
 //! Helpers with nothing claimable, and callers whose tier is closed or
 //! whose last packets are in flight on helpers, **park** on one condvar
 //! instead of spinning; submissions, bucket drains and run completions
-//! bump a monitor epoch and wake them. [`Scheduler::parked`] reads the
-//! helper gauge. [`SchedCounters`] exposes the accounting — per-bucket
+//! bump a monitor epoch and wake them. [`SchedCounters`] exposes the accounting — per-bucket
 //! packets executed, steals (packets a helper ran for a caller),
 //! preemptions ([`Scheduler::counters`]).
 //!
@@ -52,13 +51,13 @@
 //!
 //! A packet is a failure domain. Every packet runs under
 //! [`std::panic::catch_unwind`]: a panicking packet yields
-//! [`JobStatus::Panicked`] in its own slot, the serving thread survives
+//! `JobStatus::Panicked` in its own slot, the serving thread survives
 //! and keeps claiming, and every other packet's result is untouched.
 //! Panics are counted per thread in [`WorkerCounters::panics`]. The
 //! optional `stop` predicate is polled when each packet is claimed, so a
 //! cancelled or over-deadline run stops burning CPU within one packet's
 //! granularity; packets claimed after the trip report
-//! [`JobStatus::Skipped`].
+//! `JobStatus::Skipped`.
 //!
 //! ## Why scheduling policy cannot change output
 //!
@@ -78,7 +77,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Number of priority buckets.
-pub const TIERS: usize = 3;
+pub(crate) const TIERS: usize = 3;
 
 /// Thread-level counters of one packet run: who executed what, for how
 /// long, and which packets panicked or were skipped. Steal traffic is
@@ -109,23 +108,18 @@ impl WorkerCounters {
     pub fn total_executed(&self) -> u64 {
         self.executed.iter().sum()
     }
-
-    /// Total panics caught across serving threads.
-    pub fn total_panics(&self) -> u64 {
-        self.panics.iter().sum()
-    }
 }
 
 /// The payload of a packet that panicked, preserved for re-raising or
 /// reporting.
-pub struct JobPanic {
+pub(crate) struct JobPanic {
     payload: Box<dyn Any + Send>,
 }
 
 impl JobPanic {
     /// Best-effort human-readable panic message (`&str` / `String`
     /// payloads; the usual `panic!` shapes).
-    pub fn message(&self) -> String {
+    pub(crate) fn message(&self) -> String {
         if let Some(s) = self.payload.downcast_ref::<&str>() {
             (*s).to_string()
         } else if let Some(s) = self.payload.downcast_ref::<String>() {
@@ -133,11 +127,6 @@ impl JobPanic {
         } else {
             "non-string panic payload".to_string()
         }
-    }
-
-    /// The original payload, for [`std::panic::resume_unwind`].
-    pub fn into_payload(self) -> Box<dyn Any + Send> {
-        self.payload
     }
 }
 
@@ -149,28 +138,13 @@ impl fmt::Debug for JobPanic {
 
 /// Per-packet outcome of a [`run_packets`] run.
 #[derive(Debug)]
-pub enum JobStatus<R> {
+pub(crate) enum JobStatus<R> {
     /// The packet ran to completion.
     Done(R),
     /// The packet panicked; the serving thread caught it and moved on.
     Panicked(JobPanic),
     /// The packet never ran — the stop predicate tripped first.
     Skipped,
-}
-
-impl<R> JobStatus<R> {
-    /// `true` for [`JobStatus::Done`].
-    pub fn is_done(&self) -> bool {
-        matches!(self, JobStatus::Done(_))
-    }
-
-    /// The result, if the packet completed.
-    pub fn done(self) -> Option<R> {
-        match self {
-            JobStatus::Done(r) => Some(r),
-            _ => None,
-        }
-    }
 }
 
 /// Priority bucket of a work packet. Lower discriminant = higher
@@ -187,22 +161,10 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// All tiers, highest priority first.
-    pub const ALL: [Tier; TIERS] = [Tier::Interactive, Tier::Batch, Tier::Speculative];
-
     /// Bucket index (0 = highest priority).
     #[inline]
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// Stable lowercase label for logs and bench JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            Tier::Interactive => "interactive",
-            Tier::Batch => "batch",
-            Tier::Speculative => "speculative",
-        }
     }
 }
 
@@ -224,11 +186,6 @@ pub struct SchedCounters {
 }
 
 impl SchedCounters {
-    /// Total packets executed across buckets.
-    pub fn total_packets(&self) -> u64 {
-        self.packets.iter().sum()
-    }
-
     /// Counter movement since `before`. With a scheduler private to one
     /// run this is the run's exact accounting; with a shared scheduler,
     /// concurrent workloads' packets land in whichever run's window they
@@ -450,7 +407,7 @@ impl<T, R, F> Drop for FinishGuard<'_, T, R, F> {
 }
 
 /// A persistent priority-bucketed pool. Create one per serving process
-/// (or let [`run_packets`] make a private one per call), share it via
+/// (or let `run_packets` make a private one per call), share it via
 /// `Arc`, and submit runs from any thread — concurrent runs interleave
 /// under the bucket opening condition.
 pub struct Scheduler {
@@ -489,14 +446,8 @@ impl Scheduler {
     }
 
     /// Threads that serve each run: the helpers plus the caller.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.inner.helpers + 1
-    }
-
-    /// Helpers currently parked (a gauge; an idle pool parks
-    /// `workers() − 1`).
-    pub fn parked(&self) -> usize {
-        lock(&self.inner.monitor).parked
     }
 
     /// Cumulative bucket/monitor counters.
@@ -514,7 +465,7 @@ impl Scheduler {
     /// and the pool survives; `stop` is polled when each packet is
     /// claimed — tripped packets resolve [`JobStatus::Skipped`] without
     /// running `f`.
-    pub fn run<T, R, F>(
+    pub(crate) fn run<T, R, F>(
         &self,
         tier: Tier,
         items: Arc<Vec<T>>,
@@ -615,7 +566,7 @@ impl Drop for Scheduler {
 /// worker or one packet runs on the calling thread alone. The fleet
 /// pipeline's `execute` step is its one production caller, for batch
 /// fleets, serving re-routes, and warm-up alike.
-pub fn run_packets<T, R, F>(
+pub(crate) fn run_packets<T, R, F>(
     sched: Option<&Arc<Scheduler>>,
     tier: Tier,
     workers: usize,
@@ -637,6 +588,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn done<R>(status: JobStatus<R>) -> R {
+        match status {
+            JobStatus::Done(r) => r,
+            _ => panic!("job did not finish"),
+        }
+    }
 
     /// Claim log: (tier, item) pairs in the order packet bodies started.
     type Log = Arc<Mutex<Vec<(Tier, usize)>>>;
@@ -673,7 +631,7 @@ mod tests {
             None,
             Arc::new(|&x: &u64| x * x),
         );
-        let got: Vec<u64> = out.into_iter().map(|s| s.done().unwrap()).collect();
+        let got: Vec<u64> = out.into_iter().map(done).collect();
         assert_eq!(got, items.iter().map(|&x| x * x).collect::<Vec<_>>());
         assert_eq!(counters.total_executed(), 257);
         assert_eq!(delta.packets[Tier::Batch.index()], 257);
@@ -691,7 +649,7 @@ mod tests {
             None,
             Arc::new(|&x: &u64| x + 1),
         );
-        let got: Vec<u64> = out.into_iter().map(|s| s.done().unwrap()).collect();
+        let got: Vec<u64> = out.into_iter().map(done).collect();
         assert_eq!(got, items.iter().map(|&x| x + 1).collect::<Vec<_>>());
         // The caller-only pool: every packet ran in the caller's slot.
         assert_eq!(counters.executed, vec![64]);
@@ -708,7 +666,7 @@ mod tests {
                 None,
                 Arc::new(|&x: &u64| x + 1),
             );
-            let got: Vec<u64> = out.into_iter().map(|s| s.done().unwrap()).collect();
+            let got: Vec<u64> = out.into_iter().map(done).collect();
             assert_eq!(got, (42..42 + n).collect::<Vec<_>>());
             assert_eq!((c.workers, c.total_executed()), (1, n));
         }
@@ -786,7 +744,7 @@ mod tests {
                         done2.store(true, Ordering::SeqCst);
                     }),
                 );
-                assert!(st[0].is_done());
+                assert!(matches!(st[0], JobStatus::Done(_)));
             })
         };
         std::thread::sleep(Duration::from_millis(15));
@@ -802,7 +760,7 @@ mod tests {
                 }
             }),
         );
-        assert!(st[0].is_done());
+        assert!(matches!(st[0], JobStatus::Done(_)));
         handle.join().unwrap();
         assert!(
             !overlap.load(Ordering::SeqCst),
@@ -843,7 +801,7 @@ mod tests {
                     JobStatus::Skipped => panic!("nothing may be skipped"),
                 }
             }
-            assert_eq!(counters.total_panics(), 1);
+            assert_eq!(counters.panics.iter().sum::<u64>(), 1);
             assert_eq!(counters.total_executed(), 16, "panicked packet still ran");
             assert_eq!(counters.panics.len(), counters.workers);
         }
@@ -887,8 +845,17 @@ mod tests {
             Some(stop),
             Arc::new(|&x: &u32| x),
         );
-        assert_eq!(statuses.iter().filter(|s| s.is_done()).count(), 1);
-        assert!(statuses[0].is_done(), "the first claim ran");
+        assert_eq!(
+            statuses
+                .iter()
+                .filter(|s| matches!(s, JobStatus::Done(_)))
+                .count(),
+            1
+        );
+        assert!(
+            matches!(statuses[0], JobStatus::Done(_)),
+            "the first claim ran"
+        );
         assert_eq!(counters.skipped, 31);
         assert_eq!(
             delta.packets[Tier::Batch.index()],
@@ -979,12 +946,16 @@ mod tests {
         let sched = Arc::new(Scheduler::new(3));
         // Give the two spawned helpers a moment to find nothing and park.
         for _ in 0..100 {
-            if sched.parked() == 2 {
+            if lock(&sched.inner.monitor).parked == 2 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(sched.parked(), 2, "idle helpers park on the monitor");
+        assert_eq!(
+            lock(&sched.inner.monitor).parked,
+            2,
+            "idle helpers park on the monitor"
+        );
         let items: Arc<Vec<u64>> = Arc::new((0..64).collect());
         let (_, _, delta) = sched.run(Tier::Speculative, items, None, Arc::new(|&x: &u64| x));
         assert_eq!(delta.packets[Tier::Speculative.index()], 64);
@@ -999,7 +970,7 @@ mod tests {
         assert_eq!(c.total_executed(), 500);
         assert_eq!(c.executed.len(), c.workers);
         assert_eq!(c.busy.len(), c.workers);
-        assert_eq!(delta.total_packets(), 500);
+        assert_eq!(delta.packets.iter().sum::<u64>(), 500);
     }
 
     /// Front-loaded heavy packets on an ephemeral pool with more workers
@@ -1023,7 +994,7 @@ mod tests {
                 (spin, acc)
             }),
         );
-        let got: Vec<u64> = out.into_iter().map(|s| s.done().unwrap().0).collect();
+        let got: Vec<u64> = out.into_iter().map(|s| done(s).0).collect();
         assert_eq!(got, *items);
         assert!(c.workers <= 3, "{c:?}");
         assert_eq!(c.total_executed(), 3);
@@ -1036,15 +1007,13 @@ mod tests {
         let (out, c, delta) = sched.run(Tier::Interactive, items, None, Arc::new(|&x: &u64| x));
         assert!(out.is_empty());
         assert_eq!(c.total_executed(), 0);
-        assert_eq!(delta.total_packets(), 0);
+        assert_eq!(delta.packets.iter().sum::<u64>(), 0);
     }
 
     #[test]
     fn tier_labels_and_order() {
         assert!(Tier::Interactive < Tier::Batch);
         assert!(Tier::Batch < Tier::Speculative);
-        assert_eq!(Tier::ALL.len(), TIERS);
-        assert_eq!(Tier::Interactive.label(), "interactive");
         assert_eq!(Tier::Speculative.index(), 2);
     }
 }

@@ -23,7 +23,7 @@ use meander_fleet::{
 use meander_geom::{Point, Polygon, Polyline};
 use meander_layout::gen::fleet_boards_small;
 use meander_layout::{
-    Board, LibraryBoard, MatchGroup, Obstacle, ObstacleKind, TraceId, ValidationError,
+    Board, Entity, LibraryBoard, MatchGroup, Obstacle, ObstacleKind, TraceId, ValidationError,
 };
 use std::sync::Once;
 use std::time::{Duration, Instant};
@@ -163,7 +163,7 @@ fn panicking_and_malformed_boards_fail_alone() {
         assert_eq!(report.stats.failed, 1);
         assert_eq!(report.stats.rejected, 1);
         assert_eq!(report.stats.routed, 2);
-        assert_eq!(report.stats.scheduler.total_panics(), 1);
+        assert_eq!(report.stats.scheduler.panics.iter().sum::<u64>(), 1);
 
         // Healthy boards: bit-identical to their sequential twins.
         for b in [0usize, 3] {
@@ -335,6 +335,29 @@ fn malformed_mutations_are_rejected_with_provenance() {
                 ));
             },
             |e| matches!(e, ValidationError::DegeneratePolygon { .. }),
+        ),
+        (
+            "non-convex-obstacle",
+            |board| {
+                // A pentagram: one turn sign at every vertex, wound twice.
+                let (_, trace) = board.traces().next().expect("trace");
+                let at = trace.centerline().start();
+                let star = (0..5)
+                    .map(|i| {
+                        let t = (i * 2) as f64 * std::f64::consts::TAU / 5.0;
+                        Point::new(at.x + 3.0 * t.cos(), at.y + 3.0 * t.sin())
+                    })
+                    .collect();
+                board.add_obstacle(Obstacle::new(Polygon::new(star), ObstacleKind::Keepout));
+            },
+            |e| {
+                matches!(
+                    e,
+                    ValidationError::NonConvexObstacle {
+                        entity: Entity::Obstacle(_)
+                    }
+                )
+            },
         ),
         (
             "empty-group",

@@ -102,8 +102,14 @@ fn unit_span(boards: &[LibraryBoard], board: usize) -> (u64, u64) {
     (base, units_of(&boards[board]))
 }
 
+/// Library obstacles + local obstacles + traces + groups + pairs: the
+/// quantity repro minimization shrinks.
 fn entity_count(lb: &LibraryBoard) -> usize {
-    meander_fleet::repro::entity_count(lb)
+    lb.library().len()
+        + lb.board().obstacles().len()
+        + lb.board().trace_count()
+        + lb.board().groups().len()
+        + lb.board().pairs().len()
 }
 
 /// The acceptance scenario: a fleet where 25% of the boards (2 of 8) hit

@@ -1,6 +1,5 @@
 //! Angles with explicit unit handling.
 
-use std::f64::consts::PI;
 use std::fmt;
 use std::ops::{Add, Neg, Sub};
 
@@ -24,7 +23,7 @@ impl Angle {
 
     /// Creates an angle from radians.
     #[inline]
-    pub fn from_radians(r: f64) -> Self {
+    pub(crate) fn from_radians(r: f64) -> Self {
         Angle(r)
     }
 
@@ -36,7 +35,7 @@ impl Angle {
 
     /// Value in radians.
     #[inline]
-    pub fn radians(&self) -> f64 {
+    pub(crate) fn radians(&self) -> f64 {
         self.0
     }
 
@@ -44,34 +43,6 @@ impl Angle {
     #[inline]
     pub fn degrees(&self) -> f64 {
         self.0.to_degrees()
-    }
-
-    /// Normalizes into `(-π, π]`.
-    pub fn normalized(&self) -> Angle {
-        let mut r = self.0 % (2.0 * PI);
-        if r <= -PI {
-            r += 2.0 * PI;
-        } else if r > PI {
-            r -= 2.0 * PI;
-        }
-        Angle(r)
-    }
-
-    /// `true` when, after normalization, the angle magnitude is strictly less
-    /// than 90° minus tolerance — i.e. an *acute* rotation between
-    /// consecutive segments, which the `dmiter` rule must chamfer
-    /// (paper Sec. II: "any rotation of a right angle or an acute angle will
-    /// be mitered by obtuse angles").
-    pub fn is_acute_turn(&self) -> bool {
-        let a = self.normalized().radians().abs();
-        a > PI / 2.0 + 1e-9
-    }
-
-    /// `true` when the normalized magnitude is a right-angle turn within
-    /// tolerance.
-    pub fn is_right_turn(&self) -> bool {
-        let a = self.normalized().radians().abs();
-        (a - PI / 2.0).abs() <= 1e-9
     }
 }
 
@@ -108,6 +79,7 @@ impl fmt::Display for Angle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::PI;
 
     #[test]
     fn conversions_round_trip() {
@@ -117,27 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn normalization_into_half_open_interval() {
-        assert!((Angle::from_degrees(540.0).normalized().degrees() - 180.0).abs() < 1e-9);
-        assert!((Angle::from_degrees(-540.0).normalized().degrees() - 180.0).abs() < 1e-9);
-        assert!((Angle::from_degrees(-90.0).normalized().degrees() + 90.0).abs() < 1e-9);
-        assert!((Angle::from_degrees(360.0).normalized().degrees()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn turn_classification() {
-        // A 135° direction change is sharper than a right angle: acute corner.
-        assert!(Angle::from_degrees(135.0).is_acute_turn());
-        assert!(!Angle::from_degrees(45.0).is_acute_turn());
-        assert!(Angle::from_degrees(90.0).is_right_turn());
-        assert!(Angle::from_degrees(-90.0).is_right_turn());
-        assert!(!Angle::from_degrees(60.0).is_right_turn());
-    }
-
-    #[test]
     fn arithmetic() {
         let a = Angle::from_degrees(30.0) + Angle::from_degrees(60.0);
-        assert!(a.is_right_turn());
+        assert!((a.degrees() - 90.0).abs() < 1e-9);
         let b = Angle::from_degrees(30.0) - Angle::from_degrees(30.0);
         assert!(b.radians().abs() < 1e-12);
         assert!((-Angle::from_degrees(30.0)).degrees() + 30.0 < 1e-12);

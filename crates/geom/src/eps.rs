@@ -28,33 +28,9 @@ pub fn approx_zero(a: f64) -> bool {
     a.abs() <= EPS
 }
 
-/// Tolerant `a >= b`.
-#[inline]
-pub fn approx_ge(a: f64, b: f64) -> bool {
-    a >= b - EPS
-}
-
-/// Tolerant `a <= b`.
-#[inline]
-pub fn approx_le(a: f64, b: f64) -> bool {
-    a <= b + EPS
-}
-
-/// Tolerant strict `a > b` (fails on approximate equality).
-#[inline]
-pub fn definitely_gt(a: f64, b: f64) -> bool {
-    a > b + EPS
-}
-
-/// Tolerant strict `a < b` (fails on approximate equality).
-#[inline]
-pub fn definitely_lt(a: f64, b: f64) -> bool {
-    a < b - EPS
-}
-
 /// Clamps a value into `[lo, hi]`.
 #[inline]
-pub fn clamp(v: f64, lo: f64, hi: f64) -> f64 {
+pub(crate) fn clamp(v: f64, lo: f64, hi: f64) -> f64 {
     v.max(lo).min(hi)
 }
 
@@ -73,16 +49,6 @@ mod tests {
     fn zero_within_tolerance() {
         assert!(approx_zero(EPS * 0.9));
         assert!(!approx_zero(EPS * 1.1));
-    }
-
-    #[test]
-    fn ordering_helpers_are_tolerant() {
-        assert!(approx_ge(1.0, 1.0 + EPS * 0.5));
-        assert!(approx_le(1.0 + EPS * 0.5, 1.0));
-        assert!(!definitely_gt(1.0 + EPS * 0.5, 1.0));
-        assert!(definitely_gt(1.0 + EPS * 2.0, 1.0));
-        assert!(!definitely_lt(1.0, 1.0 + EPS * 0.5));
-        assert!(definitely_lt(1.0, 1.0 + EPS * 2.0));
     }
 
     #[test]

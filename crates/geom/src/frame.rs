@@ -2,7 +2,6 @@
 
 use crate::point::Point;
 use crate::polygon::Polygon;
-use crate::polyline::Polyline;
 use crate::segment::Segment;
 use crate::vector::Vector;
 
@@ -31,15 +30,6 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Identity frame (world coordinates).
-    pub fn identity() -> Self {
-        Frame {
-            origin: Point::ORIGIN,
-            ux: Vector::UNIT_X,
-            uy: Vector::UNIT_Y,
-        }
-    }
-
     /// Frame whose +x axis runs along `seg` starting at `seg.a`; `None` for
     /// a degenerate segment.
     pub fn from_segment(seg: &Segment) -> Option<Self> {
@@ -49,35 +39,6 @@ impl Frame {
             ux,
             uy: ux.perp(),
         })
-    }
-
-    /// Frame with a given origin and +x direction (`dir` need not be unit
-    /// length); `None` when `dir` is (near-)zero.
-    pub fn new(origin: Point, dir: Vector) -> Option<Self> {
-        let ux = dir.normalized()?;
-        Some(Frame {
-            origin,
-            ux,
-            uy: ux.perp(),
-        })
-    }
-
-    /// The frame origin in world coordinates.
-    #[inline]
-    pub fn origin(&self) -> Point {
-        self.origin
-    }
-
-    /// Unit +x axis in world coordinates.
-    #[inline]
-    pub fn x_axis(&self) -> Vector {
-        self.ux
-    }
-
-    /// Unit +y axis in world coordinates (counter-clockwise of x).
-    #[inline]
-    pub fn y_axis(&self) -> Vector {
-        self.uy
     }
 
     /// World point → local coordinates.
@@ -91,44 +52,9 @@ impl Frame {
         self.origin + self.ux * p.x + self.uy * p.y
     }
 
-    /// World vector → local components.
-    pub fn vector_to_local(&self, v: Vector) -> Vector {
-        Vector::new(v.dot(self.ux), v.dot(self.uy))
-    }
-
-    /// Local components → world vector.
-    pub fn vector_to_world(&self, v: Vector) -> Vector {
-        self.ux * v.x + self.uy * v.y
-    }
-
-    /// Maps a whole segment into local coordinates.
-    pub fn segment_to_local(&self, s: &Segment) -> Segment {
-        Segment::new(self.to_local(s.a), self.to_local(s.b))
-    }
-
-    /// Maps a local-space segment back to world coordinates.
-    pub fn segment_to_world(&self, s: &Segment) -> Segment {
-        Segment::new(self.to_world(s.a), self.to_world(s.b))
-    }
-
-    /// Maps a polygon into local coordinates.
-    pub fn polygon_to_local(&self, poly: &Polygon) -> Polygon {
-        Polygon::new(poly.vertices().iter().map(|&p| self.to_local(p)).collect())
-    }
-
     /// Maps a local-space polygon back to world coordinates.
     pub fn polygon_to_world(&self, poly: &Polygon) -> Polygon {
         Polygon::new(poly.vertices().iter().map(|&p| self.to_world(p)).collect())
-    }
-
-    /// Maps a polyline into local coordinates.
-    pub fn polyline_to_local(&self, pl: &Polyline) -> Polyline {
-        pl.points().iter().map(|&p| self.to_local(p)).collect()
-    }
-
-    /// Maps a local-space polyline back to world coordinates.
-    pub fn polyline_to_world(&self, pl: &Polyline) -> Polyline {
-        pl.points().iter().map(|&p| self.to_world(p)).collect()
     }
 }
 
@@ -137,9 +63,14 @@ mod tests {
     use super::*;
     use crate::angle::Angle;
 
+    /// Frame at `origin` whose +x axis points along `dir`.
+    fn frame(origin: Point, dir: Vector) -> Frame {
+        Frame::from_segment(&Segment::new(origin, origin + dir)).unwrap()
+    }
+
     #[test]
     fn identity_is_noop() {
-        let f = Frame::identity();
+        let f = frame(Point::ORIGIN, Vector::new(1.0, 0.0));
         let p = Point::new(3.0, -2.0);
         assert!(f.to_local(p).approx_eq(p));
         assert!(f.to_world(p).approx_eq(p));
@@ -160,7 +91,7 @@ mod tests {
 
     #[test]
     fn round_trip_points_and_vectors() {
-        let f = Frame::new(Point::new(5.0, -1.0), Vector::new(1.0, 2.0)).unwrap();
+        let f = frame(Point::new(5.0, -1.0), Vector::new(1.0, 2.0));
         for p in [
             Point::new(0.0, 0.0),
             Point::new(-3.5, 8.25),
@@ -169,14 +100,11 @@ mod tests {
             assert!(f.to_world(f.to_local(p)).approx_eq(p));
             assert!(f.to_local(f.to_world(p)).approx_eq(p));
         }
-        let v = Vector::new(2.0, -7.0);
-        let rt = f.vector_to_world(f.vector_to_local(v));
-        assert!((rt - v).is_zero());
     }
 
     #[test]
     fn frames_preserve_distance() {
-        let f = Frame::new(Point::new(1.0, 1.0), Vector::new(3.0, 4.0)).unwrap();
+        let f = frame(Point::new(1.0, 1.0), Vector::new(3.0, 4.0));
         let p = Point::new(2.0, 9.0);
         let q = Point::new(-4.0, 0.5);
         let d_world = p.distance(q);
@@ -186,37 +114,30 @@ mod tests {
 
     #[test]
     fn degenerate_direction_rejected() {
-        assert!(Frame::new(Point::ORIGIN, Vector::ZERO).is_none());
         let seg = Segment::new(Point::new(1.0, 1.0), Point::new(1.0, 1.0));
         assert!(Frame::from_segment(&seg).is_none());
     }
 
     #[test]
     fn shape_round_trips() {
-        let f = Frame::new(Point::new(2.0, 2.0), Vector::new(-1.0, 1.0)).unwrap();
+        let f = frame(Point::new(2.0, 2.0), Vector::new(-1.0, 1.0));
         let poly = Polygon::rectangle(Point::new(0.0, 0.0), Point::new(2.0, 1.0));
-        let rt = f.polygon_to_world(&f.polygon_to_local(&poly));
-        for (a, b) in rt.vertices().iter().zip(poly.vertices()) {
-            assert!(a.approx_eq(*b));
+        let world = f.polygon_to_world(&poly);
+        for (a, b) in world.vertices().iter().zip(poly.vertices()) {
+            assert!(f.to_local(*a).approx_eq(*b));
         }
-        assert!((rt.area() - poly.area()).abs() < 1e-9);
-
-        let pl = Polyline::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(1.0, 4.0),
-        ]);
-        let rt = f.polyline_to_world(&f.polyline_to_local(&pl));
-        assert!((rt.length() - pl.length()).abs() < 1e-9);
+        assert!((world.area() - poly.area()).abs() < 1e-9);
     }
 
     #[test]
     fn basis_is_orthonormal() {
-        let f = Frame::new(Point::ORIGIN, Vector::new(0.3, 0.4)).unwrap();
-        assert!((f.x_axis().norm() - 1.0).abs() < 1e-12);
-        assert!((f.y_axis().norm() - 1.0).abs() < 1e-12);
-        assert!(f.x_axis().dot(f.y_axis()).abs() < 1e-12);
+        let f = frame(Point::ORIGIN, Vector::new(0.3, 0.4));
+        let x_axis = f.to_world(Point::new(1.0, 0.0)) - Point::ORIGIN;
+        let y_axis = f.to_world(Point::new(0.0, 1.0)) - Point::ORIGIN;
+        assert!((x_axis.norm() - 1.0).abs() < 1e-12);
+        assert!((y_axis.norm() - 1.0).abs() < 1e-12);
+        assert!(x_axis.dot(y_axis).abs() < 1e-12);
         // Right-handed: y is ccw of x.
-        assert!(f.x_axis().cross(f.y_axis()) > 0.0);
+        assert!(x_axis.cross(y_axis) > 0.0);
     }
 }

@@ -100,28 +100,6 @@ pub fn segments_intersect(s1: &Segment, s2: &Segment) -> bool {
     !matches!(segment_intersection(s1, s2), SegmentIntersection::None)
 }
 
-/// Collects intersection points of `seg` against a set of edges.
-///
-/// Overlap intersections contribute both overlap endpoints — the URA "sides"
-/// shrinking (Eq. 11) only needs the point set `P_inters`.
-pub fn segment_edge_intersections<'a, I>(seg: &Segment, edges: I) -> Vec<Point>
-where
-    I: IntoIterator<Item = &'a Segment>,
-{
-    let mut out = Vec::new();
-    for e in edges {
-        match segment_intersection(seg, e) {
-            SegmentIntersection::None => {}
-            SegmentIntersection::Point(p) => out.push(p),
-            SegmentIntersection::Overlap(o) => {
-                out.push(o.a);
-                out.push(o.b);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,17 +198,5 @@ mod tests {
             }
             other => panic!("expected point, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn edge_collection_gathers_all() {
-        let probe = seg(0.0, -1.0, 0.0, 10.0);
-        let edges = [
-            seg(-1.0, 0.0, 1.0, 0.0),
-            seg(-1.0, 5.0, 1.0, 5.0),
-            seg(3.0, 3.0, 4.0, 4.0),
-        ];
-        let pts = segment_edge_intersections(&probe, edges.iter());
-        assert_eq!(pts.len(), 2);
     }
 }

@@ -16,7 +16,7 @@
 //! * [`offset`] — polyline offsetting with miter joins (differential-pair
 //!   restoration after MSDTW).
 //! * [`miter`] — corner chamfering per the `dmiter` design rule.
-//! * [`intersect`] / [`distance`] — the predicates the URA shrinking procedure
+//! * [`intersect`] — the predicates the URA shrinking procedure
 //!   (paper Alg. 2) is built from.
 //! * [`batch`] — SoA candidate batches and lane-parallel kernels for the DRC
 //!   scan and shrink stage 1, bit-identical to the scalar predicates.
@@ -43,7 +43,6 @@
 
 pub mod angle;
 pub mod batch;
-pub mod distance;
 pub mod eps;
 pub mod frame;
 pub mod intersect;
@@ -58,7 +57,7 @@ pub mod vector;
 
 pub use angle::Angle;
 pub use batch::SegBatch;
-pub use eps::{approx_eq, approx_ge, approx_le, approx_zero, EPS};
+pub use eps::{approx_eq, approx_zero, EPS};
 pub use frame::Frame;
 pub use intersect::{segment_intersection, SegmentIntersection};
 pub use point::Point;

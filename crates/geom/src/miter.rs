@@ -21,8 +21,9 @@ use crate::polyline::Polyline;
 ///
 /// Mitering *shortens* a trace slightly (each chamfer replaces `2·dmiter` of
 /// path with `√2·dmiter` at right angles); callers that miter after length
-/// matching should either account for [`miter_length_loss`] in the target or
-/// miter before the final fine-tuning iteration.
+/// matching should either account for that loss, `(2 − √2)·dmiter` per
+/// right-angle corner, in the target or miter before the final fine-tuning
+/// iteration.
 ///
 /// ```
 /// use meander_geom::{miter::miter_polyline, Point, Polyline};
@@ -93,15 +94,15 @@ pub fn miter_polyline_with_min(pl: &Polyline, dmiter: f64, min_len: f64) -> Poly
     res
 }
 
-/// Length removed by chamfering one right-angle corner with cut `dmiter`:
-/// `2·dmiter − √2·dmiter`.
-pub fn miter_length_loss(dmiter: f64) -> f64 {
-    (2.0 - std::f64::consts::SQRT_2) * dmiter
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Length removed by chamfering one right-angle corner with cut
+    /// `dmiter`: `2·dmiter − √2·dmiter`.
+    fn miter_length_loss(dmiter: f64) -> f64 {
+        (2.0 - std::f64::consts::SQRT_2) * dmiter
+    }
 
     #[test]
     fn right_angle_corner_is_chamfered() {
@@ -158,7 +159,7 @@ mod tests {
         // Both corners chamfered with reduced cut, no vertex collisions.
         assert!(m.point_count() >= 5);
         assert!(!m.is_self_intersecting());
-        assert!(m.min_segment_length() > 0.0);
+        assert!(m.segments().all(|s| s.length() > 0.0));
     }
 
     #[test]

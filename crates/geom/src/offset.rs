@@ -15,7 +15,7 @@ use crate::vector::Vector;
 
 /// Maximum ratio of miter length to offset distance before falling back to a
 /// bevel join (mirrors the common CAD default).
-pub const MITER_LIMIT: f64 = 4.0;
+pub(crate) const MITER_LIMIT: f64 = 4.0;
 
 /// Offsets `pl` by signed distance `d` (positive = to the left of travel
 /// direction).

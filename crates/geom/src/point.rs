@@ -38,15 +38,9 @@ impl Point {
         (*self - other).norm()
     }
 
-    /// Squared Euclidean distance — cheaper when only comparing.
-    #[inline]
-    pub fn distance_sq(&self, other: Point) -> f64 {
-        (*self - other).norm_sq()
-    }
-
     /// Linear interpolation: `t = 0` gives `self`, `t = 1` gives `other`.
     #[inline]
-    pub fn lerp(&self, other: Point, t: f64) -> Point {
+    pub(crate) fn lerp(&self, other: Point, t: f64) -> Point {
         Point::new(
             self.x + (other.x - self.x) * t,
             self.y + (other.y - self.y) * t,
@@ -57,12 +51,6 @@ impl Point {
     #[inline]
     pub fn midpoint(&self, other: Point) -> Point {
         self.lerp(other, 0.5)
-    }
-
-    /// Vector from the origin to this point.
-    #[inline]
-    pub fn to_vector(&self) -> Vector {
-        Vector::new(self.x, self.y)
     }
 
     /// Component-wise approximate equality within [`crate::EPS`].
@@ -151,7 +139,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(3.0, 4.0);
         assert_eq!(a.distance(b), 5.0);
-        assert_eq!(a.distance_sq(b), 25.0);
     }
 
     #[test]

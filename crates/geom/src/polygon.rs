@@ -107,19 +107,14 @@ impl Polygon {
         self.signed_area().abs()
     }
 
-    /// Perimeter length.
-    pub fn perimeter(&self) -> f64 {
-        self.edges().map(|e| e.length()).sum()
-    }
-
     /// `true` when wound counter-clockwise.
     #[inline]
-    pub fn is_ccw(&self) -> bool {
+    pub(crate) fn is_ccw(&self) -> bool {
         self.signed_area() > 0.0
     }
 
     /// Returns a copy wound counter-clockwise.
-    pub fn ccw(&self) -> Polygon {
+    pub(crate) fn ccw(&self) -> Polygon {
         if self.is_ccw() {
             self.clone()
         } else {
@@ -141,14 +136,6 @@ impl Polygon {
     pub fn contains(&self, p: Point) -> bool {
         if self.on_boundary(p) {
             return true;
-        }
-        self.contains_by_parity(p)
-    }
-
-    /// Point-in-polygon, boundary-exclusive.
-    pub fn contains_strict(&self, p: Point) -> bool {
-        if self.on_boundary(p) {
-            return false;
         }
         self.contains_by_parity(p)
     }
@@ -183,19 +170,6 @@ impl Polygon {
         self.edges().any(|e| segments_intersect(&e, seg))
     }
 
-    /// `true` when `other`'s border intersects this polygon's border.
-    pub fn intersects_polygon(&self, other: &Polygon) -> bool {
-        other.edges().any(|e| self.intersects_segment(&e))
-    }
-
-    /// Minimum distance from the polygon *border* to a point (0 on the
-    /// border; interior points still measure to the border).
-    pub fn border_distance_to_point(&self, p: Point) -> f64 {
-        self.edges()
-            .map(|e| e.distance_to_point(p))
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Minimum distance from the polygon (as a filled region) to a segment:
     /// 0 when the segment touches or enters the polygon.
     pub fn distance_to_segment(&self, seg: &Segment) -> f64 {
@@ -213,19 +187,13 @@ impl Polygon {
         d
     }
 
-    /// `true` when every vertex of `other` is inside this polygon and the
-    /// borders do not cross — i.e. `other` is fully contained.
-    pub fn contains_polygon(&self, other: &Polygon) -> bool {
-        if self.intersects_polygon(other) {
-            // Borders touching/crossing: not strict containment. Touching is
-            // treated as not contained, which is the conservative choice for
-            // clearance checks.
-            return false;
-        }
-        other.vertices.iter().all(|&v| self.contains(v))
-    }
-
-    /// `true` when the polygon is convex (allowing collinear runs).
+    /// `true` when the polygon is convex (allowing collinear runs): every
+    /// turn has one sign *and* the boundary turns exactly once round.
+    ///
+    /// One turn sign alone admits self-crossing stars (a pentagram turns
+    /// the same way at every vertex but winds twice). A boundary that turns
+    /// once round changes the sign of its edges' x and y components at most
+    /// twice each; a star `{n/k}` changes each `2k` times.
     pub fn is_convex(&self) -> bool {
         let n = self.vertices.len();
         let mut sign = 0.0_f64;
@@ -243,7 +211,8 @@ impl Polygon {
                 return false;
             }
         }
-        true
+        let edges = || self.edges().map(|e| e.b - e.a);
+        sign_changes(edges().map(|d| d.x)) <= 2 && sign_changes(edges().map(|d| d.y)) <= 2
     }
 
     /// Translates every vertex by `v`.
@@ -251,11 +220,6 @@ impl Polygon {
         Polygon {
             vertices: self.vertices.iter().map(|&p| p + v).collect(),
         }
-    }
-
-    /// Vertex centroid (mean of vertices, not area centroid).
-    pub fn vertex_centroid(&self) -> Point {
-        Point::centroid(&self.vertices)
     }
 
     /// Outward offset of a *convex* polygon by `d` (miter joins).
@@ -358,6 +322,24 @@ impl fmt::Display for Polygon {
     }
 }
 
+/// Sign changes round the cyclic sequence `values`, skipping values within
+/// [`EPS`] of zero.
+fn sign_changes(values: impl Iterator<Item = f64>) -> usize {
+    let (mut first, mut last) = (None, None);
+    let mut changes = 0;
+    for positive in values.filter(|v| v.abs() > EPS).map(|v| v > 0.0) {
+        if last.is_some_and(|l| l != positive) {
+            changes += 1;
+        }
+        first.get_or_insert(positive);
+        last = Some(positive);
+    }
+    if first.is_some() && first != last {
+        changes += 1;
+    }
+    changes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,19 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn perimeter_of_square() {
-        assert_eq!(square().perimeter(), 16.0);
-    }
-
-    #[test]
     fn containment_interior_boundary_exterior() {
         let sq = square();
         assert!(sq.contains(Point::new(2.0, 2.0)));
         assert!(sq.contains(Point::new(0.0, 2.0))); // on edge
         assert!(sq.contains(Point::new(4.0, 4.0))); // on vertex
         assert!(!sq.contains(Point::new(4.1, 2.0)));
-        assert!(sq.contains_strict(Point::new(2.0, 2.0)));
-        assert!(!sq.contains_strict(Point::new(0.0, 2.0)));
     }
 
     #[test]
@@ -453,19 +428,19 @@ mod tests {
     }
 
     #[test]
-    fn polygon_containment() {
-        let outer = square();
-        let inner = Polygon::rectangle(Point::new(1.0, 1.0), Point::new(2.0, 2.0));
-        assert!(outer.contains_polygon(&inner));
-        assert!(!inner.contains_polygon(&outer));
-        let overlapping = Polygon::rectangle(Point::new(3.0, 3.0), Point::new(5.0, 5.0));
-        assert!(!outer.contains_polygon(&overlapping));
-    }
-
-    #[test]
     fn convexity() {
         assert!(square().is_convex());
         assert!(Polygon::regular(Point::ORIGIN, 2.0, 8, 0.0).is_convex());
+        // A pentagram turns the same way at every vertex but winds twice.
+        let star = Polygon::new(
+            (0..5)
+                .map(|i| {
+                    let t = (i * 2) as f64 * std::f64::consts::TAU / 5.0;
+                    Point::new(t.cos(), t.sin())
+                })
+                .collect(),
+        );
+        assert!(!star.is_convex());
     }
 
     #[test]
@@ -482,14 +457,6 @@ mod tests {
     fn translate_moves_bbox() {
         let sq = square().translated(Vector::new(10.0, 0.0));
         assert_eq!(sq.bbox().min, Point::new(10.0, 0.0));
-    }
-
-    #[test]
-    fn border_distance() {
-        let sq = square();
-        assert_eq!(sq.border_distance_to_point(Point::new(2.0, 2.0)), 2.0);
-        assert_eq!(sq.border_distance_to_point(Point::new(6.0, 2.0)), 2.0);
-        assert_eq!(sq.border_distance_to_point(Point::new(0.0, 2.0)), 0.0);
     }
 
     #[test]
@@ -552,7 +519,11 @@ mod tests {
         // Every original edge is 0.5 inside the grown polygon border.
         for e in oct.edges() {
             let mid = e.midpoint();
-            assert!((grown.border_distance_to_point(mid) - 0.5).abs() < 1e-9);
+            let border = grown
+                .edges()
+                .map(|g| g.distance_to_point(mid))
+                .fold(f64::INFINITY, f64::min);
+            assert!((border - 0.5).abs() < 1e-9);
         }
         assert!(grown.is_convex());
     }

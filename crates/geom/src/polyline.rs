@@ -110,11 +110,6 @@ impl Polyline {
         Rect::from_points(self.points.iter().copied()).expect("polyline non-empty")
     }
 
-    /// Reverses the traversal direction in place.
-    pub fn reverse(&mut self) {
-        self.points.reverse();
-    }
-
     /// Returns the polyline translated by `v`.
     pub fn translated(&self, v: Vector) -> Polyline {
         Polyline {
@@ -232,13 +227,6 @@ impl Polyline {
             }
         }
         d
-    }
-
-    /// Shortest segment length present in the polyline.
-    pub fn min_segment_length(&self) -> f64 {
-        self.segments()
-            .map(|s| s.length())
-            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -376,19 +364,8 @@ mod tests {
     }
 
     #[test]
-    fn min_segment_length() {
-        let pl = Polyline::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(5.0, 0.0),
-            Point::new(5.0, 0.5),
-        ]);
-        assert_eq!(pl.min_segment_length(), 0.5);
-    }
-
-    #[test]
     fn reverse_and_translate() {
-        let mut pl = l_shape();
-        pl.reverse();
+        let pl: Polyline = l_shape().points().iter().rev().copied().collect();
         assert_eq!(pl.start(), Point::new(5.0, 5.0));
         let t = pl.translated(Vector::new(1.0, 1.0));
         assert_eq!(t.start(), Point::new(6.0, 6.0));

@@ -101,11 +101,6 @@ impl Rect {
             && other.min.y <= self.max.y + EPS
     }
 
-    /// `true` when `other` lies entirely within `self` (within tolerance).
-    pub fn contains_rect(&self, other: &Rect) -> bool {
-        self.contains(other.min) && self.contains(other.max)
-    }
-
     /// Rectangle grown by `margin` on all four sides (negative shrinks).
     pub fn expanded(&self, margin: f64) -> Rect {
         Rect {
@@ -123,7 +118,7 @@ impl Rect {
     }
 
     /// The four corners, counter-clockwise from `min`.
-    pub fn corners(&self) -> [Point; 4] {
+    pub(crate) fn corners(&self) -> [Point; 4] {
         [
             self.min,
             Point::new(self.max.x, self.min.y),
@@ -198,13 +193,5 @@ mod tests {
         let cs = r.corners();
         assert_eq!(cs[0], r.min);
         assert_eq!(cs[2], r.max);
-    }
-
-    #[test]
-    fn contains_rect_nested() {
-        let outer = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
-        let inner = Rect::new(Point::new(2.0, 2.0), Point::new(8.0, 8.0));
-        assert!(outer.contains_rect(&inner));
-        assert!(!inner.contains_rect(&outer));
     }
 }

@@ -48,7 +48,7 @@ impl Segment {
 
     /// Displacement from `a` to `b`.
     #[inline]
-    pub fn delta(&self) -> Vector {
+    pub(crate) fn delta(&self) -> Vector {
         self.b - self.a
     }
 
@@ -56,17 +56,6 @@ impl Segment {
     #[inline]
     pub fn direction(&self) -> Option<Vector> {
         self.delta().normalized()
-    }
-
-    /// Unit left-hand normal (counter-clockwise perpendicular of the
-    /// direction), or `None` when degenerate.
-    ///
-    /// Patterns in the paper are inserted perpendicular to the segment; the
-    /// "positive"/"negative" pattern directions of the DP map to `+normal` /
-    /// `-normal`.
-    #[inline]
-    pub fn normal(&self) -> Option<Vector> {
-        self.direction().map(|d| d.perp())
     }
 
     /// Midpoint of the segment.
@@ -82,7 +71,7 @@ impl Segment {
     }
 
     /// Point at arc-length `s` from `a` (clamped to the segment).
-    pub fn point_at_length(&self, s: f64) -> Point {
+    pub(crate) fn point_at_length(&self, s: f64) -> Point {
         let len = self.length();
         if len <= EPS {
             return self.a;
@@ -92,7 +81,7 @@ impl Segment {
 
     /// Parameter of the orthogonal projection of `p` onto the *line* through
     /// the segment (unclamped; 0 at `a`, 1 at `b`).
-    pub fn project(&self, p: Point) -> f64 {
+    pub(crate) fn project(&self, p: Point) -> f64 {
         let d = self.delta();
         let len_sq = d.norm_sq();
         if len_sq <= EPS * EPS {
@@ -102,7 +91,7 @@ impl Segment {
     }
 
     /// Closest point on the segment to `p`.
-    pub fn closest_point(&self, p: Point) -> Point {
+    pub(crate) fn closest_point(&self, p: Point) -> Point {
         self.point_at(clamp(self.project(p), 0.0, 1.0))
     }
 
@@ -113,15 +102,6 @@ impl Segment {
     /// offsetting (see DESIGN.md, "DRC as distance predicates").
     pub fn distance_to_point(&self, p: Point) -> f64 {
         self.closest_point(p).distance(p)
-    }
-
-    /// Signed perpendicular distance from the *line* through the segment to
-    /// `p`; positive on the left of `a → b`.
-    pub fn signed_line_distance(&self, p: Point) -> f64 {
-        match self.direction() {
-            Some(d) => d.cross(p - self.a),
-            None => self.a.distance(p),
-        }
     }
 
     /// Minimum distance between two segments (0 when they intersect).
@@ -136,24 +116,13 @@ impl Segment {
     }
 
     /// `true` when `p` lies on the segment within tolerance.
-    pub fn contains_point(&self, p: Point) -> bool {
+    pub(crate) fn contains_point(&self, p: Point) -> bool {
         self.distance_to_point(p) <= EPS
-    }
-
-    /// The reversed segment `b → a`.
-    #[inline]
-    pub fn reversed(&self) -> Segment {
-        Segment::new(self.b, self.a)
     }
 
     /// Axis-aligned bounding box.
     pub fn bbox(&self) -> Rect {
         Rect::from_points([self.a, self.b]).expect("segment has two points")
-    }
-
-    /// Translates the segment by `v`.
-    pub fn translated(&self, v: Vector) -> Segment {
-        Segment::new(self.a + v, self.b + v)
     }
 }
 
@@ -177,8 +146,7 @@ mod tests {
         assert_eq!(s.length(), 5.0);
         let d = s.direction().unwrap();
         assert!((d.norm() - 1.0).abs() < 1e-12);
-        let n = s.normal().unwrap();
-        assert!(approx_zero(d.dot(n)));
+        assert!(approx_zero(d.dot(d.perp())));
     }
 
     #[test]
@@ -211,14 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn signed_distance_side() {
-        let s = seg(0.0, 0.0, 10.0, 0.0);
-        assert!(s.signed_line_distance(Point::new(5.0, 1.0)) > 0.0);
-        assert!(s.signed_line_distance(Point::new(5.0, -1.0)) < 0.0);
-        assert!(approx_zero(s.signed_line_distance(Point::new(20.0, 0.0))));
-    }
-
-    #[test]
     fn segment_to_segment_distance() {
         let s1 = seg(0.0, 0.0, 10.0, 0.0);
         let s2 = seg(0.0, 3.0, 10.0, 3.0);
@@ -248,8 +208,6 @@ mod tests {
         let r = s.bbox();
         assert_eq!(r.min, Point::new(1.0, -2.0));
         assert_eq!(r.max, Point::new(3.0, 5.0));
-        let t = s.translated(Vector::new(1.0, 1.0));
-        assert_eq!(t.a, Point::new(2.0, 6.0));
     }
 
     #[test]

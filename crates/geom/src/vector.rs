@@ -25,13 +25,6 @@ pub struct Vector {
 }
 
 impl Vector {
-    /// The zero vector.
-    pub const ZERO: Vector = Vector { x: 0.0, y: 0.0 };
-    /// Unit vector along +x.
-    pub const UNIT_X: Vector = Vector { x: 1.0, y: 0.0 };
-    /// Unit vector along +y.
-    pub const UNIT_Y: Vector = Vector { x: 0.0, y: 1.0 };
-
     /// Creates a vector from its components.
     #[inline]
     pub fn new(x: f64, y: f64) -> Self {
@@ -52,7 +45,7 @@ impl Vector {
 
     /// Squared norm.
     #[inline]
-    pub fn norm_sq(&self) -> f64 {
+    pub(crate) fn norm_sq(&self) -> f64 {
         self.x * self.x + self.y * self.y
     }
 
@@ -79,19 +72,13 @@ impl Vector {
 
     /// Returns the unit vector with the same direction, or `None` for a
     /// (near-)zero vector.
-    pub fn normalized(&self) -> Option<Vector> {
+    pub(crate) fn normalized(&self) -> Option<Vector> {
         let n = self.norm();
         if n <= EPS {
             None
         } else {
             Some(Vector::new(self.x / n, self.y / n))
         }
-    }
-
-    /// Rotates counter-clockwise by `angle`.
-    pub fn rotated(&self, angle: Angle) -> Vector {
-        let (s, c) = angle.radians().sin_cos();
-        Vector::new(self.x * c - self.y * s, self.x * s + self.y * c)
     }
 
     /// Angle from the +x axis, in `(-π, π]`.
@@ -101,7 +88,7 @@ impl Vector {
 
     /// `true` when this vector is (near-)zero.
     #[inline]
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         approx_zero(self.x) && approx_zero(self.y)
     }
 
@@ -170,7 +157,6 @@ impl fmt::Display for Vector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::{FRAC_PI_2, PI};
 
     #[test]
     fn norm_and_dot() {
@@ -182,8 +168,8 @@ mod tests {
 
     #[test]
     fn cross_sign_encodes_orientation() {
-        let x = Vector::UNIT_X;
-        let y = Vector::UNIT_Y;
+        let x = Vector::new(1.0, 0.0);
+        let y = Vector::new(0.0, 1.0);
         assert!(x.cross(y) > 0.0);
         assert!(y.cross(x) < 0.0);
         assert_eq!(x.cross(x), 0.0);
@@ -191,25 +177,16 @@ mod tests {
 
     #[test]
     fn perp_is_ccw_quarter_turn() {
-        assert_eq!(Vector::UNIT_X.perp(), Vector::UNIT_Y);
-        assert_eq!(Vector::UNIT_Y.perp(), Vector::new(-1.0, 0.0));
+        assert_eq!(Vector::new(1.0, 0.0).perp(), Vector::new(0.0, 1.0));
+        assert_eq!(Vector::new(0.0, 1.0).perp(), Vector::new(-1.0, 0.0));
     }
 
     #[test]
     fn normalized_unit_or_none() {
-        assert!(Vector::ZERO.normalized().is_none());
+        assert!(Vector::new(0.0, 0.0).normalized().is_none());
         let u = Vector::new(0.0, 2.5).normalized().unwrap();
         assert!((u.norm() - 1.0).abs() < 1e-12);
-        assert!(u.is_parallel(Vector::UNIT_Y));
-    }
-
-    #[test]
-    fn rotation_by_quarter_and_half_turn() {
-        let v = Vector::UNIT_X;
-        let r = v.rotated(Angle::from_radians(FRAC_PI_2));
-        assert!((r.x).abs() < 1e-12 && (r.y - 1.0).abs() < 1e-12);
-        let r = v.rotated(Angle::from_radians(PI));
-        assert!((r.x + 1.0).abs() < 1e-12 && (r.y).abs() < 1e-12);
+        assert!(u.is_parallel(Vector::new(0.0, 1.0)));
     }
 
     #[test]

@@ -302,7 +302,7 @@ proptest! {
         let mid = off.point_at_length(off.length() / 2.0);
         prop_assert!((pl.distance_to_point(mid) - d).abs() < 1e-6);
         // And on the left side.
-        prop_assert!(pl.segment(0).signed_line_distance(mid) > 0.0);
+        prop_assert!(dir.cross(mid - a) > 0.0);
     }
 
     #[test]
@@ -332,4 +332,112 @@ proptest! {
         }
         prop_assert!(edges.last().unwrap().b.approx_eq(edges[0].a));
     }
+}
+
+/// Convex hull of `pts` (Andrew's monotone chain), counter-clockwise and
+/// without collinear vertices.
+fn convex_hull(mut pts: Vec<Point>) -> Vec<Point> {
+    pts.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
+    pts.dedup();
+    let turn = |o: Point, a: Point, b: Point| (a - o).cross(b - o);
+    let mut hull: Vec<Point> = Vec::new();
+    for pass in [pts.clone(), pts.into_iter().rev().collect()] {
+        let base = hull.len();
+        for p in pass {
+            while hull.len() >= base + 2
+                && turn(hull[hull.len() - 2], hull[hull.len() - 1], p) <= 0.0
+            {
+                hull.pop();
+            }
+            hull.push(p);
+        }
+        hull.pop();
+    }
+    hull
+}
+
+fn hull_strategy() -> impl Strategy<Value = Vec<Point>> {
+    proptest::collection::vec(pt_strategy(), 3..24)
+        .prop_map(convex_hull)
+        .prop_filter("a proper polygon", |h| {
+            h.len() >= 3 && Polygon::new(h.clone()).area() > 1.0
+        })
+}
+
+/// The star polygon `{n/k}`: `n` points on a circle, each joined to the
+/// `k`-th next. Its turns all have one sign, but it winds `k` times.
+fn star(c: Point, r: f64, phase: f64, n: usize, k: usize) -> Polygon {
+    Polygon::new(
+        (0..n)
+            .map(|i| {
+                let t = phase + (i * k % n) as f64 * std::f64::consts::TAU / n as f64;
+                Point::new(c.x + r * t.cos(), c.y + r * t.sin())
+            })
+            .collect(),
+    )
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn convex_hulls_are_convex_in_both_orientations_from_every_start(hull in hull_strategy()) {
+        let n = hull.len();
+        for start in 0..n {
+            let mut ring = hull.clone();
+            ring.rotate_left(start);
+            prop_assert!(Polygon::new(ring.clone()).is_convex(), "ccw from {}", start);
+            ring.reverse();
+            prop_assert!(Polygon::new(ring).is_convex(), "cw from {}", start);
+        }
+    }
+
+    #[test]
+    fn star_polygons_are_not_convex(
+        c in pt_strategy(),
+        r in 0.5..50.0f64,
+        phase in 0.0..std::f64::consts::TAU,
+        n in 5usize..16,
+        k in 2usize..8,
+    ) {
+        if 2 * k < n && gcd(n, k) == 1 {
+            let s = star(c, r, phase, n, k);
+            prop_assert!(!s.is_convex(), "{{{}/{}}} accepted", n, k);
+            let mut rev = s.vertices().to_vec();
+            rev.reverse();
+            prop_assert!(!Polygon::new(rev).is_convex(), "reversed {{{}/{}}} accepted", n, k);
+        }
+    }
+}
+
+#[test]
+fn bowties_and_concave_arrows_are_not_convex() {
+    let p = |x, y| Point::new(x, y);
+    let bowtie = Polygon::new(vec![p(0.0, 0.0), p(4.0, 4.0), p(4.0, 0.0), p(0.0, 4.0)]);
+    assert!(!bowtie.is_convex());
+    let arrow = Polygon::new(vec![
+        p(0.0, 0.0),
+        p(10.0, 0.0),
+        p(10.0, 10.0),
+        p(5.0, 5.0),
+        p(0.0, 10.0),
+    ]);
+    assert!(!arrow.is_convex());
+    // A convex ring with a collinear midpoint still passes.
+    let square = Polygon::new(vec![
+        p(0.0, 0.0),
+        p(2.0, 0.0),
+        p(4.0, 0.0),
+        p(4.0, 4.0),
+        p(0.0, 4.0),
+    ]);
+    assert!(square.is_convex());
 }

@@ -82,7 +82,7 @@ pub struct SegmentGrid {
 }
 
 /// Reusable query state for [`SegmentGrid::query_scratch`] and
-/// [`crate::RTree::query_scratch`].
+/// `crate::RTree::query_scratch`.
 ///
 /// For the grid it holds the visited-stamp table: deduplicating candidates
 /// with `sort + dedup` costs `O(k log k)` per query and the stamp approach
@@ -159,7 +159,7 @@ impl SegmentGrid {
 
     /// The grid's cell size.
     #[inline]
-    pub fn cell_size(&self) -> f64 {
+    pub(crate) fn cell_size(&self) -> f64 {
         self.cell
     }
 
@@ -168,20 +168,14 @@ impl SegmentGrid {
     /// batched sweeps can reproduce per-column candidate membership without
     /// issuing one query per column.
     #[inline]
-    pub fn cell_coord(&self, v: f64) -> i64 {
+    pub(crate) fn cell_coord(&self, v: f64) -> i64 {
         (v / self.cell).floor() as i64
     }
 
     /// Number of inserted segments.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// `true` when no segment has been inserted.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     #[inline]
@@ -308,7 +302,7 @@ impl SegmentGrid {
 
     /// Largest id ever inserted (0 when empty).
     #[inline]
-    pub fn max_id(&self) -> u32 {
+    pub(crate) fn max_id(&self) -> u32 {
         self.max_id
     }
 
@@ -333,7 +327,7 @@ impl SegmentGrid {
     /// [`SegmentGrid::query`] into a caller-owned buffer, so hot loops can
     /// reuse the allocation. The buffer is cleared first; the result is
     /// sorted and deduplicated.
-    pub fn query_into(&self, r: &Rect, out: &mut Vec<u32>) {
+    pub(crate) fn query_into(&self, r: &Rect, out: &mut Vec<u32>) {
         out.clear();
         let Some(range) = self.clamped_range(r) else {
             return;
@@ -343,7 +337,7 @@ impl SegmentGrid {
         out.dedup();
     }
 
-    /// [`SegmentGrid::query_into`] with visited-stamp deduplication: `O(k)`
+    /// `SegmentGrid::query_into` with visited-stamp deduplication: `O(k)`
     /// instead of `O(k log k)` per query, at the cost of a caller-owned
     /// [`GridScratch`]. Candidates come out in ascending id order (the same
     /// order as [`SegmentGrid::query`]).
@@ -369,7 +363,7 @@ impl SegmentGrid {
     /// under `ids[k]`. This is the entry point for the batched DRC scan and
     /// shrink stage 1 — the caller keeps the ids for ownership lookups but
     /// never re-gathers geometry through them.
-    pub fn query_batch(
+    pub(crate) fn query_batch(
         &self,
         r: &Rect,
         scratch: &mut GridScratch,
@@ -384,7 +378,7 @@ impl SegmentGrid {
     /// into `batch`, straight from the coordinate slab — for callers that
     /// filter candidates between the query and the kernel so no lane is
     /// spent on ids a cheap ownership test already rejects.
-    pub fn fill_batch(&self, ids: &[u32], batch: &mut SegBatch) {
+    pub(crate) fn fill_batch(&self, ids: &[u32], batch: &mut SegBatch) {
         batch.clear();
         for &id in ids {
             let c = self.coords[id as usize];

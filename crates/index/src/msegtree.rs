@@ -31,7 +31,7 @@ use meander_geom::{Point, Rect};
 pub struct MergeSortTree<T> {
     /// Points sorted by x (then y); leaves of the tree.
     items: Vec<(Point, T)>,
-    /// nodes[k] = indices into `items` for the k-th tree node's span, sorted
+    /// `nodes[k]` = indices into `items` for the k-th tree node's span, sorted
     /// by y.
     nodes: Vec<Vec<u32>>,
     n: usize,
@@ -85,18 +85,6 @@ impl<T> MergeSortTree<T> {
         nodes[2 * k] = left;
         nodes[2 * k + 1] = right;
         nodes[k] = merged;
-    }
-
-    /// Number of indexed points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` when the tree holds no points.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Reports every `(point, tag)` with `x ∈ [r.min.x, r.max.x]` and
@@ -245,7 +233,7 @@ mod tests {
     #[test]
     fn empty_tree() {
         let t: MergeSortTree<u32> = MergeSortTree::build(vec![]);
-        assert!(t.is_empty());
+        assert_eq!(t.n, 0);
         assert!(t.query(&rect(-1.0, -1.0, 1.0, 1.0)).is_empty());
         assert_eq!(t.count(&rect(-1.0, -1.0, 1.0, 1.0)), 0);
     }
@@ -253,7 +241,7 @@ mod tests {
     #[test]
     fn single_point() {
         let t = MergeSortTree::build(vec![(Point::new(2.0, 3.0), 7u32)]);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.n, 1);
         assert_eq!(t.query(&rect(0.0, 0.0, 5.0, 5.0)).len(), 1);
         assert_eq!(t.query(&rect(0.0, 0.0, 1.0, 5.0)).len(), 0);
         // Border-inclusive.

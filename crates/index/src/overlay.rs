@@ -113,12 +113,6 @@ impl OverlayIndex {
         self.base_ids
     }
 
-    /// `true` when `id` names a base item.
-    #[inline]
-    pub fn is_base_id(&self, id: u32) -> bool {
-        id < self.base_ids
-    }
-
     /// Allocating convenience query (ascending, deduplicated).
     pub fn query(&self, r: &Rect) -> Vec<u32> {
         let mut out = Vec::new();

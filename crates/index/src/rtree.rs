@@ -229,7 +229,7 @@ impl RTree {
 
     /// The lattice cell size.
     #[inline]
-    pub fn cell_size(&self) -> f64 {
+    pub(crate) fn cell_size(&self) -> f64 {
         self.cell
     }
 
@@ -237,25 +237,19 @@ impl RTree {
     /// [`SegmentGrid::cell_coord`](crate::SegmentGrid::cell_coord) for the
     /// same cell size.
     #[inline]
-    pub fn cell_coord(&self, v: f64) -> i64 {
+    pub(crate) fn cell_coord(&self, v: f64) -> i64 {
         (v / self.cell).floor() as i64
     }
 
     /// Number of indexed segments.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// `true` when no segment is indexed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Largest id indexed (0 when empty).
     #[inline]
-    pub fn max_id(&self) -> u32 {
+    pub(crate) fn max_id(&self) -> u32 {
         self.max_id
     }
 
@@ -329,14 +323,14 @@ impl RTree {
     }
 
     /// [`RTree::query`] into a caller-owned buffer (cleared first).
-    pub fn query_into(&self, r: &Rect, out: &mut Vec<u32>) {
+    pub(crate) fn query_into(&self, r: &Rect, out: &mut Vec<u32>) {
         let mut stack = Vec::new();
         self.query_with_stack(r, &mut stack, out);
     }
 
     /// [`RTree::query_into`] with caller-owned scratch (the traversal
     /// stack lives there, so hot loops stay allocation-free).
-    pub fn query_scratch(&self, r: &Rect, scratch: &mut GridScratch, out: &mut Vec<u32>) {
+    pub(crate) fn query_scratch(&self, r: &Rect, scratch: &mut GridScratch, out: &mut Vec<u32>) {
         let mut stack = std::mem::take(&mut scratch.stack);
         self.query_with_stack(r, &mut stack, out);
         scratch.stack = stack;
@@ -345,7 +339,7 @@ impl RTree {
     /// [`RTree::query_scratch`] that also materializes the candidates'
     /// geometry into a reused SoA [`SegBatch`] from the coordinate slab
     /// (`batch.get(k)` is the segment indexed under `ids[k]`).
-    pub fn query_batch(
+    pub(crate) fn query_batch(
         &self,
         r: &Rect,
         scratch: &mut GridScratch,
@@ -358,7 +352,7 @@ impl RTree {
 
     /// Materializes the geometry of `ids` into `batch`, straight from the
     /// coordinate slab.
-    pub fn fill_batch(&self, ids: &[u32], batch: &mut SegBatch) {
+    pub(crate) fn fill_batch(&self, ids: &[u32], batch: &mut SegBatch) {
         batch.clear();
         for &id in ids {
             let c = self.coords[id as usize];
@@ -425,7 +419,6 @@ mod tests {
     #[test]
     fn empty_tree_answers_empty() {
         let t = RTree::from_segments(1.0, &[]);
-        assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         let vast = Rect::new(Point::new(-1e9, -1e9), Point::new(1e9, 1e9));
         assert!(t.query(&vast).is_empty());

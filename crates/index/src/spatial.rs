@@ -73,7 +73,7 @@ use meander_geom::{Rect, SegBatch, Segment};
 ///   vias — the `stress:mixed` regime) stop paying the smear cost; queries
 ///   descend a height-balanced tree instead of walking cells.
 /// * [`IndexKind::Auto`] — measure the items and pick (see
-///   [`IndexKind::resolve`] for the exact heuristic).
+///   `IndexKind::resolve` for the exact heuristic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexKind {
     /// Uniform hash grid ([`SegmentGrid`]): open-addressed cells over a
@@ -118,7 +118,7 @@ impl IndexKind {
     /// short via edges trips both conditions, while paper-sized boards and
     /// the per-pop shrink contexts (edges a few `d_gap` long) keep the
     /// cheap-to-build grid.
-    pub fn resolve(self, cell: f64, extents: impl Iterator<Item = f64>) -> IndexKind {
+    pub(crate) fn resolve(self, cell: f64, extents: impl Iterator<Item = f64>) -> IndexKind {
         match self {
             IndexKind::Grid | IndexKind::RTree => self,
             IndexKind::Auto => {
@@ -218,17 +218,12 @@ fn seg_extent(s: &Segment) -> f64 {
 impl SegIndex {
     /// Builds an index of the resolved kind over an id-ordered segment
     /// list (item `i` gets id `i`). `Auto` resolves per
-    /// [`IndexKind::resolve`] on the segments' bbox extents.
+    /// `IndexKind::resolve` on the segments' bbox extents.
     pub fn from_segments(kind: IndexKind, cell: f64, segments: &[Segment]) -> Self {
         match kind.resolve(cell, segments.iter().map(seg_extent)) {
             IndexKind::RTree => SegIndex::RTree(RTree::from_segments(cell, segments)),
             _ => SegIndex::Grid(SegmentGrid::from_segments(cell, segments)),
         }
-    }
-
-    /// `true` when the R-tree arm was selected.
-    pub fn is_rtree(&self) -> bool {
-        matches!(self, SegIndex::RTree(_))
     }
 
     /// Allocating convenience query (ascending, deduplicated).
@@ -443,9 +438,12 @@ mod tests {
             segs.push(seg(x, 30.0, x + 2.0, 31.0));
         }
         let auto = SegIndex::from_segments(IndexKind::Auto, 4.0, &segs);
-        assert!(auto.is_rtree(), "plane+vias must auto-select the R-tree");
+        assert!(
+            matches!(auto, SegIndex::RTree(_)),
+            "plane+vias must auto-select the R-tree"
+        );
         let grid = SegIndex::from_segments(IndexKind::Grid, 4.0, &segs);
-        assert!(!grid.is_rtree());
+        assert!(matches!(grid, SegIndex::Grid(_)));
         for q in [
             Rect::new(Point::new(-5.0, -5.0), Point::new(50.0, 50.0)),
             Rect::new(Point::new(400.0, -1.0), Point::new(420.0, 1.0)),

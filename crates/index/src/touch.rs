@@ -163,11 +163,6 @@ impl CellTouches {
         self.strata.clear();
     }
 
-    /// Whether this set is the conservative "touches everything" marker.
-    pub fn is_all(&self) -> bool {
-        self.all
-    }
-
     /// Records one candidate-query window on the `(cell, inflate)` stratum.
     /// `window` is the **unclamped** world-space query rect.
     pub fn record(&mut self, cell: f64, inflate: f64, window: &Rect) {
@@ -186,14 +181,6 @@ impl CellTouches {
     /// Number of rects retained (compactness stat).
     pub fn rect_count(&self) -> usize {
         self.strata.iter().map(|s| s.rects.len()).sum()
-    }
-
-    /// Total covered cells, summed over strata (overlaps double-count; this
-    /// is a stat, not a set cardinality).
-    pub fn cells(&self) -> u64 {
-        self.strata
-            .iter()
-            .fold(0u64, |acc, s| acc.saturating_add(s.cells()))
     }
 
     /// Whether any recorded window intersects the dirty set. `mark_all` on
@@ -298,7 +285,7 @@ mod tests {
         assert_eq!(t.rect_count(), 1);
         t.record(1.0, 0.0, &rect(-5.0, -5.0, 20.0, 20.0)); // supersedes
         assert_eq!(t.rect_count(), 1);
-        assert_eq!(t.cells(), 26 * 26);
+        assert_eq!(t.strata.iter().map(|s| s.cells()).sum::<u64>(), 26 * 26);
     }
 
     #[test]
@@ -324,7 +311,7 @@ mod tests {
     fn mark_all_is_conservative_but_ignores_empty_damage() {
         let mut t = CellTouches::new();
         t.mark_all();
-        assert!(t.is_all());
+        assert!(t.all);
         let mut d = DirtyCells::new();
         assert!(!t.intersects(&d)); // no damage → nothing to re-route
         d.add(StratumKey::new(1.0, 0.0), [0, 0, 0, 0]);

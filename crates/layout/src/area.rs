@@ -1,6 +1,6 @@
 //! Routable areas.
 
-use meander_geom::{Point, Polygon, Rect, Segment};
+use meander_geom::{Point, Polygon, Segment};
 
 /// The space assigned to one trace for meandering.
 ///
@@ -15,25 +15,20 @@ pub struct RoutableArea {
 }
 
 impl RoutableArea {
-    /// Empty area (meandering impossible; original routing only).
-    pub fn new() -> Self {
-        RoutableArea::default()
-    }
-
     /// Area consisting of a single polygon.
     pub fn from_polygon(p: Polygon) -> Self {
         RoutableArea { polygons: vec![p] }
     }
 
     /// Area from several polygons.
-    pub fn from_polygons(polygons: Vec<Polygon>) -> Self {
+    pub(crate) fn from_polygons(polygons: Vec<Polygon>) -> Self {
         RoutableArea { polygons }
     }
 
     /// Corridor area: a rectangle of `half_width` on each side of an
     /// axis-aligned bounding box around `spine`, the common shape handed to
     /// bus traces.
-    pub fn corridor(spine: &Segment, half_width: f64) -> Self {
+    pub(crate) fn corridor(spine: &Segment, half_width: f64) -> Self {
         // Build in the spine's local frame so any-direction corridors work.
         let frame = meander_geom::Frame::from_segment(spine)
             .expect("corridor spine must be non-degenerate");
@@ -55,28 +50,9 @@ impl RoutableArea {
         self.polygons.push(p);
     }
 
-    /// `true` when no space is assigned.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.polygons.is_empty()
-    }
-
     /// `true` when `p` lies inside some polygon of the area.
     pub fn contains(&self, p: Point) -> bool {
         self.polygons.iter().any(|poly| poly.contains(p))
-    }
-
-    /// Total area (counts overlaps twice; assignment keeps regions
-    /// non-overlapping so in practice this is exact).
-    pub fn total_area(&self) -> f64 {
-        self.polygons.iter().map(|p| p.area()).sum()
-    }
-
-    /// Bounding box of the whole area, `None` when empty.
-    pub fn bbox(&self) -> Option<Rect> {
-        let mut it = self.polygons.iter();
-        let first = it.next()?.bbox();
-        Some(it.fold(first, |acc, p| acc.union(&p.bbox())))
     }
 }
 
@@ -86,11 +62,9 @@ mod tests {
 
     #[test]
     fn empty_area() {
-        let a = RoutableArea::new();
-        assert!(a.is_empty());
+        let a = RoutableArea::default();
+        assert!(a.polygons().is_empty());
         assert!(!a.contains(Point::ORIGIN));
-        assert!(a.bbox().is_none());
-        assert_eq!(a.total_area(), 0.0);
     }
 
     #[test]
@@ -106,10 +80,7 @@ mod tests {
         assert!(a.contains(Point::new(5.0, 5.0)));
         assert!(a.contains(Point::new(25.0, 5.0)));
         assert!(!a.contains(Point::new(15.0, 5.0)));
-        assert_eq!(a.total_area(), 200.0);
-        let bb = a.bbox().unwrap();
-        assert_eq!(bb.min, Point::new(0.0, 0.0));
-        assert_eq!(bb.max, Point::new(30.0, 10.0));
+        assert_eq!(a.polygons().len(), 2);
     }
 
     #[test]
@@ -122,6 +93,6 @@ mod tests {
         assert!(a.contains(Point::new(4.0, 6.0)));
         // 3·√2/... clearly beyond the half width: outside.
         assert!(!a.contains(Point::new(2.0, 8.0)));
-        assert!((a.total_area() - spine.length() * 4.0).abs() < 1e-9);
+        assert!((a.polygons()[0].area() - spine.length() * 4.0).abs() < 1e-9);
     }
 }

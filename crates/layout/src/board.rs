@@ -87,7 +87,7 @@ impl Board {
     /// this to materialize a library-referencing board with the library's
     /// obstacles in the leading positions — the order the shared routing
     /// path's polygon id space assumes.
-    pub fn prepend_obstacles(&mut self, obstacles: impl IntoIterator<Item = Obstacle>) {
+    pub(crate) fn prepend_obstacles(&mut self, obstacles: impl IntoIterator<Item = Obstacle>) {
         let mut all: Vec<Obstacle> = obstacles.into_iter().collect();
         all.append(&mut self.obstacles);
         self.obstacles = all;

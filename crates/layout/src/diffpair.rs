@@ -82,7 +82,7 @@ impl DiffPair {
     }
 
     /// `true` when `id` is one of the sub-traces.
-    pub fn involves(&self, id: TraceId) -> bool {
+    pub(crate) fn involves(&self, id: TraceId) -> bool {
         self.p == id || self.n == id
     }
 

@@ -89,27 +89,6 @@ pub enum Edit {
     },
 }
 
-impl Edit {
-    /// Whether this edit is *structural*: it changes what gets planned
-    /// (units, rules, targets), not just obstacle geometry, so the whole
-    /// board re-routes regardless of touched cells.
-    pub fn is_structural(&self) -> bool {
-        matches!(self, Edit::SetRules { .. } | Edit::ReplaceBoard { .. })
-    }
-
-    /// The scope the edit damages.
-    pub fn scope(&self) -> EditScope {
-        match self {
-            Edit::MoveObstacle { scope, .. }
-            | Edit::AddObstacle { scope, .. }
-            | Edit::RemoveObstacle { scope, .. } => *scope,
-            Edit::SetRules { board, .. } | Edit::ReplaceBoard { board, .. } => {
-                EditScope::Board(*board)
-            }
-        }
-    }
-}
-
 impl fmt::Display for Edit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -138,23 +117,6 @@ impl fmt::Display for Edit {
 mod tests {
     use super::*;
     use meander_geom::Point;
-
-    #[test]
-    fn structural_classification() {
-        let mv = Edit::MoveObstacle {
-            scope: EditScope::Library(0),
-            index: 3,
-            by: Vector::new(1.0, 0.0),
-        };
-        assert!(!mv.is_structural());
-        assert_eq!(mv.scope(), EditScope::Library(0));
-        let sr = Edit::SetRules {
-            board: 2,
-            rules: DesignRules::default(),
-        };
-        assert!(sr.is_structural());
-        assert_eq!(sr.scope(), EditScope::Board(2));
-    }
 
     #[test]
     fn display_names_the_target() {

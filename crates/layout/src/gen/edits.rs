@@ -133,7 +133,21 @@ mod tests {
         assert!(count(|e| matches!(e, Edit::SetRules { .. })) > 0);
         assert!(count(|e| matches!(e, Edit::ReplaceBoard { .. })) > 0);
         // Library-scope edits present but the minority.
-        let lib = count(|e| matches!(e.scope(), EditScope::Library(_)));
+        let lib = count(|e| {
+            matches!(
+                e,
+                Edit::MoveObstacle {
+                    scope: EditScope::Library(_),
+                    ..
+                } | Edit::AddObstacle {
+                    scope: EditScope::Library(_),
+                    ..
+                } | Edit::RemoveObstacle {
+                    scope: EditScope::Library(_),
+                    ..
+                }
+            )
+        });
         assert!(lib > 0 && lib < stream.len() / 2);
     }
 }

@@ -18,13 +18,13 @@ pub mod table1;
 pub mod table2;
 
 pub use anyangle::any_angle_bus;
-pub use diffpair::{decoupled_pair, DecoupledPairCase};
+pub use diffpair::decoupled_pair;
 pub use dup::{dup_fleet_boards, dup_fleet_boards_small};
 pub use edits::{edit_stream, nth_edit};
 pub use fleet::{fleet_boards, fleet_boards_small, FleetCase};
-pub use stress::{stress_board, stress_mixed_board, StressCase};
-pub use table1::{table1_case, Table1Case};
-pub use table2::{table2_case, Table2Case};
+pub use stress::{stress_board, stress_mixed_board};
+pub use table1::table1_case;
+pub use table2::table2_case;
 
 /// Trace-type tag used in Table I reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

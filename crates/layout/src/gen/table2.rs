@@ -34,7 +34,7 @@ pub struct Table2Case {
 }
 
 /// `dgap/wtrace` ratios of the six paper cases.
-pub const DGAP_RATIOS: [f64; 6] = [2.5, 3.0, 3.5, 4.0, 4.5, 5.0];
+pub(crate) const DGAP_RATIOS: [f64; 6] = [2.5, 3.0, 3.5, 4.0, 4.5, 5.0];
 
 /// Generates Table II case `case_no` (1–6).
 ///

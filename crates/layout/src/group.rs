@@ -35,7 +35,7 @@ pub struct MatchGroup {
 
 impl MatchGroup {
     /// Default relative tolerance: 0.1 % of the target length.
-    pub const DEFAULT_TOLERANCE: f64 = 1e-3;
+    pub(crate) const DEFAULT_TOLERANCE: f64 = 1e-3;
 
     /// Creates a group matching to the longest member.
     pub fn new(name: impl Into<String>, members: Vec<TraceId>) -> Self {

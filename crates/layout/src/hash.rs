@@ -39,7 +39,7 @@
 //! tree over its per-obstacle digests (the ministark
 //! `MerkleTree`/`Queries` shape: commit once, update and prove subsets in
 //! `O(log n)`). A single-obstacle edit recomputes only the leaf-to-root
-//! path ([`MerkleTree::update_leaf`]); the serving session uses the root
+//! path (`MerkleTree::update_leaf`); the serving session uses the root
 //! as the library's cache-key component and the old/new root pair as the
 //! invalidation edge for entries keyed under the edited library.
 
@@ -54,7 +54,7 @@ use meander_geom::{Polygon, Polyline, Rect};
 
 /// splitmix64 finalizer: the bijective mixer every digest chains through.
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -123,14 +123,14 @@ fn fold_points(h: &mut ContentHasher, pts: &[meander_geom::Point]) {
 }
 
 /// Digest of a polygon: vertex list in declaration order.
-pub fn hash_polygon(p: &Polygon) -> u64 {
+pub(crate) fn hash_polygon(p: &Polygon) -> u64 {
     let mut h = ContentHasher::new(TAG_POLYGON);
     fold_points(&mut h, p.vertices());
     h.finish()
 }
 
 /// Digest of a polyline: point list in order.
-pub fn hash_polyline(p: &Polyline) -> u64 {
+pub(crate) fn hash_polyline(p: &Polyline) -> u64 {
     let mut h = ContentHasher::new(TAG_POLYLINE);
     fold_points(&mut h, p.points());
     h.finish()
@@ -148,7 +148,7 @@ pub fn hash_rules(r: &DesignRules) -> u64 {
 }
 
 /// Digest of an obstacle: kind discriminant + polygon.
-pub fn hash_obstacle(o: &Obstacle) -> u64 {
+pub(crate) fn hash_obstacle(o: &Obstacle) -> u64 {
     let kind = match o.kind() {
         ObstacleKind::Via => 1u64,
         ObstacleKind::Component => 2,
@@ -161,7 +161,7 @@ pub fn hash_obstacle(o: &Obstacle) -> u64 {
 
 /// Digest of a trace's routing-relevant content: centerline, width,
 /// rules. The name is deliberately excluded (module docs).
-pub fn hash_trace(t: &Trace) -> u64 {
+pub(crate) fn hash_trace(t: &Trace) -> u64 {
     let mut h = ContentHasher::new(TAG_TRACE);
     h.u64(hash_polyline(t.centerline()))
         .f64(t.width())
@@ -272,7 +272,7 @@ pub fn hash_board_local(b: &Board) -> u64 {
 /// [`MerkleTree::update_leaf`] recomputes only the `O(log n)` path from
 /// the edited leaf to the root.
 #[derive(Debug, Clone)]
-pub struct MerkleTree {
+pub(crate) struct MerkleTree {
     /// `levels[0]` are the leaves; `levels.last()` is `[root]`.
     levels: Vec<Vec<u64>>,
 }
@@ -292,7 +292,7 @@ fn parent_level(level: &[u64]) -> Vec<u64> {
 
 impl MerkleTree {
     /// Builds the tree bottom-up from `leaves`.
-    pub fn build(leaves: Vec<u64>) -> Self {
+    pub(crate) fn build(leaves: Vec<u64>) -> Self {
         let mut levels = vec![leaves];
         while levels.last().is_some_and(|l| l.len() > 1) {
             let next = parent_level(levels.last().expect("non-empty levels"));
@@ -302,27 +302,17 @@ impl MerkleTree {
     }
 
     /// Leaf count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.levels[0].len()
-    }
-
-    /// `true` for a zero-leaf tree.
-    pub fn is_empty(&self) -> bool {
-        self.levels[0].is_empty()
     }
 
     /// The root digest (a fixed empty-domain digest for a zero-leaf
     /// tree, so "no library" still has a stable key component).
-    pub fn root(&self) -> u64 {
+    pub(crate) fn root(&self) -> u64 {
         match self.levels.last().and_then(|l| l.first()) {
             Some(&r) => r,
             None => mix64(TAG_EMPTY),
         }
-    }
-
-    /// The leaf digests.
-    pub fn leaves(&self) -> &[u64] {
-        &self.levels[0]
     }
 
     /// Replaces leaf `i` and recomputes only its path to the root —
@@ -331,7 +321,7 @@ impl MerkleTree {
     /// # Panics
     ///
     /// Panics when `i` is out of range.
-    pub fn update_leaf(&mut self, i: usize, leaf: u64) -> u64 {
+    pub(crate) fn update_leaf(&mut self, i: usize, leaf: u64) -> u64 {
         assert!(i < self.len(), "leaf {i} out of range ({})", self.len());
         self.levels[0][i] = leaf;
         let mut idx = i;
@@ -345,34 +335,6 @@ impl MerkleTree {
             idx = parent;
         }
         self.root()
-    }
-
-    /// The authentication path of leaf `i`: the sibling digest at each
-    /// level, leaf-to-root order. [`MerkleTree::verify_path`] checks it.
-    pub fn path(&self, i: usize) -> Vec<u64> {
-        assert!(i < self.len(), "leaf {i} out of range ({})", self.len());
-        let mut out = Vec::new();
-        let mut idx = i;
-        for level in &self.levels[..self.levels.len() - 1] {
-            let sibling = idx ^ 1;
-            out.push(*level.get(sibling).unwrap_or(&level[idx]));
-            idx /= 2;
-        }
-        out
-    }
-
-    /// Verifies that `leaf` at index `i` under `path` reaches `root`.
-    pub fn verify_path(root: u64, mut i: usize, leaf: u64, path: &[u64]) -> bool {
-        let mut acc = leaf;
-        for &sibling in path {
-            acc = if i.is_multiple_of(2) {
-                hash_node(acc, sibling)
-            } else {
-                hash_node(sibling, acc)
-            };
-            i /= 2;
-        }
-        acc == root
     }
 }
 
@@ -398,25 +360,10 @@ impl LibraryCommitment {
         self.tree.root()
     }
 
-    /// Committed obstacle count.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// `true` when the committed library is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
     /// Re-commits obstacle `i` after an in-place edit (a move): only the
     /// affected Merkle path is recomputed. Returns the new root.
     pub fn update_obstacle(&mut self, i: usize, o: &Obstacle) -> u64 {
         self.tree.update_leaf(i, hash_obstacle(o))
-    }
-
-    /// The underlying tree (authentication paths, leaves).
-    pub fn tree(&self) -> &MerkleTree {
-        &self.tree
     }
 }
 
@@ -524,17 +471,6 @@ mod tests {
                     "n={n} i={i}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn authentication_paths_verify() {
-        let leaves: Vec<u64> = (0..7u64).map(mix64).collect();
-        let tree = MerkleTree::build(leaves.clone());
-        for (i, &leaf) in leaves.iter().enumerate() {
-            let path = tree.path(i);
-            assert!(MerkleTree::verify_path(tree.root(), i, leaf, &path));
-            assert!(!MerkleTree::verify_path(tree.root(), i, leaf ^ 1, &path));
         }
         // Empty tree has a stable root.
         assert_eq!(MerkleTree::build(vec![]).root(), mix64(TAG_EMPTY));

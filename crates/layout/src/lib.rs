@@ -58,10 +58,8 @@ pub use board::Board;
 pub use diffpair::DiffPair;
 pub use edit::{Edit, EditScope};
 pub use group::{MatchGroup, TargetLength};
-pub use hash::{hash_board_local, library_root, LibraryCommitment, MerkleTree};
+pub use hash::hash_board_local;
 pub use library::{LibraryBoard, ObstacleLibrary};
 pub use obstacle::{Obstacle, ObstacleKind};
 pub use trace::{Trace, TraceId};
-pub use validate::{
-    validate_board, validate_library, validate_library_board, Entity, ValidationError,
-};
+pub use validate::{validate_board, validate_library, Entity, ValidationError};

@@ -52,7 +52,7 @@ impl Obstacle {
     }
 
     /// Rectangular keep-out.
-    pub fn keepout(a: Point, b: Point) -> Self {
+    pub(crate) fn keepout(a: Point, b: Point) -> Self {
         Obstacle {
             polygon: Polygon::rectangle(a, b),
             kind: ObstacleKind::Keepout,
@@ -76,7 +76,7 @@ impl Obstacle {
 
     /// The obstacle kind.
     #[inline]
-    pub fn kind(&self) -> ObstacleKind {
+    pub(crate) fn kind(&self) -> ObstacleKind {
         self.kind
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::board::Board;
 use crate::group::TargetLength;
-use crate::library::{LibraryBoard, ObstacleLibrary};
+use crate::library::ObstacleLibrary;
 use meander_drc::{DesignRules, RulesError};
 use meander_geom::{Point, Polygon, Rect};
 use std::collections::HashMap;
@@ -87,6 +87,13 @@ pub enum ValidationError {
         entity: Entity,
         /// Vertex count of the degenerate polygon.
         vertices: usize,
+    },
+    /// An obstacle polygon is not convex: it has a reflex vertex or its
+    /// boundary crosses itself. Obstacles are inflated by
+    /// [`Polygon::offset_convex`], which needs convex input.
+    NonConvexObstacle {
+        /// The obstacle (board-local or library).
+        entity: Entity,
     },
     /// A trace centerline has zero total length.
     ZeroLengthTrace {
@@ -203,6 +210,9 @@ impl fmt::Display for ValidationError {
                     "{entity}: degenerate polygon ({vertices} vertices, zero area)"
                 )
             }
+            ValidationError::NonConvexObstacle { entity } => {
+                write!(f, "{entity}: obstacle polygon is not convex")
+            }
             ValidationError::ZeroLengthTrace { trace } => {
                 write!(f, "trace {trace}: centerline has zero length")
             }
@@ -293,6 +303,16 @@ fn check_polygon(entity: Entity, polygon: &Polygon) -> Result<(), ValidationErro
     Ok(())
 }
 
+/// Rejects a non-convex obstacle (see
+/// [`ValidationError::NonConvexObstacle`]).
+fn check_convex(entity: Entity, polygon: &Polygon) -> Result<(), ValidationError> {
+    if polygon.is_convex() {
+        Ok(())
+    } else {
+        Err(ValidationError::NonConvexObstacle { entity })
+    }
+}
+
 /// How far outside the outline board geometry may reach: the widest
 /// clearance band any trace's rules demand (`gap + obstacle + width`), so
 /// an obstacle or area edge that hugs the outline within one band still
@@ -333,9 +353,9 @@ fn check_rules(trace: u32, rules: &DesignRules) -> Result<(), ValidationError> {
 
 /// Validates every entity of `board`, returning the first error in a
 /// deterministic walk order (outline, traces, obstacles, areas, outline
-/// containment, groups, pairs). Every trace may belong to at most one
-/// group — the invariant the fleet's bit-identity to sequential routing
-/// rests on. When the board has an outline, every trace, obstacle, and
+/// containment, obstacle convexity, groups, pairs). Every trace may belong
+/// to at most one group — the invariant the fleet's bit-identity to
+/// sequential routing rests on. When the board has an outline, every trace, obstacle, and
 /// routable-area vertex must lie inside it, grown by the widest
 /// `gap + obstacle + width` band of any trace's rules.
 ///
@@ -396,6 +416,9 @@ pub fn validate_board(board: &Board) -> Result<(), ValidationError> {
                 check_inside(entity, poly.vertices(), &bounds)?;
             }
         }
+    }
+    for (i, o) in board.obstacles().iter().enumerate() {
+        check_convex(Entity::Obstacle(i), o.polygon())?;
     }
     for g in board.groups() {
         if g.members().is_empty() {
@@ -465,7 +488,7 @@ pub fn validate_board(board: &Board) -> Result<(), ValidationError> {
 }
 
 /// Validates a shared obstacle library: every polygon must have finite
-/// vertices and positive area.
+/// vertices, positive area and be convex.
 ///
 /// # Errors
 ///
@@ -474,19 +497,9 @@ pub fn validate_board(board: &Board) -> Result<(), ValidationError> {
 pub fn validate_library(library: &ObstacleLibrary) -> Result<(), ValidationError> {
     for (i, o) in library.obstacles().iter().enumerate() {
         check_polygon(Entity::LibraryObstacle(i), o.polygon())?;
+        check_convex(Entity::LibraryObstacle(i), o.polygon())?;
     }
     Ok(())
-}
-
-/// Validates a library-referencing board: the library first, then the
-/// board-local part.
-///
-/// # Errors
-///
-/// Returns the first [`ValidationError`] from either half.
-pub fn validate_library_board(board: &LibraryBoard) -> Result<(), ValidationError> {
-    validate_library(board.library())?;
-    validate_board(board.board())
 }
 
 #[cfg(test)]
@@ -526,7 +539,8 @@ mod tests {
         }
         let fleet = crate::gen::fleet_boards_small(4, 3, 7);
         for (b, lb) in fleet.boards.iter().enumerate() {
-            assert_eq!(validate_library_board(lb), Ok(()), "fleet board {b}");
+            assert_eq!(validate_library(lb.library()), Ok(()), "fleet board {b}");
+            assert_eq!(validate_board(lb.board()), Ok(()), "fleet board {b}");
         }
     }
 
@@ -673,6 +687,49 @@ mod tests {
             validate_board(&b),
             Err(ValidationError::UnknownPairTrace { member: 44, .. })
         ));
+    }
+
+    #[test]
+    fn non_convex_obstacle_rejected_with_provenance() {
+        // A concave arrow: reflex vertex at (5, 5).
+        let arrow = Polygon::new(vec![
+            Point::new(0.0, 0.0),
+            Point::new(10.0, 0.0),
+            Point::new(10.0, 10.0),
+            Point::new(5.0, 5.0),
+            Point::new(0.0, 10.0),
+        ]);
+        let mut b = clean_board();
+        b.add_obstacle(Obstacle::new(arrow, crate::obstacle::ObstacleKind::Keepout));
+        assert_eq!(
+            validate_board(&b),
+            Err(ValidationError::NonConvexObstacle {
+                entity: Entity::Obstacle(1)
+            })
+        );
+    }
+
+    #[test]
+    fn non_convex_library_obstacle_rejected_with_provenance() {
+        // A pentagram: every turn has one sign, yet the boundary winds twice.
+        let star = Polygon::new(
+            (0..5)
+                .map(|i| {
+                    let t = (i * 2) as f64 * std::f64::consts::TAU / 5.0;
+                    Point::new(20.0 + 5.0 * t.cos(), 20.0 + 5.0 * t.sin())
+                })
+                .collect(),
+        );
+        let lib = ObstacleLibrary::new(vec![
+            Obstacle::via(Point::new(5.0, 5.0), 1.0),
+            Obstacle::new(star, crate::obstacle::ObstacleKind::Via),
+        ]);
+        assert_eq!(
+            validate_library(&lib),
+            Err(ValidationError::NonConvexObstacle {
+                entity: Entity::LibraryObstacle(1)
+            })
+        );
     }
 
     #[test]

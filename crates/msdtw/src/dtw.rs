@@ -116,11 +116,6 @@ pub fn dtw_match(p: &[Point], n: &[Point]) -> Vec<MatchedPair> {
     path
 }
 
-/// Total cost of a matching (sum of pair costs).
-pub fn total_cost(pairs: &[MatchedPair]) -> f64 {
-    pairs.iter().map(|p| p.cost).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,7 +135,7 @@ mod tests {
             assert_eq!(pair.j, k);
             assert!((pair.cost - 2.0).abs() < 1e-12);
         }
-        assert!((total_cost(&m) - 6.0).abs() < 1e-12);
+        assert!((m.iter().map(|pair| pair.cost).sum::<f64>() - 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -206,6 +201,6 @@ mod tests {
         let m = dtw_match(&p, &n);
         // Optimal total: every node pairs with its nearest counterpart.
         let naive: f64 = p.iter().zip(&n).map(|(a, b)| a.distance(*b)).sum();
-        assert!(total_cost(&m) <= naive + 1e-9);
+        assert!(m.iter().map(|pair| pair.cost).sum::<f64>() <= naive + 1e-9);
     }
 }

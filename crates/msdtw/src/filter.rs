@@ -7,14 +7,14 @@ use crate::dtw::MatchedPair;
 /// a trace must be obtuse, any matched pair, even if at a corner, shall meet
 /// cost ≤ √2·r, otherwise … it is a matched pair involving nodes of tiny
 /// patterns").
-pub const FILTER_FACTOR: f64 = std::f64::consts::SQRT_2;
+pub(crate) const FILTER_FACTOR: f64 = std::f64::consts::SQRT_2;
 
 /// Splits `pairs` into kept matches and dropped (noise) matches under
 /// distance rule `r`.
 ///
 /// `protected` marks pair indices that are never dropped regardless of cost
 /// (used for the boundary matches that anchor pad endpoints).
-pub fn filter_pairs(
+pub(crate) fn filter_pairs(
     pairs: &[MatchedPair],
     r: f64,
     protected: impl Fn(&MatchedPair) -> bool,
@@ -30,25 +30,6 @@ pub fn filter_pairs(
         }
     }
     (kept, dropped)
-}
-
-/// Node indices that appear only in dropped pairs — the *unpaired nodes*
-/// excluded from median generation.
-pub fn unpaired_nodes(kept: &[MatchedPair], dropped: &[MatchedPair]) -> (Vec<usize>, Vec<usize>) {
-    use std::collections::BTreeSet;
-    let kept_i: BTreeSet<usize> = kept.iter().map(|p| p.i).collect();
-    let kept_j: BTreeSet<usize> = kept.iter().map(|p| p.j).collect();
-    let mut up: BTreeSet<usize> = BTreeSet::new();
-    let mut un: BTreeSet<usize> = BTreeSet::new();
-    for p in dropped {
-        if !kept_i.contains(&p.i) {
-            up.insert(p.i);
-        }
-        if !kept_j.contains(&p.j) {
-            un.insert(p.j);
-        }
-    }
-    (up.into_iter().collect(), un.into_iter().collect())
 }
 
 #[cfg(test)]
@@ -78,21 +59,10 @@ mod tests {
     }
 
     #[test]
-    fn unpaired_excludes_rescued_nodes() {
-        // Node i=1 appears in a kept pair and a dropped pair: not unpaired.
-        let kept = [pair(0, 0, 1.0), pair(1, 1, 1.0)];
-        let dropped = [pair(1, 2, 9.0), pair(2, 3, 9.0)];
-        let (up, un) = unpaired_nodes(&kept, &dropped);
-        assert_eq!(up, vec![2]);
-        assert_eq!(un, vec![2, 3]);
-    }
-
-    #[test]
     fn all_kept_gives_no_unpaired() {
         let pairs = [pair(0, 0, 1.0), pair(1, 1, 1.0)];
         let (kept, dropped) = filter_pairs(&pairs, 2.0, |_| false);
         assert_eq!(kept.len(), 2);
-        let (up, un) = unpaired_nodes(&kept, &dropped);
-        assert!(up.is_empty() && un.is_empty());
+        assert!(dropped.is_empty());
     }
 }

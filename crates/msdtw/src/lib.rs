@@ -10,12 +10,12 @@
 //! MSDTW instead matches **nodes**:
 //!
 //! 1. [`dtw`] — classic DTW over the two node sequences (Eq. 17),
-//! 2. [`filter`] — matched pairs with cost `> √2·r` are noise from tiny
+//! 2. `filter` — matched pairs with cost `> √2·r` are noise from tiny
 //!    patterns and are dropped; their nodes become *unpaired*,
 //! 3. [`multiscale`] — when the pair crosses several DRAs the distance rule
 //!    `r` is ambiguous; Alg. 3 matches at increasing scales, splitting the
 //!    pair into sub-pairs at each round's accepted matches,
-//! 4. [`median`] — accepted matches form connected components whose nodes
+//! 4. `median` — accepted matches form connected components whose nodes
 //!    average into median points (Eq. 18),
 //! 5. [`restore`] — after meandering, offsetting the median by `± sep/2`
 //!    recovers the sub-traces; the virtual DRC from
@@ -34,12 +34,11 @@
 //! ```
 
 pub mod dtw;
-pub mod filter;
-pub mod median;
+mod filter;
+mod median;
 pub mod multiscale;
 pub mod restore;
 
-pub use dtw::{dtw_match, MatchedPair};
-pub use median::{components, median_points};
-pub use multiscale::{merge_pair, msdtw_match, MergeResult, MsdtwError, PairGeometry};
+pub use dtw::dtw_match;
+pub use multiscale::{merge_pair, PairGeometry};
 pub use restore::restore_pair;

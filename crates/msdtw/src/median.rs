@@ -6,7 +6,7 @@ use meander_geom::Point;
 /// One connected component of the match graph: the P-node indices and
 /// N-node indices joined (transitively) by matched pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Component {
+pub(crate) struct Component {
     /// P-node indices in the component (sorted).
     pub p_nodes: Vec<usize>,
     /// N-node indices in the component (sorted).
@@ -18,7 +18,7 @@ pub struct Component {
 /// "we connect every pair of matched nodes, thereby making all nodes compose
 /// several connected components" (Sec. V-A). DTW matches are monotone, so
 /// components are consecutive runs sharing a node; a linear sweep suffices.
-pub fn components(pairs: &[MatchedPair]) -> Vec<Component> {
+pub(crate) fn components(pairs: &[MatchedPair]) -> Vec<Component> {
     let mut out: Vec<Component> = Vec::new();
     for pair in pairs {
         let joined = out
@@ -50,14 +50,14 @@ pub fn components(pairs: &[MatchedPair]) -> Vec<Component> {
 /// per-side centroids — "we first respectively calculate the median point of
 /// nodes on each sub-trace and then use them to calculate the final median
 /// point", so multi-matched nodes cannot pull the median toward one side.
-pub fn component_median(c: &Component, p: &[Point], n: &[Point]) -> Point {
+pub(crate) fn component_median(c: &Component, p: &[Point], n: &[Point]) -> Point {
     let pc = Point::centroid(&c.p_nodes.iter().map(|&i| p[i]).collect::<Vec<_>>());
     let nc = Point::centroid(&c.n_nodes.iter().map(|&j| n[j]).collect::<Vec<_>>());
     pc.midpoint(nc)
 }
 
 /// Median points for all components, in path order.
-pub fn median_points(pairs: &[MatchedPair], p: &[Point], n: &[Point]) -> Vec<Point> {
+pub(crate) fn median_points(pairs: &[MatchedPair], p: &[Point], n: &[Point]) -> Vec<Point> {
     components(pairs)
         .iter()
         .map(|c| component_median(c, p, n))

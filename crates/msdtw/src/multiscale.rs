@@ -90,7 +90,7 @@ struct SubPair {
 /// sub-pair at its accepted matches, and discards sub-pairs with an empty
 /// side ("no more meaningful matching can occur"). The first and last node
 /// pairs of the *original* pair are protected so pad endpoints always merge.
-pub fn msdtw_match(p: &[Point], n: &[Point], scales: &[f64]) -> Vec<MatchedPair> {
+pub(crate) fn msdtw_match(p: &[Point], n: &[Point], scales: &[f64]) -> Vec<MatchedPair> {
     if p.is_empty() || n.is_empty() {
         return Vec::new();
     }

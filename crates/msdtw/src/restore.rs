@@ -17,20 +17,13 @@ use meander_geom::Polyline;
 ///
 /// The inner sub-trace of each meander is shorter than the outer one by
 /// `2·sep` per pattern side-pair; real tools re-insert tiny patterns to
-/// re-balance. [`length_compensation`] reports the residual so callers can
-/// decide (the paper: "we restore the differential pairs and compensate
-/// tiny patterns to sub-traces if needed").
+/// re-balance. The residual is `p.length() − n.length()`, left for callers
+/// to decide on (the paper: "we restore the differential pairs and
+/// compensate tiny patterns to sub-traces if needed").
 pub fn restore_pair(median: &Polyline, sep: f64) -> Option<(Polyline, Polyline)> {
     let p = offset_polyline(median, sep / 2.0)?;
     let n = offset_polyline(median, -sep / 2.0)?;
     Some((p, n))
-}
-
-/// Signed length difference `length(p) − length(n)` of a restored pair —
-/// the amount a tiny-pattern compensation pass would need to add to the
-/// shorter side.
-pub fn length_compensation(p: &Polyline, n: &Polyline) -> f64 {
-    p.length() - n.length()
 }
 
 #[cfg(test)]
@@ -67,7 +60,7 @@ mod tests {
         assert!(!n.is_self_intersecting());
         // A symmetric trombone has two left and two right turns, so the
         // per-corner gains/losses cancel: no net skew.
-        let skew = length_compensation(&p, &n);
+        let skew = p.length() - n.length();
         assert!(
             skew.abs() < 1e-9,
             "symmetric meander skew must cancel, got {skew}"
@@ -82,7 +75,7 @@ mod tests {
         // outer gains sep/2 per leg, so the pair skew is 2·sep.
         let m = pl(&[(0.0, 0.0), (40.0, 0.0), (40.0, 40.0)]);
         let (p, n) = restore_pair(&m, 6.0).unwrap();
-        let skew = length_compensation(&p, &n);
+        let skew = p.length() - n.length();
         assert!(
             (skew.abs() - 12.0).abs() < 1e-9,
             "expected |skew| = 2·sep, got {skew}"
@@ -111,6 +104,6 @@ mod tests {
     fn compensation_zero_for_straight() {
         let m = pl(&[(0.0, 0.0), (50.0, 0.0)]);
         let (p, n) = restore_pair(&m, 6.0).unwrap();
-        assert!(length_compensation(&p, &n).abs() < 1e-9);
+        assert!((p.length() - n.length()).abs() < 1e-9);
     }
 }

@@ -161,75 +161,6 @@ pub fn assign(
     }
 }
 
-/// Best-effort variant of [`assign`]: when the LP is infeasible, demands
-/// are scaled down uniformly until it becomes feasible (binary search over
-/// the scale), so every trace gets a proportional share of the contested
-/// space instead of nothing.
-///
-/// The paper notes that "some techniques of existing works can help to
-/// figure out a better routing if the LP is infeasible" — proportional
-/// relaxation is the simplest such technique and keeps the pipeline
-/// running on overcommitted boards (the meandering stage then reports the
-/// residual matching error honestly).
-///
-/// Returns the assignment plus the demand scale that was actually used
-/// (1.0 when the original LP was feasible).
-///
-/// # Errors
-///
-/// Only [`AssignError::NoOutline`]; infeasibility is relaxed away.
-pub fn assign_best_effort(
-    board: &Board,
-    group: &MatchGroup,
-    cell: f64,
-    reach: f64,
-) -> Result<(Assignment, f64), AssignError> {
-    match assign(board, group, cell, reach) {
-        Ok(a) => Ok((a, 1.0)),
-        Err(AssignError::NoOutline) => Err(AssignError::NoOutline),
-        Err(AssignError::Insufficient(_)) => {
-            // Binary search the largest feasible demand scale by shrinking
-            // the group's *target* toward the current lengths.
-            let lengths = board.group_lengths(group);
-            let target = group.resolve_target(&lengths);
-            let mut lo = 0.0f64;
-            let mut hi = 1.0f64;
-            let mut best: Option<(Assignment, f64)> = None;
-            for _ in 0..12 {
-                let mid = (lo + hi) / 2.0;
-                let scaled = scaled_group(group, &lengths, target, mid);
-                match assign(board, &scaled, cell, reach) {
-                    Ok(a) => {
-                        best = Some((a, mid));
-                        lo = mid;
-                    }
-                    Err(_) => {
-                        hi = mid;
-                    }
-                }
-            }
-            match best {
-                Some(b) => Ok(b),
-                None => {
-                    // Even zero extra demand failed — only corridors are
-                    // produced by a zero-demand assignment.
-                    let scaled = scaled_group(group, &lengths, target, 0.0);
-                    assign(board, &scaled, cell, reach).map(|a| (a, 0.0))
-                }
-            }
-        }
-    }
-}
-
-/// A copy of `group` whose target interpolates between the longest current
-/// length (`scale = 0`, zero extra demand) and the true target
-/// (`scale = 1`).
-fn scaled_group(group: &MatchGroup, lengths: &[f64], target: f64, scale: f64) -> MatchGroup {
-    let longest = lengths.iter().copied().fold(0.0, f64::max);
-    let scaled_target = longest + (target - longest) * scale;
-    MatchGroup::with_target(group.name(), group.members().to_vec(), scaled_target)
-}
-
 /// Folds LP grants into per-trace routable areas. Each region goes entirely
 /// to the member holding its largest grant (areas must not overlap); every
 /// trace additionally keeps a corridor around its original routing so the
@@ -366,38 +297,6 @@ mod tests {
         let g2 = MatchGroup::with_target("g", g.members().to_vec(), 2000.0);
         let err = assign(&board, &g2, 10.0, 15.0).unwrap_err();
         assert!(matches!(err, AssignError::Insufficient(_)));
-    }
-
-    #[test]
-    fn best_effort_matches_assign_when_feasible() {
-        let (board, g) = two_trace_board(200.0);
-        let (a, scale) = assign_best_effort(&board, &g, 20.0, 30.0).expect("feasible");
-        assert_eq!(scale, 1.0);
-        assert!(!a.areas.is_empty());
-    }
-
-    #[test]
-    fn best_effort_relaxes_infeasible_demand() {
-        let (mut board, g) = two_trace_board(60.0);
-        for ix in 0..6 {
-            for iy in 0..10 {
-                board.add_obstacle(Obstacle::via(
-                    Point::new(ix as f64 * 10.0 + 5.0, iy as f64 * 10.0 + 5.0),
-                    4.5,
-                ));
-            }
-        }
-        let g2 = MatchGroup::with_target("g", g.members().to_vec(), 2000.0);
-        assert!(matches!(
-            assign(&board, &g2, 10.0, 15.0),
-            Err(AssignError::Insufficient(_))
-        ));
-        let (a, scale) = assign_best_effort(&board, &g2, 10.0, 15.0).expect("relaxed");
-        assert!(scale < 1.0, "scale {scale}");
-        // Corridors still exist for every member.
-        for id in g2.members() {
-            assert!(a.areas.contains_key(id), "no area for {id}");
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use meander_layout::{Board, MatchGroup, TraceId};
 /// minimum pattern size.
 ///
 /// Returns `(trace, requirement)` pairs for every member of `group`.
-pub fn requirements(board: &Board, group: &MatchGroup) -> Vec<(TraceId, f64)> {
+pub(crate) fn requirements(board: &Board, group: &MatchGroup) -> Vec<(TraceId, f64)> {
     let lengths = board.group_lengths(group);
     let target = group.resolve_target(&lengths);
     group

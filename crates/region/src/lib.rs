@@ -15,20 +15,19 @@
 //! where `Req_j` comes from the length–space relation of BSG-route \[8\]:
 //! meandering `Δl` of extra length consumes ≈ `Δl · (d_gap + w)` of area.
 //!
-//! Pipeline: [`decompose`] grids the free space into capacity-carrying
-//! regions → [`requirements`] sizes each trace's demand → [`assign()`]
+//! Pipeline: `regions::decompose` grids the free space into
+//! capacity-carrying regions → `capacity::requirements` sizes each trace's
+//! demand → [`assign()`]
 //! builds and solves the LP with the from-scratch two-phase [`simplex`]
 //! solver → winners are folded into per-trace
 //! [`meander_layout::RoutableArea`]s.
 
 pub mod assign;
-pub mod capacity;
-pub mod regions;
+mod capacity;
+mod regions;
 pub mod simplex;
 
-pub use assign::{assign, assign_best_effort, AssignError, Assignment};
-pub use capacity::requirements;
-pub use regions::{decompose, Region};
+pub use assign::assign;
 pub use simplex::{Constraint, LinearProgram, LpOutcome, Relation};
 
 /// Builds and solves a deterministic assignment-shaped LP with

@@ -10,7 +10,7 @@ use meander_layout::Board;
 /// and keep cells whose free area is positive; `Cap_i` is the cell's free
 /// area (cell minus overlapping obstacles, estimated by sampling).
 #[derive(Debug, Clone)]
-pub struct Region {
+pub(crate) struct Region {
     /// Region id (index into the decomposition).
     pub id: usize,
     /// Cell polygon.
@@ -25,7 +25,7 @@ pub struct Region {
 /// Capacity is estimated with a 4×4 sample grid per cell — adequate because
 /// assignment only needs capacities at the granularity the requirement
 /// estimate (also an approximation) works at.
-pub fn decompose(board: &Board, cell: f64) -> Vec<Region> {
+pub(crate) fn decompose(board: &Board, cell: f64) -> Vec<Region> {
     assert!(cell > 0.0, "cell size must be positive");
     let Some(outline) = board.outline() else {
         return Vec::new();

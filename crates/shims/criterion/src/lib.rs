@@ -134,18 +134,23 @@ impl BenchmarkGroup<'_> {
         } else {
             sorted.iter().sum::<Duration>() / sorted.len() as u32
         };
+        // A stand-alone bench (`Criterion::bench_function`) runs in a group
+        // named "" and is identified by its label alone.
+        let id = if self.name.is_empty() {
+            label
+        } else {
+            format!("{}/{}", self.name, label)
+        };
         println!(
             "bench {:<40} median {:>12.6} ms  mean {:>12.6} ms  ({} samples)",
-            format!("{}/{}", self.name, label),
+            id,
             median.as_secs_f64() * 1e3,
             mean.as_secs_f64() * 1e3,
             sorted.len()
         );
-        self.criterion.results.push(BenchResult {
-            id: format!("{}/{}", self.name, label),
-            median,
-            mean,
-        });
+        self.criterion
+            .results
+            .push(BenchResult { id, median, mean });
     }
 
     /// Runs one benchmark.
@@ -171,7 +176,7 @@ impl BenchmarkGroup<'_> {
 /// One finished measurement.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    /// `group/label`.
+    /// `group/label`, or just `label` for a stand-alone bench.
     pub id: String,
     /// Median per-iteration time.
     pub median: Duration,
@@ -255,6 +260,13 @@ mod tests {
         sample_bench(&mut c);
         assert_eq!(c.results.len(), 2);
         assert!(c.results.iter().all(|r| r.id.starts_with("shim/")));
+    }
+
+    #[test]
+    fn standalone_bench_id_is_its_label() {
+        let mut c = Criterion::default();
+        c.bench_function("x", |b| b.iter(|| 1 + 1));
+        assert_eq!(c.results[0].id, "x");
     }
 
     criterion_group!(benches, sample_bench);

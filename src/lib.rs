@@ -29,10 +29,3 @@ pub use meander_index as index;
 pub use meander_layout as layout;
 pub use meander_msdtw as msdtw;
 pub use meander_region as region;
-
-/// Convenience prelude with the most common types.
-pub mod prelude {
-    pub use meander_core::ExtendConfig;
-    pub use meander_geom::{Point, Polygon, Polyline, Rect, Segment, Vector};
-    pub use meander_index::{IndexKind, SpatialIndex};
-}
