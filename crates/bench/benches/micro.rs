@@ -13,7 +13,10 @@
 //! * `priority_ablation` — connected-pattern priority on/off (Fig. 5),
 //! * `requeue_ablation` — meander-on-meander on/off,
 //! * `io_save` / `io_load` — board text out and in for the `cli-boards`
-//!   stress board (`stress_board(12, 30, 200, 1)`, ~750 KB).
+//!   stress board (`stress_board(12, 30, 200, 1)`, ~750 KB),
+//! * `drc_check` — `Board::check` on one routed duplicate-fleet board and
+//!   on the routed mixed stress board (`stress_mixed_board(12, 30, 200,
+//!   1)`, planes and vias).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use meander_core::baseline::FixedTrackOptions;
@@ -24,11 +27,12 @@ use meander_core::shrink::{
     build_ub_profile, build_ub_profile_batched, max_pattern_height, max_pattern_height_scratch,
     ShrinkScratch,
 };
-use meander_core::{extend_trace, ExtendConfig};
+use meander_core::{extend_trace, match_all_groups, ExtendConfig};
 use meander_geom::batch::{distance_sq_to_segment_batch, SegBatch};
 use meander_geom::{Frame, Point, Polygon, Polyline, Segment};
-use meander_layout::gen::stress_board;
+use meander_layout::gen::{dup_fleet_boards, stress_board, stress_mixed_board};
 use meander_layout::io::{load_board, save_board};
+use meander_layout::Board;
 use meander_msdtw::dtw_match;
 use meander_region::{solve_lp_for_bench, LpOutcome};
 
@@ -351,6 +355,19 @@ fn bench_io(c: &mut Criterion) {
     c.bench_function("io_load", |b| b.iter(|| load_board(&text)));
 }
 
+fn bench_drc_check(c: &mut Criterion) {
+    let routed = |mut board: Board| {
+        match_all_groups(&mut board, &ExtendConfig::default());
+        board
+    };
+    let dup = routed(dup_fleet_boards(1, 0.0, 1).boards[0].to_board());
+    let mixed = routed(stress_mixed_board(12, 30, 200, 1).board);
+    let mut group = c.benchmark_group("drc_check");
+    group.bench_function("dup_fleet", |b| b.iter(|| dup.check()));
+    group.bench_function("stress_mixed", |b| b.iter(|| mixed.check()));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_dp_kernel,
@@ -360,6 +377,7 @@ criterion_group!(
     bench_dtw,
     bench_simplex,
     bench_ablations,
-    bench_io
+    bench_io,
+    bench_drc_check
 );
 criterion_main!(benches);

@@ -287,13 +287,13 @@ mod tests {
         let violations = meander_drc::check_layout(&meander_drc::CheckInput {
             traces: vec![meander_drc::TraceGeometry {
                 id: 0,
-                centerline: out.trace.clone(),
+                centerline: &out.trace,
                 width: r.width,
                 rules: r,
-                area: a,
+                area: &a,
                 coupled_with: vec![],
             }],
-            obstacles,
+            obstacles: obstacles.iter().collect(),
         });
         assert!(violations.is_empty(), "{violations:?}");
     }

@@ -720,13 +720,13 @@ mod tests {
             let violations = meander_drc::check_layout(&meander_drc::CheckInput {
                 traces: vec![meander_drc::TraceGeometry {
                     id: 0,
-                    centerline: out.trace.clone(),
+                    centerline: &out.trace,
                     width: r.width,
                     rules: r,
-                    area: area.clone(),
+                    area: &area,
                     coupled_with: vec![],
                 }],
-                obstacles: obstacles.clone(),
+                obstacles: obstacles.iter().collect(),
             });
             assert!(violations.is_empty(), "{violations:?}");
             assert!(out.achieved > 120.0);

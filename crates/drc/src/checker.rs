@@ -8,39 +8,38 @@ use crate::rules::DesignRules;
 use crate::violation::Violation;
 use meander_geom::batch::{
     accum_point_to_segs_dsq, accum_seg_to_points_dsq, distance_sq_to_segment_batch,
-    mark_intersections, pt_seg_dsq, SegBatch, PREFILTER_SLACK,
+    mark_intersections, SegBatch, PREFILTER_SLACK,
 };
 use meander_geom::intersect::segments_intersect;
-use meander_geom::{Point, Polygon, Polyline, Segment};
-use meander_index::{GridScratch, IndexKind, SegIndex, SegmentGrid, SpatialIndex};
-use std::collections::HashMap;
+use meander_geom::{Point, Polygon, Polyline, Rect, Segment};
+use meander_index::{GridScratch, IndexKind, SegIndex, SpatialIndex};
 
-/// Geometry of one trace as the checker sees it.
+/// Geometry of one trace as the checker sees it, borrowed from its owner.
 #[derive(Debug, Clone)]
-pub struct TraceGeometry {
+pub struct TraceGeometry<'a> {
     /// Stable id used in violation reports.
     pub id: u32,
     /// Centerline.
-    pub centerline: Polyline,
+    pub centerline: &'a Polyline,
     /// Trace width.
     pub width: f64,
     /// Rules in force for this trace.
     pub rules: DesignRules,
     /// Optional routable-area polygons this trace must stay inside
     /// (checked only when non-empty; a point must be inside *some* polygon).
-    pub area: Vec<Polygon>,
+    pub area: &'a [Polygon],
     /// Trace ids this trace is allowed to touch (e.g. its differential-pair
     /// partner); gap checks against them are skipped.
     pub coupled_with: Vec<u32>,
 }
 
-/// Checker input: traces plus obstacle polygons.
+/// Checker input: traces plus obstacle polygons, all borrowed.
 #[derive(Debug, Clone, Default)]
-pub struct CheckInput {
+pub struct CheckInput<'a> {
     /// All traces to check.
-    pub traces: Vec<TraceGeometry>,
+    pub traces: Vec<TraceGeometry<'a>>,
     /// All obstacles.
-    pub obstacles: Vec<Polygon>,
+    pub obstacles: Vec<&'a Polygon>,
 }
 
 /// Scans the input for design-rule violations.
@@ -66,13 +65,14 @@ pub struct CheckInput {
 /// use meander_drc::{check_layout, CheckInput, DesignRules, TraceGeometry};
 /// use meander_geom::{Point, Polyline};
 ///
+/// let centerline = Polyline::new(vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]);
 /// let input = CheckInput {
 ///     traces: vec![TraceGeometry {
 ///         id: 0,
-///         centerline: Polyline::new(vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]),
+///         centerline: &centerline,
 ///         width: 4.0,
 ///         rules: DesignRules::default(),
-///         area: vec![],
+///         area: &[],
 ///         coupled_with: vec![],
 ///     }],
 ///     obstacles: vec![],
@@ -84,49 +84,13 @@ pub fn check_layout(input: &CheckInput) -> Vec<Violation> {
 }
 
 /// The original all-pairs scan, kept as the reference implementation:
-/// [`check_layout_with`] must report the exact same violation list (see
-/// the property suite), and the perf baseline measures one against the
-/// other.
+/// [`check_layout_with`] must report the exact same violation list, which
+/// the property suite and the generator-wide pipeline test assert.
 pub fn check_layout_brute(input: &CheckInput) -> Vec<Violation> {
     let mut out = Vec::new();
 
     for (i, t) in input.traces.iter().enumerate() {
-        // 3. dprotect on simplified centerline (mitering may deliberately
-        // split segments; collinear runs are not real corners). Chamfer
-        // segments produced by the `dmiter` rule are exempt: they are
-        // intentional corner cuts, not the manufacturing stubs dprotect
-        // exists to prevent.
-        let mut simplified = t.centerline.clone();
-        simplified.simplify();
-        for (si, seg) in simplified.segments().enumerate() {
-            let len = seg.length();
-            if len < t.rules.protect - 1e-9 && !is_chamfer(&simplified, si) {
-                out.push(Violation::ShortSegment {
-                    trace: t.id,
-                    segment: si,
-                    actual: len,
-                    required: t.rules.protect,
-                });
-            }
-        }
-
-        // 4. Self-intersection.
-        if t.centerline.is_self_intersecting() {
-            out.push(Violation::SelfIntersection { trace: t.id });
-        }
-
-        // 5. Containment.
-        if !t.area.is_empty() {
-            for &p in t.centerline.points() {
-                if !t.area.iter().any(|poly| poly.contains(p)) {
-                    out.push(Violation::OutsideRoutableArea {
-                        trace: t.id,
-                        near: p,
-                    });
-                    break;
-                }
-            }
-        }
+        trace_checks(t, t.centerline.is_self_intersecting(), &mut out);
 
         // 2. Obstacles.
         for (oi, obs) in input.obstacles.iter().enumerate() {
@@ -159,10 +123,10 @@ pub fn check_layout_brute(input: &CheckInput) -> Vec<Violation> {
             }
             let gap = t.rules.gap.max(u.rules.gap);
             let required = gap + t.width / 2.0 + u.width / 2.0;
-            let d = t.centerline.distance_to_polyline(&u.centerline);
+            let d = t.centerline.distance_to_polyline(u.centerline);
             if d < required - 1e-9 {
                 // Witness: the closest sample point found by re-scanning.
-                let near = closest_witness(&t.centerline, &u.centerline);
+                let near = closest_witness(t.centerline, u.centerline);
                 out.push(Violation::TraceTraceClearance {
                     a: t.id,
                     b: u.id,
@@ -177,24 +141,61 @@ pub fn check_layout_brute(input: &CheckInput) -> Vec<Violation> {
     out
 }
 
+/// The per-trace checks both scans share, in emission order: 3. dprotect,
+/// 4. self-intersection (the verdict comes in), 5. containment.
+fn trace_checks(t: &TraceGeometry, self_intersects: bool, out: &mut Vec<Violation>) {
+    // dprotect on simplified centerline (mitering may deliberately split
+    // segments; collinear runs are not real corners). Chamfer segments
+    // produced by the `dmiter` rule are exempt: they are intentional corner
+    // cuts, not the manufacturing stubs dprotect exists to prevent.
+    let mut simplified = t.centerline.clone();
+    simplified.simplify();
+    for (si, seg) in simplified.segments().enumerate() {
+        let len = seg.length();
+        if len < t.rules.protect - 1e-9 && !is_chamfer(&simplified, si) {
+            out.push(Violation::ShortSegment {
+                trace: t.id,
+                segment: si,
+                actual: len,
+                required: t.rules.protect,
+            });
+        }
+    }
+
+    if self_intersects {
+        out.push(Violation::SelfIntersection { trace: t.id });
+    }
+
+    if !t.area.is_empty() {
+        for &p in t.centerline.points() {
+            if !t.area.iter().any(|poly| poly.contains(p)) {
+                out.push(Violation::OutsideRoutableArea {
+                    trace: t.id,
+                    near: p,
+                });
+                break;
+            }
+        }
+    }
+}
+
 /// [`check_layout`] with the scan index structure selected by `kind`
-/// (grid, STR R-tree, or `Auto`), also returning the batch-kernel work
-/// counters (for the perf baseline's observability section).
+/// (grid, STR R-tree, or `Auto`).
 ///
 /// Replaces the brute-force `O(T²·S²)` trace–trace and `O(T·O·S)`
-/// trace–obstacle scans with windowed candidate queries:
+/// trace–obstacle scans with windowed candidate queries on one index:
 ///
 /// * every segment is registered once in a world index keyed by a global
 ///   id that ascends in `(trace, segment)` order, so candidate iteration
 ///   visits pairs in the same order as the brute-force scan and
 ///   strict-minimum witness selection agrees bit-for-bit;
-/// * an obstacle only tests segments inside its bbox inflated by the
-///   largest clearance any trace demands;
-/// * a trace segment only tests other-trace segments within the largest
-///   pair clearance, and the closest-pair search returns its witness
-///   directly instead of re-scanning;
-/// * self-intersection uses a per-trace grid, which matters once meandered
-///   traces carry hundreds of segments.
+/// * an obstacle only tests segments whose bbox lies within the largest
+///   clearance any trace demands of its own bbox;
+/// * a trace segment only tests other-trace segments whose bbox lies
+///   within the largest pair clearance of its own, and the closest-pair
+///   search returns its witness directly instead of re-scanning;
+/// * the same query hands each segment its later same-trace neighbours,
+///   which is all the self-intersection test needs.
 ///
 /// Candidates are materialized into a reused [`SegBatch`] straight from
 /// the index slab and evaluated lane-parallel on the SoA kernels of
@@ -209,18 +210,20 @@ pub fn check_layout_brute(input: &CheckInput) -> Vec<Violation> {
 /// use meander_geom::{Point, Polygon, Polyline};
 /// use meander_index::IndexKind;
 ///
+/// let centerline = Polyline::new(vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]);
+/// // A plane-sized obstacle too close to the trace: required clearance is
+/// // 8 + 4/2 = 10 but the slab sits at distance 5.
+/// let slab = Polygon::rectangle(Point::new(-50.0, 5.0), Point::new(150.0, 30.0));
 /// let input = CheckInput {
 ///     traces: vec![TraceGeometry {
 ///         id: 0,
-///         centerline: Polyline::new(vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]),
+///         centerline: &centerline,
 ///         width: 4.0,
 ///         rules: DesignRules::default(),
-///         area: vec![],
+///         area: &[],
 ///         coupled_with: vec![],
 ///     }],
-///     // A plane-sized obstacle too close to the trace: required
-///     // clearance is 8 + 4/2 = 10 but the slab sits at distance 5.
-///     obstacles: vec![Polygon::rectangle(Point::new(-50.0, 5.0), Point::new(150.0, 30.0))],
+///     obstacles: vec![&slab],
 /// };
 /// let grid = check_layout_with(&input, IndexKind::Grid);
 /// let rtree = check_layout_with(&input, IndexKind::RTree);
@@ -229,47 +232,43 @@ pub fn check_layout_brute(input: &CheckInput) -> Vec<Violation> {
 /// ```
 pub fn check_layout_with(input: &CheckInput, kind: IndexKind) -> Vec<Violation> {
     let idx = ScanIndex::build(input, kind);
-    let (obs_worst, pair_best) = gather(input, &idx);
-    emit(input, &idx, &obs_worst, &pair_best)
+    emit(input, gather(input, &idx))
 }
 
-/// Shared scan state: per-trace segment lists, the global segment index
-/// (ids ascend in `(trace, segment)` order), and the clearance windows.
+/// Shared scan state: every trace's segments in one slab, the global
+/// segment index over it (ids ascend in `(trace, segment)` order), and the
+/// clearance windows.
 struct ScanIndex {
-    segs: Vec<Vec<Segment>>,
+    /// All segments; trace `i` owns `segs[offsets[i]..offsets[i + 1]]`.
+    segs: Vec<Segment>,
     offsets: Vec<usize>,
+    /// Owning trace of each segment.
     trace_of: Vec<u32>,
+    /// Each trace's bbox.
+    trace_boxes: Vec<Rect>,
     max_obs_required: f64,
     max_pair_required: f64,
-    mean_seg_len: f64,
     grid: SegIndex,
-    /// The caller's selection, passed through unresolved so `Auto` gets
-    /// re-judged per population: the scan index resolves it on the trace
-    /// segments, each per-obstacle edge index on that obstacle's edges.
-    kind: IndexKind,
 }
 
 impl ScanIndex {
     fn build(input: &CheckInput, kind: IndexKind) -> Self {
         let traces = &input.traces;
-        let segs: Vec<Vec<Segment>> = traces
+        let total: usize = traces.iter().map(|t| t.centerline.segment_count()).sum();
+        let mut segs = Vec::with_capacity(total);
+        let mut trace_of = Vec::with_capacity(total);
+        let mut offsets = Vec::with_capacity(traces.len() + 1);
+        offsets.push(0);
+        for (i, t) in traces.iter().enumerate() {
+            segs.extend(t.centerline.segments());
+            trace_of.resize(segs.len(), i as u32);
+            offsets.push(segs.len());
+        }
+        let trace_boxes = traces
             .iter()
-            .map(|t| t.centerline.segments().collect())
-            .collect();
-        let total_segs: usize = segs.iter().map(Vec::len).sum();
-        let offsets: Vec<usize> = segs
-            .iter()
-            .scan(0usize, |acc, s| {
-                let o = *acc;
-                *acc += s.len();
-                Some(o)
-            })
-            .collect();
-        let trace_of: Vec<u32> = segs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, s)| std::iter::repeat_n(i as u32, s.len()))
-            .collect();
+            .map(|t| Rect::from_points(t.centerline.points().iter().copied()))
+            .collect::<Option<_>>()
+            .expect("polylines have points");
 
         let max_obs_required = traces
             .iter()
@@ -278,61 +277,53 @@ impl ScanIndex {
         let max_gap = traces.iter().map(|t| t.rules.gap).fold(0.0f64, f64::max);
         let max_width = traces.iter().map(|t| t.width).fold(0.0f64, f64::max);
         let max_pair_required = max_gap + max_width;
-        let mean_seg_len = if total_segs == 0 {
+        let mean_seg_len = if segs.is_empty() {
             1.0
         } else {
-            segs.iter()
-                .flat_map(|s| s.iter())
-                .map(Segment::length)
-                .sum::<f64>()
-                / total_segs as f64
+            segs.iter().map(Segment::length).sum::<f64>() / segs.len() as f64
         };
+        // A window is a small box grown by a clearance on every side, so a
+        // cell as wide as two clearances keeps most windows within 2×2 or
+        // 3×3 cells.
         let cell = mean_seg_len
-            .max(max_obs_required)
-            .max(max_pair_required)
+            .max(2.0 * max_obs_required)
+            .max(2.0 * max_pair_required)
             .max(1e-6);
-
-        let flat: Vec<Segment> = segs.iter().flatten().copied().collect();
-        let grid = SegIndex::from_segments(kind, cell, &flat);
+        let grid = SegIndex::from_segments(kind, cell, &segs);
         ScanIndex {
             segs,
             offsets,
             trace_of,
+            trace_boxes,
             max_obs_required,
             max_pair_required,
-            mean_seg_len,
             grid,
-            kind,
         }
-    }
-
-    #[inline]
-    fn seg_of(&self, gid: u32) -> (usize, &Segment) {
-        let i = self.trace_of[gid as usize] as usize;
-        (i, &self.segs[i][gid as usize - self.offsets[i]])
     }
 }
 
-/// Worst sub-threshold clearance per `(trace, obstacle)` and closest
-/// approach per trace pair (`(d, d²)` ride together there, see [`gather`]),
-/// each with its witness.
-type ObsWorst = HashMap<(usize, usize), (f64, Point)>;
-type PairBest = HashMap<(usize, usize), (f64, f64, Point)>;
+/// Squared gap between two boxes: a lower bound on the squared distance
+/// between any point of one and any point of the other.
+fn gap_sq(a: &Rect, b: &Rect) -> f64 {
+    let dx = (b.min.x - a.max.x).max(a.min.x - b.max.x).max(0.0);
+    let dy = (b.min.y - a.max.y).max(a.min.y - b.max.y).max(0.0);
+    dx * dx + dy * dy
+}
 
-/// Obstacles with at least this many edges *and* at least
-/// [`EDGE_INDEX_MIN_CANDIDATES`] candidate segments in their window take
-/// the edge-indexed accumulation path; below the thresholds the dense
-/// edge-outer lane loops win (a rectangle's four edges are cheaper to
-/// stream than to index).
-const EDGE_INDEX_MIN_EDGES: usize = 8;
-/// Candidate-count floor for the edge-indexed obstacle path.
-const EDGE_INDEX_MIN_CANDIDATES: usize = 16;
+/// What the windowed passes found: obstacle violations keyed `(trace,
+/// obstacle)` and pair violations keyed `(i, j)`, both ascending, plus each
+/// trace's self-intersection verdict.
+struct Found {
+    obstacles: Vec<((usize, usize), Violation)>,
+    pairs: Vec<((usize, usize), Violation)>,
+    self_hit: Vec<bool>,
+}
 
-/// The batched clearance passes. Per probe window, one [`SegBatch`] holds
-/// every candidate; distances reduce in the squared domain; witnesses come
-/// from first-occurrence strict argmins, which is exactly the scalar
-/// `d < best` update order. Equality with the per-candidate scalar loops
-/// of [`check_layout_brute`] is bit-for-bit:
+/// The batched passes. Per probe window, one [`SegBatch`] holds every
+/// candidate; distances reduce in the squared domain; witnesses come from
+/// first-occurrence strict argmins, which is exactly the scalar `d < best`
+/// update order. Equality with the per-candidate scalar loops of
+/// [`check_layout_brute`] is bit-for-bit:
 ///
 /// * a candidate group's minimum over violating candidates equals its
 ///   global minimum whenever any candidate violates (the threshold test
@@ -344,106 +335,75 @@ const EDGE_INDEX_MIN_CANDIDATES: usize = 16;
 ///   candidates whose start lies within the obstacle bbox inflated by
 ///   [`PREFILTER_SLACK`] — a superset of where it can hold.
 ///
-/// ## The edge-indexed obstacle pass
+/// ## The exact window cull
 ///
-/// The dense obstacle accumulation is edge-outer: every obstacle edge
-/// streams partials across *every* candidate lane — `O(edges ×
-/// candidates)` even though a candidate far from an edge contributes
-/// nothing. For many-edged obstacles with big windows (plane polygons on
-/// the `stress:mixed` regime) the pass flips candidate-outer: a
-/// per-obstacle edge index (same [`IndexKind`] as the scan index) hands
-/// each candidate only the edges within the clearance radius `R =
-/// max_obs_required`, and the partials accumulate through the same
-/// [`pt_seg_dsq`] float stream the lane kernels run.
+/// The index hands back every segment in the cells a window covers, most
+/// of them outside the window itself. Before any lane is materialized,
+/// candidates whose bbox lies farther than `R` from the probe's bbox are
+/// dropped: `R = max_obs_required` around an obstacle, `R =
+/// max_pair_required` around a trace segment. An obstacle farther than
+/// `R` from every trace's bbox skips its query outright, since every
+/// candidate would be dropped. The cull is exact. The gap between two
+/// bboxes is a lower bound on the distance between anything inside them,
+/// so a dropped candidate lies farther than `R` from the obstacle (or
+/// probe segment). `R` is at least every trace's `required` (every pair's,
+/// for the pair pass), and a violation needs `d < required − 1e-9`; the
+/// `1e-9` slack dwarfs the rounding of board-sized coordinates. So a
+/// dropped candidate can never be a violating winner: when its group's
+/// true minimum violates, that minimum sits on a kept candidate with the
+/// same first-occurrence argmin; when it does not, nothing is emitted on
+/// either side.
 ///
-/// Skipping far edges is exact, not approximate: every omitted partial is
-/// `> R²` (an edge at distance `> R` from the candidate keeps all four of
-/// its endpoint/vertex partials above `R`, and cannot intersect it), so
-/// `dsq[k]` is computed exactly whenever its true value is `< R²` — and a
-/// violation needs `d < required ≤ R`. Values at or above `R²` may be
-/// inflated, but the per-trace winner is then `≥ required` on both paths
-/// and nothing is emitted either way.
-fn gather(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest) {
+/// ## Self-intersection
+///
+/// A pair query's window contains its probe segment's bbox, so it also
+/// returns every same-trace segment that can touch the probe. Testing the
+/// later ones (id `> probe + 1`, skipping the neighbour that shares a
+/// vertex) with the probe as first argument is the pair order of
+/// [`Polyline::is_self_intersecting`].
+fn gather(input: &CheckInput, idx: &ScanIndex) -> Found {
     let traces = &input.traces;
     let mut scratch = GridScratch::new();
     let mut candidates: Vec<u32> = Vec::new();
     let mut batch = SegBatch::new();
     let mut dsq: Vec<f64> = Vec::new();
     let mut hit: Vec<bool> = Vec::new();
-    let mut edge_scratch = GridScratch::new();
-    let mut near_edges: Vec<u32> = Vec::new();
-    let mut edges: Vec<Segment> = Vec::new();
+    let near_probe =
+        |probe: &Rect, gid: u32, r_sq: f64| gap_sq(probe, &idx.segs[gid as usize].bbox()) <= r_sq;
 
     // --- Trace–obstacle pass. --------------------------------------------
     // d(obstacle, seg) decomposes into "obstacle edge ↔ seg endpoint" and
     // "obstacle vertex ↔ seg" partials plus the intersection/containment
-    // zero cases; the partials run lane-parallel across the candidates
-    // (dense path) or candidate-outer over the nearby-edge subsets
-    // (edge-indexed path — see above; both are exact).
-    let mut obs_worst: ObsWorst = HashMap::new();
+    // zero cases; the partials run lane-parallel across the candidates.
+    let mut obstacles = Vec::new();
+    let r_sq = idx.max_obs_required * idx.max_obs_required;
     for (oi, obs) in input.obstacles.iter().enumerate() {
-        let window = obs.bbox().expanded(idx.max_obs_required);
+        let bbox = obs.bbox();
+        if idx.trace_boxes.iter().all(|b| gap_sq(&bbox, b) > r_sq) {
+            continue;
+        }
+        let window = bbox.expanded(idx.max_obs_required);
         idx.grid
-            .query_batch(&window, &mut scratch, &mut candidates, &mut batch);
+            .query_scratch(&window, &mut scratch, &mut candidates);
+        candidates.retain(|&gid| near_probe(&bbox, gid, r_sq));
         if candidates.is_empty() {
             continue;
         }
+        idx.grid.fill_batch(&candidates, &mut batch);
         let n = candidates.len();
         dsq.clear();
         dsq.resize(n, f64::INFINITY);
         hit.clear();
         hit.resize(n, false);
-        edges.clear();
-        edges.extend(obs.edges());
-        if edges.len() >= EDGE_INDEX_MIN_EDGES && n >= EDGE_INDEX_MIN_CANDIDATES {
-            let mean_edge = edges.iter().map(Segment::length).sum::<f64>() / edges.len() as f64;
-            let cell = mean_edge.max(idx.max_obs_required).max(1e-6);
-            let eidx = SegIndex::from_segments(idx.kind, cell, &edges);
-            for k in 0..n {
-                let (sax, say) = (batch.ax()[k], batch.ay()[k]);
-                let (sbx, sby) = (batch.bx()[k], batch.by()[k]);
-                let cand_window = batch.get(k).bbox().expanded(idx.max_obs_required);
-                eidx.query_scratch(&cand_window, &mut edge_scratch, &mut near_edges);
-                let mut acc = dsq[k];
-                for &eid in &near_edges {
-                    let e = &edges[eid as usize];
-                    // Edge ↔ candidate-endpoint partials…
-                    let d = pt_seg_dsq(sax, say, e.a.x, e.a.y, e.b.x, e.b.y);
-                    if d < acc {
-                        acc = d;
-                    }
-                    let d = pt_seg_dsq(sbx, sby, e.a.x, e.a.y, e.b.x, e.b.y);
-                    if d < acc {
-                        acc = d;
-                    }
-                    // …and vertex ↔ candidate partials (each polygon vertex
-                    // is an endpoint of its two adjacent edges; the repeat
-                    // accumulation is an idempotent `min` of equal bits).
-                    let d = pt_seg_dsq(e.a.x, e.a.y, sax, say, sbx, sby);
-                    if d < acc {
-                        acc = d;
-                    }
-                    let d = pt_seg_dsq(e.b.x, e.b.y, sax, say, sbx, sby);
-                    if d < acc {
-                        acc = d;
-                    }
-                    if !hit[k] && segments_intersect(e, &batch.get(k)) {
-                        hit[k] = true;
-                    }
-                }
-                dsq[k] = acc;
-            }
-        } else {
-            for e in &edges {
-                accum_seg_to_points_dsq(e, batch.ax(), batch.ay(), &mut dsq);
-                accum_seg_to_points_dsq(e, batch.bx(), batch.by(), &mut dsq);
-                mark_intersections(e, &batch, &mut hit);
-            }
-            for &v in obs.vertices() {
-                accum_point_to_segs_dsq(v, &batch, &mut dsq);
-            }
+        for e in obs.edges() {
+            accum_seg_to_points_dsq(&e, batch.ax(), batch.ay(), &mut dsq);
+            accum_seg_to_points_dsq(&e, batch.bx(), batch.by(), &mut dsq);
+            mark_intersections(&e, &batch, &mut hit);
         }
-        let near = obs.bbox().expanded(PREFILTER_SLACK);
+        for &v in obs.vertices() {
+            accum_point_to_segs_dsq(v, &batch, &mut dsq);
+        }
+        let near = bbox.expanded(PREFILTER_SLACK);
         for k in 0..n {
             if hit[k] || (near.contains(batch.get(k).a) && obs.contains(batch.get(k).a)) {
                 dsq[k] = 0.0;
@@ -472,122 +432,84 @@ fn gather(input: &CheckInput, idx: &ScanIndex) -> (ObsWorst, PairBest) {
             }
             let required = traces[i].rules.centerline_obstacle();
             if best_d < required - 1e-9 {
-                let (_, seg) = idx.seg_of(candidates[win]);
-                obs_worst.insert((i, oi), (best_d, seg.midpoint()));
+                let violation = Violation::TraceObstacleClearance {
+                    trace: traces[i].id,
+                    obstacle: oi as u32,
+                    actual: best_d,
+                    required,
+                    near: idx.segs[candidates[win] as usize].midpoint(),
+                };
+                obstacles.push(((i, oi), violation));
             }
         }
     }
+    obstacles.sort_unstable_by_key(|h| h.0);
 
-    // --- Trace–trace pass. ------------------------------------------------
-    // `(d, d²)` ride together per pair so the prefilter never misses an
-    // update the brute-force scan would make (sqrt is monotone) and never
-    // takes one it would skip (the inner strict `<` re-checks on `d`).
-    let mut pair_best: PairBest = HashMap::new();
+    // --- Trace–trace and self-intersection pass. --------------------------
+    // One dense row per trace `i` holds its closest approach to every later
+    // trace; `touched` lists the columns to emit and reset. `(d, d²)` ride
+    // together so the prefilter never misses an update the brute-force
+    // scan would make (sqrt is monotone) and never takes one it would skip
+    // (the inner strict `<` re-checks on `d`).
+    let unset = (f64::INFINITY, f64::INFINITY, Point::ORIGIN);
+    let mut row = vec![unset; traces.len()];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut self_hit = vec![false; traces.len()];
+    let mut pairs = Vec::new();
     let mut eligible: Vec<u32> = Vec::new();
+    let r_sq = idx.max_pair_required * idx.max_pair_required;
     for (i, t) in traces.iter().enumerate() {
-        for seg in &idx.segs[i] {
-            let window = seg.bbox().expanded(idx.max_pair_required);
+        for gid in idx.offsets[i]..idx.offsets[i + 1] {
+            let seg = &idx.segs[gid];
+            let bbox = seg.bbox();
+            let window = bbox.expanded(idx.max_pair_required);
             idx.grid
                 .query_scratch(&window, &mut scratch, &mut candidates);
-            // Ownership filters run before any lane is materialized: the
-            // brute-force scan also skips `j <= i` / coupled candidates
-            // before computing a distance, and dropping them from the batch
-            // only removes lanes whose results would be discarded.
+            // Ownership and window filters run before any lane is
+            // materialized: the brute-force scan also skips `j <= i` /
+            // coupled candidates before computing a distance.
             eligible.clear();
-            eligible.extend(candidates.iter().copied().filter(|&gid| {
-                let j = idx.trace_of[gid as usize] as usize;
-                j > i && {
-                    let u = &traces[j];
-                    !t.coupled_with.contains(&u.id) && !u.coupled_with.contains(&t.id)
+            for &c in &candidates {
+                let j = idx.trace_of[c as usize] as usize;
+                if j == i {
+                    if !self_hit[i]
+                        && c as usize > gid + 1
+                        && segments_intersect(seg, &idx.segs[c as usize])
+                    {
+                        self_hit[i] = true;
+                    }
+                } else if j > i
+                    && !t.coupled_with.contains(&traces[j].id)
+                    && !traces[j].coupled_with.contains(&t.id)
+                    && near_probe(&bbox, c, r_sq)
+                {
+                    eligible.push(c);
                 }
-            }));
+            }
             if eligible.is_empty() {
                 continue;
             }
             idx.grid.fill_batch(&eligible, &mut batch);
             distance_sq_to_segment_batch(seg, &batch, &mut dsq);
-            for (k, &gid) in eligible.iter().enumerate() {
-                let j = idx.trace_of[gid as usize] as usize;
-                let e = pair_best
-                    .entry((i, j))
-                    .or_insert((f64::INFINITY, f64::INFINITY, seg.a));
+            for (k, &c) in eligible.iter().enumerate() {
+                let j = idx.trace_of[c as usize] as usize;
+                let e = &mut row[j];
                 if dsq[k] < e.1 {
                     let d = dsq[k].sqrt();
                     if d < e.0 {
+                        if e.0 == f64::INFINITY {
+                            touched.push(j);
+                        }
                         *e = (d, dsq[k], seg.midpoint());
                     }
                 }
             }
         }
-    }
-    (obs_worst, pair_best)
-}
-
-/// Emission, in the brute-force nesting order.
-fn emit(
-    input: &CheckInput,
-    idx: &ScanIndex,
-    obs_worst: &ObsWorst,
-    pair_best: &PairBest,
-) -> Vec<Violation> {
-    let traces = &input.traces;
-    let (segs, mean_seg_len) = (&idx.segs, idx.mean_seg_len);
-    let mut out = Vec::new();
-    for (i, t) in traces.iter().enumerate() {
-        // 3. dprotect on simplified centerline.
-        let mut simplified = t.centerline.clone();
-        simplified.simplify();
-        for (si, seg) in simplified.segments().enumerate() {
-            let len = seg.length();
-            if len < t.rules.protect - 1e-9 && !is_chamfer(&simplified, si) {
-                out.push(Violation::ShortSegment {
-                    trace: t.id,
-                    segment: si,
-                    actual: len,
-                    required: t.rules.protect,
-                });
-            }
-        }
-
-        // 4. Self-intersection (indexed; same predicate as
-        //    `Polyline::is_self_intersecting`).
-        if self_intersects_indexed(&segs[i], mean_seg_len.max(1e-6)) {
-            out.push(Violation::SelfIntersection { trace: t.id });
-        }
-
-        // 5. Containment.
-        if !t.area.is_empty() {
-            for &p in t.centerline.points() {
-                if !t.area.iter().any(|poly| poly.contains(p)) {
-                    out.push(Violation::OutsideRoutableArea {
-                        trace: t.id,
-                        near: p,
-                    });
-                    break;
-                }
-            }
-        }
-
-        // 2. Obstacles.
-        for oi in 0..input.obstacles.len() {
-            if let Some(&(actual, near)) = obs_worst.get(&(i, oi)) {
-                out.push(Violation::TraceObstacleClearance {
-                    trace: t.id,
-                    obstacle: oi as u32,
-                    actual,
-                    required: t.rules.centerline_obstacle(),
-                    near,
-                });
-            }
-        }
-
-        // 1. Trace–trace.
-        for (j, u) in traces.iter().enumerate().skip(i + 1) {
-            let Some(&(raw, _, near)) = pair_best.get(&(i, j)) else {
-                continue;
-            };
-            let gap = t.rules.gap.max(u.rules.gap);
-            let required = gap + t.width / 2.0 + u.width / 2.0;
+        touched.sort_unstable();
+        for &j in &touched {
+            let (raw, _, near) = std::mem::replace(&mut row[j], unset);
+            let u = &traces[j];
+            let required = t.rules.gap.max(u.rules.gap) + t.width / 2.0 + u.width / 2.0;
             if raw < required - 1e-9 {
                 // `distance_to_polyline` snaps touching traces to exactly 0.
                 let actual = if meander_geom::approx_zero(raw) {
@@ -595,40 +517,41 @@ fn emit(
                 } else {
                     raw
                 };
-                out.push(Violation::TraceTraceClearance {
+                let violation = Violation::TraceTraceClearance {
                     a: t.id,
                     b: u.id,
                     actual,
                     required,
                     near,
-                });
+                };
+                pairs.push(((i, j), violation));
             }
         }
+        touched.clear();
     }
-
-    out
+    Found {
+        obstacles,
+        pairs,
+        self_hit,
+    }
 }
 
-/// Grid-accelerated equivalent of [`Polyline::is_self_intersecting`]: any
-/// two non-adjacent segments intersecting.
-fn self_intersects_indexed(segs: &[Segment], cell: f64) -> bool {
-    if segs.len() < 3 {
-        return false;
-    }
-    let grid = SegmentGrid::from_segments(cell, segs);
-    let mut scratch = GridScratch::new();
-    let mut candidates: Vec<u32> = Vec::new();
-    for (i, seg) in segs.iter().enumerate() {
-        grid.query_scratch(&seg.bbox(), &mut scratch, &mut candidates);
-        for &j in &candidates {
-            if j as usize > i + 1
-                && meander_geom::intersect::segments_intersect(seg, &segs[j as usize])
-            {
-                return true;
-            }
+/// Emission, in the brute-force nesting order.
+fn emit(input: &CheckInput, found: Found) -> Vec<Violation> {
+    let mut obstacles = found.obstacles.into_iter().peekable();
+    let mut pairs = found.pairs.into_iter().peekable();
+    let mut out = Vec::new();
+    for (i, t) in input.traces.iter().enumerate() {
+        trace_checks(t, found.self_hit[i], &mut out);
+        // 2. Obstacles, then 1. trace–trace.
+        while let Some((_, v)) = obstacles.next_if(|h| h.0 .0 == i) {
+            out.push(v);
+        }
+        while let Some((_, v)) = pairs.next_if(|h| h.0 .0 == i) {
+            out.push(v);
         }
     }
-    false
+    out
 }
 
 /// `true` when segment `si` of `pl` is a miter chamfer: both of its corners
@@ -676,28 +599,31 @@ mod tests {
     use super::*;
     use meander_geom::Point;
 
-    fn trace(id: u32, pts: Vec<Point>) -> TraceGeometry {
+    fn line(pts: &[(f64, f64)]) -> Polyline {
+        Polyline::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect())
+    }
+
+    fn trace(id: u32, centerline: &Polyline) -> TraceGeometry<'_> {
         TraceGeometry {
             id,
-            centerline: Polyline::new(pts),
+            centerline,
             width: 4.0,
             rules: DesignRules::default(),
-            area: vec![],
+            area: &[],
             coupled_with: vec![],
         }
     }
 
     #[test]
     fn clean_layout_passes() {
+        let (a, b) = (
+            line(&[(0.0, 0.0), (100.0, 0.0)]),
+            line(&[(0.0, 50.0), (100.0, 50.0)]),
+        );
+        let obstacle = Polygon::rectangle(Point::new(40.0, 20.0), Point::new(60.0, 30.0));
         let input = CheckInput {
-            traces: vec![
-                trace(0, vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]),
-                trace(1, vec![Point::new(0.0, 50.0), Point::new(100.0, 50.0)]),
-            ],
-            obstacles: vec![Polygon::rectangle(
-                Point::new(40.0, 20.0),
-                Point::new(60.0, 30.0),
-            )],
+            traces: vec![trace(0, &a), trace(1, &b)],
+            obstacles: vec![&obstacle],
         };
         assert!(check_layout(&input).is_empty());
     }
@@ -705,11 +631,12 @@ mod tests {
     #[test]
     fn detects_trace_trace_violation() {
         // Centerline distance 10 < required 8 + 2 + 2 = 12.
+        let (a, b) = (
+            line(&[(0.0, 0.0), (100.0, 0.0)]),
+            line(&[(0.0, 10.0), (100.0, 10.0)]),
+        );
         let input = CheckInput {
-            traces: vec![
-                trace(0, vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]),
-                trace(1, vec![Point::new(0.0, 10.0), Point::new(100.0, 10.0)]),
-            ],
+            traces: vec![trace(0, &a), trace(1, &b)],
             obstacles: vec![],
         };
         let v = check_layout(&input);
@@ -727,11 +654,14 @@ mod tests {
 
     #[test]
     fn coupled_traces_skip_gap_check() {
-        let mut a = trace(0, vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]);
-        let b = trace(1, vec![Point::new(0.0, 6.0), Point::new(100.0, 6.0)]);
-        a.coupled_with = vec![1];
+        let (a, b) = (
+            line(&[(0.0, 0.0), (100.0, 0.0)]),
+            line(&[(0.0, 6.0), (100.0, 6.0)]),
+        );
+        let mut ta = trace(0, &a);
+        ta.coupled_with = vec![1];
         let input = CheckInput {
-            traces: vec![a, b],
+            traces: vec![ta, trace(1, &b)],
             obstacles: vec![],
         };
         assert!(check_layout(&input).is_empty());
@@ -740,12 +670,11 @@ mod tests {
     #[test]
     fn detects_obstacle_violation() {
         // Obstacle 5 from centerline < required 8 + 2 = 10.
+        let a = line(&[(0.0, 0.0), (100.0, 0.0)]);
+        let obstacle = Polygon::rectangle(Point::new(40.0, 5.0), Point::new(60.0, 15.0));
         let input = CheckInput {
-            traces: vec![trace(0, vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)])],
-            obstacles: vec![Polygon::rectangle(
-                Point::new(40.0, 5.0),
-                Point::new(60.0, 15.0),
-            )],
+            traces: vec![trace(0, &a)],
+            obstacles: vec![&obstacle],
         };
         let v = check_layout(&input);
         assert_eq!(v.len(), 1);
@@ -754,16 +683,10 @@ mod tests {
 
     #[test]
     fn detects_short_segment() {
+        // The 2-unit jog is shorter than dprotect 8.
+        let a = line(&[(0.0, 0.0), (100.0, 0.0), (100.0, 2.0), (200.0, 2.0)]);
         let input = CheckInput {
-            traces: vec![trace(
-                0,
-                vec![
-                    Point::new(0.0, 0.0),
-                    Point::new(100.0, 0.0),
-                    Point::new(100.0, 2.0), // 2 < dprotect 8
-                    Point::new(200.0, 2.0),
-                ],
-            )],
+            traces: vec![trace(0, &a)],
             obstacles: vec![],
         };
         let v = check_layout(&input);
@@ -776,22 +699,11 @@ mod tests {
         // A mitered right-angle corner: the 45° chamfer bridge is shorter
         // than dprotect but intentional.
         let pl = meander_geom::miter::miter_polyline(
-            &Polyline::new(vec![
-                Point::new(0.0, 0.0),
-                Point::new(50.0, 0.0),
-                Point::new(50.0, 50.0),
-            ]),
+            &line(&[(0.0, 0.0), (50.0, 0.0), (50.0, 50.0)]),
             2.0, // chamfer length 2√2 ≈ 2.83 < dprotect 8
         );
         let input = CheckInput {
-            traces: vec![TraceGeometry {
-                id: 0,
-                centerline: pl,
-                width: 4.0,
-                rules: DesignRules::default(),
-                area: vec![],
-                coupled_with: vec![],
-            }],
+            traces: vec![trace(0, &pl)],
             obstacles: vec![],
         };
         assert!(check_layout(&input).is_empty());
@@ -801,16 +713,9 @@ mod tests {
     fn genuine_stub_still_flagged() {
         // A short jog between two same-direction right angles is a real
         // dprotect stub, not a chamfer (turns have opposite signs).
+        let a = line(&[(0.0, 0.0), (50.0, 0.0), (50.0, 2.0), (100.0, 2.0)]);
         let input = CheckInput {
-            traces: vec![trace(
-                0,
-                vec![
-                    Point::new(0.0, 0.0),
-                    Point::new(50.0, 0.0),
-                    Point::new(50.0, 2.0),
-                    Point::new(100.0, 2.0),
-                ],
-            )],
+            traces: vec![trace(0, &a)],
             obstacles: vec![],
         };
         let v = check_layout(&input);
@@ -822,15 +727,9 @@ mod tests {
     fn collinear_split_is_not_short() {
         // Two collinear 5-unit pieces form one 10-unit segment after
         // simplification — no dprotect violation.
+        let a = line(&[(0.0, 0.0), (5.0, 0.0), (10.0, 0.0)]);
         let input = CheckInput {
-            traces: vec![trace(
-                0,
-                vec![
-                    Point::new(0.0, 0.0),
-                    Point::new(5.0, 0.0),
-                    Point::new(10.0, 0.0),
-                ],
-            )],
+            traces: vec![trace(0, &a)],
             obstacles: vec![],
         };
         assert!(check_layout(&input).is_empty());
@@ -838,17 +737,15 @@ mod tests {
 
     #[test]
     fn detects_self_intersection() {
+        let a = line(&[
+            (0.0, 0.0),
+            (100.0, 0.0),
+            (100.0, 50.0),
+            (50.0, 50.0),
+            (50.0, -50.0),
+        ]);
         let input = CheckInput {
-            traces: vec![trace(
-                0,
-                vec![
-                    Point::new(0.0, 0.0),
-                    Point::new(100.0, 0.0),
-                    Point::new(100.0, 50.0),
-                    Point::new(50.0, 50.0),
-                    Point::new(50.0, -50.0),
-                ],
-            )],
+            traces: vec![trace(0, &a)],
             obstacles: vec![],
         };
         let v = check_layout(&input);
@@ -859,11 +756,13 @@ mod tests {
 
     #[test]
     fn detects_area_escape() {
-        let mut t = trace(0, vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]);
-        t.area = vec![Polygon::rectangle(
+        let a = line(&[(0.0, 0.0), (100.0, 0.0)]);
+        let area = [Polygon::rectangle(
             Point::new(-10.0, -10.0),
             Point::new(50.0, 10.0),
         )];
+        let mut t = trace(0, &a);
+        t.area = &area;
         let input = CheckInput {
             traces: vec![t],
             obstacles: vec![],
@@ -875,25 +774,24 @@ mod tests {
 
     #[test]
     fn edge_indexed_obstacle_pass_matches_dense() {
-        // A many-edged plane polygon (24-gon, radius big enough to smear
-        // across the whole board) over dozens of short trace segments:
-        // crosses both edge-index thresholds, so the batched gather takes
-        // the candidate-outer path — and must agree with the brute scan
-        // exactly, under every index kind.
-        let mut traces = Vec::new();
-        for t in 0..6u32 {
-            let y = t as f64 * 30.0;
-            let pts: Vec<Point> = (0..12)
-                .map(|i| Point::new(i as f64 * 10.0, y + if i % 2 == 0 { 0.0 } else { 3.0 }))
-                .collect();
-            traces.push(trace(t, pts));
-        }
+        // The many-edged oracle case: a plane polygon (24-gon, radius big
+        // enough to smear across the whole board) over dozens of short
+        // trace segments, plus a small 24-gon between two traces. The
+        // batched gather must agree with the brute scan exactly, under
+        // every index kind.
+        let lines: Vec<Polyline> = (0..6)
+            .map(|t| {
+                let y = t as f64 * 30.0;
+                (0..12)
+                    .map(|i| Point::new(i as f64 * 10.0, y + if i % 2 == 0 { 0.0 } else { 3.0 }))
+                    .collect()
+            })
+            .collect();
+        let plane = Polygon::regular(Point::new(60.0, 80.0), 70.0, 24, 0.1);
+        let via = Polygon::regular(Point::new(30.0, 10.0), 4.0, 24, 0.0);
         let input = CheckInput {
-            traces,
-            obstacles: vec![
-                Polygon::regular(Point::new(60.0, 80.0), 70.0, 24, 0.1),
-                Polygon::regular(Point::new(30.0, 10.0), 4.0, 24, 0.0),
-            ],
+            traces: (0..6).map(|t| trace(t, &lines[t as usize])).collect(),
+            obstacles: vec![&plane, &via],
         };
         let brute = check_layout_brute(&input);
         assert!(!brute.is_empty(), "the plane must clip several traces");
@@ -905,11 +803,13 @@ mod tests {
     #[test]
     fn area_union_containment() {
         // Trace spans two polygons that together cover it.
-        let mut t = trace(0, vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]);
-        t.area = vec![
+        let a = line(&[(0.0, 0.0), (100.0, 0.0)]);
+        let area = [
             Polygon::rectangle(Point::new(-10.0, -10.0), Point::new(50.0, 10.0)),
             Polygon::rectangle(Point::new(50.0, -10.0), Point::new(110.0, 10.0)),
         ];
+        let mut t = trace(0, &a);
+        t.area = &area;
         let input = CheckInput {
             traces: vec![t],
             obstacles: vec![],

@@ -6,33 +6,24 @@ use meander_drc::{restore_rules, virtualize_rules};
 use meander_geom::{Point, Polygon, Polyline, Vector};
 use proptest::prelude::*;
 
-fn two_trace_input(y_sep: f64, widths: (f64, f64)) -> CheckInput {
-    let rules = DesignRules::default();
+fn straight(y: f64) -> Polyline {
+    Polyline::new(vec![Point::new(0.0, y), Point::new(120.0, y)])
+}
+
+fn two_trace_input(lines: &[Polyline; 2], widths: (f64, f64)) -> CheckInput<'_> {
+    let trace = |id: u32, w: f64| TraceGeometry {
+        id,
+        centerline: &lines[id as usize],
+        width: w,
+        rules: DesignRules {
+            width: w,
+            ..DesignRules::default()
+        },
+        area: &[],
+        coupled_with: vec![],
+    };
     CheckInput {
-        traces: vec![
-            TraceGeometry {
-                id: 0,
-                centerline: Polyline::new(vec![Point::new(0.0, 0.0), Point::new(120.0, 0.0)]),
-                width: widths.0,
-                rules: DesignRules {
-                    width: widths.0,
-                    ..rules
-                },
-                area: vec![],
-                coupled_with: vec![],
-            },
-            TraceGeometry {
-                id: 1,
-                centerline: Polyline::new(vec![Point::new(0.0, y_sep), Point::new(120.0, y_sep)]),
-                width: widths.1,
-                rules: DesignRules {
-                    width: widths.1,
-                    ..rules
-                },
-                area: vec![],
-                coupled_with: vec![],
-            },
-        ],
+        traces: vec![trace(0, widths.0), trace(1, widths.1)],
         obstacles: vec![],
     }
 }
@@ -46,7 +37,8 @@ proptest! {
         w0 in 1.0..8.0f64,
         w1 in 1.0..8.0f64,
     ) {
-        let input = two_trace_input(y_sep, (w0, w1));
+        let lines = [straight(0.0), straight(y_sep)];
+        let input = two_trace_input(&lines, (w0, w1));
         let required = 8.0 + w0 / 2.0 + w1 / 2.0;
         let violations = check_layout(&input);
         let has_gap = violations
@@ -61,24 +53,11 @@ proptest! {
         dx in -500.0..500.0f64,
         dy in -500.0..500.0f64,
     ) {
-        let input = two_trace_input(y_sep, (4.0, 4.0));
-        let base = check_layout(&input).len();
+        let lines = [straight(0.0), straight(y_sep)];
+        let base = check_layout(&two_trace_input(&lines, (4.0, 4.0))).len();
         let shift = Vector::new(dx, dy);
-        let moved = CheckInput {
-            traces: input
-                .traces
-                .iter()
-                .map(|t| TraceGeometry {
-                    id: t.id,
-                    centerline: t.centerline.translated(shift),
-                    width: t.width,
-                    rules: t.rules,
-                    area: vec![],
-                    coupled_with: vec![],
-                })
-                .collect(),
-            obstacles: vec![],
-        };
+        let shifted = lines.clone().map(|l| l.translated(shift));
+        let moved = two_trace_input(&shifted, (4.0, 4.0));
         prop_assert_eq!(check_layout(&moved).len(), base);
     }
 
@@ -91,19 +70,18 @@ proptest! {
             width: w,
             ..DesignRules::default()
         };
+        let line = Polyline::new(vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]);
+        let obstacle = Polygon::rectangle(Point::new(40.0, oy), Point::new(60.0, oy + 10.0));
         let input = CheckInput {
             traces: vec![TraceGeometry {
                 id: 0,
-                centerline: Polyline::new(vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]),
+                centerline: &line,
                 width: w,
                 rules,
-                area: vec![],
+                area: &[],
                 coupled_with: vec![],
             }],
-            obstacles: vec![Polygon::rectangle(
-                Point::new(40.0, oy),
-                Point::new(60.0, oy + 10.0),
-            )],
+            obstacles: vec![&obstacle],
         };
         let required = 8.0 + w / 2.0;
         let violations = check_layout(&input);
@@ -119,48 +97,66 @@ proptest! {
             (
                 (0.0..300.0f64, 0.0..300.0f64),
                 proptest::collection::vec((-25.0..25.0f64, -25.0..25.0f64), 1..10),
-                1.0..6.0f64,
+                // Per-trace gap, obstacle clearance, dprotect and width, so
+                // traces demand different clearances and the window culls'
+                // `required <= R` step is exercised.
+                (1.0..14.0f64, 1.0..14.0f64, 0.5..12.0f64, 1.0..6.0f64),
+                0usize..3,
             ),
             1..7,
         ),
         obstacles in proptest::collection::vec(
-            // Up to 24 vertices: many-edged obstacles cross the DRC's
-            // edge-indexed threshold, so that path is exercised too.
+            // Up to 24 vertices: many-edged obstacles next to rectangles.
             ((0.0..300.0f64, 0.0..300.0f64), 1.0..18.0f64, 3usize..25),
             0..9,
         ),
         couple_first_two in 0usize..2,
         area_on_first in 0usize..2,
     ) {
-        // Random multi-trace boards: wiggly walks of varying width, random
-        // convex obstacles, optional coupling and area assignment. The
-        // indexed checker must reproduce the brute-force violation list
-        // exactly — order, values, and witnesses.
-        let traces: Vec<TraceGeometry> = walks
+        // Random multi-trace boards: wiggly walks with their own rules,
+        // a third of them doubling back across their first segment,
+        // random convex obstacles, optional coupling and area assignment.
+        // The indexed checker must reproduce the brute-force violation
+        // list exactly — order, values, and witnesses.
+        let lines: Vec<Polyline> = walks
             .iter()
-            .enumerate()
-            .map(|(i, ((x0, y0), steps, w))| {
+            .map(|((x0, y0), steps, _, cross)| {
                 let mut pts = vec![Point::new(*x0, *y0)];
                 for (dx, dy) in steps {
                     let last = *pts.last().unwrap();
                     pts.push(Point::new(last.x + dx, last.y + dy));
                 }
+                if *cross == 0 {
+                    // Head back through the first segment's midpoint and
+                    // overshoot it, so the walk crosses itself.
+                    let m = pts[0].midpoint(pts[1]);
+                    let last = *pts.last().unwrap();
+                    pts.push(Point::new(m.x + (m.x - last.x) * 0.5, m.y + (m.y - last.y) * 0.5));
+                }
+                Polyline::new(pts)
+            })
+            .collect();
+        let area = [Polygon::rectangle(Point::new(-50.0, -50.0), Point::new(200.0, 200.0))];
+        let traces: Vec<TraceGeometry> = walks
+            .iter()
+            .enumerate()
+            .map(|(i, (_, _, (gap, obstacle, protect, w), _))| {
                 let mut t = TraceGeometry {
                     id: i as u32,
-                    centerline: Polyline::new(pts),
+                    centerline: &lines[i],
                     width: *w,
                     rules: DesignRules {
+                        gap: *gap,
+                        obstacle: *obstacle,
+                        protect: *protect,
                         width: *w,
                         ..DesignRules::default()
                     },
-                    area: vec![],
+                    area: &[],
                     coupled_with: vec![],
                 };
                 if i == 0 && area_on_first == 1 {
-                    t.area = vec![Polygon::rectangle(
-                        Point::new(-50.0, -50.0),
-                        Point::new(200.0, 200.0),
-                    )];
+                    t.area = &area;
                 }
                 if i == 0 && couple_first_two == 1 && walks.len() >= 2 {
                     t.coupled_with = vec![1];
@@ -172,7 +168,7 @@ proptest! {
             .iter()
             .map(|((cx, cy), r, n)| Polygon::regular(Point::new(*cx, *cy), *r, *n, 0.15))
             .collect();
-        let input = CheckInput { traces, obstacles };
+        let input = CheckInput { traces, obstacles: obstacles.iter().collect() };
         let brute = check_layout_brute(&input);
         // The SoA-batched kernels must reproduce the exact same list —
         // order, values, and witnesses (the lane-exactness contract) —

@@ -184,18 +184,21 @@ impl Board {
 
     /// Runs the full DRC scan over the board.
     pub fn check(&self) -> Vec<Violation> {
-        let input = CheckInput {
+        meander_drc::check_layout(&self.check_input())
+    }
+
+    /// The checker's view of the board: it borrows every centerline, area
+    /// and obstacle polygon, so nothing is copied.
+    pub fn check_input(&self) -> CheckInput<'_> {
+        CheckInput {
             traces: self
                 .traces()
                 .map(|(id, t)| TraceGeometry {
                     id: id.0,
-                    centerline: t.centerline().clone(),
+                    centerline: t.centerline(),
                     width: t.width(),
                     rules: *t.rules(),
-                    area: self
-                        .area(id)
-                        .map(|a| a.polygons().to_vec())
-                        .unwrap_or_default(),
+                    area: self.area(id).map(|a| a.polygons()).unwrap_or_default(),
                     coupled_with: self
                         .pair_of(id)
                         .and_then(|p| p.partner(id))
@@ -203,9 +206,8 @@ impl Board {
                         .unwrap_or_default(),
                 })
                 .collect(),
-            obstacles: self.obstacles.iter().map(|o| o.polygon().clone()).collect(),
-        };
-        meander_drc::check_layout(&input)
+            obstacles: self.obstacles.iter().map(|o| o.polygon()).collect(),
+        }
     }
 }
 

@@ -4,11 +4,15 @@
 
 use meander::core::baseline::{extend_trace_fixed, match_group_aidt, FixedTrackOptions};
 use meander::core::extend::{extend_trace, ExtendInput};
-use meander::core::{match_board_group, ExtendConfig};
+use meander::core::{match_all_groups, match_board_group, ExtendConfig};
+use meander::drc::{check_layout, check_layout_brute};
 use meander::geom::Angle;
-use meander::layout::gen::{any_angle_bus, decoupled_pair, table1_case, table2_case};
+use meander::layout::gen::{
+    any_angle_bus, decoupled_pair, dup_fleet_boards_small, fleet_boards_small, stress_board,
+    stress_mixed_board, table1_case, table2_case,
+};
 use meander::layout::io::{load_board, save_board};
-use meander::layout::MatchGroup;
+use meander::layout::{Board, MatchGroup};
 use meander::region::assign;
 
 /// The tier-1 acceptance group: the paper's headline single-board
@@ -244,4 +248,59 @@ fn matching_never_overshoots_target() {
             );
         }
     }
+}
+
+/// The DRC oracle over every generator: on each board, as generated and
+/// after `match_all_groups`, the indexed scan reports exactly the
+/// brute-force scan's violation list (order, values, witnesses).
+/// `decoupled_pair(true)` starts dirty, so non-empty lists are compared
+/// too.
+#[test]
+fn every_generator_board_checks_like_brute_force() {
+    let mut boards: Vec<(String, Board)> = Vec::new();
+    for c in 1..=5 {
+        boards.push((format!("table1:{c}"), table1_case(c).board));
+    }
+    for c in 1..=6 {
+        boards.push((format!("table2:{c}"), table2_case(c).board));
+    }
+    boards.push((
+        "anyangle:37".into(),
+        any_angle_bus(4, Angle::from_degrees(37.0)),
+    ));
+    for multi_dra in [false, true] {
+        boards.push((
+            format!("diffpair:{multi_dra}"),
+            decoupled_pair(multi_dra).board,
+        ));
+    }
+    for seed in 1..=2 {
+        boards.push((
+            format!("stress:{seed}"),
+            stress_board(6, 12, 60, seed).board,
+        ));
+        boards.push((
+            format!("mixed:{seed}"),
+            stress_mixed_board(6, 12, 60, seed).board,
+        ));
+    }
+    for (i, lb) in fleet_boards_small(3, 7, 1).boards.iter().enumerate() {
+        boards.push((format!("fleet:{i}"), lb.to_board()));
+    }
+    for (i, lb) in dup_fleet_boards_small(3, 0.5, 1).boards.iter().enumerate() {
+        boards.push((format!("dup:{i}"), lb.to_board()));
+    }
+    let mut dirty = 0;
+    for (name, mut board) in boards {
+        for stage in ["generated", "matched"] {
+            if stage == "matched" {
+                match_all_groups(&mut board, &ExtendConfig::default());
+            }
+            let input = board.check_input();
+            let brute = check_layout_brute(&input);
+            assert_eq!(check_layout(&input), brute, "{name} {stage}");
+            dirty += usize::from(!brute.is_empty());
+        }
+    }
+    assert!(dirty > 0, "some board must carry violations");
 }
