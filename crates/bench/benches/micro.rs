@@ -7,7 +7,12 @@
 //!   scratch-reusing variants),
 //! * `batch_distance` — `distance_sq_to_segment_batch` vs the scalar
 //!   `distance_to_segment` loop at candidate counts {4, 16, 64, 256},
-//! * `batch_profile` — batched vs scalar `build_ub_profile` sweep,
+//! * `batch_profile` — batched vs scalar stage-1 table sweep
+//!   (`build_stage1_table`),
+//! * `shrink_probe` — the DP's height probes with stage 1 read from the
+//!   pop's table vs computed per probe,
+//! * `context_build` — both side contexts of one pop
+//!   (`ShrinkContext::build_sides`) on the `cli-boards` stress board,
 //! * `dtw` — node matching vs node count,
 //! * `simplex` — assignment LP vs grid size,
 //! * `priority_ablation` — connected-pattern priority on/off (Fig. 5),
@@ -22,10 +27,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use meander_core::baseline::FixedTrackOptions;
 use meander_core::context::{ShrinkContext, WorldContext};
 use meander_core::dp::{extend_segment_dp, DpInput, HeightBounds, UbProfile};
-use meander_core::extend::ExtendInput;
+use meander_core::extend::{ExtendInput, SidesFixture};
 use meander_core::shrink::{
-    build_ub_profile, build_ub_profile_batched, max_pattern_height, max_pattern_height_scratch,
-    ShrinkScratch,
+    build_stage1_table, build_stage1_table_batched, max_pattern_height, max_pattern_height_batched,
+    max_pattern_height_fed, max_pattern_height_scratch, ShrinkScratch,
 };
 use meander_core::{extend_trace, match_all_groups, ExtendConfig};
 use meander_geom::batch::{distance_sq_to_segment_batch, SegBatch};
@@ -182,10 +187,9 @@ fn bench_batch_distance(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched vs scalar `build_ub_profile` sweep — the per-pop profile cost
-/// the DP prune depends on.
-fn bench_batch_profile(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_profile");
+/// The 64-via field behind `batch_profile` and `shrink_probe`: both side
+/// contexts of a 200-long segment.
+fn via_field_contexts() -> (ShrinkContext, ShrinkContext, f64) {
     let seg_len = 200.0;
     let seg = Segment::new(Point::new(0.0, 0.0), Point::new(seg_len, 0.0));
     let frame = Frame::from_segment(&seg).unwrap();
@@ -206,30 +210,109 @@ fn bench_batch_profile(c: &mut Criterion) {
     };
     let ctx_up = ShrinkContext::build(&world, &frame, seg_len, 1);
     let ctx_dn = ShrinkContext::build(&world, &frame, seg_len, -1);
+    (ctx_up, ctx_dn, seg_len)
+}
+
+/// Batched vs scalar stage-1 table sweep — the per-pop cost that feeds
+/// every DP probe its side caps and the DP prune its profile.
+fn bench_batch_profile(c: &mut Criterion) {
+    let mut group = c.benchmark_group("batch_profile");
+    let (ctx_up, ctx_dn, seg_len) = via_field_contexts();
     for m in [64usize, 160] {
         let ldisc = seg_len / m as f64;
-        let (gap, h_init, h_min) = (8.0, 40.0, 2.0);
+        let (gap, h_init) = (8.0, 40.0);
         let mut scratch = ShrinkScratch::new();
         group.bench_with_input(BenchmarkId::new("scalar", m), &m, |b, _| {
-            b.iter(|| {
-                build_ub_profile(&ctx_up, &ctx_dn, m, ldisc, gap, h_init, h_min, &mut scratch)
-            })
+            b.iter(|| build_stage1_table(&ctx_up, &ctx_dn, m, ldisc, gap, h_init, &mut scratch))
         });
         group.bench_with_input(BenchmarkId::new("batched", m), &m, |b, _| {
             b.iter(|| {
-                build_ub_profile_batched(
-                    &ctx_up,
-                    &ctx_dn,
-                    m,
-                    ldisc,
-                    gap,
-                    h_init,
-                    h_min,
-                    &mut scratch,
-                )
+                build_stage1_table_batched(&ctx_up, &ctx_dn, m, ldisc, gap, h_init, &mut scratch)
             })
         });
     }
+    group.finish();
+}
+
+/// The DP's height probes over one pop (every foot pair of widths 8–24
+/// steps, both sides), with stage 1 read from the pop's table (`fed`) vs
+/// computed by each probe on the batch kernels (`self`).
+fn bench_shrink_probe(c: &mut Criterion) {
+    let mut group = c.benchmark_group("shrink_probe");
+    let (ctx_up, ctx_dn, seg_len) = via_field_contexts();
+    let m = 160usize;
+    let ldisc = seg_len / m as f64;
+    let (gap, h_init, h_min) = (8.0, 40.0, 2.0);
+    let mut scratch = ShrinkScratch::new();
+    let table = build_stage1_table_batched(&ctx_up, &ctx_dn, m, ldisc, gap, h_init, &mut scratch);
+    let feet: Vec<(usize, usize)> = (0..m)
+        .flat_map(|lo| (8..=24).step_by(8).map(move |w| (lo, lo + w)))
+        .filter(|&(_, hi)| hi <= m)
+        .collect();
+    let x = |p: usize| p as f64 * ldisc;
+    group.bench_function("self", |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            for ctx in [&ctx_dn, &ctx_up] {
+                for &(lo, hi) in &feet {
+                    sum += max_pattern_height_batched(
+                        ctx,
+                        x(lo),
+                        x(hi),
+                        gap,
+                        h_init,
+                        h_min,
+                        &mut scratch,
+                    )
+                    .height;
+                }
+            }
+            sum
+        })
+    });
+    group.bench_function("fed", |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            for (d, ctx) in [(0, &ctx_dn), (1, &ctx_up)] {
+                for &(lo, hi) in &feet {
+                    let hob = table.hob(lo, hi, d);
+                    sum += max_pattern_height_fed(
+                        ctx,
+                        x(lo),
+                        x(hi),
+                        gap,
+                        h_init,
+                        h_min,
+                        hob,
+                        &mut scratch,
+                    )
+                    .height;
+                }
+            }
+            sum
+        })
+    });
+    group.finish();
+}
+
+/// Both side contexts of the first pop of the stress board's first trace
+/// (`stress_board(12, 30, 200, 1)`, the `cli-boards` stress board): its
+/// first run, with the start height of a 60 % extension.
+fn bench_context_build(c: &mut Criterion) {
+    let board = stress_board(12, 30, 200, 1).board;
+    let (id, trace) = board.traces().next().expect("stress board has traces");
+    let area = board.area(id).expect("stress traces have areas").polygons();
+    let obstacles: Vec<Polygon> = board
+        .obstacles()
+        .iter()
+        .map(|o| o.polygon().clone())
+        .collect();
+    let centerline = trace.centerline();
+    let h_init = centerline.length() * 0.6 / 2.0;
+    let fixture = SidesFixture::new(centerline, 0, area, &obstacles, trace.rules(), h_init)
+        .expect("first run is not degenerate");
+    let mut group = c.benchmark_group("context_build");
+    group.bench_function("stress", |b| b.iter(|| fixture.build()));
     group.finish();
 }
 
@@ -374,6 +457,8 @@ criterion_group!(
     bench_ura_shrink,
     bench_batch_distance,
     bench_batch_profile,
+    bench_shrink_probe,
+    bench_context_build,
     bench_dtw,
     bench_simplex,
     bench_ablations,

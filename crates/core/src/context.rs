@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// (paper: "The area below line AD need not be checked"). Constraints *on*
 /// the line (legs of existing patterns) are kept by clipping at exactly
 /// this height, so their clipped bottom nodes still register.
-pub(crate) const Y_EPS: f64 = 1e-7;
+pub const Y_EPS: f64 = 1e-7;
 
 /// World-space inputs for building a [`ShrinkContext`].
 #[derive(Debug, Clone, Default)]
@@ -319,17 +319,21 @@ impl WorldIndex {
 /// All polygons are transformed into *pattern-side coordinates*: x along the
 /// extended segment, +y toward the pattern side, clipped to `y ≥` `Y_EPS`.
 /// A merge-sort tree over the clipped polygons' nodes answers Alg. 2's
-/// `P_check` range queries; a uniform grid over their edges accelerates the
-/// "sides" intersections of Eq. 11.
+/// `P_check` range queries. The "sides" intersections of Eq. 11 need only
+/// the edges whose cells meet a thin column, and a context builds no index
+/// for them: each edge keeps its bbox's cell span on a lattice of
+/// `max(seg_len / 8, 1)`, and [`ShrinkContext::edge_candidates`] scans
+/// those spans — exactly the candidate set a [`SpatialIndex`] on that
+/// lattice would return, in the same ascending order.
 ///
-/// A context is immutable once built, which is what makes the per-position
-/// upper-bound profile ([`crate::shrink::build_ub_profile`]) sound: the
-/// profile snapshots the stage-1 side clearances for every discretized foot
-/// position against `edges`/`grid`, and every later
-/// [`crate::shrink::max_pattern_height_scratch`] probe of the same context
-/// evaluates the same geometry — so the cached caps stay true upper bounds
-/// for the context's whole lifetime (one queue pop in the engine; a splice
-/// builds fresh contexts for the segments it creates).
+/// A context is immutable once built, which is what makes the per-pop
+/// stage-1 table ([`crate::shrink::build_stage1_table`]) exact: the table
+/// snapshots the stage-1 side caps for every discretized foot position
+/// against `edges`, and every later probe of the same context with the
+/// same start height evaluates the same geometry — so a table-fed probe
+/// sees the float a self-computed one would, for the context's whole
+/// lifetime (one queue pop in the engine; a splice builds fresh contexts
+/// for the segments it creates).
 #[derive(Debug)]
 pub struct ShrinkContext {
     /// Constraint polygons in pattern-side coordinates. Routable-area
@@ -342,23 +346,21 @@ pub struct ShrinkContext {
     /// `true` for routable-area border polygons (containers, not
     /// obstacles): they are never "enclosed" by a pattern.
     pub is_area: Vec<bool>,
+    /// Number of leading area polygons in `polygons` (the final
+    /// containment check reads them).
+    n_area: usize,
     /// Node tree: point → polygon id.
     pub tree: MergeSortTree<u32>,
-    /// Spatial index over all polygon edges (grid or R-tree — candidate
-    /// sets identical by the [`meander_index::SpatialIndex`] contract, so
-    /// stage 1 and the profile sweeps are bit-identical either way).
-    pub grid: SegIndex,
-    /// Flattened edges (grid ids index into this).
+    /// Flattened polygon edges (candidate ids index into this).
     pub edges: Vec<Segment>,
-    /// Owning polygon of each edge.
-    pub edge_owner: Vec<u32>,
+    /// Cell span `[x0, x1, y0, y1]` of each edge's bbox on the lattice.
+    spans: Vec<[i64; 4]>,
+    /// Lattice cell size: `max(seg_len / 8, 1)`.
+    cell: f64,
     /// Node count per polygon (for the `|Poly_k|` tests of Alg. 2).
     pub node_count: Vec<usize>,
     /// The extended segment in local coordinates (on the +x axis).
     pub local_segment: Segment,
-    /// Routable-area polygons in pattern-side coordinates (unclipped) used
-    /// for the final containment check.
-    pub area_local: Vec<Polygon>,
 }
 
 impl ShrinkContext {
@@ -367,18 +369,6 @@ impl ShrinkContext {
     /// `frame` maps world → segment-local; `dir` (+1/−1) selects the
     /// pattern side (−1 mirrors y so the shrinking always works "upward").
     pub fn build(world: &WorldContext, frame: &Frame, seg_len: f64, dir: i8) -> Self {
-        Self::build_indexed(world, frame, seg_len, dir, IndexKind::Grid)
-    }
-
-    /// [`ShrinkContext::build`] with the edge index structure selected by
-    /// `kind` (results identical; see the `grid` field).
-    pub fn build_indexed(
-        world: &WorldContext,
-        frame: &Frame,
-        seg_len: f64,
-        dir: i8,
-        kind: IndexKind,
-    ) -> Self {
         let flip = f64::from(dir);
         let to_side = |p: Point| {
             let l = frame.to_local(p);
@@ -387,11 +377,10 @@ impl ShrinkContext {
 
         let mut polygons: Vec<Polygon> = Vec::new();
         let mut is_area = Vec::new();
-        let mut area_local = Vec::new();
         for poly in &world.area {
-            let verts: Vec<Point> = poly.vertices().iter().map(|&p| to_side(p)).collect();
-            area_local.push(Polygon::new(verts.clone()));
-            polygons.push(Polygon::new(verts));
+            polygons.push(Polygon::new(
+                poly.vertices().iter().map(|&p| to_side(p)).collect(),
+            ));
             is_area.push(true);
         }
         for poly in world.obstacles.iter().chain(&world.other_uras) {
@@ -402,17 +391,16 @@ impl ShrinkContext {
             }
         }
 
-        Self::assemble(polygons, is_area, area_local, seg_len, kind)
+        Self::assemble(polygons, is_area, world.area.len(), seg_len)
     }
 
     /// Builds **both** side contexts from pre-filtered world geometry,
     /// transforming every vertex into the local frame exactly once.
     ///
     /// `world` + `static_ids` name the static polygons near the candidate
-    /// window (see [`WorldIndex::candidates`]); `other_uras` are the URA
-    /// rectangles of the trace's nearby other segments, already in world
-    /// coordinates. `kind` selects each context's edge index structure
-    /// (results identical either way). Equivalent to two
+    /// window (see [`WorldIndex::candidates`], which lists areas first);
+    /// `other_uras` are the URA rectangles of the trace's nearby other
+    /// segments, already in world coordinates. Equivalent to two
     /// [`ShrinkContext::build`] calls over the same polygon set.
     pub(crate) fn build_sides(
         world: &WorldIndex,
@@ -420,7 +408,6 @@ impl ShrinkContext {
         other_uras: &[Polygon],
         frame: &Frame,
         seg_len: f64,
-        kind: IndexKind,
     ) -> (ShrinkContext, ShrinkContext) {
         // One transform pass: local "up-side" coordinates; the down side
         // mirrors y afterwards.
@@ -438,15 +425,14 @@ impl ShrinkContext {
             let verts: Vec<Point> = ura.vertices().iter().map(|&p| frame.to_local(p)).collect();
             local.push((verts, false));
         }
+        let n_area = local.iter().take_while(|(_, area)| *area).count();
 
         let build_one = |flip: f64| -> ShrinkContext {
             let mut polygons: Vec<Polygon> = Vec::new();
             let mut is_area = Vec::new();
-            let mut area_local = Vec::new();
             for (verts, area) in &local {
                 let side: Vec<Point> = verts.iter().map(|&p| Point::new(p.x, p.y * flip)).collect();
                 if *area {
-                    area_local.push(Polygon::new(side.clone()));
                     polygons.push(Polygon::new(side));
                     is_area.push(true);
                 } else if let Some(clipped) = Polygon::new(side).clipped_above(Y_EPS) {
@@ -454,22 +440,19 @@ impl ShrinkContext {
                     is_area.push(false);
                 }
             }
-            ShrinkContext::assemble(polygons, is_area, area_local, seg_len, kind)
+            ShrinkContext::assemble(polygons, is_area, n_area, seg_len)
         };
         (build_one(1.0), build_one(-1.0))
     }
 
     /// Builds the query structures over side-local polygons.
-    fn assemble(
-        polygons: Vec<Polygon>,
-        is_area: Vec<bool>,
-        area_local: Vec<Polygon>,
-        seg_len: f64,
-        kind: IndexKind,
-    ) -> Self {
+    fn assemble(polygons: Vec<Polygon>, is_area: Vec<bool>, n_area: usize, seg_len: f64) -> Self {
+        debug_assert!(is_area.iter().take(n_area).all(|&a| a));
+        let cell = (seg_len / 8.0).max(1.0);
+        let q = |v: f64| cell_coord(cell, v);
         let mut nodes = Vec::new();
         let mut edges = Vec::new();
-        let mut edge_owner = Vec::new();
+        let mut spans = Vec::new();
         let mut node_count = Vec::new();
         for (k, poly) in polygons.iter().enumerate() {
             node_count.push(poly.len());
@@ -477,25 +460,54 @@ impl ShrinkContext {
                 nodes.push((v, k as u32));
             }
             for e in poly.edges() {
+                let bb = e.bbox();
+                spans.push([q(bb.min.x), q(bb.max.x), q(bb.min.y), q(bb.max.y)]);
                 edges.push(e);
-                edge_owner.push(k as u32);
             }
         }
         let tree = MergeSortTree::build(nodes);
-        let cell = (seg_len / 8.0).max(1.0);
-        let grid = SegIndex::from_segments(kind, cell, &edges);
 
         ShrinkContext {
             polygons,
             is_area,
+            n_area,
             tree,
-            grid,
             edges,
-            edge_owner,
+            spans,
+            cell,
             node_count,
             local_segment: Segment::new(Point::ORIGIN, Point::new(seg_len, 0.0)),
-            area_local,
         }
+    }
+
+    /// The edge lattice's cell size.
+    #[inline]
+    pub(crate) fn cell_size(&self) -> f64 {
+        self.cell
+    }
+
+    /// Ids of the edges whose cell span meets `r`'s, ascending, into `out`
+    /// (cleared first).
+    ///
+    /// This is the [`SpatialIndex`] contract's cell-quantized candidacy
+    /// evaluated directly: an index's occupied-bounds clamp can only drop
+    /// cells no edge occupies, so a `SegmentGrid` or `RTree` over `edges`
+    /// on this lattice returns exactly these ids, in this order.
+    pub fn edge_candidates(&self, r: &Rect, out: &mut Vec<u32>) {
+        let q = |v: f64| cell_coord(self.cell, v);
+        let (qx0, qx1, qy0, qy1) = (q(r.min.x), q(r.max.x), q(r.min.y), q(r.max.y));
+        out.clear();
+        for (id, s) in self.spans.iter().enumerate() {
+            if s[0] <= qx1 && s[1] >= qx0 && s[2] <= qy1 && s[3] >= qy0 {
+                out.push(id as u32);
+            }
+        }
+    }
+
+    /// Cell span `[x0, x1, y0, y1]` of edge `id` on the lattice.
+    #[inline]
+    pub(crate) fn edge_span(&self, id: usize) -> &[i64; 4] {
+        &self.spans[id]
     }
 
     /// `d(seg, p)` of the paper: distance from the extended segment to `p`
@@ -508,7 +520,8 @@ impl ShrinkContext {
     /// `true` when the axis-aligned pattern rectangle (feet `x0..x1`,
     /// height `h`) lies inside a single routable-area polygon.
     pub(crate) fn pattern_in_area(&self, x0: f64, x1: f64, h: f64) -> bool {
-        if self.area_local.is_empty() {
+        let areas = &self.polygons[..self.n_area];
+        if areas.is_empty() {
             return true;
         }
         let corners = [
@@ -518,10 +531,17 @@ impl ShrinkContext {
             Point::new(x1, h),
             Point::new((x0 + x1) / 2.0, h),
         ];
-        self.area_local
+        areas
             .iter()
             .any(|poly| corners.iter().all(|&c| poly.contains(c)))
     }
+}
+
+/// The lattice cell a coordinate falls into: `⌊v / cell⌋`, the
+/// quantization `meander_index`'s structures use.
+#[inline]
+pub(crate) fn cell_coord(cell: f64, v: f64) -> i64 {
+    (v / cell).floor() as i64
 }
 
 #[cfg(test)]

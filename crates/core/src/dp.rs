@@ -24,10 +24,10 @@
 //! query — so a full pass performs `O(m·w)` of them. Two mechanisms make
 //! the pass cost proportional to the *useful* part of that work:
 //!
-//! 1. **Per-position upper bounds** ([`HeightBounds::Profile`], built by
-//!    [`crate::shrink::build_ub_profile`]): a sound per-foot-position cap on
-//!    any pattern height, derived from the exact stage-1 side-clearance
-//!    arithmetic of the shrinker. A candidate whose capped value cannot beat
+//! 1. **Per-position upper bounds** ([`HeightBounds::Profile`], floored
+//!    from the pop's [`crate::shrink::Stage1Table`]): a sound
+//!    per-foot-position cap on any pattern height, the exact stage-1 side
+//!    clearances of the shrinker. A candidate whose capped value cannot beat
 //!    (or tie) the incumbent `dp[i][d]` skips the query outright, and a cap
 //!    below the minimum useful height proves the query would return 0.
 //! 2. **Monotone width break**: `dp[·][d]` is non-decreasing, so once even

@@ -9,10 +9,12 @@
 //!   segment's candidate window, tracks segments by stable id, and maintains
 //!   the trace length incrementally — the per-iteration cost is governed by
 //!   local geometry, not by how much meander has accumulated. Each pop
-//!   also builds a per-position upper-bound profile from the side contexts'
-//!   stage-1 clearances, so the segment DP executes only the height queries
-//!   whose result can still matter (the pruning is sound: placements are
-//!   bit-identical to a DP under the uniform cap alone).
+//!   also computes the side contexts' stage-1 caps once per foot position
+//!   (the stage-1 table): every height probe reads its two caps from it
+//!   instead of scanning its columns, and, floored to heights, it bounds
+//!   the probes so the segment DP executes only the ones whose result can
+//!   still matter (the pruning is sound: placements are bit-identical to a
+//!   DP under the uniform cap alone).
 //! * the rebuild engine (`incremental: false`) re-clones and re-transforms
 //!   the whole world on every queue pop (the original pipeline) and runs
 //!   the DP with only the global `h_init` cap. It is kept as the reference
@@ -24,8 +26,8 @@ use crate::context::{ShrinkContext, WorldBase, WorldContext, WorldIndex};
 use crate::dp::{extend_segment_dp, DpInput, HeightBounds, Placement};
 use crate::pattern::{build_local_meander, splice_meander};
 use crate::shrink::{
-    build_ub_profile, build_ub_profile_batched, max_pattern_height_batched,
-    max_pattern_height_scratch, ShrinkScratch,
+    build_stage1_table, build_stage1_table_batched, max_pattern_height_batched,
+    max_pattern_height_fed, max_pattern_height_scratch, ShrinkScratch,
 };
 use crate::tracebuf::TraceBuf;
 use meander_drc::DesignRules;
@@ -133,9 +135,12 @@ impl Disc {
 /// Runs the segment DP against prepared side contexts and returns the local
 /// meander replacement, or `None` when nothing legal fits.
 ///
-/// With `use_profile`, a per-position stage-1 clearance profile is built
-/// first ([`build_ub_profile`]) so the DP can skip height queries whose
-/// capped value cannot matter — same output, fewer shrink-kernel runs.
+/// With `use_profile`, the pop's stage-1 table is built first
+/// ([`build_stage1_table`]): every DP probe reads its two side caps from it
+/// instead of scanning its columns, and the table floored to heights lets
+/// the DP skip height queries whose capped value cannot matter — same
+/// output, fewer and cheaper shrink-kernel runs. Without it (the rebuild
+/// engine) every probe computes its own stage 1 under the uniform cap.
 #[allow(clippy::too_many_arguments)]
 fn plan_segment(
     len: f64,
@@ -149,15 +154,15 @@ fn plan_segment(
     use_profile: bool,
 ) -> Option<(Polyline, usize)> {
     let h_init = remaining / 2.0;
-    // `batch_kernels` swaps the scalar stage-1 / profile sweeps for the SoA
-    // batch kernels — bit-identical outputs (lane-exactness contract), so
-    // the DP sees the same numbers either way.
+    // `batch_kernels` swaps the scalar stage-1 kernels for the SoA batch
+    // kernels — bit-identical outputs (lane-exactness contract), so the DP
+    // sees the same numbers either way.
     let batched = config.batch_kernels;
-    let profile = use_profile.then(|| {
+    let table = use_profile.then(|| {
         let build = if batched {
-            build_ub_profile_batched
+            build_stage1_table_batched
         } else {
-            build_ub_profile
+            build_stage1_table
         };
         build(
             ctx_up,
@@ -166,10 +171,10 @@ fn plan_segment(
             disc.ldisc,
             params.g_eff,
             h_init,
-            params.h_min,
             scratch,
         )
     });
+    let profile = table.as_ref().map(|t| t.profile(params.h_min));
     let scratch_cell = RefCell::new(scratch);
     let probe = if batched {
         max_pattern_height_batched
@@ -178,15 +183,24 @@ fn plan_segment(
     };
     let height = |lo: usize, hi: usize, dir: i8| -> f64 {
         let ctx = if dir > 0 { ctx_up } else { ctx_dn };
-        probe(
-            ctx,
-            lo as f64 * disc.ldisc,
-            hi as f64 * disc.ldisc,
-            params.g_eff,
-            h_init,
-            params.h_min,
-            &mut scratch_cell.borrow_mut(),
-        )
+        let (x0, x1) = (lo as f64 * disc.ldisc, hi as f64 * disc.ldisc);
+        let scratch = &mut scratch_cell.borrow_mut();
+        match &table {
+            Some(t) => {
+                let hob = t.hob(lo, hi, usize::from(dir > 0));
+                max_pattern_height_fed(
+                    ctx,
+                    x0,
+                    x1,
+                    params.g_eff,
+                    h_init,
+                    params.h_min,
+                    hob,
+                    scratch,
+                )
+            }
+            None => probe(ctx, x0, x1, params.g_eff, h_init, params.h_min, scratch),
+        }
         .height
     };
 
@@ -392,8 +406,7 @@ fn extend_trace_incremental(
         );
         let uras = uras_for(&trace, &near_ids, params.g_eff);
 
-        let (ctx_up, ctx_dn) =
-            ShrinkContext::build_sides(&world, &static_ids, &uras, &frame, len, config.index);
+        let (ctx_up, ctx_dn) = ShrinkContext::build_sides(&world, &static_ids, &uras, &frame, len);
 
         let Some((local, kept)) = plan_segment(
             len,
@@ -430,6 +443,74 @@ fn extend_trace_incremental(
         trace: out,
         iterations,
         patterns,
+    }
+}
+
+/// One pop's [`ShrinkContext::build_sides`] inputs, captured from world
+/// geometry so the `context_build` micro-benchmark (`meander-bench`) can
+/// time the per-pop context build alone.
+pub struct SidesFixture {
+    world: WorldIndex,
+    static_ids: Vec<u32>,
+    other_uras: Vec<Polygon>,
+    frame: Frame,
+    seg_len: f64,
+}
+
+impl SidesFixture {
+    /// Indexes `area` and the inflated `obstacles` as the incremental
+    /// engine does for a trace under `rules`, then selects what a pop of
+    /// segment `seg` of `trace` with start height `h_init` sees: the static
+    /// polygons of its candidate window and the URAs of the trace's other
+    /// segments near it. `None` for a degenerate segment.
+    pub fn new(
+        trace: &Polyline,
+        seg: usize,
+        area: &[Polygon],
+        obstacles: &[Polygon],
+        rules: &DesignRules,
+        h_init: f64,
+    ) -> Option<Self> {
+        let segment = trace.segment(seg);
+        let frame = Frame::from_segment(&segment)?;
+        let seg_len = segment.length();
+        let g_eff = crate::context::effective_gap(rules);
+        let g2 = g_eff / 2.0;
+        let inflate = crate::context::obstacle_inflation(rules);
+        let inflated: Vec<Polygon> = obstacles.iter().map(|p| p.offset_convex(inflate)).collect();
+        let cell = crate::context::world_cell(rules);
+        let world = WorldIndex::build(area, &inflated, cell, meander_index::IndexKind::Grid, None);
+        let window = local_window_to_world(&frame, -g2, seg_len + g2, h_init + g2);
+        let mut static_ids = Vec::new();
+        world.candidates(
+            &window,
+            &mut GridScratch::new(),
+            &mut Vec::new(),
+            &mut static_ids,
+        );
+        let ura_window = window.expanded(g2);
+        let other_uras = WorldContext::trace_uras(trace, seg, g_eff)
+            .into_iter()
+            .filter(|u| u.bbox().intersects(&ura_window))
+            .collect();
+        Some(SidesFixture {
+            world,
+            static_ids,
+            other_uras,
+            frame,
+            seg_len,
+        })
+    }
+
+    /// Builds both side contexts, as the pop would.
+    pub fn build(&self) -> (ShrinkContext, ShrinkContext) {
+        ShrinkContext::build_sides(
+            &self.world,
+            &self.static_ids,
+            &self.other_uras,
+            &self.frame,
+            self.seg_len,
+        )
     }
 }
 

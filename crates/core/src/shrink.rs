@@ -18,28 +18,31 @@
 //!    the *inner* border are legally enclosed: the pattern routes around
 //!    them.
 //!
-//! ## The upper-bound profile
+//! ## The stage-1 table
 //!
 //! The segment DP probes `O(m·w)` candidate patterns against this
-//! procedure. [`build_ub_profile`] precomputes, once per segment and side,
-//! the **stage-1 cap for every discretized foot position**: the lowest
+//! procedure, all from one start height on one pair of contexts. Each
+//! stage-1 side cap then depends only on its foot position, so
+//! [`build_stage1_table`] computes it once per foot and side: the lowest
 //! crossing of the vertical outer-border side at that position with any
-//! context edge, evaluated with the *same* `segment_intersection` calls and
-//! the *same* start height stage 1 would use. Because stages 2–3 only ever
-//! lower `h_ob`, the resulting per-position value is a sound upper bound on
-//! any [`max_pattern_height_scratch`] result with a foot there — the DP can
-//! skip a probe whose capped value cannot matter, and the output stays
-//! bit-identical to the unpruned pass. Caps below `h_min` are floored to 0
-//! (the probe would return "no pattern" anyway).
+//! context edge of the probe's own column, evaluated with the *same*
+//! primitives and the *same* start height a probe would use. A DP probe
+//! reads its two caps from the table ([`max_pattern_height_fed`]) and
+//! skips stage 1; `min` is order-free, so it sees the float it would
+//! compute itself. Because stages 2–3 only ever lower `h_ob`, the table
+//! floored to heights ([`Stage1Table::profile`]) is also a sound upper
+//! bound on every probe result with a foot there — the DP skips a probe
+//! whose capped value cannot matter, and the output stays bit-identical
+//! to the unpruned pass. Caps below `h_min` are floored to 0 (the probe
+//! would return "no pattern" anyway).
 
-use crate::context::{ShrinkContext, Y_EPS};
+use crate::context::{cell_coord, ShrinkContext, Y_EPS};
 use crate::dp::UbProfile;
 use meander_geom::batch::{
     intersect_x_range_batch, side_edge_cap_scalar, vertical_side_min_cap, SegBatch,
     PREFILTER_SLACK, SHORT_SEG_LEN,
 };
 use meander_geom::{Point, Rect, Segment, EPS};
-use meander_index::{GridScratch, SpatialIndex};
 
 /// Result of shrinking one candidate pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,7 +64,6 @@ pub struct ShrinkResult {
 /// contexts and calls.
 #[derive(Debug, Default)]
 pub struct ShrinkScratch {
-    grid: GridScratch,
     edge_ids: Vec<u32>,
     /// Per-polygon: nodes seen inside the outer border this pass.
     cnt: Vec<u32>,
@@ -73,15 +75,15 @@ pub struct ShrinkScratch {
     removed: Vec<bool>,
     /// Polygons with `cnt > 0` this pass.
     touched: Vec<u32>,
-    /// SoA candidate buffer for the batched stage-1 / profile kernels.
+    /// SoA candidate buffer for the batched stage-1 kernel.
     seg_batch: SegBatch,
-    /// Foot-position x values of the current profile sweep.
+    /// Foot-position x values of the current table sweep.
     xs: Vec<f64>,
-    /// Grid column of each sweep position (precomputed once per sweep so
-    /// the per-edge span search is pure integer compares).
-    colx: Vec<i64>,
-    /// Per-position `h_ob` caps of the current profile sweep.
-    caps: Vec<f64>,
+    /// Lattice columns of each sweep position's probe column, low and high
+    /// end (precomputed once per sweep so the per-edge span search is pure
+    /// integer compares).
+    col_lo: Vec<i64>,
+    col_hi: Vec<i64>,
 }
 
 impl ShrinkScratch {
@@ -89,6 +91,18 @@ impl ShrinkScratch {
     pub fn new() -> Self {
         ShrinkScratch::default()
     }
+}
+
+/// Where a probe's stage 1 comes from.
+#[derive(Debug, Clone, Copy)]
+enum Stage1 {
+    /// Computed here with the scalar predicate per candidate.
+    Scalar,
+    /// Computed here with the SoA lane kernel.
+    Batched,
+    /// Supplied by the caller: the stage-1 `h_ob` read from a
+    /// [`Stage1Table`] of the same context and start height.
+    Fed(f64),
 }
 
 /// Computes the maximum valid height of a pattern with feet at local
@@ -121,15 +135,25 @@ pub fn max_pattern_height_scratch(
     h_min: f64,
     scratch: &mut ShrinkScratch,
 ) -> ShrinkResult {
-    max_pattern_height_impl(ctx, x0, x1, gap, h_init, h_min, true, false, scratch)
+    max_pattern_height_impl(
+        ctx,
+        x0,
+        x1,
+        gap,
+        h_init,
+        h_min,
+        true,
+        Stage1::Scalar,
+        scratch,
+    )
 }
 
 /// [`max_pattern_height_scratch`] with stage 1 running on the SoA batch
-/// kernels: the side-intersection candidates are materialized into the
-/// scratch's [`SegBatch`] straight from the context grid and both sides
-/// evaluate lane-parallel ([`vertical_side_min_cap`]). Bit-identical
-/// results — the batched kernel reproduces the scalar float stream per
-/// lane (see `meander_geom::batch`); stages 2–3 are untouched.
+/// kernels: each side's column candidates are materialized into the
+/// scratch's [`SegBatch`] and evaluated lane-parallel
+/// ([`vertical_side_min_cap`]). Bit-identical results — the batched kernel
+/// reproduces the scalar float stream per lane (see `meander_geom::batch`);
+/// stages 2–3 are untouched.
 pub fn max_pattern_height_batched(
     ctx: &ShrinkContext,
     x0: f64,
@@ -139,7 +163,45 @@ pub fn max_pattern_height_batched(
     h_min: f64,
     scratch: &mut ShrinkScratch,
 ) -> ShrinkResult {
-    max_pattern_height_impl(ctx, x0, x1, gap, h_init, h_min, true, true, scratch)
+    max_pattern_height_impl(
+        ctx,
+        x0,
+        x1,
+        gap,
+        h_init,
+        h_min,
+        true,
+        Stage1::Batched,
+        scratch,
+    )
+}
+
+/// [`max_pattern_height_scratch`] with stage 1 supplied: `hob` must be
+/// [`Stage1Table::hob`] for these feet, from a table built on `ctx` with
+/// the same `gap` and `h_init`. The result is then bit-identical to the
+/// self-computing probes, without a single stage-1 candidate scan.
+#[allow(clippy::too_many_arguments)]
+pub fn max_pattern_height_fed(
+    ctx: &ShrinkContext,
+    x0: f64,
+    x1: f64,
+    gap: f64,
+    h_init: f64,
+    h_min: f64,
+    hob: f64,
+    scratch: &mut ShrinkScratch,
+) -> ShrinkResult {
+    max_pattern_height_impl(
+        ctx,
+        x0,
+        x1,
+        gap,
+        h_init,
+        h_min,
+        true,
+        Stage1::Fed(hob),
+        scratch,
+    )
 }
 
 /// [`max_pattern_height`] with obstacle enclosure switchable.
@@ -164,7 +226,7 @@ pub(crate) fn max_pattern_height_opts(
         h_init,
         h_min,
         allow_enclose,
-        false,
+        Stage1::Scalar,
         &mut ShrinkScratch::new(),
     )
 }
@@ -178,7 +240,7 @@ fn max_pattern_height_impl(
     h_init: f64,
     h_min: f64,
     allow_enclose: bool,
-    batched: bool,
+    stage1: Stage1,
     scratch: &mut ShrinkScratch,
 ) -> ShrinkResult {
     debug_assert!(x0 < x1, "feet must be ordered");
@@ -193,40 +255,17 @@ fn max_pattern_height_impl(
     let g2 = gap / 2.0;
     let left = x0 - g2;
     let right = x1 + g2;
-    let mut hob = h_init + g2;
 
     // ---- Stage 1: sides (Eq. 11). -------------------------------------
-    // One thin column gather per side: a side's contributions can only
-    // come from edges the grid registers in that side's column. Extending
-    // each column by EPS toward the pattern interior makes the cell-based
-    // candidate membership agree *exactly* with a pattern-wide query, even
-    // for tolerance-positive near-misses straddling a cell boundary (any
-    // non-`None` intersection implies a point within EPS of the side, so
-    // the edge's cells overlap `[x, x ± EPS]`'s cells iff they overlap the
-    // wide rect's); `min` over each column's candidates is order-free.
-    let hob0 = hob;
-    for (x, col) in [
-        (
-            left,
-            Rect::new(Point::new(left, Y_EPS), Point::new(left + EPS, hob0)),
-        ),
-        (
-            right,
-            Rect::new(Point::new(right - EPS, Y_EPS), Point::new(right, hob0)),
-        ),
-    ] {
-        hob = hob.min(if batched {
-            ctx.grid.query_batch(
-                &col,
-                &mut scratch.grid,
-                &mut scratch.edge_ids,
-                &mut scratch.seg_batch,
-            );
-            vertical_side_min_cap(x, Y_EPS, hob0, &scratch.seg_batch, ctx.local_segment.b.x)
-        } else {
-            stage1_side_cap(ctx, x, hob0, &col, &mut scratch.grid, &mut scratch.edge_ids)
-        });
-    }
+    let mut hob = match stage1 {
+        Stage1::Fed(hob) => hob,
+        Stage1::Scalar | Stage1::Batched => {
+            let batched = matches!(stage1, Stage1::Batched);
+            let hob0 = h_init + g2;
+            hob0.min(side_cap(ctx, left, true, hob0, batched, scratch))
+                .min(side_cap(ctx, right, false, hob0, batched, scratch))
+        }
+    };
     if hob <= g2 + 1e-12 {
         return none;
     }
@@ -352,150 +391,183 @@ fn max_pattern_height_impl(
     }
 }
 
-/// The scalar stage-1 cap of the vertical outer-border side
-/// `(x, Y_EPS) → (x, hob0)`: `hob0` lowered to the nearest crossing with
-/// any context edge the grid returns for `gather` ([`side_edge_cap_scalar`]
-/// per candidate). Both scalar stage-1 evaluations run through here — the
-/// probe with its EPS-inward column, the profile with a zero-width one —
-/// so the profile bounds (from above, in `h_ob` terms) every shrink result
-/// whose border has a side at `x`.
-fn stage1_side_cap(
-    ctx: &ShrinkContext,
-    x: f64,
-    hob0: f64,
-    gather: &Rect,
-    grid_scratch: &mut GridScratch,
-    edge_ids: &mut Vec<u32>,
-) -> f64 {
-    let side = Segment::new(Point::new(x, Y_EPS), Point::new(x, hob0));
-    let seg_len = ctx.local_segment.b.x;
-    ctx.grid.query_scratch(gather, grid_scratch, edge_ids);
-    let mut cap = hob0;
-    for &id in edge_ids.iter() {
-        let e = &ctx.edges[id as usize];
-        cap = cap.min(side_edge_cap_scalar(&side, e, seg_len));
-    }
-    cap
+/// The probe column of the outer-border side at `x`: `EPS` wide toward
+/// the pattern interior, from `Y_EPS` to `hob0`.
+///
+/// A side's contributions can only come from edges registered in that
+/// column. The `EPS` inward extension makes cell-based candidacy agree
+/// *exactly* with a pattern-wide query, even for tolerance-positive
+/// near-misses straddling a cell boundary (any non-`None` intersection
+/// implies a point within `EPS` of the side, so the edge's cells overlap
+/// `[x, x ± EPS]`'s cells iff they overlap the wide rect's).
+#[inline]
+fn side_column(x: f64, left_side: bool, hob0: f64) -> Rect {
+    let inward = if left_side { x + EPS } else { x - EPS };
+    Rect::new(Point::new(x, Y_EPS), Point::new(inward, hob0))
 }
 
-/// Builds the per-position upper-bound profile for one segment's DP
-/// (paper's discretization: feet at `0..=m`, step `ldisc`).
+/// The stage-1 cap of the vertical outer-border side `(x, Y_EPS) → (x,
+/// hob0)`: the nearest crossing with any context edge of its column
+/// ([`side_column`]), `INFINITY` when none crosses. Every stage-1
+/// evaluation runs through here — the self-computing probes and the scalar
+/// table sweep — or reproduces it lane for lane (the batched sweep).
+fn side_cap(
+    ctx: &ShrinkContext,
+    x: f64,
+    left_side: bool,
+    hob0: f64,
+    batched: bool,
+    scratch: &mut ShrinkScratch,
+) -> f64 {
+    let seg_len = ctx.local_segment.b.x;
+    ctx.edge_candidates(&side_column(x, left_side, hob0), &mut scratch.edge_ids);
+    if batched {
+        let batch = &mut scratch.seg_batch;
+        batch.clear();
+        for &id in &scratch.edge_ids {
+            batch.push(&ctx.edges[id as usize]);
+        }
+        vertical_side_min_cap(x, Y_EPS, hob0, batch, seg_len)
+    } else {
+        let side = Segment::new(Point::new(x, Y_EPS), Point::new(x, hob0));
+        scratch
+            .edge_ids
+            .iter()
+            .map(|&id| side_edge_cap_scalar(&side, &ctx.edges[id as usize], seg_len))
+            .fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// One pop's raw stage-1 `h_ob` side caps, per direction and foot
+/// position (the paper's discretization: feet at `0..=m`, step `ldisc`).
 ///
-/// For every foot index and side the profile stores the stage-1 side cap in
-/// *height* terms (`cap − gap/2`), clamped to `h_init` and floored to 0
-/// when below `h_min` (such a probe returns "no pattern"). Direction
-/// indexing follows `crate::dp::DirIx`: entry 0 is the `dn` context
-/// (geometric −1), entry 1 is `up`.
-///
-/// Soundness: a pattern with feet `(j, i)` on side `d` has outer-border
-/// sides at `j·ldisc − gap/2` and `i·ldisc + gap/2`, and
-/// `max_pattern_height_opts` caps `h_ob` by every crossing of
-/// those sides before stages 2–3 shrink it further; the profile evaluates
-/// those same crossings, so `height(j, i, d) ≤ min(left[d][j],
-/// right[d][i], h_init)` holds exactly (same floats, same primitives).
+/// Direction indexing follows `crate::dp::DirIx`: entry 0 is the `dn`
+/// context (geometric −1), entry 1 is `up`. Every entry starts from
+/// `h_ob⁰ = h_init + gap/2` and is lowered by the crossings of its side's
+/// probe column, so for feet `(lo, hi)` on side `d`
+/// [`Stage1Table::hob`] is exactly the `h_ob` a self-computing probe holds
+/// after stage 1.
+#[derive(Debug, Clone)]
+pub struct Stage1Table {
+    g2: f64,
+    h_init: f64,
+    /// `left[d][p]`: cap of the left side at `p·ldisc − gap/2`.
+    pub left: [Vec<f64>; 2],
+    /// `right[d][p]`: cap of the right side at `p·ldisc + gap/2`.
+    pub right: [Vec<f64>; 2],
+}
+
+impl Stage1Table {
+    /// The stage-1 `h_ob` of the pattern with feet `(lo, hi)` on side `d`.
+    #[inline]
+    pub fn hob(&self, lo: usize, hi: usize, d: usize) -> f64 {
+        self.left[d][lo].min(self.right[d][hi])
+    }
+
+    /// The DP's per-position upper-bound profile: every cap in *height*
+    /// terms (`cap − gap/2`), clamped to `h_init` and floored to 0 when
+    /// below `h_min` (such a probe returns "no pattern").
+    ///
+    /// Soundness: stage 1 of a probe with feet `(j, i)` on side `d` leaves
+    /// `h_ob = min(left[d][j], right[d][i])`, and stages 2–3 only lower it,
+    /// so `height(j, i, d) ≤ min(left, right) − gap/2` holds exactly (same
+    /// floats); a probe under `h_min` returns 0.
+    pub fn profile(&self, h_min: f64) -> UbProfile {
+        let floor = |caps: &[f64]| -> Vec<f64> {
+            caps.iter()
+                .map(|&cap_hob| {
+                    let h = cap_hob - self.g2;
+                    if h < h_min - 1e-9 {
+                        0.0
+                    } else {
+                        h.min(self.h_init)
+                    }
+                })
+                .collect()
+        };
+        UbProfile {
+            cap: self.h_init,
+            left: [floor(&self.left[0]), floor(&self.left[1])],
+            right: [floor(&self.right[0]), floor(&self.right[1])],
+        }
+    }
+}
+
+/// Builds the [`Stage1Table`] for one segment's DP: one [`side_cap`]
+/// column scan per foot position, side and direction — the scalar
+/// reference the batched sweep is held to.
 #[allow(clippy::too_many_arguments)]
-pub fn build_ub_profile(
+pub fn build_stage1_table(
     ctx_up: &ShrinkContext,
     ctx_dn: &ShrinkContext,
     m: usize,
     ldisc: f64,
     gap: f64,
     h_init: f64,
-    h_min: f64,
     scratch: &mut ShrinkScratch,
-) -> UbProfile {
+) -> Stage1Table {
     let g2 = gap / 2.0;
     let hob0 = h_init + g2;
-    let floor = |cap_hob: f64| -> f64 {
-        let h = cap_hob - g2;
-        if h < h_min - 1e-9 {
-            0.0
-        } else {
-            h.min(h_init)
-        }
-    };
     let mut side = |ctx: &ShrinkContext, left_side: bool| -> Vec<f64> {
         (0..=m)
             .map(|p| {
                 let x0 = p as f64 * ldisc;
                 let x = if left_side { x0 - g2 } else { x0 + g2 };
-                let column = Rect::new(Point::new(x, Y_EPS), Point::new(x, hob0));
-                floor(stage1_side_cap(
-                    ctx,
-                    x,
-                    hob0,
-                    &column,
-                    &mut scratch.grid,
-                    &mut scratch.edge_ids,
-                ))
+                hob0.min(side_cap(ctx, x, left_side, hob0, false, scratch))
             })
             .collect()
     };
-    UbProfile {
-        cap: h_init,
+    Stage1Table {
+        g2,
+        h_init,
         left: [side(ctx_dn, true), side(ctx_up, true)],
         right: [side(ctx_dn, false), side(ctx_up, false)],
     }
 }
 
-/// [`build_ub_profile`] restructured around the SoA batch kernels: **one**
-/// band query per sweep instead of `m + 1` column queries, then an
-/// edge-outer loop handing each candidate edge the contiguous span of foot
-/// positions whose grid column can see it, evaluated lane-parallel by
+/// [`build_stage1_table`] restructured around the SoA batch kernels:
+/// **one** pass over the context's edges per sweep instead of `m + 1`
+/// column scans, handing each edge the contiguous span of foot positions
+/// whose probe column can see it, evaluated lane-parallel by
 /// [`intersect_x_range_batch`].
 ///
 /// Bit-identical to the scalar sweep:
 ///
-/// * **Same candidate sets.** A column query at `x` returns exactly the
-///   edges whose registered cell rectangle covers column `⌊x/cell⌋` (the
-///   column rect shares the band's y cell range, and the occupied-bounds
-///   clamp can only drop cells no edge occupies). The band query returns a
-///   superset of every column's candidates, and the per-edge span test
-///   `ecx0 ≤ ⌊x/cell⌋ ≤ ecx1` — computed with the grid's own quantization
-///   ([`meander_index::SegmentGrid::cell_coord`]) — reproduces the exact
-///   membership per position.
+/// * **Same candidate sets.** Every probe column spans the same y range
+///   (`Y_EPS..h_ob⁰`), so an edge is a candidate at foot `p` iff its y
+///   cells meet that range's and its x cell span meets
+///   `[q(col_lo(p)), q(col_hi(p))]`, the quantized x ends of `p`'s column
+///   ([`side_column`]). Both ends ascend with `p`, so the positions
+///   passing the x test form one contiguous run.
 /// * **Same floats.** Each lane of the kernel replays the
 ///   `segment_intersection(side, edge)` + `dist_seg` float stream, and the
 ///   running `min` from `h_ob⁰` is order-independent.
 #[allow(clippy::too_many_arguments)]
-pub fn build_ub_profile_batched(
+pub fn build_stage1_table_batched(
     ctx_up: &ShrinkContext,
     ctx_dn: &ShrinkContext,
     m: usize,
     ldisc: f64,
     gap: f64,
     h_init: f64,
-    h_min: f64,
     scratch: &mut ShrinkScratch,
-) -> UbProfile {
+) -> Stage1Table {
     let g2 = gap / 2.0;
     let hob0 = h_init + g2;
-    let floor = |cap_hob: f64| -> f64 {
-        let h = cap_hob - g2;
-        if h < h_min - 1e-9 {
-            0.0
-        } else {
-            h.min(h_init)
-        }
-    };
     // Edges whose x-extent (inflated by the prefilter slack) misses a
-    // column provably contribute nothing there — any non-`None`
+    // side provably contribute nothing there — any non-`None`
     // intersection outcome implies a point within ~EPS of the vertical
     // side — so each edge's lane span is its *geometric* x-extent clipped
-    // to its grid-cell span (the cell span alone preserves the scalar
+    // to its cell-candidate span (the cell span alone preserves the scalar
     // candidate sets; the clip only drops no-op lanes). The collinearity
     // tolerance scales as `EPS / side height`, so the clip is only applied
     // when the side is at least `SHORT_SEG_LEN` tall.
     let tight = hob0 - Y_EPS >= SHORT_SEG_LEN;
     let mut side = |ctx: &ShrinkContext, left_side: bool| -> Vec<f64> {
         let seg_len = ctx.local_segment.b.x;
+        let cell = ctx.cell_size();
         let ShrinkScratch {
-            grid,
-            edge_ids,
-            xs,
-            colx,
-            caps,
-            ..
+            xs, col_lo, col_hi, ..
         } = &mut *scratch;
         xs.clear();
         xs.extend((0..=m).map(|p| {
@@ -506,21 +578,24 @@ pub fn build_ub_profile_batched(
                 x0 + g2
             }
         }));
-        colx.clear();
-        colx.extend(xs.iter().map(|&x| ctx.grid.cell_coord(x)));
-        caps.clear();
-        caps.resize(m + 1, hob0);
-        let band = Rect::new(Point::new(xs[0], Y_EPS), Point::new(xs[m], hob0));
-        ctx.grid.query_scratch(&band, grid, edge_ids);
-        for &id in edge_ids.iter() {
-            let e = &ctx.edges[id as usize];
-            let (exlo, exhi) = (e.a.x.min(e.b.x), e.a.x.max(e.b.x));
-            // `xs` (hence `colx`) ascends: both spans are contiguous.
-            let ecx0 = ctx.grid.cell_coord(exlo);
-            let ecx1 = ctx.grid.cell_coord(exhi);
-            let mut lo = colx.partition_point(|&c| c < ecx0);
-            let mut hi = colx.partition_point(|&c| c <= ecx1);
+        col_lo.clear();
+        col_hi.clear();
+        for &x in xs.iter() {
+            let col = side_column(x, left_side, hob0);
+            col_lo.push(cell_coord(cell, col.min.x));
+            col_hi.push(cell_coord(cell, col.max.x));
+        }
+        let (qy0, qy1) = (cell_coord(cell, Y_EPS), cell_coord(cell, hob0));
+        let mut caps = vec![hob0; m + 1];
+        for (id, e) in ctx.edges.iter().enumerate() {
+            let &[ecx0, ecx1, ecy0, ecy1] = ctx.edge_span(id);
+            if ecy0 > qy1 || ecy1 < qy0 {
+                continue;
+            }
+            let mut lo = col_hi.partition_point(|&c| c < ecx0);
+            let mut hi = col_lo.partition_point(|&c| c <= ecx1);
             if tight {
+                let (exlo, exhi) = (e.a.x.min(e.b.x), e.a.x.max(e.b.x));
                 lo = lo.max(xs.partition_point(|&x| x < exlo - PREFILTER_SLACK));
                 hi = hi.min(xs.partition_point(|&x| x <= exhi + PREFILTER_SLACK));
             }
@@ -528,10 +603,11 @@ pub fn build_ub_profile_batched(
                 intersect_x_range_batch(&xs[lo..hi], Y_EPS, hob0, e, seg_len, &mut caps[lo..hi]);
             }
         }
-        caps.iter().map(|&c| floor(c)).collect()
+        caps
     };
-    UbProfile {
-        cap: h_init,
+    Stage1Table {
+        g2,
+        h_init,
         left: [side(ctx_dn, true), side(ctx_up, true)],
         right: [side(ctx_dn, false), side(ctx_up, false)],
     }
@@ -727,7 +803,7 @@ mod tests {
     #[test]
     fn batched_paths_bitwise_equal() {
         // Mixed geometry, both side contexts: the batched stage-1 and the
-        // batched profile sweep must reproduce the scalar floats exactly.
+        // batched table sweep must reproduce the scalar floats exactly.
         let obstacles = vec![
             Polygon::rectangle(Point::new(0.0, 10.0), Point::new(18.0, 14.0)),
             Polygon::rectangle(Point::new(55.0, 6.0), Point::new(70.0, 9.0)),
@@ -749,9 +825,8 @@ mod tests {
         let mut scratch = ShrinkScratch::new();
 
         let (m, ldisc, h_init, h_min) = (50usize, 2.0, 30.0, 2.0);
-        let ps = build_ub_profile(&ctx_up, &ctx_dn, m, ldisc, GAP, h_init, h_min, &mut scratch);
-        let pb =
-            build_ub_profile_batched(&ctx_up, &ctx_dn, m, ldisc, GAP, h_init, h_min, &mut scratch);
+        let ps = build_stage1_table(&ctx_up, &ctx_dn, m, ldisc, GAP, h_init, &mut scratch);
+        let pb = build_stage1_table_batched(&ctx_up, &ctx_dn, m, ldisc, GAP, h_init, &mut scratch);
         for d in 0..2 {
             for p in 0..=m {
                 assert_eq!(
@@ -817,8 +892,8 @@ mod tests {
 
         let (m, ldisc, h_init, h_min) = (50usize, 2.0, 30.0, 2.0);
         let mut scratch = ShrinkScratch::new();
-        let profile =
-            build_ub_profile(&ctx_up, &ctx_dn, m, ldisc, GAP, h_init, h_min, &mut scratch);
+        let profile = build_stage1_table(&ctx_up, &ctx_dn, m, ldisc, GAP, h_init, &mut scratch)
+            .profile(h_min);
 
         for d in 0..2usize {
             let ctx = if d == 1 { &ctx_up } else { &ctx_dn };

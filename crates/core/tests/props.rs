@@ -10,16 +10,18 @@
 //! * trace extension never overshoots, never moves endpoints, never
 //!   self-intersects, and never leaves the routable area.
 
-use meander_core::context::{ShrinkContext, WorldContext};
+use meander_core::context::{ShrinkContext, WorldContext, Y_EPS};
 use meander_core::dp::{extend_segment_dp, DpInput, HeightBounds, UbProfile};
 use meander_core::extend::{extend_trace, ExtendInput};
 use meander_core::shrink::{
-    build_ub_profile, build_ub_profile_batched, max_pattern_height, max_pattern_height_batched,
-    max_pattern_height_scratch, ShrinkScratch,
+    build_stage1_table, build_stage1_table_batched, max_pattern_height, max_pattern_height_batched,
+    max_pattern_height_fed, max_pattern_height_scratch, ShrinkScratch,
 };
 use meander_core::ExtendConfig;
 use meander_drc::DesignRules;
-use meander_geom::{Frame, Point, Polygon, Polyline, Segment};
+use meander_geom::batch::{side_edge_cap_scalar, vertical_side_min_cap};
+use meander_geom::{Frame, Point, Polygon, Polyline, Rect, SegBatch, Segment, EPS};
+use meander_index::{GridScratch, IndexKind, SegIndex, SegmentGrid, SpatialIndex};
 use proptest::prelude::*;
 
 fn rules() -> DesignRules {
@@ -314,7 +316,7 @@ proptest! {
 
     // The SoA batch kernels must reproduce the scalar shrink floats
     // bit-for-bit on randomized obstacle fields: the stage-1 probes, the
-    // per-position upper-bound profile, and the whole engine run.
+    // per-position stage-1 table, and the whole engine run.
     #[test]
     fn batched_kernels_bit_identical_end_to_end(
         obs in proptest::collection::vec(
@@ -348,22 +350,20 @@ proptest! {
         let mut scratch = ShrinkScratch::new();
         let ldisc = seg_len / m as f64;
 
-        // Profile sweep.
-        let ps = build_ub_profile(&ctx_up, &ctx_dn, m, ldisc, g_eff, h_init, r.protect, &mut scratch);
-        let pb = build_ub_profile_batched(
-            &ctx_up, &ctx_dn, m, ldisc, g_eff, h_init, r.protect, &mut scratch,
-        );
+        // Stage-1 table sweep.
+        let ps = build_stage1_table(&ctx_up, &ctx_dn, m, ldisc, g_eff, h_init, &mut scratch);
+        let pb = build_stage1_table_batched(&ctx_up, &ctx_dn, m, ldisc, g_eff, h_init, &mut scratch);
         for d in 0..2 {
             for p in 0..=m {
                 prop_assert_eq!(
                     ps.left[d][p].to_bits(),
                     pb.left[d][p].to_bits(),
-                    "profile left[{}][{}]", d, p
+                    "table left[{}][{}]", d, p
                 );
                 prop_assert_eq!(
                     ps.right[d][p].to_bits(),
                     pb.right[d][p].to_bits(),
-                    "profile right[{}][{}]", d, p
+                    "table right[{}][{}]", d, p
                 );
             }
         }
@@ -413,9 +413,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     // The spatial-index contract end to end: grid-, R-tree-, and
-    // Auto-indexed engines (and shrink contexts) must produce bit-identical
-    // results on randomized obstacle fields that include a plane-sized
-    // slab — the regime where the structures' query *costs* differ most.
+    // Auto-indexed engines must produce bit-identical results on randomized
+    // obstacle fields that include a plane-sized slab — the regime where
+    // the structures' query *costs* differ most. Shrink contexts hold no
+    // index: their lattice scan must return exactly a `SegmentGrid`'s
+    // candidates on the same lattice, in the same order.
     #[test]
     fn index_kinds_bit_identical_end_to_end(
         obs in proptest::collection::vec(
@@ -425,12 +427,12 @@ proptest! {
         slab_y in 18.0..45.0f64,
         h_init in 6.0..50.0f64,
         target_factor in 1.2..2.2f64,
+        windows in proptest::collection::vec(
+            (-40.0..190.0f64, -10.0..70.0f64, 0.0..60.0f64, 0.0..40.0f64),
+            8..24,
+        ),
     ) {
-        use meander_core::context::ShrinkContext;
-        use meander_index::IndexKind;
-
         let r = rules();
-        let g_eff = r.gap + r.width;
         let seg_len = 150.0;
         let seg = Segment::new(Point::new(0.0, 0.0), Point::new(seg_len, 0.0));
         let frame = Frame::from_segment(&seg).unwrap();
@@ -449,23 +451,28 @@ proptest! {
             Point::new(175.0, slab_y + 4.0),
         ));
 
-        // Context-level: every stage-1 probe bit-identical across kinds.
+        // Context-level: the lattice scan equals a grid over the context's
+        // edges for thin columns, wide windows and disjoint ones.
         let world = WorldContext {
             area: area.clone(),
             obstacles: obstacles.clone(),
             other_uras: vec![],
         };
-        let ctx_grid = ShrinkContext::build_indexed(&world, &frame, seg_len, 1, IndexKind::Grid);
-        let ctx_rtree = ShrinkContext::build_indexed(&world, &frame, seg_len, 1, IndexKind::RTree);
-        let mut scratch = ShrinkScratch::new();
-        for j in (0..28).step_by(5) {
-            let (x0, x1) = (j as f64 * 5.0, j as f64 * 5.0 + 22.0);
-            let a = max_pattern_height_scratch(&ctx_grid, x0, x1, g_eff, h_init, r.protect, &mut scratch);
-            let b = max_pattern_height_scratch(&ctx_rtree, x0, x1, g_eff, h_init, r.protect, &mut scratch);
-            prop_assert_eq!(a.height.to_bits(), b.height.to_bits(), "probe {}", j);
-            prop_assert_eq!(a.routes_around, b.routes_around);
-            let c = max_pattern_height_batched(&ctx_rtree, x0, x1, g_eff, h_init, r.protect, &mut scratch);
-            prop_assert_eq!(a.height.to_bits(), c.height.to_bits(), "batched probe {}", j);
+        for dir in [1, -1] {
+            let ctx = ShrinkContext::build(&world, &frame, seg_len, dir);
+            let grid = SegmentGrid::from_segments((seg_len / 8.0).max(1.0), &ctx.edges);
+            let mut got = Vec::new();
+            for &(x, y, w, h) in &windows {
+                for rect in [
+                    Rect::new(Point::new(x, Y_EPS), Point::new(x + EPS, h_init)),
+                    Rect::new(Point::new(x - EPS, Y_EPS), Point::new(x, h_init)),
+                    Rect::new(Point::new(x, y), Point::new(x + w, y + h)),
+                    Rect::new(Point::new(x + 1e4, y), Point::new(x + 1e4 + w, y + h)),
+                ] {
+                    ctx.edge_candidates(&rect, &mut got);
+                    prop_assert_eq!(&got, &grid.query(&rect), "dir {} window {:?}", dir, rect);
+                }
+            }
         }
 
         // Engine-level: identical meander bit for bit, all kinds, scalar
@@ -500,6 +507,174 @@ proptest! {
             );
             prop_assert_eq!(reference.patterns, other.patterns);
             prop_assert_eq!(reference.trace.points(), other.trace.points());
+        }
+    }
+}
+
+/// The probe's own two-column stage 1 for the side at `x`, over a
+/// `SegIndex` on the context's lattice: the scalar evaluation
+/// (`side_edge_cap_scalar` per candidate) and the batched one
+/// (`query_batch` + `vertical_side_min_cap`), each lowered from `hob0`.
+fn indexed_side_caps(
+    ctx: &ShrinkContext,
+    index: &SegIndex,
+    x: f64,
+    left_side: bool,
+    hob0: f64,
+) -> (f64, f64) {
+    let inward = if left_side { x + EPS } else { x - EPS };
+    let column = Rect::new(Point::new(x, Y_EPS), Point::new(inward, hob0));
+    let seg_len = ctx.local_segment.b.x;
+    let side = Segment::new(Point::new(x, Y_EPS), Point::new(x, hob0));
+    let scalar = index.query(&column).iter().fold(hob0, |cap, &id| {
+        cap.min(side_edge_cap_scalar(
+            &side,
+            &ctx.edges[id as usize],
+            seg_len,
+        ))
+    });
+    let (mut gs, mut ids, mut batch) = (GridScratch::new(), Vec::new(), SegBatch::new());
+    index.query_batch(&column, &mut gs, &mut ids, &mut batch);
+    let batched = hob0.min(vertical_side_min_cap(x, Y_EPS, hob0, &batch, seg_len));
+    (scalar, batched)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // The stage-1 table is exactly what every DP probe would compute for
+    // itself: at every foot and side, both table sweeps equal — bit for
+    // bit — the probe's two-column stage 1 evaluated over a grid index on
+    // the context's lattice, scalar and batched. The fields mix random
+    // polygons with rectangles snapped to cell boundaries, sides within EPS
+    // of a cell boundary, vertical edges within a few EPS of a side, and a
+    // plane slab; table-fed probes must then equal self-computing ones.
+    #[test]
+    fn stage1_table_equals_probe_columns(
+        obs in proptest::collection::vec(
+            (0.0..1.0f64, -40.0..40.0f64, 0.8..6.0f64, 3usize..9),
+            0..8,
+        ),
+        snapped in proptest::collection::vec(
+            (0usize..10, 0usize..3, 1usize..3, 1usize..3, 0usize..2),
+            0..4,
+        ),
+        hugging in proptest::collection::vec(
+            (0.0..1.0f64, 0usize..2, 0usize..7, 1.0..30.0f64, 0usize..2),
+            0..6,
+        ),
+        slab in (0usize..2, 5.0..45.0f64),
+        aligned in (0usize..3, 0.0..1.0f64, 1.0e-11..1.5e-10f64, 2.0..30.0f64, 0usize..2),
+        seg_len in 40.0..220.0f64,
+        m in 8usize..64,
+        h_init in 4.0..50.0f64,
+    ) {
+        let r = rules();
+        let g_eff = r.gap + r.width;
+        let g2 = g_eff / 2.0;
+        let sign = |s: usize| if s == 0 { 1.0 } else { -1.0 };
+
+        // Modes 1 and 2 stretch the segment so one foot's left (right) side
+        // lands less than EPS below (above) a cell boundary, and put an
+        // edge on the far side of that boundary within EPS of the side:
+        // only the probe's EPS-inward column sees it.
+        let (mode, pfrac, eta, y, s) = aligned;
+        let mut boundary_rect = None;
+        let mut seg_len = seg_len;
+        if mode != 0 {
+            let p = 1 + (pfrac * (m - 1) as f64) as usize;
+            let t = p as f64 / m as f64 * 8.0;
+            let k = if mode == 1 { t.floor() } else { t.ceil() };
+            let gap = if mode == 1 { t - k } else { k - t } / 8.0;
+            if gap > g2 / 600.0 {
+                seg_len = g2 * (1.0 - eta) / gap;
+                let xb = k * seg_len / 8.0;
+                let (x0, x1) = if mode == 1 { (xb, xb + 3.0) } else { (xb.next_down() - 3.0, xb.next_down()) };
+                boundary_rect = Some(Polygon::rectangle(
+                    Point::new(x0, sign(s) * y),
+                    Point::new(x1, sign(s) * (y + 3.0)),
+                ));
+            }
+        }
+        let cell = (seg_len / 8.0).max(1.0);
+        let ldisc = seg_len / m as f64;
+
+        let mut obstacles: Vec<Polygon> = obs
+            .iter()
+            .map(|&(fx, y, rad, n)| Polygon::regular(Point::new(fx * seg_len, y), rad, n, 0.25))
+            .collect();
+        obstacles.extend(boundary_rect);
+        // Corners on cell boundaries, both sides of the segment.
+        for &(kx, ky, w, h, s) in &snapped {
+            let (x0, y0) = (kx as f64 * cell - cell, ky as f64 * cell);
+            let (x1, y1) = (x0 + w as f64 * cell, y0 + h as f64 * cell);
+            obstacles.push(Polygon::rectangle(
+                Point::new(x0, sign(s) * y0),
+                Point::new(x1, sign(s) * y1),
+            ));
+        }
+        // A vertical edge within a few EPS of some foot's side.
+        const OFFSETS: [f64; 7] = [-2.0 * EPS, -EPS, -0.5 * EPS, 0.0, 0.5 * EPS, EPS, 2.0 * EPS];
+        for &(fp, which, k, h, s) in &hugging {
+            let p = (fp * m as f64) as usize;
+            let x = p as f64 * ldisc + if which == 0 { -g2 } else { g2 };
+            let xe = x + OFFSETS[k];
+            let y0 = 1.0 + h / 3.0;
+            obstacles.push(Polygon::rectangle(
+                Point::new(xe, sign(s) * y0),
+                Point::new(xe + 2.0, sign(s) * (y0 + h)),
+            ));
+        }
+        if slab.0 == 1 {
+            obstacles.push(Polygon::rectangle(
+                Point::new(-25.0, slab.1),
+                Point::new(seg_len + 25.0, slab.1 + 4.0),
+            ));
+        }
+
+        let seg = Segment::new(Point::new(0.0, 0.0), Point::new(seg_len, 0.0));
+        let frame = Frame::from_segment(&seg).unwrap();
+        let world = WorldContext {
+            area: vec![Polygon::rectangle(
+                Point::new(-30.0, -80.0),
+                Point::new(seg_len + 30.0, 80.0),
+            )],
+            obstacles,
+            other_uras: vec![],
+        };
+        let ctx_up = ShrinkContext::build(&world, &frame, seg_len, 1);
+        let ctx_dn = ShrinkContext::build(&world, &frame, seg_len, -1);
+        let mut scratch = ShrinkScratch::new();
+        let ts = build_stage1_table(&ctx_up, &ctx_dn, m, ldisc, g_eff, h_init, &mut scratch);
+        let tb = build_stage1_table_batched(&ctx_up, &ctx_dn, m, ldisc, g_eff, h_init, &mut scratch);
+
+        let hob0 = h_init + g2;
+        for (d, ctx) in [(0usize, &ctx_dn), (1, &ctx_up)] {
+            let index = SegIndex::from_segments(IndexKind::Grid, cell, &ctx.edges);
+            for p in 0..=m {
+                let x0 = p as f64 * ldisc;
+                for (left_side, table_s, table_b) in [
+                    (true, &ts.left[d], &tb.left[d]),
+                    (false, &ts.right[d], &tb.right[d]),
+                ] {
+                    let x = if left_side { x0 - g2 } else { x0 + g2 };
+                    let (scalar, batched) = indexed_side_caps(ctx, &index, x, left_side, hob0);
+                    prop_assert_eq!(scalar.to_bits(), batched.to_bits(), "oracles at {} {} {}", d, p, left_side);
+                    prop_assert_eq!(table_s[p].to_bits(), scalar.to_bits(), "scalar table at {} {} {}", d, p, left_side);
+                    prop_assert_eq!(table_b[p].to_bits(), scalar.to_bits(), "batched table at {} {} {}", d, p, left_side);
+                }
+            }
+            // Table-fed probes equal self-computing ones.
+            for lo in (0..m.saturating_sub(2)).step_by(3) {
+                let hi = (lo + 2 + lo % 7).min(m);
+                let (x0, x1) = (lo as f64 * ldisc, hi as f64 * ldisc);
+                let own = max_pattern_height_scratch(ctx, x0, x1, g_eff, h_init, r.protect, &mut scratch);
+                let fed = max_pattern_height_fed(
+                    ctx, x0, x1, g_eff, h_init, r.protect, tb.hob(lo, hi, d), &mut scratch,
+                );
+                prop_assert_eq!(own.height.to_bits(), fed.height.to_bits(), "probe ({}, {}) side {}", lo, hi, d);
+                prop_assert_eq!(own.routes_around, fed.routes_around);
+            }
         }
     }
 }

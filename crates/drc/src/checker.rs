@@ -11,6 +11,7 @@ use meander_geom::batch::{
     mark_intersections, SegBatch, PREFILTER_SLACK,
 };
 use meander_geom::intersect::segments_intersect;
+use meander_geom::polyline::simplify_into;
 use meander_geom::{Point, Polygon, Polyline, Rect, Segment};
 use meander_index::{GridScratch, IndexKind, SegIndex, SpatialIndex};
 
@@ -88,9 +89,15 @@ pub fn check_layout(input: &CheckInput) -> Vec<Violation> {
 /// the property suite and the generator-wide pipeline test assert.
 pub fn check_layout_brute(input: &CheckInput) -> Vec<Violation> {
     let mut out = Vec::new();
+    let mut simplified = Vec::new();
 
     for (i, t) in input.traces.iter().enumerate() {
-        trace_checks(t, t.centerline.is_self_intersecting(), &mut out);
+        trace_checks(
+            t,
+            t.centerline.is_self_intersecting(),
+            &mut simplified,
+            &mut out,
+        );
 
         // 2. Obstacles.
         for (oi, obs) in input.obstacles.iter().enumerate() {
@@ -143,16 +150,22 @@ pub fn check_layout_brute(input: &CheckInput) -> Vec<Violation> {
 
 /// The per-trace checks both scans share, in emission order: 3. dprotect,
 /// 4. self-intersection (the verdict comes in), 5. containment.
-fn trace_checks(t: &TraceGeometry, self_intersects: bool, out: &mut Vec<Violation>) {
+///
+/// `simplified` is a reused point buffer for the simplified centerline.
+fn trace_checks(
+    t: &TraceGeometry,
+    self_intersects: bool,
+    simplified: &mut Vec<Point>,
+    out: &mut Vec<Violation>,
+) {
     // dprotect on simplified centerline (mitering may deliberately split
     // segments; collinear runs are not real corners). Chamfer segments
     // produced by the `dmiter` rule are exempt: they are intentional corner
     // cuts, not the manufacturing stubs dprotect exists to prevent.
-    let mut simplified = t.centerline.clone();
-    simplified.simplify();
-    for (si, seg) in simplified.segments().enumerate() {
-        let len = seg.length();
-        if len < t.rules.protect - 1e-9 && !is_chamfer(&simplified, si) {
+    simplify_into(t.centerline.points(), simplified);
+    for (si, w) in simplified.windows(2).enumerate() {
+        let len = Segment::new(w[0], w[1]).length();
+        if len < t.rules.protect - 1e-9 && !is_chamfer(simplified, si) {
             out.push(Violation::ShortSegment {
                 trace: t.id,
                 segment: si,
@@ -541,8 +554,9 @@ fn emit(input: &CheckInput, found: Found) -> Vec<Violation> {
     let mut obstacles = found.obstacles.into_iter().peekable();
     let mut pairs = found.pairs.into_iter().peekable();
     let mut out = Vec::new();
+    let mut simplified = Vec::new();
     for (i, t) in input.traces.iter().enumerate() {
-        trace_checks(t, found.self_hit[i], &mut out);
+        trace_checks(t, found.self_hit[i], &mut simplified, &mut out);
         // 2. Obstacles, then 1. trace–trace.
         while let Some((_, v)) = obstacles.next_if(|h| h.0 .0 == i) {
             out.push(v);
@@ -554,22 +568,21 @@ fn emit(input: &CheckInput, found: Found) -> Vec<Violation> {
     out
 }
 
-/// `true` when segment `si` of `pl` is a miter chamfer: both of its corners
-/// turn 30°–60° in the same rotational direction (a 90° corner cut into two
-/// obtuse ones, paper Sec. II's `dmiter`).
-fn is_chamfer(pl: &Polyline, si: usize) -> bool {
-    if si == 0 || si + 1 >= pl.segment_count() {
+/// `true` when segment `si` of the polyline through `pts` is a miter
+/// chamfer: both of its corners turn 30°–60° in the same rotational
+/// direction (a 90° corner cut into two obtuse ones, paper Sec. II's
+/// `dmiter`).
+fn is_chamfer(pts: &[Point], si: usize) -> bool {
+    if si == 0 || si + 2 >= pts.len() {
         return false;
     }
-    let turn = |a: meander_geom::Segment, b: meander_geom::Segment| -> Option<f64> {
+    let seg = |i: usize| Segment::new(pts[i], pts[i + 1]);
+    let turn = |a: Segment, b: Segment| -> Option<f64> {
         let da = a.direction()?;
         let db = b.direction()?;
         Some(da.cross(db).atan2(da.dot(db)))
     };
-    let (Some(t_in), Some(t_out)) = (
-        turn(pl.segment(si - 1), pl.segment(si)),
-        turn(pl.segment(si), pl.segment(si + 1)),
-    ) else {
+    let (Some(t_in), Some(t_out)) = (turn(seg(si - 1), seg(si)), turn(seg(si), seg(si + 1))) else {
         return false;
     };
     let lo = 30f64.to_radians();

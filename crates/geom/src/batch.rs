@@ -392,9 +392,10 @@ pub fn side_edge_cap_scalar(side: &Segment, edge: &Segment, seg_len: f64) -> f64
 /// `edge`, lane-parallel over the `xs` positions, and min-accumulates each
 /// crossing's distance-to-baseline into `caps[i]`.
 ///
-/// This is the inner kernel of the batched `build_ub_profile` sweep: the
-/// caller iterates candidate edges (outer) and hands each one the
-/// contiguous span of foot positions whose grid column can see it. Every
+/// This is the inner kernel of the batched stage-1 table sweep
+/// (`build_stage1_table_batched`): the caller iterates candidate edges
+/// (outer) and hands each one the contiguous span of foot positions whose
+/// probe column can see it. Every
 /// lane reproduces the float stream of
 /// `segment_intersection(&side, edge)` + `dist_seg` exactly (the `x − x`
 /// and `0.0 ·` terms are kept on purpose — see the module docs); edges

@@ -123,42 +123,9 @@ impl Polyline {
     /// final outputs are simplified so the DRC `dprotect` check sees true
     /// segment lengths.
     pub fn simplify(&mut self) {
-        if self.points.len() <= 2 {
-            return;
-        }
-        let mut out: Vec<Point> = Vec::with_capacity(self.points.len());
-        out.push(self.points[0]);
-        for &p in &self.points[1..] {
-            if p.approx_eq(*out.last().expect("non-empty")) {
-                continue;
-            }
-            out.push(p);
-        }
-        if out.len() < 2 {
-            // Entire polyline collapsed to one point: keep both endpoints to
-            // maintain the ≥ 2 points invariant.
-            out = vec![self.points[0], *self.points.last().expect("non-empty")];
-        }
-        // Merge collinear runs (same direction only; a 180° reversal is a
-        // genuine geometric feature and is kept).
-        let mut merged: Vec<Point> = Vec::with_capacity(out.len());
-        for p in out {
-            while merged.len() >= 2 {
-                let a = merged[merged.len() - 2];
-                let b = merged[merged.len() - 1];
-                let ab = b - a;
-                let bp = p - b;
-                if ab.cross(bp).abs() <= EPS * ab.norm().max(1.0) * bp.norm().max(1.0)
-                    && ab.dot(bp) >= 0.0
-                {
-                    merged.pop();
-                } else {
-                    break;
-                }
-            }
-            merged.push(p);
-        }
-        self.points = merged;
+        let mut out = Vec::with_capacity(self.points.len());
+        simplify_into(&self.points, &mut out);
+        self.points = out;
     }
 
     /// Replaces the section between vertex indices `i..=j` (inclusive) with
@@ -244,6 +211,46 @@ impl fmt::Display for Polyline {
             self.points.len(),
             self.length()
         )
+    }
+}
+
+/// [`Polyline::simplify`] of `points` into a caller-owned buffer (cleared
+/// first), so a caller that only reads the result can reuse one buffer
+/// across polylines.
+///
+/// One pass: a point approximately equal to the last kept one is dropped
+/// (zero-length segments), and a kept point first pops the last kept one
+/// while they continue the same straight run in the same direction (a
+/// 180° reversal is a genuine geometric feature and is kept). Inputs of at
+/// most two points are copied unchanged, and an input that collapses to
+/// one point keeps its two endpoints.
+pub fn simplify_into(points: &[Point], out: &mut Vec<Point>) {
+    out.clear();
+    if points.len() <= 2 {
+        out.extend_from_slice(points);
+        return;
+    }
+    for &p in points {
+        if out.last().is_some_and(|&last| p.approx_eq(last)) {
+            continue;
+        }
+        while let [.., a, b] = out[..] {
+            let ab = b - a;
+            let bp = p - b;
+            if ab.cross(bp).abs() <= EPS * ab.norm().max(1.0) * bp.norm().max(1.0)
+                && ab.dot(bp) >= 0.0
+            {
+                out.pop();
+            } else {
+                break;
+            }
+        }
+        out.push(p);
+    }
+    if out.len() < 2 {
+        out.clear();
+        out.push(points[0]);
+        out.push(points[points.len() - 1]);
     }
 }
 

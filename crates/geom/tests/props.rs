@@ -10,9 +10,10 @@ use meander_geom::batch::{
     vertical_side_min_cap, SegBatch,
 };
 use meander_geom::offset::offset_polyline;
+use meander_geom::polyline::simplify_into;
 use meander_geom::{
     segment_intersection, Frame, Point, Polygon, Polyline, Rect, Segment, SegmentIntersection,
-    Vector,
+    Vector, EPS,
 };
 use proptest::prelude::*;
 
@@ -440,4 +441,93 @@ fn bowties_and_concave_arrows_are_not_convex() {
         p(0.0, 4.0),
     ]);
     assert!(square.is_convex());
+}
+
+/// Random walks that bait every `simplify` rule: exact and near-exact
+/// duplicate points, collinear continuations, 180° reversals, and turns
+/// on a 45° compass (axis-aligned runs make exactly collinear triples).
+fn walk_strategy() -> impl Strategy<Value = Vec<Point>> {
+    (
+        pt_strategy(),
+        proptest::collection::vec((0usize..6, 0usize..8, 0.5..20.0f64), 1..24),
+    )
+        .prop_map(|(start, steps)| {
+            let mut pts = vec![start];
+            let mut dir = Vector::new(1.0, 0.0);
+            for (kind, heading, len) in steps {
+                let last = *pts.last().expect("non-empty");
+                let next = match kind {
+                    0 => last,
+                    1 => Point::new(last.x + 1e-11, last.y - 1e-11),
+                    2 => last + dir * len,
+                    3 => {
+                        dir = -dir;
+                        last + dir * len
+                    }
+                    _ => {
+                        let a = heading as f64 * std::f64::consts::FRAC_PI_4;
+                        dir = Vector::new(a.cos(), a.sin());
+                        last + dir * len
+                    }
+                };
+                pts.push(next);
+            }
+            pts
+        })
+}
+
+/// The two-pass form `Polyline::simplify` had before the one-pass buffer
+/// form: dedup into one vector, then merge collinear runs into another.
+fn simplify_two_pass(points: &[Point]) -> Vec<Point> {
+    if points.len() <= 2 {
+        return points.to_vec();
+    }
+    let mut out: Vec<Point> = Vec::with_capacity(points.len());
+    out.push(points[0]);
+    for &p in &points[1..] {
+        if p.approx_eq(*out.last().expect("non-empty")) {
+            continue;
+        }
+        out.push(p);
+    }
+    if out.len() < 2 {
+        out = vec![points[0], *points.last().expect("non-empty")];
+    }
+    let mut merged: Vec<Point> = Vec::with_capacity(out.len());
+    for p in out {
+        while merged.len() >= 2 {
+            let a = merged[merged.len() - 2];
+            let b = merged[merged.len() - 1];
+            let ab = b - a;
+            let bp = p - b;
+            if ab.cross(bp).abs() <= EPS * ab.norm().max(1.0) * bp.norm().max(1.0)
+                && ab.dot(bp) >= 0.0
+            {
+                merged.pop();
+            } else {
+                break;
+            }
+        }
+        merged.push(p);
+    }
+    merged
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // The one-pass buffer form equals the two-pass reference point for
+    // point, into a buffer still holding an earlier walk's result, and
+    // `Polyline::simplify` agrees.
+    #[test]
+    fn simplify_into_equals_two_pass_simplify(walk in walk_strategy(), earlier in walk_strategy()) {
+        let reference = simplify_two_pass(&walk);
+        let mut buf = Vec::new();
+        simplify_into(&earlier, &mut buf);
+        simplify_into(&walk, &mut buf);
+        prop_assert_eq!(&buf, &reference);
+        let mut pl = Polyline::new(walk.clone());
+        pl.simplify();
+        prop_assert_eq!(pl.points(), &reference[..]);
+    }
 }

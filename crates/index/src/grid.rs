@@ -22,10 +22,10 @@ fn home_slot(cx: i64, cy: i64, len: usize) -> usize {
 
 /// A uniform hash-grid spatial index over segments.
 ///
-/// The "sides" shrinking step (paper Eq. 11) intersects a URA's two side
-/// segments with the edges of every polygon near the pattern. A URA is local
-/// — at most a few `dgap` across — so a uniform grid sized to the typical
-/// URA makes candidate retrieval effectively `O(output)`.
+/// The extension engine asks for the obstacle edges near a pop's candidate
+/// window, and the DRC scan for the segments near each probe. Both windows
+/// are local — at most a few `dgap` across late in a run — so a uniform
+/// grid sized to them makes candidate retrieval effectively `O(output)`.
 ///
 /// Segments are stored by id (the caller keeps the geometry); each segment
 /// is registered in every cell its bounding box overlaps, and queries return
@@ -33,8 +33,8 @@ fn home_slot(cx: i64, cy: i64, len: usize) -> usize {
 ///
 /// ## Storage
 ///
-/// The shrink engine builds two of these grids per queue pop, most holding
-/// a few dozen segments, so building one must not allocate per cell. Every
+/// The DRC scan builds one of these grids per check and the extension
+/// engine one per trace, so building one must not allocate per cell. Every
 /// occupied cell owns one slot of an open-addressed table (linear probing,
 /// power-of-two length, at most half full) keyed by a fixed integer mix
 /// of its cell coordinates; the slot holds the head of an intrusive id
@@ -164,9 +164,7 @@ impl SegmentGrid {
     }
 
     /// The cell coordinate a world coordinate falls into — the exact
-    /// quantization [`SegmentGrid::insert`] and the queries use, exposed so
-    /// batched sweeps can reproduce per-column candidate membership without
-    /// issuing one query per column.
+    /// quantization [`SegmentGrid::insert`] and the queries use.
     #[inline]
     pub(crate) fn cell_coord(&self, v: f64) -> i64 {
         (v / self.cell).floor() as i64
@@ -360,9 +358,9 @@ impl SegmentGrid {
     /// [`SegmentGrid::query_scratch`] that additionally materializes the
     /// candidates' geometry into a reused SoA [`SegBatch`], straight from
     /// the grid's coordinate slab: `batch.get(k)` is the segment inserted
-    /// under `ids[k]`. This is the entry point for the batched DRC scan and
-    /// shrink stage 1 — the caller keeps the ids for ownership lookups but
-    /// never re-gathers geometry through them.
+    /// under `ids[k]`. This is the entry point for the batched DRC scan —
+    /// the caller keeps the ids for ownership lookups but never re-gathers
+    /// geometry through them.
     pub(crate) fn query_batch(
         &self,
         r: &Rect,

@@ -11,8 +11,8 @@
 //!    abscissa rank is within intervals, and the points in each tree node are
 //!    sorted by ordinate", giving `O(N log N)` space and `O(log² N)`-ish
 //!    queries (we return the matching points, so add output size).
-//! 2. *"Sides" shrinking* (Eq. 11), the DRC scan, and the DP profile sweeps
-//!    all ask for **candidate edges/segments near a rectangle**. Two
+//! 2. The extension engine's obstacle gathering and the DRC scan ask for
+//!    **candidate edges/segments near a rectangle**. Two
 //!    structures answer that behind the [`SpatialIndex`] trait:
 //!    [`SegmentGrid`], a uniform hash grid (an open-addressed cell table
 //!    over one flat id arena), and [`RTree`], an STR-packed

@@ -162,10 +162,6 @@ impl SpatialIndex for OverlayIndex {
         }
     }
 
-    fn cell_coord(&self, v: f64) -> i64 {
-        (v / self.cell_size()).floor() as i64
-    }
-
     fn query_into(&self, r: &Rect, out: &mut Vec<u32>) {
         out.clear();
         if let Some(base) = &self.base {
@@ -203,7 +199,7 @@ impl SpatialIndex for OverlayIndex {
         // caller's batch directly (`fill_batch` clears it first); only a
         // non-empty overlay tail pays a staging gather, because the inner
         // call would otherwise clear what the base just wrote. Hot loops
-        // (DRC scan, shrink stage 1) gather through the underlying indexes
+        // (the DRC scan) gather through the underlying indexes
         // directly and never take this path.
         let split = ids.partition_point(|&id| id < self.base_ids);
         match &self.base {

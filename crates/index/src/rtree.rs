@@ -1,8 +1,7 @@
 //! STR-packed (Sort-Tile-Recursive) R-tree over segments.
 //!
 //! The routing flow's indexes are **build-once, query-many**: the world
-//! index is built once per trace, a shrink context once per queue pop, the
-//! DRC scan index once per check. That workload wants a *packed*, bulk-
+//! index is built once per trace, the DRC scan index once per check. That workload wants a *packed*, bulk-
 //! loaded R-tree — no insertion logic, no node splitting, 100 % node fill —
 //! which is exactly what Sort-Tile-Recursive packing produces: sort the
 //! entries into √P vertical slices by x, sort each slice by y, cut leaves
@@ -20,7 +19,7 @@
 //! quantized window — precisely the grid's membership rule — so for any
 //! query the two structures return the **same id set** (property-tested in
 //! `tests/props.rs` across 256 randomized boards). Downstream consumers
-//! (DRC scan, shrink stage 1, DP profile sweeps) therefore produce
+//! (the world index's candidates, the DRC scan) therefore produce
 //! bit-identical results whichever index is selected; swapping is purely a
 //! performance decision.
 //!

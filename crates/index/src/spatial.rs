@@ -5,18 +5,22 @@
 //!
 //! An implementation indexes a set of segments by **id** on a uniform
 //! cell lattice of size [`SpatialIndex::cell_size`] and answers
-//! conservative rectangle queries. The contract every consumer
-//! (world index, DRC scan, shrink stage 1) relies on:
+//! conservative rectangle queries. The contract every consumer (the
+//! extension engine's world index, the DRC scan) relies on:
 //!
 //! * **Cell-quantized candidacy.** An id is a candidate for query rectangle
 //!   `r` exactly when its bounding box's cell range intersects `r`'s cell
-//!   range — the quantization being `⌊v / cell⌋` per axis
-//!   ([`SpatialIndex::cell_coord`]). This makes candidate *sets* a property
+//!   range — the quantization being `⌊v / cell⌋` per axis. This makes
+//!   candidate *sets* a property
 //!   of the lattice, not of the structure: [`SegmentGrid`] and [`RTree`]
 //!   built over the same items with the same cell size return **identical**
 //!   id sets for every query, which is what keeps violation lists,
 //!   witnesses, and placements bit-identical when the index is swapped
-//!   (property-tested in `tests/props.rs`).
+//!   (property-tested in `tests/props.rs`). A handful of edges needs no
+//!   structure at all: the URA shrinker's per-pop contexts keep each
+//!   edge's cell span on their own lattice and scan them, which *is* this
+//!   candidacy rule (`meander_core::context::ShrinkContext::edge_candidates`,
+//!   property-tested against [`SegmentGrid`]).
 //! * **Occupied-bounds clamping.** Queries are clamped to the bounding cell
 //!   range of everything inserted; a window vastly larger than the occupied
 //!   region (the extension engine's `remaining/2`-tall candidate windows)
@@ -115,9 +119,8 @@ impl IndexKind {
     ///
     /// This is the "obstacle-size variance" test motivated by the
     /// plane-plus-via boards: one full-width plane edge among thousands of
-    /// short via edges trips both conditions, while paper-sized boards and
-    /// the per-pop shrink contexts (edges a few `d_gap` long) keep the
-    /// cheap-to-build grid.
+    /// short via edges trips both conditions, while paper-sized boards keep
+    /// the cheap-to-build grid.
     pub(crate) fn resolve(self, cell: f64, extents: impl Iterator<Item = f64>) -> IndexKind {
         match self {
             IndexKind::Grid | IndexKind::RTree => self,
@@ -162,10 +165,6 @@ pub trait SpatialIndex {
 
     /// The quantization lattice's cell size.
     fn cell_size(&self) -> f64;
-
-    /// The cell coordinate a world coordinate falls into — the exact
-    /// quantization insertion and querying use (`⌊v / cell⌋`).
-    fn cell_coord(&self, v: f64) -> i64;
 
     /// Candidate ids for `r` into a caller-owned buffer (cleared first),
     /// ascending and deduplicated.
@@ -260,11 +259,6 @@ impl SpatialIndex for SegIndex {
     }
 
     #[inline]
-    fn cell_coord(&self, v: f64) -> i64 {
-        forward!(self, cell_coord(v))
-    }
-
-    #[inline]
     fn query_into(&self, r: &Rect, out: &mut Vec<u32>) {
         forward!(self, query_into(r, out))
     }
@@ -308,11 +302,6 @@ impl SpatialIndex for SegmentGrid {
     }
 
     #[inline]
-    fn cell_coord(&self, v: f64) -> i64 {
-        SegmentGrid::cell_coord(self, v)
-    }
-
-    #[inline]
     fn query_into(&self, r: &Rect, out: &mut Vec<u32>) {
         SegmentGrid::query_into(self, r, out)
     }
@@ -353,11 +342,6 @@ impl SpatialIndex for RTree {
     #[inline]
     fn cell_size(&self) -> f64 {
         RTree::cell_size(self)
-    }
-
-    #[inline]
-    fn cell_coord(&self, v: f64) -> i64 {
-        RTree::cell_coord(self, v)
     }
 
     #[inline]
