@@ -2,7 +2,7 @@
 
 use meander_drc::DesignRules;
 use meander_geom::{Frame, Point, Polygon, Polyline, Rect, Segment};
-use meander_index::{GridScratch, IndexKind, MergeSortTree, OverlayIndex, SegIndex, SpatialIndex};
+use meander_index::{GridScratch, IndexKind, NodeStrip, OverlayIndex, SegIndex, SpatialIndex};
 use std::sync::Arc;
 
 /// Tiny lift above the segment line: geometry at `y ≤ Y_EPS` in pattern-side
@@ -318,13 +318,18 @@ impl WorldIndex {
 ///
 /// All polygons are transformed into *pattern-side coordinates*: x along the
 /// extended segment, +y toward the pattern side, clipped to `y ≥` `Y_EPS`.
-/// A merge-sort tree over the clipped polygons' nodes answers Alg. 2's
-/// `P_check` range queries. The "sides" intersections of Eq. 11 need only
-/// the edges whose cells meet a thin column, and a context builds no index
-/// for them: each edge keeps its bbox's cell span on a lattice of
-/// `max(seg_len / 8, 1)`, and [`ShrinkContext::edge_candidates`] scans
-/// those spans — exactly the candidate set a [`SpatialIndex`] on that
-/// lattice would return, in the same ascending order.
+/// A [`NodeStrip`] over the clipped polygons' nodes answers Alg. 2's
+/// `P_check` range queries: the nodes sorted by x once, each query a
+/// binary search and a scan of its x-range. The paper prescribes a
+/// merge-sort tree, which reports the same points; on a context's few
+/// dozen nodes it costs several times more to build and is slower to
+/// query than the scan (measured in `meander_index`'s crate docs). The
+/// "sides" intersections of Eq. 11 need only the edges whose cells meet
+/// a thin column, and a context builds no index for them: each edge keeps
+/// its bbox's cell span on a lattice of `max(seg_len / 8, 1)`, and
+/// [`ShrinkContext::edge_candidates`] scans those spans — exactly the
+/// candidate set a [`SpatialIndex`] on that lattice would return, in the
+/// same ascending order.
 ///
 /// A context is immutable once built, which is what makes the per-pop
 /// stage-1 table ([`crate::shrink::build_stage1_table`]) exact: the table
@@ -342,15 +347,15 @@ pub struct ShrinkContext {
     /// the segment line); obstacles and other-segment URAs follow, clipped
     /// to `y ≥` `Y_EPS` so anything standing on the segment registers
     /// bottom nodes the range query can see.
-    pub polygons: Vec<Polygon>,
+    pub(crate) polygons: Vec<Polygon>,
     /// `true` for routable-area border polygons (containers, not
     /// obstacles): they are never "enclosed" by a pattern.
-    pub is_area: Vec<bool>,
+    pub(crate) is_area: Vec<bool>,
     /// Number of leading area polygons in `polygons` (the final
     /// containment check reads them).
     n_area: usize,
-    /// Node tree: point → polygon id.
-    pub tree: MergeSortTree<u32>,
+    /// Polygon nodes by x: point → polygon id.
+    pub(crate) nodes: NodeStrip<u32>,
     /// Flattened polygon edges (candidate ids index into this).
     pub edges: Vec<Segment>,
     /// Cell span `[x0, x1, y0, y1]` of each edge's bbox on the lattice.
@@ -358,7 +363,7 @@ pub struct ShrinkContext {
     /// Lattice cell size: `max(seg_len / 8, 1)`.
     cell: f64,
     /// Node count per polygon (for the `|Poly_k|` tests of Alg. 2).
-    pub node_count: Vec<usize>,
+    pub(crate) node_count: Vec<usize>,
     /// The extended segment in local coordinates (on the +x axis).
     pub local_segment: Segment,
 }
@@ -450,10 +455,12 @@ impl ShrinkContext {
         debug_assert!(is_area.iter().take(n_area).all(|&a| a));
         let cell = (seg_len / 8.0).max(1.0);
         let q = |v: f64| cell_coord(cell, v);
-        let mut nodes = Vec::new();
-        let mut edges = Vec::new();
-        let mut spans = Vec::new();
-        let mut node_count = Vec::new();
+        // A ring has as many edges as nodes.
+        let total: usize = polygons.iter().map(Polygon::len).sum();
+        let mut nodes = Vec::with_capacity(total);
+        let mut edges = Vec::with_capacity(total);
+        let mut spans = Vec::with_capacity(total);
+        let mut node_count = Vec::with_capacity(polygons.len());
         for (k, poly) in polygons.iter().enumerate() {
             node_count.push(poly.len());
             for &v in poly.vertices() {
@@ -465,13 +472,11 @@ impl ShrinkContext {
                 edges.push(e);
             }
         }
-        let tree = MergeSortTree::build(nodes);
-
         ShrinkContext {
             polygons,
             is_area,
             n_area,
-            tree,
+            nodes: NodeStrip::build(nodes),
             edges,
             spans,
             cell,

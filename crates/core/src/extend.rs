@@ -446,7 +446,7 @@ fn extend_trace_incremental(
     }
 }
 
-/// One pop's [`ShrinkContext::build_sides`] inputs, captured from world
+/// One pop's `ShrinkContext::build_sides` inputs, captured from world
 /// geometry so the `context_build` micro-benchmark (`meander-bench`) can
 /// time the per-pop context build alone.
 pub struct SidesFixture {

@@ -273,7 +273,7 @@ fn max_pattern_height_impl(
     // ---- Stages 2 & 3 interleaved until stable. ------------------------
     // Removed polygons are those the border has been pushed below; they can
     // no longer constrain. Per-polygon stats accumulate in the scratch
-    // during one tree visit per pass.
+    // during one strip scan per pass.
     let n = ctx.polygons.len();
     scratch.cnt.clear();
     scratch.cnt.resize(n, 0);
@@ -306,7 +306,7 @@ fn max_pattern_height_impl(
             cnt[k as usize] = 0;
         }
         touched.clear();
-        ctx.tree.for_each_in(&outer, |p, &k| {
+        ctx.nodes.for_each_in(&outer, |p, &k| {
             let ku = k as usize;
             if removed[ku] {
                 return;
@@ -493,7 +493,7 @@ impl Stage1Table {
     }
 }
 
-/// Builds the [`Stage1Table`] for one segment's DP: one [`side_cap`]
+/// Builds the [`Stage1Table`] for one segment's DP: one `side_cap`
 /// column scan per foot position, side and direction — the scalar
 /// reference the batched sweep is held to.
 #[allow(clippy::too_many_arguments)]
@@ -537,7 +537,7 @@ pub fn build_stage1_table(
 ///   (`Y_EPS..h_ob⁰`), so an edge is a candidate at foot `p` iff its y
 ///   cells meet that range's and its x cell span meets
 ///   `[q(col_lo(p)), q(col_hi(p))]`, the quantized x ends of `p`'s column
-///   ([`side_column`]). Both ends ascend with `p`, so the positions
+///   (`side_column`). Both ends ascend with `p`, so the positions
 ///   passing the x test form one contiguous run.
 /// * **Same floats.** Each lane of the kernel replays the
 ///   `segment_intersection(side, edge)` + `dist_seg` float stream, and the

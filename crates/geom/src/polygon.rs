@@ -132,12 +132,12 @@ impl Polygon {
     /// Point-in-polygon by ray casting, boundary-inclusive.
     ///
     /// The paper adopts exactly this test for the inner-border check of
-    /// Alg. 2 ("We adopt the ray casting algorithm for this work").
+    /// Alg. 2 ("We adopt the ray casting algorithm for this work"). Parity
+    /// runs first: both predicates are pure, so the answer is the same
+    /// either way, but a point the ray cast finds inside skips the per-edge
+    /// distance pass of [`Polygon::on_boundary`].
     pub fn contains(&self, p: Point) -> bool {
-        if self.on_boundary(p) {
-            return true;
-        }
-        self.contains_by_parity(p)
+        self.contains_by_parity(p) || self.on_boundary(p)
     }
 
     /// `true` when `p` lies on the polygon border within tolerance.

@@ -7,7 +7,7 @@ use std::fmt;
 /// An axis-aligned rectangle, stored as min/max corners.
 ///
 /// URA outer borders are rectangles *in the local frame of the extended
-/// segment*; the merge-sort tree of `meander-index` answers the
+/// segment*; the node strip of `meander-index` answers the
 /// `[x_A, x_C] × [y_D, y_B]` range queries of paper Alg. 2 against these.
 ///
 /// ```

@@ -531,3 +531,110 @@ proptest! {
         prop_assert_eq!(pl.points(), &reference[..]);
     }
 }
+
+/// The body `Polygon::contains` had before it tested parity first: the
+/// boundary pass, then the even-odd ray cast with the half-open edge rule.
+fn contains_boundary_first(poly: &Polygon, p: Point) -> bool {
+    if poly.on_boundary(p) {
+        return true;
+    }
+    let v = poly.vertices();
+    let mut inside = false;
+    let mut j = v.len() - 1;
+    for i in 0..v.len() {
+        let (pi, pj) = (v[i], v[j]);
+        if (pi.y > p.y) != (pj.y > p.y) {
+            let x_cross = pj.x + (p.y - pj.y) / (pi.y - pj.y) * (pi.x - pj.x);
+            if p.x < x_cross {
+                inside = !inside;
+            }
+        }
+        j = i;
+    }
+    inside
+}
+
+/// Rings for the containment property, either winding: convex regular
+/// n-gons, concave stars (alternating radii), and axis-aligned rectangles
+/// and U shapes on integer coordinates, whose horizontal edges lie on
+/// the ray cast's own lines.
+fn ring_strategy() -> impl Strategy<Value = Polygon> {
+    (
+        (0usize..4, 0usize..2),
+        pt_strategy(),
+        (1.0..30.0f64, 0.2..0.9f64),
+        3usize..12,
+        0.0..std::f64::consts::TAU,
+    )
+        .prop_map(|((kind, flip), c, (r, k), n, phase)| {
+            let p = |x: f64, y: f64| Point::new(c.x.round() + x, c.y.round() + y);
+            let (w, h) = (r.round() + 1.0, (r * k).round() + 1.0);
+            let mut verts = match kind {
+                0 => Polygon::regular(c, r, n, phase).vertices().to_vec(),
+                1 => (0..2 * n)
+                    .map(|i| {
+                        let a = phase + i as f64 * std::f64::consts::PI / n as f64;
+                        let ri = if i % 2 == 0 { r } else { r * k };
+                        Point::new(c.x + ri * a.cos(), c.y + ri * a.sin())
+                    })
+                    .collect(),
+                2 => vec![p(0.0, 0.0), p(w, 0.0), p(w, h), p(0.0, h)],
+                _ => vec![
+                    p(0.0, 0.0),
+                    p(3.0 * w, 0.0),
+                    p(3.0 * w, 2.0 * h),
+                    p(2.0 * w, 2.0 * h),
+                    p(2.0 * w, h),
+                    p(w, h),
+                    p(w, 2.0 * h),
+                    p(0.0, 2.0 * h),
+                ],
+            };
+            if flip == 1 {
+                verts.reverse();
+            }
+            Polygon::new(verts)
+        })
+}
+
+/// A probe point near ring `poly`: a vertex, a point on an edge, one
+/// within 2·EPS of an edge or a vertex, one 1e-6 to either side of an
+/// edge, one on a vertex's horizontal (the ray passes through the
+/// vertex), or a free point in the padded bbox.
+fn probe(poly: &Polygon, (kind, e, t, s): (usize, usize, f64, f64)) -> Point {
+    let v = poly.vertices();
+    let (a, b) = (v[e % v.len()], v[(e + 1) % v.len()]);
+    let on_edge = a + (b - a) * t;
+    let normal = Vector::new(a.y - b.y, b.x - a.x) * (1.0 / a.distance(b));
+    let bb = poly.bbox();
+    match kind {
+        0 => a,
+        1 => on_edge,
+        2 => on_edge + normal * (2.0 * EPS * s),
+        3 => on_edge + normal * (1e-6 * s.signum()),
+        4 => Point::new(a.x + 2.0 * EPS * s, a.y + 2.0 * EPS * (2.0 * t - 1.0)),
+        5 => Point::new(bb.min.x - 1.0 + t * (bb.width() + 2.0), a.y),
+        _ => Point::new(
+            bb.min.x - 1.0 + t * (bb.width() + 2.0),
+            bb.min.y - 1.0 + (s + 1.0) / 2.0 * (bb.height() + 2.0),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // Parity-first containment answers exactly what the boundary-first
+    // body answered, on convex and concave rings, at vertices, on edges,
+    // within EPS of either, and just inside and outside.
+    #[test]
+    fn contains_equals_boundary_first_oracle(
+        poly in ring_strategy(),
+        probes in proptest::collection::vec((0usize..7, 0usize..64, 0.0..1.0f64, -1.0..1.0f64), 1..40),
+    ) {
+        for &pr in &probes {
+            let p = probe(&poly, pr);
+            prop_assert_eq!(poly.contains(p), contains_boundary_first(&poly, p), "probe {:?} at {:?}", pr, p);
+        }
+    }
+}

@@ -6,11 +6,20 @@
 //!
 //! 1. *Node-position checking* (Alg. 2) needs, for each URA, the set
 //!    `P_check = {p | x_p ∈ [x_A, x_C], y_p ∈ [y_D, y_B]}` of polygon node
-//!    points inside the outer border. [`MergeSortTree`] implements the
-//!    structure the paper describes: "a segment tree to maintain points whose
-//!    abscissa rank is within intervals, and the points in each tree node are
-//!    sorted by ordinate", giving `O(N log N)` space and `O(log² N)`-ish
-//!    queries (we return the matching points, so add output size).
+//!    points inside the outer border. The paper prescribes a merge-sort
+//!    tree for it ("a segment tree to maintain points whose abscissa rank
+//!    is within intervals, and the points in each tree node are sorted by
+//!    ordinate": `O(N log N)` space, `O(log² N + k)` queries). This crate
+//!    departs from it: [`NodeStrip`] sorts the points by x once and scans
+//!    a query's x-range, `O(N)` space and `O(log N + s)` queries for `s`
+//!    points in that range. The router builds one structure per shrink
+//!    context (two per queue pop) and queries it only 92–291 times, on
+//!    41–85 points with 11–22 of them in a query's x-range. There the
+//!    tree's `4N` per-node vectors cost 263–466 ns per point to build
+//!    against 32–47 ns for the strip's one sort, and the scan (176–260 ns
+//!    a query) also beats the tree's node descent (260–390 ns), timed in
+//!    an instrumented copy on the perfbench workloads (2-CPU host). Both
+//!    report exactly the same multiset of points.
 //! 2. The extension engine's obstacle gathering and the DRC scan ask for
 //!    **candidate edges/segments near a rectangle**. Two
 //!    structures answer that behind the [`SpatialIndex`] trait:
@@ -47,15 +56,15 @@
 //! ```
 
 pub mod grid;
-pub mod msegtree;
 pub mod overlay;
 pub mod rtree;
 pub mod spatial;
+pub mod strip;
 pub mod touch;
 
 pub use grid::{GridScratch, SegmentGrid};
-pub use msegtree::MergeSortTree;
 pub use overlay::OverlayIndex;
 pub use rtree::RTree;
 pub use spatial::{IndexKind, SegIndex, SpatialIndex};
+pub use strip::NodeStrip;
 pub use touch::{quantize, CellTouches, DirtyCells, StratumKey};

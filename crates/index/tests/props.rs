@@ -1,11 +1,11 @@
-//! Property tests: both index structures must agree with brute force, and
-//! the two [`SpatialIndex`] implementations must agree with each other
-//! (identical candidate sets — the contract that keeps DRC lists and
-//! placements bit-identical when the index kind is swapped).
+//! Property tests: the node strip and the segment grid must agree with
+//! brute force, and the two [`SpatialIndex`] implementations must agree
+//! with each other (identical candidate sets — the contract that keeps DRC
+//! lists and placements bit-identical when the index kind is swapped).
 
 use meander_geom::{Point, Rect, Segment};
 use meander_index::{
-    GridScratch, IndexKind, MergeSortTree, OverlayIndex, RTree, SegIndex, SegmentGrid, SpatialIndex,
+    GridScratch, IndexKind, NodeStrip, OverlayIndex, RTree, SegIndex, SegmentGrid, SpatialIndex,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -14,27 +14,68 @@ fn pt() -> impl Strategy<Value = Point> {
     (-50.0..50.0f64, -50.0..50.0f64).prop_map(|(x, y)| Point::new(x, y))
 }
 
+/// A node-strip case: a query rectangle (zero width or height a quarter
+/// of the time each) and points drawn free, exactly on its four borders
+/// and corners, or on the previous point's x. A strip is empty or holds
+/// one point a quarter of the time each.
+fn strip_case() -> impl Strategy<Value = (Vec<Point>, Rect)> {
+    (
+        pt(),
+        (0usize..4, 0.0..40.0f64),
+        (0usize..4, 0.0..40.0f64),
+        0usize..4,
+        proptest::collection::vec((0usize..8, pt(), 0.0..1.0f64), 2..120),
+    )
+        .prop_map(|(q0, (wk, w), (hk, h), size, draws)| {
+            let w = if wk == 0 { 0.0 } else { w };
+            let h = if hk == 0 { 0.0 } else { h };
+            let r = Rect::new(q0, Point::new(q0.x + w, q0.y + h));
+            // Border coordinates reach past the rectangle on both sides.
+            let along = |lo: f64, hi: f64, t: f64| lo - 5.0 + t * (hi - lo + 10.0);
+            let mut pts: Vec<Point> = Vec::new();
+            for (kind, p, t) in draws {
+                pts.push(match kind {
+                    0 => Point::new(r.min.x, along(r.min.y, r.max.y, t)),
+                    1 => Point::new(r.max.x, along(r.min.y, r.max.y, t)),
+                    2 => Point::new(along(r.min.x, r.max.x, t), r.min.y),
+                    3 => Point::new(along(r.min.x, r.max.x, t), r.max.y),
+                    4 => Point::new(
+                        if t < 0.5 { r.min.x } else { r.max.x },
+                        if p.y < 0.0 { r.min.y } else { r.max.y },
+                    ),
+                    5 => Point::new(pts.last().map_or(p.x, |q| q.x), p.y),
+                    _ => p,
+                });
+            }
+            pts.truncate(match size {
+                0 => 0,
+                1 => 1,
+                _ => pts.len(),
+            });
+            (pts, r)
+        })
+}
+
 proptest! {
+    // The strip reports exactly the points brute-force filtering keeps
+    // (borders inclusive on both axes), each once, with its own tag.
     #[test]
-    fn msegtree_matches_brute_force(
-        pts in proptest::collection::vec(pt(), 0..120),
-        q0 in pt(),
-        w in 0.0..40.0f64,
-        h in 0.0..40.0f64,
-    ) {
-        let tagged: Vec<(Point, usize)> = pts.iter().copied().zip(0..).collect();
-        let tree = MergeSortTree::build(tagged.clone());
-        let r = Rect::new(q0, Point::new(q0.x + w, q0.y + h));
-        let mut expect: Vec<usize> = tagged
-            .iter()
-            .filter(|(p, _)| p.x >= r.min.x && p.x <= r.max.x && p.y >= r.min.y && p.y <= r.max.y)
-            .map(|(_, i)| *i)
+    fn strip_matches_brute_force(case in strip_case()) {
+        let (pts, r) = &case;
+        let strip = NodeStrip::build(pts.iter().copied().zip(0usize..).collect());
+        let expect: Vec<usize> = (0..pts.len())
+            .filter(|&i| {
+                let p = pts[i];
+                p.x >= r.min.x && p.x <= r.max.x && p.y >= r.min.y && p.y <= r.max.y
+            })
             .collect();
-        let mut got: Vec<usize> = tree.query(&r).iter().map(|(_, &i)| i).collect();
-        expect.sort_unstable();
+        let mut got: Vec<usize> = Vec::new();
+        strip.for_each_in(r, |p, &i| {
+            assert_eq!(*p, pts[i], "tag {} came back with another point", i);
+            got.push(i);
+        });
         got.sort_unstable();
         prop_assert_eq!(&expect, &got);
-        prop_assert_eq!(tree.count(&r), expect.len());
     }
 
     #[test]
