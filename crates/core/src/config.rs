@@ -60,14 +60,13 @@ pub struct ExtendConfig {
     /// stays reachable as the reference the equivalence suites compare
     /// against.
     pub batch_kernels: bool,
-    /// Spatial index structure for the incremental engine's world edge
-    /// index and the per-pop shrink contexts: the uniform grid, the
-    /// STR-packed R-tree, or `Auto` (pick per build from the edge-extent
-    /// distribution — see [`IndexKind::resolve`]). Both structures return
+    /// Spatial index structure for the world edge indexes — the shared
+    /// per-board [`crate::WorldBase`] and the incremental engine's
+    /// per-trace world index: the uniform grid or the STR-packed R-tree.
+    /// Per-pop shrink contexts hold no index. Both structures return
     /// identical candidate sets, so placements are **bit-identical**
     /// whatever is selected (property-tested); this knob only moves the
-    /// cost model, with the R-tree winning on boards that mix plane
-    /// polygons with via fields. Defaults to `Grid`.
+    /// cost model. Defaults to `Grid`.
     pub index: IndexKind,
     /// Fan a board's independent units (traces and diff pairs, across all
     /// of its groups) out on `crate::par::par_map`. Results are written

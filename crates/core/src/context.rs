@@ -2,7 +2,7 @@
 
 use meander_drc::DesignRules;
 use meander_geom::{Frame, Point, Polygon, Polyline, Rect, Segment};
-use meander_index::{GridScratch, IndexKind, NodeStrip, OverlayIndex, SegIndex, SpatialIndex};
+use meander_index::{cell_coord, GridScratch, IndexKind, NodeStrip, OverlayIndex, SegIndex};
 use std::sync::Arc;
 
 /// Tiny lift above the segment line: geometry at `y ≤ Y_EPS` in pattern-side
@@ -117,8 +117,8 @@ pub struct WorldBase {
 
 impl WorldBase {
     /// Inflates and indexes `library` for traces governed by `rules`, with
-    /// the index structure selected by `kind` (`Auto` resolves on the
-    /// library's edge extents; candidate sets are identical either way).
+    /// the index structure selected by `kind` (candidate sets are
+    /// identical either way).
     pub fn build(library: &[Polygon], rules: &DesignRules, kind: IndexKind) -> Self {
         let inflate = obstacle_inflation(rules);
         let cell = world_cell(rules);
@@ -202,10 +202,8 @@ pub(crate) struct WorldIndex {
 impl WorldIndex {
     /// Indexes `area` + `obstacles` (already inflated by the caller) on a
     /// lattice of cell size `cell`, with the edge index structure selected
-    /// by `kind`. `Auto` resolves on the edge-extent distribution — plane
-    /// polygons next to via fields pick the R-tree, paper-sized boards the
-    /// grid ([`IndexKind::resolve`]). Query results are identical either
-    /// way; only the cost model changes.
+    /// by `kind`. Query results are identical either way; only the cost
+    /// model changes.
     ///
     /// With a shared `base`, only `area` and the board-local `obstacles`
     /// are indexed here; the library's inflated polygons and their edge
@@ -328,7 +326,7 @@ impl WorldIndex {
 /// a thin column, and a context builds no index for them: each edge keeps
 /// its bbox's cell span on a lattice of `max(seg_len / 8, 1)`, and
 /// [`ShrinkContext::edge_candidates`] scans those spans — exactly the
-/// candidate set a [`SpatialIndex`] on that lattice would return, in the
+/// candidate set a [`SegIndex`] on that lattice would return, in the
 /// same ascending order.
 ///
 /// A context is immutable once built, which is what makes the per-pop
@@ -494,7 +492,7 @@ impl ShrinkContext {
     /// Ids of the edges whose cell span meets `r`'s, ascending, into `out`
     /// (cleared first).
     ///
-    /// This is the [`SpatialIndex`] contract's cell-quantized candidacy
+    /// This is the [candidacy contract](meander_index::spatial)
     /// evaluated directly: an index's occupied-bounds clamp can only drop
     /// cells no edge occupies, so a `SegmentGrid` or `RTree` over `edges`
     /// on this lattice returns exactly these ids, in this order.
@@ -540,13 +538,6 @@ impl ShrinkContext {
             .iter()
             .any(|poly| corners.iter().all(|&c| poly.contains(c)))
     }
-}
-
-/// The lattice cell a coordinate falls into: `⌊v / cell⌋`, the
-/// quantization `meander_index`'s structures use.
-#[inline]
-pub(crate) fn cell_coord(cell: f64, v: f64) -> i64 {
-    (v / cell).floor() as i64
 }
 
 #[cfg(test)]

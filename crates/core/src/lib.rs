@@ -30,15 +30,16 @@
 //!
 //! ## Spatial indexing
 //!
-//! The engine's hot queries (world polygons near a candidate window,
-//! edges near a stage-1 side, the DP profile band) run behind the
-//! [`meander_index::SpatialIndex`] contract; [`ExtendConfig::index`]
-//! selects the uniform grid, the STR-packed R-tree, or `Auto`
-//! (per-build choice by obstacle-size variance). The two structures
-//! return identical candidate sets — cell-quantized candidacy with
+//! The engine's world query (obstacle edges near a candidate window) runs
+//! on a [`meander_index::SegIndex`]; [`ExtendConfig::index`] selects the
+//! uniform grid or the STR-packed R-tree. The two structures return
+//! identical candidate sets — cell-quantized candidacy with
 //! occupied-bounds clamping, ascending deduplicated output — so router
 //! placements are **bit-identical** whichever is selected
-//! (property-tested); see `ARCHITECTURE.md` for the full invariant list.
+//! (property-tested). Stage-1 sides and the stage-1 table scan each
+//! shrink context's edge cell spans directly, on the same
+//! [`meander_index::cell_coord`] lattice rule; see `ARCHITECTURE.md` for
+//! the full invariant list.
 //!
 //! ```
 //! use meander_core::extend::{extend_trace, ExtendInput};

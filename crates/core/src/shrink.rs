@@ -36,13 +36,14 @@
 //! to the unpruned pass. Caps below `h_min` are floored to 0 (the probe
 //! would return "no pattern" anyway).
 
-use crate::context::{cell_coord, ShrinkContext, Y_EPS};
+use crate::context::{ShrinkContext, Y_EPS};
 use crate::dp::UbProfile;
 use meander_geom::batch::{
     intersect_x_range_batch, side_edge_cap_scalar, vertical_side_min_cap, SegBatch,
     PREFILTER_SLACK, SHORT_SEG_LEN,
 };
 use meander_geom::{Point, Rect, Segment, EPS};
+use meander_index::cell_coord;
 
 /// Result of shrinking one candidate pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]

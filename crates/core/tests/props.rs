@@ -21,7 +21,7 @@ use meander_core::ExtendConfig;
 use meander_drc::DesignRules;
 use meander_geom::batch::{side_edge_cap_scalar, vertical_side_min_cap};
 use meander_geom::{Frame, Point, Polygon, Polyline, Rect, SegBatch, Segment, EPS};
-use meander_index::{GridScratch, IndexKind, SegIndex, SegmentGrid, SpatialIndex};
+use meander_index::{GridScratch, IndexKind, SegIndex, SegmentGrid};
 use proptest::prelude::*;
 
 fn rules() -> DesignRules {
@@ -412,8 +412,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // The spatial-index contract end to end: grid-, R-tree-, and
-    // Auto-indexed engines must produce bit-identical results on randomized
+    // The spatial-index contract end to end: grid- and R-tree-indexed
+    // engines must produce bit-identical results on randomized
     // obstacle fields that include a plane-sized slab — the regime where
     // the structures' query *costs* differ most. Shrink contexts hold no
     // index: their lattice scan must return exactly a `SegmentGrid`'s
@@ -444,8 +444,8 @@ proptest! {
             .iter()
             .map(|&(x, y, rad, n)| Polygon::regular(Point::new(x, y), rad, n, 0.25))
             .collect();
-        // A full-width plane slab: smears across the whole grid row and is
-        // exactly what `Auto` exists to detect.
+        // A full-width plane slab: smears across the whole grid row, the
+        // regime the R-tree exists for.
         obstacles.push(Polygon::rectangle(
             Point::new(-25.0, slab_y),
             Point::new(175.0, slab_y + 4.0),
@@ -494,11 +494,7 @@ proptest! {
             })
         };
         let reference = run(IndexKind::Grid, false);
-        for (kind, bk) in [
-            (IndexKind::RTree, false),
-            (IndexKind::RTree, true),
-            (IndexKind::Auto, false),
-        ] {
+        for (kind, bk) in [(IndexKind::RTree, false), (IndexKind::RTree, true)] {
             let other = run(kind, bk);
             prop_assert_eq!(
                 reference.achieved.to_bits(),
@@ -514,7 +510,8 @@ proptest! {
 /// The probe's own two-column stage 1 for the side at `x`, over a
 /// `SegIndex` on the context's lattice: the scalar evaluation
 /// (`side_edge_cap_scalar` per candidate) and the batched one
-/// (`query_batch` + `vertical_side_min_cap`), each lowered from `hob0`.
+/// (`query_scratch` + `fill_batch` + `vertical_side_min_cap`), each
+/// lowered from `hob0`.
 fn indexed_side_caps(
     ctx: &ShrinkContext,
     index: &SegIndex,
@@ -534,7 +531,8 @@ fn indexed_side_caps(
         ))
     });
     let (mut gs, mut ids, mut batch) = (GridScratch::new(), Vec::new(), SegBatch::new());
-    index.query_batch(&column, &mut gs, &mut ids, &mut batch);
+    index.query_scratch(&column, &mut gs, &mut ids);
+    index.fill_batch(&ids, &mut batch);
     let batched = hob0.min(vertical_side_min_cap(x, Y_EPS, hob0, &batch, seg_len));
     (scalar, batched)
 }

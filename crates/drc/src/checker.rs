@@ -13,7 +13,7 @@ use meander_geom::batch::{
 use meander_geom::intersect::segments_intersect;
 use meander_geom::polyline::simplify_into;
 use meander_geom::{Point, Polygon, Polyline, Rect, Segment};
-use meander_index::{GridScratch, IndexKind, SegIndex, SpatialIndex};
+use meander_index::{GridScratch, IndexKind, SegIndex};
 
 /// Geometry of one trace as the checker sees it, borrowed from its owner.
 #[derive(Debug, Clone)]
@@ -193,7 +193,7 @@ fn trace_checks(
 }
 
 /// [`check_layout`] with the scan index structure selected by `kind`
-/// (grid, STR R-tree, or `Auto`).
+/// (grid or STR R-tree).
 ///
 /// Replaces the brute-force `O(T²·S²)` trace–trace and `O(T·O·S)`
 /// trace–obstacle scans with windowed candidate queries on one index:
@@ -808,7 +808,7 @@ mod tests {
         };
         let brute = check_layout_brute(&input);
         assert!(!brute.is_empty(), "the plane must clip several traces");
-        for kind in [IndexKind::Grid, IndexKind::RTree, IndexKind::Auto] {
+        for kind in [IndexKind::Grid, IndexKind::RTree] {
             assert_eq!(check_layout_with(&input, kind), brute, "{kind:?}");
         }
     }

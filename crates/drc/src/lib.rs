@@ -25,8 +25,8 @@
 //! * [`checker`] — a full violation scan used by tests and examples to prove
 //!   router outputs legal.
 //!
-//! The indexed scans answer their window queries through the
-//! [`meander_index::SpatialIndex`] contract: [`IndexKind`] selects the
+//! The indexed scans answer their window queries on a
+//! [`meander_index::SegIndex`]: [`IndexKind`] selects the
 //! uniform grid or the STR-packed R-tree
 //! ([`checker::check_layout_with`]), and because both structures
 //! return identical candidate sets, the violation list — order, values,

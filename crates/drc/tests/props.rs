@@ -175,7 +175,7 @@ proptest! {
         // whatever structure answers the window queries: identical
         // candidate sets make the whole scan bit-identical.
         prop_assert_eq!(check_layout(&input), brute.clone());
-        for kind in [IndexKind::Grid, IndexKind::RTree, IndexKind::Auto] {
+        for kind in [IndexKind::Grid, IndexKind::RTree] {
             prop_assert_eq!(check_layout_with(&input, kind), brute.clone());
         }
     }

@@ -622,7 +622,7 @@ mod tests {
         for c in &affecting {
             assert_ne!(engine_identity(c), id, "{c:?}");
         }
-        for index in [IndexKind::Grid, IndexKind::RTree, IndexKind::Auto] {
+        for index in [IndexKind::Grid, IndexKind::RTree] {
             for batch_kernels in [false, true] {
                 for parallel in [false, true] {
                     let c = ExtendConfig {

@@ -126,16 +126,6 @@ impl SegBatch {
         self.by.push(by);
     }
 
-    /// Appends every segment of `other`, preserving order — the gather
-    /// primitive split indexes (`meander-index`'s overlay) concatenate
-    /// their per-side slabs with.
-    pub fn extend_from(&mut self, other: &SegBatch) {
-        self.ax.extend_from_slice(&other.ax);
-        self.ay.extend_from_slice(&other.ay);
-        self.bx.extend_from_slice(&other.bx);
-        self.by.extend_from_slice(&other.by);
-    }
-
     /// Reconstructs segment `i`.
     #[inline]
     pub fn get(&self, i: usize) -> Segment {

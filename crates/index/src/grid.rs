@@ -1,5 +1,6 @@
 //! Uniform grid over segments for local edge queries.
 
+use crate::cell_coord;
 use meander_geom::{Rect, SegBatch, Segment};
 
 /// End of an id list, and the `head` of an empty cell-table slot.
@@ -76,13 +77,13 @@ pub struct SegmentGrid {
     /// per query for nothing.
     occupied: Option<(i64, i64, i64, i64)>,
     /// Endpoint coordinates per id (`[ax, ay, bx, by]`), so
-    /// [`SegmentGrid::query_batch`] can fill SoA buffers straight from the
+    /// [`SegmentGrid::fill_batch`] can fill SoA buffers straight from the
     /// slab without the caller's id → geometry re-gather.
     coords: Vec<[f64; 4]>,
 }
 
 /// Reusable query state for [`SegmentGrid::query_scratch`] and
-/// `crate::RTree::query_scratch`.
+/// [`crate::RTree::query_scratch`].
 ///
 /// For the grid it holds the visited-stamp table: deduplicating candidates
 /// with `sort + dedup` costs `O(k log k)` per query and the stamp approach
@@ -163,22 +164,21 @@ impl SegmentGrid {
         self.cell
     }
 
-    /// The cell coordinate a world coordinate falls into — the exact
-    /// quantization [`SegmentGrid::insert`] and the queries use.
-    #[inline]
-    pub(crate) fn cell_coord(&self, v: f64) -> i64 {
-        (v / self.cell).floor() as i64
-    }
-
     /// Number of inserted segments.
     #[inline]
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// `true` when nothing is inserted.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     #[inline]
     fn cell_of(&self, x: f64, y: f64) -> (i64, i64) {
-        (self.cell_coord(x), self.cell_coord(y))
+        (cell_coord(self.cell, x), cell_coord(self.cell, y))
     }
 
     /// Grows the occupied-cell bounds to cover `[cx0, cx1] × [cy0, cy1]`.
@@ -318,27 +318,14 @@ impl SegmentGrid {
     /// predicate on the candidates.
     pub fn query(&self, r: &Rect) -> Vec<u32> {
         let mut out = Vec::new();
-        self.query_into(r, &mut out);
+        self.query_scratch(r, &mut GridScratch::new(), &mut out);
         out
     }
 
-    /// [`SegmentGrid::query`] into a caller-owned buffer, so hot loops can
-    /// reuse the allocation. The buffer is cleared first; the result is
-    /// sorted and deduplicated.
-    pub(crate) fn query_into(&self, r: &Rect, out: &mut Vec<u32>) {
-        out.clear();
-        let Some(range) = self.clamped_range(r) else {
-            return;
-        };
-        self.for_each_entry(range, |id| out.push(id));
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// `SegmentGrid::query_into` with visited-stamp deduplication: `O(k)`
-    /// instead of `O(k log k)` per query, at the cost of a caller-owned
-    /// [`GridScratch`]. Candidates come out in ascending id order (the same
-    /// order as [`SegmentGrid::query`]).
+    /// [`SegmentGrid::query`] into a caller-owned buffer (cleared first),
+    /// deduplicated with the visited stamps of a caller-owned
+    /// [`GridScratch`], so hot loops reuse both allocations. Candidates
+    /// come out in ascending id order.
     pub fn query_scratch(&self, r: &Rect, scratch: &mut GridScratch, out: &mut Vec<u32>) {
         out.clear();
         let Some(range) = self.clamped_range(r) else {
@@ -350,33 +337,17 @@ impl SegmentGrid {
                 out.push(id);
             }
         });
-        // Cell walks emit ids in no particular order; sorting keeps the
-        // contract aligned with `query`.
+        // Cell walks emit ids in no particular order; the contract is
+        // ascending ids.
         out.sort_unstable();
     }
 
-    /// [`SegmentGrid::query_scratch`] that additionally materializes the
-    /// candidates' geometry into a reused SoA [`SegBatch`], straight from
-    /// the grid's coordinate slab: `batch.get(k)` is the segment inserted
-    /// under `ids[k]`. This is the entry point for the batched DRC scan —
-    /// the caller keeps the ids for ownership lookups but never re-gathers
-    /// geometry through them.
-    pub(crate) fn query_batch(
-        &self,
-        r: &Rect,
-        scratch: &mut GridScratch,
-        ids: &mut Vec<u32>,
-        batch: &mut SegBatch,
-    ) {
-        self.query_scratch(r, scratch, ids);
-        self.fill_batch(ids, batch);
-    }
-
     /// Materializes the geometry of `ids` (previously returned by a query)
-    /// into `batch`, straight from the coordinate slab — for callers that
-    /// filter candidates between the query and the kernel so no lane is
+    /// into `batch` (cleared first), straight from the coordinate slab:
+    /// `batch.get(k)` is the segment inserted under `ids[k]`. Callers may
+    /// filter candidates between the query and the gather, so no lane is
     /// spent on ids a cheap ownership test already rejects.
-    pub(crate) fn fill_batch(&self, ids: &[u32], batch: &mut SegBatch) {
+    pub fn fill_batch(&self, ids: &[u32], batch: &mut SegBatch) {
         batch.clear();
         for &id in ids {
             let c = self.coords[id as usize];
@@ -463,24 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn query_into_reuses_buffer() {
-        let mut g = SegmentGrid::new(2.0);
-        g.insert(0, &seg(0.0, 0.0, 1.0, 1.0));
-        g.insert(1, &seg(10.0, 10.0, 12.0, 10.0));
-        let mut buf = vec![99, 98, 97];
-        g.query_into(
-            &Rect::new(Point::new(-0.5, -0.5), Point::new(1.5, 1.5)),
-            &mut buf,
-        );
-        assert_eq!(buf, vec![0]);
-        g.query_into(
-            &Rect::new(Point::new(-1.0, -1.0), Point::new(13.0, 13.0)),
-            &mut buf,
-        );
-        assert_eq!(buf, vec![0, 1]);
-    }
-
-    #[test]
     fn query_scratch_matches_query() {
         let segs: Vec<Segment> = (0..60)
             .map(|i| {
@@ -522,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_materializes_candidates_in_id_order() {
+    fn fill_batch_materializes_candidates_in_id_order() {
         let segs: Vec<Segment> = (0..30)
             .map(|i| {
                 let x = (i % 6) as f64 * 4.0;
@@ -532,13 +485,14 @@ mod tests {
             .collect();
         let g = SegmentGrid::from_segments(2.0, &segs);
         assert_eq!(g.cell_size(), 2.0);
-        assert_eq!(g.cell_coord(-0.1), -1);
-        assert_eq!(g.cell_coord(3.9), 1);
+        assert_eq!(cell_coord(g.cell_size(), -0.1), -1);
+        assert_eq!(cell_coord(g.cell_size(), 3.9), 1);
         let mut scratch = GridScratch::new();
         let mut ids = Vec::new();
         let mut batch = SegBatch::new();
         let r = Rect::new(Point::new(1.0, 1.0), Point::new(9.0, 9.0));
-        g.query_batch(&r, &mut scratch, &mut ids, &mut batch);
+        g.query_scratch(&r, &mut scratch, &mut ids);
+        g.fill_batch(&ids, &mut batch);
         assert_eq!(ids, g.query(&r));
         assert_eq!(batch.len(), ids.len());
         for (k, &id) in ids.iter().enumerate() {

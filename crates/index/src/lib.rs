@@ -21,20 +21,18 @@
 //!    an instrumented copy on the perfbench workloads (2-CPU host). Both
 //!    report exactly the same multiset of points.
 //! 2. The extension engine's obstacle gathering and the DRC scan ask for
-//!    **candidate edges/segments near a rectangle**. Two
-//!    structures answer that behind the [`SpatialIndex`] trait:
-//!    [`SegmentGrid`], a uniform hash grid (an open-addressed cell table
-//!    over one flat id arena), and [`RTree`], an STR-packed
-//!    bulk-loaded R-tree for boards whose obstacle sizes are wildly mixed
-//!    (plane polygons next to via fields). Both quantize to the same cell
-//!    lattice and therefore return **identical candidate sets** — swapping
-//!    them ([`IndexKind`], [`SegIndex`]) changes performance, never results.
-//!    See the [`spatial`] module docs for the full contract (bounds
-//!    clamping, dedup stamps, batch gather semantics).
+//!    **candidate edges/segments near a rectangle**. Two structures answer
+//!    it: [`SegmentGrid`], a uniform hash grid (an open-addressed cell
+//!    table over one flat id arena), and [`RTree`], an STR-packed
+//!    bulk-loaded R-tree. Both quantize with [`cell_coord`] and therefore
+//!    return **identical candidate sets**, so choosing one ([`IndexKind`],
+//!    [`SegIndex`]) changes performance, never results. See the
+//!    [`spatial`] module docs for the full contract (bounds clamping,
+//!    dedup stamps, batch gather).
 //!
 //! ```
 //! use meander_geom::{Point, Rect, Segment};
-//! use meander_index::{IndexKind, RTree, SegIndex, SegmentGrid, SpatialIndex};
+//! use meander_index::{RTree, SegmentGrid};
 //!
 //! // A tiny "board": one plane-sized edge above a row of via-sized edges.
 //! let mut edges = vec![Segment::new(Point::new(0.0, 20.0), Point::new(800.0, 20.0))];
@@ -47,12 +45,6 @@
 //! let window = Rect::new(Point::new(25.0, 0.0), Point::new(40.0, 25.0));
 //! assert_eq!(grid.query(&window), vec![0, 1]);
 //! assert_eq!(grid.query(&window), rtree.query(&window));
-//! // `Auto` picks the R-tree here: one edge smears across hundreds of
-//! // grid cells while the mean edge is tiny.
-//! assert!(matches!(
-//!     SegIndex::from_segments(IndexKind::Auto, 4.0, &edges),
-//!     SegIndex::RTree(_)
-//! ));
 //! ```
 
 pub mod grid;
@@ -65,6 +57,19 @@ pub mod touch;
 pub use grid::{GridScratch, SegmentGrid};
 pub use overlay::OverlayIndex;
 pub use rtree::RTree;
-pub use spatial::{IndexKind, SegIndex, SpatialIndex};
+pub use spatial::{IndexKind, SegIndex};
 pub use strip::NodeStrip;
 pub use touch::{quantize, CellTouches, DirtyCells, StratumKey};
+
+/// The lattice cell a world coordinate falls into: `⌊v / cell⌋`.
+///
+/// This is the candidacy rule every structure here shares, and what the
+/// router's bit-identity arguments rest on: an item is a candidate for a
+/// query window exactly when its bbox's cell range, per axis, meets the
+/// window's. The grid and the R-tree quantize with it, as do the damage
+/// rects of [`quantize`] and the index-free edge scans of
+/// `meander_core`'s shrink contexts.
+#[inline]
+pub fn cell_coord(cell: f64, v: f64) -> i64 {
+    (v / cell).floor() as i64
+}

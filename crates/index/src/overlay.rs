@@ -10,10 +10,11 @@
 //!
 //! ## Equivalence to a monolithic index
 //!
-//! The [`SpatialIndex`] contract makes candidacy a property of the cell
-//! lattice alone: an id is a candidate for query `r` exactly when its bbox's
-//! cell range (quantized by the *absolute* `⌊v / cell⌋`, no per-index
-//! origin) intersects `r`'s cell range. Occupied-bounds clamping never
+//! The [candidacy contract](crate::spatial) makes candidacy a property of
+//! the cell lattice alone: an id is a candidate for query `r` exactly when
+//! its bbox's cell range (quantized by the *absolute*
+//! [`cell_coord`](crate::cell_coord), no per-index origin) intersects `r`'s
+//! cell range. Occupied-bounds clamping never
 //! changes that set — an entry's cells always lie inside its own index's
 //! occupied bounds, so clamping only skips provably empty cells. Therefore
 //! querying a base and an overlay built on the **same cell size** and
@@ -31,7 +32,7 @@
 //!
 //! ```
 //! use meander_geom::{Point, Rect, Segment};
-//! use meander_index::{IndexKind, OverlayIndex, SegIndex, SpatialIndex};
+//! use meander_index::{IndexKind, OverlayIndex, SegIndex};
 //! use std::sync::Arc;
 //!
 //! let library = vec![Segment::new(Point::new(0.0, 0.0), Point::new(3.0, 1.0))];
@@ -49,11 +50,11 @@
 //! ```
 
 use crate::grid::GridScratch;
-use crate::spatial::{SegIndex, SpatialIndex};
-use meander_geom::{Rect, SegBatch};
+use crate::spatial::SegIndex;
+use meander_geom::Rect;
 use std::sync::Arc;
 
-/// A [`SpatialIndex`] that unions an optional shared base with a private
+/// A segment index that unions an optional shared base with a private
 /// overlay (see the [module docs](self) for the equivalence argument).
 #[derive(Debug)]
 pub struct OverlayIndex {
@@ -116,102 +117,30 @@ impl OverlayIndex {
     /// Allocating convenience query (ascending, deduplicated).
     pub fn query(&self, r: &Rect) -> Vec<u32> {
         let mut out = Vec::new();
-        self.query_into(r, &mut out);
+        self.query_scratch(r, &mut GridScratch::new(), &mut out);
         out
     }
 
-    /// Appends the overlay's candidates for `r` (ids offset by `base_ids`)
-    /// using scratch state. `out` is *not* cleared — callers chain this
-    /// after the base query.
-    fn append_overlay(&self, r: &Rect, scratch: &mut GridScratch, out: &mut Vec<u32>) {
+    /// Candidate ids for `r` into `out` (cleared first): the base's ids,
+    /// then the overlay's offset by `base_ids` — ascending and
+    /// deduplicated, like one index over both item lists.
+    pub fn query_scratch(&self, r: &Rect, scratch: &mut GridScratch, out: &mut Vec<u32>) {
+        out.clear();
+        if let Some(base) = &self.base {
+            base.query_scratch(r, scratch, out);
+        }
         if self.overlay.is_empty() {
             return;
         }
+        // The overlay query clears its output buffer, so it cannot append
+        // to `out`: it writes into the scratch's staging buffer, and the
+        // offset ids are copied over from there.
         let start = out.len();
-        // Reuse the tail of `out` as the overlay's output buffer would alias
-        // `out`; query into a fresh spot by splitting the call: the overlay
-        // query clears its buffer, so stage through `scratch`-free swap.
         let mut tmp = std::mem::take(&mut scratch.overlay_buf);
         self.overlay.query_scratch(r, scratch, &mut tmp);
         out.extend(tmp.iter().map(|&i| i + self.base_ids));
         scratch.overlay_buf = tmp;
         debug_assert!(out[start..].is_sorted());
-    }
-}
-
-impl SpatialIndex for OverlayIndex {
-    fn len(&self) -> usize {
-        self.base.as_ref().map_or(0, |b| b.len()) + self.overlay.len()
-    }
-
-    fn max_id(&self) -> u32 {
-        if self.overlay.is_empty() {
-            self.base.as_ref().map_or(0, |b| b.max_id())
-        } else {
-            self.overlay.max_id() + self.base_ids
-        }
-    }
-
-    fn cell_size(&self) -> f64 {
-        // The two lattices agree by construction; prefer whichever side has
-        // entries (an empty `SegIndex` still knows its cell size, but the
-        // overlay is the side consumers configure).
-        match &self.base {
-            Some(b) if self.overlay.is_empty() => b.cell_size(),
-            _ => self.overlay.cell_size(),
-        }
-    }
-
-    fn query_into(&self, r: &Rect, out: &mut Vec<u32>) {
-        out.clear();
-        if let Some(base) = &self.base {
-            base.query_into(r, out);
-        }
-        if !self.overlay.is_empty() {
-            let mut tail = Vec::new();
-            self.overlay.query_into(r, &mut tail);
-            out.extend(tail.into_iter().map(|i| i + self.base_ids));
-        }
-    }
-
-    fn query_scratch(&self, r: &Rect, scratch: &mut GridScratch, out: &mut Vec<u32>) {
-        out.clear();
-        if let Some(base) = &self.base {
-            base.query_scratch(r, scratch, out);
-        }
-        self.append_overlay(r, scratch, out);
-    }
-
-    fn query_batch(
-        &self,
-        r: &Rect,
-        scratch: &mut GridScratch,
-        ids: &mut Vec<u32>,
-        batch: &mut SegBatch,
-    ) {
-        self.query_scratch(r, scratch, ids);
-        self.fill_batch(ids, batch);
-    }
-
-    fn fill_batch(&self, ids: &[u32], batch: &mut SegBatch) {
-        // Split at the base/overlay boundary (ids are ascending) and gather
-        // each side from its own coordinate slab. The base side fills the
-        // caller's batch directly (`fill_batch` clears it first); only a
-        // non-empty overlay tail pays a staging gather, because the inner
-        // call would otherwise clear what the base just wrote. Hot loops
-        // (the DRC scan) gather through the underlying indexes
-        // directly and never take this path.
-        let split = ids.partition_point(|&id| id < self.base_ids);
-        match &self.base {
-            Some(base) if split > 0 => base.fill_batch(&ids[..split], batch),
-            _ => batch.clear(),
-        }
-        if split < ids.len() {
-            let local: Vec<u32> = ids[split..].iter().map(|&i| i - self.base_ids).collect();
-            let mut tail = SegBatch::new();
-            self.overlay.fill_batch(&local, &mut tail);
-            batch.extend_from(&tail);
-        }
     }
 }
 
@@ -264,29 +193,18 @@ mod tests {
                 let reference = SegIndex::from_segments(IndexKind::Grid, 4.0, &mono);
                 let mut scratch = GridScratch::new();
                 let mut got = Vec::new();
-                let mut batch = SegBatch::new();
                 for (qi, q) in queries.iter().enumerate() {
                     let want = reference.query(q);
                     assert_eq!(
                         overlay.query(q),
                         want,
-                        "query_into diverged ({base_kind:?}/{over_kind:?}, q{qi})"
+                        "query diverged ({base_kind:?}/{over_kind:?}, q{qi})"
                     );
                     overlay.query_scratch(q, &mut scratch, &mut got);
                     assert_eq!(
                         got, want,
                         "query_scratch diverged ({base_kind:?}/{over_kind:?}, q{qi})"
                     );
-                    overlay.query_batch(q, &mut scratch, &mut got, &mut batch);
-                    assert_eq!(got, want);
-                    assert_eq!(batch.len(), want.len());
-                    for (k, &id) in want.iter().enumerate() {
-                        assert_eq!(
-                            batch.get(k),
-                            mono[id as usize],
-                            "batch gather diverged at candidate {k}"
-                        );
-                    }
                 }
             }
         }
@@ -298,7 +216,6 @@ mod tests {
         let solo = OverlayIndex::solo(SegIndex::from_segments(IndexKind::Grid, 3.0, &items));
         let plain = SegIndex::from_segments(IndexKind::Grid, 3.0, &items);
         assert_eq!(solo.base_ids(), 0);
-        assert_eq!(solo.len(), plain.len());
         let q = Rect::new(Point::new(0.0, 0.0), Point::new(15.0, 9.0));
         assert_eq!(solo.query(&q), plain.query(&q));
     }
@@ -316,7 +233,6 @@ mod tests {
         );
         let q = Rect::new(Point::new(-1.0, -1.0), Point::new(50.0, 50.0));
         assert_eq!(idx.query(&q), base.query(&q));
-        assert_eq!(idx.len(), items.len());
         // Empty base: overlay ids still offset by the reserved space.
         let empty_base = Arc::new(SegIndex::from_segments(IndexKind::Grid, 2.0, &none));
         let idx = OverlayIndex::over(

@@ -12,7 +12,7 @@
 //!
 //! The tree does **not** test float bounding boxes. Every entry rectangle
 //! is quantized to the same integer cell lattice [`SegmentGrid`](crate::SegmentGrid) uses
-//! (`⌊v / cell⌋` per axis) at build time, node rectangles are unions of
+//! ([`cell_coord`] per axis) at build time, node rectangles are unions of
 //! quantized child rectangles, and a query quantizes its window the same
 //! way and clamps it to the occupied cell bounds before descending. An id
 //! is reported exactly when its quantized rectangle intersects the clamped
@@ -43,6 +43,7 @@
 //! assert_eq!(near, vec![0, 1]);
 //! ```
 
+use crate::cell_coord;
 use crate::grid::GridScratch;
 use meander_geom::{Rect, SegBatch, Segment};
 
@@ -138,10 +139,10 @@ impl RTree {
         for (i, s) in segments.iter().enumerate() {
             let bb = s.bbox();
             let r = [
-                tree.cell_coord(bb.min.x),
-                tree.cell_coord(bb.min.y),
-                tree.cell_coord(bb.max.x),
-                tree.cell_coord(bb.max.y),
+                cell_coord(cell_size, bb.min.x),
+                cell_coord(cell_size, bb.min.y),
+                cell_coord(cell_size, bb.max.x),
+                cell_coord(cell_size, bb.max.y),
             ];
             tree.occupied = Some(match tree.occupied {
                 None => r,
@@ -232,18 +233,10 @@ impl RTree {
         self.cell
     }
 
-    /// The cell coordinate a world coordinate falls into — identical to
-    /// [`SegmentGrid::cell_coord`](crate::SegmentGrid::cell_coord) for the
-    /// same cell size.
+    /// `true` when nothing is indexed.
     #[inline]
-    pub(crate) fn cell_coord(&self, v: f64) -> i64 {
-        (v / self.cell).floor() as i64
-    }
-
-    /// Number of indexed segments.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Largest id indexed (0 when empty).
@@ -259,10 +252,10 @@ impl RTree {
     fn clamped_window(&self, r: &Rect) -> Option<CellRect> {
         let o = self.occupied?;
         let q = [
-            self.cell_coord(r.min.x).max(o[0]),
-            self.cell_coord(r.min.y).max(o[1]),
-            self.cell_coord(r.max.x).min(o[2]),
-            self.cell_coord(r.max.y).min(o[3]),
+            cell_coord(self.cell, r.min.x).max(o[0]),
+            cell_coord(self.cell, r.min.y).max(o[1]),
+            cell_coord(self.cell, r.max.x).min(o[2]),
+            cell_coord(self.cell, r.max.y).min(o[3]),
         ];
         if q[0] > q[2] || q[1] > q[3] {
             return None;
@@ -270,7 +263,10 @@ impl RTree {
         Some(q)
     }
 
-    fn query_with_stack(&self, r: &Rect, stack: &mut Vec<u32>, out: &mut Vec<u32>) {
+    /// [`RTree::query`] into a caller-owned buffer (cleared first), with
+    /// caller-owned scratch: the traversal stack lives there, so hot loops
+    /// stay allocation-free.
+    pub fn query_scratch(&self, r: &Rect, scratch: &mut GridScratch, out: &mut Vec<u32>) {
         out.clear();
         let Some(q) = self.clamped_window(r) else {
             return;
@@ -279,6 +275,7 @@ impl RTree {
         if !cells_intersect(&self.nodes[root].rect, &q) {
             return;
         }
+        let stack = &mut scratch.stack;
         stack.clear();
         stack.push(root as u32);
         // Invariant: every stacked node intersects `q` (tested before the
@@ -317,41 +314,14 @@ impl RTree {
     /// same items and cell size.
     pub fn query(&self, r: &Rect) -> Vec<u32> {
         let mut out = Vec::new();
-        self.query_into(r, &mut out);
+        self.query_scratch(r, &mut GridScratch::new(), &mut out);
         out
     }
 
-    /// [`RTree::query`] into a caller-owned buffer (cleared first).
-    pub(crate) fn query_into(&self, r: &Rect, out: &mut Vec<u32>) {
-        let mut stack = Vec::new();
-        self.query_with_stack(r, &mut stack, out);
-    }
-
-    /// [`RTree::query_into`] with caller-owned scratch (the traversal
-    /// stack lives there, so hot loops stay allocation-free).
-    pub(crate) fn query_scratch(&self, r: &Rect, scratch: &mut GridScratch, out: &mut Vec<u32>) {
-        let mut stack = std::mem::take(&mut scratch.stack);
-        self.query_with_stack(r, &mut stack, out);
-        scratch.stack = stack;
-    }
-
-    /// [`RTree::query_scratch`] that also materializes the candidates'
-    /// geometry into a reused SoA [`SegBatch`] from the coordinate slab
-    /// (`batch.get(k)` is the segment indexed under `ids[k]`).
-    pub(crate) fn query_batch(
-        &self,
-        r: &Rect,
-        scratch: &mut GridScratch,
-        ids: &mut Vec<u32>,
-        batch: &mut SegBatch,
-    ) {
-        self.query_scratch(r, scratch, ids);
-        self.fill_batch(ids, batch);
-    }
-
-    /// Materializes the geometry of `ids` into `batch`, straight from the
-    /// coordinate slab.
-    pub(crate) fn fill_batch(&self, ids: &[u32], batch: &mut SegBatch) {
+    /// Materializes the geometry of `ids` into `batch` (cleared first),
+    /// straight from the coordinate slab: `batch.get(k)` is the segment
+    /// indexed under `ids[k]`.
+    pub fn fill_batch(&self, ids: &[u32], batch: &mut SegBatch) {
         batch.clear();
         for &id in ids {
             let c = self.coords[id as usize];
@@ -418,7 +388,7 @@ mod tests {
     #[test]
     fn empty_tree_answers_empty() {
         let t = RTree::from_segments(1.0, &[]);
-        assert_eq!(t.len(), 0);
+        assert_eq!(t.len, 0);
         let vast = Rect::new(Point::new(-1e9, -1e9), Point::new(1e9, 1e9));
         assert!(t.query(&vast).is_empty());
         let mut scratch = GridScratch::new();
@@ -432,7 +402,7 @@ mod tests {
         // One segment covering the whole board: every window hits it, and
         // windows outside the occupied bounds answer empty immediately.
         let t = RTree::from_segments(2.0, &[seg(-500.0, -500.0, 500.0, 500.0)]);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.len, 1);
         for q in [
             Rect::new(Point::new(-1.0, -1.0), Point::new(1.0, 1.0)),
             Rect::new(Point::new(-500.0, -500.0), Point::new(500.0, 500.0)),
@@ -457,7 +427,7 @@ mod tests {
             .collect();
         let t = RTree::from_segments(2.0, &segs);
         let g = SegmentGrid::from_segments(2.0, &segs);
-        assert_eq!(t.len(), 40);
+        assert_eq!(t.len, 40);
         for qi in 0..20 {
             let q0 = Point::new(qi as f64 * 1.3 - 2.0, qi as f64 * 0.9 - 1.0);
             let q = Rect::new(q0, Point::new(q0.x + 4.0, q0.y + 5.0));
@@ -507,7 +477,7 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_materializes_in_id_order() {
+    fn fill_batch_materializes_in_id_order() {
         let segs: Vec<Segment> = (0..30)
             .map(|i| {
                 let x = (i % 6) as f64 * 4.0;
@@ -517,13 +487,14 @@ mod tests {
             .collect();
         let t = RTree::from_segments(2.0, &segs);
         assert_eq!(t.cell_size(), 2.0);
-        assert_eq!(t.cell_coord(-0.1), -1);
-        assert_eq!(t.cell_coord(3.9), 1);
+        assert_eq!(cell_coord(t.cell_size(), -0.1), -1);
+        assert_eq!(cell_coord(t.cell_size(), 3.9), 1);
         let mut scratch = GridScratch::new();
         let mut ids = Vec::new();
         let mut batch = SegBatch::new();
         let r = Rect::new(Point::new(1.0, 1.0), Point::new(9.0, 9.0));
-        t.query_batch(&r, &mut scratch, &mut ids, &mut batch);
+        t.query_scratch(&r, &mut scratch, &mut ids);
+        t.fill_batch(&ids, &mut batch);
         assert_eq!(ids, SegmentGrid::from_segments(2.0, &segs).query(&r));
         assert_eq!(batch.len(), ids.len());
         for (k, &id) in ids.iter().enumerate() {

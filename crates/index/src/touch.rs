@@ -4,8 +4,8 @@
 //! units an edit could have affected. That is sound because candidacy in
 //! every spatial structure here is **lattice cell intersection**: an edge is
 //! a candidate for a query window exactly when the cell range of its bbox
-//! intersects the cell range of the window (`SegmentGrid::cell_coord`
-//! quantization; the R-tree honours the same contract — see [`crate::spatial`]).
+//! intersects the cell range of the window ([`cell_coord`] quantization;
+//! the grid and the R-tree both honour it — see [`crate::spatial`]).
 //! So if a unit records the quantized span of every candidate-query window it
 //! issued, and an edit's damage (the quantized bboxes of the old and new
 //! inflated polygons) intersects none of them, then no query the unit made
@@ -27,6 +27,7 @@
 //!   "edge-bbox cells ∩ window cells ≠ ∅" is exactly what clamped queries
 //!   answer, stated without reference to mutable bounds.
 
+use crate::cell_coord;
 use meander_geom::Rect;
 
 /// Rects kept per stratum before collapsing to a single bounding rect.
@@ -66,9 +67,9 @@ impl StratumKey {
 }
 
 /// Inclusive lattice cell range `[cx0, cy0, cx1, cy1]` of a world rect,
-/// using exactly the grid's `cell_coord` quantization (floor division).
+/// quantized by [`cell_coord`].
 pub fn quantize(cell: f64, r: &Rect) -> [i64; 4] {
-    let q = |v: f64| (v / cell).floor() as i64;
+    let q = |v: f64| cell_coord(cell, v);
     [q(r.min.x), q(r.min.y), q(r.max.x), q(r.max.y)]
 }
 
@@ -272,7 +273,7 @@ mod tests {
 
     #[test]
     fn quantize_floors_like_the_grid() {
-        // Mirrors SegmentGrid::cell_coord: (v / cell).floor().
+        // Floor division, negative coordinates included.
         assert_eq!(quantize(4.0, &rect(-0.1, 0.0, 3.9, 4.0)), [-1, 0, 0, 1]);
         assert_eq!(quantize(2.0, &rect(0.0, 0.0, 0.0, 0.0)), [0, 0, 0, 0]);
     }

@@ -1,11 +1,11 @@
 //! Property tests: the node strip and the segment grid must agree with
-//! brute force, and the two [`SpatialIndex`] implementations must agree
-//! with each other (identical candidate sets — the contract that keeps DRC
-//! lists and placements bit-identical when the index kind is swapped).
+//! brute force, and the grid and the R-tree must agree with each other
+//! (identical candidate sets — the contract that keeps DRC lists and
+//! placements bit-identical when the index kind is swapped).
 
 use meander_geom::{Point, Rect, Segment};
 use meander_index::{
-    GridScratch, IndexKind, NodeStrip, OverlayIndex, RTree, SegIndex, SegmentGrid, SpatialIndex,
+    cell_coord, GridScratch, IndexKind, NodeStrip, OverlayIndex, RTree, SegIndex, SegmentGrid,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -120,7 +120,7 @@ fn snapped(v: f64, cell: f64, snap: bool) -> f64 {
 /// the ids (in ascending order) whose bbox cell range meets the query's
 /// cell range clamped to the occupied bounds.
 fn candidate_oracle(cell: f64, segs: &[Segment], r: &Rect) -> Vec<u32> {
-    let q = |v: f64| (v / cell).floor() as i64;
+    let q = |v: f64| cell_coord(cell, v);
     let ranges: Vec<(i64, i64, i64, i64)> = segs
         .iter()
         .map(|s| {
@@ -151,11 +151,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     // Every grid query entry point must return exactly the oracle's
-    // candidate set, including the geometry `query_batch` gathers. Items
-    // go in one at a time with queries in between (the `TraceBuf`
-    // pattern), one shared scratch serves every query, coordinates may be
-    // negative or sit exactly on cell boundaries, and plane-sized segments
-    // smear across many cells.
+    // candidate set, and `fill_batch` must gather each candidate's
+    // geometry. Items go in one at a time with queries in between (the
+    // `TraceBuf` pattern), one shared scratch serves every query, and the
+    // reused output buffer starts dirty. Coordinates may be negative or
+    // sit exactly on cell boundaries, and plane-sized segments smear
+    // across many cells.
     #[test]
     fn grid_queries_equal_cell_range_oracle(
         small in proptest::collection::vec((pt(), (-6.0..6.0f64, -6.0..6.0f64), 0..4usize), 0..60),
@@ -195,8 +196,7 @@ proptest! {
 
         let mut grid = SegmentGrid::new(cell);
         let mut scratch = GridScratch::new();
-        let mut buf = vec![u32::MAX; 3];
-        let mut ids = Vec::new();
+        let mut ids = vec![u32::MAX; 3];
         for r in &rects {
             prop_assert!(grid.query(r).is_empty());
             grid.query_scratch(r, &mut scratch, &mut ids);
@@ -217,12 +217,9 @@ proptest! {
                 next_query += 1;
                 let expect = candidate_oracle(cell, &segs[..=n], r);
                 prop_assert_eq!(&grid.query(r), &expect);
-                grid.query_into(r, &mut buf);
-                prop_assert_eq!(&buf, &expect);
                 grid.query_scratch(r, &mut scratch, &mut ids);
                 prop_assert_eq!(&ids, &expect);
-                grid.query_batch(r, &mut scratch, &mut ids, &mut batch);
-                prop_assert_eq!(&ids, &expect);
+                grid.fill_batch(&ids, &mut batch);
                 prop_assert_eq!(batch.len(), expect.len());
                 for (k, &id) in ids.iter().enumerate() {
                     prop_assert_eq!(batch.get(k), segs[id as usize]);
@@ -261,12 +258,10 @@ proptest! {
         let mut got = Vec::new();
         tree.query_scratch(&r, &mut scratch, &mut got);
         prop_assert_eq!(&got, &expect);
-        let mut ids = Vec::new();
         let mut batch = meander_geom::SegBatch::new();
-        tree.query_batch(&r, &mut scratch, &mut ids, &mut batch);
-        prop_assert_eq!(&ids, &expect);
+        tree.fill_batch(&got, &mut batch);
         prop_assert_eq!(batch.len(), expect.len());
-        for (k, &id) in ids.iter().enumerate() {
+        for (k, &id) in got.iter().enumerate() {
             prop_assert_eq!(batch.get(k), segs[id as usize]);
         }
     }
@@ -310,14 +305,7 @@ proptest! {
         prop_assert_eq!(&overlay.query(&r), &expect);
         let mut scratch = GridScratch::new();
         let mut ids = Vec::new();
-        let mut batch = meander_geom::SegBatch::new();
         overlay.query_scratch(&r, &mut scratch, &mut ids);
         prop_assert_eq!(&ids, &expect);
-        overlay.query_batch(&r, &mut scratch, &mut ids, &mut batch);
-        prop_assert_eq!(&ids, &expect);
-        prop_assert_eq!(batch.len(), expect.len());
-        for (k, &id) in ids.iter().enumerate() {
-            prop_assert_eq!(batch.get(k), segs[id as usize]);
-        }
     }
 }
