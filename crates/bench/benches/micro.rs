@@ -3,14 +3,14 @@
 //!
 //! * `dp_kernel` — segment DP vs discretization size (uniform cap vs
 //!   per-position upper-bound profile),
-//! * `ura_shrink` — one max-height query vs obstacle count (allocating and
-//!   scratch-reusing variants),
+//! * `ura_shrink` — one max-height query vs obstacle count, scratch
+//!   reused,
 //! * `batch_distance` — `distance_sq_to_segment_batch` vs the scalar
 //!   `distance_to_segment` loop at candidate counts {4, 16, 64, 256},
 //! * `batch_profile` — batched vs scalar stage-1 table sweep
 //!   (`build_stage1_table`),
 //! * `shrink_probe` — the DP's height probes with stage 1 read from the
-//!   pop's table vs computed per probe,
+//!   pop's table vs computed per probe by the scalar predicate,
 //! * `context_build` — both side contexts of one pop
 //!   (`ShrinkContext::build_sides`) on the `cli-boards` stress board,
 //! * `dtw` — node matching vs node count,
@@ -29,8 +29,8 @@ use meander_core::context::{ShrinkContext, WorldContext};
 use meander_core::dp::{extend_segment_dp, DpInput, HeightBounds, UbProfile};
 use meander_core::extend::{ExtendInput, SidesFixture};
 use meander_core::shrink::{
-    build_stage1_table, build_stage1_table_batched, max_pattern_height, max_pattern_height_batched,
-    max_pattern_height_fed, max_pattern_height_scratch, ShrinkScratch,
+    build_stage1_table, build_stage1_table_batched, max_pattern_height, max_pattern_height_fed,
+    ShrinkScratch,
 };
 use meander_core::{extend_trace, match_all_groups, ExtendConfig};
 use meander_geom::batch::{distance_sq_to_segment_batch, SegBatch};
@@ -113,18 +113,11 @@ fn bench_ura_shrink(c: &mut Criterion) {
         };
         let ctx = ShrinkContext::build(&world, &frame, 200.0, 1);
         group.bench_with_input(
-            BenchmarkId::new("alloc", n_obstacles),
-            &n_obstacles,
-            |b, _| b.iter(|| max_pattern_height(&ctx, 80.0, 110.0, 8.0, 60.0, 2.0)),
-        );
-        group.bench_with_input(
             BenchmarkId::new("scratch", n_obstacles),
             &n_obstacles,
             |b, _| {
                 let mut scratch = ShrinkScratch::new();
-                b.iter(|| {
-                    max_pattern_height_scratch(&ctx, 80.0, 110.0, 8.0, 60.0, 2.0, &mut scratch)
-                })
+                b.iter(|| max_pattern_height(&ctx, 80.0, 110.0, 8.0, 60.0, 2.0, &mut scratch))
             },
         );
     }
@@ -236,7 +229,7 @@ fn bench_batch_profile(c: &mut Criterion) {
 
 /// The DP's height probes over one pop (every foot pair of widths 8–24
 /// steps, both sides), with stage 1 read from the pop's table (`fed`) vs
-/// computed by each probe on the batch kernels (`self`).
+/// computed by each probe with the scalar predicate (`self`).
 fn bench_shrink_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("shrink_probe");
     let (ctx_up, ctx_dn, seg_len) = via_field_contexts();
@@ -255,16 +248,8 @@ fn bench_shrink_probe(c: &mut Criterion) {
             let mut sum = 0.0;
             for ctx in [&ctx_dn, &ctx_up] {
                 for &(lo, hi) in &feet {
-                    sum += max_pattern_height_batched(
-                        ctx,
-                        x(lo),
-                        x(hi),
-                        gap,
-                        h_init,
-                        h_min,
-                        &mut scratch,
-                    )
-                    .height;
+                    sum += max_pattern_height(ctx, x(lo), x(hi), gap, h_init, h_min, &mut scratch)
+                        .height;
                 }
             }
             sum

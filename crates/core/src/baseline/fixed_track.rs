@@ -2,8 +2,8 @@
 //!
 //! Patterns sit on *fixed tracks*: feet at a constant pitch from the
 //! segment start, constant pattern width, greedy left-to-right insertion.
-//! Obstacles are never routed around (`max_pattern_height_opts` with
-//! enclosure off); when a slot's height comes back too small the slot is
+//! Obstacles are never routed around (the shrink probe with enclosure
+//! off); when a slot's height comes back too small the slot is
 //! simply skipped — no foot shifting, no width adaptation. Exactly the
 //! failure modes the paper's Fig. 15 walkthrough describes.
 
@@ -11,7 +11,7 @@ use crate::config::TOLERANCE;
 use crate::context::{ShrinkContext, WorldContext};
 use crate::extend::{ExtendInput, ExtendOutcome};
 use crate::pattern::{build_local_meander_f64, splice_meander};
-use crate::shrink::max_pattern_height_opts;
+use crate::shrink::{shrink, ShrinkScratch};
 use meander_geom::Frame;
 
 /// Knobs of the fixed-track baseline.
@@ -65,6 +65,10 @@ pub fn extend_trace_fixed(input: &ExtendInput<'_>, opts: &FixedTrackOptions) -> 
     // pieces that existed originally: we walk by index and skip spliced
     // runs by remembering how many vertices each splice added.
     let mut seg_index = 0usize;
+    let mut scratch = ShrinkScratch::new();
+    let mut probe = |ctx: &ShrinkContext, x0: f64, x1: f64, h_init: f64| {
+        shrink(ctx, x0, x1, g_eff, h_init, h_min, false, None, &mut scratch)
+    };
     while trace.length() < input.target - tol && seg_index < trace.segment_count() {
         iterations += 1;
         let seg = trace.segment(seg_index);
@@ -100,7 +104,7 @@ pub fn extend_trace_fixed(input: &ExtendInput<'_>, opts: &FixedTrackOptions) -> 
             let x1 = x0 + wpat;
             let dir: i8 = if opts.alternate && k % 2 == 1 { -1 } else { 1 };
             let ctx = if dir > 0 { &ctx_up } else { &ctx_dn };
-            let r = max_pattern_height_opts(ctx, x0, x1, g_eff, h_init, h_min, false);
+            let r = probe(ctx, x0, x1, h_init);
             if r.height >= h_min - 1e-9 {
                 slots.push((x0, x1, dir, r.height));
                 x0 += pitch;
@@ -131,7 +135,7 @@ pub fn extend_trace_fixed(input: &ExtendInput<'_>, opts: &FixedTrackOptions) -> 
                 let desired = (remaining - acc) / 2.0;
                 if desired >= h_min - 1e-9 {
                     let ctx = if dir > 0 { &ctx_up } else { &ctx_dn };
-                    let r = max_pattern_height_opts(ctx, x0, x1, g_eff, desired, h_min, false);
+                    let r = probe(ctx, x0, x1, desired);
                     if r.height >= h_min - 1e-9 {
                         placements.push((x0, x1, dir, r.height));
                     }

@@ -51,14 +51,16 @@ pub struct ExtendConfig {
     /// pipeline (kept as the reference for equivalence tests and for the
     /// `perf_regression` engine comparison).
     pub incremental: bool,
-    /// Evaluate the shrink stage-1 side intersections and the DP
-    /// upper-bound profile sweep on the SoA batch kernels
-    /// (`meander_geom::batch`): candidates gather once into lane-parallel
-    /// buffers instead of per-candidate scalar calls. Output is
-    /// bit-identical either way — the kernels replay the scalar float
-    /// stream per lane (property-tested). On by default; the scalar path
-    /// stays reachable as the reference the equivalence suites compare
-    /// against.
+    /// Build the incremental engine's per-pop stage-1 table (the side
+    /// caps every DP probe reads and the DP's upper-bound profile) with
+    /// the lane sweep (`build_stage1_table_batched` on
+    /// `meander_geom::batch::intersect_x_range_batch`): one pass over the
+    /// context's edges instead of one column scan per foot. Output is
+    /// bit-identical either way — the kernel replays the scalar float
+    /// stream per lane (property-tested). On by default; off selects the
+    /// scalar sweep. No effect on the rebuild engine
+    /// (`incremental: false`), whose probes always compute their own stage
+    /// 1 with the scalar predicate.
     pub batch_kernels: bool,
     /// Spatial index structure for the world edge indexes — the shared
     /// per-board [`crate::WorldBase`] and the incremental engine's

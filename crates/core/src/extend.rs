@@ -26,8 +26,8 @@ use crate::context::{ShrinkContext, WorldBase, WorldContext, WorldIndex};
 use crate::dp::{extend_segment_dp, DpInput, HeightBounds, Placement};
 use crate::pattern::{build_local_meander, splice_meander};
 use crate::shrink::{
-    build_stage1_table, build_stage1_table_batched, max_pattern_height_batched,
-    max_pattern_height_fed, max_pattern_height_scratch, ShrinkScratch,
+    build_stage1_table, build_stage1_table_batched, max_pattern_height, max_pattern_height_fed,
+    ShrinkScratch,
 };
 use crate::tracebuf::TraceBuf;
 use meander_drc::DesignRules;
@@ -154,12 +154,11 @@ fn plan_segment(
     use_profile: bool,
 ) -> Option<(Polyline, usize)> {
     let h_init = remaining / 2.0;
-    // `batch_kernels` swaps the scalar stage-1 kernels for the SoA batch
-    // kernels — bit-identical outputs (lane-exactness contract), so the DP
-    // sees the same numbers either way.
-    let batched = config.batch_kernels;
+    // `batch_kernels` swaps the scalar table sweep for the lane sweep —
+    // bit-identical outputs (lane-exactness contract), so the DP sees the
+    // same numbers either way.
     let table = use_profile.then(|| {
-        let build = if batched {
+        let build = if config.batch_kernels {
             build_stage1_table_batched
         } else {
             build_stage1_table
@@ -176,11 +175,6 @@ fn plan_segment(
     });
     let profile = table.as_ref().map(|t| t.profile(params.h_min));
     let scratch_cell = RefCell::new(scratch);
-    let probe = if batched {
-        max_pattern_height_batched
-    } else {
-        max_pattern_height_scratch
-    };
     let height = |lo: usize, hi: usize, dir: i8| -> f64 {
         let ctx = if dir > 0 { ctx_up } else { ctx_dn };
         let (x0, x1) = (lo as f64 * disc.ldisc, hi as f64 * disc.ldisc);
@@ -199,7 +193,7 @@ fn plan_segment(
                     scratch,
                 )
             }
-            None => probe(ctx, x0, x1, params.g_eff, h_init, params.h_min, scratch),
+            None => max_pattern_height(ctx, x0, x1, params.g_eff, h_init, params.h_min, scratch),
         }
         .height
     };
@@ -239,7 +233,6 @@ fn plan_segment(
         disc.ldisc,
         ctx_up,
         ctx_dn,
-        batched,
         &mut scratch_cell.borrow_mut(),
     );
     if kept.is_empty() {
@@ -643,14 +636,8 @@ fn trim_placements(
     ldisc: f64,
     ctx_up: &ShrinkContext,
     ctx_dn: &ShrinkContext,
-    batched: bool,
     scratch: &mut ShrinkScratch,
 ) -> Vec<Placement> {
-    let probe = if batched {
-        max_pattern_height_batched
-    } else {
-        max_pattern_height_scratch
-    };
     let mut kept = Vec::with_capacity(placements.len());
     let mut acc = 0.0;
     for p in placements {
@@ -663,7 +650,7 @@ fn trim_placements(
         let desired = (remaining - acc) / 2.0;
         if desired >= h_min - 1e-9 {
             let ctx = if p.dir > 0 { ctx_up } else { ctx_dn };
-            let r = probe(
+            let r = max_pattern_height(
                 ctx,
                 p.lo as f64 * ldisc,
                 p.hi as f64 * ldisc,

@@ -14,14 +14,14 @@ use meander_core::context::{ShrinkContext, WorldContext, Y_EPS};
 use meander_core::dp::{extend_segment_dp, DpInput, HeightBounds, UbProfile};
 use meander_core::extend::{extend_trace, ExtendInput};
 use meander_core::shrink::{
-    build_stage1_table, build_stage1_table_batched, max_pattern_height, max_pattern_height_batched,
-    max_pattern_height_fed, max_pattern_height_scratch, ShrinkScratch,
+    build_stage1_table, build_stage1_table_batched, max_pattern_height, max_pattern_height_fed,
+    ShrinkScratch,
 };
 use meander_core::ExtendConfig;
 use meander_drc::DesignRules;
-use meander_geom::batch::{side_edge_cap_scalar, vertical_side_min_cap};
-use meander_geom::{Frame, Point, Polygon, Polyline, Rect, SegBatch, Segment, EPS};
-use meander_index::{GridScratch, IndexKind, SegIndex, SegmentGrid};
+use meander_geom::batch::side_edge_cap_scalar;
+use meander_geom::{Frame, Point, Polygon, Polyline, Rect, Segment, EPS};
+use meander_index::{IndexKind, SegIndex, SegmentGrid};
 use proptest::prelude::*;
 
 fn rules() -> DesignRules {
@@ -127,7 +127,7 @@ proptest! {
         };
         let ctx = ShrinkContext::build(&world, &frame, 150.0, 1);
         let x1 = (x0 + w).min(145.0);
-        let res = max_pattern_height(&ctx, x0, x1, g_eff, h_init, r.protect);
+        let res = max_pattern_height(&ctx, x0, x1, g_eff, h_init, r.protect, &mut ShrinkScratch::new());
         prop_assert!(res.height <= h_init + 1e-9);
         if res.height == 0.0 {
             return Ok(());
@@ -315,8 +315,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // The SoA batch kernels must reproduce the scalar shrink floats
-    // bit-for-bit on randomized obstacle fields: the stage-1 probes, the
-    // per-position stage-1 table, and the whole engine run.
+    // bit-for-bit on randomized obstacle fields: the per-position stage-1
+    // table and the whole incremental engine run (the rebuild engine
+    // always runs the scalar probes).
     #[test]
     fn batched_kernels_bit_identical_end_to_end(
         obs in proptest::collection::vec(
@@ -368,19 +369,7 @@ proptest! {
             }
         }
 
-        // Stage-1 probes at assorted feet.
-        for ctx in [&ctx_up, &ctx_dn] {
-            for j in (0..m.saturating_sub(4)).step_by(3) {
-                let (x0, x1) = (j as f64 * ldisc, (j + 4) as f64 * ldisc);
-                let s = max_pattern_height_scratch(ctx, x0, x1, g_eff, h_init, r.protect, &mut scratch);
-                let b = max_pattern_height_batched(ctx, x0, x1, g_eff, h_init, r.protect, &mut scratch);
-                prop_assert_eq!(s.height.to_bits(), b.height.to_bits(), "probe at {}", j);
-                prop_assert_eq!(s.routes_around, b.routes_around);
-            }
-        }
-
-        // Whole engine: identical meander, bit for bit, batch on or off —
-        // for both the incremental and the rebuild pipeline.
+        // Whole engine: identical meander, bit for bit, batch on or off.
         let trace = Polyline::new(vec![Point::new(0.0, 0.0), Point::new(seg_len, 0.0)]);
         let input = ExtendInput {
             trace: &trace,
@@ -389,23 +378,16 @@ proptest! {
             area: &area,
             obstacles: &obstacles,
         };
-        for incremental in [true, false] {
-            let mk = |batch_kernels: bool| ExtendConfig {
-                incremental,
-                parallel: false,
-                batch_kernels,
-                ..ExtendConfig::default()
-            };
-            let scalar = extend_trace(&input, &mk(false));
-            let batched = extend_trace(&input, &mk(true));
-            prop_assert_eq!(
-                scalar.achieved.to_bits(),
-                batched.achieved.to_bits(),
-                "achieved diverged (incremental={})", incremental
-            );
-            prop_assert_eq!(scalar.patterns, batched.patterns);
-            prop_assert_eq!(scalar.trace.points(), batched.trace.points());
-        }
+        let mk = |batch_kernels: bool| ExtendConfig {
+            parallel: false,
+            batch_kernels,
+            ..ExtendConfig::default()
+        };
+        let scalar = extend_trace(&input, &mk(false));
+        let batched = extend_trace(&input, &mk(true));
+        prop_assert_eq!(scalar.achieved.to_bits(), batched.achieved.to_bits(), "achieved diverged");
+        prop_assert_eq!(scalar.patterns, batched.patterns);
+        prop_assert_eq!(scalar.trace.points(), batched.trace.points());
     }
 }
 
@@ -507,34 +489,27 @@ proptest! {
     }
 }
 
-/// The probe's own two-column stage 1 for the side at `x`, over a
-/// `SegIndex` on the context's lattice: the scalar evaluation
-/// (`side_edge_cap_scalar` per candidate) and the batched one
-/// (`query_scratch` + `fill_batch` + `vertical_side_min_cap`), each
-/// lowered from `hob0`.
-fn indexed_side_caps(
+/// The probe's own stage 1 for the side at `x`, over a `SegIndex` on the
+/// context's lattice: `side_edge_cap_scalar` per candidate of the side's
+/// column, lowered from `hob0`.
+fn indexed_side_cap(
     ctx: &ShrinkContext,
     index: &SegIndex,
     x: f64,
     left_side: bool,
     hob0: f64,
-) -> (f64, f64) {
+) -> f64 {
     let inward = if left_side { x + EPS } else { x - EPS };
     let column = Rect::new(Point::new(x, Y_EPS), Point::new(inward, hob0));
     let seg_len = ctx.local_segment.b.x;
     let side = Segment::new(Point::new(x, Y_EPS), Point::new(x, hob0));
-    let scalar = index.query(&column).iter().fold(hob0, |cap, &id| {
+    index.query(&column).iter().fold(hob0, |cap, &id| {
         cap.min(side_edge_cap_scalar(
             &side,
             &ctx.edges[id as usize],
             seg_len,
         ))
-    });
-    let (mut gs, mut ids, mut batch) = (GridScratch::new(), Vec::new(), SegBatch::new());
-    index.query_scratch(&column, &mut gs, &mut ids);
-    index.fill_batch(&ids, &mut batch);
-    let batched = hob0.min(vertical_side_min_cap(x, Y_EPS, hob0, &batch, seg_len));
-    (scalar, batched)
+    })
 }
 
 proptest! {
@@ -542,8 +517,8 @@ proptest! {
 
     // The stage-1 table is exactly what every DP probe would compute for
     // itself: at every foot and side, both table sweeps equal — bit for
-    // bit — the probe's two-column stage 1 evaluated over a grid index on
-    // the context's lattice, scalar and batched. The fields mix random
+    // bit — the probe's scalar stage 1 evaluated over a grid index on the
+    // context's lattice. The fields mix random
     // polygons with rectangles snapped to cell boundaries, sides within EPS
     // of a cell boundary, vertical edges within a few EPS of a side, and a
     // plane slab; table-fed probes must then equal self-computing ones.
@@ -656,8 +631,7 @@ proptest! {
                     (false, &ts.right[d], &tb.right[d]),
                 ] {
                     let x = if left_side { x0 - g2 } else { x0 + g2 };
-                    let (scalar, batched) = indexed_side_caps(ctx, &index, x, left_side, hob0);
-                    prop_assert_eq!(scalar.to_bits(), batched.to_bits(), "oracles at {} {} {}", d, p, left_side);
+                    let scalar = indexed_side_cap(ctx, &index, x, left_side, hob0);
                     prop_assert_eq!(table_s[p].to_bits(), scalar.to_bits(), "scalar table at {} {} {}", d, p, left_side);
                     prop_assert_eq!(table_b[p].to_bits(), scalar.to_bits(), "batched table at {} {} {}", d, p, left_side);
                 }
@@ -666,7 +640,7 @@ proptest! {
             for lo in (0..m.saturating_sub(2)).step_by(3) {
                 let hi = (lo + 2 + lo % 7).min(m);
                 let (x0, x1) = (lo as f64 * ldisc, hi as f64 * ldisc);
-                let own = max_pattern_height_scratch(ctx, x0, x1, g_eff, h_init, r.protect, &mut scratch);
+                let own = max_pattern_height(ctx, x0, x1, g_eff, h_init, r.protect, &mut scratch);
                 let fed = max_pattern_height_fed(
                     ctx, x0, x1, g_eff, h_init, r.protect, tb.hob(lo, hi, d), &mut scratch,
                 );

@@ -13,7 +13,7 @@ use meander_geom::batch::{
 use meander_geom::intersect::segments_intersect;
 use meander_geom::polyline::simplify_into;
 use meander_geom::{Point, Polygon, Polyline, Rect, Segment};
-use meander_index::{GridScratch, IndexKind, SegIndex};
+use meander_index::{GridScratch, SegmentGrid};
 
 /// Geometry of one trace as the checker sees it, borrowed from its owner.
 #[derive(Debug, Clone)]
@@ -57,10 +57,29 @@ pub struct CheckInput<'a> {
 /// 5. **Routable-area containment** — every vertex inside the union of the
 ///    trace's assigned polygons (when provided).
 ///
-/// The scan is output-sensitive: it runs [`check_layout_with`] on the
-/// uniform grid. It reports **exactly** the same violation list as
+/// It reports **exactly** the same violation list as
 /// [`check_layout_brute`] — same order, same values, same witnesses; the
-/// property suite asserts equality on randomized boards.
+/// property suite asserts equality on randomized boards. The scan is
+/// output-sensitive: it replaces the brute-force `O(T²·S²)` trace–trace
+/// and `O(T·O·S)` trace–obstacle scans with windowed candidate queries on
+/// one uniform [`SegmentGrid`]:
+///
+/// * every segment is registered once in the grid keyed by a global id
+///   that ascends in `(trace, segment)` order, so candidate iteration
+///   visits pairs in the same order as the brute-force scan and
+///   strict-minimum witness selection agrees bit-for-bit;
+/// * an obstacle only tests segments whose bbox lies within the largest
+///   clearance any trace demands of its own bbox;
+/// * a trace segment only tests other-trace segments whose bbox lies
+///   within the largest pair clearance of its own, and the closest-pair
+///   search returns its witness directly instead of re-scanning;
+/// * the same query hands each segment its later same-trace neighbours,
+///   which is all the self-intersection test needs.
+///
+/// Candidates are materialized into a reused [`SegBatch`] straight from
+/// the grid's slab and evaluated lane-parallel on the SoA kernels of
+/// [`meander_geom::batch`], in the squared-distance domain with one `sqrt`
+/// at each reduced winner (the lane-exactness contract).
 ///
 /// ```
 /// use meander_drc::{check_layout, CheckInput, DesignRules, TraceGeometry};
@@ -80,12 +99,39 @@ pub struct CheckInput<'a> {
 /// };
 /// assert!(check_layout(&input).is_empty());
 /// ```
+///
+/// A plane-sized obstacle too close to the trace is reported once, with
+/// the same witness the brute-force scan picks:
+///
+/// ```
+/// use meander_drc::{check_layout, check_layout_brute, CheckInput, DesignRules, TraceGeometry};
+/// use meander_geom::{Point, Polygon, Polyline};
+///
+/// let centerline = Polyline::new(vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]);
+/// // Required clearance is 8 + 4/2 = 10 but the slab sits at distance 5.
+/// let slab = Polygon::rectangle(Point::new(-50.0, 5.0), Point::new(150.0, 30.0));
+/// let input = CheckInput {
+///     traces: vec![TraceGeometry {
+///         id: 0,
+///         centerline: &centerline,
+///         width: 4.0,
+///         rules: DesignRules::default(),
+///         area: &[],
+///         coupled_with: vec![],
+///     }],
+///     obstacles: vec![&slab],
+/// };
+/// let found = check_layout(&input);
+/// assert_eq!(found.len(), 1);
+/// assert_eq!(found, check_layout_brute(&input)); // witnesses included
+/// ```
 pub fn check_layout(input: &CheckInput) -> Vec<Violation> {
-    check_layout_with(input, IndexKind::Grid)
+    let idx = ScanIndex::build(input);
+    emit(input, gather(input, &idx))
 }
 
 /// The original all-pairs scan, kept as the reference implementation:
-/// [`check_layout_with`] must report the exact same violation list, which
+/// [`check_layout`] must report the exact same violation list, which
 /// the property suite and the generator-wide pipeline test assert.
 pub fn check_layout_brute(input: &CheckInput) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -192,62 +238,6 @@ fn trace_checks(
     }
 }
 
-/// [`check_layout`] with the scan index structure selected by `kind`
-/// (grid or STR R-tree).
-///
-/// Replaces the brute-force `O(T²·S²)` trace–trace and `O(T·O·S)`
-/// trace–obstacle scans with windowed candidate queries on one index:
-///
-/// * every segment is registered once in a world index keyed by a global
-///   id that ascends in `(trace, segment)` order, so candidate iteration
-///   visits pairs in the same order as the brute-force scan and
-///   strict-minimum witness selection agrees bit-for-bit;
-/// * an obstacle only tests segments whose bbox lies within the largest
-///   clearance any trace demands of its own bbox;
-/// * a trace segment only tests other-trace segments whose bbox lies
-///   within the largest pair clearance of its own, and the closest-pair
-///   search returns its witness directly instead of re-scanning;
-/// * the same query hands each segment its later same-trace neighbours,
-///   which is all the self-intersection test needs.
-///
-/// Candidates are materialized into a reused [`SegBatch`] straight from
-/// the index slab and evaluated lane-parallel on the SoA kernels of
-/// [`meander_geom::batch`], in the squared-distance domain with one `sqrt`
-/// at each reduced winner (the lane-exactness contract). Both index
-/// structures return identical candidate sets, so the violation list is
-/// the same for every kind (property-tested); choose by the board's shape
-/// (the R-tree wins when plane-sized obstacles meet dense traces).
-///
-/// ```
-/// use meander_drc::{check_layout_with, CheckInput, DesignRules, TraceGeometry};
-/// use meander_geom::{Point, Polygon, Polyline};
-/// use meander_index::IndexKind;
-///
-/// let centerline = Polyline::new(vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]);
-/// // A plane-sized obstacle too close to the trace: required clearance is
-/// // 8 + 4/2 = 10 but the slab sits at distance 5.
-/// let slab = Polygon::rectangle(Point::new(-50.0, 5.0), Point::new(150.0, 30.0));
-/// let input = CheckInput {
-///     traces: vec![TraceGeometry {
-///         id: 0,
-///         centerline: &centerline,
-///         width: 4.0,
-///         rules: DesignRules::default(),
-///         area: &[],
-///         coupled_with: vec![],
-///     }],
-///     obstacles: vec![&slab],
-/// };
-/// let grid = check_layout_with(&input, IndexKind::Grid);
-/// let rtree = check_layout_with(&input, IndexKind::RTree);
-/// assert_eq!(grid.len(), 1);
-/// assert_eq!(grid, rtree); // identical list, witnesses included
-/// ```
-pub fn check_layout_with(input: &CheckInput, kind: IndexKind) -> Vec<Violation> {
-    let idx = ScanIndex::build(input, kind);
-    emit(input, gather(input, &idx))
-}
-
 /// Shared scan state: every trace's segments in one slab, the global
 /// segment index over it (ids ascend in `(trace, segment)` order), and the
 /// clearance windows.
@@ -261,11 +251,11 @@ struct ScanIndex {
     trace_boxes: Vec<Rect>,
     max_obs_required: f64,
     max_pair_required: f64,
-    grid: SegIndex,
+    grid: SegmentGrid,
 }
 
 impl ScanIndex {
-    fn build(input: &CheckInput, kind: IndexKind) -> Self {
+    fn build(input: &CheckInput) -> Self {
         let traces = &input.traces;
         let total: usize = traces.iter().map(|t| t.centerline.segment_count()).sum();
         let mut segs = Vec::with_capacity(total);
@@ -302,7 +292,7 @@ impl ScanIndex {
             .max(2.0 * max_obs_required)
             .max(2.0 * max_pair_required)
             .max(1e-6);
-        let grid = SegIndex::from_segments(kind, cell, &segs);
+        let grid = SegmentGrid::from_segments(cell, &segs);
         ScanIndex {
             segs,
             offsets,
@@ -790,8 +780,7 @@ mod tests {
         // The many-edged oracle case: a plane polygon (24-gon, radius big
         // enough to smear across the whole board) over dozens of short
         // trace segments, plus a small 24-gon between two traces. The
-        // batched gather must agree with the brute scan exactly, under
-        // every index kind.
+        // batched gather must agree with the brute scan exactly.
         let lines: Vec<Polyline> = (0..6)
             .map(|t| {
                 let y = t as f64 * 30.0;
@@ -808,9 +797,7 @@ mod tests {
         };
         let brute = check_layout_brute(&input);
         assert!(!brute.is_empty(), "the plane must clip several traces");
-        for kind in [IndexKind::Grid, IndexKind::RTree] {
-            assert_eq!(check_layout_with(&input, kind), brute, "{kind:?}");
-        }
+        assert_eq!(check_layout(&input), brute);
     }
 
     #[test]

@@ -25,13 +25,10 @@
 //! * [`checker`] — a full violation scan used by tests and examples to prove
 //!   router outputs legal.
 //!
-//! The indexed scans answer their window queries on a
-//! [`meander_index::SegIndex`]: [`IndexKind`] selects the
-//! uniform grid or the STR-packed R-tree
-//! ([`checker::check_layout_with`]), and because both structures
-//! return identical candidate sets, the violation list — order, values,
-//! witnesses — is the same for every selection (property-tested against
-//! the brute-force reference).
+//! [`check_layout`] answers its window queries on one uniform
+//! [`meander_index::SegmentGrid`] and reports exactly the violation list
+//! — order, values, witnesses — of the brute-force reference
+//! [`check_layout_brute`] (property-tested).
 
 pub mod checker;
 pub mod dra;
@@ -40,9 +37,8 @@ pub mod rules;
 pub mod violation;
 pub mod virtual_drc;
 
-pub use checker::{check_layout, check_layout_brute, check_layout_with, CheckInput, TraceGeometry};
+pub use checker::{check_layout, check_layout_brute, CheckInput, TraceGeometry};
 pub use dra::DesignRuleArea;
-pub use meander_index::IndexKind;
 pub use resolve::RuleResolver;
 pub use rules::{DesignRules, RulesError};
 pub use violation::Violation;

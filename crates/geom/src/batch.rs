@@ -1,12 +1,13 @@
 //! SoA candidate batches and lane-parallel geometry kernels.
 //!
-//! The DRC scan and the URA shrinker's stage-1 side intersections evaluate
-//! the same tiny predicates — point↔segment distance, segment↔segment
+//! The DRC scan and the URA shrinker's stage-1 table sweep evaluate the
+//! same tiny predicates — point↔segment distance, segment↔segment
 //! distance, vertical-side × edge intersection — against *sets* of
-//! candidates gathered from a spatial index. Calling the scalar predicates
-//! per candidate is the wrong shape for that: every call re-loads a
-//! `Segment`, branches through an intersection early-out, and pays a `sqrt`
-//! per partial distance even though only the *minimum* ever matters.
+//! candidates: segments gathered from a spatial index, or the run of foot
+//! positions one edge can reach. Calling the scalar predicates per
+//! candidate is the wrong shape for that: every call re-loads a `Segment`,
+//! branches through an intersection early-out, and pays a `sqrt` per
+//! partial distance even though only the *minimum* ever matters.
 //!
 //! This module restructures those hot paths around structure-of-arrays
 //! segment batches ([`SegBatch`]) whose kernels run a fixed-width lane
@@ -365,8 +366,9 @@ fn dist_to_baseline(px: f64, py: f64, seg_len: f64) -> f64 {
 /// Scalar contribution of one side × edge intersection: the
 /// distance-to-baseline of the crossing (the nearer end of a collinear
 /// overlap), `f64::INFINITY` when they miss. The one scalar stage-1
-/// evaluation — the shrinker's scalar paths call it per candidate, and
-/// both vertical-side kernels' fallback lanes reuse it.
+/// evaluation — the shrinker's self-computing probes and scalar table
+/// sweep call it per candidate, and [`intersect_x_range_batch`]'s fallback
+/// lanes reuse it.
 #[inline]
 pub fn side_edge_cap_scalar(side: &Segment, edge: &Segment, seg_len: f64) -> f64 {
     match segment_intersection(side, edge) {
@@ -441,66 +443,6 @@ pub fn intersect_x_range_batch(
             }
         }
     }
-}
-
-/// Minimum distance-to-baseline cap of the vertical side
-/// `(x, ylo) → (x, yhi)` over a batch of edges (lane-parallel over the
-/// edges; `f64::INFINITY` when nothing crosses).
-///
-/// The transposed companion of [`intersect_x_range_batch`] for the shrink
-/// stage-1 evaluation, where one side meets many candidate edges. Same
-/// lane-exactness contract; near-vertical edges take the scalar fallback.
-///
-/// Edges whose x-extent (inflated by [`PREFILTER_SLACK`]) misses `x` are
-/// skipped outright: any non-`None` outcome of
-/// `segment_intersection(side, edge)` implies a point within ~[`EPS`] of
-/// both segments, so the edge must reach within `EPS ≪ PREFILTER_SLACK` of
-/// the side's x. (The collinearity tolerance scales as `EPS / |side|`, so
-/// the reject is only applied when the side is at least [`SHORT_SEG_LEN`]
-/// tall — shrink sides always are.)
-#[allow(clippy::eq_op)]
-pub fn vertical_side_min_cap(x: f64, ylo: f64, yhi: f64, edges: &SegBatch, seg_len: f64) -> f64 {
-    let n = edges.len();
-    let (axs, ays, bxs, bys) = (
-        &edges.ax[..n],
-        &edges.ay[..n],
-        &edges.bx[..n],
-        &edges.by[..n],
-    );
-    let dy1 = yhi - ylo;
-    let tight = dy1 >= SHORT_SEG_LEN;
-    let t_tol = EPS / (0.0 * 0.0 + dy1 * dy1).sqrt().max(EPS);
-    let mut cap = f64::INFINITY;
-    for i in 0..n {
-        let (eax, eay, ebx, eby) = (axs[i], ays[i], bxs[i], bys[i]);
-        if tight && (x < eax.min(ebx) - PREFILTER_SLACK || x > eax.max(ebx) + PREFILTER_SLACK) {
-            continue;
-        }
-        let (ex, ey) = (ebx - eax, eby - eay);
-        let denom = 0.0 * ey - dy1 * ex;
-        let c = if denom.abs() <= EPS {
-            let side = Segment::new(Point::new(x, ylo), Point::new(x, yhi));
-            side_edge_cap_scalar(&side, &edges.get(i), seg_len)
-        } else {
-            let u_tol = EPS / (ex * ex + ey * ey).sqrt().max(EPS);
-            let sdx = eax - x;
-            let sdy = eay - ylo;
-            let t = (sdx * ey - sdy * ex) / denom;
-            let u = (sdx * dy1 - sdy * 0.0) / denom;
-            if t >= -t_tol && t <= 1.0 + t_tol && u >= -u_tol && u <= 1.0 + u_tol {
-                let tc = t.clamp(0.0, 1.0);
-                let px = x + (x - x) * tc;
-                let py = ylo + (yhi - ylo) * tc;
-                dist_to_baseline(px, py, seg_len)
-            } else {
-                f64::INFINITY
-            }
-        };
-        if c < cap {
-            cap = c;
-        }
-    }
-    cap
 }
 
 #[cfg(test)]
@@ -655,18 +597,6 @@ mod tests {
                     "edge {k} lane {i}: batched {} vs scalar {expect}",
                     caps[i]
                 );
-            }
-            // Transposed kernel: one side vs an edge batch of this edge
-            // plus noise must agree with the per-edge scalar minimum.
-            let mut batch = random_batch(&mut rng, 31);
-            batch.push(&e);
-            for (i, &x) in xs.iter().enumerate().step_by(9) {
-                let got = vertical_side_min_cap(x, ylo, yhi, &batch, seg_len);
-                let mut expect = f64::INFINITY;
-                for j in 0..batch.len() {
-                    expect = expect.min(scalar_cap(x, ylo, yhi, &batch.get(j), seg_len));
-                }
-                assert_eq!(got.to_bits(), expect.to_bits(), "edge {k} x-lane {i}");
             }
         }
     }

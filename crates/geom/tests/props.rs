@@ -6,8 +6,7 @@
 //! lengthens a trace.
 
 use meander_geom::batch::{
-    accum_seg_to_points_dsq, distance_sq_to_segment_batch, intersect_x_range_batch,
-    vertical_side_min_cap, SegBatch,
+    accum_seg_to_points_dsq, distance_sq_to_segment_batch, intersect_x_range_batch, SegBatch,
 };
 use meander_geom::offset::offset_polyline;
 use meander_geom::polyline::simplify_into;
@@ -166,19 +165,6 @@ proptest! {
                     "edge at lane {}", i
                 );
             }
-        }
-        // Lane-parallel over edges, one position at a time.
-        let mut batch = SegBatch::new();
-        for s in &segs {
-            batch.push(s);
-        }
-        for &x in xs.iter().step_by(5) {
-            let got = vertical_side_min_cap(x, ylo, yhi, &batch, seg_len);
-            let expect = segs
-                .iter()
-                .map(|e| cap_of(x, e))
-                .fold(f64::INFINITY, f64::min);
-            prop_assert_eq!(got.to_bits(), expect.to_bits());
         }
     }
 }

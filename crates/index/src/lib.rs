@@ -25,10 +25,11 @@
 //!    it: [`SegmentGrid`], a uniform hash grid (an open-addressed cell
 //!    table over one flat id arena), and [`RTree`], an STR-packed
 //!    bulk-loaded R-tree. Both quantize with [`cell_coord`] and therefore
-//!    return **identical candidate sets**, so choosing one ([`IndexKind`],
-//!    [`SegIndex`]) changes performance, never results. See the
-//!    [`spatial`] module docs for the full contract (bounds clamping,
-//!    dedup stamps, batch gather).
+//!    return **identical candidate sets**, so choosing one for the
+//!    engine's world indexes ([`IndexKind`], [`SegIndex`]) changes
+//!    performance, never results; the DRC scan always runs on the grid.
+//!    See the [`spatial`] module docs for the full contract (bounds
+//!    clamping, dedup stamps, batch gather).
 //!
 //! ```
 //! use meander_geom::{Point, Rect, Segment};

@@ -1,7 +1,7 @@
 //! STR-packed (Sort-Tile-Recursive) R-tree over segments.
 //!
-//! The routing flow's indexes are **build-once, query-many**: the world
-//! index is built once per trace, the DRC scan index once per check. That workload wants a *packed*, bulk-
+//! The routing flow's world indexes are **build-once, query-many**: built
+//! once per board or trace, queried per queue pop. That workload wants a *packed*, bulk-
 //! loaded R-tree — no insertion logic, no node splitting, 100 % node fill —
 //! which is exactly what Sort-Tile-Recursive packing produces: sort the
 //! entries into √P vertical slices by x, sort each slice by y, cut leaves
@@ -18,10 +18,9 @@
 //! is reported exactly when its quantized rectangle intersects the clamped
 //! quantized window — precisely the grid's membership rule — so for any
 //! query the two structures return the **same id set** (property-tested in
-//! `tests/props.rs` across 256 randomized boards). Downstream consumers
-//! (the world index's candidates, the DRC scan) therefore produce
-//! bit-identical results whichever index is selected; swapping is purely a
-//! performance decision.
+//! `tests/props.rs` across 256 randomized boards). The engine's world
+//! indexes therefore produce bit-identical placements whichever index is
+//! selected; swapping is purely a performance decision.
 //!
 //! What changes is the cost model. The grid registers an entry in every
 //! cell its rectangle overlaps: a full-width plane edge smeared across a
@@ -45,7 +44,7 @@
 
 use crate::cell_coord;
 use crate::grid::GridScratch;
-use meander_geom::{Rect, SegBatch, Segment};
+use meander_geom::{Rect, Segment};
 
 /// Maximum entries per leaf and children per internal node. Eight keeps a
 /// node's rectangle array within two cache lines and the tree shallow
@@ -107,9 +106,6 @@ pub struct RTree {
     /// All nodes; the root is the **last** node (levels are appended
     /// bottom-up).
     nodes: Vec<Node>,
-    /// Endpoint coordinates per id (`[ax, ay, bx, by]`), the same slab
-    /// contract as the grid's, for [`RTree::fill_batch`].
-    coords: Vec<[f64; 4]>,
 }
 
 impl RTree {
@@ -132,7 +128,6 @@ impl RTree {
             entry_ids: Vec::with_capacity(segments.len()),
             entry_rects: Vec::with_capacity(segments.len()),
             nodes: Vec::new(),
-            coords: Vec::with_capacity(segments.len()),
         };
         // Quantize every entry once; ids are positional.
         let mut entries: Vec<(u32, CellRect)> = Vec::with_capacity(segments.len());
@@ -149,7 +144,6 @@ impl RTree {
                 Some(o) => cells_union(&o, &r),
             });
             entries.push((i as u32, r));
-            tree.coords.push([s.a.x, s.a.y, s.b.x, s.b.y]);
         }
         tree.pack(entries);
         tree
@@ -317,17 +311,6 @@ impl RTree {
         self.query_scratch(r, &mut GridScratch::new(), &mut out);
         out
     }
-
-    /// Materializes the geometry of `ids` into `batch` (cleared first),
-    /// straight from the coordinate slab: `batch.get(k)` is the segment
-    /// indexed under `ids[k]`.
-    pub fn fill_batch(&self, ids: &[u32], batch: &mut SegBatch) {
-        batch.clear();
-        for &id in ids {
-            let c = self.coords[id as usize];
-            batch.push_coords(c[0], c[1], c[2], c[3]);
-        }
-    }
 }
 
 /// Sort-Tile-Recursive ordering in place: sort by the x key, cut into
@@ -477,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn fill_batch_materializes_in_id_order() {
+    fn query_scratch_matches_grid_in_id_order() {
         let segs: Vec<Segment> = (0..30)
             .map(|i| {
                 let x = (i % 6) as f64 * 4.0;
@@ -491,15 +474,9 @@ mod tests {
         assert_eq!(cell_coord(t.cell_size(), 3.9), 1);
         let mut scratch = GridScratch::new();
         let mut ids = Vec::new();
-        let mut batch = SegBatch::new();
         let r = Rect::new(Point::new(1.0, 1.0), Point::new(9.0, 9.0));
         t.query_scratch(&r, &mut scratch, &mut ids);
-        t.fill_batch(&ids, &mut batch);
         assert_eq!(ids, SegmentGrid::from_segments(2.0, &segs).query(&r));
-        assert_eq!(batch.len(), ids.len());
-        for (k, &id) in ids.iter().enumerate() {
-            assert_eq!(batch.get(k), segs[id as usize], "candidate {k}");
-        }
     }
 
     #[test]

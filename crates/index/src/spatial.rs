@@ -29,10 +29,12 @@
 //! * **Sorted, deduplicated output.** Candidates come out in ascending id
 //!   order with no repeats, so strict-minimum reductions over them visit
 //!   ties in the same order on every structure.
-//! * **Batch gather.** [`SegIndex::fill_batch`] materializes the geometry of
-//!   a query's candidates into a reused SoA [`SegBatch`] straight from an
-//!   internal coordinate slab — `batch.get(k)` is the item inserted under
-//!   `ids[k]` — so lane kernels never re-gather geometry through the ids.
+//! * **Batch gather.** [`SegmentGrid::fill_batch`] materializes the
+//!   geometry of a query's candidates into a reused SoA
+//!   [`SegBatch`](meander_geom::SegBatch) straight from the grid's
+//!   coordinate slab — `batch.get(k)` is the item inserted under `ids[k]` —
+//!   so the DRC scan's lane kernels never re-gather geometry through the
+//!   ids.
 //!
 //! Scratch state ([`GridScratch`]) carries the visited-stamp table the grid
 //! deduplicates with *and* the traversal stack the R-tree descends with;
@@ -56,7 +58,7 @@
 
 use crate::grid::{GridScratch, SegmentGrid};
 use crate::rtree::RTree;
-use meander_geom::{Rect, SegBatch, Segment};
+use meander_geom::{Rect, Segment};
 
 /// Which spatial index structure a consumer should build.
 ///
@@ -132,15 +134,6 @@ impl SegIndex {
     #[inline]
     pub fn query_scratch(&self, r: &Rect, scratch: &mut GridScratch, out: &mut Vec<u32>) {
         forward!(self, query_scratch(r, scratch, out))
-    }
-
-    /// Materializes the geometry of `ids` (previously returned by a query
-    /// on this index) into `batch` (cleared first): `batch.get(k)` is the
-    /// item indexed under `ids[k]`. Callers may filter candidates between
-    /// the query and the gather.
-    #[inline]
-    pub fn fill_batch(&self, ids: &[u32], batch: &mut SegBatch) {
-        forward!(self, fill_batch(ids, batch))
     }
 
     /// `true` when nothing is indexed.

@@ -258,12 +258,6 @@ proptest! {
         let mut got = Vec::new();
         tree.query_scratch(&r, &mut scratch, &mut got);
         prop_assert_eq!(&got, &expect);
-        let mut batch = meander_geom::SegBatch::new();
-        tree.fill_batch(&got, &mut batch);
-        prop_assert_eq!(batch.len(), expect.len());
-        for (k, &id) in got.iter().enumerate() {
-            prop_assert_eq!(batch.get(k), segs[id as usize]);
-        }
     }
 
     // An Arc-shared base index with a per-consumer overlay must answer
