@@ -2,7 +2,9 @@
 
 use meander_drc::DesignRules;
 use meander_geom::{Frame, Point, Polygon, Polyline, Rect, Segment};
-use meander_index::{cell_coord, GridScratch, IndexKind, NodeStrip, OverlayIndex, SegIndex};
+use meander_index::{
+    cell_coord, reaches, GridScratch, IndexKind, NodeStrip, OverlayIndex, SegIndex,
+};
 use std::sync::Arc;
 
 /// Tiny lift above the segment line: geometry at `y ≤ Y_EPS` in pattern-side
@@ -104,6 +106,9 @@ pub struct WorldBase {
     /// Library polygons inflated by [`obstacle_inflation`] — exactly what
     /// `EngineParams` would compute per trace.
     polys: Vec<Polygon>,
+    /// Bounding box of each inflated polygon (the exact candidacy test,
+    /// [`meander_index::reaches`]).
+    bboxes: Vec<Rect>,
     /// Shared edge index over `polys` (edge `e` belongs to polygon
     /// `edge_owner[e]`).
     edge_index: Arc<SegIndex>,
@@ -133,6 +138,7 @@ impl WorldBase {
         }
         WorldBase {
             raw: library.to_vec(),
+            bboxes: polys.iter().map(Polygon::bbox).collect(),
             polys,
             edge_index: Arc::new(SegIndex::from_segments(kind, cell.max(1e-6), &edges)),
             edge_owner,
@@ -190,7 +196,8 @@ pub(crate) struct WorldIndex {
     polys: Vec<Polygon>,
     /// Number of leading area polygons.
     n_area: usize,
-    /// Per-own-polygon bounding boxes (area containment tests).
+    /// Per-own-polygon bounding boxes: the area containment tests and
+    /// the obstacles' exact candidacy test.
     bboxes: Vec<Rect>,
     /// Edge index: base (library) edges under their shared index, own
     /// edges as the overlay (ids offset by the base's edge count).
@@ -264,6 +271,19 @@ impl WorldIndex {
         }
     }
 
+    /// The bounding box of the polygon with combined id `k`.
+    #[inline]
+    fn bbox(&self, k: u32) -> &Rect {
+        let k = k as usize;
+        if k < self.n_area {
+            &self.bboxes[k]
+        } else if k < self.n_area + self.n_base {
+            &self.base.as_ref().expect("base ids imply a base").bboxes[k - self.n_area]
+        } else {
+            &self.bboxes[k - self.n_base]
+        }
+    }
+
     /// `true` when polygon `k` is a routable-area border.
     #[inline]
     pub(crate) fn is_area(&self, k: u32) -> bool {
@@ -273,11 +293,16 @@ impl WorldIndex {
     /// Ids of static polygons that can interact with `window`, ascending.
     ///
     /// Area polygons are matched by bounding box (containment matters even
-    /// when their edges are far away); obstacles are matched through the
-    /// edge grid (a polygon with a node or a crossing edge inside the
-    /// window always has an edge whose bbox overlaps it). A conservative
-    /// superset: the shrinking stages run their exact predicates on
-    /// whatever is returned.
+    /// when their edges are far away). An obstacle is kept when it has an
+    /// edge whose lattice cells meet the window's (the edge index query, a
+    /// prefilter: a polygon with a node or a crossing edge inside the
+    /// window always has such an edge) **and** its bbox
+    /// [`reaches`] the window — the one exact test the serving layer's
+    /// remembered sets (`meander_index::CellTouches`) repeat on damage. A
+    /// dropped obstacle lies farther than [`meander_index::REACH_SLACK`]
+    /// from the window, so outside every probe's outer rect and side
+    /// column: still a superset of what the shrinking stages' exact
+    /// predicates can see.
     pub(crate) fn candidates(
         &self,
         window: &Rect,
@@ -295,16 +320,20 @@ impl WorldIndex {
         let first_obstacle = out.len();
         let base_edges = self.edge_index.base_ids();
         for &e in edge_buf.iter() {
-            if e < base_edges {
+            let k = if e < base_edges {
                 // Library edge: owner sits in the base id band.
                 let b = self.base.as_ref().expect("base ids imply a base");
-                out.push(self.n_area as u32 + b.edge_owner[e as usize]);
+                self.n_area as u32 + b.edge_owner[e as usize]
             } else {
                 let owner = self.edge_owner[(e - base_edges) as usize];
-                if (owner as usize) >= self.n_area {
-                    // Own obstacle: shift past the base id band.
-                    out.push(owner + self.n_base as u32);
+                if (owner as usize) < self.n_area {
+                    continue;
                 }
+                // Own obstacle: shift past the base id band.
+                owner + self.n_base as u32
+            };
+            if reaches(window, self.bbox(k)) {
+                out.push(k);
             }
         }
         out[first_obstacle..].sort_unstable();
@@ -544,6 +573,7 @@ impl ShrinkContext {
 mod tests {
     use super::*;
     use meander_geom::Vector;
+    use proptest::prelude::*;
 
     fn frame_for(a: Point, b: Point) -> (Frame, f64) {
         let seg = Segment::new(a, b);
@@ -677,6 +707,132 @@ mod tests {
                     shared.poly(k).vertices(),
                     "poly {k} diverged"
                 );
+            }
+        }
+    }
+
+    /// The candidacy slack, spelled out here rather than read from
+    /// `meander_index` so that a mis-sized slack fails the oracle below.
+    const ORACLE_SLACK: f64 = 1e-6;
+
+    /// Signed gaps between a probe window and an obstacle's inflated bbox:
+    /// overlapping, touching, inside and outside the slack, and a few
+    /// lattice-cell-sized ones.
+    const GAPS: [f64; 9] = [-0.5, 0.0, 0.5e-6, 0.9e-6, 1.1e-6, 2e-6, 1.0, 3.0, 20.0];
+
+    /// Brute-force candidacy: areas by bbox, obstacles when one of their
+    /// edges shares a lattice cell with `window` and their bbox lies
+    /// within [`ORACLE_SLACK`] of it. `polys` lists the inflated
+    /// obstacles in combined-id order after the areas.
+    fn oracle(area: &[Polygon], polys: &[Polygon], cell: f64, window: &Rect) -> Vec<u32> {
+        let q = |v: f64| cell_coord(cell, v);
+        let cells_meet = |r: &Rect| {
+            q(r.min.x) <= q(window.max.x)
+                && q(window.min.x) <= q(r.max.x)
+                && q(r.min.y) <= q(window.max.y)
+                && q(window.min.y) <= q(r.max.y)
+        };
+        let within_slack = |b: &Rect| {
+            b.min.x - window.max.x <= ORACLE_SLACK
+                && window.min.x - b.max.x <= ORACLE_SLACK
+                && b.min.y - window.max.y <= ORACLE_SLACK
+                && window.min.y - b.max.y <= ORACLE_SLACK
+        };
+        let areas = area
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.bbox().intersects(window))
+            .map(|(k, _)| k as u32);
+        let obstacles = polys
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.edges().any(|e| cells_meet(&e.bbox())) && within_slack(&p.bbox()))
+            .map(|(k, _)| (area.len() + k) as u32);
+        areas.chain(obstacles).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // `WorldIndex::candidates` equals the brute-force oracle on every
+        // build: monolithic, and every base + overlay split of the
+        // obstacle list, over both index kinds. Half the windows sit at a
+        // chosen gap from some obstacle's inflated bbox, so the slack's
+        // boundary and the lattice-cell prefilter are both exercised.
+        #[test]
+        fn candidates_equal_cell_and_rect_oracle(
+            obs in proptest::collection::vec(
+                (0.0..300.0f64, 0.0..200.0f64, 0.5..6.0f64, 3usize..9),
+                1..24,
+            ),
+            split in 0usize..25,
+            windows in proptest::collection::vec(
+                (-20.0..320.0f64, -20.0..220.0f64, 0.0..80.0f64, 0.0..60.0f64),
+                4..12,
+            ),
+            near in proptest::collection::vec(
+                (0usize..24, 0usize..4, 0usize..GAPS.len(), 0.0..1.0f64),
+                4..12,
+            ),
+        ) {
+            // Inflation 4 on a 48-unit lattice (the fleet generators' rules).
+            let rules = meander_drc::DesignRules {
+                gap: 8.0,
+                obstacle: 8.0,
+                protect: 4.0,
+                miter: 2.0,
+                width: 4.0,
+            };
+            let inflate = obstacle_inflation(&rules);
+            let cell = world_cell(&rules);
+            prop_assert_eq!((inflate, cell), (4.0, 48.0));
+            let area = vec![
+                Polygon::rectangle(Point::new(-30.0, -30.0), Point::new(330.0, 230.0)),
+                Polygon::rectangle(Point::new(100.0, 40.0), Point::new(140.0, 90.0)),
+            ];
+            let raw: Vec<Polygon> = obs
+                .iter()
+                .map(|&(x, y, r, n)| Polygon::regular(Point::new(x, y), r, n, 0.3))
+                .collect();
+            let inflated: Vec<Polygon> = raw.iter().map(|p| p.offset_convex(inflate)).collect();
+
+            let mut probes: Vec<Rect> = windows
+                .iter()
+                .map(|&(x, y, w, h)| Rect::new(Point::new(x, y), Point::new(x + w, y + h)))
+                .collect();
+            for &(k, side, g, t) in &near {
+                let bb = inflated[k % inflated.len()].bbox();
+                let gap = GAPS[g];
+                let along_x = bb.min.x + t * bb.width() - 5.0;
+                let along_y = bb.min.y + t * bb.height() - 5.0;
+                probes.push(match side {
+                    0 => Rect::new(Point::new(bb.max.x + gap, along_y), Point::new(bb.max.x + gap + 10.0, along_y + 10.0)),
+                    1 => Rect::new(Point::new(bb.min.x - gap - 10.0, along_y), Point::new(bb.min.x - gap, along_y + 10.0)),
+                    2 => Rect::new(Point::new(along_x, bb.max.y + gap), Point::new(along_x + 10.0, bb.max.y + gap + 10.0)),
+                    _ => Rect::new(Point::new(along_x, bb.min.y - gap - 10.0), Point::new(along_x + 10.0, bb.min.y - gap)),
+                });
+            }
+
+            let split = split.min(raw.len());
+            let mut scratch = GridScratch::new();
+            let mut edge_buf = Vec::new();
+            let mut got = Vec::new();
+            for kind in [IndexKind::Grid, IndexKind::RTree] {
+                let base = Arc::new(WorldBase::build(&raw[..split], &rules, kind));
+                let builds = [
+                    WorldIndex::build(&area, &inflated, cell, kind, None),
+                    WorldIndex::build(&area, &inflated[split..], cell, kind, Some(base)),
+                ];
+                for (b, world) in builds.iter().enumerate() {
+                    for window in &probes {
+                        world.candidates(window, &mut scratch, &mut edge_buf, &mut got);
+                        prop_assert_eq!(
+                            &got,
+                            &oracle(&area, &inflated, cell, window),
+                            "{:?} build {} split {} window {:?}", kind, b, split, window
+                        );
+                    }
+                }
             }
         }
     }

@@ -304,7 +304,7 @@ fn extend_pure(
 /// With a shared obstacle-library world `base` ([`WorldBase`]),
 /// `obstacles` holds only the board-local polygons; output is
 /// bit-identical to a run over `base.raw() ++ obstacles`. With `touches`,
-/// the unit's touched lattice cells are recorded (a pair unit records its
+/// the unit's candidate-query windows are recorded (a pair unit records its
 /// merged extension and both fallback sub-extensions into the same set —
 /// the virtualized rules land on their own stratum); output is unchanged.
 /// See `extend_trace_with` for both.

@@ -258,7 +258,7 @@ pub fn extend_trace(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOut
 }
 
 /// [`extend_trace`], optionally against a shared obstacle-library world
-/// and optionally recording the lattice cells it reads. Dispatches on
+/// and optionally recording the candidate windows it queries. Dispatches on
 /// [`ExtendConfig::incremental`].
 ///
 /// With `base`, `input.obstacles` holds only the *board-local* obstacles;
@@ -275,12 +275,13 @@ pub fn extend_trace(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOut
 ///   materialized in front of the local obstacles and the ordinary path
 ///   runs — same output, no amortization.
 ///
-/// With `touches`, every obstacle-candidate query records the lattice cells
-/// it spans — the remembered set the incremental serving loop
-/// (`meander-fleet`'s `FleetSession`) tests edits against. Recording
-/// observes the query windows, never alters them, so output is unchanged.
-/// Windows are recorded **unclamped** (the grid's occupied-bounds clamp is
-/// answer-preserving but its bounds shift under edits) on the
+/// With `touches`, every obstacle-candidate query records its window —
+/// the remembered set the incremental serving loop (`meander-fleet`'s
+/// `FleetSession`) tests edits against with the candidacy test itself,
+/// [`meander_index::reaches`]. Recording observes the query windows,
+/// never alters them, so output is unchanged. Windows are recorded
+/// **unclamped** (the grid's occupied-bounds clamp is answer-preserving
+/// but its bounds shift under edits) on the
 /// `(world_cell, obstacle_inflation)` stratum of this trace's rules. The
 /// rebuild engine's obstacle influence is not funneled through
 /// [`WorldIndex::candidates`], so it is conservatively recorded as
@@ -1180,5 +1181,51 @@ mod tests {
                 assert!(a.distance(*b) < 1e-6, "case {i}: geometry diverged");
             }
         }
+
+        // Obstacle-dense boards: vias within a few `g_eff` of the trace
+        // segments, where the exact candidacy test drops the most polygons
+        // that share a lattice cell with a pop's window. Every unit of
+        // every board runs both engines over the board's whole obstacle
+        // set; the rebuild engine shrinks against all of it. A candidacy
+        // window shrunk 3 units inward changes a unit on each board.
+        let fleet = meander_layout::gen::fleet_boards_small(1, 7, 12);
+        let boards = [
+            meander_layout::gen::stress_board(3, 6, 24, 7).board,
+            meander_layout::gen::table1_case(4).board,
+        ]
+        .into_iter()
+        .chain(fleet.boards.iter().map(|lb| lb.to_board()));
+        let rebuild = ExtendConfig {
+            incremental: false,
+            ..Default::default()
+        };
+        let mut units_seen = 0;
+        for (bi, board) in boards.enumerate() {
+            let obstacles = crate::driver::gather_obstacles(&board);
+            for (_, units) in crate::driver::plan_board_units(&board) {
+                for unit in &units {
+                    units_seen += 1;
+                    let run = |config: &ExtendConfig| {
+                        crate::driver::run_unit(unit, &obstacles, None, config, None)
+                    };
+                    let (fast, slow) = (run(&ExtendConfig::default()), run(&rebuild));
+                    for (f, s) in fast.reports().iter().zip(slow.reports()) {
+                        assert_eq!(f.patterns, s.patterns, "board {bi} {:?}: patterns", f.id);
+                        assert!(
+                            (f.achieved - s.achieved).abs() < 1e-6,
+                            "board {bi} {:?}: lengths diverged",
+                            f.id
+                        );
+                    }
+                    for ((id, f), (_, s)) in fast.updates().iter().zip(slow.updates()) {
+                        assert_eq!(f.point_count(), s.point_count(), "board {bi} {id:?}");
+                        for (a, b) in f.points().iter().zip(s.points()) {
+                            assert!(a.distance(*b) < 1e-6, "board {bi} {id:?}: geometry");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(units_seen >= 12, "the dense boards must contribute units");
     }
 }

@@ -30,13 +30,18 @@
 //!
 //! ## Spatial indexing
 //!
-//! The engine's world query (obstacle edges near a candidate window) runs
-//! on a [`meander_index::SegIndex`]; [`ExtendConfig::index`] selects the
-//! uniform grid or the STR-packed R-tree. The two structures return
-//! identical candidate sets — cell-quantized candidacy with
-//! occupied-bounds clamping, ascending deduplicated output — so router
-//! placements are **bit-identical** whichever is selected
-//! (property-tested). Stage-1 sides and the stage-1 table scan each
+//! The engine's world query (obstacles near a candidate window) runs in
+//! two steps. A [`meander_index::SegIndex`] prefilters edges by lattice
+//! cell; [`ExtendConfig::index`] selects the uniform grid or the
+//! STR-packed R-tree, which return identical candidate sets (cell-
+//! quantized candidacy with occupied-bounds clamping, ascending
+//! deduplicated output), so router placements are **bit-identical**
+//! whichever is selected (property-tested). Then the one exact-rect test,
+//! [`meander_index::reaches`], keeps an obstacle only when its inflated
+//! bbox comes within [`meander_index::REACH_SLACK`] of the window: a
+//! shrink context holds only polygons its probes can see, and the serving
+//! layer decides which units an edit dirties with the very same test.
+//! Stage-1 sides and the stage-1 table scan each
 //! shrink context's edge cell spans directly, on the same
 //! [`meander_index::cell_coord`] lattice rule; see `ARCHITECTURE.md` for
 //! the full invariant list.

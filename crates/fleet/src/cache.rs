@@ -36,12 +36,14 @@
 //! a library edit moves `library_root`, which would orphan every entry
 //! under the old root. Instead of abandoning them,
 //! `ResultCache::apply_library_edit` walks the old root's entries with
-//! the edit's damage (PR 8's [`DirtyCells`]) and the per-entry touched
-//! cells recorded at insert time:
+//! the edit's damage ([`DirtyCells`]: the inflated bboxes of the edited
+//! obstacles, old and new) and the per-entry query windows recorded at
+//! insert time, asking of each pair the engine's own candidacy test
+//! ([`meander_index::reaches`]):
 //!
-//! * touches ∩ damage ≠ ∅ → **evicted** (the edit may have changed what
-//!   a candidate query answered);
-//! * touches ∩ damage = ∅ → **re-keyed** to the new root — by the
+//! * damage reaches a window → **evicted** (the edit may have changed
+//!   what a candidate query answered);
+//! * damage reaches no window → **re-keyed** to the new root — by the
 //!   serving session's soundness argument the entry's units would replay
 //!   bit-identically against the edited library, so the bytes stored
 //!   under the old root are exactly what a re-route under the new root
@@ -78,7 +80,7 @@ pub struct CacheKey {
 }
 
 /// One cached unit: the geometry it writes back, its report floats, and
-/// the cell set its candidate queries touched (recorded at insert time —
+/// the windows its candidate queries touched (recorded at insert time —
 /// the handle invalidation tests entries with).
 #[derive(Debug, Clone)]
 pub(crate) struct CachedUnit {
@@ -103,7 +105,7 @@ impl CachedUnit {
         UnitOutput::from_parts(Duration::ZERO, self.updates.clone(), self.reports.clone())
     }
 
-    /// The touched-cell set recorded when the unit routed.
+    /// The touched windows recorded when the unit routed.
     pub(crate) fn touches(&self) -> &CellTouches {
         &self.touches
     }
@@ -302,10 +304,10 @@ impl ResultCache {
     }
 
     /// A library's content moved `old_root → new_root` with `damage`
-    /// (the quantized old+new geometry of the edited obstacles). Entries
-    /// under `old_root` whose touches intersect the damage are evicted;
-    /// the rest are re-keyed to `new_root` — sound because a unit whose
-    /// candidate queries never saw the damaged cells replays
+    /// (the inflated old+new bboxes of the edited obstacles). Entries
+    /// under `old_root` with a window the damage reaches are evicted; the
+    /// rest are re-keyed to `new_root` — sound because a unit none of
+    /// whose candidate queries the damage reaches replays
     /// bit-identically against the edited library (module docs).
     pub(crate) fn apply_library_edit(&self, old_root: u64, new_root: u64, damage: &DirtyCells) {
         if old_root == new_root {
@@ -530,7 +532,7 @@ mod tests {
     #[test]
     fn library_edit_evicts_intersecting_and_rekeys_the_rest() {
         let cache = ResultCache::default();
-        // Entry A touches cells near the damage; entry B far away.
+        // Entry A's window overlaps the damage; entry B's lies far away.
         let mut touched = CellTouches::new();
         touched.record(
             8.0,
@@ -559,12 +561,9 @@ mod tests {
         let mut damage = DirtyCells::new();
         damage.add(
             meander_core::StratumKey::new(8.0, 4.0),
-            meander_index::quantize(
-                8.0,
-                &meander_geom::Rect::new(
-                    meander_geom::Point::new(4.0, 4.0),
-                    meander_geom::Point::new(12.0, 12.0),
-                ),
+            meander_geom::Rect::new(
+                meander_geom::Point::new(4.0, 4.0),
+                meander_geom::Point::new(12.0, 12.0),
             ),
         );
         cache.apply_library_edit(1, 99, &damage);

@@ -1,18 +1,20 @@
 //! Damage accounting for serving edits.
 //!
-//! An edit's *damage* is the set of lattice cells where the routing world
-//! changed: the quantized bounding boxes of the old and the new inflated
-//! obstacle geometry, computed on every stratum the retained units routed
-//! under ([`meander_index::StratumKey`] — one `(cell, inflate)` lattice
-//! per distinct rule derivation). Inflating with
+//! An edit's *damage* is where the routing world changed: the bounding
+//! boxes of the old and the new inflated obstacle geometry, computed on
+//! every stratum the retained units routed under
+//! ([`meander_index::StratumKey`] — one `(cell, inflate)` pair per
+//! distinct rule derivation). Inflating with
 //! `Polygon::offset_convex(stratum.inflation())` replicates exactly what
 //! [`meander_core::WorldBase::build`] (and the per-trace monolithic index)
-//! inserts, so the damage rect is a superset of every indexed edge's cell
-//! range — the safe direction: extra cells can only flag extra units
-//! dirty, never hide a real conflict.
+//! inserts, so each damage rect is, bit for bit, the bbox the engine's
+//! candidacy test [`meander_index::reaches`] saw (or will see) for that
+//! obstacle. A unit is dirty when that same test holds between one of its
+//! recorded windows and a damage rect; no quantization sits between the
+//! two.
 
 use meander_geom::Polygon;
-use meander_index::{quantize, DirtyCells, StratumKey};
+use meander_index::{DirtyCells, StratumKey};
 
 /// What one [`meander_layout::Edit`] did to the session's dirty state.
 ///
@@ -25,22 +27,24 @@ pub struct DamageReport {
     /// boards of a library-scope edit, 1 for a board-scope edit, 0 for a
     /// no-op (e.g. removing from an empty obstacle list).
     pub boards_affected: usize,
-    /// Lattice cells this edit newly dirtied, summed over strata
-    /// (`u64::MAX` when the edit degraded the scope to "all dirty").
-    /// Zero for structural edits — they bypass cell accounting.
+    /// Lattice cells the scope's damage rects grew by, summed over
+    /// strata (`u64::MAX` when the edit degraded the scope to "all
+    /// dirty"). A size stat: which units are dirty is decided on the
+    /// unquantized rects ([`meander_index::reaches`]), not on cells.
+    /// Zero for structural edits — they bypass damage accounting.
     pub cells_dirty: u64,
     /// `true` for structural edits (`SetRules`, `ReplaceBoard`): the
-    /// board replans and re-routes wholesale instead of by cell overlap.
+    /// board replans and re-routes wholesale instead of by damage.
     pub structural: bool,
 }
 
 /// Adds the damage of `polys` (old and/or new *raw* obstacle polygons) to
-/// `dirty`, quantized on every stratum in `strata`. Returns the dirty-cell
-/// growth (a stat; containment dedup may absorb rects).
+/// `dirty`: their bboxes inflated on every stratum in `strata`. Returns
+/// the dirty-cell growth (a stat; containment dedup may absorb rects).
 ///
 /// `strata` is the union over every retained unit's touched strata, so it
-/// covers each unit's own lattice. When it is empty the damage cannot be
-/// represented (no recorded lattice — e.g. every unit routed through the
+/// covers each unit's own inflation. When it is empty the damage cannot be
+/// represented (no recorded stratum — e.g. every unit routed through the
 /// unrecordable rebuild engine, or nothing routed yet): the scope degrades
 /// to `mark_all`, which re-routes everything it covers. Conservative,
 /// never wrong.
@@ -53,7 +57,7 @@ pub(crate) fn add_damage(dirty: &mut DirtyCells, strata: &[StratumKey], polys: &
     for key in strata {
         for p in polys {
             let inflated = p.offset_convex(key.inflation());
-            dirty.add(*key, quantize(key.cell_size(), &inflated.bbox()));
+            dirty.add(*key, inflated.bbox());
         }
     }
     dirty.cells().saturating_sub(before)
@@ -71,7 +75,8 @@ mod tests {
         let poly = Polygon::rectangle(Point::new(0.0, 0.0), Point::new(4.0, 4.0));
         let grew = add_damage(&mut dirty, &strata, &[&poly]);
         assert!(grew > 0);
-        // Stratum (4, 2): inflated bbox [-2, 6] → cells [-1, 1] per axis.
+        // Stratum (4, 2): inflated bbox [-2, 6] per axis, 3 × 3 cells.
+        assert_eq!(grew, 9 + 1);
         let mut probe = meander_index::CellTouches::new();
         probe.record(
             4.0,

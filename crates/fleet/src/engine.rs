@@ -168,7 +168,7 @@ pub struct FleetConfig {
     /// `(board, group)` job derives its [`CacheKey`] and consults the
     /// cache before routing: a hit writes the cached geometry and report
     /// floats back (bit-identical to re-routing, by determinism); a miss
-    /// routes with touched-cell recording and inserts. Panicked or halted
+    /// routes with touched-window recording and inserts. Panicked or halted
     /// jobs never insert. Share one cache across fleets and sessions via
     /// the `Arc`.
     pub cache: Option<Arc<ResultCache>>,
@@ -240,16 +240,18 @@ pub struct FleetStats {
     /// Retry runs performed beyond each board's first attempt. Always
     /// zero for a bare [`route_fleet`].
     pub retries: u64,
-    /// Units whose touched-cell set intersected the damage of the edits a
-    /// serving re-route consumed (plus units of structurally edited
+    /// Units whose touched windows the damage of the edits a
+    /// serving re-route consumed reaches (plus units of structurally edited
     /// boards) — the units that actually re-ran. Always zero for a bare
     /// [`route_fleet`]; `FleetSession::reroute_dirty` fills it in.
     pub units_dirty: usize,
     /// Units proven untouched by the damage and skipped (retained outputs
     /// reused). Always zero for a bare [`route_fleet`].
     pub units_skipped: usize,
-    /// Lattice cells covered by the consumed dirty sets, summed over
-    /// libraries, boards, and strata. Always zero for a bare
+    /// Lattice cells covered by the consumed damage rects, summed over
+    /// libraries, boards, and strata. A size stat: which units are dirty
+    /// is decided on the unquantized rects
+    /// ([`meander_index::reaches`]), not on cells. Always zero for a bare
     /// [`route_fleet`].
     pub cells_dirty: u64,
     /// Unit packets served from [`FleetConfig::cache`] this run. Zero

@@ -373,7 +373,7 @@ enum UnitRes {
     /// this unit ran.
     Halted(BoardOutcome),
     /// The unit completed — routed fresh or replayed from the cache.
-    /// `touches` holds its recorded cells when an interactive packet
+    /// `touches` holds its recorded windows when an interactive packet
     /// routed it (empty otherwise).
     Done {
         out: UnitOutput,

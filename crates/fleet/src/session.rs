@@ -3,22 +3,22 @@
 //!
 //! ## Why incremental re-routing is sound
 //!
-//! Candidacy in every spatial structure here is **lattice cell
-//! intersection** (PR 4's cross-index contract): an indexed edge is a
-//! candidate for a query window exactly when the cell range of its bbox
-//! intersects the cell range of the window. During routing every unit
-//! records the quantized span of each candidate-query window it issued
+//! The engine keeps an obstacle for a candidate query only when its
+//! inflated bbox [`meander_index::reaches`] the query window (behind a
+//! lattice-cell prefilter, which can only drop more). During routing
+//! every unit records each candidate-query window it issued
 //! ([`meander_index::CellTouches`], per `(cell, inflate)` stratum since
 //! diff pairs route under virtualized rules). An edit's damage is the
-//! quantized bbox of the old *and* new inflated obstacle geometry —
-//! inflated with the same `offset_convex` the index insertion uses, so
-//! the damage cells are a superset of every indexed-edge cell the edit
-//! changed.
+//! bbox of the old *and* new inflated obstacle geometry — inflated with
+//! the same `offset_convex` the index insertion uses, so each damage rect
+//! is bit for bit the bbox the engine tests.
 //!
-//! If a unit's touched set does not intersect the damage, then no
-//! candidate query the unit made would have answered differently against
-//! the edited world: the changed edges were never candidates for any of
-//! its windows (old position or new). Obstacles influence the recordable
+//! A unit is dirty when `reaches` holds between one of its windows and a
+//! damage rect — the engine's own test on the engine's own floats. If it
+//! holds for none, then no candidate query the unit made would have
+//! answered differently against the edited world: the edited obstacle
+//! was a candidate of none of its windows, at its old position or its
+//! new one. Obstacles influence the recordable
 //! engine's output **only** through those candidate queries (a unit's
 //! other inputs — its own traces, rules, target — are snapshotted per
 //! unit), and the engine is deterministic, so replaying the unit would
@@ -30,7 +30,7 @@
 //! Engine shapes without the single query funnel (the rebuild engine,
 //! `incremental: false`) record a conservative `mark_all` and re-route on
 //! any damage. Structural edits ([`Edit::SetRules`],
-//! [`Edit::ReplaceBoard`]) bypass cell accounting: the board replans and
+//! [`Edit::ReplaceBoard`]) bypass damage accounting: the board replans and
 //! re-routes wholesale. Validation verdicts are cached per library and
 //! per board and recomputed only for edited scopes — identical verdicts
 //! to the full pre-flight scan, without rescanning untouched boards.
@@ -43,7 +43,7 @@
 //!
 //! let case = fleet_boards_small(3, 7, 11);
 //! let config = FleetConfig { workers: Some(2), ..Default::default() };
-//! // Route the whole fleet once, recording touched cells per unit.
+//! // Route the whole fleet once, recording query windows per unit.
 //! let mut session = FleetSession::new(BoardSet::new(case.boards.clone()), &config);
 //! assert!(session.report().all_routed());
 //!
@@ -80,7 +80,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One matching group's retained routing state: the planned units, their
-/// last outputs, and the cell sets their candidate queries touched.
+/// last outputs, and the windows their candidate queries touched.
 #[derive(Debug, Clone, Default)]
 struct GroupPlan {
     target: f64,
@@ -94,7 +94,7 @@ struct GroupPlan {
 /// Holds the fleet twice: the **pristine** boards (as submitted, the
 /// canonical state edits apply to) and the **routed** set (pristine plus
 /// the last re-route's outputs). Between them sit the remembered sets:
-/// per-unit touched cells, per-library and per-board dirty cells, and
+/// per-unit touched windows, per-library and per-board damage rects, and
 /// per-board structural flags. See the [module docs](self) for the
 /// soundness argument.
 pub struct FleetSession {
@@ -117,8 +117,9 @@ pub struct FleetSession {
     /// Cached validation verdicts, recomputed only for edited scopes, so
     /// an untouched fleet pays no rescan.
     verdicts: Verdicts,
-    /// Union of every retained unit's touched strata: the lattices damage
-    /// must be quantized on. Empty ⇒ damage degrades to `mark_all`.
+    /// Union of every retained unit's touched strata: the inflations
+    /// damage must be computed under. Empty ⇒ damage degrades to
+    /// `mark_all`.
     strata: Vec<StratumKey>,
     /// Per-`(library slot, rules lattice)` shared bases, kept warm across
     /// re-routes; invalidated when a library's content changes.
@@ -150,7 +151,7 @@ pub struct FleetSession {
 }
 
 impl FleetSession {
-    /// Routes `set` from scratch (recording touched cells) and wraps it in
+    /// Routes `set` from scratch (recording touched windows) and wraps it in
     /// a serving handle. The initial route's results are available via
     /// [`FleetSession::report`].
     pub fn new(set: BoardSet, config: &FleetConfig) -> FleetSession {
@@ -322,13 +323,13 @@ impl FleetSession {
         }
     }
 
-    /// Re-routes exactly the units whose touched cells intersect the
-    /// accumulated damage (plus structurally edited boards, wholesale),
-    /// reusing retained outputs for everything else. Consumes and clears
-    /// the dirty sets. The resulting fleet state and report are
-    /// bit-identical to a from-scratch [`crate::route_fleet`] of
-    /// [`FleetSession::pristine_boards`] under the same config (wall-clock
-    /// stats excluded, as ever).
+    /// Re-routes exactly the units whose touched windows the accumulated
+    /// damage reaches ([`meander_index::reaches`]), plus structurally
+    /// edited boards wholesale, reusing retained outputs for everything
+    /// else. Consumes and clears the dirty sets. The resulting fleet
+    /// state and report are bit-identical to a from-scratch
+    /// [`crate::route_fleet`] of [`FleetSession::pristine_boards`] under
+    /// the same config (wall-clock stats excluded, as ever).
     ///
     /// `config.deadline` / `config.board_budget` / `config.cancel` are not
     /// consulted here: a serving re-route is bounded by its damage, which
@@ -441,7 +442,7 @@ impl FleetSession {
         // Walk each transition with the very damage this re-route is
         // about to consume: entries whose touches intersect it are
         // evicted, the rest re-keyed to the new identity (sound by the
-        // cell-intersection argument in the module docs — the same one
+        // window-reach argument in the module docs — the same one
         // that lets clean units keep their retained outputs).
         let result_cache = config.cache.as_deref();
         let mut cache_hits = 0u64;

@@ -16,8 +16,13 @@
 //! * a serving session with a cache replays an edit stream bit-identical
 //!   to from-scratch uncached routing, invalidation stays precise under
 //!   library edits (counter-asserted), and stale entries never serve;
+//! * a library move inside a window's lattice cell but beyond the
+//!   candidacy slack re-keys every entry, one within the slack evicts the
+//!   reached entry, and both states match from-scratch uncached routing;
 //! * (under `--features fault`) a panicking job never inserts a poisoned
 //!   entry.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -292,6 +297,56 @@ fn library_edit_invalidation_is_precise() {
         (&reference, &want),
         (session.boards(), &session.report()),
     );
+}
+
+/// A library move inside a touched lattice cell but farther than the
+/// slack from every recorded window re-keys every entry and invalidates
+/// none; moving the same obstacle to within the slack of a window
+/// invalidates that window's entry. Both end states equal from-scratch
+/// uncached routing.
+#[test]
+fn near_miss_library_move_rekeys_and_slack_hit_invalidates() {
+    let cache = Arc::new(ResultCache::default());
+    let cfg = config(2, true, Some(Arc::clone(&cache)));
+    let plain = config(2, true, None);
+    let case = dup_fleet_boards_small(4, 0.5, 77);
+    let mut session = FleetSession::new(BoardSet::new(case.boards.clone()), &cfg);
+    assert!(session.report().all_routed());
+    let near = common::near_miss(
+        &case.boards,
+        &common::recorded_windows(&case.boards, &cfg.extend),
+    );
+    for (step, by) in [
+        ("near miss", near.miss),
+        ("slack hit", near.hit - near.miss),
+    ] {
+        let entries = cache.len() as u64;
+        let before = cache.stats();
+        let _ = session.apply_edit(Edit::MoveObstacle {
+            scope: EditScope::Library(0),
+            index: near.index,
+            by,
+        });
+        let _ = session.reroute_dirty(&cfg);
+        let after = cache.stats();
+        let (invalidated, rekeyed) = (
+            after.invalidated - before.invalidated,
+            after.rekeyed - before.rekeyed,
+        );
+        assert_eq!(invalidated + rekeyed, entries, "{step}: every entry moves");
+        if step == "near miss" {
+            assert_eq!(invalidated, 0, "{step}: no entry saw the damage");
+        } else {
+            assert!(invalidated > 0, "{step}: the reached entry is evicted");
+        }
+        let mut reference = BoardSet::new(session.pristine_boards());
+        let want = route_fleet(&mut reference, &plain);
+        assert_runs_identical(
+            step,
+            (&reference, &want),
+            (session.boards(), &session.report()),
+        );
+    }
 }
 
 /// A board-local edit touches only that board's content digest: twins

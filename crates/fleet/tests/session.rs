@@ -2,15 +2,27 @@
 //! random edit stream, [`FleetSession::reroute_dirty`] must be
 //! **bit-identical** to from-scratch [`route_fleet`] of the edited fleet —
 //! across worker counts 1–4 and both library-sharing modes (the 4 × 2 × 8
-//! matrix below exercises 64 randomized prefixes). This is the cell-
-//! intersection soundness argument (see `fleet::session` module docs) made
-//! executable: if skipping a unit could ever change a bit, some prefix
-//! here would catch the divergence in the routed floats or geometry.
+//! matrix below exercises 64 randomized prefixes). This is the soundness
+//! argument of the `fleet::session` module docs made executable: a unit
+//! is skipped when no damage rect reaches one of its recorded windows
+//! (`meander_index::reaches`, the engine's own candidacy test), and if
+//! skipping a unit could ever change a bit, some prefix here would catch
+//! the divergence in the routed floats or geometry.
+//!
+//! Precision is pinned too: a library move that lands inside a window's
+//! lattice cell but beyond the candidacy slack skips every unit, one
+//! within the slack dirties its unit (both states bit-identical to
+//! from-scratch), and a fixed sequence of generated library moves dirties
+//! a pinned number of units.
+
+mod common;
 
 use meander_core::ExtendConfig;
-use meander_fleet::{route_fleet, BoardSet, Edit, EditScope, FleetConfig, FleetSession};
+use meander_fleet::{
+    route_fleet, BoardSet, Edit, EditScope, FleetConfig, FleetReport, FleetSession,
+};
 use meander_geom::Vector;
-use meander_layout::gen::{edit_stream, fleet_boards_small};
+use meander_layout::gen::{edit_stream, fleet_boards_small, nth_edit};
 
 fn serial_extend() -> ExtendConfig {
     ExtendConfig {
@@ -277,4 +289,80 @@ fn summary_reports_skip_rate() {
     assert!(line.contains("skipped="), "{line}");
     assert!(line.contains("skip_rate="), "{line}");
     assert!(line.contains("cells_dirty="), "{line}");
+}
+
+/// Moves library obstacle `index` of slot 0 by `by` and re-routes.
+fn move_library_obstacle(
+    session: &mut FleetSession,
+    cfg: &FleetConfig,
+    index: usize,
+    by: Vector,
+) -> FleetReport {
+    let damage = session.apply_edit(Edit::MoveObstacle {
+        scope: EditScope::Library(0),
+        index,
+        by,
+    });
+    assert!(damage.cells_dirty > 0, "the damage covers lattice cells");
+    let report = session.reroute_dirty(cfg);
+    assert!(report.all_routed());
+    report
+}
+
+/// A library move that lands inside a touched lattice cell but farther
+/// than the slack from every recorded window re-routes nothing; moving
+/// the same obstacle to within the slack of a window re-routes its unit.
+/// Both end states equal a from-scratch route.
+#[test]
+fn near_miss_library_move_skips_and_slack_hit_dirties() {
+    let cfg = config(2, true);
+    let case = fleet_boards_small(3, 7, 11);
+    let mut session = FleetSession::new(BoardSet::new(case.boards.clone()), &cfg);
+    let near = common::near_miss(
+        &case.boards,
+        &common::recorded_windows(&case.boards, &cfg.extend),
+    );
+    let report = move_library_obstacle(&mut session, &cfg, near.index, near.miss);
+    assert_eq!(report.stats.units_dirty, 0, "a near miss dirties no unit");
+    assert_eq!(report.stats.units_skipped, report.stats.units);
+    assert_bit_identical(&session, &cfg, "near miss");
+    let report = move_library_obstacle(&mut session, &cfg, near.index, near.hit - near.miss);
+    assert!(
+        report.stats.units_dirty > 0,
+        "damage within the slack of a window dirties its unit"
+    );
+    assert_bit_identical(&session, &cfg, "slack hit");
+}
+
+/// Library moves dirty exactly the units whose windows their damage
+/// reaches: the per-move `units_dirty` of six generated library moves
+/// (applied in turn, each re-routed) is pinned, so a fallback to coarser
+/// (cell-level) damage fails here.
+#[test]
+fn library_moves_dirty_a_pinned_number_of_units() {
+    let cfg = config(2, true);
+    let case = fleet_boards_small(8, 7, 11);
+    let mut session = FleetSession::new(BoardSet::new(case.boards.clone()), &cfg);
+    let moves: Vec<Edit> = (0..)
+        .map(|k| nth_edit(&case, 42, k))
+        .filter(|e| {
+            matches!(
+                e,
+                Edit::MoveObstacle {
+                    scope: EditScope::Library(_),
+                    ..
+                }
+            )
+        })
+        .take(6)
+        .collect();
+    let mut dirty = Vec::new();
+    for edit in moves {
+        let _ = session.apply_edit(edit);
+        dirty.push(session.reroute_dirty(&cfg).stats.units_dirty);
+    }
+    // Cell-level damage (any shared 48-unit lattice cell) dirtied
+    // [5, 12, 13, 8, 16, 8] of these 21 units, 62 in total.
+    assert_eq!(dirty, [0, 5, 8, 8, 7, 8], "36 units in total");
+    assert_bit_identical(&session, &cfg, "library moves");
 }

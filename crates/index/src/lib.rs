@@ -62,15 +62,62 @@ pub use spatial::{IndexKind, SegIndex};
 pub use strip::NodeStrip;
 pub use touch::{quantize, CellTouches, DirtyCells, StratumKey};
 
+use meander_geom::Rect;
+
 /// The lattice cell a world coordinate falls into: `⌊v / cell⌋`.
 ///
 /// This is the candidacy rule every structure here shares, and what the
 /// router's bit-identity arguments rest on: an item is a candidate for a
 /// query window exactly when its bbox's cell range, per axis, meets the
-/// window's. The grid and the R-tree quantize with it, as do the damage
-/// rects of [`quantize`] and the index-free edge scans of
+/// window's. The grid and the R-tree quantize with it, as do
+/// [`quantize`]'s lattice-cell stats and the index-free edge scans of
 /// `meander_core`'s shrink contexts.
 #[inline]
 pub fn cell_coord(cell: f64, v: f64) -> i64 {
     (v / cell).floor() as i64
+}
+
+/// How far beyond a candidate window an obstacle's inflated bbox may lie
+/// and still be kept by [`reaches`], in board units.
+///
+/// Soundness: a pop's window is the world bbox of the local rectangle
+/// `x ∈ [−g_eff/2, len + g_eff/2]`, `y ∈ [−h_ob⁰, h_ob⁰]`, and every
+/// probe of that pop (outer borders, `EPS`-wide side columns, trims)
+/// stays inside it. The probes' predicates accept touches within
+/// [`meander_geom::EPS`] (1e-9), and the world → local transform of a
+/// polygon and the local → world transform of the window corners each
+/// round by a few ulps of board coordinates (about 1e-12 at 1e4 units).
+/// The slack is [`meander_geom::batch::PREFILTER_SLACK`] (1e-6), which
+/// dominates both by three orders of magnitude, so no probe can see a
+/// polygon whose bbox stays farther than this from the window.
+pub const REACH_SLACK: f64 = meander_geom::batch::PREFILTER_SLACK;
+
+/// The exact candidacy test shared by the router and the serving layer:
+/// whether an obstacle whose inflated bbox is `bbox` can reach the query
+/// `window`, i.e. whether `bbox` meets `window` grown by [`REACH_SLACK`]
+/// on every side.
+///
+/// `meander_core`'s world index keeps an obstacle for a pop only when
+/// this holds (after the lattice-cell prefilter), and [`CellTouches`]
+/// decides whether damage can affect a unit by asking the very same
+/// question of its recorded windows and the damage bboxes. Both
+/// arguments are monotone — growing either rect can only turn `false`
+/// into `true` — which is what lets the remembered sets merge and
+/// collapse rects conservatively.
+///
+/// ```
+/// use meander_geom::{Point, Rect};
+/// use meander_index::{reaches, REACH_SLACK};
+///
+/// let window = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
+/// let at = |x: f64| Rect::new(Point::new(x, 4.0), Point::new(x + 2.0, 6.0));
+/// assert!(reaches(&window, &at(10.0 + REACH_SLACK / 2.0)));
+/// assert!(!reaches(&window, &at(10.0 + 2.0 * REACH_SLACK)));
+/// ```
+#[inline]
+pub fn reaches(window: &Rect, bbox: &Rect) -> bool {
+    bbox.min.x <= window.max.x + REACH_SLACK
+        && window.min.x - REACH_SLACK <= bbox.max.x
+        && bbox.min.y <= window.max.y + REACH_SLACK
+        && window.min.y - REACH_SLACK <= bbox.max.y
 }

@@ -1,43 +1,43 @@
-//! Touched-cell recording for incremental re-routing (remembered sets).
+//! Touched-window recording for incremental re-routing (remembered sets).
 //!
 //! The serving loop (`meander-fleet`'s `FleetSession`) re-routes only the
-//! units an edit could have affected. That is sound because candidacy in
-//! every spatial structure here is **lattice cell intersection**: an edge is
-//! a candidate for a query window exactly when the cell range of its bbox
-//! intersects the cell range of the window ([`cell_coord`] quantization;
-//! the grid and the R-tree both honour it — see [`crate::spatial`]).
-//! So if a unit records the quantized span of every candidate-query window it
-//! issued, and an edit's damage (the quantized bboxes of the old and new
-//! inflated polygons) intersects none of them, then no query the unit made
-//! would have answered differently — and since the engine is deterministic,
-//! its replay (and output) is bit-identical.
+//! units an edit could have affected. That is sound because an obstacle
+//! enters a pop's shrink contexts only when its inflated bbox
+//! [`reaches`] the pop's candidate window (`meander_core`'s world index
+//! keeps a lattice-cell prefilter in front of that test, which can only
+//! drop more). So if a unit records every candidate-query window it
+//! issued, and an edit's damage (the bboxes of the old and new inflated
+//! polygons) reaches none of them, then the edited obstacle was no
+//! candidate of any query the unit made, before the edit or after it:
+//! every query answers the same, and since the engine is deterministic,
+//! its replay (and output) is bit-identical. [`CellTouches::intersects`]
+//! asks exactly [`reaches`], the function the engine filters with, on the
+//! same floats — so the argument holds by construction.
 //!
 //! Two wrinkles the types here encode:
 //!
-//! * **Strata.** Quantization depends on the cell size, and damage geometry
-//!   depends on the obstacle inflation — both derived from the unit's design
-//!   rules (diff-pair units route under *virtualized* rules). A unit may
-//!   therefore touch several `(cell, inflate)` lattices; [`CellTouches`]
-//!   keeps one rect set per [`StratumKey`], and dirty sets carry damage
-//!   quantized per stratum.
+//! * **Strata.** Damage geometry depends on the obstacle inflation, which
+//!   is derived from the unit's design rules (diff-pair units route under
+//!   *virtualized* rules), as is the lattice the cell stats are counted
+//!   on. A unit may therefore touch several `(cell, inflate)` strata;
+//!   [`CellTouches`] keeps one rect set per [`StratumKey`], and dirty sets
+//!   carry damage inflated per stratum.
 //! * **Unclamped windows.** The grid clamps query spans to its occupied
 //!   bounds as a pure optimization; clamping is answer-preserving, but the
-//!   occupied bounds themselves shift under edits. Recording therefore uses
-//!   the **unclamped** quantized window span — the candidacy predicate
-//!   "edge-bbox cells ∩ window cells ≠ ∅" is exactly what clamped queries
-//!   answer, stated without reference to mutable bounds.
+//!   occupied bounds themselves shift under edits. Recording therefore
+//!   keeps the window itself, stated without reference to mutable bounds.
 
-use crate::cell_coord;
+use crate::{cell_coord, reaches};
 use meander_geom::Rect;
 
 /// Rects kept per stratum before collapsing to a single bounding rect.
-/// Collapse is conservative (a superset of the touched cells), so it only
-/// costs precision, never soundness.
+/// Collapse is conservative (a superset of the touched windows, and
+/// [`reaches`] is monotone), so it only costs precision, never soundness.
 const MAX_RECTS: usize = 256;
 
-/// Identifies the lattice a touch or a damage rect is quantized on:
-/// bit patterns of the cell size and the obstacle inflation derived from the
-/// design rules the unit routed under.
+/// Identifies the stratum a touch or a damage rect belongs to: bit
+/// patterns of the lattice cell size and the obstacle inflation derived
+/// from the design rules the unit routed under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StratumKey {
     /// `f64::to_bits` of the lattice cell size.
@@ -68,59 +68,56 @@ impl StratumKey {
 
 /// Inclusive lattice cell range `[cx0, cy0, cx1, cy1]` of a world rect,
 /// quantized by [`cell_coord`].
+///
+/// Only the cell-count stats ([`DirtyCells::cells`]) use it: whether
+/// damage can affect a unit is decided on the unquantized rects by
+/// [`reaches`], never on cells.
 pub fn quantize(cell: f64, r: &Rect) -> [i64; 4] {
     let q = |v: f64| cell_coord(cell, v);
     [q(r.min.x), q(r.min.y), q(r.max.x), q(r.max.y)]
 }
 
 #[inline]
-fn contains(outer: &[i64; 4], inner: &[i64; 4]) -> bool {
-    outer[0] <= inner[0] && outer[1] <= inner[1] && outer[2] >= inner[2] && outer[3] >= inner[3]
+fn contains(outer: &Rect, inner: &Rect) -> bool {
+    outer.min.x <= inner.min.x
+        && outer.min.y <= inner.min.y
+        && outer.max.x >= inner.max.x
+        && outer.max.y >= inner.max.y
 }
 
-#[inline]
-fn overlaps(a: &[i64; 4], b: &[i64; 4]) -> bool {
-    a[0] <= b[2] && b[0] <= a[2] && a[1] <= b[3] && b[1] <= a[3]
-}
-
-#[inline]
-fn rect_cells(r: &[i64; 4]) -> u64 {
-    let w = (r[2] - r[0] + 1).max(0) as u64;
-    let h = (r[3] - r[1] + 1).max(0) as u64;
+fn rect_cells(cell: f64, r: &Rect) -> u64 {
+    let q = quantize(cell, r);
+    let w = (q[2] - q[0] + 1).max(0) as u64;
+    let h = (q[3] - q[1] + 1).max(0) as u64;
     w.saturating_mul(h)
 }
 
 #[derive(Debug, Clone)]
 struct Stratum {
     key: StratumKey,
-    rects: Vec<[i64; 4]>,
+    rects: Vec<Rect>,
 }
 
 impl Stratum {
     /// Containment-deduplicating insert with a conservative collapse cap.
-    fn add(&mut self, rect: [i64; 4]) {
+    fn add(&mut self, rect: Rect) {
         if self.rects.iter().any(|r| contains(r, &rect)) {
             return;
         }
         self.rects.retain(|r| !contains(&rect, r));
         self.rects.push(rect);
         if self.rects.len() > MAX_RECTS {
-            let mut b = rect;
-            for r in &self.rects {
-                b[0] = b[0].min(r[0]);
-                b[1] = b[1].min(r[1]);
-                b[2] = b[2].max(r[2]);
-                b[3] = b[3].max(r[3]);
-            }
+            let b = self.rects.iter().fold(rect, |b, r| b.union(r));
             self.rects.clear();
             self.rects.push(b);
         }
     }
 
     fn cells(&self) -> u64 {
+        let cell = self.key.cell_size();
         self.rects
             .iter()
-            .fold(0u64, |acc, r| acc.saturating_add(rect_cells(r)))
+            .fold(0u64, |acc, r| acc.saturating_add(rect_cells(cell, r)))
     }
 }
 
@@ -137,7 +134,7 @@ fn stratum_mut(strata: &mut Vec<Stratum>, key: StratumKey) -> &mut Stratum {
     }
 }
 
-/// The set of lattice cells a unit's candidate queries touched, per stratum.
+/// The candidate-query windows a unit issued, per stratum.
 ///
 /// Recorded during routing (see `extend_trace_with` in `meander-core`);
 /// tested against [`DirtyCells`] to decide whether an edit can affect the
@@ -170,8 +167,7 @@ impl CellTouches {
         if self.all {
             return;
         }
-        let rect = quantize(cell, window);
-        stratum_mut(&mut self.strata, StratumKey::new(cell, inflate)).add(rect);
+        stratum_mut(&mut self.strata, StratumKey::new(cell, inflate)).add(*window);
     }
 
     /// The stratum keys this unit touched.
@@ -179,13 +175,22 @@ impl CellTouches {
         self.strata.iter().map(|s| s.key)
     }
 
+    /// The retained windows with their strata: every recorded window is
+    /// contained in one of them.
+    pub fn windows(&self) -> impl Iterator<Item = (StratumKey, &Rect)> + '_ {
+        self.strata
+            .iter()
+            .flat_map(|s| s.rects.iter().map(move |r| (s.key, r)))
+    }
+
     /// Number of rects retained (compactness stat).
     pub fn rect_count(&self) -> usize {
         self.strata.iter().map(|s| s.rects.len()).sum()
     }
 
-    /// Whether any recorded window intersects the dirty set. `mark_all` on
-    /// either side intersects everything (unless the dirty set is empty).
+    /// Whether any damage rect [`reaches`] a recorded window of its
+    /// stratum. `mark_all` on either side intersects everything (unless
+    /// the dirty set is empty).
     pub fn intersects(&self, dirty: &DirtyCells) -> bool {
         if dirty.is_empty() {
             return false;
@@ -193,22 +198,23 @@ impl CellTouches {
         if self.all || dirty.all {
             return true;
         }
-        for s in &self.strata {
-            if let Some(d) = dirty.strata.iter().find(|d| d.key == s.key) {
-                for a in &s.rects {
-                    if d.rects.iter().any(|b| overlaps(a, b)) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        self.strata.iter().any(|s| {
+            dirty
+                .strata
+                .iter()
+                .find(|d| d.key == s.key)
+                .is_some_and(|d| {
+                    s.rects
+                        .iter()
+                        .any(|w| d.rects.iter().any(|b| reaches(w, b)))
+                })
+        })
     }
 }
 
-/// Accumulated damage from edits: per-stratum quantized rects covering the
-/// old and new inflated geometry of every edited obstacle since the last
-/// re-route. One `DirtyCells` per obstacle library plus one per board.
+/// Accumulated damage from edits: per-stratum bboxes of the old and new
+/// inflated geometry of every edited obstacle since the last re-route.
+/// One `DirtyCells` per obstacle library plus one per board.
 #[derive(Debug, Clone, Default)]
 pub struct DirtyCells {
     all: bool,
@@ -243,15 +249,18 @@ impl DirtyCells {
         !self.all && self.strata.iter().all(|s| s.rects.is_empty())
     }
 
-    /// Adds one quantized damage rect on a stratum.
-    pub fn add(&mut self, key: StratumKey, rect: [i64; 4]) {
+    /// Adds one damage rect — the bbox of an obstacle inflated by
+    /// `key.inflation()` — on a stratum.
+    pub fn add(&mut self, key: StratumKey, bbox: Rect) {
         if self.all {
             return;
         }
-        stratum_mut(&mut self.strata, key).add(rect);
+        stratum_mut(&mut self.strata, key).add(bbox);
     }
 
-    /// Total dirty cells, summed over strata.
+    /// Lattice cells the retained damage rects cover, summed over strata
+    /// (each rect quantized on its stratum's lattice). A size stat only:
+    /// what is dirty is decided by [`CellTouches::intersects`].
     pub fn cells(&self) -> u64 {
         if self.all {
             return u64::MAX;
@@ -265,6 +274,7 @@ impl DirtyCells {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::REACH_SLACK;
     use meander_geom::Point;
 
     fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Rect {
@@ -287,6 +297,9 @@ mod tests {
         t.record(1.0, 0.0, &rect(-5.0, -5.0, 20.0, 20.0)); // supersedes
         assert_eq!(t.rect_count(), 1);
         assert_eq!(t.strata.iter().map(|s| s.cells()).sum::<u64>(), 26 * 26);
+        // Sharing cells is not containment: both rects are kept.
+        t.record(1.0, 0.0, &rect(19.5, 0.0, 20.5, 1.0));
+        assert_eq!(t.rect_count(), 2);
     }
 
     #[test]
@@ -295,16 +308,34 @@ mod tests {
         t.record(1.0, 0.0, &rect(0.0, 0.0, 1.0, 1.0));
         t.record(2.0, 0.5, &rect(0.0, 0.0, 1.0, 1.0));
         assert_eq!(t.strata().count(), 2);
+        assert_eq!(t.windows().count(), 2);
 
         let mut d = DirtyCells::new();
         // Damage on a stratum the unit never touched: no intersection.
-        d.add(StratumKey::new(8.0, 0.0), [0, 0, 100, 100]);
+        d.add(StratumKey::new(8.0, 0.0), rect(0.0, 0.0, 100.0, 100.0));
         assert!(!t.intersects(&d));
-        // Same stratum, disjoint cells: still clean.
-        d.add(StratumKey::new(1.0, 0.0), [50, 50, 60, 60]);
+        // Same stratum, disjoint rects: still clean.
+        d.add(StratumKey::new(1.0, 0.0), rect(50.0, 50.0, 60.0, 60.0));
         assert!(!t.intersects(&d));
-        // Same stratum, overlapping cells: dirty.
-        d.add(StratumKey::new(1.0, 0.0), [1, 1, 3, 3]);
+        // Same stratum, overlapping rects: dirty.
+        d.add(StratumKey::new(1.0, 0.0), rect(0.5, 0.5, 3.0, 3.0));
+        assert!(t.intersects(&d));
+    }
+
+    #[test]
+    fn damage_in_a_touched_cell_but_beyond_the_slack_is_clean() {
+        let key = StratumKey::new(48.0, 2.0);
+        let mut t = CellTouches::new();
+        t.record(48.0, 2.0, &rect(0.0, 0.0, 10.0, 10.0));
+        // Same lattice cell as the window, 2 slacks to its right: clean.
+        let mut d = DirtyCells::new();
+        let x = 10.0 + 2.0 * REACH_SLACK;
+        d.add(key, rect(x, 4.0, x + 1.0, 5.0));
+        assert_eq!(quantize(48.0, &rect(x, 4.0, x + 1.0, 5.0)), [0, 0, 0, 0]);
+        assert!(!t.intersects(&d));
+        // Within the slack: dirty.
+        let x = 10.0 + REACH_SLACK / 2.0;
+        d.add(key, rect(x, 4.0, x + 1.0, 5.0));
         assert!(t.intersects(&d));
     }
 
@@ -315,7 +346,7 @@ mod tests {
         assert!(t.all);
         let mut d = DirtyCells::new();
         assert!(!t.intersects(&d)); // no damage → nothing to re-route
-        d.add(StratumKey::new(1.0, 0.0), [0, 0, 0, 0]);
+        d.add(StratumKey::new(1.0, 0.0), rect(0.0, 0.0, 0.0, 0.0));
         assert!(t.intersects(&d));
 
         let clean = CellTouches::new();
@@ -335,9 +366,9 @@ mod tests {
             t.record(1.0, 0.0, &rect(x, 0.0, x + 1.0, 1.0));
         }
         assert!(t.rect_count() <= MAX_RECTS);
-        // Still a superset: every recorded window intersects.
+        // Still a superset: damage on every recorded window intersects.
         let mut d = DirtyCells::new();
-        d.add(StratumKey::new(1.0, 0.0), [0, 0, 1, 1]);
+        d.add(StratumKey::new(1.0, 0.0), rect(0.0, 0.0, 1.0, 1.0));
         assert!(t.intersects(&d));
     }
 }
