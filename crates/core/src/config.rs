@@ -31,8 +31,9 @@ pub(crate) fn resolve_ldisc(seg_len: f64, gap: f64, protect: f64) -> f64 {
 /// The paper fixes the discretization, tolerance and width cap once (the
 /// constants above); what stays settable here is what a caller varies:
 /// the iteration bound, the ablation switches of Figs. 4–5 and
-/// meander-on-meander, the reference engine, and the engine shapes proven
-/// bit-identical.
+/// meander-on-meander, and the engine shapes proven bit-identical. There
+/// is one production engine; its rebuild-per-pop oracle is test-only code
+/// that the equivalence suites compare against, and no setting selects it.
 #[derive(Debug, Clone)]
 pub struct ExtendConfig {
     /// Maximum queue pops before giving up (Alg. 1's loop bound).
@@ -45,26 +46,18 @@ pub struct ExtendConfig {
     /// meandering (meander-on-meander). Off restricts patterns to original
     /// segments.
     pub requeue: bool,
-    /// Use the incremental engine: per-trace world index, windowed context
-    /// construction, stable segment ids, and an incrementally maintained
-    /// trace length. Off falls back to the naive rebuild-per-iteration
-    /// pipeline (kept as the reference for equivalence tests and for the
-    /// `perf_regression` engine comparison).
-    pub incremental: bool,
-    /// Build the incremental engine's per-pop stage-1 table (the side
+    /// Build the engine's per-pop stage-1 table (the side
     /// caps every DP probe reads and the DP's upper-bound profile) with
     /// the lane sweep (`build_stage1_table_batched` on
     /// `meander_geom::batch::intersect_x_range_batch`): one pass over the
     /// context's edges instead of one column scan per foot. Output is
     /// bit-identical either way — the kernel replays the scalar float
     /// stream per lane (property-tested). On by default; off selects the
-    /// scalar sweep. No effect on the rebuild engine
-    /// (`incremental: false`), whose probes always compute their own stage
-    /// 1 with the scalar predicate.
+    /// scalar sweep.
     pub batch_kernels: bool,
     /// Spatial index structure for the world edge indexes — the shared
-    /// per-board [`crate::WorldBase`] and the incremental engine's
-    /// per-trace world index: the uniform grid or the STR-packed R-tree.
+    /// per-board [`crate::WorldBase`] and the engine's per-trace world
+    /// index: the uniform grid or the STR-packed R-tree.
     /// Per-pop shrink contexts hold no index. Both structures return
     /// identical candidate sets, so placements are **bit-identical**
     /// whatever is selected (property-tested); this knob only moves the
@@ -88,7 +81,6 @@ impl Default for ExtendConfig {
             max_iterations: 400,
             connect_priority: true,
             requeue: true,
-            incremental: true,
             batch_kernels: true,
             index: IndexKind::Grid,
             parallel: true,

@@ -267,26 +267,22 @@ pub(crate) fn plan_units(board: &Board, group: &MatchGroup, target: f64) -> Vec<
     units
 }
 
-#[allow(clippy::too_many_arguments)]
 fn extend_pure(
     id: TraceId,
     trace: &Polyline,
     rules: &meander_drc::DesignRules,
     area: &[Polygon],
     obstacles: &[Polygon],
-    base: Option<&Arc<WorldBase>>,
     target: f64,
-    config: &ExtendConfig,
-    touches: Option<&mut CellTouches>,
+    extend: &mut impl FnMut(&ExtendInput<'_>) -> ExtendOutcome,
 ) -> (TraceReport, ExtendOutcome) {
-    let input = ExtendInput {
+    let out = extend(&ExtendInput {
         trace,
         target,
         rules,
         area,
         obstacles,
-    };
-    let out = extend_trace_with(&input, config, base, touches);
+    });
     (
         TraceReport {
             id,
@@ -315,6 +311,18 @@ pub fn run_unit(
     config: &ExtendConfig,
     mut touches: Option<&mut CellTouches>,
 ) -> UnitOutput {
+    run_unit_with(unit, obstacles, |input| {
+        extend_trace_with(input, config, base, touches.as_deref_mut())
+    })
+}
+
+/// [`run_unit`] with the per-trace extension passed in: the seam through
+/// which the equivalence tests run a unit on the engine's oracle.
+pub(crate) fn run_unit_with(
+    unit: &UnitInput,
+    obstacles: &[Polygon],
+    mut extend: impl FnMut(&ExtendInput<'_>) -> ExtendOutcome,
+) -> UnitOutput {
     let start = Instant::now();
     let mut updates = Vec::new();
     let mut reports = Vec::new();
@@ -325,17 +333,8 @@ pub fn run_unit(
             rules,
             area,
         } => {
-            let (report, out) = extend_pure(
-                *id,
-                trace,
-                rules,
-                area,
-                obstacles,
-                base,
-                unit.target,
-                config,
-                touches.as_deref_mut(),
-            );
+            let (report, out) =
+                extend_pure(*id, trace, rules, area, obstacles, unit.target, &mut extend);
             updates.push((*id, out.trace));
             reports.push(report);
         }
@@ -353,14 +352,13 @@ pub fn run_unit(
             let mut merged_ok = false;
             if let Ok(merged) = merge_pair(&geom) {
                 let vrules = virtualize_rules(rules, *sep);
-                let input = ExtendInput {
+                let out = extend(&ExtendInput {
                     trace: &merged.median,
                     target: unit.target,
                     rules: &vrules,
                     area,
                     obstacles,
-                };
-                let out = extend_trace_with(&input, config, base, touches.as_deref_mut());
+                });
                 if let Some((new_p, new_n)) = restore_pair(&out.trace, *sep) {
                     let (lp, ln) = (new_p.length(), new_n.length());
                     updates.push((*p, new_p));
@@ -386,17 +384,8 @@ pub fn run_unit(
             if !merged_ok {
                 // Degenerate pair: independent extension fallback.
                 for (sub, trace) in [(*p, p0), (*n, n0)] {
-                    let (report, out) = extend_pure(
-                        sub,
-                        trace,
-                        rules,
-                        area,
-                        obstacles,
-                        base,
-                        unit.target,
-                        config,
-                        touches.as_deref_mut(),
-                    );
+                    let (report, out) =
+                        extend_pure(sub, trace, rules, area, obstacles, unit.target, &mut extend);
                     updates.push((sub, out.trace));
                     reports.push(report);
                 }
@@ -516,13 +505,12 @@ pub fn plan_board_units(board: &Board) -> Vec<(f64, Vec<UnitInput>)> {
 /// The one board-level body: runs every planned unit against the board's
 /// obstacles, then applies the outputs group by group in plan order.
 ///
-/// With the incremental engine, the board's obstacles are inflated and
-/// indexed once per distinct rules lattice ([`UnitInput::world_rules`],
-/// matched by [`WorldBase::compatible`]) before any unit runs, and every
-/// unit routes against its shared [`WorldBase`] with no obstacles of its
-/// own. That equals running each unit over the gathered obstacles, bit for
-/// bit ([`run_unit`]'s base contract). The rebuild engine would
-/// materialize a base anyway, so it keeps the plain obstacle list.
+/// The board's obstacles are inflated and indexed once per distinct rules
+/// lattice ([`UnitInput::world_rules`], matched by
+/// [`WorldBase::compatible`]) before any unit runs, and every unit routes
+/// against its shared [`WorldBase`] with no obstacles of its own. That
+/// equals running each unit over the gathered obstacles, bit for bit
+/// ([`run_unit`]'s base contract).
 fn route_planned(
     board: &mut Board,
     planned: Vec<(f64, Vec<UnitInput>)>,
@@ -536,25 +524,22 @@ fn route_planned(
         flat.append(&mut units);
     }
     let mut bases: Vec<Arc<WorldBase>> = Vec::new();
-    let jobs: Vec<(&UnitInput, Option<Arc<WorldBase>>)> = flat
+    let jobs: Vec<(&UnitInput, Arc<WorldBase>)> = flat
         .iter()
         .map(|u| {
-            let base = config.incremental.then(|| {
-                let rules = u.world_rules();
-                if let Some(b) = bases.iter().find(|b| b.compatible(&rules)) {
-                    return Arc::clone(b);
+            let rules = u.world_rules();
+            let base = match bases.iter().find(|b| b.compatible(&rules)) {
+                Some(b) => Arc::clone(b),
+                None => {
+                    let b = Arc::new(WorldBase::build(&obstacles, &rules, config.index));
+                    bases.push(Arc::clone(&b));
+                    b
                 }
-                let b = Arc::new(WorldBase::build(&obstacles, &rules, config.index));
-                bases.push(Arc::clone(&b));
-                b
-            });
+            };
             (u, base)
         })
         .collect();
-    let run = |(u, base): &(&UnitInput, Option<Arc<WorldBase>>)| match base {
-        Some(b) => run_unit(u, &[], Some(b), config, None),
-        None => run_unit(u, &obstacles, None, config, None),
-    };
+    let run = |(u, base): &(&UnitInput, Arc<WorldBase>)| run_unit(u, &[], Some(base), config, None);
     let outputs = if config.parallel {
         par_map(&jobs, run)
     } else {
@@ -928,11 +913,6 @@ mod tests {
                     &config,
                 );
             }
-            let rebuild = ExtendConfig {
-                incremental: false,
-                ..Default::default()
-            };
-            assert_matches_unshared_oracle(&format!("{name}, rebuild engine"), board, &rebuild);
         }
     }
 

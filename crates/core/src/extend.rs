@@ -1,30 +1,28 @@
 //! Trace-level extension: the queue-driven Alg. 1.
 //!
 //! One public call per trace, `extend_trace_with` (or its two-argument
-//! form [`extend_trace`]), dispatches on [`ExtendConfig::incremental`] to
-//! one of two private engines implementing the same algorithm:
+//! form [`extend_trace`]), runs the router's one engine. It builds the
+//! world geometry index **once per trace**, re-transforms only the
+//! polygons near each popped segment's candidate window, tracks segments
+//! by stable id, and maintains the trace length incrementally — the
+//! per-iteration cost is governed by local geometry, not by how much
+//! meander has accumulated. Each pop also computes the side contexts'
+//! stage-1 caps once per foot position (the stage-1 table): every height
+//! probe reads its two caps from it instead of scanning its columns, and,
+//! floored to heights, it bounds the probes so the segment DP executes
+//! only the ones whose result can still matter (the pruning is sound:
+//! placements are bit-identical to a DP under the uniform cap alone).
 //!
-//! * the incremental engine (default) builds the world geometry index
-//!   **once per trace**, re-transforms only the polygons near each popped
-//!   segment's candidate window, tracks segments by stable id, and maintains
-//!   the trace length incrementally — the per-iteration cost is governed by
-//!   local geometry, not by how much meander has accumulated. Each pop
-//!   also computes the side contexts' stage-1 caps once per foot position
-//!   (the stage-1 table): every height probe reads its two caps from it
-//!   instead of scanning its columns, and, floored to heights, it bounds
-//!   the probes so the segment DP executes only the ones whose result can
-//!   still matter (the pruning is sound: placements are bit-identical to a
-//!   DP under the uniform cap alone).
-//! * the rebuild engine (`incremental: false`) re-clones and re-transforms
-//!   the whole world on every queue pop (the original pipeline) and runs
-//!   the DP with only the global `h_init` cap. It is kept as the reference
-//!   implementation for equivalence tests and as the slow side of the
-//!   `perf_regression` engine comparison.
+//! The engine's oracle is compiled into this crate's tests only: a
+//! rebuild engine that re-clones and re-transforms the whole world on
+//! every queue pop (the original pipeline) and runs the DP with only the
+//! global `h_init` cap. The equivalence tests hold the engine to it, and
+//! two release-mode ratio tests time the engine against it.
 
 use crate::config::{resolve_ldisc, ExtendConfig, MAX_WIDTH_STEPS, REQUEUE_MIN_PROTECT, TOLERANCE};
 use crate::context::{ShrinkContext, WorldBase, WorldContext, WorldIndex};
 use crate::dp::{extend_segment_dp, DpInput, HeightBounds, Placement};
-use crate::pattern::{build_local_meander, splice_meander};
+use crate::pattern::build_local_meander;
 use crate::shrink::{
     build_stage1_table, build_stage1_table_batched, max_pattern_height, max_pattern_height_fed,
     ShrinkScratch,
@@ -65,7 +63,7 @@ pub struct ExtendOutcome {
     pub patterns: usize,
 }
 
-/// Rule-derived constants both engines share.
+/// Rule-derived constants the engine and its oracle share.
 struct EngineParams {
     tol: f64,
     h_min: f64,
@@ -139,8 +137,8 @@ impl Disc {
 /// ([`build_stage1_table`]): every DP probe reads its two side caps from it
 /// instead of scanning its columns, and the table floored to heights lets
 /// the DP skip height queries whose capped value cannot matter — same
-/// output, fewer and cheaper shrink-kernel runs. Without it (the rebuild
-/// engine) every probe computes its own stage 1 under the uniform cap.
+/// output, fewer and cheaper shrink-kernel runs. Without it (the test-only
+/// oracle) every probe computes its own stage 1 under the uniform cap.
 #[allow(clippy::too_many_arguments)]
 fn plan_segment(
     len: f64,
@@ -258,8 +256,7 @@ pub fn extend_trace(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOut
 }
 
 /// [`extend_trace`], optionally against a shared obstacle-library world
-/// and optionally recording the candidate windows it queries. Dispatches on
-/// [`ExtendConfig::incremental`].
+/// and optionally recording the candidate windows it queries.
 ///
 /// With `base`, `input.obstacles` holds only the *board-local* obstacles;
 /// the library's polygons (and their edge index) come pre-inflated from
@@ -268,12 +265,12 @@ pub fn extend_trace(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOut
 /// input.obstacles`:
 ///
 /// * when `base` is compatible with this trace's rules (same inflation,
-///   same lattice — [`WorldBase::compatible`]), the incremental engine
-///   overlays the per-trace index on the shared one, and the overlay's
+///   same lattice — [`WorldBase::compatible`]), the engine overlays the
+///   per-trace index on the shared one, and the overlay's
 ///   union-equals-monolithic contract keeps every candidate set identical;
-/// * otherwise (different rules, or the rebuild engine) the library is
-///   materialized in front of the local obstacles and the ordinary path
-///   runs — same output, no amortization.
+/// * otherwise (different rules) the library is materialized in front of
+///   the local obstacles and the engine runs without a base — same output,
+///   no amortization.
 ///
 /// With `touches`, every obstacle-candidate query records its window —
 /// the remembered set the incremental serving loop (`meander-fleet`'s
@@ -282,10 +279,9 @@ pub fn extend_trace(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOut
 /// never alters them, so output is unchanged. Windows are recorded
 /// **unclamped** (the grid's occupied-bounds clamp is answer-preserving
 /// but its bounds shift under edits) on the
-/// `(world_cell, obstacle_inflation)` stratum of this trace's rules. The
-/// rebuild engine's obstacle influence is not funneled through
-/// [`WorldIndex::candidates`], so it is conservatively recorded as
-/// [`CellTouches::mark_all`]: the unit re-routes on any edit.
+/// `(world_cell, obstacle_inflation)` stratum of this trace's rules.
+/// Obstacles reach the engine only through [`WorldIndex::candidates`], so
+/// the recorded windows are the unit's whole obstacle dependence.
 pub(crate) fn extend_trace_with(
     input: &ExtendInput<'_>,
     config: &ExtendConfig,
@@ -293,10 +289,7 @@ pub(crate) fn extend_trace_with(
     touches: Option<&mut CellTouches>,
 ) -> ExtendOutcome {
     match base {
-        Some(b) if config.incremental && b.compatible(input.rules) => {
-            extend_trace_incremental(input, config, Some(b), touches)
-        }
-        Some(b) => {
+        Some(b) if !b.compatible(input.rules) => {
             // Deterministic fallback: the library becomes ordinary leading
             // obstacles (the order a materialized board lists them in).
             let mut obstacles: Vec<Polygon> = b.raw().to_vec();
@@ -305,19 +298,13 @@ pub(crate) fn extend_trace_with(
                 obstacles: &obstacles,
                 ..*input
             };
-            extend_trace_with(&input, config, None, touches)
+            extend_trace_incremental(&input, config, None, touches)
         }
-        None if config.incremental => extend_trace_incremental(input, config, None, touches),
-        None => {
-            if let Some(rec) = touches {
-                rec.mark_all();
-            }
-            extend_trace_rebuild(input, config)
-        }
+        _ => extend_trace_incremental(input, config, base, touches),
     }
 }
 
-/// The incremental engine (see the module docs).
+/// The engine (see the module docs).
 fn extend_trace_incremental(
     input: &ExtendInput<'_>,
     config: &ExtendConfig,
@@ -452,11 +439,11 @@ pub struct SidesFixture {
 }
 
 impl SidesFixture {
-    /// Indexes `area` and the inflated `obstacles` as the incremental
-    /// engine does for a trace under `rules`, then selects what a pop of
-    /// segment `seg` of `trace` with start height `h_init` sees: the static
-    /// polygons of its candidate window and the URAs of the trace's other
-    /// segments near it. `None` for a degenerate segment.
+    /// Indexes `area` and the inflated `obstacles` as the engine does for
+    /// a trace under `rules`, then selects what a pop of segment `seg` of
+    /// `trace` with start height `h_init` sees: the static polygons of its
+    /// candidate window and the URAs of the trace's other segments near
+    /// it. `None` for a degenerate segment.
     pub fn new(
         trace: &Polyline,
         seg: usize,
@@ -536,95 +523,6 @@ fn uras_for(trace: &TraceBuf, ids: &[u32], gap: f64) -> Vec<Polygon> {
     out
 }
 
-/// The naive rebuild-per-iteration engine (the "before" reference).
-fn extend_trace_rebuild(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOutcome {
-    let mut trace = input.trace.clone();
-    let rules = input.rules;
-    let params = EngineParams::derive(input);
-
-    let mut queue: VecDeque<(Point, Point)> = trace.segments().map(|s| (s.a, s.b)).collect();
-    let mut iterations = 0usize;
-    let mut patterns = 0usize;
-    let mut shrink_scratch = ShrinkScratch::new();
-
-    while trace.length() < input.target - params.tol
-        && iterations < config.max_iterations
-        && !queue.is_empty()
-    {
-        iterations += 1;
-        let (a, b) = queue.pop_front().expect("non-empty queue");
-        let Some(seg_index) = locate_segment(&trace, a, b) else {
-            continue; // segment was replaced by a later splice
-        };
-        let seg = trace.segment(seg_index);
-        if seg.is_degenerate() {
-            continue;
-        }
-        let Some(frame) = Frame::from_segment(&seg) else {
-            continue;
-        };
-        let len = seg.length();
-        let remaining = input.target - trace.length();
-        if remaining < 2.0 * params.h_min {
-            break; // no legal pattern can add this little
-        }
-        let Some(disc) = Disc::of(len, &params, rules) else {
-            continue;
-        };
-
-        // Obstacle context for both sides, rebuilt from scratch.
-        let world = WorldContext {
-            area: input.area.to_vec(),
-            obstacles: params.obstacles.clone(),
-            other_uras: WorldContext::trace_uras(&trace, seg_index, params.g_eff),
-        };
-        let ctx_up = ShrinkContext::build(&world, &frame, len, 1);
-        let ctx_dn = ShrinkContext::build(&world, &frame, len, -1);
-
-        // The rebuild engine stays on the uniform cap: it is the reference
-        // the equivalence suites hold the profile-pruned engine to.
-        let Some((local, kept)) = plan_segment(
-            len,
-            remaining,
-            &disc,
-            &params,
-            &ctx_up,
-            &ctx_dn,
-            config,
-            &mut shrink_scratch,
-            false,
-        ) else {
-            continue;
-        };
-        patterns += kept;
-
-        let (lo, hi) = splice_meander(&mut trace, seg_index, &frame, &local);
-
-        if config.requeue {
-            let min_len = REQUEUE_MIN_PROTECT * rules.protect;
-            for i in lo..hi {
-                let s = trace.segment(i);
-                if s.length() >= min_len {
-                    queue.push_back((s.a, s.b));
-                }
-            }
-        }
-    }
-
-    ExtendOutcome {
-        achieved: trace.length(),
-        trace,
-        iterations,
-        patterns,
-    }
-}
-
-/// Finds the polyline segment with endpoints `a → b`, if it still exists.
-fn locate_segment(trace: &Polyline, a: Point, b: Point) -> Option<usize> {
-    let pts = trace.points();
-    (0..pts.len() - 1).find(|&i| pts[i].approx_eq(a) && pts[i + 1].approx_eq(b))
-}
-
 /// Caps the cumulative gain of `placements` at `remaining`; the first
 /// pattern that would overshoot is re-shrunk to the exact height needed
 /// (re-validated — shrinking is not monotone) and later patterns dropped.
@@ -676,6 +574,95 @@ fn trim_placements(
 mod tests {
     use super::*;
 
+    /// The rebuild-per-pop oracle (see the module docs).
+    fn extend_trace_rebuild(input: &ExtendInput<'_>, config: &ExtendConfig) -> ExtendOutcome {
+        let mut trace = input.trace.clone();
+        let rules = input.rules;
+        let params = EngineParams::derive(input);
+
+        let mut queue: VecDeque<(Point, Point)> = trace.segments().map(|s| (s.a, s.b)).collect();
+        let mut iterations = 0usize;
+        let mut patterns = 0usize;
+        let mut shrink_scratch = ShrinkScratch::new();
+
+        while trace.length() < input.target - params.tol
+            && iterations < config.max_iterations
+            && !queue.is_empty()
+        {
+            iterations += 1;
+            let (a, b) = queue.pop_front().expect("non-empty queue");
+            let Some(seg_index) = locate_segment(&trace, a, b) else {
+                continue; // segment was replaced by a later splice
+            };
+            let seg = trace.segment(seg_index);
+            if seg.is_degenerate() {
+                continue;
+            }
+            let Some(frame) = Frame::from_segment(&seg) else {
+                continue;
+            };
+            let len = seg.length();
+            let remaining = input.target - trace.length();
+            if remaining < 2.0 * params.h_min {
+                break; // no legal pattern can add this little
+            }
+            let Some(disc) = Disc::of(len, &params, rules) else {
+                continue;
+            };
+
+            // Obstacle context for both sides, rebuilt from scratch.
+            let world = WorldContext {
+                area: input.area.to_vec(),
+                obstacles: params.obstacles.clone(),
+                other_uras: WorldContext::trace_uras(&trace, seg_index, params.g_eff),
+            };
+            let ctx_up = ShrinkContext::build(&world, &frame, len, 1);
+            let ctx_dn = ShrinkContext::build(&world, &frame, len, -1);
+
+            // The oracle stays on the uniform cap: the equivalence tests hold
+            // the profile-pruned engine to it.
+            let Some((local, kept)) = plan_segment(
+                len,
+                remaining,
+                &disc,
+                &params,
+                &ctx_up,
+                &ctx_dn,
+                config,
+                &mut shrink_scratch,
+                false,
+            ) else {
+                continue;
+            };
+            patterns += kept;
+
+            let (lo, hi) = crate::pattern::splice_meander(&mut trace, seg_index, &frame, &local);
+
+            if config.requeue {
+                let min_len = REQUEUE_MIN_PROTECT * rules.protect;
+                for i in lo..hi {
+                    let s = trace.segment(i);
+                    if s.length() >= min_len {
+                        queue.push_back((s.a, s.b));
+                    }
+                }
+            }
+        }
+
+        ExtendOutcome {
+            achieved: trace.length(),
+            trace,
+            iterations,
+            patterns,
+        }
+    }
+
+    /// Finds the polyline segment with endpoints `a → b`, if it still exists.
+    fn locate_segment(trace: &Polyline, a: Point, b: Point) -> Option<usize> {
+        let pts = trace.points();
+        (0..pts.len() - 1).find(|&i| pts[i].approx_eq(a) && pts[i + 1].approx_eq(b))
+    }
+
     fn rules() -> DesignRules {
         DesignRules {
             gap: 8.0,
@@ -697,15 +684,12 @@ mod tests {
         )]
     }
 
-    /// Both engines for every engine-level test.
-    fn engines() -> [ExtendConfig; 2] {
-        [
-            ExtendConfig::default(),
-            ExtendConfig {
-                incremental: false,
-                ..Default::default()
-            },
-        ]
+    /// One trace-level extension: the engine or its oracle.
+    type Engine = fn(&ExtendInput<'_>, &ExtendConfig) -> ExtendOutcome;
+
+    /// The engine and its oracle, for every engine-level test.
+    fn engines() -> [(&'static str, Engine); 2] {
+        [("engine", extend_trace), ("oracle", extend_trace_rebuild)]
     }
 
     #[test]
@@ -713,8 +697,8 @@ mod tests {
         let trace = straight(200.0);
         let area = roomy_area(200.0);
         let r = rules();
-        for config in engines() {
-            let out = extend_trace(
+        for (name, extend) in engines() {
+            let out = extend(
                 &ExtendInput {
                     trace: &trace,
                     target: 260.0,
@@ -722,13 +706,12 @@ mod tests {
                     area: &area,
                     obstacles: &[],
                 },
-                &config,
+                &ExtendConfig::default(),
             );
             assert!(
                 (out.achieved - 260.0).abs() <= 260.0 * 1e-3,
-                "achieved {} ≠ 260 (incremental: {})",
-                out.achieved,
-                config.incremental
+                "{name}: achieved {} ≠ 260",
+                out.achieved
             );
             assert!(out.patterns >= 1);
             assert!(!out.trace.is_self_intersecting());
@@ -743,9 +726,9 @@ mod tests {
         let trace = straight(100.0);
         let area = roomy_area(100.0);
         let r = rules();
-        for config in engines() {
+        for (name, extend) in engines() {
             for target in [110.0, 130.0, 170.0, 250.0] {
-                let out = extend_trace(
+                let out = extend(
                     &ExtendInput {
                         trace: &trace,
                         target,
@@ -753,11 +736,11 @@ mod tests {
                         area: &area,
                         obstacles: &[],
                     },
-                    &config,
+                    &ExtendConfig::default(),
                 );
                 assert!(
                     out.achieved <= target + 1e-6,
-                    "target {target}: overshoot to {}",
+                    "{name}: target {target}: overshoot to {}",
                     out.achieved
                 );
             }
@@ -774,8 +757,8 @@ mod tests {
             Point::new(30.0, 15.0),
             Point::new(90.0, 25.0),
         )];
-        for config in engines() {
-            let out = extend_trace(
+        for (name, extend) in engines() {
+            let out = extend(
                 &ExtendInput {
                     trace: &trace,
                     target: 220.0,
@@ -783,7 +766,7 @@ mod tests {
                     area: &area,
                     obstacles: &obstacles,
                 },
-                &config,
+                &ExtendConfig::default(),
             );
             // DRC-verified clean result.
             let violations = meander_drc::check_layout(&meander_drc::CheckInput {
@@ -797,7 +780,7 @@ mod tests {
                 }],
                 obstacles: obstacles.iter().collect(),
             });
-            assert!(violations.is_empty(), "{violations:?}");
+            assert!(violations.is_empty(), "{name}: {violations:?}");
             assert!(out.achieved > 120.0);
         }
     }
@@ -811,8 +794,8 @@ mod tests {
             Point::new(160.0, 12.0),
         )];
         let r = rules();
-        for config in engines() {
-            let out = extend_trace(
+        for (name, extend) in engines() {
+            let out = extend(
                 &ExtendInput {
                     trace: &trace,
                     target: 600.0,
@@ -820,12 +803,12 @@ mod tests {
                     area: &area,
                     obstacles: &[],
                 },
-                &config,
+                &ExtendConfig::default(),
             );
             // Every vertex stays in the corridor; amplitude capped at
             // 12 − (gap + width)/2 = 6.
             for p in out.trace.points() {
-                assert!(p.y.abs() <= 6.0 + 1e-9, "pattern too tall: {p}");
+                assert!(p.y.abs() <= 6.0 + 1e-9, "{name}: pattern too tall: {p}");
             }
             assert!(out.achieved < 590.0, "narrow corridor cannot reach 600");
             assert!(out.achieved > 230.0, "should still meander substantially");
@@ -844,8 +827,8 @@ mod tests {
         let local_area = Polygon::rectangle(Point::new(-10.0, -40.0), Point::new(190.0, 40.0));
         let area = vec![frame.polygon_to_world(&local_area)];
         let r = rules();
-        for config in engines() {
-            let out = extend_trace(
+        for (name, extend) in engines() {
+            let out = extend(
                 &ExtendInput {
                     trace: &trace,
                     target: 240.0,
@@ -853,11 +836,11 @@ mod tests {
                     area: &area,
                     obstacles: &[],
                 },
-                &config,
+                &ExtendConfig::default(),
             );
             assert!(
                 (out.achieved - 240.0).abs() <= 240.0 * 1e-3,
-                "achieved {}",
+                "{name}: achieved {}",
                 out.achieved
             );
             assert!(!out.trace.is_self_intersecting());
@@ -879,8 +862,8 @@ mod tests {
             Point::new(130.0, 130.0),
         )];
         let r = rules();
-        for config in engines() {
-            let out = extend_trace(
+        for (name, extend) in engines() {
+            let out = extend(
                 &ExtendInput {
                     trace: &trace,
                     target: 320.0,
@@ -888,9 +871,9 @@ mod tests {
                     area: &area,
                     obstacles: &[],
                 },
-                &config,
+                &ExtendConfig::default(),
             );
-            assert!((out.achieved - 320.0).abs() <= 320.0 * 1e-3);
+            assert!((out.achieved - 320.0).abs() <= 320.0 * 1e-3, "{name}");
             assert!(!out.trace.is_self_intersecting());
         }
     }
@@ -900,8 +883,8 @@ mod tests {
         let trace = straight(100.0);
         let area = roomy_area(100.0);
         let r = rules();
-        for config in engines() {
-            let out = extend_trace(
+        for (name, extend) in engines() {
+            let out = extend(
                 &ExtendInput {
                     trace: &trace,
                     target: 100.0,
@@ -909,10 +892,10 @@ mod tests {
                     area: &area,
                     obstacles: &[],
                 },
-                &config,
+                &ExtendConfig::default(),
             );
-            assert_eq!(out.trace, trace);
-            assert_eq!(out.patterns, 0);
+            assert_eq!(out.trace, trace, "{name}");
+            assert_eq!(out.patterns, 0, "{name}");
         }
     }
 
@@ -1109,7 +1092,7 @@ mod tests {
 
     #[test]
     fn engines_agree() {
-        // The incremental engine must reproduce the rebuild engine's result
+        // The engine must reproduce its oracle's result
         // (same iterations/patterns; lengths equal up to float-summation
         // order) across shapes, obstacles, and corridors.
         let r = rules();
@@ -1185,8 +1168,8 @@ mod tests {
         // Obstacle-dense boards: vias within a few `g_eff` of the trace
         // segments, where the exact candidacy test drops the most polygons
         // that share a lattice cell with a pop's window. Every unit of
-        // every board runs both engines over the board's whole obstacle
-        // set; the rebuild engine shrinks against all of it. A candidacy
+        // every board runs the engine and the oracle over the board's whole
+        // obstacle set; the oracle shrinks against all of it. A candidacy
         // window shrunk 3 units inward changes a unit on each board.
         let fleet = meander_layout::gen::fleet_boards_small(1, 7, 12);
         let boards = [
@@ -1195,20 +1178,17 @@ mod tests {
         ]
         .into_iter()
         .chain(fleet.boards.iter().map(|lb| lb.to_board()));
-        let rebuild = ExtendConfig {
-            incremental: false,
-            ..Default::default()
-        };
+        let config = ExtendConfig::default();
         let mut units_seen = 0;
         for (bi, board) in boards.enumerate() {
             let obstacles = crate::driver::gather_obstacles(&board);
             for (_, units) in crate::driver::plan_board_units(&board) {
                 for unit in &units {
                     units_seen += 1;
-                    let run = |config: &ExtendConfig| {
-                        crate::driver::run_unit(unit, &obstacles, None, config, None)
-                    };
-                    let (fast, slow) = (run(&ExtendConfig::default()), run(&rebuild));
+                    let fast = crate::driver::run_unit(unit, &obstacles, None, &config, None);
+                    let slow = crate::driver::run_unit_with(unit, &obstacles, |input| {
+                        extend_trace_rebuild(input, &config)
+                    });
                     for (f, s) in fast.reports().iter().zip(slow.reports()) {
                         assert_eq!(f.patterns, s.patterns, "board {bi} {:?}: patterns", f.id);
                         assert!(
@@ -1227,5 +1207,151 @@ mod tests {
             }
         }
         assert!(units_seen >= 12, "the dense boards must contribute units");
+    }
+
+    /// Group `group_idx` of `board` matched on the oracle, the way
+    /// [`crate::match_board_group`] runs the engine: every planned unit
+    /// over the board's gathered obstacles, applied in plan order.
+    fn match_group_on_oracle(
+        board: &mut meander_layout::Board,
+        group_idx: usize,
+        config: &ExtendConfig,
+    ) -> Vec<crate::TraceReport> {
+        let obstacles = crate::driver::gather_obstacles(board);
+        let (_, units) = crate::driver::plan_board_units(board).swap_remove(group_idx);
+        let outputs = units
+            .iter()
+            .map(|u| {
+                crate::driver::run_unit_with(u, &obstacles, |input| {
+                    extend_trace_rebuild(input, config)
+                })
+            })
+            .collect();
+        crate::driver::apply_outputs(board, outputs).0
+    }
+
+    /// The engine once *lost* to the rebuild oracle on table2:2 (0.899×):
+    /// the paper-sized cases are DP-bound, and the incremental
+    /// bookkeeping was pure overhead there. The grid
+    /// occupied-bounds clamp plus the DP upper-bound profile turned that
+    /// into a ~2× win — this guard keeps every table2 case at ≥ 1× (release
+    /// builds only; the measured margin is ~1.8–3×, so a 1.0 bound cannot
+    /// flake under normal scheduler noise).
+    #[test]
+    fn incremental_not_slower_than_naive_on_table2() {
+        if cfg!(debug_assertions) {
+            return;
+        }
+        let config = ExtendConfig {
+            max_iterations: 2000,
+            parallel: false,
+            ..ExtendConfig::default()
+        };
+        let median3 = |extend: Engine, input: &ExtendInput<'_>| -> f64 {
+            let mut times: Vec<f64> = (0..3)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    let _ = extend(input, &config);
+                    t0.elapsed().as_secs_f64()
+                })
+                .collect();
+            times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            times[1]
+        };
+        let mut ratios: Vec<f64> = Vec::new();
+        for case_no in 1..=6usize {
+            let case = meander_layout::gen::table2_case(case_no);
+            let trace = case.board.trace(case.trace).expect("trace").clone();
+            let area = case
+                .board
+                .area(case.trace)
+                .expect("area")
+                .polygons()
+                .to_vec();
+            let obstacles = crate::driver::gather_obstacles(&case.board);
+            let rules = *trace.rules();
+            let input = ExtendInput {
+                trace: trace.centerline(),
+                target: trace.length() * 50.0,
+                rules: &rules,
+                area: &area,
+                obstacles: &obstacles,
+            };
+            let t_naive = median3(extend_trace_rebuild, &input);
+            let t_inc = median3(extend_trace, &input);
+            // Per-case: ≥ 1×, with a 10 % scheduler-noise allowance — the
+            // smallest case is ~10 ms, where a single preemption moves the
+            // median by more than the bound.
+            assert!(
+                t_inc <= t_naive * 1.10,
+                "table2:{case_no}: engine regressed: {t_inc:.4}s vs oracle {t_naive:.4}s"
+            );
+            ratios.push(t_naive / t_inc.max(1e-12));
+        }
+        // Aggregate: strictly faster overall, no noise allowance (measured
+        // geomean is ~2×).
+        let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
+        assert!(
+            geomean >= 1.0,
+            "table2 geomean speedup regressed below 1.0: {geomean:.3} ({ratios:?})"
+        );
+    }
+
+    /// On a dense via-field board the engine must beat the rebuild oracle
+    /// by a wide margin, and both must agree on the outcome.
+    #[test]
+    fn incremental_beats_naive_on_dense_boards() {
+        let make = || meander_layout::gen::stress_board(12, 30, 200, 5).board;
+        let config = ExtendConfig {
+            parallel: false,
+            ..ExtendConfig::default()
+        };
+
+        // Warm-up + correctness: both engines must agree on the outcome.
+        let r_naive = match_group_on_oracle(&mut make(), 0, &config);
+        let r_inc = crate::match_board_group(&mut make(), 0, &config);
+        assert_eq!(r_naive.len(), r_inc.traces.len());
+        for (a, b) in r_naive.iter().zip(&r_inc.traces) {
+            assert_eq!(a.patterns, b.patterns, "trace {:?}", a.id);
+            assert!(
+                (a.achieved - b.achieved).abs() < 1e-6,
+                "trace {:?}: {} vs {}",
+                a.id,
+                a.achieved,
+                b.achieved
+            );
+        }
+
+        // Timed pass, release builds only: wall-clock ratios in the regular
+        // debug `cargo test` run would be a flake vector on loaded machines
+        // (debug margin is only ~1.75×). CI runs this test again with
+        // `--release`, where the measured margin is ~2.5× on this board
+        // against a 1.6× bound.
+        if cfg!(debug_assertions) {
+            return;
+        }
+        let time3 = |run: &dyn Fn(&mut meander_layout::Board)| -> f64 {
+            let mut times: Vec<f64> = (0..3)
+                .map(|_| {
+                    let mut board = make();
+                    let t0 = std::time::Instant::now();
+                    run(&mut board);
+                    t0.elapsed().as_secs_f64()
+                })
+                .collect();
+            times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            times[1]
+        };
+        let t_naive = time3(&|b| {
+            match_group_on_oracle(b, 0, &config);
+        });
+        let t_inc = time3(&|b| {
+            crate::match_board_group(b, 0, &config);
+        });
+        let required = 1.6;
+        assert!(
+            t_naive > t_inc * required,
+            "expected ≥ {required}× speedup, got oracle {t_naive:.3}s vs engine {t_inc:.3}s"
+        );
     }
 }

@@ -1,24 +1,13 @@
-//! Performance regression guards for the incremental pipeline.
-//!
-//! These bound *behavior* (convergence within the iteration budget, engine
-//! agreement on a large board) and enforce one deliberately conservative
-//! wall-clock ratio: on a dense via-field board the incremental engine must
-//! beat the naive rebuild engine by a wide margin (release-mode baselines
-//! show up to 5×; the assertion demands far less so scheduler noise cannot
-//! flake the suite).
+//! Performance regression guard for the engine: a long trace on a dense
+//! via-field board converges within the iteration budget and a generous
+//! wall-clock budget. The engine-vs-oracle wall-clock ratios live with the
+//! test-only oracle, in `meander-core`'s unit tests
+//! (`incremental_not_slower_than_naive_on_table2`,
+//! `incremental_beats_naive_on_dense_boards`).
 
-use meander_core::extend::{extend_trace, ExtendInput};
 use meander_core::{match_board_group, ExtendConfig};
-use meander_layout::gen::{stress_board, table2_case};
+use meander_layout::gen::stress_board;
 use std::time::{Duration, Instant};
-
-fn naive() -> ExtendConfig {
-    ExtendConfig {
-        incremental: false,
-        parallel: false,
-        ..ExtendConfig::default()
-    }
-}
 
 fn incremental() -> ExtendConfig {
     ExtendConfig {
@@ -30,9 +19,9 @@ fn incremental() -> ExtendConfig {
 #[test]
 fn long_trace_extension_stays_within_budget() {
     // A segment-rich board with a dense via field: the regime where the
-    // naive engine degrades quadratically. The incremental engine must
-    // converge (no iteration-cap bailout), hit the target, and finish well
-    // inside a generous wall-clock budget even in debug builds.
+    // rebuild oracle degrades quadratically. The engine must converge (no
+    // iteration-cap bailout), hit the target, and finish well inside a
+    // generous wall-clock budget even in debug builds.
     let case = stress_board(4, 20, 60, 3);
     let mut board = case.board;
     let t0 = Instant::now();
@@ -49,128 +38,4 @@ fn long_trace_extension_stays_within_budget() {
         report.max_error()
     );
     assert!(board.check().is_empty(), "{:?}", board.check());
-}
-
-/// PR 1's baseline showed the incremental engine *losing* to the naive
-/// rebuild engine on table2:2 (0.899×): the paper-sized cases are DP-bound,
-/// and the incremental bookkeeping was pure overhead there. The grid
-/// occupied-bounds clamp plus the DP upper-bound profile turned that into a
-/// ~2× win — this guard keeps every table2 case at ≥ 1× (release builds
-/// only; the measured margin is ~1.8–3×, so a 1.0 bound cannot flake under
-/// normal scheduler noise).
-#[test]
-fn incremental_not_slower_than_naive_on_table2() {
-    if cfg!(debug_assertions) {
-        return;
-    }
-    let mut ratios: Vec<f64> = Vec::new();
-    let median3 = |config: &ExtendConfig, input: &ExtendInput<'_>| -> f64 {
-        let mut times: Vec<f64> = (0..3)
-            .map(|_| {
-                let t0 = Instant::now();
-                let _ = extend_trace(input, config);
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        times[1]
-    };
-    for case_no in 1..=6usize {
-        let case = table2_case(case_no);
-        let trace = case.board.trace(case.trace).expect("trace").clone();
-        let area = case
-            .board
-            .area(case.trace)
-            .expect("area")
-            .polygons()
-            .to_vec();
-        let obstacles: Vec<meander_geom::Polygon> = case
-            .board
-            .obstacles()
-            .iter()
-            .map(|o| o.polygon().clone())
-            .collect();
-        let rules = *trace.rules();
-        let target = trace.length() * 50.0;
-        let input = ExtendInput {
-            trace: trace.centerline(),
-            target,
-            rules: &rules,
-            area: &area,
-            obstacles: &obstacles,
-        };
-        let long_run = |mut c: ExtendConfig| {
-            c.max_iterations = 2000;
-            c.parallel = false;
-            c
-        };
-        let t_naive = median3(&long_run(naive()), &input);
-        let t_inc = median3(&long_run(incremental()), &input);
-        // Per-case: ≥ 1×, with a 10 % scheduler-noise allowance — the
-        // smallest case is ~10 ms, where a single preemption moves the
-        // median by more than the bound.
-        assert!(
-            t_inc <= t_naive * 1.10,
-            "table2:{case_no}: incremental regressed: {t_inc:.4}s vs naive {t_naive:.4}s"
-        );
-        ratios.push(t_naive / t_inc.max(1e-12));
-    }
-    // Aggregate: strictly faster overall, no noise allowance (measured
-    // geomean is ~2×).
-    let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-    assert!(
-        geomean >= 1.0,
-        "table2 geomean speedup regressed below 1.0: {geomean:.3} ({ratios:?})"
-    );
-}
-
-#[test]
-fn incremental_beats_naive_on_dense_boards() {
-    let make = || stress_board(12, 30, 200, 5).board;
-
-    // Warm-up + correctness: both engines must agree on the outcome.
-    let mut b_naive = make();
-    let mut b_inc = make();
-    let r_naive = match_board_group(&mut b_naive, 0, &naive());
-    let r_inc = match_board_group(&mut b_inc, 0, &incremental());
-    assert_eq!(r_naive.traces.len(), r_inc.traces.len());
-    for (a, b) in r_naive.traces.iter().zip(&r_inc.traces) {
-        assert_eq!(a.patterns, b.patterns, "trace {:?}", a.id);
-        assert!(
-            (a.achieved - b.achieved).abs() < 1e-6,
-            "trace {:?}: {} vs {}",
-            a.id,
-            a.achieved,
-            b.achieved
-        );
-    }
-
-    // Timed pass, release builds only: wall-clock ratios in the regular
-    // debug `cargo test` run would be a flake vector on loaded machines
-    // (debug margin is only ~1.75×). CI runs this test again with
-    // `--release`, where the measured margin is ~2.5× on this board (and
-    // 5× on the larger baseline board) against a 1.6× bound; the bench
-    // binary (`baseline`) records the full before/after numbers.
-    if cfg!(debug_assertions) {
-        return;
-    }
-    let time3 = |config: &ExtendConfig| -> f64 {
-        let mut times: Vec<f64> = (0..3)
-            .map(|_| {
-                let mut board = make();
-                let t0 = Instant::now();
-                let _ = match_board_group(&mut board, 0, config);
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        times[1]
-    };
-    let t_naive = time3(&naive());
-    let t_inc = time3(&incremental());
-    let required = 1.6;
-    assert!(
-        t_naive > t_inc * required,
-        "expected ≥ {required}× speedup, got naive {t_naive:.3}s vs incremental {t_inc:.3}s"
-    );
 }

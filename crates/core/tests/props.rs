@@ -316,8 +316,7 @@ proptest! {
 
     // The SoA batch kernels must reproduce the scalar shrink floats
     // bit-for-bit on randomized obstacle fields: the per-position stage-1
-    // table and the whole incremental engine run (the rebuild engine
-    // always runs the scalar probes).
+    // table and the whole engine run.
     #[test]
     fn batched_kernels_bit_identical_end_to_end(
         obs in proptest::collection::vec(

@@ -41,5 +41,5 @@ pub use checker::{check_layout, check_layout_brute, CheckInput, TraceGeometry};
 pub use dra::DesignRuleArea;
 pub use resolve::RuleResolver;
 pub use rules::{DesignRules, RulesError};
-pub use violation::Violation;
+pub use violation::{new_violations, Violation};
 pub use virtual_drc::{restore_rules, virtualize_rules};

@@ -1,7 +1,9 @@
 //! Violation reports produced by the checker.
 
 use meander_geom::Point;
+use std::collections::HashSet;
 use std::fmt;
+use std::mem::Discriminant;
 
 /// A single design-rule violation found by [`crate::check_layout`].
 ///
@@ -58,6 +60,33 @@ pub enum Violation {
         /// A witness point outside the area.
         near: Point,
     },
+}
+
+impl Violation {
+    /// The (kind, trace) pair [`new_violations`] compares by: the variant
+    /// and the trace ids it names.
+    fn kind_and_traces(&self) -> (Discriminant<Violation>, u32, u32) {
+        let kind = std::mem::discriminant(self);
+        match *self {
+            Violation::TraceTraceClearance { a, b, .. } => (kind, a, b),
+            Violation::TraceObstacleClearance { trace, .. }
+            | Violation::ShortSegment { trace, .. }
+            | Violation::SelfIntersection { trace }
+            | Violation::OutsideRoutableArea { trace, .. } => (kind, trace, trace),
+        }
+    }
+}
+
+/// The violations of `after` whose (kind, trace) pair no violation of
+/// `before` has: what an operation on a board added, not what the board
+/// already had. Values, witnesses and obstacle or segment indices are not
+/// compared, because re-routing a trace moves them.
+pub fn new_violations<'a>(before: &[Violation], after: &'a [Violation]) -> Vec<&'a Violation> {
+    let old: HashSet<_> = before.iter().map(Violation::kind_and_traces).collect();
+    after
+        .iter()
+        .filter(|v| !old.contains(&v.kind_and_traces()))
+        .collect()
 }
 
 impl fmt::Display for Violation {
@@ -118,5 +147,30 @@ mod tests {
         assert!(s.contains("trace 3"));
         assert!(s.contains("segment 7"));
         assert!(s.contains("dprotect"));
+    }
+
+    #[test]
+    fn new_violations_compare_by_kind_and_trace() {
+        let short = |trace, segment| Violation::ShortSegment {
+            trace,
+            segment,
+            actual: 1.0,
+            required: 2.0,
+        };
+        let before = [short(0, 3), Violation::SelfIntersection { trace: 1 }];
+        // Same kind and trace, other segment and value: inherited.
+        let moved = Violation::ShortSegment {
+            trace: 0,
+            segment: 9,
+            actual: 0.5,
+            required: 2.0,
+        };
+        // Same trace, new kind; same kind, new trace: both added.
+        let kind = Violation::SelfIntersection { trace: 0 };
+        let trace = short(2, 0);
+        let after = [moved, kind.clone(), trace.clone()];
+        assert_eq!(new_violations(&before, &after), [&kind, &trace]);
+        assert!(new_violations(&after, &before[..1]).is_empty());
+        assert!(new_violations(&[], &[]).is_empty());
     }
 }

@@ -24,10 +24,10 @@
 //!
 //! Knobs that are *proven* bit-identical (batch kernels, index kind,
 //! parallelism, sharing) are deliberately excluded from
-//! `engine_identity`, so those engine shapes share entries; knobs that
-//! change the output (the iteration budget, the ablation switches, the
-//! non-incremental reference engine) are folded in, so a config change
-//! can never serve a stale shape.
+//! `engine_identity`, so those engine shapes share entries; the knobs
+//! that change the output (the iteration budget and the two ablation
+//! switches) are folded in, so a config change can never serve a stale
+//! shape. There is one engine, so no knob selects another.
 //!
 //! ## Invalidation composes with damage tracking
 //!
@@ -408,8 +408,7 @@ pub(crate) fn engine_identity(extend: &ExtendConfig) -> u64 {
     let mut h = ContentHasher::new(0x656e_6769_6e65_0000); // "engine"
     h.u64(extend.max_iterations as u64)
         .u64(extend.connect_priority as u64)
-        .u64(extend.requeue as u64)
-        .u64(extend.incremental as u64);
+        .u64(extend.requeue as u64);
     h.finish()
 }
 
@@ -611,10 +610,6 @@ mod tests {
             },
             ExtendConfig {
                 requeue: !base.requeue,
-                ..base.clone()
-            },
-            ExtendConfig {
-                incremental: !base.incremental,
                 ..base.clone()
             },
         ];

@@ -44,10 +44,9 @@ pub struct DamageReport {
 ///
 /// `strata` is the union over every retained unit's touched strata, so it
 /// covers each unit's own inflation. When it is empty the damage cannot be
-/// represented (no recorded stratum — e.g. every unit routed through the
-/// unrecordable rebuild engine, or nothing routed yet): the scope degrades
-/// to `mark_all`, which re-routes everything it covers. Conservative,
-/// never wrong.
+/// represented (no recorded stratum — nothing routed yet, or no unit
+/// issued a candidate query): the scope degrades to `mark_all`, which
+/// re-routes everything it covers. Conservative, never wrong.
 pub(crate) fn add_damage(dirty: &mut DirtyCells, strata: &[StratumKey], polys: &[&Polygon]) -> u64 {
     let before = dirty.cells();
     if strata.is_empty() {

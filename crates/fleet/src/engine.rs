@@ -230,7 +230,7 @@ pub struct FleetStats {
     pub cancelled: usize,
     /// Boards that lost work to the fleet deadline or their busy budget.
     pub deadline_exceeded: usize,
-    /// Boards recovered by a retry rung ([`BoardOutcome::Degraded`]).
+    /// Boards recovered by their retry ([`BoardOutcome::Degraded`]).
     /// Always zero for a bare [`route_fleet`]; the resilience layer fills
     /// it in.
     pub degraded: usize,

@@ -64,7 +64,7 @@ impl FaultPlan {
     }
 
     /// Panic at unit `unit`, but only on attempt `attempt` (0 = the first
-    /// run): the transient-fault primitive the retry ladder recovers from.
+    /// run): the transient-fault primitive the retry recovers from.
     pub fn panic_at_unit_on_attempt(mut self, unit: u64, attempt: u32) -> Self {
         self.transient_units.insert(unit, attempt);
         self

@@ -41,12 +41,12 @@
 //!   (bit-identical to sequential) or geometry untouched.
 //!
 //! On top of the engine sits a **recovery layer**
-//! ([`route_fleet_resilient`]): failed boards walk a deterministic
-//! retry/degrade ladder ([`RetryPolicy`]) onto cheaper known-safe engine
-//! shapes, overload is shed loudly under an admission unit budget and a
-//! fleet-wide retry token bucket ([`AdmissionPolicy`]), every attempt is
-//! journaled, and boards that panic on every rung are quarantined with a
-//! delta-debugged minimal repro (`repro::minimize`).
+//! ([`route_fleet_resilient`]): a failed or deadline-exceeded board gets
+//! one retry with the same knobs ([`RetryPolicy`]), overload is shed
+//! loudly under an admission unit budget and a fleet-wide retry token
+//! bucket ([`AdmissionPolicy`]), every attempt is journaled, and boards
+//! that panic on both attempts are quarantined with a delta-debugged
+//! minimal repro (`repro::minimize`).
 //!
 //! The `fault` cargo feature adds a deterministic chaos harness
 //! (`FaultPlan`): seeded panic/delay/rejection
@@ -94,7 +94,7 @@ pub use engine::{route_fleet, warm_fleet_cache, BoardSet, FleetConfig, FleetRepo
 #[cfg(feature = "fault")]
 pub use fault::FaultPlan;
 pub use meander_layout::{Edit, EditScope};
-pub use outcome::{BoardOutcome, DegradeStep, JobError, LatencyHistogram, ShedReason};
+pub use outcome::{BoardOutcome, JobError, LatencyHistogram, ShedReason};
 pub use resilience::{route_fleet_resilient, AdmissionPolicy, RetryPolicy};
 pub use sched::{Scheduler, Tier};
 pub use session::FleetSession;

@@ -47,39 +47,6 @@ impl fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// One rung of the recovery ladder (`fleet::resilience`): which engine
-/// shape a failed board is re-run with. Ordered from "same knobs, just
-/// again" down to the reference pipeline — every rung is a knob
-/// combination an equivalence suite already proves safe (see
-/// `DegradeStep::apply`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DegradeStep {
-    /// Re-run with identical knobs. Recovers transient faults; output is
-    /// bit-identical to the first attempt's would-be output, hence to
-    /// sequential routing.
-    Retry,
-    /// The non-incremental reference matcher (uniform height cap, no DP
-    /// profile); equivalent within tolerance, need not be bit-identical —
-    /// the last rung before quarantine.
-    Reference,
-}
-
-impl DegradeStep {
-    /// Short stable name for logs and bench JSON.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            DegradeStep::Retry => "retry",
-            DegradeStep::Reference => "reference",
-        }
-    }
-}
-
-impl fmt::Display for DegradeStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Why a board was shed instead of routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
@@ -118,14 +85,11 @@ pub enum BoardOutcome {
     /// The fleet deadline or this board's budget expired before every job
     /// of this board completed; geometry untouched.
     DeadlineExceeded,
-    /// The board failed its first attempt but recovered on retry rung
-    /// `step` (`fleet::resilience`); results are written back. `attempts`
-    /// counts every run including the first, so `2` means one retry.
-    /// Geometry is bit-identical to sequential for every rung except
-    /// [`DegradeStep::Reference`] (equivalent within tolerance there).
+    /// The board failed its first attempt but recovered on its retry
+    /// (`fleet::resilience`); results are written back, bit-identical to
+    /// sequential routing. `attempts` counts every run including the
+    /// first, so `2` means one retry.
     Degraded {
-        /// The ladder rung that recovered the board.
-        step: DegradeStep,
         /// Total attempts run, including the first.
         attempts: u32,
     },
@@ -150,8 +114,8 @@ impl fmt::Display for BoardOutcome {
             BoardOutcome::Failed(e) => write!(f, "failed: {e}"),
             BoardOutcome::Cancelled => write!(f, "cancelled"),
             BoardOutcome::DeadlineExceeded => write!(f, "deadline exceeded"),
-            BoardOutcome::Degraded { step, attempts } => {
-                write!(f, "degraded: recovered at `{step}` on attempt {attempts}")
+            BoardOutcome::Degraded { attempts } => {
+                write!(f, "degraded: recovered on attempt {attempts}")
             }
             BoardOutcome::Shed(r) => write!(f, "shed: {r}"),
         }
@@ -281,14 +245,8 @@ mod tests {
         );
         assert!(BoardOutcome::Routed.is_routed());
         assert!(!failed.is_routed());
-        let degraded = BoardOutcome::Degraded {
-            step: DegradeStep::Reference,
-            attempts: 3,
-        };
-        assert_eq!(
-            degraded.to_string(),
-            "degraded: recovered at `reference` on attempt 3"
-        );
+        let degraded = BoardOutcome::Degraded { attempts: 2 };
+        assert_eq!(degraded.to_string(), "degraded: recovered on attempt 2");
         assert!(!degraded.is_routed());
         assert_eq!(
             BoardOutcome::Shed(ShedReason::Admission).to_string(),
@@ -298,15 +256,5 @@ mod tests {
             BoardOutcome::Shed(ShedReason::RetryTokens).to_string(),
             "shed: retry tokens exhausted"
         );
-    }
-
-    #[test]
-    fn degrade_steps_are_ordered_and_named() {
-        assert!(DegradeStep::Retry < DegradeStep::Reference);
-        let names: Vec<&str> = [DegradeStep::Retry, DegradeStep::Reference]
-            .iter()
-            .map(|s| s.name())
-            .collect();
-        assert_eq!(names, ["retry", "reference"]);
     }
 }

@@ -1,6 +1,6 @@
 //! Delta-debugging repro minimization for quarantined boards.
 //!
-//! A board that panics across every rung of the recovery ladder is a
+//! A board that panics on its first attempt and on its retry is a
 //! *poison board*: the single most valuable artifact it can leave behind
 //! is the **smallest** board that still crashes, because a 3-entity repro
 //! gets read and fixed while a 300-entity one gets filed and forgotten.

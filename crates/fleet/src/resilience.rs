@@ -1,12 +1,12 @@
-//! Outcome-driven resilience over [`route_fleet`]: retry ladder,
-//! graceful degradation, overload shedding, and poison-board quarantine.
+//! Outcome-driven resilience over [`route_fleet`]: one retry, overload
+//! shedding, and poison-board quarantine.
 //!
 //! PR 6 made failure *visible* — every board comes back with a
 //! [`BoardOutcome`] — but the fleet still gave up on first failure. A
 //! serving system must instead **recover**: retry what was transient,
-//! degrade what was expensive, shed what doesn't fit, and quarantine
-//! what keeps crashing. [`route_fleet_resilient`] layers exactly that
-//! over the engine, deterministically:
+//! shed what doesn't fit, and quarantine what keeps crashing.
+//! [`route_fleet_resilient`] layers exactly that over the engine,
+//! deterministically:
 //!
 //! * **Admission** ([`AdmissionPolicy`]) — before anything runs, boards
 //!   are admitted first-fit in input order against a global in-flight
@@ -14,26 +14,24 @@
 //!   [`BoardOutcome::Shed`]`(`[`ShedReason::Admission`]`)` — refused
 //!   loudly, never dropped silently. Admission is decided from the plan
 //!   alone, so the shed set is invariant across worker counts.
-//! * **Retry ladder** ([`RetryPolicy::ladder`]) — boards whose first
-//!   attempt failed (panic) or blew a deadline re-run one rung at a
-//!   time: [`DegradeStep::Retry`] (same knobs — recovers transients),
-//!   then the long-proven reference engine ([`DegradeStep::Reference`] —
-//!   see `DegradeStep::apply`) with a widened per-board budget.
-//!   A board recovered at rung `s` reports
-//!   [`BoardOutcome::Degraded`]` { step: s, attempts }`. First-attempt
-//!   routed boards are never re-run — their geometry stays bit-identical
-//!   to sequential, untouched by any retry. `Retry` recoveries are
-//!   bit-identical to sequential too; `Reference` recoveries need not be.
+//! * **One retry** — a board whose first attempt failed (panic) or blew
+//!   a deadline re-runs once, with the fleet's own knobs and budget. The
+//!   engine is deterministic, so a retry recovers only transients
+//!   (deadlines, injected faults); a deterministic failure is a bug to
+//!   fix, not one to route around with another engine. A recovered board
+//!   reports [`BoardOutcome::Degraded`]` { attempts: 2 }`. First-attempt
+//!   routed boards are never re-run, and a recovered board's geometry is
+//!   bit-identical to sequential routing too.
 //! * **Retry token bucket** ([`AdmissionPolicy::retry_tokens`]) — every
 //!   re-run spends one fleet-wide token, so a fleet of poison boards can
 //!   never multiply its own load unboundedly or starve fresh work; a
 //!   board denied a token is shed as [`ShedReason::RetryTokens`] (its
 //!   failed attempts stay in the journal).
 //! * **Journal** ([`AttemptJournal`]) — every attempt of every board is
-//!   recorded as (attempt, step, outcome, busy time), so triage never
-//!   has to re-run the fleet to find out what was tried.
-//! * **Quarantine** ([`Quarantine`]) — boards that panic across *every*
-//!   rung are reported with their final [`JobError`] and, by default, a
+//!   recorded as (attempt, outcome, busy time), so triage never has to
+//!   re-run the fleet to find out what was tried.
+//! * **Quarantine** ([`Quarantine`]) — boards that panic on their first
+//!   attempt and on the retry are reported with their final [`JobError`] and, by default, a
 //!   delta-debugged minimal repro (`crate::repro::minimize`) that
 //!   still crashes the probe — serialized via `layout::io` for a bug
 //!   report.
@@ -42,13 +40,12 @@
 //!
 //! Every decision above is a pure function of input order and per-run
 //! outcomes: admission is first-fit over the input sequence, retries are
-//! scheduled rung-major in board order, tokens are spent in that same
-//! order, and the engine itself is deterministic per attempt. Under the
-//! `fault` harness, injected faults key on input-order indices and
-//! retries re-run with plans `FaultPlan::rebased` onto
-//! the board's own span — so the full outcome vector (including which
-//! rung recovered a board and which boards shed) is invariant across
-//! worker counts 1–N and both sharing modes (property-tested in
+//! scheduled in board order, tokens are spent in that same order, and
+//! the engine itself is deterministic per attempt. Under the `fault`
+//! harness, injected faults key on input-order indices and retries re-run
+//! with plans `FaultPlan::rebased` onto the board's own span — so the
+//! full outcome vector (including which boards recovered and which
+//! shed) is invariant across worker counts 1–N and both sharing modes (property-tested in
 //! `tests/resilience.rs`).
 //!
 //! ```
@@ -68,9 +65,9 @@
 use crate::engine::{route_fleet, BoardSet, FleetConfig, FleetReport};
 #[cfg(feature = "fault")]
 use crate::fault::FaultPlan;
-use crate::outcome::{BoardOutcome, DegradeStep, JobError, ShedReason};
+use crate::outcome::{BoardOutcome, JobError, ShedReason};
 use crate::repro::{minimize, MinimizedRepro};
-use meander_core::{plan_board_units, ExtendConfig, GroupReport};
+use meander_core::{plan_board_units, GroupReport};
 use meander_layout::{Board, LibraryBoard, ObstacleLibrary};
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,37 +78,6 @@ use std::time::Duration;
 #[cfg(feature = "fault")]
 type FaultSpan = Option<((u64, u64), (u64, u64))>;
 
-impl DegradeStep {
-    /// The engine configuration this rung re-runs with, derived from the
-    /// fleet's own. [`DegradeStep::Reference`] turns off the incremental
-    /// engine (and with it the DP profile, which only that engine builds);
-    /// batch kernels and index kind stay as they are, because their
-    /// contracts make the output the same either way. `Retry` recoveries
-    /// are bit-identical to sequential routing; `Reference` recoveries
-    /// match it within tolerance but need not be bit-identical. Everything
-    /// else the caller tuned (iteration cap, ablation switches) is
-    /// preserved. `parallel` is left alone: the fleet runs units directly
-    /// and ignores it.
-    pub(crate) fn apply(self, base: &ExtendConfig) -> ExtendConfig {
-        let mut c = base.clone();
-        if self == DegradeStep::Reference {
-            c.incremental = false;
-        }
-        c
-    }
-
-    /// Multiplier applied to [`FleetConfig::board_budget`] on this rung:
-    /// the `Reference` rung runs the slower rebuild engine, so a board
-    /// that blew its budget gets proportionally more headroom instead of
-    /// re-failing for the same reason.
-    pub(crate) fn budget_multiplier(self) -> u32 {
-        match self {
-            DegradeStep::Retry => 1,
-            DegradeStep::Reference => 8,
-        }
-    }
-}
-
 /// Overload control: the two budgets that keep a fleet from amplifying
 /// its own failures.
 #[derive(Debug, Clone)]
@@ -121,8 +87,8 @@ pub struct AdmissionPolicy {
     /// [`BoardOutcome::Shed`]`(`[`ShedReason::Admission`]`)`. `None`
     /// admits everything.
     pub max_units: Option<usize>,
-    /// Fleet-wide retry token bucket: every board re-run (any rung)
-    /// spends one token. An empty bucket sheds the would-be retry as
+    /// Fleet-wide retry token bucket: every board re-run spends one
+    /// token. An empty bucket sheds the would-be retry as
     /// [`ShedReason::RetryTokens`] — retries can never starve fresh
     /// boards of a later run's budget.
     pub retry_tokens: u64,
@@ -137,15 +103,10 @@ impl Default for AdmissionPolicy {
     }
 }
 
-/// The recovery policy: how hard, and how, to try again.
+/// The recovery policy: the budgets a retry spends and what a
+/// quarantined board leaves behind.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
-    /// The degradation ladder, tried in order after a failed first
-    /// attempt; its length bounds retries per board. The default walks
-    /// [`DegradeStep::Retry`] → [`DegradeStep::Reference`]: the first
-    /// recovers bit-identical to sequential routing, the second within
-    /// tolerance.
-    pub ladder: Vec<DegradeStep>,
     /// Overload budgets (admission units + retry tokens).
     pub admission: AdmissionPolicy,
     /// Delta-debug a minimal still-crashing repro for every quarantined
@@ -159,7 +120,6 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            ladder: vec![DegradeStep::Retry, DegradeStep::Reference],
             admission: AdmissionPolicy::default(),
             minimize_repros: true,
             max_minimize_probes: 256,
@@ -170,10 +130,8 @@ impl Default for RetryPolicy {
 /// One attempt of one board, as the journal records it.
 #[derive(Debug, Clone)]
 pub struct AttemptRecord {
-    /// Attempt number (0 = the first run).
+    /// Attempt number (0 = the first run, 1 = the retry).
     pub attempt: u32,
-    /// The ladder rung this attempt ran with (`None` for the first run).
-    pub step: Option<DegradeStep>,
     /// What the attempt itself returned (before any relabeling to
     /// [`BoardOutcome::Degraded`] / [`BoardOutcome::Shed`]).
     pub outcome: BoardOutcome,
@@ -191,8 +149,7 @@ pub struct AttemptJournal {
     pub attempts: Vec<AttemptRecord>,
 }
 
-/// One poison board: it panicked on its first attempt and on every rung
-/// of the ladder.
+/// One poison board: it panicked on its first attempt and on the retry.
 #[derive(Debug)]
 pub struct QuarantineEntry {
     /// Board index (submission order).
@@ -216,7 +173,7 @@ pub struct QuarantineEntry {
 /// The poison-board report of one resilient run.
 #[derive(Debug, Default)]
 pub struct Quarantine {
-    /// One entry per board that failed every rung.
+    /// One entry per board that failed both attempts.
     pub entries: Vec<QuarantineEntry>,
 }
 
@@ -241,11 +198,11 @@ pub struct ResilientReport {
     pub report: FleetReport,
     /// `journals[b]` records every attempt board `b` ran.
     pub journals: Vec<AttemptJournal>,
-    /// Boards that panicked on every rung, with minimized repros.
+    /// Boards that panicked on both attempts, with minimized repros.
     pub quarantine: Quarantine,
 }
 
-/// `true` for outcomes the ladder may re-run: panics and blown
+/// `true` for outcomes the retry may re-run: panics and blown
 /// deadlines/budgets. Rejections (input is wrong), cancellations (caller
 /// intent), and shed boards (overload) are final.
 fn retryable(o: &BoardOutcome) -> bool {
@@ -272,19 +229,6 @@ fn route_subset(set: &mut BoardSet, idx: &[usize], config: &FleetConfig) -> Flee
     report
 }
 
-/// The fleet config a ladder rung re-runs with: the rung's engine shape
-/// and a widened per-board budget. Deadline and cancellation carry over
-/// unchanged — a fired token or an already-spent fleet deadline still
-/// stops retries.
-fn step_config(base: &FleetConfig, step: DegradeStep) -> FleetConfig {
-    let mut c = base.clone();
-    c.extend = step.apply(&base.extend);
-    if let Some(b) = base.board_budget {
-        c.board_budget = Some(b.saturating_mul(step.budget_multiplier()));
-    }
-    c
-}
-
 /// `true` when routing `cand` alone under `config` fails with a panic —
 /// the quarantine probe. The engine's per-job `catch_unwind` is the
 /// "failing closure under catch_unwind": a crash becomes
@@ -295,15 +239,14 @@ fn probe_fails(config: &FleetConfig, cand: &LibraryBoard) -> bool {
     matches!(r.outcomes.first(), Some(BoardOutcome::Failed(_)))
 }
 
-/// Routes `set` under `config` with recovery: admission shedding, the
-/// retry/degrade ladder, retry tokens, journals, and quarantine with
-/// minimized repros. See the [module docs](self) for the policy model and
-/// the determinism argument.
+/// Routes `set` under `config` with recovery: admission shedding, one
+/// retry, retry tokens, journals, and quarantine with minimized repros.
+/// See the [module docs](self) for the policy model and the determinism
+/// argument.
 ///
 /// First-attempt routed boards are bit-identical to sequential (they are
-/// never re-run); [`BoardOutcome::Degraded`] boards hold the recovering
-/// rung's results (bit-identical too, except the `Reference` rung);
-/// everything else keeps its input geometry.
+/// never re-run); [`BoardOutcome::Degraded`] boards hold the retry's
+/// results (bit-identical too); everything else keeps its input geometry.
 pub fn route_fleet_resilient(
     set: &mut BoardSet,
     config: &FleetConfig,
@@ -359,7 +302,6 @@ pub fn route_fleet_resilient(
         board_busy[b] = round0.stats.board_busy[slot];
         journals[b].attempts.push(AttemptRecord {
             attempt: 0,
-            step: None,
             outcome: outcomes[b].clone(),
             busy: board_busy[b],
         });
@@ -385,73 +327,66 @@ pub fn route_fleet_resilient(
         spans
     };
 
-    // ---- The ladder: rung-major, board order — token spend is a pure
-    // function of the (deterministic) outcome sequence.
+    // ---- The retry: board order — token spend is a pure function of the
+    // (deterministic) outcome sequence.
+    let attempt = 1;
     let mut tokens = policy.admission.retry_tokens;
     let mut retries = 0u64;
-    for (rung, &step) in policy.ladder.iter().enumerate() {
-        let attempt = rung as u32 + 1;
-        let retry_now: Vec<usize> = (0..n).filter(|&b| retryable(&outcomes[b])).collect();
-        if retry_now.is_empty() {
-            break;
+    let retry_now: Vec<usize> = (0..n).filter(|&b| retryable(&outcomes[b])).collect();
+    for b in retry_now {
+        if tokens == 0 {
+            outcomes[b] = BoardOutcome::Shed(ShedReason::RetryTokens);
+            continue;
         }
-        for b in retry_now {
-            if tokens == 0 {
-                outcomes[b] = BoardOutcome::Shed(ShedReason::RetryTokens);
-                continue;
-            }
-            tokens -= 1;
-            retries += 1;
-            #[cfg_attr(not(feature = "fault"), allow(unused_mut))]
-            let mut sub_config = step_config(config, step);
-            #[cfg(feature = "fault")]
-            {
-                sub_config.fault = match spans[b] {
-                    Some((units, jobs)) => config.fault.rebased(units, jobs, attempt),
-                    None => FaultPlan {
-                        attempt,
-                        ..FaultPlan::default()
-                    },
-                };
-            }
-            let attempt_report = route_subset(set, &[b], &sub_config);
-            stats.route_wall += attempt_report.stats.route_wall;
-            stats.units_run += attempt_report.stats.units_run;
-            let busy = attempt_report
-                .stats
-                .board_busy
-                .first()
-                .copied()
-                .unwrap_or_default();
-            board_busy[b] += busy;
-            let attempt_outcome = attempt_report
-                .outcomes
+        tokens -= 1;
+        retries += 1;
+        #[cfg_attr(not(feature = "fault"), allow(unused_mut))]
+        let mut sub_config = config.clone();
+        #[cfg(feature = "fault")]
+        {
+            sub_config.fault = match spans[b] {
+                Some((units, jobs)) => config.fault.rebased(units, jobs, attempt),
+                None => FaultPlan {
+                    attempt,
+                    ..FaultPlan::default()
+                },
+            };
+        }
+        let attempt_report = route_subset(set, &[b], &sub_config);
+        stats.route_wall += attempt_report.stats.route_wall;
+        stats.units_run += attempt_report.stats.units_run;
+        let busy = attempt_report
+            .stats
+            .board_busy
+            .first()
+            .copied()
+            .unwrap_or_default();
+        board_busy[b] += busy;
+        let attempt_outcome = attempt_report
+            .outcomes
+            .into_iter()
+            .next()
+            .expect("single-board run returns one outcome");
+        journals[b].attempts.push(AttemptRecord {
+            attempt,
+            outcome: attempt_outcome.clone(),
+            busy,
+        });
+        if attempt_outcome.is_routed() {
+            outcomes[b] = BoardOutcome::Degraded {
+                attempts: attempt + 1,
+            };
+            reports[b] = attempt_report
+                .reports
                 .into_iter()
                 .next()
-                .expect("single-board run returns one outcome");
-            journals[b].attempts.push(AttemptRecord {
-                attempt,
-                step: Some(step),
-                outcome: attempt_outcome.clone(),
-                busy,
-            });
-            if attempt_outcome.is_routed() {
-                outcomes[b] = BoardOutcome::Degraded {
-                    step,
-                    attempts: attempt + 1,
-                };
-                reports[b] = attempt_report
-                    .reports
-                    .into_iter()
-                    .next()
-                    .expect("single-board run returns one report");
-            } else {
-                outcomes[b] = attempt_outcome;
-            }
+                .expect("single-board run returns one report");
+        } else {
+            outcomes[b] = attempt_outcome;
         }
     }
 
-    // ---- Quarantine: boards still panicking after the whole ladder. -----
+    // ---- Quarantine: boards still panicking after the retry. ------------
     let mut quarantine = Quarantine::default();
     for b in 0..n {
         let BoardOutcome::Failed(error) = &outcomes[b] else {
@@ -508,7 +443,7 @@ pub fn route_fleet_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meander_core::IndexKind;
+    use meander_core::ExtendConfig;
     use meander_layout::gen::fleet_boards_small;
 
     fn serial_config(workers: usize) -> FleetConfig {
@@ -534,11 +469,10 @@ mod tests {
         assert_eq!(resilient.report.stats.degraded, 0);
         assert_eq!(resilient.report.stats.shed, 0);
         assert!(resilient.quarantine.is_empty());
-        // Journals: exactly one attempt per board, step None.
+        // Journals: exactly one attempt per board.
         for j in &resilient.journals {
             assert_eq!(j.attempts.len(), 1);
             assert_eq!(j.attempts[0].attempt, 0);
-            assert!(j.attempts[0].step.is_none());
             assert!(j.attempts[0].outcome.is_routed());
         }
         // Geometry identical to the plain fleet run.
@@ -628,47 +562,47 @@ mod tests {
         assert_eq!(resilient.report.stats.shed, 2);
     }
 
+    /// A board that blows its busy budget on both attempts ends
+    /// `DeadlineExceeded` after one same-budget retry: two journaled
+    /// attempts, one retry token, and no quarantine (that is for panics).
     #[test]
-    fn degrade_steps_map_to_fallback_levels() {
-        let base = ExtendConfig::default();
-        let retry = DegradeStep::Retry.apply(&base);
-        assert_eq!(retry.batch_kernels, base.batch_kernels);
-        assert_eq!(retry.incremental, base.incremental);
-        let reference = DegradeStep::Reference.apply(&base);
-        assert!(base.incremental && !reference.incremental);
-        // Batch kernels stay on: their contract makes the output the same.
-        assert!(reference.batch_kernels);
-        // Budget multipliers widen down the ladder.
-        let ladder = RetryPolicy::default().ladder;
-        assert_eq!(ladder, [DegradeStep::Retry, DegradeStep::Reference]);
-        let mults: Vec<u32> = ladder.iter().map(|s| s.budget_multiplier()).collect();
-        assert_eq!(mults, vec![1, 8]);
-        // And the widened budget reaches the rung's config.
-        let cfg = FleetConfig {
-            board_budget: Some(Duration::from_millis(10)),
-            ..Default::default()
-        };
-        let stepped = step_config(&cfg, DegradeStep::Reference);
-        assert_eq!(stepped.board_budget, Some(Duration::from_millis(80)));
-        assert!(!stepped.extend.incremental);
-    }
-
-    #[test]
-    fn fallback_levels_step_down_monotonically() {
-        let base = ExtendConfig {
-            max_iterations: 123,
-            connect_priority: false,
-            index: IndexKind::RTree,
-            ..Default::default()
-        };
-        let retry = DegradeStep::Retry.apply(&base);
-        let reference = DegradeStep::Reference.apply(&base);
-        assert!(retry.incremental && !reference.incremental);
-        // Caller-tuned knobs survive every rung, the index kind included.
-        for c in [&retry, &reference] {
-            assert_eq!(c.max_iterations, 123);
-            assert!(!c.connect_priority);
-            assert_eq!(c.index, IndexKind::RTree);
+    fn blown_budget_ends_deadline_exceeded_after_one_retry() {
+        let fleet = fleet_boards_small(4, 21, 42);
+        let n = fleet.boards.len();
+        // The budget is polled before each unit and the first unit is
+        // charged nothing yet, so only multi-unit boards can blow it.
+        for lb in &fleet.boards {
+            let units: usize = plan_board_units(lb.board())
+                .iter()
+                .map(|(_, u)| u.len())
+                .sum();
+            assert!(units >= 2, "every board needs two units");
         }
+        let mut set = BoardSet::new(fleet.boards);
+        let config = FleetConfig {
+            board_budget: Some(Duration::from_nanos(1)),
+            ..serial_config(1)
+        };
+        // Exactly one token per board: a second retry of any board would
+        // starve a later one into `Shed`.
+        let policy = RetryPolicy {
+            admission: AdmissionPolicy {
+                retry_tokens: n as u64,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let resilient = route_fleet_resilient(&mut set, &config, &policy);
+        for (b, outcome) in resilient.report.outcomes.iter().enumerate() {
+            assert_eq!(*outcome, BoardOutcome::DeadlineExceeded, "board {b}");
+            let attempts = &resilient.journals[b].attempts;
+            assert_eq!(attempts.len(), 2, "board {b}");
+            assert!(attempts
+                .iter()
+                .all(|a| a.outcome == BoardOutcome::DeadlineExceeded));
+        }
+        assert_eq!(resilient.report.stats.retries, n as u64);
+        assert_eq!(resilient.report.stats.shed, 0);
+        assert!(resilient.quarantine.is_empty());
     }
 }

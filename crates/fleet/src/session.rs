@@ -27,9 +27,8 @@
 //! to from-scratch routing** of the edited set — property-tested in
 //! `tests/session.rs` across worker counts and both sharing modes.
 //!
-//! Engine shapes without the single query funnel (the rebuild engine,
-//! `incremental: false`) record a conservative `mark_all` and re-route on
-//! any damage. Structural edits ([`Edit::SetRules`],
+//! The router has one engine, and every obstacle reaches it through that
+//! one query funnel, so every unit's windows are recorded. Structural edits ([`Edit::SetRules`],
 //! [`Edit::ReplaceBoard`]) bypass damage accounting: the board replans and
 //! re-routes wholesale. Validation verdicts are cached per library and
 //! per board and recomputed only for edited scopes — identical verdicts

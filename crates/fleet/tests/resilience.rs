@@ -1,16 +1,15 @@
 //! Resilience properties (feature `fault`): the recovery layer's outcome
-//! vector — including which rung recovered a board and which boards were
+//! vector — including which boards the retry recovered and which were
 //! shed — is a pure function of the input and the fault plan.
 //!
 //! The contract under test, from `resilience`'s module docs:
 //!
 //! * transient faults (panic on attempt 0 only) are recovered by the
-//!   retry ladder as [`BoardOutcome::Degraded`], with geometry
-//!   bit-identical to the sequential reference when the recovering rung
-//!   keeps the knobs;
+//!   one same-knob retry as [`BoardOutcome::Degraded`], with geometry
+//!   bit-identical to the sequential reference;
 //! * the fleet-wide retry token bucket sheds starved retries as
 //!   [`ShedReason::RetryTokens`], deterministically in input order;
-//! * boards that panic on every rung are quarantined with a
+//! * boards that panic on both attempts are quarantined with a
 //!   delta-debugged minimal repro that still crashes the probe;
 //! * all of it is invariant across worker counts 1–4 and both sharing
 //!   modes, and the process always survives.
@@ -20,8 +19,8 @@
 
 use meander_core::{match_all_groups, plan_board_units, ExtendConfig};
 use meander_fleet::{
-    route_fleet, route_fleet_resilient, AdmissionPolicy, BoardOutcome, BoardSet, DegradeStep,
-    FaultPlan, FleetConfig, JobError, RetryPolicy, ShedReason,
+    route_fleet, route_fleet_resilient, AdmissionPolicy, BoardOutcome, BoardSet, FaultPlan,
+    FleetConfig, JobError, RetryPolicy, ShedReason,
 };
 use meander_layout::gen::fleet_boards_small;
 use meander_layout::io::load_board;
@@ -114,7 +113,7 @@ fn entity_count(lb: &LibraryBoard) -> usize {
 
 /// The acceptance scenario: a fleet where 25% of the boards (2 of 8) hit
 /// a transient first-attempt panic recovers every board — the faulted
-/// ones as `Degraded { step: Retry, attempts: 2 }` — with identical
+/// ones as `Degraded { attempts: 2 }` — with identical
 /// outcome vectors for every worker count and sharing mode, recovered
 /// geometry bit-identical to sequential, and zero process deaths.
 #[test]
@@ -163,13 +162,7 @@ fn transient_panics_recover_on_the_retry_rung() {
             for (b, outcome) in report.outcomes.iter().enumerate() {
                 if faulted.contains(&b) {
                     assert!(
-                        matches!(
-                            outcome,
-                            BoardOutcome::Degraded {
-                                step: DegradeStep::Retry,
-                                attempts: 2
-                            }
-                        ),
+                        matches!(outcome, BoardOutcome::Degraded { attempts: 2 }),
                         "{label} board {b}: {outcome:?}"
                     );
                     // The journal tells the story: failed once, retried clean.
@@ -179,13 +172,13 @@ fn transient_panics_recover_on_the_retry_rung() {
                         matches!(j.attempts[0].outcome, BoardOutcome::Failed(_)),
                         "{label} board {b}"
                     );
-                    assert_eq!(j.attempts[1].step, Some(DegradeStep::Retry));
+                    assert_eq!(j.attempts[1].attempt, 1);
                     assert!(j.attempts[1].outcome.is_routed());
                 } else {
                     assert!(outcome.is_routed(), "{label} board {b}: {outcome:?}");
                     assert_eq!(resilient.journals[b].attempts.len(), 1);
                 }
-                // Retry-rung recovery keeps the knobs, so EVERY board —
+                // The retry keeps the knobs, so EVERY board —
                 // including the recovered ones — is bit-identical to its
                 // sequential twin.
                 assert_geometry(
@@ -239,10 +232,7 @@ fn retry_token_exhaustion_sheds_in_input_order() {
             assert!(
                 matches!(
                     resilient.report.outcomes[1],
-                    BoardOutcome::Degraded {
-                        step: DegradeStep::Retry,
-                        attempts: 2
-                    }
+                    BoardOutcome::Degraded { attempts: 2 }
                 ),
                 "{label}: {:?}",
                 resilient.report.outcomes[1]
@@ -262,14 +252,14 @@ fn retry_token_exhaustion_sheds_in_input_order() {
             let j = &resilient.journals[4];
             assert_eq!(j.attempts.len(), 1, "{label}");
             assert!(matches!(j.attempts[0].outcome, BoardOutcome::Failed(_)));
-            // Shed ≠ quarantined: the board never ran the ladder.
+            // Shed ≠ quarantined: the board never ran its retry.
             assert!(resilient.quarantine.is_empty(), "{label}");
         }
     }
 }
 
-/// A poison board — panicking on every unit, every attempt — exhausts the
-/// whole ladder, lands in quarantine with its panic provenance, and the
+/// A poison board — panicking on every unit, every attempt — fails its
+/// retry too, lands in quarantine with its panic provenance, and the
 /// minimizer hands back a still-crashing repro at ≤ 25% of the original
 /// entity count that round-trips through `layout::io`.
 #[test]
@@ -309,19 +299,19 @@ fn poison_board_is_quarantined_with_a_minimized_repro() {
         "{:?}",
         resilient.report.outcomes[poison]
     );
-    // The full ladder ran: first attempt + one run per rung, all failed.
+    // Both attempts ran, and both failed.
     let attempts = &resilient.journals[poison].attempts;
-    assert_eq!(attempts.len(), 1 + policy.ladder.len());
+    assert_eq!(attempts.len(), 2);
     assert!(attempts
         .iter()
         .all(|a| matches!(a.outcome, BoardOutcome::Failed(_))));
-    assert_eq!(resilient.report.stats.retries, policy.ladder.len() as u64);
+    assert_eq!(resilient.report.stats.retries, 1);
 
     // Quarantine: one entry, with a minimized repro.
     assert_eq!(resilient.quarantine.entries.len(), 1);
     let entry = &resilient.quarantine.entries[0];
     assert_eq!(entry.board, poison);
-    assert_eq!(entry.attempts, 1 + policy.ladder.len() as u32);
+    assert_eq!(entry.attempts, 2);
     let repro = entry.repro.as_ref().expect("minimized repro");
     assert_eq!(repro.original_entities, entity_count(&fleet.boards[poison]));
     assert!(

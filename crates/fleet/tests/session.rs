@@ -225,30 +225,6 @@ fn set_rules_reroutes_exactly_that_board() {
     assert_bit_identical(&session, &cfg, "set-rules");
 }
 
-/// With the rebuild engine (`incremental: false`) units record `mark_all`,
-/// so any real damage re-routes everything — conservative, still correct.
-#[test]
-fn rebuild_engine_falls_back_to_reroute_all() {
-    let mut cfg = config(2, true);
-    cfg.extend.incremental = false;
-    let case = fleet_boards_small(2, 7, 11);
-    let mut session = FleetSession::new(BoardSet::new(case.boards.clone()), &cfg);
-    let total = session.report().stats.units;
-    // Library-scope damage covers every board; with `mark_all` touches no
-    // unit can prove itself clean against it.
-    let _ = session.apply_edit(Edit::MoveObstacle {
-        scope: EditScope::Library(0),
-        index: 0,
-        by: Vector::new(1.0, 1.0),
-    });
-    let report = session.reroute_dirty(&cfg);
-    assert_eq!(
-        report.stats.units_dirty, total,
-        "mark_all re-routes everything"
-    );
-    assert_bit_identical(&session, &cfg, "rebuild engine");
-}
-
 /// Removing from an empty obstacle list is a no-op costing only the
 /// damage-report bookkeeping.
 #[test]

@@ -138,13 +138,11 @@ fn stratum_mut(strata: &mut Vec<Stratum>, key: StratumKey) -> &mut Stratum {
 ///
 /// Recorded during routing (see `extend_trace_with` in `meander-core`);
 /// tested against [`DirtyCells`] to decide whether an edit can affect the
-/// unit. [`CellTouches::mark_all`] is the conservative escape hatch for
-/// engine shapes whose queries are not funneled through the recordable
-/// path (e.g. the full-rebuild fallback engine) — such units are always
-/// considered dirty.
+/// unit. The router's one engine issues every obstacle query through the
+/// recorded funnel, so the windows are the unit's whole obstacle
+/// dependence.
 #[derive(Debug, Clone, Default)]
 pub struct CellTouches {
-    all: bool,
     strata: Vec<Stratum>,
 }
 
@@ -154,19 +152,9 @@ impl CellTouches {
         CellTouches::default()
     }
 
-    /// Conservatively marks the unit as touching *everything*: it will be
-    /// re-routed on any damage.
-    pub fn mark_all(&mut self) {
-        self.all = true;
-        self.strata.clear();
-    }
-
     /// Records one candidate-query window on the `(cell, inflate)` stratum.
     /// `window` is the **unclamped** world-space query rect.
     pub fn record(&mut self, cell: f64, inflate: f64, window: &Rect) {
-        if self.all {
-            return;
-        }
         stratum_mut(&mut self.strata, StratumKey::new(cell, inflate)).add(*window);
     }
 
@@ -189,13 +177,13 @@ impl CellTouches {
     }
 
     /// Whether any damage rect [`reaches`] a recorded window of its
-    /// stratum. `mark_all` on either side intersects everything (unless
+    /// stratum. [`DirtyCells::mark_all`] intersects everything (unless
     /// the dirty set is empty).
     pub fn intersects(&self, dirty: &DirtyCells) -> bool {
         if dirty.is_empty() {
             return false;
         }
-        if self.all || dirty.all {
+        if dirty.all {
             return true;
         }
         self.strata.iter().any(|s| {
@@ -341,15 +329,8 @@ mod tests {
 
     #[test]
     fn mark_all_is_conservative_but_ignores_empty_damage() {
-        let mut t = CellTouches::new();
-        t.mark_all();
-        assert!(t.all);
-        let mut d = DirtyCells::new();
-        assert!(!t.intersects(&d)); // no damage → nothing to re-route
-        d.add(StratumKey::new(1.0, 0.0), rect(0.0, 0.0, 0.0, 0.0));
-        assert!(t.intersects(&d));
-
         let clean = CellTouches::new();
+        assert!(!clean.intersects(&DirtyCells::new())); // nothing to re-route
         let mut all = DirtyCells::new();
         all.mark_all();
         assert!(clean.intersects(&all));

@@ -62,4 +62,4 @@ pub use hash::hash_board_local;
 pub use library::{LibraryBoard, ObstacleLibrary};
 pub use obstacle::{Obstacle, ObstacleKind};
 pub use trace::{Trace, TraceId};
-pub use validate::{validate_board, validate_library, Entity, ValidationError};
+pub use validate::{validate_board, validate_library, Entity, ValidationError, MAX_PAIR_DTW_CELLS};

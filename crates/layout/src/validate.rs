@@ -59,6 +59,15 @@ impl fmt::Display for Entity {
     }
 }
 
+/// Largest differential pair [`validate_board`] accepts, as the product
+/// `|P| · |N|` of its sub-traces' node counts. MSDTW's first round matches
+/// the whole pair on one dense `|P| × |N|` matrix of `f64` costs, 8 bytes
+/// a cell, and a failed allocation aborts the process, which
+/// `catch_unwind` cannot catch. 2^25 cells bound that matrix to 256 MiB:
+/// a 2,000-node pair (4 M cells, 32 MB) fits, a 20,000-node pair (400 M
+/// cells, 3.2 GB) does not. A linear-memory DTW would lift this bound.
+pub const MAX_PAIR_DTW_CELLS: u64 = 1 << 25;
+
 /// A board (or library) failed validation. Every variant carries enough
 /// provenance to point the submitter at the offending entity.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,6 +161,17 @@ pub enum ValidationError {
         pair: String,
         /// The offending separation.
         value: f64,
+    },
+    /// A differential pair's `|P| · |N|` node product exceeds
+    /// [`MAX_PAIR_DTW_CELLS`]: matching it would allocate a DTW cost
+    /// matrix too large to hold.
+    OversizedPair {
+        /// Pair name.
+        pair: String,
+        /// Node count of the `P` sub-trace.
+        p_nodes: usize,
+        /// Node count of the `N` sub-trace.
+        n_nodes: usize,
     },
     /// A trace belongs to more than one matching group. Groups route from
     /// snapshots of their members, so the later group's write-back would
@@ -249,6 +269,15 @@ impl fmt::Display for ValidationError {
                     "pair `{pair}`: separation {value} must be finite and positive"
                 )
             }
+            ValidationError::OversizedPair {
+                pair,
+                p_nodes,
+                n_nodes,
+            } => write!(
+                f,
+                "pair `{pair}`: {p_nodes} × {n_nodes} nodes exceed the \
+                 {MAX_PAIR_DTW_CELLS}-cell DTW matrix bound"
+            ),
             ValidationError::OverlappingGroups {
                 trace,
                 first,
@@ -481,6 +510,15 @@ pub fn validate_board(board: &Board) -> Result<(), ValidationError> {
             return Err(ValidationError::BadSeparation {
                 pair: p.name().to_string(),
                 value: p.sep(),
+            });
+        }
+        let nodes = |id| board.trace(id).map_or(0, |t| t.centerline().point_count());
+        let (p_nodes, n_nodes) = (nodes(p.p()), nodes(p.n()));
+        if p_nodes as u64 * n_nodes as u64 > MAX_PAIR_DTW_CELLS {
+            return Err(ValidationError::OversizedPair {
+                pair: p.name().to_string(),
+                p_nodes,
+                n_nodes,
             });
         }
     }

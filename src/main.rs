@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! meander check <board.txt>                 run the DRC scan
-//! meander match <board.txt> [options]       length-match every group
+//! meander match <board.txt> [options]       length-match every group; exits
+//!                                           non-zero if matching adds a violation
 //!     --out <file>      write the matched board (text format)
 //!     --svg <file>      render the matched board
 //!     --miter           chamfer right/acute corners per dmiter
@@ -15,6 +16,7 @@
 
 use meander_core::baseline::match_group_aidt;
 use meander_core::{match_board_group, miter_group, ExtendConfig};
+use meander_drc::new_violations;
 use meander_layout::gen::{any_angle_bus, decoupled_pair, table1_case, table2_case};
 use meander_layout::io::{load_board, save_board};
 use meander_layout::svg::{render_board, SvgStyle};
@@ -66,6 +68,7 @@ fn run(args: &[String]) -> Result<(), String> {
             if board.groups().is_empty() {
                 return Err("board has no matching groups".into());
             }
+            let before = board.check();
             for gi in 0..board.groups().len() {
                 let report = if use_baseline {
                     match_group_aidt(&mut board, gi)
@@ -96,7 +99,16 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
             );
             write_outputs(&board, &rest)?;
-            Ok(())
+            // A violation whose (kind, trace) the input lacked is the
+            // router's doing; one the input already had is not.
+            let added = new_violations(&before, &violations);
+            if added.is_empty() {
+                return Ok(());
+            }
+            for v in &added {
+                println!("new violation: {v}");
+            }
+            Err(format!("matching added {} violation(s)", added.len()))
         }
         Some("gen") => {
             let what = it.next().ok_or("gen needs a case spec")?;

@@ -5,14 +5,14 @@
 use meander::core::baseline::{extend_trace_fixed, match_group_aidt, FixedTrackOptions};
 use meander::core::extend::{extend_trace, ExtendInput};
 use meander::core::{match_all_groups, match_board_group, ExtendConfig};
-use meander::drc::{check_layout, check_layout_brute};
-use meander::geom::Angle;
+use meander::drc::{check_layout, check_layout_brute, DesignRules};
+use meander::geom::{Angle, Point, Polyline, Rect};
 use meander::layout::gen::{
     any_angle_bus, decoupled_pair, dup_fleet_boards_small, fleet_boards_small, stress_board,
     stress_mixed_board, table1_case, table2_case,
 };
 use meander::layout::io::{load_board, save_board};
-use meander::layout::{Board, MatchGroup};
+use meander::layout::{validate_board, Board, DiffPair, MatchGroup, Trace, ValidationError};
 use meander::region::assign;
 
 /// The tier-1 acceptance group: the paper's headline single-board
@@ -303,4 +303,57 @@ fn every_generator_board_checks_like_brute_force() {
         }
     }
     assert!(dirty > 0, "some board must carry violations");
+}
+
+/// A straight differential pair of two `nodes`-node polylines at pitch 6,
+/// matched to 2 % over its length.
+fn straight_pair(nodes: usize) -> Board {
+    let step = 10.0;
+    let len = step * (nodes - 1) as f64;
+    let mut board = Board::new(Rect::new(
+        Point::new(-20.0, -60.0),
+        Point::new(len + 20.0, 60.0),
+    ));
+    let line = |y: f64| Polyline::new((0..nodes).map(|i| Point::new(i as f64 * step, y)).collect());
+    let rules = DesignRules {
+        gap: 6.0,
+        obstacle: 6.0,
+        protect: 3.0,
+        miter: 1.0,
+        width: 3.0,
+    };
+    let p = board.add_trace(Trace::with_rules("PAIR_P", line(3.0), rules));
+    let n = board.add_trace(Trace::with_rules("PAIR_N", line(-3.0), rules));
+    board.add_pair(DiffPair::new("PAIR", p, n, 6.0));
+    board.add_group(MatchGroup::with_target("pair", vec![p, n], len * 1.02));
+    board
+}
+
+/// A pair whose DTW cost matrix cannot be held (20,000 nodes a side: 4·10^8
+/// cells, 3.2 GB of `f64`) used to abort the process inside MSDTW. It is
+/// rejected by validation, before any routing.
+#[test]
+fn oversized_dtw_pair_is_rejected_by_validation() {
+    assert_eq!(
+        validate_board(&straight_pair(20_000)),
+        Err(ValidationError::OversizedPair {
+            pair: "PAIR".into(),
+            p_nodes: 20_000,
+            n_nodes: 20_000,
+        })
+    );
+}
+
+/// A 2,000-node pair (4·10^6 DTW cells) stays accepted and routes through
+/// MSDTW.
+#[test]
+fn two_thousand_node_pair_routes() {
+    let mut board = straight_pair(2_000);
+    assert_eq!(validate_board(&board), Ok(()));
+    let reports = match_all_groups(&mut board, &ExtendConfig::default());
+    let traces = &reports[0].traces;
+    assert_eq!(traces.len(), 2);
+    for t in traces {
+        assert!(t.via_msdtw && t.achieved > t.initial, "{t:?}");
+    }
 }
