@@ -8,7 +8,7 @@
 //! group is therefore a pure function of
 //!
 //! * the obstacle library's content ([`CacheKey::library_root`] — a
-//!   Merkle root, [`meander_layout::hash::LibraryCommitment`]),
+//!   Merkle root, [`meander_layout::hash::library_root`]),
 //! * the board's local content ([`CacheKey::board_local_hash`] —
 //!   [`meander_layout::hash::hash_board_local`], which pins the trace id
 //!   space, every centerline, every local obstacle, and the group list),
@@ -29,37 +29,25 @@
 //! switches) are folded in, so a config change can never serve a stale
 //! shape. There is one engine, so no knob selects another.
 //!
-//! ## Invalidation composes with damage tracking
+//! ## Edits need no invalidation
 //!
-//! Keys are content-addressed, so a stale entry is *unreachable* by
-//! construction — correctness never depends on eviction. Precision does:
-//! a library edit moves `library_root`, which would orphan every entry
-//! under the old root. Instead of abandoning them,
-//! `ResultCache::apply_library_edit` walks the old root's entries with
-//! the edit's damage ([`DirtyCells`]: the inflated bboxes of the edited
-//! obstacles, old and new) and the per-entry query windows recorded at
-//! insert time, asking of each pair the engine's own candidacy test
-//! ([`meander_index::reaches`]):
+//! Keys are content-addressed, so an entry can only ever serve the
+//! content it was routed for. An edit moves the edited scope's digest —
+//! [`CacheKey::library_root`] for a library edit,
+//! [`CacheKey::board_local_hash`] for a board edit — and the next plan
+//! keys the edited groups under the new digest. Entries under the old
+//! content stay exact for it: an undo, or a twin board that still holds
+//! that content, hits them again; otherwise they age out under the
+//! byte-budget LRU. Correctness never depends on eviction.
 //!
-//! * damage reaches a window → **evicted** (the edit may have changed
-//!   what a candidate query answered);
-//! * damage reaches no window → **re-keyed** to the new root — by the
-//!   serving session's soundness argument the entry's units would replay
-//!   bit-identically against the edited library, so the bytes stored
-//!   under the old root are exactly what a re-route under the new root
-//!   would produce.
-//!
-//! Board-local edits do the same along `board_local_hash`
-//! (`ResultCache::apply_board_edit`); structural edits drop the edited
-//! board's keys wholesale (`ResultCache::drop_board`). The
-//! invalidation-precision counters ([`CacheStats::invalidated`],
-//! [`CacheStats::rekeyed`]) are what the bench asserts on.
+//! The fleet pipeline is the cache's one client: batch fleets, warm-up,
+//! and serving sessions all key groups through `key_for`, and every
+//! unit packet looks up and inserts in the same packet body.
 
-use meander_core::{CellTouches, DirtyCells, ExtendConfig, TraceReport, UnitInput, UnitOutput};
+use meander_core::{CellTouches, ExtendConfig, TraceReport, UnitInput, UnitOutput};
 use meander_geom::Polyline;
 use meander_layout::hash::{hash_board_local, hash_group, hash_rules, library_root, ContentHasher};
 use meander_layout::{LibraryBoard, TraceId};
-use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -81,7 +69,8 @@ pub struct CacheKey {
 
 /// One cached unit: the geometry it writes back, its report floats, and
 /// the windows its candidate queries touched (recorded at insert time —
-/// the handle invalidation tests entries with).
+/// a serving session replaying the unit retains them to test later
+/// damage against).
 #[derive(Debug, Clone)]
 pub(crate) struct CachedUnit {
     updates: Vec<(TraceId, Polyline)>,
@@ -141,13 +130,9 @@ impl CachedGroup {
     pub(crate) fn units(&self) -> &[CachedUnit] {
         &self.units
     }
-
-    fn touches_intersect(&self, dirty: &DirtyCells) -> bool {
-        self.units.iter().any(|u| u.touches.intersects(dirty))
-    }
 }
 
-/// Hit/miss/churn counters, cumulative over the cache's lifetime.
+/// Hit/miss/insert/eviction counters, cumulative over the cache's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned an entry.
@@ -159,12 +144,6 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Entries evicted by the byte-budget LRU.
     pub evictions: u64,
-    /// Entries evicted by edit invalidation (their touches intersected
-    /// the damage, or their board was structurally edited).
-    pub invalidated: u64,
-    /// Entries that survived an edit and were re-keyed to the new
-    /// root/digest (their touches missed the damage).
-    pub rekeyed: u64,
 }
 
 #[derive(Debug)]
@@ -302,99 +281,6 @@ impl ResultCache {
     pub fn stats(&self) -> CacheStats {
         self.lock().stats
     }
-
-    /// A library's content moved `old_root → new_root` with `damage`
-    /// (the inflated old+new bboxes of the edited obstacles). Entries
-    /// under `old_root` with a window the damage reaches are evicted; the
-    /// rest are re-keyed to `new_root` — sound because a unit none of
-    /// whose candidate queries the damage reaches replays
-    /// bit-identically against the edited library (module docs).
-    pub(crate) fn apply_library_edit(&self, old_root: u64, new_root: u64, damage: &DirtyCells) {
-        if old_root == new_root {
-            return;
-        }
-        self.retarget(
-            |k| k.library_root == old_root,
-            |k| CacheKey {
-                library_root: new_root,
-                ..k
-            },
-            damage,
-        );
-    }
-
-    /// A board's local content moved `old_hash → new_hash` under
-    /// obstacle-edit damage — same evict/re-key walk as
-    /// [`ResultCache::apply_library_edit`], along the board component.
-    /// Callers must only use this for *non-structural* edits (obstacle
-    /// churn): structural edits change the planned units themselves and
-    /// must go through [`ResultCache::drop_board`].
-    pub(crate) fn apply_board_edit(&self, old_hash: u64, new_hash: u64, damage: &DirtyCells) {
-        if old_hash == new_hash {
-            return;
-        }
-        self.retarget(
-            |k| k.board_local_hash == old_hash,
-            |k| CacheKey {
-                board_local_hash: new_hash,
-                ..k
-            },
-            damage,
-        );
-    }
-
-    /// Drops every entry of board content `board_local_hash` (structural
-    /// edit: the board's unit plan itself changed, so no entry under the
-    /// old digest can be re-keyed). Counted as invalidated.
-    pub(crate) fn drop_board(&self, board_local_hash: u64) {
-        let mut inner = self.lock();
-        let doomed: Vec<CacheKey> = inner
-            .map
-            .keys()
-            .filter(|k| k.board_local_hash == board_local_hash)
-            .copied()
-            .collect();
-        for k in doomed {
-            if let Some(e) = inner.map.remove(&k) {
-                inner.bytes -= e.value.bytes;
-                inner.stats.invalidated += 1;
-            }
-        }
-    }
-
-    fn retarget(
-        &self,
-        selects: impl Fn(&CacheKey) -> bool,
-        rekey: impl Fn(CacheKey) -> CacheKey,
-        damage: &DirtyCells,
-    ) {
-        let mut inner = self.lock();
-        let affected: Vec<CacheKey> = inner.map.keys().filter(|k| selects(k)).copied().collect();
-        for k in affected {
-            let Some(entry) = inner.map.remove(&k) else {
-                continue;
-            };
-            if entry.value.touches_intersect(damage) {
-                inner.bytes -= entry.value.bytes;
-                inner.stats.invalidated += 1;
-            } else {
-                inner.stats.rekeyed += 1;
-                // The new key may already hold an entry (a twin board
-                // re-inserted first); keep the existing one.
-                let new_key = rekey(k);
-                let dropped = match inner.map.entry(new_key) {
-                    MapEntry::Occupied(_) => Some(entry.value.bytes),
-                    MapEntry::Vacant(v) => {
-                        v.insert(entry);
-                        None
-                    }
-                };
-                if let Some(bytes) = dropped {
-                    inner.bytes -= bytes;
-                }
-            }
-        }
-    }
 }
 
 /// Digest of the *output-affecting* engine knobs. Folded into
@@ -526,71 +412,6 @@ mod tests {
         assert!(cache.stats().evictions >= 1);
         // 0 was kept warm; the eviction fell on a colder key.
         assert!(cache.contains(&key(0)));
-    }
-
-    #[test]
-    fn library_edit_evicts_intersecting_and_rekeys_the_rest() {
-        let cache = ResultCache::default();
-        // Entry A's window overlaps the damage; entry B's lies far away.
-        let mut touched = CellTouches::new();
-        touched.record(
-            8.0,
-            4.0,
-            &meander_geom::Rect::new(
-                meander_geom::Point::new(0.0, 0.0),
-                meander_geom::Point::new(16.0, 16.0),
-            ),
-        );
-        let mut far = CellTouches::new();
-        far.record(
-            8.0,
-            4.0,
-            &meander_geom::Rect::new(
-                meander_geom::Point::new(800.0, 800.0),
-                meander_geom::Point::new(816.0, 816.0),
-            ),
-        );
-        let out = UnitOutput::from_parts(Duration::ZERO, Vec::new(), Vec::new());
-        cache.insert(
-            key(1),
-            CachedGroup::new(vec![CachedUnit::new(&out, touched)]),
-        );
-        cache.insert(key(2), CachedGroup::new(vec![CachedUnit::new(&out, far)]));
-
-        let mut damage = DirtyCells::new();
-        damage.add(
-            meander_core::StratumKey::new(8.0, 4.0),
-            meander_geom::Rect::new(
-                meander_geom::Point::new(4.0, 4.0),
-                meander_geom::Point::new(12.0, 12.0),
-            ),
-        );
-        cache.apply_library_edit(1, 99, &damage);
-        let s = cache.stats();
-        assert_eq!(s.invalidated, 1);
-        assert_eq!(s.rekeyed, 1);
-        // The survivor answers under the new root, not the old.
-        assert!(cache.contains(&CacheKey {
-            library_root: 99,
-            ..key(2)
-        }));
-        assert!(!cache.contains(&key(1)));
-        assert!(!cache.contains(&key(2)));
-    }
-
-    #[test]
-    fn drop_board_removes_only_that_content() {
-        let cache = ResultCache::default();
-        cache.insert(key(1), entry_of_bytes(4));
-        let other = CacheKey {
-            board_local_hash: 77,
-            ..key(1)
-        };
-        cache.insert(other, entry_of_bytes(4));
-        cache.drop_board(3);
-        assert!(!cache.contains(&key(1)));
-        assert!(cache.contains(&other));
-        assert_eq!(cache.stats().invalidated, 1);
     }
 
     /// The engine digest moves with every output-affecting knob and with

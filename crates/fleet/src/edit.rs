@@ -23,7 +23,7 @@ use meander_index::{DirtyCells, StratumKey};
 #[derive(Debug, Clone, Copy, Default)]
 #[must_use = "the damage report says how wide the edit's blast radius is"]
 pub struct DamageReport {
-    /// Boards whose units can be invalidated by this edit: the referencing
+    /// Boards whose units this edit can dirty: the referencing
     /// boards of a library-scope edit, 1 for a board-scope edit, 0 for a
     /// no-op (e.g. removing from an empty obstacle list).
     pub boards_affected: usize,

@@ -242,8 +242,10 @@ pub struct FleetStats {
     pub retries: u64,
     /// Units whose touched windows the damage of the edits a
     /// serving re-route consumed reaches (plus units of structurally edited
-    /// boards) — the units that actually re-ran. Always zero for a bare
-    /// [`route_fleet`]; `FleetSession::reroute_dirty` fills it in.
+    /// boards) — the units whose packets actually ran (with a cache
+    /// attached, a hit among them replays instead of routing). Always zero
+    /// for a bare [`route_fleet`]; `FleetSession::reroute_dirty` fills it
+    /// in.
     pub units_dirty: usize,
     /// Units proven untouched by the damage and skipped (retained outputs
     /// reused). Always zero for a bare [`route_fleet`].
@@ -308,7 +310,7 @@ impl FleetStats {
         self.failed = count(|o| matches!(o, BoardOutcome::Failed(_)));
         self.cancelled = count(|o| matches!(o, BoardOutcome::Cancelled));
         self.deadline_exceeded = count(|o| matches!(o, BoardOutcome::DeadlineExceeded));
-        self.degraded = count(|o| matches!(o, BoardOutcome::Degraded { .. }));
+        self.degraded = count(|o| matches!(o, BoardOutcome::Degraded));
         self.shed = count(|o| matches!(o, BoardOutcome::Shed(_)));
     }
 }

@@ -42,9 +42,9 @@
 //!
 //! On top of the engine sits a **recovery layer**
 //! ([`route_fleet_resilient`]): a failed or deadline-exceeded board gets
-//! one retry with the same knobs ([`RetryPolicy`]), overload is shed
-//! loudly under an admission unit budget and a fleet-wide retry token
-//! bucket ([`AdmissionPolicy`]), every attempt is journaled, and boards
+//! one retry with the same knobs, overload is shed loudly under an
+//! admission unit budget and a fleet-wide retry token bucket
+//! ([`RetryPolicy`]), every attempt is journaled, and boards
 //! that panic on both attempts are quarantined with a delta-debugged
 //! minimal repro (`repro::minimize`).
 //!
@@ -95,6 +95,6 @@ pub use engine::{route_fleet, warm_fleet_cache, BoardSet, FleetConfig, FleetRepo
 pub use fault::FaultPlan;
 pub use meander_layout::{Edit, EditScope};
 pub use outcome::{BoardOutcome, JobError, LatencyHistogram, ShedReason};
-pub use resilience::{route_fleet_resilient, AdmissionPolicy, RetryPolicy};
+pub use resilience::{route_fleet_resilient, RetryPolicy};
 pub use sched::{Scheduler, Tier};
 pub use session::FleetSession;

@@ -85,14 +85,10 @@ pub enum BoardOutcome {
     /// The fleet deadline or this board's budget expired before every job
     /// of this board completed; geometry untouched.
     DeadlineExceeded,
-    /// The board failed its first attempt but recovered on its retry
+    /// The board failed its first attempt but recovered on its one retry
     /// (`fleet::resilience`); results are written back, bit-identical to
-    /// sequential routing. `attempts` counts every run including the
-    /// first, so `2` means one retry.
-    Degraded {
-        /// Total attempts run, including the first.
-        attempts: u32,
-    },
+    /// sequential routing.
+    Degraded,
     /// Overload control refused the board ([`ShedReason`] says which
     /// budget); geometry untouched, never silently dropped.
     Shed(ShedReason),
@@ -114,9 +110,7 @@ impl fmt::Display for BoardOutcome {
             BoardOutcome::Failed(e) => write!(f, "failed: {e}"),
             BoardOutcome::Cancelled => write!(f, "cancelled"),
             BoardOutcome::DeadlineExceeded => write!(f, "deadline exceeded"),
-            BoardOutcome::Degraded { attempts } => {
-                write!(f, "degraded: recovered on attempt {attempts}")
-            }
+            BoardOutcome::Degraded => write!(f, "degraded: recovered on attempt 2"),
             BoardOutcome::Shed(r) => write!(f, "shed: {r}"),
         }
     }
@@ -245,7 +239,7 @@ mod tests {
         );
         assert!(BoardOutcome::Routed.is_routed());
         assert!(!failed.is_routed());
-        let degraded = BoardOutcome::Degraded { attempts: 2 };
+        let degraded = BoardOutcome::Degraded;
         assert_eq!(degraded.to_string(), "degraded: recovered on attempt 2");
         assert!(!degraded.is_routed());
         assert_eq!(

@@ -9,17 +9,19 @@
 //!   with no write-back;
 //! * [`crate::FleetSession`] keeps its damage classification, cached
 //!   verdicts, and retained outputs, and feeds only its dirty units into a
-//!   plan executed at [`Tier::Interactive`].
+//!   plan executed at [`Tier::Interactive`], keyed like a batch plan when
+//!   a cache is attached.
 //!
 //! A [`Plan`] turns validated boards into keyed unit packets. It selects
 //! each unit's shared [`WorldBase`] from the per-`(library slot, rules
 //! lattice)` [`BaseCache`], snapshots a board's obstacles once (on the
 //! board's first packet), and derives group [`CacheKey`]s. [`execute`]
-//! runs every packet through one body and is the only caller of
-//! [`run_packets`]. [`resolve`] turns the packet statuses into per-group
-//! and per-board losses, hands every group of a board that lost nothing
-//! to the caller's write-back in `(board, group)` order — a board is
-//! written whole or not at all — and builds the run's [`FleetStats`].
+//! runs every packet through one body — the result cache's one lookup and
+//! one insert — and is the only caller of [`run_packets`]. [`resolve`]
+//! turns the packet statuses into per-group and per-board losses, hands
+//! every group of a board that lost nothing to the caller's write-back
+//! in `(board, group)` order — a board is written whole or not at all —
+//! and builds the run's [`FleetStats`].
 
 use crate::cache::{self, CacheKey, CachedGroup, CachedUnit, ResultCache};
 use crate::cancel::CancelToken;
@@ -373,8 +375,8 @@ enum UnitRes {
     /// this unit ran.
     Halted(BoardOutcome),
     /// The unit completed — routed fresh or replayed from the cache.
-    /// `touches` holds its recorded windows when an interactive packet
-    /// routed it (empty otherwise).
+    /// `touches` holds its windows when an interactive packet ran it,
+    /// recorded or replayed (empty otherwise).
     Done {
         out: UnitOutput,
         touches: CellTouches,
@@ -415,6 +417,10 @@ impl RunState {
             }
         }
         let gjm = &self.groups[job.gj];
+        // Interactive packets serve a session, which retains every unit's
+        // touches to test later damage against — so they carry touches on
+        // hits as well as on fresh routes.
+        let interactive = self.tier == Tier::Interactive;
         // Cache consultation first: a hit replays the stored bytes —
         // exactly what routing would produce (determinism; module docs of
         // `crate::cache`).
@@ -422,9 +428,14 @@ impl RunState {
             if let Some(cached) = cache.lookup(key) {
                 if let Some(u) = cached.units().get(job.unit) {
                     self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    let touches = if interactive {
+                        u.touches().clone()
+                    } else {
+                        CellTouches::default()
+                    };
                     return UnitRes::Done {
                         out: u.to_output(),
-                        touches: CellTouches::default(),
+                        touches,
                         elapsed: t0.elapsed(),
                     };
                 }
@@ -448,10 +459,8 @@ impl RunState {
                 job.global_unit, job.board, gjm.group, self.fault.attempt
             );
         }
-        // Interactive packets serve a session, which retains every unit's
-        // touches to test later damage against.
         let mut touches = CellTouches::default();
-        let record = gjm.key.is_some() || self.tier == Tier::Interactive;
+        let record = gjm.key.is_some() || interactive;
         let out = run_unit(
             &job.input,
             &job.obstacles,
@@ -470,7 +479,12 @@ impl RunState {
                 let mut acc = self.accum[job.gj]
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
-                acc[job.unit] = Some(CachedUnit::new(&out, std::mem::take(&mut touches)));
+                let kept = if interactive {
+                    touches.clone()
+                } else {
+                    std::mem::take(&mut touches)
+                };
+                acc[job.unit] = Some(CachedUnit::new(&out, kept));
                 if acc.iter().all(Option::is_some) {
                     Some(acc.iter_mut().flat_map(Option::take).collect::<Vec<_>>())
                 } else {

@@ -8,7 +8,7 @@
 //! [`route_fleet_resilient`] layers exactly that over the engine,
 //! deterministically:
 //!
-//! * **Admission** ([`AdmissionPolicy`]) — before anything runs, boards
+//! * **Admission** ([`RetryPolicy::max_units`]) — before anything runs, boards
 //!   are admitted first-fit in input order against a global in-flight
 //!   unit budget; boards over budget come back
 //!   [`BoardOutcome::Shed`]`(`[`ShedReason::Admission`]`)` — refused
@@ -19,10 +19,10 @@
 //!   engine is deterministic, so a retry recovers only transients
 //!   (deadlines, injected faults); a deterministic failure is a bug to
 //!   fix, not one to route around with another engine. A recovered board
-//!   reports [`BoardOutcome::Degraded`]` { attempts: 2 }`. First-attempt
+//!   reports [`BoardOutcome::Degraded`]. First-attempt
 //!   routed boards are never re-run, and a recovered board's geometry is
 //!   bit-identical to sequential routing too.
-//! * **Retry token bucket** ([`AdmissionPolicy::retry_tokens`]) — every
+//! * **Retry token bucket** ([`RetryPolicy::retry_tokens`]) — every
 //!   re-run spends one fleet-wide token, so a fleet of poison boards can
 //!   never multiply its own load unboundedly or starve fresh work; a
 //!   board denied a token is shed as [`ShedReason::RetryTokens`] (its
@@ -31,10 +31,10 @@
 //!   recorded as (attempt, outcome, busy time), so triage never has to
 //!   re-run the fleet to find out what was tried.
 //! * **Quarantine** ([`Quarantine`]) — boards that panic on their first
-//!   attempt and on the retry are reported with their final [`JobError`] and, by default, a
-//!   delta-debugged minimal repro (`crate::repro::minimize`) that
-//!   still crashes the probe — serialized via `layout::io` for a bug
-//!   report.
+//!   attempt and on the retry are reported with their final [`JobError`]
+//!   and a delta-debugged minimal repro (`crate::repro::minimize`, at
+//!   most `MAX_MINIMIZE_PROBES` probes) that still crashes the probe —
+//!   serialized via `layout::io` for a bug report.
 //!
 //! ## Determinism
 //!
@@ -78,10 +78,10 @@ use std::time::Duration;
 #[cfg(feature = "fault")]
 type FaultSpan = Option<((u64, u64), (u64, u64))>;
 
-/// Overload control: the two budgets that keep a fleet from amplifying
-/// its own failures.
+/// The recovery policy: the two budgets that keep a fleet from
+/// amplifying its own failures.
 #[derive(Debug, Clone)]
-pub struct AdmissionPolicy {
+pub struct RetryPolicy {
     /// Global in-flight unit budget. Boards are admitted first-fit in
     /// input order while their planned units fit; the rest are
     /// [`BoardOutcome::Shed`]`(`[`ShedReason::Admission`]`)`. `None`
@@ -94,38 +94,18 @@ pub struct AdmissionPolicy {
     pub retry_tokens: u64,
 }
 
-impl Default for AdmissionPolicy {
+impl Default for RetryPolicy {
     fn default() -> Self {
-        AdmissionPolicy {
+        RetryPolicy {
             max_units: None,
             retry_tokens: 64,
         }
     }
 }
 
-/// The recovery policy: the budgets a retry spends and what a
-/// quarantined board leaves behind.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Overload budgets (admission units + retry tokens).
-    pub admission: AdmissionPolicy,
-    /// Delta-debug a minimal still-crashing repro for every quarantined
-    /// board (on by default; costs [`RetryPolicy::max_minimize_probes`]
-    /// single-board probe runs at worst).
-    pub minimize_repros: bool,
-    /// Probe budget per quarantined board for repro minimization.
-    pub max_minimize_probes: usize,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            admission: AdmissionPolicy::default(),
-            minimize_repros: true,
-            max_minimize_probes: 256,
-        }
-    }
-}
+/// Probe budget per quarantined board for repro minimization: at worst
+/// this many single-board probe runs.
+const MAX_MINIMIZE_PROBES: usize = 256;
 
 /// One attempt of one board, as the journal records it.
 #[derive(Debug, Clone)]
@@ -154,12 +134,10 @@ pub struct AttemptJournal {
 pub struct QuarantineEntry {
     /// Board index (submission order).
     pub board: usize,
-    /// The final attempt's panic provenance.
+    /// The final attempt's panic provenance. Both attempts are in the
+    /// board's [`AttemptJournal`].
     pub error: JobError,
-    /// Total attempts run (first + retries).
-    pub attempts: u32,
-    /// Minimal still-crashing repro (present when
-    /// [`RetryPolicy::minimize_repros`] is on and the failure reproduced
+    /// Minimal still-crashing repro (present when the failure reproduced
     /// under the single-board probe).
     pub repro: Option<MinimizedRepro>,
     /// The fault plan the quarantine probe ran with (this board's slice
@@ -271,7 +249,7 @@ pub fn route_fleet_resilient(
 
     // ---- Admission: first-fit in input order under the unit budget. ----
     let mut admitted = vec![true; n];
-    if let Some(budget) = policy.admission.max_units {
+    if let Some(budget) = policy.max_units {
         let mut in_flight = 0usize;
         for b in 0..n {
             if in_flight + shapes[b].0 <= budget {
@@ -330,7 +308,7 @@ pub fn route_fleet_resilient(
     // ---- The retry: board order — token spend is a pure function of the
     // (deterministic) outcome sequence.
     let attempt = 1;
-    let mut tokens = policy.admission.retry_tokens;
+    let mut tokens = policy.retry_tokens;
     let mut retries = 0u64;
     let retry_now: Vec<usize> = (0..n).filter(|&b| retryable(&outcomes[b])).collect();
     for b in retry_now {
@@ -373,9 +351,7 @@ pub fn route_fleet_resilient(
             busy,
         });
         if attempt_outcome.is_routed() {
-            outcomes[b] = BoardOutcome::Degraded {
-                attempts: attempt + 1,
-            };
+            outcomes[b] = BoardOutcome::Degraded;
             reports[b] = attempt_report
                 .reports
                 .into_iter()
@@ -388,8 +364,8 @@ pub fn route_fleet_resilient(
 
     // ---- Quarantine: boards still panicking after the retry. ------------
     let mut quarantine = Quarantine::default();
-    for b in 0..n {
-        let BoardOutcome::Failed(error) = &outcomes[b] else {
+    for (b, outcome) in outcomes.iter().enumerate() {
+        let BoardOutcome::Failed(error) = outcome else {
             continue;
         };
         #[cfg(feature = "fault")]
@@ -405,11 +381,11 @@ pub fn route_fleet_resilient(
         {
             probe_cfg.fault = probe_plan.clone();
         }
-        let repro = if policy.minimize_repros && probe_fails(&probe_cfg, &set.boards()[b]) {
+        let repro = if probe_fails(&probe_cfg, &set.boards()[b]) {
             Some(minimize(
                 &set.boards()[b],
                 |cand| probe_fails(&probe_cfg, cand),
-                policy.max_minimize_probes,
+                MAX_MINIMIZE_PROBES,
             ))
         } else {
             None
@@ -417,7 +393,6 @@ pub fn route_fleet_resilient(
         quarantine.entries.push(QuarantineEntry {
             board: b,
             error: error.clone(),
-            attempts: journals[b].attempts.len() as u32,
             repro,
             #[cfg(feature = "fault")]
             probe_plan,
@@ -503,10 +478,7 @@ mod tests {
             .collect();
         let mut set = BoardSet::new(fleet.boards);
         let policy = RetryPolicy {
-            admission: AdmissionPolicy {
-                max_units: Some(0),
-                ..Default::default()
-            },
+            max_units: Some(0),
             ..Default::default()
         };
         let resilient = route_fleet_resilient(&mut set, &serial_config(2), &policy);
@@ -542,10 +514,7 @@ mod tests {
         assert!(budget > 0);
         let mut set = BoardSet::new(fleet.boards);
         let policy = RetryPolicy {
-            admission: AdmissionPolicy {
-                max_units: Some(budget),
-                ..Default::default()
-            },
+            max_units: Some(budget),
             ..Default::default()
         };
         let resilient = route_fleet_resilient(&mut set, &serial_config(2), &policy);
@@ -586,10 +555,7 @@ mod tests {
         // Exactly one token per board: a second retry of any board would
         // starve a later one into `Shed`.
         let policy = RetryPolicy {
-            admission: AdmissionPolicy {
-                retry_tokens: n as u64,
-                ..Default::default()
-            },
+            retry_tokens: n as u64,
             ..Default::default()
         };
         let resilient = route_fleet_resilient(&mut set, &config, &policy);

@@ -34,6 +34,12 @@
 //! per board and recomputed only for edited scopes — identical verdicts
 //! to the full pre-flight scan, without rescanning untouched boards.
 //!
+//! With a result cache attached ([`FleetConfig::cache`]), every planned
+//! group is keyed from the current content exactly as
+//! [`crate::route_fleet`] keys it, so the session's packets hit entries
+//! that batch fleets and warm-up inserted, and insert entries they hit.
+//! A hit replays the unit's output and its recorded windows alike.
+//!
 //! ## Lifecycle
 //!
 //! ```
@@ -60,7 +66,7 @@
 //! );
 //! ```
 
-use crate::cache::{self, CacheKey, CachedGroup, CachedUnit};
+use crate::cache;
 use crate::edit::{add_damage, DamageReport};
 use crate::engine::{BoardSet, FleetConfig, FleetReport, FleetStats};
 #[cfg(feature = "fault")]
@@ -69,11 +75,10 @@ use crate::outcome::BoardOutcome;
 use crate::pipeline::{execute, library_slots, resolve, write_group, BaseCache, Plan, Verdicts};
 use crate::sched::Tier;
 use meander_core::{
-    plan_board_units, CellTouches, DirtyCells, ExtendConfig, GroupReport, StratumKey, UnitInput,
-    UnitOutput,
+    plan_board_units, CellTouches, DirtyCells, GroupReport, StratumKey, UnitInput, UnitOutput,
 };
 use meander_geom::Polygon;
-use meander_layout::hash::{hash_board_local, LibraryCommitment};
+use meander_layout::hash::{hash_board_local, library_root};
 use meander_layout::{Board, Edit, EditScope, LibraryBoard, Obstacle, ObstacleLibrary};
 use std::sync::Arc;
 use std::time::Instant;
@@ -121,26 +126,16 @@ pub struct FleetSession {
     /// `mark_all`.
     strata: Vec<StratumKey>,
     /// Per-`(library slot, rules lattice)` shared bases, kept warm across
-    /// re-routes; invalidated when a library's content changes.
+    /// re-routes; dropped when a library's content changes.
     bases: BaseCache,
-    /// Per-slot Merkle commitments over library content, built on the
-    /// first cache-enabled re-route and maintained incrementally: a moved
-    /// obstacle recomputes only its authentication path
-    /// ([`LibraryCommitment::update_obstacle`]); add/remove change the
-    /// leaf count and rebuild.
-    commitments: Vec<Option<LibraryCommitment>>,
-    /// The library roots the attached result cache's entries are keyed
-    /// under, per slot — the `old_root` side of the next
-    /// [`crate::ResultCache::apply_library_edit`]. Cleared when a
-    /// re-route runs uncached: transitions the cache didn't observe must
-    /// never be re-keyed past.
-    served_roots: Vec<u64>,
-    /// Likewise per board: the local digest the cache's entries are keyed
-    /// under.
-    served_board_hash: Vec<u64>,
-    /// Cached [`hash_board_local`] per board, recomputed only for boards
-    /// an edit actually touched ([`FleetSession::hash_stale`]) — a
-    /// single-board edit on a large fleet must not rehash the fleet.
+    /// Cached [`library_root`] per library slot and [`hash_board_local`]
+    /// per board — the content identities cache keys derive from. Computed
+    /// only by cached re-routes, and only for scopes an edit touched since
+    /// (`lib_stale`, `hash_stale`): a single-board edit on a large fleet
+    /// must not rehash the fleet. The flags survive uncached re-routes, so
+    /// a later cached one never keys with an old digest.
+    lib_root: Vec<u64>,
+    lib_stale: Vec<bool>,
     local_hash: Vec<u64>,
     hash_stale: Vec<bool>,
     /// Last re-route's results, reused for skipped boards.
@@ -170,9 +165,8 @@ impl FleetSession {
             verdicts: Verdicts::stale(nl, n),
             strata: Vec::new(),
             bases: BaseCache::default(),
-            commitments: (0..nl).map(|_| None).collect(),
-            served_roots: Vec::new(),
-            served_board_hash: Vec::new(),
+            lib_root: vec![0; nl],
+            lib_stale: vec![true; nl],
             local_hash: vec![0; n],
             hash_stale: vec![true; n],
             cached_reports: vec![Vec::new(); n],
@@ -254,7 +248,7 @@ impl FleetSession {
                     let old = obs[idx].clone();
                     let new = old.translated(by);
                     obs[idx] = new.clone();
-                    self.replace_library(slot, obs, Some(idx));
+                    self.replace_library(slot, obs);
                     self.library_damage(slot, &[old.polygon(), new.polygon()])
                 }
             },
@@ -274,7 +268,7 @@ impl FleetSession {
                     let slot = slot % self.libraries.len();
                     let mut obs = self.libraries[slot].obstacles().to_vec();
                     obs.push(obstacle.clone());
-                    self.replace_library(slot, obs, None);
+                    self.replace_library(slot, obs);
                     self.library_damage(slot, &[obstacle.polygon()])
                 }
             },
@@ -300,7 +294,7 @@ impl FleetSession {
                     let idx = index % len;
                     let mut obs = self.libraries[slot].obstacles().to_vec();
                     let old = obs.remove(idx);
-                    self.replace_library(slot, obs, None);
+                    self.replace_library(slot, obs);
                     self.library_damage(slot, &[old.polygon()])
                 }
             },
@@ -366,19 +360,10 @@ impl FleetSession {
 
     /// Swaps library `slot`'s content: new `Arc`, rebind every referencing
     /// board's routed twin, invalidate the slot's shared bases, mark the
-    /// slot's validation verdict stale, advance the Merkle commitment.
-    /// `moved` names the single replaced obstacle when the edit kept the
-    /// leaf count — that recomputes only its authentication path.
-    fn replace_library(&mut self, slot: usize, obstacles: Vec<Obstacle>, moved: Option<usize>) {
+    /// slot's validation verdict and root stale.
+    fn replace_library(&mut self, slot: usize, obstacles: Vec<Obstacle>) {
         let lib = Arc::new(ObstacleLibrary::new(obstacles));
-        if let Some(commit) = &mut self.commitments[slot] {
-            match moved {
-                Some(idx) => {
-                    commit.update_obstacle(idx, &lib.obstacles()[idx]);
-                }
-                None => *commit = LibraryCommitment::new(&lib),
-            }
-        }
+        self.lib_stale[slot] = true;
         self.libraries[slot] = Arc::clone(&lib);
         for (b, &s) in self.lib_of.iter().enumerate() {
             if s == slot {
@@ -436,80 +421,25 @@ impl FleetSession {
             .chain(self.board_dirty.iter())
             .fold(0u64, |acc, d| acc.saturating_add(d.cells()));
 
-        // ---- Result-cache key transitions. ------------------------------
-        // An edit moved content identities the attached cache keys on.
-        // Walk each transition with the very damage this re-route is
-        // about to consume: entries whose touches intersect it are
-        // evicted, the rest re-keyed to the new identity (sound by the
-        // window-reach argument in the module docs — the same one
-        // that lets clean units keep their retained outputs).
-        let result_cache = config.cache.as_deref();
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        if let Some(rc) = result_cache {
-            for slot in 0..self.libraries.len() {
-                if self.commitments[slot].is_none() {
-                    self.commitments[slot] = Some(LibraryCommitment::new(&self.libraries[slot]));
+        // Content identities for cache keys: only a cached re-route needs
+        // them, and only edited scopes are rehashed.
+        if config.cache.is_some() {
+            for (slot, lib) in self.libraries.iter().enumerate() {
+                if std::mem::take(&mut self.lib_stale[slot]) {
+                    self.lib_root[slot] = library_root(lib);
                 }
             }
-            let new_roots: Vec<u64> = self
-                .commitments
-                .iter()
-                .map(|c| c.as_ref().map(LibraryCommitment::root).unwrap_or(0))
-                .collect();
-            if self.served_roots.len() == new_roots.len() {
-                for ((&old, &new), dirty) in self
-                    .served_roots
-                    .iter()
-                    .zip(&new_roots)
-                    .zip(&self.lib_dirty)
-                {
-                    rc.apply_library_edit(old, new, dirty);
+            for (b, board) in self.pristine.iter().enumerate() {
+                if std::mem::take(&mut self.hash_stale[b]) {
+                    self.local_hash[b] = hash_board_local(board);
                 }
             }
-            // Scoped rehash: only boards an edit actually touched — a
-            // wholesale rehash would make every cached re-route O(fleet)
-            // even for a one-board edit.
-            for b in 0..n {
-                if self.hash_stale[b] {
-                    self.local_hash[b] = hash_board_local(&self.pristine[b]);
-                    self.hash_stale[b] = false;
-                }
-            }
-            if self.served_board_hash.len() == n {
-                for b in 0..n {
-                    let (old, new) = (self.served_board_hash[b], self.local_hash[b]);
-                    // A twin still serving under the old digest keeps the
-                    // entries alive — content addressing means they stay
-                    // exact for it; the edited board re-routes and
-                    // inserts under its new digest.
-                    if old == new || self.local_hash.contains(&old) {
-                        continue;
-                    }
-                    if self.structural[b] {
-                        // The board's unit plan itself may have changed:
-                        // nothing under the old digest can be re-keyed.
-                        rc.drop_board(old);
-                    } else {
-                        rc.apply_board_edit(old, new, &self.board_dirty[b]);
-                    }
-                }
-            }
-            self.served_roots = new_roots;
-            self.served_board_hash.clone_from(&self.local_hash);
-        } else {
-            // Without the cache in hand this re-route's transitions go
-            // unobserved; forget the served identities rather than re-key
-            // entries past unobserved damage on a later cached re-route.
-            self.served_roots.clear();
-            self.served_board_hash.clear();
         }
 
         // ---- Classify: rejected / full re-route / per-unit dirty test. --
         let mut dirty_units: Vec<(usize, usize, usize)> = Vec::new();
         // Boards that replanned this re-route: their routed twin must be
-        // rebuilt even when every group came out of the cache and no unit
-        // is dirty.
+        // rebuilt even when no unit is dirty (a board with no units).
         let mut replanned: Vec<bool> = vec![false; n];
         for (b, replanned_b) in replanned.iter_mut().enumerate() {
             let slot = self.lib_of[b];
@@ -529,7 +459,7 @@ impl FleetSession {
             }
             if self.structural[b] || self.plans[b].is_empty() {
                 *replanned_b = true;
-                let mut plans_b: Vec<GroupPlan> = plan_board_units(&self.pristine[b])
+                self.plans[b] = plan_board_units(&self.pristine[b])
                     .into_iter()
                     .map(|(target, units)| GroupPlan {
                         target,
@@ -538,42 +468,15 @@ impl FleetSession {
                         units,
                     })
                     .collect();
-                // A replanned board consults the result cache per group:
-                // a hit replays the stored outputs and touches (exact by
-                // determinism), a miss re-routes below.
-                for (g, gp) in plans_b.iter_mut().enumerate() {
-                    let cached = result_cache.and_then(|rc| {
-                        rc.lookup(&self.cache_key(b, g, gp, &config.extend))
-                            .filter(|c| c.units().len() == gp.units.len())
-                    });
-                    match cached {
-                        Some(c) => {
-                            cache_hits += 1;
-                            for (u, cu) in c.units().iter().enumerate() {
-                                gp.outputs[u] = Some(cu.to_output());
-                                gp.touches[u] = cu.touches().clone();
-                            }
-                        }
-                        None => {
-                            if result_cache.is_some() {
-                                cache_misses += 1;
-                            }
-                            for u in 0..gp.units.len() {
-                                dirty_units.push((b, g, u));
-                            }
-                        }
-                    }
-                }
-                self.plans[b] = plans_b;
-            } else {
-                for (g, gp) in self.plans[b].iter().enumerate() {
-                    for u in 0..gp.units.len() {
-                        if gp.outputs[u].is_none()
-                            || gp.touches[u].intersects(&self.lib_dirty[slot])
-                            || gp.touches[u].intersects(&self.board_dirty[b])
-                        {
-                            dirty_units.push((b, g, u));
-                        }
+            }
+            // A replanned board has no outputs yet, so all its units run.
+            for (g, gp) in self.plans[b].iter().enumerate() {
+                for u in 0..gp.units.len() {
+                    if gp.outputs[u].is_none()
+                        || gp.touches[u].intersects(&self.lib_dirty[slot])
+                        || gp.touches[u].intersects(&self.board_dirty[b])
+                    {
+                        dirty_units.push((b, g, u));
                     }
                 }
             }
@@ -590,7 +493,7 @@ impl FleetSession {
         // The run carries no deadline, budget, token, or fault plan: a
         // serving re-route is bounded by its damage. Obstacles snapshot
         // from the *pristine* board, as the batch engine gathers from its
-        // un-routed input.
+        // un-routed input, and groups are keyed on it as batch keys them.
         let serving = FleetConfig {
             deadline: None,
             board_budget: None,
@@ -604,7 +507,12 @@ impl FleetSession {
         for &(b, g, u) in &dirty_units {
             let gp = &self.plans[b][g];
             if open != Some((b, g)) {
-                plan.group(b, g, gp.target, gp.units.len(), None);
+                let key = config.cache.is_some().then(|| {
+                    let ident = (self.lib_root[self.lib_of[b]], self.local_hash[b]);
+                    let board = &self.pristine[b];
+                    cache::key_for(ident, board, g, gp.target, &gp.units, &config.extend)
+                });
+                plan.group(b, g, gp.target, gp.units.len(), key);
                 open = Some((b, g));
             }
             plan.unit(self.lib_of[b], &self.pristine[b], u, gp.units[u].clone());
@@ -657,36 +565,6 @@ impl FleetSession {
             self.structural[b] = false;
         }
 
-        // ---- Feed the result cache (insert-if-absent). -------------------
-        // Every group of every board routed this re-route goes in under
-        // its current identity; twins elsewhere in the fleet (or future
-        // fleets sharing the cache) hit it.
-        if let Some(rc) = result_cache {
-            for (b, &touched_b) in touched.iter().enumerate() {
-                if !touched_b || !matches!(self.outcomes[b], BoardOutcome::Routed) {
-                    continue;
-                }
-                for (g, gp) in self.plans[b].iter().enumerate() {
-                    let key = self.cache_key(b, g, gp, &config.extend);
-                    if rc.contains(&key) {
-                        continue;
-                    }
-                    let units: Vec<CachedUnit> = gp
-                        .outputs
-                        .iter()
-                        .zip(&gp.touches)
-                        .map(|(o, t)| {
-                            CachedUnit::new(
-                                o.as_ref().expect("routed board has all outputs"),
-                                t.clone(),
-                            )
-                        })
-                        .collect();
-                    rc.insert(key, CachedGroup::new(units));
-                }
-            }
-        }
-
         // ---- Refresh the stratum union; consume the damage. --------------
         self.strata.clear();
         for groups in &self.plans {
@@ -715,8 +593,6 @@ impl FleetSession {
             units_dirty: dirty,
             units_skipped: units_total.saturating_sub(dirty),
             cells_dirty,
-            cache_hits,
-            cache_misses,
             boards_replanned: replanned.iter().filter(|&&r| r).count(),
             validation_wall,
             ..resolved.stats
@@ -724,13 +600,6 @@ impl FleetSession {
         stats.tally(&self.outcomes);
         self.last_stats = stats;
         self.report()
-    }
-
-    /// The result-cache identity of group `g` of board `b`, planned as
-    /// `gp`, under the identities the cache currently serves.
-    fn cache_key(&self, b: usize, g: usize, gp: &GroupPlan, extend: &ExtendConfig) -> CacheKey {
-        let ident = (self.served_roots[self.lib_of[b]], self.served_board_hash[b]);
-        cache::key_for(ident, &self.pristine[b], g, gp.target, &gp.units, extend)
     }
 
     /// Resets board `b`'s served state to its pristine input.

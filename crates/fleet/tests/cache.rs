@@ -13,12 +13,14 @@
 //!   and still matches bit for bit;
 //! * content digests are insensitive to re-orderings without semantics
 //!   (area map insertion order) and sensitive to ones with (trace order);
+//! * a serving session over a cache a batch fleet filled hits on every
+//!   unit packet, and counts hits and misses per unit packet as batch
+//!   does across an edit stream;
 //! * a serving session with a cache replays an edit stream bit-identical
-//!   to from-scratch uncached routing, invalidation stays precise under
-//!   library edits (counter-asserted), and stale entries never serve;
+//!   to from-scratch uncached routing, and stale entries never serve;
 //! * a library move inside a window's lattice cell but beyond the
-//!   candidacy slack re-keys every entry, one within the slack evicts the
-//!   reached entry, and both states match from-scratch uncached routing;
+//!   candidacy slack, and one within the slack, both match from-scratch
+//!   uncached routing;
 //! * (under `--features fault`) a panicking job never inserts a poisoned
 //!   entry.
 
@@ -248,64 +250,57 @@ fn session_with_cache_replays_edit_stream_exactly() {
     }
 }
 
-/// A single library move invalidates only the entries whose recorded
-/// touches intersect the damage; the rest survive re-keyed under the new
-/// Merkle root (counter-asserted), and the next re-route still matches
-/// from-scratch.
+/// The session keys its groups exactly as batch does: over a cache that
+/// `route_fleet` filled, a session built on a fresh copy of the same fleet
+/// serves every unit packet from the cache, bit-identical to the batch
+/// run. Each cached re-route over an edit stream then counts one hit or
+/// miss per unit packet run, as batch does — and, because hits replay the
+/// cached units' touched windows, still matches from-scratch routing.
 #[test]
-fn library_edit_invalidation_is_precise() {
+fn session_keys_like_batch_and_counts_unit_packets() {
     let cache = Arc::new(ResultCache::default());
     let cfg = config(2, true, Some(Arc::clone(&cache)));
-    let case = dup_fleet_boards_small(10, 0.5, 77);
+    let plain = config(2, true, None);
+    let case = dup_fleet_boards_small(5, 0.5, 61);
+    let mut batch = BoardSet::new(case.boards.clone());
+    let batch_report = route_fleet(&mut batch, &cfg);
+    assert!(batch_report.all_routed());
+
     let mut session = FleetSession::new(BoardSet::new(case.boards.clone()), &cfg);
-    assert!(session.report().all_routed());
-    let entries = cache.len();
-    assert!(entries > 0);
-    let before = cache.stats();
-
-    // Library obstacles are corridor-major: with 3 vias per corridor,
-    // index 7 sits in the top corridor, which only 3-trace boards route.
-    let _ = session.apply_edit(Edit::MoveObstacle {
-        scope: EditScope::Library(0),
-        index: 7,
-        by: Vector::new(1.5, 1.0),
-    });
-    let _ = session.reroute_dirty(&cfg);
-    let after = cache.stats();
-    let invalidated = after.invalidated - before.invalidated;
-    let rekeyed = after.rekeyed - before.rekeyed;
-    assert_eq!(
-        (invalidated + rekeyed) as usize,
-        entries,
-        "the transition classifies every entry"
-    );
-    assert!(
-        rekeyed > 0,
-        "entries outside the edited corridor survive re-keyed \
-         (invalidated {invalidated} of {entries})"
-    );
-    assert!(
-        (invalidated as usize) < entries,
-        "a single move must not flush the cache"
-    );
-
-    // The survivors serve under the new root, and the result is exact.
-    let mut reference = BoardSet::new(session.pristine_boards());
-    let want = route_fleet(&mut reference, &config(2, true, None));
+    let first = session.report();
+    assert_eq!(first.stats.cache_hits as usize, first.stats.units);
+    assert_eq!(first.stats.cache_misses, 0);
     assert_runs_identical(
-        "post-invalidation",
-        (&reference, &want),
-        (session.boards(), &session.report()),
+        "session over a batch-filled cache",
+        (&batch, &batch_report),
+        (session.boards(), &first),
     );
+
+    for (k, edit) in edit_stream(&case, 4242, 9).into_iter().enumerate() {
+        let ctx = format!("prefix={k} edit={edit}");
+        let _ = session.apply_edit(edit);
+        let stats = session.reroute_dirty(&cfg).stats;
+        assert_eq!(
+            (stats.cache_hits + stats.cache_misses) as usize,
+            stats.units_run,
+            "{ctx}: hit/miss partition the unit packets"
+        );
+        let mut reference = BoardSet::new(session.pristine_boards());
+        let want = route_fleet(&mut reference, &plain);
+        assert_runs_identical(
+            &ctx,
+            (&reference, &want),
+            (session.boards(), &session.report()),
+        );
+    }
 }
 
 /// A library move inside a touched lattice cell but farther than the
-/// slack from every recorded window re-keys every entry and invalidates
-/// none; moving the same obstacle to within the slack of a window
-/// invalidates that window's entry. Both end states equal from-scratch
-/// uncached routing.
+/// slack from every recorded window, then the same obstacle moved to
+/// within the slack of a window: with the cache attached, both end states
+/// equal from-scratch uncached routing.
 #[test]
-fn near_miss_library_move_rekeys_and_slack_hit_invalidates() {
+fn near_miss_and_slack_hit_library_moves_match_uncached() {
     let cache = Arc::new(ResultCache::default());
     let cfg = config(2, true, Some(Arc::clone(&cache)));
     let plain = config(2, true, None);
@@ -320,25 +315,12 @@ fn near_miss_library_move_rekeys_and_slack_hit_invalidates() {
         ("near miss", near.miss),
         ("slack hit", near.hit - near.miss),
     ] {
-        let entries = cache.len() as u64;
-        let before = cache.stats();
         let _ = session.apply_edit(Edit::MoveObstacle {
             scope: EditScope::Library(0),
             index: near.index,
             by,
         });
         let _ = session.reroute_dirty(&cfg);
-        let after = cache.stats();
-        let (invalidated, rekeyed) = (
-            after.invalidated - before.invalidated,
-            after.rekeyed - before.rekeyed,
-        );
-        assert_eq!(invalidated + rekeyed, entries, "{step}: every entry moves");
-        if step == "near miss" {
-            assert_eq!(invalidated, 0, "{step}: no entry saw the damage");
-        } else {
-            assert!(invalidated > 0, "{step}: the reached entry is evicted");
-        }
         let mut reference = BoardSet::new(session.pristine_boards());
         let want = route_fleet(&mut reference, &plain);
         assert_runs_identical(

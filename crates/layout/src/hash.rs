@@ -1,5 +1,5 @@
 //! Canonical content hashing: stable 64-bit digests of layout entities,
-//! plus a Merkle commitment over an obstacle library.
+//! plus a Merkle root over an obstacle library.
 //!
 //! These digests key the fleet's content-addressed result cache
 //! (`meander_fleet::cache`): two boards with equal digests are — by
@@ -33,15 +33,15 @@
 //!   share cache entries. Property-tested in this module and in
 //!   `meander-fleet/tests/cache.rs`.
 //!
-//! ## Merkle commitment
+//! ## Library root
 //!
-//! [`LibraryCommitment`] commits a [`crate::ObstacleLibrary`] as a Merkle
-//! tree over its per-obstacle digests (the ministark
-//! `MerkleTree`/`Queries` shape: commit once, update and prove subsets in
-//! `O(log n)`). A single-obstacle edit recomputes only the leaf-to-root
-//! path (`MerkleTree::update_leaf`); the serving session uses the root
-//! as the library's cache-key component and the old/new root pair as the
-//! invalidation edge for entries keyed under the edited library.
+//! [`library_root`] digests a [`crate::ObstacleLibrary`] as the root of a
+//! Merkle tree over its per-obstacle digests, in library order. The root
+//! is the library's cache-key component, kept apart from
+//! [`hash_board_local`] so a library edit moves one key component instead
+//! of every board's digest. An edit needs no other bookkeeping: entries
+//! keyed under the old root simply stop being looked up
+//! (`meander_fleet::cache` module docs).
 
 use crate::area::RoutableArea;
 use crate::board::Board;
@@ -221,8 +221,8 @@ fn fold_outline(h: &mut ContentHasher, outline: Option<Rect>) {
 /// ascending [`TraceId`] order (map iteration order never leaks in).
 ///
 /// A referenced obstacle library is *not* folded in — the library is
-/// committed separately ([`LibraryCommitment`]) so a library edit moves
-/// one key component instead of rewriting every board's digest.
+/// digested separately ([`library_root`]) so a library edit moves one key
+/// component instead of rewriting every board's digest.
 pub fn hash_board_local(b: &Board) -> u64 {
     let mut h = ContentHasher::new(TAG_BOARD);
     fold_outline(&mut h, b.outline());
@@ -264,114 +264,35 @@ pub fn hash_board_local(b: &Board) -> u64 {
     h.finish()
 }
 
-/// A binary Merkle tree over `u64` leaf digests.
-///
-/// Interior nodes are `mix(TAG_NODE, left, right)`; an odd node at any
-/// level is paired with itself (the ministark padding shape). The root
-/// commits the whole leaf list — order included — and
-/// [`MerkleTree::update_leaf`] recomputes only the `O(log n)` path from
-/// the edited leaf to the root.
-#[derive(Debug, Clone)]
-pub(crate) struct MerkleTree {
-    /// `levels[0]` are the leaves; `levels.last()` is `[root]`.
-    levels: Vec<Vec<u64>>,
-}
-
 fn hash_node(left: u64, right: u64) -> u64 {
     let mut h = ContentHasher::new(TAG_NODE);
     h.u64(left).u64(right);
     h.finish()
 }
 
-fn parent_level(level: &[u64]) -> Vec<u64> {
-    level
-        .chunks(2)
-        .map(|pair| hash_node(pair[0], *pair.last().expect("non-empty chunk")))
-        .collect()
+/// The root of a binary Merkle tree over `u64` leaf digests, built bottom
+/// up. Interior nodes are `mix(TAG_NODE, left, right)`; an odd node at any
+/// level is paired with itself (the ministark padding shape). The root
+/// commits the whole leaf list, order included; a zero-leaf tree has a
+/// fixed empty-domain root, so "no library" still has a stable key
+/// component.
+fn merkle_root(mut level: Vec<u64>) -> u64 {
+    if level.is_empty() {
+        return mix64(TAG_EMPTY);
+    }
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| hash_node(pair[0], *pair.last().expect("non-empty chunk")))
+            .collect();
+    }
+    level[0]
 }
 
-impl MerkleTree {
-    /// Builds the tree bottom-up from `leaves`.
-    pub(crate) fn build(leaves: Vec<u64>) -> Self {
-        let mut levels = vec![leaves];
-        while levels.last().is_some_and(|l| l.len() > 1) {
-            let next = parent_level(levels.last().expect("non-empty levels"));
-            levels.push(next);
-        }
-        MerkleTree { levels }
-    }
-
-    /// Leaf count.
-    pub(crate) fn len(&self) -> usize {
-        self.levels[0].len()
-    }
-
-    /// The root digest (a fixed empty-domain digest for a zero-leaf
-    /// tree, so "no library" still has a stable key component).
-    pub(crate) fn root(&self) -> u64 {
-        match self.levels.last().and_then(|l| l.first()) {
-            Some(&r) => r,
-            None => mix64(TAG_EMPTY),
-        }
-    }
-
-    /// Replaces leaf `i` and recomputes only its path to the root —
-    /// `O(log n)` node hashes. Returns the new root.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub(crate) fn update_leaf(&mut self, i: usize, leaf: u64) -> u64 {
-        assert!(i < self.len(), "leaf {i} out of range ({})", self.len());
-        self.levels[0][i] = leaf;
-        let mut idx = i;
-        for lvl in 0..self.levels.len() - 1 {
-            let parent = idx / 2;
-            let left = self.levels[lvl][parent * 2];
-            let right = *self.levels[lvl]
-                .get(parent * 2 + 1)
-                .unwrap_or(&self.levels[lvl][parent * 2]);
-            self.levels[lvl + 1][parent] = hash_node(left, right);
-            idx = parent;
-        }
-        self.root()
-    }
-}
-
-/// A Merkle commitment over an obstacle library: one leaf per obstacle,
-/// in library order. The root is the library's cache-key component; a
-/// single-obstacle edit refreshes it in `O(log n)`
-/// ([`LibraryCommitment::update_obstacle`]).
-#[derive(Debug, Clone)]
-pub struct LibraryCommitment {
-    tree: MerkleTree,
-}
-
-impl LibraryCommitment {
-    /// Commits `library` (hashes every obstacle, builds the tree).
-    pub fn new(library: &ObstacleLibrary) -> Self {
-        LibraryCommitment {
-            tree: MerkleTree::build(library.obstacles().iter().map(hash_obstacle).collect()),
-        }
-    }
-
-    /// The committed root.
-    pub fn root(&self) -> u64 {
-        self.tree.root()
-    }
-
-    /// Re-commits obstacle `i` after an in-place edit (a move): only the
-    /// affected Merkle path is recomputed. Returns the new root.
-    pub fn update_obstacle(&mut self, i: usize, o: &Obstacle) -> u64 {
-        self.tree.update_leaf(i, hash_obstacle(o))
-    }
-}
-
-/// Convenience: the Merkle root of `library` (builds a throwaway
-/// commitment — callers that edit libraries keep a [`LibraryCommitment`]
-/// and pay `O(log n)` per edit instead).
+/// The Merkle root of `library`: one leaf per obstacle digest, in library
+/// order.
 pub fn library_root(library: &ObstacleLibrary) -> u64 {
-    LibraryCommitment::new(library).root()
+    merkle_root(library.obstacles().iter().map(hash_obstacle).collect())
 }
 
 #[cfg(test)]
@@ -391,6 +312,11 @@ mod tests {
         assert_eq!(hash_board_local(&b), hash_board_local(&b.clone()));
         let lib = fleet_boards_small(2, 7, 11).library;
         assert_eq!(library_root(&lib), library_root(&lib));
+        assert_eq!(
+            library_root(&ObstacleLibrary::default()),
+            mix64(TAG_EMPTY),
+            "an empty library has a stable root"
+        );
     }
 
     /// Names are labels, not router inputs: renaming must not move the
@@ -451,48 +377,5 @@ mod tests {
         rules.gap += 0.5;
         edited.trace_mut(id).unwrap().set_rules(rules);
         assert_ne!(h0, hash_board_local(&edited));
-    }
-
-    /// Merkle: update_leaf must equal a full rebuild, for every leaf
-    /// index, at sizes covering odd/even shapes.
-    #[test]
-    fn update_leaf_matches_rebuild() {
-        for n in [1usize, 2, 3, 5, 8, 13] {
-            let leaves: Vec<u64> = (0..n as u64).map(mix64).collect();
-            for i in 0..n {
-                let mut tree = MerkleTree::build(leaves.clone());
-                let new_leaf = mix64(0xdead_beef ^ i as u64);
-                let incremental = tree.update_leaf(i, new_leaf);
-                let mut rebuilt = leaves.clone();
-                rebuilt[i] = new_leaf;
-                assert_eq!(
-                    incremental,
-                    MerkleTree::build(rebuilt).root(),
-                    "n={n} i={i}"
-                );
-            }
-        }
-        // Empty tree has a stable root.
-        assert_eq!(MerkleTree::build(vec![]).root(), mix64(TAG_EMPTY));
-    }
-
-    /// Library commitment: an O(log n) obstacle update reaches the same
-    /// root as recommitting the edited library from scratch.
-    #[test]
-    fn commitment_update_matches_recommit() {
-        let lib = fleet_boards_small(2, 7, 11).library;
-        let mut commit = LibraryCommitment::new(&lib);
-        assert_eq!(commit.root(), library_root(&lib));
-        let mut obs = lib.obstacles().to_vec();
-        let idx = obs.len() / 2;
-        let moved = obs[idx].translated(Vector::new(1.0, -0.5));
-        obs[idx] = moved.clone();
-        let incremental = commit.update_obstacle(idx, &moved);
-        assert_eq!(
-            incremental,
-            library_root(&ObstacleLibrary::new(obs)),
-            "path update must equal recommit"
-        );
-        assert_ne!(incremental, library_root(&lib));
     }
 }

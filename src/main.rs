@@ -26,14 +26,27 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Error::Usage(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{USAGE}");
-            ExitCode::FAILURE
         }
+        Err(Error::Failed(e)) => eprintln!("error: {e}"),
     }
+    ExitCode::FAILURE
+}
+
+/// Why a command exited non-zero.
+enum Error {
+    /// The command line is malformed; the usage text follows the message.
+    Usage(String),
+    /// The command ran and failed: I/O, a parse error, or a DRC verdict.
+    Failed(String),
+}
+
+fn usage(msg: impl Into<String>) -> Error {
+    Error::Usage(msg.into())
 }
 
 const USAGE: &str = "usage:
@@ -41,11 +54,11 @@ const USAGE: &str = "usage:
   meander match <board.txt> [--out <file>] [--svg <file>] [--miter] [--baseline]
   meander gen <table1:N | table2:N | anyangle:DEG | diffpair> [--out <file>]";
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), Error> {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
         Some("check") => {
-            let path = it.next().ok_or("check needs a board file")?;
+            let path = it.next().ok_or_else(|| usage("check needs a board file"))?;
             let board = read_board(path)?;
             let violations = board.check();
             if violations.is_empty() {
@@ -55,18 +68,18 @@ fn run(args: &[String]) -> Result<(), String> {
                 for v in &violations {
                     println!("violation: {v}");
                 }
-                Err(format!("{} violation(s)", violations.len()))
+                Err(Error::Failed(format!("{} violation(s)", violations.len())))
             }
         }
         Some("match") => {
-            let path = it.next().ok_or("match needs a board file")?;
+            let path = it.next().ok_or_else(|| usage("match needs a board file"))?;
             let rest: Vec<&str> = it.map(String::as_str).collect();
             let mut board = read_board(path)?;
             let config = ExtendConfig::default();
             let use_baseline = rest.contains(&"--baseline");
             let do_miter = rest.contains(&"--miter");
             if board.groups().is_empty() {
-                return Err("board has no matching groups".into());
+                return Err(Error::Failed("board has no matching groups".into()));
             }
             let before = board.check();
             for gi in 0..board.groups().len() {
@@ -108,66 +121,75 @@ fn run(args: &[String]) -> Result<(), String> {
             for v in &added {
                 println!("new violation: {v}");
             }
-            Err(format!("matching added {} violation(s)", added.len()))
+            Err(Error::Failed(format!(
+                "matching added {} violation(s)",
+                added.len()
+            )))
         }
         Some("gen") => {
-            let what = it.next().ok_or("gen needs a case spec")?;
+            let what = it.next().ok_or_else(|| usage("gen needs a case spec"))?;
             let rest: Vec<&str> = it.map(String::as_str).collect();
             let board = generate(what)?;
             println!("generated: {board}");
             write_outputs(&board, &rest)?;
             if !rest.contains(&"--out") {
-                print!("{}", save_board(&board).map_err(|e| e.to_string())?);
+                let text = save_board(&board).map_err(|e| Error::Failed(e.to_string()))?;
+                print!("{text}");
             }
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}`")),
-        None => Err("missing command".into()),
+        Some(other) => Err(usage(format!("unknown command `{other}`"))),
+        None => Err(usage("missing command")),
     }
 }
 
-fn read_board(path: &str) -> Result<Board, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    load_board(&text).map_err(|e| format!("parse {path}: {e}"))
+fn read_board(path: &str) -> Result<Board, Error> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| Error::Failed(format!("read {path}: {e}")))?;
+    load_board(&text).map_err(|e| Error::Failed(format!("parse {path}: {e}")))
 }
 
-fn write_outputs(board: &Board, rest: &[&str]) -> Result<(), String> {
-    if let Some(i) = rest.iter().position(|&a| a == "--out") {
-        let path = rest.get(i + 1).ok_or("--out needs a path")?;
-        let text = save_board(board).map_err(|e| e.to_string())?;
-        std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
+fn write_outputs(board: &Board, rest: &[&str]) -> Result<(), Error> {
+    let write = |path: &str, text: String| {
+        std::fs::write(path, text).map_err(|e| Error::Failed(format!("write {path}: {e}")))?;
         println!("wrote {path}");
+        Ok(())
+    };
+    if let Some(i) = rest.iter().position(|&a| a == "--out") {
+        let path = rest.get(i + 1).ok_or_else(|| usage("--out needs a path"))?;
+        write(
+            path,
+            save_board(board).map_err(|e| Error::Failed(e.to_string()))?,
+        )?;
     }
     if let Some(i) = rest.iter().position(|&a| a == "--svg") {
-        let path = rest.get(i + 1).ok_or("--svg needs a path")?;
-        let svg = render_board(board, &SvgStyle::default());
-        std::fs::write(path, svg).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote {path}");
+        let path = rest.get(i + 1).ok_or_else(|| usage("--svg needs a path"))?;
+        write(path, render_board(board, &SvgStyle::default()))?;
     }
     Ok(())
 }
 
-fn generate(spec: &str) -> Result<Board, String> {
+fn generate(spec: &str) -> Result<Board, Error> {
     if let Some(n) = spec.strip_prefix("table1:") {
-        let n: usize = n.parse().map_err(|_| "bad table1 case number")?;
+        let n: usize = n.parse().map_err(|_| usage("bad table1 case number"))?;
         if !(1..=5).contains(&n) {
-            return Err("table1 cases are 1–5".into());
+            return Err(usage("table1 cases are 1–5"));
         }
         return Ok(table1_case(n).board);
     }
     if let Some(n) = spec.strip_prefix("table2:") {
-        let n: usize = n.parse().map_err(|_| "bad table2 case number")?;
+        let n: usize = n.parse().map_err(|_| usage("bad table2 case number"))?;
         if !(1..=6).contains(&n) {
-            return Err("table2 cases are 1–6".into());
+            return Err(usage("table2 cases are 1–6"));
         }
         return Ok(table2_case(n).board);
     }
     if let Some(deg) = spec.strip_prefix("anyangle:") {
-        let deg: f64 = deg.parse().map_err(|_| "bad angle")?;
+        let deg: f64 = deg.parse().map_err(|_| usage("bad angle"))?;
         return Ok(any_angle_bus(4, meander_geom::Angle::from_degrees(deg)));
     }
     if spec == "diffpair" {
         return Ok(decoupled_pair(false).board);
     }
-    Err(format!("unknown generator `{spec}`"))
+    Err(usage(format!("unknown generator `{spec}`")))
 }

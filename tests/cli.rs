@@ -1,10 +1,13 @@
 //! The `meander` binary's exit-code contract: `meander match` fails when
 //! matching adds a violation whose (kind, trace) pair the input lacked,
-//! and still writes its outputs.
+//! and still writes its outputs; only a malformed command line prints the
+//! usage text.
 
 use meander::core::{match_board_group, ExtendConfig};
 use meander::drc::new_violations;
+use meander::geom::{Point, Polyline, Rect};
 use meander::layout::io::{load_board, save_board};
+use meander::layout::{Board, Trace};
 use std::path::Path;
 use std::process::Command;
 
@@ -72,4 +75,32 @@ fn match_exit_code_is_the_new_violation_rule() {
         assert_eq!(got, want, "{spec}: routed bytes");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A DRC verdict is a result, not a bad command line: `check` on a dirty
+/// board exits 1 without the usage text, while an unknown command still
+/// prints it.
+#[test]
+fn usage_text_only_for_usage_errors() {
+    let mut board = Board::new(Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)));
+    for (name, from, to) in [
+        ("a", Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
+        ("b", Point::new(0.0, 100.0), Point::new(100.0, 0.0)),
+    ] {
+        board.add_trace(Trace::new(name, Polyline::new(vec![from, to]), 2.0));
+    }
+    assert!(!board.check().is_empty(), "crossing traces violate");
+    let path = std::env::temp_dir().join(format!("meander-cli-dirty-{}.txt", std::process::id()));
+    std::fs::write(&path, save_board(&board).expect("saves")).expect("temp file");
+
+    let check = meander(&["check", &path.to_string_lossy()]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&check.stderr);
+    assert_eq!(check.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+
+    let unknown = meander(&["frobnicate"]);
+    let stderr = String::from_utf8_lossy(&unknown.stderr);
+    assert_eq!(unknown.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
 }
