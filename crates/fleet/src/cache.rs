@@ -1,20 +1,23 @@
-//! Content-addressed result cache: routed group geometry keyed by what
-//! the router *sees*, proven exact by determinism.
+//! Content-addressed result cache: one routed unit's geometry per entry,
+//! keyed by what the router *sees*, proven exact by determinism.
 //!
 //! ## Why a hit is indistinguishable from a re-route
 //!
 //! The engine is deterministic and bit-identical across every proven
-//! knob (worker count, sharing mode, batch kernels, index kind). A routed
-//! group is therefore a pure function of
+//! knob (worker count, sharing mode, batch kernels, index kind), and each
+//! matching unit (a trace or a differential pair) meanders inside its own
+//! region against the obstacles alone. A routed unit is therefore a pure
+//! function of
 //!
 //! * the obstacle library's content ([`CacheKey::library_root`] — a
 //!   Merkle root, [`meander_layout::hash::library_root`]),
 //! * the board's local content ([`CacheKey::board_local_hash`] —
 //!   [`meander_layout::hash::hash_board_local`], which pins the trace id
 //!   space, every centerline, every local obstacle, and the group list),
-//! * the group's own content and position ([`CacheKey::group_hash`]),
-//! * the rules its units carry plus the *output-affecting* engine knobs
-//!   ([`CacheKey::rules_hash`], `engine_identity`).
+//! * its group's content and position ([`CacheKey::group_hash`]) and its
+//!   index within the group ([`CacheKey::unit`]),
+//! * the rules its group's units carry plus the *output-affecting* engine
+//!   knobs ([`CacheKey::rules_hash`], `engine_identity`).
 //!
 //! Equal keys ⇒ identical router input ⇒ (determinism) identical routed
 //! floats. So serving a cached entry is not an approximation that needs a
@@ -35,14 +38,15 @@
 //! content it was routed for. An edit moves the edited scope's digest —
 //! [`CacheKey::library_root`] for a library edit,
 //! [`CacheKey::board_local_hash`] for a board edit — and the next plan
-//! keys the edited groups under the new digest. Entries under the old
+//! keys the edited units under the new digest. Entries under the old
 //! content stay exact for it: an undo, or a twin board that still holds
 //! that content, hits them again; otherwise they age out under the
 //! byte-budget LRU. Correctness never depends on eviction.
 //!
 //! The fleet pipeline is the cache's one client: batch fleets, warm-up,
-//! and serving sessions all key groups through `key_for`, and every
-//! unit packet looks up and inserts in the same packet body.
+//! and serving sessions all key units through `unit_keys`, and every
+//! unit packet looks up its own key and, when it routed fresh, inserts
+//! its own entry in the same packet body.
 
 use meander_core::{CellTouches, ExtendConfig, TraceReport, UnitInput, UnitOutput};
 use meander_geom::Polyline;
@@ -52,39 +56,55 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// What a routed group is a function of. Two jobs with equal keys are
-/// identical router inputs (module docs).
+/// What a routed unit is a function of. Two unit packets with equal keys
+/// are identical router inputs (module docs). The four digests are
+/// derived once per group; the group's units differ only in
+/// [`CacheKey::unit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Merkle root of the referenced obstacle library's content.
     pub library_root: u64,
-    /// Units' rule sets (in unit order) + output-affecting engine knobs.
+    /// The group's unit rule sets (in unit order) + output-affecting
+    /// engine knobs.
     pub rules_hash: u64,
     /// The board's local content digest.
     pub board_local_hash: u64,
     /// The group's content, its board-local index, and its resolved
     /// target.
     pub group_hash: u64,
+    /// The unit's index within its group. The group digests pin every
+    /// unit's input, so the index names exactly one of them.
+    pub unit: usize,
 }
 
-/// One cached unit: the geometry it writes back, its report floats, and
-/// the windows its candidate queries touched (recorded at insert time —
-/// a serving session replaying the unit retains them to test later
-/// damage against).
+/// One cache entry — one routed unit: the geometry it writes back, its
+/// report floats, and the windows its candidate queries touched (recorded
+/// at insert time — a serving session replaying the unit retains them to
+/// test later damage against).
 #[derive(Debug, Clone)]
 pub(crate) struct CachedUnit {
     updates: Vec<(TraceId, Polyline)>,
     reports: Vec<TraceReport>,
     touches: CellTouches,
+    /// Approximate heap footprint, charged against the byte budget.
+    bytes: usize,
 }
 
 impl CachedUnit {
     /// Captures a routed unit's output and recorded touches.
     pub(crate) fn new(out: &UnitOutput, touches: CellTouches) -> CachedUnit {
+        let geometry: usize = out
+            .updates()
+            .iter()
+            .map(|(_, pl)| 16 * pl.points().len() + 24)
+            .sum();
+        // Reports are 5 words each; touches ~4 words per rect.
+        let bytes = geometry + 40 * out.reports().len() + 32 * touches.rect_count() + 64;
         CachedUnit {
             updates: out.updates().to_vec(),
             reports: out.reports().to_vec(),
             touches,
+            bytes,
         }
     }
 
@@ -97,38 +117,6 @@ impl CachedUnit {
     /// The touched windows recorded when the unit routed.
     pub(crate) fn touches(&self) -> &CellTouches {
         &self.touches
-    }
-}
-
-/// One cached group: per-unit results in unit order.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedGroup {
-    units: Vec<CachedUnit>,
-    /// Approximate heap footprint, charged against the byte budget.
-    bytes: usize,
-}
-
-impl CachedGroup {
-    /// Bundles a routed group's units.
-    pub(crate) fn new(units: Vec<CachedUnit>) -> CachedGroup {
-        let bytes = units
-            .iter()
-            .map(|u| {
-                let geometry: usize = u
-                    .updates
-                    .iter()
-                    .map(|(_, pl)| 16 * pl.points().len() + 24)
-                    .sum();
-                // Reports are 5 words each; touches ~4 words per rect.
-                geometry + 40 * u.reports.len() + 32 * u.touches.rect_count() + 64
-            })
-            .sum();
-        CachedGroup { units, bytes }
-    }
-
-    /// The cached units, in unit order.
-    pub(crate) fn units(&self) -> &[CachedUnit] {
-        &self.units
     }
 }
 
@@ -149,9 +137,9 @@ pub struct CacheStats {
 #[derive(Debug)]
 struct Entry {
     /// `Arc` so a lookup hands out a handle instead of cloning the
-    /// group's geometry — per-unit packets consult the same entry once
-    /// per unit, which would otherwise clone the whole group each time.
-    value: Arc<CachedGroup>,
+    /// unit's geometry and touches under the lock — a replay copies only
+    /// what its packet needs.
+    value: Arc<CachedUnit>,
     /// LRU clock stamp of the last lookup or insert.
     used: u64,
 }
@@ -173,8 +161,8 @@ pub struct ResultCache {
     budget: usize,
 }
 
-/// Default byte budget: enough for tens of thousands of serving-size
-/// group entries.
+/// Default byte budget: enough for hundreds of thousands of serving-size
+/// unit entries.
 pub const DEFAULT_CACHE_BUDGET: usize = 256 << 20;
 
 impl Default for ResultCache {
@@ -203,8 +191,8 @@ impl ResultCache {
     }
 
     /// The entry under `key`, counting a hit or miss. The returned handle
-    /// shares the stored group (no geometry is cloned).
-    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedGroup>> {
+    /// shares the stored unit (no geometry is cloned).
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedUnit>> {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -226,7 +214,7 @@ impl ResultCache {
     /// entries are immutable: an existing entry already holds these
     /// bytes). Evicts least-recently-used entries if the budget
     /// overflows. Returns `true` when the entry was actually inserted.
-    pub(crate) fn insert(&self, key: CacheKey, value: CachedGroup) -> bool {
+    pub(crate) fn insert(&self, key: CacheKey, value: CachedUnit) -> bool {
         let mut inner = self.lock();
         if inner.map.contains_key(&key) {
             return false;
@@ -262,7 +250,7 @@ impl ResultCache {
         self.lock().map.contains_key(key)
     }
 
-    /// Entry count.
+    /// Entry count: one per cached unit.
     pub fn len(&self) -> usize {
         self.lock().map.len()
     }
@@ -298,7 +286,7 @@ pub(crate) fn engine_identity(extend: &ExtendConfig) -> u64 {
     h.finish()
 }
 
-/// [`CacheKey::rules_hash`] for a planned group: the units' rule sets in
+/// [`CacheKey::rules_hash`] for a planned group: its units' rule sets in
 /// unit order, folded with [`engine_identity`].
 pub(crate) fn rules_key(units: &[UnitInput], extend: &ExtendConfig) -> u64 {
     let mut h = ContentHasher::new(0x756e_6974_7275_6c65); // "unitrule"
@@ -319,35 +307,41 @@ pub(crate) fn group_key(group: &meander_layout::MatchGroup, index: usize, target
     h.finish()
 }
 
-/// The [`CacheKey`] of group `g` of `board` — planned with `target` and
-/// `units` — under the content identity `(library_root,
-/// board_local_hash)`: the one derivation fleets, warm-up, sessions, and
+/// The [`CacheKey`]s of group `g` of `board`'s units — planned with
+/// `target` and `units` — in unit order, under the content identity
+/// `(library_root, board_local_hash)`. The group's digests are derived
+/// once; this is the one derivation fleets, warm-up, sessions, and
 /// [`board_keys`] share, so they all hit each other's entries.
-pub(crate) fn key_for(
+pub(crate) fn unit_keys(
     (library_root, board_local_hash): (u64, u64),
     board: &meander_layout::Board,
     g: usize,
     target: f64,
     units: &[UnitInput],
     extend: &ExtendConfig,
-) -> CacheKey {
-    CacheKey {
-        library_root,
-        rules_hash: rules_key(units, extend),
-        board_local_hash,
-        group_hash: group_key(&board.groups()[g], g, target),
-    }
+) -> Vec<CacheKey> {
+    let rules_hash = rules_key(units, extend);
+    let group_hash = group_key(&board.groups()[g], g, target);
+    (0..units.len())
+        .map(|unit| CacheKey {
+            library_root,
+            rules_hash,
+            board_local_hash,
+            group_hash,
+            unit,
+        })
+        .collect()
 }
 
-/// The cache keys of every group of `lb`, in group order — what the
-/// engine derives per job, exposed for benches and tests that need to
-/// probe specific entries.
+/// The cache keys of every unit of `lb`, in `(group, unit)` order — what
+/// the engine derives per packet, exposed for benches and tests that need
+/// to probe specific entries.
 pub fn board_keys(lb: &LibraryBoard, extend: &ExtendConfig) -> Vec<CacheKey> {
     let ident = (library_root(lb.library()), hash_board_local(lb.board()));
     meander_core::plan_board_units(lb.board())
         .into_iter()
         .enumerate()
-        .map(|(g, (target, units))| key_for(ident, lb.board(), g, target, &units, extend))
+        .flat_map(|(g, (target, units))| unit_keys(ident, lb.board(), g, target, &units, extend))
         .collect()
 }
 
@@ -362,10 +356,11 @@ mod tests {
             rules_hash: 2,
             board_local_hash: 3,
             group_hash: n,
+            unit: 0,
         }
     }
 
-    fn entry_of_bytes(points: usize) -> CachedGroup {
+    fn entry_of_bytes(points: usize) -> CachedUnit {
         let pl = Polyline::new(
             (0..points.max(2))
                 .map(|i| meander_geom::Point::new(i as f64, 0.0))
@@ -382,7 +377,7 @@ mod tests {
                 via_msdtw: false,
             }],
         );
-        CachedGroup::new(vec![CachedUnit::new(&out, CellTouches::new())])
+        CachedUnit::new(&out, CellTouches::new())
     }
 
     #[test]

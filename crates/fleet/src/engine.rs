@@ -7,7 +7,7 @@
 //! [`route_fleet`], [`warm_fleet_cache`], and [`crate::FleetSession`] are
 //! thin clients of the crate's one plan → execute → resolve pipeline
 //! (`pipeline.rs`): a fleet is a fresh plan of every valid board at
-//! [`Tier::Batch`], warm-up is the plan filtered to distinct missing
+//! [`Tier::Batch`], warm-up is the plan filtered to distinct missing unit
 //! cache keys at [`Tier::Speculative`] with no write-back, and a session
 //! feeds only its dirty units in at [`Tier::Interactive`].
 //!
@@ -18,10 +18,12 @@
 //! interactive re-route preempting a batch fleet waits out at most one
 //! unit per worker, and fine enough that a single skewed board spreads
 //! across the pool. Each packet snapshots its inputs (unit plan, shared
-//! base, obstacle overlay, cache seam) and runs through the same
+//! base, obstacle overlay, its own cache key) and runs through the same
 //! [`meander_core::run_unit`] the single-board driver uses; the
 //! `(board, group)` **job** survives as write-back metadata (a group's
 //! packets reassemble in unit order before [`meander_core::apply_outputs`]).
+//! The unit is also the result cache's granularity: a packet looks up its
+//! own entry and, when it routed fresh, inserts it.
 //!
 //! ## Failure domains
 //!
@@ -84,13 +86,13 @@
 //! Wall-clock fields ([`GroupReport::runtime`], [`FleetStats`] timings)
 //! are measurements, not outputs — they are excluded from the identity.
 
-use crate::cache::{CacheKey, CachedGroup, ResultCache};
+use crate::cache::{CacheKey, ResultCache};
 use crate::cancel::CancelToken;
 #[cfg(feature = "fault")]
 use crate::fault::FaultPlan;
 use crate::outcome::{BoardOutcome, LatencyHistogram};
 use crate::pipeline::{
-    execute, is_failed, library_slots, resolve, validate_fresh, write_group, BaseCache, Plan,
+    execute, library_slots, resolve, validate_fresh, write_group, BaseCache, Plan,
 };
 use crate::sched::{SchedCounters, Scheduler, Tier, WorkerCounters};
 use meander_core::{ExtendConfig, GroupReport};
@@ -165,12 +167,12 @@ pub struct FleetConfig {
     /// lost work report [`BoardOutcome::Cancelled`].
     pub cancel: Option<CancelToken>,
     /// Content-addressed result cache ([`crate::cache`]). When set, every
-    /// `(board, group)` job derives its [`CacheKey`] and consults the
-    /// cache before routing: a hit writes the cached geometry and report
-    /// floats back (bit-identical to re-routing, by determinism); a miss
-    /// routes with touched-window recording and inserts. Panicked or halted
-    /// jobs never insert. Share one cache across fleets and sessions via
-    /// the `Arc`.
+    /// unit packet derives its [`CacheKey`] and consults the cache before
+    /// routing: a hit replays the cached geometry and report floats
+    /// (bit-identical to re-routing, by determinism); a miss routes with
+    /// touched-window recording and inserts the unit's entry. Panicked or
+    /// halted packets never insert. Share one cache across fleets and
+    /// sessions via the `Arc`.
     pub cache: Option<Arc<ResultCache>>,
     /// Shared priority-bucketed scheduler ([`crate::sched`]). When set,
     /// the fleet's packets run on it at [`Tier::Batch`] and interleave
@@ -261,9 +263,10 @@ pub struct FleetStats {
     /// outputs: which packet hits can vary with scheduling (a twin
     /// inserted earlier in the run), the routed bytes cannot.
     pub cache_hits: u64,
-    /// Unit packets that consulted the cache and routed fresh (a group
-    /// whose every unit routed fresh then inserts). Zero when no cache is
-    /// attached.
+    /// Unit packets that consulted the cache and found no entry; each
+    /// that then routes to completion inserts its own. `cache_hits +
+    /// cache_misses` is exactly the unit packets that consulted the
+    /// cache. Zero when no cache is attached.
     pub cache_misses: u64,
     /// Boards whose unit plan was rebuilt this serving cycle (structural
     /// edit or first route). Always zero for a bare [`route_fleet`];
@@ -423,7 +426,7 @@ pub fn route_fleet(set: &mut BoardSet, config: &FleetConfig) -> FleetReport {
         if rejected[b].is_none() {
             let ident =
                 (config.cache.is_some()).then(|| (roots[lib_of[b]], hash_board_local(lb.board())));
-            plan.board(b, lib_of[b], lb.board(), ident, |_, _| true);
+            plan.board(b, lib_of[b], lb.board(), ident, |_| true);
         }
     }
     let run = execute(plan, Tier::Batch);
@@ -454,27 +457,29 @@ pub fn route_fleet(set: &mut BoardSet, config: &FleetConfig) -> FleetReport {
     }
 }
 
-/// What a speculative warm-up pass did.
+/// What a speculative warm-up pass did. Every count past `invalid`
+/// counts units or unit packets: the cache's granularity.
 #[derive(Debug, Clone, Default)]
 pub struct WarmupReport {
     /// Boards scanned (invalid ones are skipped, not warmed).
     pub boards: usize,
     /// Boards that failed validation and were skipped.
     pub invalid: usize,
-    /// Groups planned across the valid boards (duplicates included).
-    pub groups: usize,
+    /// Units planned across the valid boards (duplicates included).
+    pub units: usize,
     /// Distinct cache keys among them — the predicted-dup structure
     /// ([`meander_layout::hash`] digests): a dup-heavy fleet collapses to
     /// few distinct keys, and warming one representative serves them all.
     pub distinct: usize,
     /// Distinct keys that already had entries (nothing to do).
     pub already_cached: usize,
-    /// Groups this pass routed and inserted.
+    /// Unit packets this pass completed — each routed and inserted its
+    /// entry, or replayed one a concurrent run inserted meanwhile.
     pub warmed: usize,
-    /// Groups that lost at least one unit to a panic — never inserted,
-    /// never poisoning the cache.
+    /// Unit packets that panicked — never inserted, never poisoning the
+    /// cache.
     pub failed: usize,
-    /// Groups whose packets were skipped by cancellation or the deadline.
+    /// Unit packets skipped by cancellation or the deadline.
     pub skipped: usize,
     /// Wall clock of the pass.
     pub elapsed: Duration,
@@ -491,19 +496,19 @@ pub struct WarmupReport {
 /// work wants.
 ///
 /// The producer enumerates the fleet's **predicted-dup structure**: every
-/// group's exact [`CacheKey`] (library Merkle root + board digest + group
-/// digest — [`meander_layout::hash`]), deduplicated, minus keys already
-/// cached. One representative group per distinct missing key routes with
-/// touch recording and installs through `ResultCache::insert` — the
-/// same exact keys and insert-if-absent path the engine uses, so
-/// correctness is inherited: a warmed entry is bit-identical to what the
-/// fleet would have routed and inserted itself. Boards are **not**
-/// written back; the set is untouched.
+/// unit's exact [`CacheKey`] (library Merkle root + board digest + group
+/// digest + unit index — [`meander_layout::hash`]), deduplicated, minus
+/// keys already cached. One representative unit per distinct missing key
+/// routes with touch recording and installs through
+/// `ResultCache::insert` — the same exact keys and insert-if-absent path
+/// the engine uses, so correctness is inherited: a warmed entry is
+/// bit-identical to what the fleet would have routed and inserted itself.
+/// Boards are **not** written back; the set is untouched.
 ///
-/// A panicking packet (chaos-injected or real) resolves its group as
-/// [`WarmupReport::failed`] — an incomplete group never fills its insert
-/// accumulator, so a crash cannot poison the cache. Fault injection keys
-/// on the warm-up's *own* input-order unit/group indices.
+/// A panicking packet (chaos-injected or real) counts as
+/// [`WarmupReport::failed`] and never reaches its insert, so a crash
+/// cannot poison the cache: the panicked unit's key stays absent. Fault
+/// injection keys on the warm-up's *own* input-order unit/group indices.
 pub fn warm_fleet_cache(
     set: &BoardSet,
     config: &FleetConfig,
@@ -521,16 +526,15 @@ pub fn warm_fleet_cache(
     let mut bases = BaseCache::default();
     let mut plan = Plan::new(&config, started, &libraries, &mut bases, set.len());
     let mut seen: HashSet<CacheKey> = HashSet::new();
-    let (mut groups, mut already_cached, mut warmed_empty) = (0usize, 0usize, 0usize);
+    let (mut units, mut already_cached) = (0usize, 0usize);
     for (b, lb) in set.boards.iter().enumerate() {
         if invalid[b].is_some() {
             continue;
         }
         let ident = (roots[lib_of[b]], hash_board_local(lb.board()));
-        // One representative per distinct missing key; an empty group
-        // needs no routing and inserts right here.
-        plan.board(b, lib_of[b], lb.board(), Some(ident), |key, units| {
-            groups += 1;
+        // One representative per distinct missing key.
+        plan.board(b, lib_of[b], lb.board(), Some(ident), |key| {
+            units += 1;
             let Some(key) = key else { return false };
             if !seen.insert(key) {
                 return false;
@@ -539,28 +543,23 @@ pub fn warm_fleet_cache(
                 already_cached += 1;
                 return false;
             }
-            if units == 0 {
-                warmed_empty += usize::from(cache.insert(key, CachedGroup::new(Vec::new())));
-                return false;
-            }
             true
         });
     }
-    let resolved = resolve(execute(plan, Tier::Speculative), |_, _| {});
-    let failed = resolved.groups.iter().filter(|g| is_failed(g)).count();
-    let skipped = resolved.groups.iter().flatten().count() - failed;
+    let stats = resolve(execute(plan, Tier::Speculative), |_, _| {}).stats;
+    let failed = stats.scheduler.panics.iter().sum::<u64>() as usize;
     WarmupReport {
         boards: set.len(),
         invalid: invalid.iter().flatten().count(),
-        groups,
+        units,
         distinct: seen.len(),
         already_cached,
-        warmed: warmed_empty + resolved.groups.len() - failed - skipped,
+        warmed: stats.units_run,
         failed,
-        skipped,
+        skipped: stats.units - stats.units_run - failed,
         elapsed: started.elapsed(),
-        scheduler: resolved.stats.scheduler,
-        sched: resolved.stats.sched,
+        scheduler: stats.scheduler,
+        sched: stats.sched,
     }
 }
 

@@ -4,7 +4,7 @@
 //!
 //! * [`crate::route_fleet`] plans every valid board and executes at
 //!   [`Tier::Batch`];
-//! * [`crate::warm_fleet_cache`] plans one representative group per
+//! * [`crate::warm_fleet_cache`] plans one representative unit per
 //!   distinct missing [`CacheKey`] and executes at [`Tier::Speculative`],
 //!   with no write-back;
 //! * [`crate::FleetSession`] keeps its damage classification, cached
@@ -12,18 +12,20 @@
 //!   plan executed at [`Tier::Interactive`], keyed like a batch plan when
 //!   a cache is attached.
 //!
-//! A [`Plan`] turns validated boards into keyed unit packets. It selects
-//! each unit's shared [`WorldBase`] from the per-`(library slot, rules
-//! lattice)` [`BaseCache`], snapshots a board's obstacles once (on the
-//! board's first packet), and derives group [`CacheKey`]s. [`execute`]
-//! runs every packet through one body — the result cache's one lookup and
-//! one insert — and is the only caller of [`run_packets`]. [`resolve`]
+//! A [`Plan`] turns validated boards into keyed unit packets. It opens a
+//! group at its first admitted unit, selects each unit's shared
+//! [`WorldBase`] from the per-`(library slot, rules lattice)`
+//! [`BaseCache`], and snapshots a board's obstacles once (on the board's
+//! first packet); each packet carries its own unit [`CacheKey`].
+//! [`execute`] runs every packet through one body — the result cache's
+//! one lookup and one insert, both under the packet's own key — and is
+//! the only caller of [`run_packets`]. [`resolve`]
 //! turns the packet statuses into per-group and per-board losses, hands
 //! every group of a board that lost nothing to the caller's write-back
 //! in `(board, group)` order — a board is written whole or not at all —
 //! and builds the run's [`FleetStats`].
 
-use crate::cache::{self, CacheKey, CachedGroup, CachedUnit, ResultCache};
+use crate::cache::{self, CacheKey, CachedUnit, ResultCache};
 use crate::cancel::CancelToken;
 use crate::engine::{FleetConfig, FleetStats};
 #[cfg(feature = "fault")]
@@ -40,7 +42,7 @@ use meander_layout::{
     validate_board, validate_library, Board, LibraryBoard, ObstacleLibrary, ValidationError,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-`(library slot, rules-derived lattice)` [`WorldBase`] cache.
@@ -186,16 +188,12 @@ pub(crate) fn write_group(board: &mut Board, target: f64, outputs: Vec<UnitOutpu
 /// One planned group: write-back metadata. Not scheduled itself — its
 /// units are; its index in the plan doubles as the fault plan's job
 /// index.
+#[derive(Clone, Copy)]
 pub(crate) struct GroupJob {
     pub(crate) board: usize,
     /// Board-local group index.
     pub(crate) group: usize,
     pub(crate) target: f64,
-    unit_count: usize,
-    /// Content-addressed identity: when set, the group's packets consult
-    /// the result cache before routing and insert the group once every
-    /// unit routed fresh.
-    key: Option<CacheKey>,
 }
 
 /// One scheduled packet: a single unit, snapshotted.
@@ -206,6 +204,10 @@ struct UnitJob {
     /// Unit index within its group.
     unit: usize,
     input: UnitInput,
+    /// Content-addressed identity: when set, the packet consults the
+    /// result cache before routing and inserts its own entry when it
+    /// routed fresh.
+    key: Option<CacheKey>,
     /// Shared base selected by this unit's [`UnitInput::world_rules`]
     /// (`None` when sharing is off).
     base: Option<Arc<WorldBase>>,
@@ -254,30 +256,25 @@ impl<'a> Plan<'a> {
         }
     }
 
-    /// Opens group `group` of board `board`; the following
-    /// [`Plan::unit`] calls add its packets in unit order.
-    pub(crate) fn group(
+    /// Adds unit `unit` of `group` — a group of `board`, referencing
+    /// library `slot` — as one packet keyed `key`. The plan opens the
+    /// group at its first admitted unit; a group's units arrive
+    /// consecutively, in unit order.
+    pub(crate) fn unit(
         &mut self,
-        board: usize,
-        group: usize,
-        target: f64,
-        unit_count: usize,
+        slot: usize,
+        board: &Board,
+        group: GroupJob,
+        unit: usize,
+        input: UnitInput,
         key: Option<CacheKey>,
     ) {
-        self.groups.push(GroupJob {
-            board,
-            group,
-            target,
-            unit_count,
-            key,
-        });
-    }
-
-    /// Adds unit `unit` of the last opened group — whose board is
-    /// `board`, referencing library `slot` — as one packet.
-    pub(crate) fn unit(&mut self, slot: usize, board: &Board, unit: usize, input: UnitInput) {
+        let b = group.board;
+        let open = self.groups.last().map(|gj| (gj.board, gj.group));
+        if open != Some((b, group.group)) {
+            self.groups.push(group);
+        }
         let gj = self.groups.len() - 1;
-        let b = self.groups[gj].board;
         let library = &self.libraries[slot];
         let share = self.config.share_library;
         let obstacles = self.obstacles[b].get_or_insert_with(|| {
@@ -304,33 +301,38 @@ impl<'a> Plan<'a> {
             gj,
             unit,
             input,
+            key,
             base,
             obstacles,
             global_unit: self.units.len() as u64,
         });
     }
 
-    /// Plans every group of `board` (board `b`, library `slot`) in group
-    /// order. With `ident = Some((library_root, board_local_hash))` the
-    /// groups are keyed; `admit` sees each group's key and unit count and
-    /// drops the group by returning `false`.
+    /// Plans every unit of `board` (board `b`, library `slot`) in
+    /// `(group, unit)` order. With `ident = Some((library_root,
+    /// board_local_hash))` the units are keyed; `admit` sees each unit's
+    /// key and drops the unit by returning `false`.
     pub(crate) fn board(
         &mut self,
         b: usize,
         slot: usize,
         board: &Board,
         ident: Option<(u64, u64)>,
-        mut admit: impl FnMut(Option<CacheKey>, usize) -> bool,
+        mut admit: impl FnMut(Option<CacheKey>) -> bool,
     ) {
         for (g, (target, units)) in plan_board_units(board).into_iter().enumerate() {
-            let key =
-                ident.map(|id| cache::key_for(id, board, g, target, &units, &self.config.extend));
-            if !admit(key, units.len()) {
-                continue;
-            }
-            self.group(b, g, target, units.len(), key);
+            let keys =
+                ident.map(|id| cache::unit_keys(id, board, g, target, &units, &self.config.extend));
+            let group = GroupJob {
+                board: b,
+                group: g,
+                target,
+            };
             for (u, input) in units.into_iter().enumerate() {
-                self.unit(slot, board, u, input);
+                let key = keys.as_ref().map(|k| k[u]);
+                if admit(key) {
+                    self.unit(slot, board, group, u, input, key);
+                }
             }
         }
     }
@@ -393,10 +395,6 @@ struct RunState {
     control: RunControl,
     cache: Option<Arc<ResultCache>>,
     groups: Vec<GroupJob>,
-    /// Per group: fresh-routed unit results accumulating toward an
-    /// in-run insert — when every slot fills (no unit was cached, halted,
-    /// or panicked), the group inserts. Empty vecs for unkeyed groups.
-    accum: Vec<Mutex<Vec<Option<CachedUnit>>>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     #[cfg(feature = "fault")]
@@ -406,8 +404,8 @@ struct RunState {
 impl RunState {
     /// The one packet body: fault delay on the group's first unit, cache
     /// consult, unit-boundary halt, injected panic, route (recording
-    /// touches when the group is keyed or the packet serves a session),
-    /// in-run group insert, busy charge.
+    /// touches when the packet is keyed or serves a session), insert of
+    /// the packet's own entry, busy charge.
     fn run_unit(&self, job: &UnitJob) -> UnitRes {
         let t0 = Instant::now();
         #[cfg(feature = "fault")]
@@ -416,7 +414,6 @@ impl RunState {
                 std::thread::sleep(*delay);
             }
         }
-        let gjm = &self.groups[job.gj];
         // Interactive packets serve a session, which retains every unit's
         // touches to test later damage against — so they carry touches on
         // hits as well as on fresh routes.
@@ -424,21 +421,19 @@ impl RunState {
         // Cache consultation first: a hit replays the stored bytes —
         // exactly what routing would produce (determinism; module docs of
         // `crate::cache`).
-        if let (Some(cache), Some(key)) = (self.cache.as_deref(), gjm.key.as_ref()) {
-            if let Some(cached) = cache.lookup(key) {
-                if let Some(u) = cached.units().get(job.unit) {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    let touches = if interactive {
-                        u.touches().clone()
-                    } else {
-                        CellTouches::default()
-                    };
-                    return UnitRes::Done {
-                        out: u.to_output(),
-                        touches,
-                        elapsed: t0.elapsed(),
-                    };
-                }
+        if let (Some(cache), Some(key)) = (self.cache.as_deref(), job.key.as_ref()) {
+            if let Some(u) = cache.lookup(key) {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                let touches = if interactive {
+                    u.touches().clone()
+                } else {
+                    CellTouches::default()
+                };
+                return UnitRes::Done {
+                    out: u.to_output(),
+                    touches,
+                    elapsed: t0.elapsed(),
+                };
             }
             self.cache_misses.fetch_add(1, Ordering::Relaxed);
         }
@@ -456,11 +451,11 @@ impl RunState {
         if self.fault.panics_unit(job.global_unit) {
             panic!(
                 "injected fault: panic at unit {} (board {}, group {}, attempt {})",
-                job.global_unit, job.board, gjm.group, self.fault.attempt
+                job.global_unit, job.board, self.groups[job.gj].group, self.fault.attempt
             );
         }
         let mut touches = CellTouches::default();
-        let record = gjm.key.is_some() || interactive;
+        let record = job.key.is_some() || interactive;
         let out = run_unit(
             &job.input,
             &job.obstacles,
@@ -468,32 +463,15 @@ impl RunState {
             &self.extend,
             record.then_some(&mut touches),
         );
-        // In-run group insert: only a group whose *every* unit routed
-        // fresh inserts (a panicking or halted unit never fills its slot —
-        // no poisoned entries, structurally; a mixed group's cached units
-        // mean the entry already exists).
-        if let (Some(cache), Some(key)) = (self.cache.as_deref(), gjm.key) {
-            let full = {
-                // Packet bodies run under catch_unwind, so a poisoned
-                // accumulator can only mean a panic in this bookkeeping.
-                let mut acc = self.accum[job.gj]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let kept = if interactive {
-                    touches.clone()
-                } else {
-                    std::mem::take(&mut touches)
-                };
-                acc[job.unit] = Some(CachedUnit::new(&out, kept));
-                if acc.iter().all(Option::is_some) {
-                    Some(acc.iter_mut().flat_map(Option::take).collect::<Vec<_>>())
-                } else {
-                    None
-                }
+        // A packet that routed fresh inserts its own entry. A halted or
+        // panicking packet never gets here, so it leaves no entry.
+        if let (Some(cache), Some(key)) = (self.cache.as_deref(), job.key) {
+            let kept = if interactive {
+                touches.clone()
+            } else {
+                std::mem::take(&mut touches)
             };
-            if let Some(units) = full {
-                cache.insert(key, CachedGroup::new(units));
-            }
+            cache.insert(key, CachedUnit::new(&out, kept));
         }
         if !speculative {
             let nanos = out.busy().as_nanos().min(u128::from(u64::MAX)) as u64;
@@ -519,23 +497,10 @@ pub(crate) struct Run {
 
 /// Runs `plan`'s packets at `tier` — on [`FleetConfig::sched`] when
 /// attached, else a private pool of the config's workers — under its
-/// cancel token, deadline, and per-board budget. Zero-unit keyed groups
-/// consult (and fill) the cache on the calling thread; a plan with no
-/// packets schedules nothing.
+/// cancel token, deadline, and per-board budget. A plan with no packets
+/// schedules nothing.
 pub(crate) fn execute(plan: Plan<'_>, tier: Tier) -> Run {
     let config = plan.config;
-    let (mut hits, mut misses) = (0u64, 0u64);
-    if let Some(cache) = config.cache.as_deref() {
-        for gj in plan.groups.iter().filter(|gj| gj.unit_count == 0) {
-            let Some(key) = gj.key else { continue };
-            if cache.lookup(&key).is_some() {
-                hits += 1;
-            } else {
-                misses += 1;
-                cache.insert(key, CachedGroup::new(Vec::new()));
-            }
-        }
-    }
     let boards = plan.obstacles.len();
     let state = Arc::new(RunState {
         extend: config.extend.clone(),
@@ -547,14 +512,9 @@ pub(crate) fn execute(plan: Plan<'_>, tier: Tier) -> Run {
             board_spent: (0..boards).map(|_| AtomicU64::new(0)).collect(),
         },
         cache: config.cache.clone(),
-        accum: plan
-            .groups
-            .iter()
-            .map(|gj| Mutex::new(vec![None; if gj.key.is_some() { gj.unit_count } else { 0 }]))
-            .collect(),
         groups: plan.groups,
-        cache_hits: AtomicU64::new(hits),
-        cache_misses: AtomicU64::new(misses),
+        cache_hits: AtomicU64::new(0),
+        cache_misses: AtomicU64::new(0),
         #[cfg(feature = "fault")]
         fault: config.fault.clone(),
     });
@@ -615,8 +575,6 @@ pub(crate) struct Resolved {
     /// Per board: why it lost work — its first panic in input order, else
     /// its first halt — or `None` when every packet of it completed.
     pub(crate) lost: Vec<Option<BoardOutcome>>,
-    /// Per planned group, the same verdict at group scope.
-    pub(crate) groups: Vec<Option<BoardOutcome>>,
     /// The run's stats; the per-outcome board counters are left for the
     /// caller's [`FleetStats::tally`] over its full outcome vector.
     pub(crate) stats: FleetStats,
@@ -634,11 +592,7 @@ pub(crate) fn resolve(run: Run, mut write: impl FnMut(&GroupJob, Vec<Done>)) -> 
         .global_halt()
         .unwrap_or(BoardOutcome::DeadlineExceeded);
     let mut groups: Vec<Option<BoardOutcome>> = vec![None; state.groups.len()];
-    let mut done: Vec<Vec<Done>> = state
-        .groups
-        .iter()
-        .map(|gj| Vec::with_capacity(gj.unit_count))
-        .collect();
+    let mut done: Vec<Vec<Done>> = vec![Vec::new(); state.groups.len()];
     let mut units_run = 0usize;
     let mut latency = LatencyHistogram::default();
     for (job, status) in run.units.iter().zip(run.statuses) {
@@ -699,11 +653,7 @@ pub(crate) fn resolve(run: Run, mut write: impl FnMut(&GroupJob, Vec<Done>)) -> 
         latency,
         ..run.stats
     };
-    Resolved {
-        lost,
-        groups,
-        stats,
-    }
+    Resolved { lost, stats }
 }
 
 pub(crate) fn is_failed(o: &Option<BoardOutcome>) -> bool {

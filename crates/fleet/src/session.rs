@@ -34,11 +34,13 @@
 //! per board and recomputed only for edited scopes — identical verdicts
 //! to the full pre-flight scan, without rescanning untouched boards.
 //!
-//! With a result cache attached ([`FleetConfig::cache`]), every planned
-//! group is keyed from the current content exactly as
+//! With a result cache attached ([`FleetConfig::cache`]), every dirty
+//! unit is keyed from the current content exactly as
 //! [`crate::route_fleet`] keys it, so the session's packets hit entries
-//! that batch fleets and warm-up inserted, and insert entries they hit.
-//! A hit replays the unit's output and its recorded windows alike.
+//! that batch fleets and warm-up inserted, and each unit a re-route
+//! routes fresh inserts its own entry — a partially dirty group's fresh
+//! units included — for batch fleets to hit. A hit replays the unit's
+//! output and its recorded windows alike.
 //!
 //! ## Lifecycle
 //!
@@ -72,7 +74,9 @@ use crate::engine::{BoardSet, FleetConfig, FleetReport, FleetStats};
 #[cfg(feature = "fault")]
 use crate::fault::FaultPlan;
 use crate::outcome::BoardOutcome;
-use crate::pipeline::{execute, library_slots, resolve, write_group, BaseCache, Plan, Verdicts};
+use crate::pipeline::{
+    execute, library_slots, resolve, write_group, BaseCache, GroupJob, Plan, Verdicts,
+};
 use crate::sched::Tier;
 use meander_core::{
     plan_board_units, CellTouches, DirtyCells, GroupReport, StratumKey, UnitInput, UnitOutput,
@@ -437,7 +441,8 @@ impl FleetSession {
         }
 
         // ---- Classify: rejected / full re-route / per-unit dirty test. --
-        let mut dirty_units: Vec<(usize, usize, usize)> = Vec::new();
+        // Per group with dirty units: (board, group, its dirty units).
+        let mut dirty: Vec<(usize, usize, Vec<usize>)> = Vec::new();
         // Boards that replanned this re-route: their routed twin must be
         // rebuilt even when no unit is dirty (a board with no units).
         let mut replanned: Vec<bool> = vec![false; n];
@@ -471,13 +476,15 @@ impl FleetSession {
             }
             // A replanned board has no outputs yet, so all its units run.
             for (g, gp) in self.plans[b].iter().enumerate() {
-                for u in 0..gp.units.len() {
-                    if gp.outputs[u].is_none()
-                        || gp.touches[u].intersects(&self.lib_dirty[slot])
-                        || gp.touches[u].intersects(&self.board_dirty[b])
-                    {
-                        dirty_units.push((b, g, u));
-                    }
+                let units: Vec<usize> = (0..gp.units.len())
+                    .filter(|&u| {
+                        gp.outputs[u].is_none()
+                            || gp.touches[u].intersects(&self.lib_dirty[slot])
+                            || gp.touches[u].intersects(&self.board_dirty[b])
+                    })
+                    .collect();
+                if !units.is_empty() {
+                    dirty.push((b, g, units));
                 }
             }
         }
@@ -493,7 +500,7 @@ impl FleetSession {
         // The run carries no deadline, budget, token, or fault plan: a
         // serving re-route is bounded by its damage. Obstacles snapshot
         // from the *pristine* board, as the batch engine gathers from its
-        // un-routed input, and groups are keyed on it as batch keys them.
+        // un-routed input, and units are keyed on it as batch keys them.
         let serving = FleetConfig {
             deadline: None,
             board_budget: None,
@@ -503,19 +510,21 @@ impl FleetSession {
             ..config.clone()
         };
         let mut plan = Plan::new(&serving, started, &self.libraries, &mut self.bases, n);
-        let mut open = None;
-        for &(b, g, u) in &dirty_units {
-            let gp = &self.plans[b][g];
-            if open != Some((b, g)) {
-                let key = config.cache.is_some().then(|| {
-                    let ident = (self.lib_root[self.lib_of[b]], self.local_hash[b]);
-                    let board = &self.pristine[b];
-                    cache::key_for(ident, board, g, gp.target, &gp.units, &config.extend)
-                });
-                plan.group(b, g, gp.target, gp.units.len(), key);
-                open = Some((b, g));
+        for &(b, g, ref units) in &dirty {
+            let (gp, board, slot) = (&self.plans[b][g], &self.pristine[b], self.lib_of[b]);
+            let keys = config.cache.is_some().then(|| {
+                let ident = (self.lib_root[slot], self.local_hash[b]);
+                cache::unit_keys(ident, board, g, gp.target, &gp.units, &config.extend)
+            });
+            let group = GroupJob {
+                board: b,
+                group: g,
+                target: gp.target,
+            };
+            for &u in units {
+                let key = keys.as_ref().map(|k| k[u]);
+                plan.unit(slot, board, group, u, gp.units[u].clone(), key);
             }
-            plan.unit(self.lib_of[b], &self.pristine[b], u, gp.units[u].clone());
         }
         let plans = &mut self.plans;
         let mut resolved = resolve(execute(plan, Tier::Interactive), |gj, done| {
@@ -528,7 +537,7 @@ impl FleetSession {
 
         // ---- Per-board write-back (atomic: pristine + all outputs). ------
         let mut touched = replanned.clone();
-        for &(b, _, _) in &dirty_units {
+        for &(b, _, _) in &dirty {
             touched[b] = true;
         }
         for (b, &touched_b) in touched.iter().enumerate() {

@@ -21,8 +21,12 @@
 //! * a library move inside a window's lattice cell but beyond the
 //!   candidacy slack, and one within the slack, both match from-scratch
 //!   uncached routing;
-//! * (under `--features fault`) a panicking job never inserts a poisoned
-//!   entry.
+//! * a session re-route caches every unit it routes fresh, a partially
+//!   dirty group's units included, and a batch route of the edited fleet
+//!   hits exactly those units;
+//! * (under `--features fault`) a panicking unit never inserts a poisoned
+//!   entry: its key stays absent, and every entry its completed siblings
+//!   inserted replays uncached routing.
 
 mod common;
 
@@ -34,7 +38,7 @@ use meander_fleet::{
     ResultCache,
 };
 use meander_geom::{Point, Polyline, Rect, Vector};
-use meander_layout::gen::{dup_fleet_boards_small, edit_stream};
+use meander_layout::gen::{dup_fleet_boards_small, edit_stream, fleet_boards_small};
 use meander_layout::{hash_board_local, Board, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,9 +129,7 @@ fn cache_on_is_bit_identical_to_cache_off() {
             &config(workers, share, Some(Arc::clone(&cache))),
         );
         assert_runs_identical(&ctx, (&plain, &plain_report), (&cached, &cached_report));
-        // Every unit packet consulted the cache exactly once (these
-        // fleets have no zero-unit groups, so there are no extra
-        // planning-time consults).
+        // Every unit packet consulted the cache exactly once.
         assert_eq!(
             (cached_report.stats.cache_hits + cached_report.stats.cache_misses) as usize,
             cached_report.stats.units_run,
@@ -356,9 +358,58 @@ fn board_edit_leaves_other_boards_entries() {
     );
 }
 
-/// Chaos coverage: a job that panics mid-group never inserts — the cache
-/// holds no entry under the crashed board's keys and is exactly as large
-/// as the healthy boards' group count.
+/// A session re-route plans only a group's dirty units, and each of them
+/// that routes fresh inserts its own entry: after a library move that
+/// dirties part of the fleet, the cache grows by exactly the re-routed
+/// units, and a batch route of the edited fleet over that cache hits
+/// exactly those units — bit-identical to uncached routing.
+#[test]
+fn partial_group_reroute_caches_its_fresh_units() {
+    let cache = Arc::new(ResultCache::default());
+    let cfg = config(2, true, Some(Arc::clone(&cache)));
+    let case = fleet_boards_small(8, 7, 11);
+    let mut session = FleetSession::new(BoardSet::new(case.boards.clone()), &cfg);
+    assert!(session.report().all_routed());
+    let before = cache.len();
+    let _ = session.apply_edit(Edit::MoveObstacle {
+        scope: EditScope::Library(0),
+        index: 0,
+        by: Vector::new(1.5, 1.0),
+    });
+    let edited = session.reroute_dirty(&cfg);
+    assert!(edited.all_routed());
+    let dirty = edited.stats.units_dirty;
+    assert!(
+        dirty > 0 && dirty < edited.stats.units,
+        "the move dirties part of the fleet: {dirty} of {}",
+        edited.stats.units
+    );
+    assert_eq!(
+        cache.len(),
+        before + dirty,
+        "every re-routed unit inserts its own entry"
+    );
+
+    let mut cached = BoardSet::new(session.pristine_boards());
+    let got = route_fleet(&mut cached, &cfg);
+    assert_eq!(
+        got.stats.cache_hits as usize, dirty,
+        "batch hits exactly the units the session re-routed"
+    );
+    let mut plain = BoardSet::new(session.pristine_boards());
+    let want = route_fleet(&mut plain, &config(2, true, None));
+    assert_runs_identical(
+        "batch over a session-filled cache",
+        (&plain, &want),
+        (&cached, &got),
+    );
+}
+
+/// Chaos coverage: a unit packet that panics never inserts — its key
+/// stays absent, the cache holds one entry per unit packet that
+/// completed (the panicked unit's siblings included, which is sound by
+/// determinism), and a fault-free re-run over that cache replays
+/// uncached routing bit for bit, so every stored entry is exact.
 #[cfg(feature = "fault")]
 #[test]
 fn panicked_job_never_inserts_a_poisoned_entry() {
@@ -374,15 +425,29 @@ fn panicked_job_never_inserts_a_poisoned_entry() {
     assert!(matches!(report.outcomes[0], BoardOutcome::Failed(_)));
     assert!(report.outcomes[1].is_routed() && report.outcomes[2].is_routed());
 
-    for key in board_keys(&fleet.boards[0], &cfg.extend) {
-        assert!(
-            !cache.contains(&key),
-            "a panicked job must not leave an entry behind"
-        );
-    }
-    let healthy_groups: usize = fleet.boards[1..]
-        .iter()
-        .map(|lb| lb.board().groups().len())
-        .sum();
-    assert_eq!(cache.len(), healthy_groups, "only healthy groups inserted");
+    let panicked = board_keys(&fleet.boards[0], &cfg.extend)[0];
+    assert!(
+        !cache.contains(&panicked),
+        "a panicked unit must not leave an entry behind"
+    );
+    assert_eq!(
+        cache.len(),
+        report.stats.units_run,
+        "one entry per completed unit packet"
+    );
+
+    let entries = cache.len();
+    let mut cached = BoardSet::new(fleet.boards.clone());
+    let rerun = route_fleet(&mut cached, &config(2, true, Some(Arc::clone(&cache))));
+    let mut plain = BoardSet::new(fleet.boards.clone());
+    let want = route_fleet(&mut plain, &config(2, true, None));
+    assert_runs_identical(
+        "fault-free re-run over the chaos-filled cache",
+        (&plain, &want),
+        (&cached, &rerun),
+    );
+    assert_eq!(
+        rerun.stats.cache_hits as usize, entries,
+        "every entry served"
+    );
 }

@@ -251,7 +251,7 @@ fn speculative_warm_up_populates_exact_keys() {
     assert_eq!(warm.already_cached + warm.warmed, warm.distinct);
     assert!(warm.warmed > 0);
     assert!(
-        warm.distinct < warm.groups,
+        warm.distinct < warm.units,
         "a dup-heavy fleet collapses to fewer distinct keys"
     );
     assert!(
@@ -283,7 +283,7 @@ fn speculative_warm_up_populates_exact_keys() {
 }
 
 /// Chaos row: a Speculative packet that panics mid-warm-up never inserts
-/// a poisoned entry (the incomplete group's key stays absent) and never
+/// a poisoned entry (the panicked unit's key stays absent) and never
 /// stalls bucket opening — Batch work submitted afterwards on the same
 /// scheduler runs to completion, bit-identical to sequential.
 #[cfg(feature = "fault")]
@@ -297,16 +297,16 @@ fn panicking_speculative_packet_never_poisons_cache_or_stalls() {
     let mut warm_cfg = config(2, true, Some(Arc::clone(&sched)));
     warm_cfg.cache = Some(Arc::clone(&cache));
     // Unit 0 of the warm-up's own input order: the first representative
-    // group panics on every attempt.
+    // unit panics on every attempt.
     warm_cfg.fault = FaultPlan::new().panic_at_unit(0);
 
     let warm = warm_fleet_cache(&BoardSet::new(fleet.boards.clone()), &warm_cfg, &cache);
-    assert_eq!(warm.failed, 1, "exactly the faulted group fails");
+    assert_eq!(warm.failed, 1, "exactly the faulted unit fails");
     assert_eq!(warm.warmed, warm.distinct - 1, "the rest warm normally");
     let entries_after_warm = cache.len();
     assert_eq!(
         entries_after_warm, warm.warmed,
-        "no entry for the crashed group"
+        "no entry for the crashed unit"
     );
 
     // The scheduler survives and lower→higher bucket transitions are not
@@ -320,7 +320,7 @@ fn panicking_speculative_packet_never_poisons_cache_or_stalls() {
     assert!(report.all_routed(), "{}", report.summary());
     assert!(
         report.stats.cache_misses > 0,
-        "the unpoisoned group routed fresh"
+        "the unpoisoned unit routed fresh"
     );
     assert_identical(
         "post-chaos batch",
@@ -329,5 +329,5 @@ fn panicking_speculative_packet_never_poisons_cache_or_stalls() {
         &want_reports,
         &want_boards,
     );
-    assert!(cache.len() > entries_after_warm, "the fresh group inserted");
+    assert!(cache.len() > entries_after_warm, "the fresh unit inserted");
 }

@@ -130,7 +130,9 @@ fn run(args: &[String]) -> Result<(), Error> {
             let what = it.next().ok_or_else(|| usage("gen needs a case spec"))?;
             let rest: Vec<&str> = it.map(String::as_str).collect();
             let board = generate(what)?;
-            println!("generated: {board}");
+            // Status goes to stderr: without `--out` the board text is
+            // stdout, which must load as written.
+            eprintln!("generated: {board}");
             write_outputs(&board, &rest)?;
             if !rest.contains(&"--out") {
                 let text = save_board(&board).map_err(|e| Error::Failed(e.to_string()))?;
@@ -152,7 +154,7 @@ fn read_board(path: &str) -> Result<Board, Error> {
 fn write_outputs(board: &Board, rest: &[&str]) -> Result<(), Error> {
     let write = |path: &str, text: String| {
         std::fs::write(path, text).map_err(|e| Error::Failed(format!("write {path}: {e}")))?;
-        println!("wrote {path}");
+        eprintln!("wrote {path}");
         Ok(())
     };
     if let Some(i) = rest.iter().position(|&a| a == "--out") {

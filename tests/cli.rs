@@ -1,7 +1,8 @@
 //! The `meander` binary's exit-code contract: `meander match` fails when
 //! matching adds a violation whose (kind, trace) pair the input lacked,
 //! and still writes its outputs; only a malformed command line prints the
-//! usage text.
+//! usage text; `meander gen` without `--out` writes exactly the board
+//! text to stdout.
 
 use meander::core::{match_board_group, ExtendConfig};
 use meander::drc::new_violations;
@@ -73,6 +74,30 @@ fn match_exit_code_is_the_new_violation_rule() {
         assert!(Path::new(&output).exists(), "{spec}: --out is written");
         let got = std::fs::read_to_string(&output).expect("routed text");
         assert_eq!(got, want, "{spec}: routed bytes");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `meander gen <spec> > b.txt` must produce a loadable board: stdout
+/// carries the same bytes `--out` writes, with every status line on
+/// stderr — also when an SVG is written alongside.
+#[test]
+fn gen_stdout_is_the_out_file() {
+    let dir = std::env::temp_dir().join(format!("meander-cli-gen-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    for spec in SPECS {
+        let (out, svg) = (path("out.txt"), path("out.svg"));
+        assert!(
+            meander(&["gen", spec, "--out", &out]).status.success(),
+            "{spec}"
+        );
+        let want = std::fs::read(&out).expect("generated text");
+        for args in [vec!["gen", spec], vec!["gen", spec, "--svg", &svg]] {
+            let run = meander(&args);
+            assert!(run.status.success(), "{args:?}");
+            assert!(run.stdout == want, "{args:?}: stdout is the board text");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
